@@ -5,6 +5,29 @@ associated PREs and memory.  When a new connection injects the same
 plugin, it can reuse the cached PREs as is, without verifying or compiling
 the pluglets again.  The plugin heap must be reinitialized to avoid
 leaking information between unrelated connections."
+
+Load once, instantiate per connection
+=====================================
+
+The cache holds :class:`~repro.core.plugin.Plugin` objects, and a plugin
+keeps what depends only on its immutable §3.1 binding, computed once
+(:meth:`Plugin.load <repro.core.plugin.Plugin.load>`, run by the first
+instantiation): the verification verdict, the analyzer's proofs and
+effect summaries, and per pluglet the JIT-compiled checked closure, the
+proof-specialized closure and its ``fuel_bound`` / ``helper_bound`` /
+``heap_size`` gates.  The generated code takes its VM as an argument and
+keeps all state in locals, so connections share it as is.
+
+Every connection gets its own :class:`~repro.core.plugin.PluginInstance`:
+a zeroed heap and allocator, the helper table, one VM shell per pluglet
+with its own counters and budgets (the gates are evaluated per VM), the
+profiler and the containment state.  Nothing one connection's pluglets
+write is reachable from another connection, and no instance outlives its
+connection — there is no pool of idle instances to reset.
+
+A plugin's pluglet list must not change once it is stored; ``store`` of a
+different plugin under the same name replaces the old one together with
+its code.
 """
 
 from __future__ import annotations
@@ -16,7 +39,7 @@ from .plugin import Plugin, PluginInstance
 
 
 class PluginCache:
-    """Caches verified plugins and idle :class:`PluginInstance` shells.
+    """Holds verified plugins and instantiates them on connections.
 
     When built with a :class:`~repro.core.containment.QuarantineRegistry`,
     the cache is also the cross-connection enforcement point for plugin
@@ -26,13 +49,15 @@ class PluginCache:
 
     def __init__(self, quarantine: Optional[QuarantineRegistry] = None) -> None:
         self._plugins: dict[str, Plugin] = {}
-        self._idle_instances: dict[str, list] = {}
         self.quarantine = quarantine
+        #: Instantiations that reused the plugin's loaded code / that had
+        #: to produce it first.
         self.hits = 0
         self.misses = 0
 
     def store(self, plugin: Plugin) -> None:
-        """Add a plugin to the local cache (verifies it once)."""
+        """Add a plugin to the local cache (verifies it once; its code is
+        compiled by the first connection that instantiates it)."""
         plugin.verify_all()
         self._plugins[plugin.name] = plugin
 
@@ -47,33 +72,18 @@ class PluginCache:
         return sorted(self._plugins)
 
     def instantiate(self, name: str, conn) -> PluginInstance:
-        """Create (or reuse) an instance of a cached plugin for ``conn``.
-
-        Reuse re-targets the cached PREs at the new connection and resets
-        the plugin heap; creation compiles/validates from scratch.
-        """
+        """A fresh instance of a cached plugin for ``conn``: new heap and
+        VM shells around the code the plugin loaded once."""
         plugin = self._plugins.get(name)
         if plugin is None:
             raise KeyError(f"plugin {name!r} not in cache")
         if self.quarantine is not None:
             self.quarantine.check(name, getattr(conn, "now", 0.0))
-        idle = self._idle_instances.get(name)
-        if idle:
+        if plugin.loaded:
             self.hits += 1
-            instance = idle.pop()
-            instance.conn = conn
-            instance.runtime.conn = conn
-            instance.runtime.reset_for_reuse()
-            instance._attached.clear()
-            instance.attached = False
-            return instance
-        self.misses += 1
+        else:
+            self.misses += 1
         return PluginInstance(plugin, conn)
-
-    def release(self, instance: PluginInstance) -> None:
-        """Return an instance to the cache when its connection completes."""
-        instance.detach()
-        self._idle_instances.setdefault(instance.plugin.name, []).append(instance)
 
 
 class FieldPolicy:

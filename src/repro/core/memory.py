@@ -109,7 +109,7 @@ class BlockAllocator:
         return count * self.block_size if count else None
 
     def reset(self) -> None:
-        """Return every block and zero the memory (plugin reuse, §2.5)."""
+        """Return every block and zero the memory."""
         self.memory.reset()
         self._free = list(range(self.num_blocks - 1, -1, -1))
         self._free_set = set(self._free)

@@ -7,11 +7,15 @@ combination forms a *protocol plugin*; serialized, it is exactly the
 ``binding = pluginname || plugincode`` of §3.1 — what validators hash into
 their Merkle trees.
 
-Instantiation (:class:`PluginInstance`) gives the plugin its dedicated
-memory, one PRE (:class:`~repro.vm.interpreter.VirtualMachine`) per
-pluglet sharing that heap (Figure 2), and wrapper callables that marshal
-protocol-operation invocations into the VM.  A memory violation at run
-time removes the plugin and terminates the connection (§2.1).
+*Loading* (:meth:`Plugin.load`) is everything that depends only on that
+binding — the verification verdict, the analyzer's proofs, the
+JIT-compiled closures — and happens once per :class:`Plugin` object.
+*Instantiation* (:class:`PluginInstance`) happens once per connection and
+gives the plugin its dedicated memory, one PRE
+(:class:`~repro.vm.interpreter.VirtualMachine`) per pluglet sharing that
+heap (Figure 2) and running the shared code, and wrapper callables that
+marshal protocol-operation invocations into the VM.  A memory violation
+at run time removes the plugin and terminates the connection (§2.1).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from repro.vm.interpreter import (
     VirtualMachine,
 )
 from repro.vm.isa import decode_program, encode_program
-from repro.vm.jit import create_vm
+from repro.vm.jit import create_vm, jit_enabled_by_env, load_jit
 from repro.vm.analysis import VerificationError, verify
 
 from .api import CORE_HELPER_NAMES, ApiViolation, InvocationContext, PluginApi
@@ -141,7 +145,11 @@ class Pluglet:
 
 
 class Plugin:
-    """A manifest plus pluglets — the unit of distribution and validation."""
+    """A manifest plus pluglets — the unit of distribution and validation.
+
+    The pluglet list is immutable once the plugin is verified, analyzed or
+    loaded (it is the §3.1 binding): the results are kept on the object
+    and serve every connection the plugin is instantiated on."""
 
     def __init__(self, name: str, pluglets: list,
                  memory_size: int = DEFAULT_PLUGIN_MEMORY,
@@ -158,6 +166,13 @@ class Plugin:
         self.frame_registrar = frame_registrar
         self._analysis: Optional[dict] = None
         self._effects = None
+        #: Verification verdict, kept like the analysis: the message of
+        #: the first failing pluglet, None when verified and clean.
+        self._verified = False
+        self._rejection: Optional[str] = None
+        #: Loaded code, {pluglet name: JitCode}, keyed by whether the
+        #: proofs were applied (``REPRO_ANALYSIS``).
+        self._code: dict[bool, dict] = {}
 
     # --- serialization (the §3.1 binding) -------------------------------
 
@@ -231,14 +246,19 @@ class Plugin:
     def verify_all(self) -> None:
         """Static verification of every pluglet; §2.1: "A plugin is
         rejected if any of the above checks fails for one of its
-        pluglets."""
-        for p in self.pluglets:
-            try:
-                verify(p.instructions)
-            except VerificationError as exc:
-                raise VerificationError(
-                    f"plugin {self.name}: pluglet {p.name}: {exc}"
-                )
+        pluglets."  The verdict is kept: a plugin is checked once, and one
+        that failed is rejected again on every later call."""
+        if not self._verified:
+            self._verified = True
+            for p in self.pluglets:
+                try:
+                    verify(p.instructions)
+                except VerificationError as exc:
+                    self._rejection = (
+                        f"plugin {self.name}: pluglet {p.name}: {exc}")
+                    break
+        if self._rejection is not None:
+            raise VerificationError(self._rejection)
 
     def analyze_all(self) -> dict:
         """Static-analyzer reports for every pluglet, keyed by pluglet
@@ -258,6 +278,33 @@ class Plugin:
 
             self._effects = summarize_plugin(self, HELPER_EFFECTS)
         return self._effects
+
+    @property
+    def loaded(self) -> bool:
+        """True when :meth:`load` has nothing left to produce under the
+        current ``REPRO_JIT`` / ``REPRO_ANALYSIS`` switches."""
+        return self._verified and self._rejection is None and (
+            not jit_enabled_by_env()
+            or analysis_enabled_by_env() in self._code)
+
+    def load(self) -> Optional[dict]:
+        """Verify the plugin and JIT-compile its pluglets — §2.5: paid
+        once per plugin, not per connection.  Returns ``{pluglet name:
+        JitCode}`` shared by every instance, or None when ``REPRO_JIT=0``
+        leaves nothing to compile.  The proof-specialized closures exist
+        only in the code loaded with ``REPRO_ANALYSIS`` on."""
+        self.verify_all()
+        if not jit_enabled_by_env():
+            return None
+        proofs = analysis_enabled_by_env()
+        code = self._code.get(proofs)
+        if code is None:
+            reports = self.analyze_all() if proofs else {}
+            code = self._code[proofs] = {
+                p.name: load_jit(p.instructions, reports.get(p.name))
+                for p in self.pluglets
+            }
+        return code
 
     def stats(self) -> dict:
         """Table-2 style statistics."""
@@ -348,17 +395,12 @@ class PluginRuntime:
             self._opaque[oid] = self.allocator.malloc(size)
         return self._opaque[oid]
 
-    def reset_for_reuse(self) -> None:
-        """Reinitialize the heap for a new connection (§2.5)."""
-        self.allocator.reset()
-        self._opaque.clear()
-
 
 class PluginInstance:
     """A plugin instantiated on one connection: PREs + wrappers + heap."""
 
     def __init__(self, plugin: Plugin, conn):
-        plugin.verify_all()
+        code = plugin.load()
         self.plugin = plugin
         self.conn = conn
         self.runtime = PluginRuntime(plugin, conn)
@@ -366,21 +408,22 @@ class PluginInstance:
         helper_table = api.helper_table()
         self.vms: dict[str, VirtualMachine] = {}
         self._attached: list = []  # (protoop, anchor, func, param)
-        #: Static-analysis reports per pluglet — drives proof-guided JIT
-        #: specialization and the ``plugin_analyzed`` event; empty when
+        #: Static-analysis reports per pluglet — drives the attach-time
+        #: conflict check and the ``plugin_analyzed`` event; empty when
         #: ``REPRO_ANALYSIS=0``.
         self.analysis_reports: dict = (
             plugin.analyze_all() if analysis_enabled_by_env() else {}
         )
         for p in plugin.pluglets:
-            # JIT-compiled PRE with automatic interpreter fallback (the
-            # paper JITs pluglet bytecode; see repro/vm/jit.py).  Proofs
-            # from the analyzer let the JIT drop its inlined monitor.
+            # One VM shell per pluglet — its own counters and budgets —
+            # around the plugin's shared JIT-compiled code, with automatic
+            # interpreter fallback (the paper JITs pluglet bytecode; see
+            # repro/vm/jit.py).
             self.vms[p.name] = create_vm(
                 p.instructions, self.runtime.memory, helpers=helper_table,
                 instruction_budget=p.fuel or DEFAULT_FUEL,
                 helper_call_budget=p.helper_budget or DEFAULT_HELPER_BUDGET,
-                analysis=self.analysis_reports.get(p.name),
+                code=code[p.name] if code else None,
             )
         self.attached = False
         #: PRE profiler (see :mod:`repro.trace.profile`), None when

@@ -76,14 +76,8 @@ class PaddingFrame(Frame):
 
     @classmethod
     def parse(cls, buf: Buffer, frame_type: int) -> "PaddingFrame":
-        length = 1
-        while not buf.eof():
-            if buf.pull_uint8() == 0:
-                length += 1
-            else:
-                buf.seek(buf.position - 1)
-                break
-        return cls(length=length)
+        # The type byte is the first zero of the run.
+        return cls(length=1 + buf.skip_zeros())
 
 
 @dataclass

@@ -9,6 +9,7 @@ reassembly.
 from __future__ import annotations
 
 import bisect
+import re
 from typing import Iterable, Iterator, Optional
 
 from .errors import FrameEncodingError
@@ -30,6 +31,7 @@ def varint_size(value: int) -> int:
 
 
 _VARINT_1BYTE = [bytes([v]) for v in range(64)]
+_ZERO_RUN = re.compile(rb"\x00*")
 
 
 def encode_varint(value: int) -> bytes:
@@ -116,6 +118,14 @@ class Buffer:
             raise FrameEncodingError(f"read of {n} bytes past end")
         self._pos = pos + n
         return memoryview(self._data)[pos:pos + n]
+
+    def skip_zeros(self) -> int:
+        """Advance past the run of zero bytes at the read position (a
+        PADDING run) and return its length.  One scan over the backing,
+        which ``re`` reads in place whatever its type."""
+        pos = self._pos
+        self._pos = _ZERO_RUN.match(self._data, pos).end()
+        return self._pos - pos
 
     def pull_uint8(self) -> int:
         return self.pull_bytes(1)[0]

@@ -93,7 +93,7 @@ class PluginMemory:
         self.data = bytearray(size)
 
     def reset(self) -> None:
-        """Reinitialize (plugin reuse across connections, §2.5)."""
+        """Zero the memory."""
         self.data[:] = bytes(self.size)
 
 

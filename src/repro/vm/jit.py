@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import os
 import struct
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from .interpreter import (
     DEFAULT_FUEL,
@@ -103,6 +103,8 @@ from .isa import (
 __all__ = [
     "JitError",
     "compile_jit",
+    "JitCode",
+    "load_jit",
     "JitVirtualMachine",
     "create_vm",
     "jit_enabled_by_env",
@@ -543,12 +545,58 @@ def jit_enabled_by_env() -> bool:
     return os.environ.get("REPRO_JIT", "1") != "0"
 
 
+class JitCode(NamedTuple):
+    """The compiled closures of one pluglet plus the gates of the
+    proof-specialized one.
+
+    Depends only on the bytecode and its analysis report, never on a
+    connection: the generated functions take the VM as an argument and
+    keep all state in locals, so one ``JitCode`` serves any number of
+    :class:`JitVirtualMachine` shells, concurrently and re-entrantly.
+    """
+
+    #: Fully-checked closure; None when the program cannot be translated
+    #: (the VM then interprets).
+    checked: Optional[Callable]
+    #: Monitor-free closure; None when no proof applies.
+    fast: Optional[Callable] = None
+    fuel_bound: Optional[int] = None
+    helper_bound: Optional[int] = None
+    #: Plugin memory size the heap in-bounds proofs assumed.
+    heap_size: int = 0
+
+
+def load_jit(instructions: list, analysis: Optional[object] = None) -> JitCode:
+    """Compile a pluglet once: the fully-checked closure and, when
+    ``analysis`` (an :class:`~repro.vm.analysis.AnalysisReport`) is clean
+    and proves something, the monitor-free variant with its gates."""
+    try:
+        checked = compile_jit(instructions)
+    except JitError:
+        return JitCode(None)
+    if analysis is None or not getattr(analysis, "ok", False):
+        return JitCode(checked)
+    mem_facts = getattr(analysis, "mem_facts", None) or {}
+    fuel_bound = getattr(analysis, "fuel_bound", None)
+    helper_bound = getattr(analysis, "helper_bound", None)
+    if not mem_facts and fuel_bound is None and helper_bound is None:
+        return JitCode(checked)  # the proof elides nothing
+    try:
+        fast = compile_jit(instructions, proof=analysis)
+    except JitError:  # pragma: no cover - checked variant compiled
+        return JitCode(checked)
+    return JitCode(checked, fast, fuel_bound, helper_bound,
+                   getattr(analysis, "heap_size", 0))
+
+
 class JitVirtualMachine(VirtualMachine):
-    """A VirtualMachine that executes through a JIT-compiled closure.
+    """A VirtualMachine that executes through JIT-compiled closures.
 
     Subclasses the interpreter so helpers keep their full API surface
-    (``current_stack``, ``load``/``store``, budgets).  If translation
-    fails, ``run`` transparently falls back to the interpreter loop.
+    (``current_stack``, ``load``/``store``, budgets).  ``code`` comes from
+    :func:`load_jit` and may be shared with other VMs; counters, budgets
+    and memory are this VM's own.  If translation failed, ``run``
+    transparently falls back to the interpreter loop.
     """
 
     def __init__(
@@ -558,40 +606,18 @@ class JitVirtualMachine(VirtualMachine):
         helpers: Optional[dict] = None,
         instruction_budget: int = DEFAULT_FUEL,
         helper_call_budget: int = DEFAULT_HELPER_BUDGET,
-        analysis: Optional[object] = None,
+        *,
+        code: JitCode,
     ):
         super().__init__(instructions, plugin_memory, helpers,
                          instruction_budget, helper_call_budget)
-        try:
-            self.jit_function: Optional[Callable] = compile_jit(instructions)
-        except JitError:
-            self.jit_function = None
-        self._fast_function: Optional[Callable] = None
-        self._fuel_bound: Optional[int] = None
-        self._helper_bound: Optional[int] = None
-        if self.jit_function is not None and analysis is not None:
-            self._specialize(instructions, plugin_memory, analysis)
-
-    def _specialize(self, instructions: list,
-                    plugin_memory: PluginMemory, analysis: object) -> None:
-        """Compile the monitor-free variant when the proofs apply here."""
-        if not getattr(analysis, "ok", False):
-            return
-        if plugin_memory.size < getattr(analysis, "heap_size", 0):
-            # The heap in-bounds facts assumed a larger memory; dropping
-            # the monitor against this one would be unsound.
-            return
-        mem_facts = getattr(analysis, "mem_facts", None) or {}
-        fuel_bound = getattr(analysis, "fuel_bound", None)
-        helper_bound = getattr(analysis, "helper_bound", None)
-        if not mem_facts and fuel_bound is None and helper_bound is None:
-            return  # the proof elides nothing; one closure is enough
-        try:
-            self._fast_function = compile_jit(instructions, proof=analysis)
-        except JitError:  # pragma: no cover - checked variant compiled
-            return
-        self._fuel_bound = fuel_bound
-        self._helper_bound = helper_bound
+        self.jit_function: Optional[Callable] = code.checked
+        # The heap in-bounds facts assumed `heap_size` bytes; dropping the
+        # monitor against a smaller memory would be unsound.
+        self._fast_function: Optional[Callable] = (
+            code.fast if plugin_memory.size >= code.heap_size else None)
+        self._fuel_bound = code.fuel_bound
+        self._helper_bound = code.helper_bound
 
     @property
     def jit_enabled(self) -> bool:
@@ -646,22 +672,26 @@ def create_vm(
     instruction_budget: int = DEFAULT_FUEL,
     helper_call_budget: int = DEFAULT_HELPER_BUDGET,
     analysis: Optional[object] = None,
+    code: Optional[JitCode] = None,
 ) -> VirtualMachine:
     """Build the fastest available VM for a pluglet.
 
-    Returns a :class:`JitVirtualMachine` unless the ``REPRO_JIT=0``
-    environment switch forces the reference interpreter.  ``analysis``
-    is an :class:`~repro.vm.analysis.AnalysisReport` whose proofs enable
-    the monitor-free closure; it is ignored when ``REPRO_ANALYSIS=0``.
+    ``code`` is the pluglet's already loaded :class:`JitCode`: a plugin
+    loads it once and hands it to the VM of every connection.  Without
+    it the pluglet is compiled here — with the proofs of ``analysis``
+    unless ``REPRO_ANALYSIS=0`` — or, when the ``REPRO_JIT=0``
+    environment switch forces it, run by the reference interpreter.
     """
-    if not jit_enabled_by_env():
-        return VirtualMachine(instructions, plugin_memory, helpers,
-                              instruction_budget, helper_call_budget)
-    if analysis is not None:
-        from .analysis import analysis_enabled_by_env
+    if code is None:
+        if not jit_enabled_by_env():
+            return VirtualMachine(instructions, plugin_memory, helpers,
+                                  instruction_budget, helper_call_budget)
+        if analysis is not None:
+            from .analysis import analysis_enabled_by_env
 
-        if not analysis_enabled_by_env():
-            analysis = None
+            if not analysis_enabled_by_env():
+                analysis = None
+        code = load_jit(instructions, analysis)
     return JitVirtualMachine(instructions, plugin_memory, helpers,
                              instruction_budget, helper_call_budget,
-                             analysis=analysis)
+                             code=code)

@@ -3,6 +3,8 @@ blocklisting, and the end-to-end guarantee that a runaway pluglet is
 stopped by its fuel budget and quarantined WITHOUT killing the connection.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.core import (
@@ -24,6 +26,7 @@ from repro.trace import ConnectionTracer
 from repro.vm import ExecutionError, FuelExhausted, MemoryViolation, assemble
 
 LOOP = "top:\nja top\nexit"  # statically verifiable, never terminates
+CORPUS_BAD = Path(__file__).parent / "corpus" / "bad"
 
 
 def make_conn():
@@ -194,6 +197,63 @@ class TestContainmentPolicy:
         assert registry.record("org.x.spin").blocklisted
         with pytest.raises(PluginQuarantined, match="blocklisted"):
             cache.instantiate("org.x.spin", make_conn())
+
+
+class TestContainmentWithSharedCode:
+    """One cached plugin, loaded once, live on two connections: a fault is
+    contained on the connection it happened on."""
+
+    BUMP = ("mov r1, 1\nmov r2, 8\ncall 5\nldxdw r3, [r0+0]\nadd r3, 1\n"
+            "stxdw [r0+0], r3\nmov r0, r3\nexit")
+
+    @pytest.mark.parametrize("fault, fatal", [
+        ("infinite_loop", False),  # fuel bomb: transient, quarantined
+        ("oob_store", True),       # heap OOB: §2.1, the connection dies
+    ])
+    def test_fault_on_one_connection_spares_sibling_and_code(
+            self, monkeypatch, fault, fatal):
+        monkeypatch.delenv("REPRO_JIT", raising=False)
+        source = (CORPUS_BAD / f"{fault}.s").read_text()
+        registry = QuarantineRegistry(backoff_base=1.0)
+        cache = PluginCache(quarantine=registry)
+        name = "org.x.shared"
+        cache.store(Plugin(name, [
+            Pluglet("bump", "bump", "replace", assemble(self.BUMP)),
+            Pluglet("bomb", "bomb", "replace", assemble(source), fuel=300),
+        ]))
+        conn_a, conn_b = make_conn(), make_conn()
+        for conn in (conn_a, conn_b):
+            ContainmentPolicy(registry).attach(conn)
+            cache.instantiate(name, conn).attach()
+        sibling = conn_b.plugins[name]
+        assert conn_a.protoops.run(conn_a, "bump", None) == 1
+        assert conn_b.protoops.run(conn_b, "bump", None) == 1
+
+        if fatal:
+            with pytest.raises(Exception):
+                conn_a.protoops.run(conn_a, "bomb", None)
+        else:
+            conn_a.protoops.run(conn_a, "bomb", None)
+        assert conn_a.closed == fatal
+        assert name not in conn_a.plugins
+        assert (registry.record(name) is None) == fatal
+
+        # The sibling never notices: attached, own heap, own counters.
+        assert sibling.attached and not conn_b.closed
+        assert conn_b.protoops.run(conn_b, "bump", None) == 2
+        assert sibling.vms["bomb"].instructions_executed == 0
+
+        # A later connection gets the same, still usable, code.
+        conn_c = make_conn()
+        if not fatal:
+            with pytest.raises(PluginQuarantined):
+                cache.instantiate(name, conn_c)
+            conn_c.now = 5.0  # past the backoff
+        later = cache.instantiate(name, conn_c)
+        later.attach()
+        assert later.vms["bump"].jit_function is sibling.vms["bump"].jit_function
+        assert conn_c.protoops.run(conn_c, "bump", None) == 1
+        assert (cache.misses, cache.hits) == (1, 2)
 
 
 class TestEndToEndContainment:

@@ -242,9 +242,9 @@ class TestCache:
         with pytest.raises(KeyError):
             cache.instantiate("nope", make_conn())
 
-    def test_reuse_resets_heap(self):
-        """§2.5: cached PREs are reused; the plugin heap must be
-        reinitialized to avoid leaking information between connections."""
+    def test_heap_write_never_visible_to_another_connection(self):
+        """§2.5: connections share the cached plugin's code, never its
+        heap — what connection A's pluglet wrote is not there for B."""
         cache = PluginCache()
         writer = Pluglet("w", "packet_sent_event", "post", assemble(
             "mov r1, 1\nmov r2, 8\ncall 5\nstdw [r0+0], 9\nexit"))
@@ -254,21 +254,28 @@ class TestCache:
         inst1.attach()
         conn1.protoops.run(conn1, "packet_sent_event", None)
         assert any(inst1.runtime.memory.data)
-        cache.release(inst1)
         conn2 = make_conn()
         inst2 = cache.instantiate("org.x.cache", conn2)
-        assert inst2 is inst1  # same PREs reused
-        assert not any(inst2.runtime.memory.data)  # heap reinitialized
         assert inst2.conn is conn2
-        assert cache.hits == 1
+        assert inst2.runtime.memory is not inst1.runtime.memory
+        assert not any(inst2.runtime.memory.data)
+        # B's own write lands in B's heap and leaves A's as it was.
+        before = bytes(inst1.runtime.memory.data)
+        inst2.attach()
+        conn2.protoops.run(conn2, "packet_sent_event", None)
+        assert any(inst2.runtime.memory.data)
+        assert inst1.runtime.memory.data == before
 
-    def test_fresh_instances_without_release(self):
+    def test_every_instantiation_is_fresh_and_load_is_counted_once(
+            self, monkeypatch):
+        monkeypatch.delenv("REPRO_JIT", raising=False)
         cache = PluginCache()
         cache.store(Plugin("org.x.f", [noop_pluglet()]))
         a = cache.instantiate("org.x.f", make_conn())
         b = cache.instantiate("org.x.f", make_conn())
         assert a is not b
-        assert cache.misses == 2
+        assert a.runtime is not b.runtime and a.vms["nop"] is not b.vms["nop"]
+        assert (cache.misses, cache.hits) == (1, 1)
 
     def test_store_verifies(self):
         from repro.vm.isa import Instruction, Op

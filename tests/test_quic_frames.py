@@ -96,6 +96,18 @@ class TestRoundtrips:
         t2, _ = registry.parse_one(buf)
         assert t2 == F.PING
 
+    @pytest.mark.parametrize("backing", [bytes, memoryview])
+    @pytest.mark.parametrize("tail", [b"", b"\x01", b"\x01\x00\x00"])
+    def test_padding_run_ends_at_nonzero_byte_or_eof(self, backing, tail):
+        """The run is measured in one scan over the backing, zero-copy for
+        a received datagram: same length and read position either way."""
+        buf = Buffer(backing(b"\xff" + b"\x00" * 1100 + tail))
+        buf.seek(1)
+        t, pad = F.FrameRegistry().parse_one(buf)
+        assert (t, pad.length) == (F.PADDING, 1100)
+        assert buf.position == 1101
+        assert buf.eof() == (not tail)
+
 
 class TestAckElicitation:
     def test_non_eliciting_types(self):

@@ -28,7 +28,7 @@ from repro.vm.analysis import (
 from repro.vm.asm import assemble
 from repro.vm import PluginMemory
 from repro.vm.interpreter import FuelExhausted
-from repro.vm.jit import JitVirtualMachine
+from repro.vm.jit import JitVirtualMachine, load_jit
 
 
 def make_conn():
@@ -302,7 +302,9 @@ class TestFuelCertificates:
         assert report.fuel_bound == cert.fuel_bound
         assert cert.loops and cert.loops[0].trips >= 9
         # The bound is a worst case: actual execution fits under it.
-        vm = JitVirtualMachine(assemble(LOOP_SRC), PluginMemory(size=64))
+        program = assemble(LOOP_SRC)
+        vm = JitVirtualMachine(program, PluginMemory(size=64),
+                               code=load_jit(program))
         assert vm.run() == 20
         assert vm.instructions_executed <= report.fuel_bound
 
@@ -310,13 +312,15 @@ class TestFuelCertificates:
         program = assemble(LOOP_SRC)
         report = analyze(program, heap_size=64)
         vm = JitVirtualMachine(program, PluginMemory(size=64),
-                               instruction_budget=10_000, analysis=report)
+                               instruction_budget=10_000,
+                               code=load_jit(program, report))
         assert vm.jit_specialized
         fast = vm._fast_function.source
         assert "raise _FuelExhausted" not in fast
         assert "_fuel -=" in fast  # accounting stays exact
         ref = JitVirtualMachine(program, PluginMemory(size=64),
-                                instruction_budget=10_000)
+                                instruction_budget=10_000,
+                                code=load_jit(program))
         assert vm.run() == ref.run() == 20
         assert vm.instructions_executed == ref.instructions_executed
 
@@ -324,7 +328,8 @@ class TestFuelCertificates:
         program = assemble(LOOP_SRC)
         report = analyze(program, heap_size=64)
         vm = JitVirtualMachine(program, PluginMemory(size=64),
-                               instruction_budget=10, analysis=report)
+                               instruction_budget=10,
+                               code=load_jit(program, report))
         assert vm.jit_specialized  # compiled, but gated per run
         with pytest.raises(FuelExhausted, match="10 instructions"):
             vm.run()

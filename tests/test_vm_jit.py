@@ -37,6 +37,7 @@ from repro.vm.jit import (
     JitVirtualMachine,
     compile_jit,
     create_vm,
+    load_jit,
 )
 
 HEAP_SIZE = 4096
@@ -160,7 +161,8 @@ def _observe(vm_cls, program, budget, runs, analysis=None):
     """Run ``program`` and capture everything observable from outside."""
     mem = PluginMemory(size=HEAP_SIZE)
     log = []
-    kwargs = {"analysis": analysis} if analysis is not None else {}
+    kwargs = ({"code": load_jit(program, analysis)}
+              if vm_cls is JitVirtualMachine else {})
     vm = vm_cls(program, mem, helpers=_make_helpers(log),
                 instruction_budget=budget, helper_call_budget=8, **kwargs)
     if vm_cls is JitVirtualMachine:
@@ -290,9 +292,9 @@ class TestFixedPrograms:
         prog = assemble(
             "stdw [r10-8], 123456\nmov r1, r10\nadd r1, -8\ncall 3\nexit"
         )
-        for cls in (VirtualMachine, JitVirtualMachine):
-            vm = cls(prog, PluginMemory(size=64), helpers={3: peek})
-            vm.run()
+        VirtualMachine(prog, PluginMemory(size=64), helpers={3: peek}).run()
+        JitVirtualMachine(prog, PluginMemory(size=64), helpers={3: peek},
+                          code=load_jit(prog)).run()
         assert seen == [123456, 123456]
 
     def test_heap_state_persists_between_runs(self):
@@ -311,7 +313,8 @@ class TestJitMachinery:
     def test_oversized_program_falls_back(self):
         prog = [Instruction(Op.MOV_IMM, dst=0, imm=0)] * (MAX_JIT_PROGRAM + 1)
         prog.append(Instruction(Op.EXIT))
-        vm = JitVirtualMachine(prog, PluginMemory(size=64))
+        vm = JitVirtualMachine(prog, PluginMemory(size=64),
+                               code=load_jit(prog))
         assert not vm.jit_enabled
         assert vm.run() == 0  # interpreter fallback still executes
 
@@ -404,7 +407,7 @@ class TestProofGuided:
         report = analyze(program, heap_size=HEAP_SIZE)
         assert report.memory_safe and report.fuel_bound == 4
         vm = JitVirtualMachine(program, PluginMemory(size=HEAP_SIZE),
-                               analysis=report)
+                               code=load_jit(program, report))
         assert vm.jit_specialized
         assert vm.run() == 7
         assert vm.instructions_executed == 4
@@ -414,7 +417,7 @@ class TestProofGuided:
             f"lddw r6, {HEAP_BASE}\nstdw [r6+0], 7\nldxdw r0, [r6+0]\nexit")
         report = analyze(program, heap_size=HEAP_SIZE)
         vm = JitVirtualMachine(program, PluginMemory(size=HEAP_SIZE),
-                               analysis=report)
+                               code=load_jit(program, report))
         fast = vm._fast_function.source
         checked = vm.jit_function.source
         assert "raise _FuelExhausted" in checked
@@ -428,7 +431,8 @@ class TestProofGuided:
         report = analyze(program, heap_size=HEAP_SIZE)
         assert report.fuel_bound == 3
         vm = JitVirtualMachine(program, PluginMemory(size=HEAP_SIZE),
-                               instruction_budget=2, analysis=report)
+                               instruction_budget=2,
+                               code=load_jit(program, report))
         assert vm.jit_specialized  # compiled, but gated per run
         with pytest.raises(FuelExhausted, match="2 instructions"):
             vm.run()
@@ -441,7 +445,7 @@ class TestProofGuided:
         report = analyze(program, heap_size=HEAP_SIZE)
         assert not report.ok
         vm = JitVirtualMachine(program, PluginMemory(size=HEAP_SIZE),
-                               analysis=report)
+                               code=load_jit(program, report))
         assert not vm.jit_specialized
         assert_proof_equivalent(program)
 
@@ -450,7 +454,7 @@ class TestProofGuided:
         report = analyze(program, heap_size=HEAP_SIZE)
         assert report.memory_safe
         vm = JitVirtualMachine(program, PluginMemory(size=64),
-                               analysis=report)
+                               code=load_jit(program, report))
         assert not vm.jit_specialized  # proof assumed a bigger heap
         vm.run()  # checked path still executes correctly
 

@@ -36,7 +36,7 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from repro.vm import PluginMemory, VirtualMachine, assemble, compile_pluglet  # noqa: E402
-from repro.vm.jit import JitVirtualMachine  # noqa: E402
+from repro.vm.jit import JitVirtualMachine, load_jit  # noqa: E402
 
 #: §4.6 compute kernel (same as benchmarks/test_micro_pre_overhead.py).
 KERNEL_SOURCE = """
@@ -91,7 +91,8 @@ def bench_pre_kernel(quick: bool) -> dict:
     code = compile_pluglet(KERNEL_SOURCE)
     n = 4_000 if quick else 20_000
     interp = VirtualMachine(code, PluginMemory(), instruction_budget=10_000_000)
-    jit = JitVirtualMachine(code, PluginMemory(), instruction_budget=10_000_000)
+    jit = JitVirtualMachine(code, PluginMemory(), instruction_budget=10_000_000,
+                            code=load_jit(code))
     assert jit.jit_enabled
     # Warm up both engines, and prove equivalence while at it.
     assert interp.run(100) == jit.run(100)
@@ -156,9 +157,11 @@ def bench_analysis(quick: bool) -> dict:
     assert report.fuel_bound == len(program)
 
     monitored = JitVirtualMachine(program, PluginMemory(),
-                                  instruction_budget=10_000_000)
+                                  instruction_budget=10_000_000,
+                                  code=load_jit(program))
     free = JitVirtualMachine(program, PluginMemory(),
-                             instruction_budget=10_000_000, analysis=report)
+                             instruction_budget=10_000_000,
+                             code=load_jit(program, report))
     assert monitored.jit_enabled and free.jit_specialized
     assert monitored.run() == free.run()  # equivalence while warming up
 
@@ -181,10 +184,11 @@ def bench_analysis(quick: bool) -> dict:
         "certificate kernel must certify"
     assert not loop_report.loop_free
     cert_monitored = JitVirtualMachine(loop_program, PluginMemory(),
-                                       instruction_budget=10_000_000)
+                                       instruction_budget=10_000_000,
+                                       code=load_jit(loop_program))
     certified = JitVirtualMachine(loop_program, PluginMemory(),
                                   instruction_budget=10_000_000,
-                                  analysis=loop_report)
+                                  code=load_jit(loop_program, loop_report))
     assert cert_monitored.jit_enabled and certified.jit_specialized
     assert cert_monitored.run() == certified.run()
     assert (cert_monitored.instructions_executed
@@ -225,7 +229,7 @@ def bench_pluglet_invocation(quick: bool) -> dict:
             vm.run(i)
 
     interp = VirtualMachine(code, PluginMemory())
-    jit = JitVirtualMachine(code, PluginMemory())
+    jit = JitVirtualMachine(code, PluginMemory(), code=load_jit(code))
     spin(interp), spin(jit)  # warm-up
     interp_t, _ = _time(spin, interp)
     jit_t, _ = _time(spin, jit)
