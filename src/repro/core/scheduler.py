@@ -34,6 +34,8 @@ _size_buf = Buffer(bytearray())
 
 
 def _frame_size(frame: F.Frame) -> int:
+    if type(frame) is F.StreamFrame:
+        return frame.encoded_size()
     _size_buf.clear()
     frame.serialize(_size_buf)
     return len(_size_buf)
@@ -149,7 +151,7 @@ def schedule_packet_frames(conn, epoch: Epoch, path_index: int, budget: int):
     if allowance < MIN_PACKET_USEFUL:
         return frames, ack_only  # possibly ACK-only, possibly empty
 
-    core_pending = conn.data_to_send_pending() or bool(conn.peek_control_frames())
+    core_pending = conn.data_to_send_pending() or bool(conn._control_frames)
     plugin_pending = bool(conn.reserved_frames)
     if core_pending and plugin_pending:
         core_budget = max(int(allowance * CORE_FRACTION), MIN_PACKET_USEFUL)
@@ -190,7 +192,9 @@ def schedule_packet_frames(conn, epoch: Epoch, path_index: int, budget: int):
         stream_id = conn.protoops.run(conn, "stream_to_send", None)
         if stream_id is None:
             break
-        stream = conn.streams_send[stream_id]
+        stream = conn.streams_send.get(stream_id)
+        if stream is None:
+            break  # a replaced stream_to_send named a retired half
         flow_credit = conn.connection_flow_credit()
         chunk_limit = core_budget - STREAM_FRAME_OVERHEAD
         chunk = stream.next_chunk(chunk_limit)

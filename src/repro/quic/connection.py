@@ -35,6 +35,7 @@ from .errors import (
     CryptoError,
     ProtocolViolation,
     QuicError,
+    StreamStateError,
     TransportError,
     TransportErrorCode,
 )
@@ -60,7 +61,7 @@ from .recovery import (
 from .reset import is_stateless_reset, stateless_reset_token
 from .stream import ReceiveStream, SendStream
 from .transport_params import TransportParameters
-from .wire import Buffer
+from .wire import Buffer, RangeSet
 
 import itertools
 
@@ -74,6 +75,14 @@ def reset_instance_counter() -> None:
     between runs so the i-th connection of each run draws the same seed."""
     global _instance_counter
     _instance_counter = itertools.count(1)
+
+
+def _closed_id_sets() -> tuple:
+    """Closed-stream-ID sets of one direction: a :class:`RangeSet` of
+    ``stream_id >> 2`` per stream type (``stream_id & 3``), so streams
+    closed in order collapse into a single range."""
+    return tuple(RangeSet() for _ in range(4))
+
 
 CID_LENGTH = 8
 INITIAL_PADDING_TARGET = 1200
@@ -253,9 +262,13 @@ class QuicConnection:
         self.handshake_complete = False
         self.peer_transport_parameters: Optional[TransportParameters] = None
 
-        # Streams and flow control.
+        # Streams and flow control.  The tables hold *live* halves only:
+        # a half that reaches its terminal state moves to the closed-ID
+        # sets, which is all a late frame needs to be recognised.
         self.streams_send: dict[int, SendStream] = {}
         self.streams_recv: dict[int, ReceiveStream] = {}
+        self.closed_streams_send = _closed_id_sets()
+        self.closed_streams_recv = _closed_id_sets()
         self._next_stream_id = 0 if self.is_client else 1
         self.max_data_local = configuration.transport_parameters.initial_max_data
         self.max_data_remote = 0  # learned from peer params
@@ -359,6 +372,7 @@ class QuicConnection:
             "off_path_rejected": 0,
             "stateless_resets_received": 0,
             "undersized_initials_dropped": 0,
+            "stream_halves_retired": 0,
         }
 
         self._register_protocol_operations()
@@ -581,6 +595,9 @@ class QuicConnection:
 
     def send_stream_data(self, stream_id: int, data: bytes, fin: bool = False) -> None:
         stream = self.protoops.run(self, "get_send_stream", None, stream_id)
+        if stream is None:
+            raise StreamStateError(
+                f"write on stream {stream_id}: send half is closed")
         stream.write(data)
         if fin:
             stream.finish()
@@ -651,6 +668,9 @@ class QuicConnection:
         ]
         self.streams_send.clear()
         self.streams_recv.clear()
+        self.closed_streams_send = _closed_id_sets()
+        self.closed_streams_recv = _closed_id_sets()
+        self._record_streams_open()
         self._control_frames.clear()
         self.reserved_frames.clear()
         self.wakeup_hints.clear()
@@ -694,22 +714,48 @@ class QuicConnection:
         return params.initial_max_stream_data
 
     def _get_or_create_streams(self, stream_id: int) -> None:
-        if stream_id not in self.streams_send:
+        """Create each half of *stream_id* that is neither live nor
+        retired: a closed stream ID never comes back to life."""
+        kind, index = stream_id & 3, stream_id >> 2
+        if (stream_id not in self.streams_send
+                and index not in self.closed_streams_send[kind]):
             self.streams_send[stream_id] = SendStream(
                 stream_id, self._remote_stream_limit()
             )
+        if (stream_id not in self.streams_recv
+                and index not in self.closed_streams_recv[kind]):
             self.streams_recv[stream_id] = ReceiveStream(
                 stream_id,
                 self.configuration.transport_parameters.initial_max_stream_data,
             )
+        self._record_streams_open()
 
-    def _op_get_send_stream(self, conn, stream_id: int) -> SendStream:
-        self._get_or_create_streams(stream_id)
-        return self.streams_send[stream_id]
+    def _retire_stream_half(self, table: dict, closed: tuple,
+                            stream_id: int) -> None:
+        """Move a half that reached its terminal state from its live
+        *table* to the matching *closed*-ID sets."""
+        del table[stream_id]
+        closed[stream_id & 3].add(stream_id >> 2)
+        self.stats["stream_halves_retired"] += 1
+        self._record_streams_open()
 
-    def _op_get_receive_stream(self, conn, stream_id: int) -> ReceiveStream:
-        self._get_or_create_streams(stream_id)
-        return self.streams_recv[stream_id]
+    def _op_get_send_stream(self, conn, stream_id: int) -> Optional[SendStream]:
+        """The live send half, created on first reference; None once it
+        has been retired."""
+        stream = self.streams_send.get(stream_id)
+        if stream is None:
+            self._get_or_create_streams(stream_id)
+            stream = self.streams_send.get(stream_id)
+        return stream
+
+    def _op_get_receive_stream(self, conn, stream_id: int) -> Optional[ReceiveStream]:
+        """The live receive half, created on first reference; None once
+        it has been retired."""
+        stream = self.streams_recv.get(stream_id)
+        if stream is None:
+            self._get_or_create_streams(stream_id)
+            stream = self.streams_recv.get(stream_id)
+        return stream
 
     def _op_stream_data_received(self, conn, stream_id: int, readable: bytes, fin: bool) -> None:
         if self.on_stream_data is not None and (readable or fin):
@@ -840,9 +886,28 @@ class QuicConnection:
 
     def _process_stream_frame(self, conn, frame: F.StreamFrame, ctx: dict) -> None:
         stream = self.protoops.run(self, "get_receive_stream", None, frame.stream_id)
+        if stream is None:
+            # Retired half: a late or duplicated copy of data the
+            # application already has.  No state, no credit, no callback.
+            return
         before = stream.bytes_received
         readable = stream.receive(frame.offset, frame.data, frame.fin)
-        newly = stream.bytes_received - before
+        self._charge_data_received(stream.bytes_received - before)
+        finished = stream.is_finished
+        if finished:
+            # Retire before the application hears about it, so that
+            # ``fin=True`` can reach it only once whatever it does next.
+            self._retire_stream_half(
+                self.streams_recv, self.closed_streams_recv, frame.stream_id)
+        self.protoops.run(
+            self, "stream_data_received", None,
+            frame.stream_id, readable, finished,
+        )
+        self.protoops.run(self, "update_flow_credit", None)
+
+    def _charge_data_received(self, newly: int) -> None:
+        """Count *newly* received stream bytes against the connection
+        flow-control limit we advertised."""
         if newly > 0:
             self.data_received += newly
             if self.data_received > self.max_data_local:
@@ -850,25 +915,27 @@ class QuicConnection:
                     TransportErrorCode.FLOW_CONTROL_ERROR,
                     "connection flow control exceeded",
                 )
-        self.protoops.run(
-            self, "stream_data_received", None,
-            frame.stream_id, readable, stream.is_finished,
-        )
-        self.protoops.run(self, "update_flow_credit", None)
 
     def _process_max_data_frame(self, conn, frame: F.MaxDataFrame, ctx: dict) -> None:
         if frame.maximum > self.max_data_remote:
             self.max_data_remote = frame.maximum
 
     def _process_max_stream_data_frame(self, conn, frame: F.MaxStreamDataFrame, ctx: dict) -> None:
-        self._get_or_create_streams(frame.stream_id)
-        self.streams_send[frame.stream_id].update_max_stream_data(frame.maximum)
+        stream = self._op_get_send_stream(self, frame.stream_id)
+        if stream is not None:
+            stream.update_max_stream_data(frame.maximum)
 
     def _process_reset_stream_frame(self, conn, frame: F.ResetStreamFrame, ctx: dict) -> None:
-        self._get_or_create_streams(frame.stream_id)
-        stream = self.streams_recv[frame.stream_id]
-        stream.final_size = frame.final_size
+        stream = self._op_get_receive_stream(self, frame.stream_id)
+        if stream is None:
+            return
+        # RFC 9000 §4.5: the final size counts against connection flow
+        # control whether or not the bytes below it ever arrived.
+        self._charge_data_received(stream.reset(frame.final_size))
+        self._retire_stream_half(
+            self.streams_recv, self.closed_streams_recv, frame.stream_id)
         self.protoops.run(self, "stream_closed", None, frame.stream_id)
+        self.protoops.run(self, "update_flow_credit", None)
 
     def _process_new_connection_id(self, conn, frame: F.NewConnectionIdFrame, ctx: dict) -> None:
         """Stash a peer-issued CID (§5.1.1) for rotation on migration
@@ -919,6 +986,13 @@ class QuicConnection:
         registry = getattr(self, "metrics", None)
         if registry is not None:
             registry.counter("quic.path." + name).inc(amount)
+
+    def _record_streams_open(self) -> None:
+        """Host-side ``quic.streams_open`` gauge: live stream halves."""
+        registry = getattr(self, "metrics", None)
+        if registry is not None:
+            registry.gauge("quic.streams_open").set(
+                float(len(self.streams_send) + len(self.streams_recv)))
 
     def _record_recovery_metric(self, name: str, amount: int = 1) -> None:
         """Host-side ``quic.recovery.*`` counters (probes, spurious
@@ -1136,10 +1210,15 @@ class QuicConnection:
         def stream_notify(conn, frame, acked, pkt):
             stream = self.streams_send.get(frame.stream_id)
             if stream is None:
+                # Retired: another copy of this frame (a PTO probe and
+                # its original are both tracked) closed the half already.
                 return
             if acked:
                 stream.on_ack(frame.offset, len(frame.data), frame.fin)
-                if stream.all_acked:
+                if stream.is_finished:
+                    self._retire_stream_half(
+                        self.streams_send, self.closed_streams_send,
+                        frame.stream_id)
                     self.protoops.run(self, "stream_closed", None, frame.stream_id)
             else:
                 stream.on_loss(frame.offset, len(frame.data), frame.fin)
@@ -1574,13 +1653,10 @@ class QuicConnection:
         return self.paths[path_index].cc.available_window
 
     def _op_stream_to_send(self, conn) -> Optional[int]:
-        """Pick the next stream with sendable data (round-robin-ish)."""
+        """Pick the first live stream, in order of creation, that has
+        sendable data."""
         for stream_id, stream in self.streams_send.items():
-            if stream.has_pending and (
-                stream.bytes_in_flight_or_pending == 0
-                or self.data_sent < self.max_data_remote
-                or True
-            ):
+            if stream.has_pending:
                 return stream_id
         return None
 
@@ -1853,9 +1929,6 @@ class QuicConnection:
         if self._control_frames:
             return self._control_frames.pop(0)
         return None
-
-    def peek_control_frames(self) -> list:
-        return list(self._control_frames)
 
     def connection_flow_credit(self) -> int:
         return max(0, self.max_data_remote - self.data_sent)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Type
 
 from .errors import FrameEncodingError
-from .wire import Buffer, RangeSet
+from .wire import Buffer, RangeSet, varint_size
 
 # Core frame types (RFC 9000 numbering).
 PADDING = 0x00
@@ -223,6 +223,15 @@ class StreamFrame(Frame):
         if self.offset:
             buf.push_varint(self.offset)
         buf.push_varint_prefixed_bytes(self.data)
+
+    def encoded_size(self) -> int:
+        """``len(self.to_bytes())`` from the field widths alone, so the
+        scheduler can size a frame without copying its payload."""
+        length = len(self.data)
+        size = 1 + varint_size(self.stream_id) + varint_size(length) + length
+        if self.offset:
+            size += varint_size(self.offset)
+        return size
 
     @classmethod
     def parse(cls, buf: Buffer, frame_type: int) -> "StreamFrame":

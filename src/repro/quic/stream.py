@@ -157,6 +157,12 @@ class SendStream:
         )
         return data_done and (not self.fin or self._fin_acked)
 
+    @property
+    def is_finished(self) -> bool:
+        """Terminal state of the send half: FIN was set, and it and
+        every byte before it have been acknowledged."""
+        return self._fin_acked and self.all_acked
+
     def update_max_stream_data(self, maximum: int) -> None:
         if maximum > self.max_stream_data:
             self.max_stream_data = maximum
@@ -174,7 +180,6 @@ class ReceiveStream:
         self._chunks: dict[int, bytes] = {}
         self._read_offset = 0
         self.final_size: Optional[int] = None
-        self.fin_delivered = False
 
     def receive(self, offset: int, data: bytes, fin: bool) -> bytes:
         """Accept a STREAM frame; returns newly readable in-order bytes."""
@@ -225,8 +230,28 @@ class ReceiveStream:
                 break
         return bytes(out)
 
+    def reset(self, final_size: int) -> int:
+        """Accept a RESET_STREAM: fix the final size and discard what was
+        buffered.  Returns the bytes between the highest offset received
+        so far and the final size, which the connection still owes to
+        its own flow-control accounting (RFC 9000 §4.5)."""
+        if final_size > self.max_stream_data:
+            raise FlowControlError(
+                f"stream {self.stream_id}: final size beyond MAX_STREAM_DATA"
+            )
+        if self.final_size is not None and self.final_size != final_size:
+            raise FinalSizeError("conflicting final sizes")
+        received = self.bytes_received
+        if final_size < received:
+            raise FinalSizeError("final size below data already received")
+        self.final_size = final_size
+        self._chunks.clear()
+        return final_size - received
+
     @property
     def is_finished(self) -> bool:
+        """Terminal state of the receive half: the final size is known
+        and every byte up to it has been handed to the application."""
         return (
             self.final_size is not None
             and self._read_offset >= self.final_size

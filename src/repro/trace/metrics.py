@@ -250,6 +250,7 @@ class ConnectionMetrics:
             ("rtt_updated", self._on_rtt),
             ("cc_window_updated", self._on_cwnd),
             ("stream_opened", self._on_stream),
+            ("stream_closed", self._on_stream_closed),
         ]
         # Create the series up front so snapshots are stable even for
         # connections that never see the corresponding event.
@@ -258,6 +259,7 @@ class ConnectionMetrics:
         r.counter(p + "packets_received")
         r.counter(p + "packets_lost")
         r.counter(p + "streams_opened")
+        r.counter(p + "streams_closed")
         r.histogram(p + "rtt_ms", DEFAULT_MS_BUCKETS)
         r.histogram(p + "packet_size_bytes", DEFAULT_BYTES_BUCKETS)
         r.gauge(p + "cwnd_peak")
@@ -276,6 +278,10 @@ class ConnectionMetrics:
         for name in ("pto_fired", "probes_sent", "spurious_losses",
                      "persistent_congestion"):
             r.counter("quic.recovery." + name)
+        # ``quic.streams_open``, the live stream halves: the connection
+        # sets it wherever a half is created or retired (most of those
+        # points run no protoop), starting with the state at attach.
+        conn._record_streams_open()
         table = conn.protoops
         for name, fn in hooks:
             table.attach(name, Anchor.POST, fn)
@@ -310,6 +316,9 @@ class ConnectionMetrics:
 
     def _on_stream(self, conn, args, result) -> None:
         self.registry.counter(self.prefix + "streams_opened").inc()
+
+    def _on_stream_closed(self, conn, args, result) -> None:
+        self.registry.counter(self.prefix + "streams_closed").inc()
 
     def detach(self) -> None:
         table = self.conn.protoops

@@ -77,6 +77,29 @@ class TestCoreGuarantee:
         assert any(isinstance(f, F.PingFrame) for f in frames)
 
 
+class TestStreamSelection:
+    def test_first_created_stream_with_data_goes_first(self):
+        conn = make_established_conn()
+        first, second = conn.create_stream(), conn.create_stream()
+        conn.send_stream_data(second, b"b" * 100)
+        conn.send_stream_data(first, b"a" * 100)
+        frames, _ = schedule_packet_frames(conn, Epoch.ONE_RTT, 0, 1200)
+        assert [f.stream_id for f in frames] == [first, second]
+
+    def test_replaced_stream_to_send_naming_a_retired_half(self):
+        """A plugin's ``stream_to_send`` may lag behind retirement; the
+        scheduler stops filling instead of raising."""
+        from repro.core.protoop import Anchor
+
+        conn = make_established_conn()
+        conn.protoops.attach("stream_to_send", Anchor.REPLACE,
+                             lambda conn: 8)
+        conn.closed_streams_send[0].add(2)
+        frames, ack_only = schedule_packet_frames(conn, Epoch.ONE_RTT, 0, 1200)
+        assert frames == [] and ack_only
+        assert 8 not in conn.streams_send
+
+
 class TestDrr:
     def test_two_plugins_share_fairly(self):
         """Rule 2: 'a plugin sending many large frames should not be able

@@ -185,3 +185,22 @@ def test_stream_roundtrip_property(stream_id, offset, data, fin):
     assert parsed.offset == offset
     assert parsed.data == data
     assert parsed.fin == fin
+
+
+#: Values on both sides of every varint width boundary.
+varint_edges = st.one_of(
+    st.integers(0, (1 << 62) - 1),
+    st.sampled_from([0, 63, 64, 16383, 16384, (1 << 30) - 1, 1 << 30,
+                     (1 << 62) - 1]),
+)
+
+
+@given(varint_edges, varint_edges,
+       st.one_of(st.integers(0, 2000), st.sampled_from([63, 64, 16383, 16384])),
+       st.booleans())
+def test_stream_encoded_size_matches_serialization(stream_id, offset, length, fin):
+    """The scheduler sizes STREAM frames without serialising them;
+    offset 0 omits the offset field."""
+    frame = F.StreamFrame(stream_id=stream_id, offset=offset,
+                          data=b"d" * length, fin=fin)
+    assert frame.encoded_size() == len(frame.to_bytes())

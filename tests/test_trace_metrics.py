@@ -179,3 +179,28 @@ class TestConnectionMetrics:
         table = conn.protoops
         op = table.get("packet_sent_event")
         assert not any(op.post.values())
+
+    def test_stream_lifecycle_series(self):
+        """``streams_closed`` counts ``stream_closed`` runs and the
+        ``quic.streams_open`` gauge follows the live stream tables."""
+        from repro.quic import QuicConfiguration
+        from repro.quic import frames as F
+        from repro.quic.connection import QuicConnection
+        from repro.trace import ConnectionMetrics
+
+        conn = QuicConnection(QuicConfiguration(is_client=False))
+        registry = MetricsRegistry()
+        ConnectionMetrics(conn, registry, prefix="server.")
+        snap = registry.snapshot()
+        assert snap["server.streams_closed"]["value"] == 0
+        assert snap["quic.streams_open"]["value"] == 0
+        conn._process_stream_frame(
+            conn, F.StreamFrame(stream_id=0, data=b"half"), {})
+        assert registry.snapshot()["quic.streams_open"]["value"] == 2
+        conn._process_reset_stream_frame(
+            conn, F.ResetStreamFrame(stream_id=0, error_code=0,
+                                     final_size=4), {})
+        snap = registry.snapshot()
+        assert snap["quic.streams_open"]["value"] == 1
+        assert snap["server.streams_closed"]["value"] == 1
+        assert conn.stats["stream_halves_retired"] == 1
