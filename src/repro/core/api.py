@@ -27,6 +27,7 @@ from typing import Any, Callable, Optional
 from repro.errors import TransportError, TransportErrorCode
 from repro.vm.analysis import HelperEffect
 from repro.vm.interpreter import MemoryViolation
+from repro.vm.isa import WORD_MASK
 
 # Helper ids (CALL immediates).
 H_GET = 1
@@ -195,16 +196,16 @@ HELPER_EFFECTS: dict[int, HelperEffect] = {
     H_PL_MALLOC: HelperEffect("pl_malloc"),
     H_PL_FREE: HelperEffect("pl_free"),
     H_GET_OPAQUE_DATA: HelperEffect("get_opaque_data"),
-    H_PL_MEMCPY: HelperEffect("pl_memcpy"),
-    H_PL_MEMSET: HelperEffect("pl_memset"),
+    H_PL_MEMCPY: HelperEffect("pl_memcpy", reaches_stack=True),
+    H_PL_MEMSET: HelperEffect("pl_memset", reaches_stack=True),
     H_RUN_PROTOOP: HelperEffect("plugin_run_protoop",
                                 triggers_protoop=True),
     H_RESERVE_FRAME: HelperEffect("reserve_frames"),
     H_GET_INPUT: HelperEffect("get_input"),
     H_INPUT_LEN: HelperEffect("input_len"),
-    H_READ_INPUT_BYTES: HelperEffect("read_input_bytes"),
-    H_WRITE_INPUT_BYTES: HelperEffect("write_input_bytes"),
-    H_PUSH_MESSAGE: HelperEffect("push_message"),
+    H_READ_INPUT_BYTES: HelperEffect("read_input_bytes", reaches_stack=True),
+    H_WRITE_INPUT_BYTES: HelperEffect("write_input_bytes", reaches_stack=True),
+    H_PUSH_MESSAGE: HelperEffect("push_message", reaches_stack=True),
     H_GET_TIME_US: HelperEffect("get_time_us"),
 }
 
@@ -219,28 +220,34 @@ class ApiViolation(TransportError):
 class InvocationContext:
     """Per-invocation state shared between the wrapper and the helpers."""
 
+    __slots__ = ("raw_args", "writable")
+
     def __init__(self, args: tuple, writable: bool):
         self.raw_args = args
         self.writable = writable
-        #: Marshaled scalar views of the args (objects become handles).
-        self.handles: list[Any] = list(args)
 
-    def marshal(self, index: int) -> int:
-        if not 0 <= index < len(self.raw_args):
-            return 0
-        value = self.raw_args[index]
-        if isinstance(value, bool):
-            return int(value)
-        if isinstance(value, int):
-            return value & ((1 << 64) - 1)
-        if isinstance(value, float):
-            return _us(value) & ((1 << 64) - 1)
-        if value is None:
-            return 0
-        # Objects (frames, packets, byte strings) are referenced by their
-        # argument index: an opaque handle the pluglet can pass back to
-        # helpers, never a raw pointer.
-        return index
+
+def marshal(value: Any, index: int) -> int:
+    """How invocation argument ``index`` enters the PRE: the one
+    definition, used for r1-r5 at entry and by ``get_input``."""
+    if isinstance(value, int):  # bool included
+        return value & WORD_MASK
+    if value is None:
+        return 0
+    if isinstance(value, float):
+        return _us(value) & WORD_MASK
+    # Objects (frames, packets, byte strings) are referenced by their
+    # argument index: an opaque handle the pluglet can pass back to
+    # helpers, never a raw pointer.
+    return index
+
+
+def _range(vm, address: int, length: int):
+    """``(buffer, offset)`` of ``[address, address + length)`` in the
+    running invocation's stack or the plugin memory: one monitor check
+    for the whole range, which must lie inside a single region."""
+    stack = vm.current_stack if vm.current_stack is not None else bytearray(0)
+    return vm._region(address, length, stack)
 
 
 class PluginApi:
@@ -273,30 +280,36 @@ class PluginApi:
 
     # --- field access -----------------------------------------------------
 
-    def _field(self, field_id: int) -> FieldSpec:
+    def _h_get(self, vm, field_id, index, *_):
         spec = FIELD_TABLE.get(field_id)
         if spec is None:
             raise ApiViolation(f"unknown field id 0x{field_id:x}")
-        return spec
-
-    def _h_get(self, vm, field_id, index, *_):
-        spec = self._field(field_id)
-        self.runtime.record_access(spec.name, write=False)
-        self.runtime.check_policy(spec.name, write=False)
-        return spec.getter(self.runtime.conn, index)
+        runtime = self.runtime
+        conn = runtime.conn
+        runtime.fields_read.add(spec.name)
+        policy = getattr(conn, "field_policy", None)
+        if policy is not None:
+            policy.check(runtime.plugin_name, spec.name, False)
+        return spec.getter(conn, index)
 
     def _h_set(self, vm, field_id, index, value, *_):
-        spec = self._field(field_id)
-        ctx = self.runtime.context
+        spec = FIELD_TABLE.get(field_id)
+        if spec is None:
+            raise ApiViolation(f"unknown field id 0x{field_id:x}")
+        runtime = self.runtime
+        ctx = runtime.context
         if ctx is not None and not ctx.writable:
             raise ApiViolation(
                 f"passive pluglet attempted to set field {spec.name!r}"
             )
         if spec.setter is None:
             raise ApiViolation(f"field {spec.name!r} is read-only")
-        self.runtime.record_access(spec.name, write=True)
-        self.runtime.check_policy(spec.name, write=True)
-        spec.setter(self.runtime.conn, index, value)
+        conn = runtime.conn
+        runtime.fields_written.add(spec.name)
+        policy = getattr(conn, "field_policy", None)
+        if policy is not None:
+            policy.check(runtime.plugin_name, spec.name, True)
+        spec.setter(conn, index, value)
         return 0
 
     # --- plugin memory -----------------------------------------------------
@@ -314,18 +327,21 @@ class PluginApi:
     def _h_memcpy(self, vm, dst, src, length, *_):
         if length > self.runtime.memory.size:
             raise MemoryViolation("memcpy length exceeds plugin memory")
-        stack = vm.current_stack if vm.current_stack is not None else bytearray(0)
-        data = bytes(vm.load(src + i, 1, stack) for i in range(length))
-        for i, byte in enumerate(data):
-            vm.store(dst + i, 1, byte, stack)
+        if length:
+            # Both ranges are checked, and the source copied out, before
+            # the first byte is written (memmove semantics).
+            buf, off = _range(vm, src, length)
+            data = bytes(buf[off:off + length])
+            buf, off = _range(vm, dst, length)
+            buf[off:off + length] = data
         return dst
 
     def _h_memset(self, vm, dst, value, length, *_):
         if length > self.runtime.memory.size:
             raise MemoryViolation("memset length exceeds plugin memory")
-        stack = vm.current_stack if vm.current_stack is not None else bytearray(0)
-        for i in range(length):
-            vm.store(dst + i, 1, value & 0xFF, stack)
+        if length:
+            buf, off = _range(vm, dst, length)
+            buf[off:off + length] = bytes((value & 0xFF,)) * length
         return dst
 
     # --- protocol operations -------------------------------------------------
@@ -348,16 +364,15 @@ class PluginApi:
         return 0
 
     def _h_reserve_frame(self, vm, ctor_id, a1, a2, a3, a4):
-        ctx = self.runtime.context
         return self.runtime.reserve_frame(ctor_id, (a1, a2, a3, a4))
 
     # --- invocation arguments -----------------------------------------------
 
     def _h_get_input(self, vm, index, *_):
         ctx = self.runtime.context
-        if ctx is None:
+        if ctx is None or not 0 <= index < len(ctx.raw_args):
             return 0
-        return ctx.marshal(index)
+        return marshal(ctx.raw_args[index], index)
 
     def _h_input_len(self, vm, index, *_):
         ctx = self.runtime.context
@@ -377,9 +392,9 @@ class PluginApi:
         if not isinstance(value, (bytes, bytearray)):
             raise ApiViolation(f"input {index} is not bytes")
         chunk = bytes(value[offset:offset + length])
-        stack = vm.current_stack if vm.current_stack is not None else bytearray(0)
-        for i, byte in enumerate(chunk):
-            vm.store(dst + i, 1, byte, stack)
+        if chunk:
+            buf, off = _range(vm, dst, len(chunk))
+            buf[off:off + len(chunk)] = chunk
         return len(chunk)
 
     def _h_write_input(self, vm, index, src, offset, length, *_):
@@ -396,16 +411,18 @@ class PluginApi:
             raise ApiViolation(f"input {index} is not a writable buffer")
         if offset + length > len(target):
             raise ApiViolation("write beyond output buffer")
-        stack = vm.current_stack if vm.current_stack is not None else bytearray(0)
-        data = bytes(vm.load(src + i, 1, stack) for i in range(length))
-        target[offset:offset + length] = data
+        if length:
+            buf, off = _range(vm, src, length)
+            target[offset:offset + length] = buf[off:off + length]
         return length
 
     # --- application channel ---------------------------------------------------
 
     def _h_push_message(self, vm, addr, length, *_):
-        stack = vm.current_stack if vm.current_stack is not None else bytearray(0)
-        data = bytes(vm.load(addr + i, 1, stack) for i in range(length))
+        data = b""
+        if length:
+            buf, off = _range(vm, addr, length)
+            data = bytes(buf[off:off + length])
         self.runtime.conn.push_message_to_app(self.runtime.plugin_name, data)
         return 0
 

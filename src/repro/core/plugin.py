@@ -47,7 +47,14 @@ from repro.vm.isa import decode_program, encode_program
 from repro.vm.jit import create_vm, jit_enabled_by_env, load_jit
 from repro.vm.analysis import VerificationError, verify
 
-from .api import CORE_HELPER_NAMES, ApiViolation, InvocationContext, PluginApi
+from .api import (
+    CORE_HELPER_NAMES,
+    HELPER_EFFECTS,
+    ApiViolation,
+    InvocationContext,
+    PluginApi,
+    marshal,
+)
 from .memory import BlockAllocator
 from .protoop import Anchor, ProtoopError
 
@@ -62,7 +69,8 @@ _HOST_RESOLVERS: dict = {}
 
 
 def register_host_resolver(name_prefix: str, resolver: Callable) -> None:
-    """``resolver(plugin_name) -> (host_helpers, frame_registrar)``."""
+    """``resolver(plugin_name) -> (host_helpers, frame_registrar,
+    helper_effects)``, the host-side arguments of :class:`Plugin`."""
     _HOST_RESOLVERS[name_prefix] = resolver
 
 
@@ -72,7 +80,7 @@ def _resolve_host_hooks(name: str):
         if name.startswith(prefix) and (best is None or len(prefix) > len(best)):
             best = prefix
     if best is None:
-        return None, None
+        return None, None, None
     return _HOST_RESOLVERS[best](name)
 
 
@@ -154,7 +162,8 @@ class Plugin:
     def __init__(self, name: str, pluglets: list,
                  memory_size: int = DEFAULT_PLUGIN_MEMORY,
                  host_helpers: Optional[Callable] = None,
-                 frame_registrar: Optional[Callable] = None):
+                 frame_registrar: Optional[Callable] = None,
+                 helper_effects: Optional[dict] = None):
         self.name = name  # globally unique, e.g. "org.pquic.monitoring"
         self.pluglets = pluglets
         self.memory_size = memory_size
@@ -164,6 +173,11 @@ class Plugin:
         self.host_helpers = host_helpers
         #: Optional hook: (conn) -> None registering new frame codecs.
         self.frame_registrar = frame_registrar
+        #: {helper_id: HelperEffect} for every helper the bytecode can
+        #: call: the core table plus what the plugin declares for its
+        #: own host helpers.  A helper left out is taken to reach the
+        #: calling pluglet's stack.
+        self.helper_effects = {**HELPER_EFFECTS, **(helper_effects or {})}
         self._analysis: Optional[dict] = None
         self._effects = None
         #: Verification verdict, kept like the analysis: the message of
@@ -231,9 +245,11 @@ class Plugin:
                                     decode_program(bytecode), param,
                                     fuel=fuel, helper_budget=helper_budget,
                                     triggers=triggers))
-        host_helpers, frame_registrar = _resolve_host_hooks(name)
+        host_helpers, frame_registrar, helper_effects = \
+            _resolve_host_hooks(name)
         return cls(name, pluglets, memory_size=memory_size,
-                   host_helpers=host_helpers, frame_registrar=frame_registrar)
+                   host_helpers=host_helpers, frame_registrar=frame_registrar,
+                   helper_effects=helper_effects)
 
     def compressed(self) -> bytes:
         """The ZIP-compressed exchange format (§3.4 / Table 2)."""
@@ -274,9 +290,7 @@ class Plugin:
         declared triggers) for the inter-plugin conflict analyzer.
         Cached for the same reason as :meth:`analyze_all`."""
         if self._effects is None:
-            from .api import HELPER_EFFECTS
-
-            self._effects = summarize_plugin(self, HELPER_EFFECTS)
+            self._effects = summarize_plugin(self, self.helper_effects)
         return self._effects
 
     @property
@@ -300,8 +314,12 @@ class Plugin:
         code = self._code.get(proofs)
         if code is None:
             reports = self.analyze_all() if proofs else {}
+            stack_blind = frozenset(
+                hid for hid, effect in self.helper_effects.items()
+                if not effect.reaches_stack)
             code = self._code[proofs] = {
-                p.name: load_jit(p.instructions, reports.get(p.name))
+                p.name: load_jit(p.instructions, reports.get(p.name),
+                                 stack_blind)
                 for p in self.pluglets
             }
         return code
@@ -364,17 +382,6 @@ class PluginRuntime:
         except KeyError:
             raise ApiViolation(f"unknown protoop id {op_id}")
 
-    # --- policy / monitoring -------------------------------------------------
-
-    def record_access(self, field_name: str, write: bool) -> None:
-        (self.fields_written if write else self.fields_read).add(field_name)
-
-    def check_policy(self, field_name: str, write: bool) -> None:
-        policy = getattr(self.conn, "field_policy", None)
-        if policy is None:
-            return
-        policy.check(self.plugin_name, field_name, write)
-
     # --- frame reservation -------------------------------------------------
 
     def reserve_frame(self, ctor_id: int, args: tuple) -> int:
@@ -433,7 +440,7 @@ class PluginInstance:
 
     # --- invocation -----------------------------------------------------------
 
-    def _run_profiled(self, vm, pluglet: Pluglet, marshaled: list) -> Any:
+    def _run_profiled(self, vm, pluglet: Pluglet, marshaled: tuple) -> Any:
         """Run the PRE under the profiler: attribute the fuel / helper /
         wall-time deltas of this invocation to (plugin, pluglet, protoop),
         recording faulting runs too."""
@@ -457,19 +464,24 @@ class PluginInstance:
 
     def invoke(self, pluglet: Pluglet, args: tuple, writable: bool) -> Any:
         vm = self.vms[pluglet.name]
-        ctx = InvocationContext(args, writable)
-        previous = self.runtime.context
-        previous_result = self.runtime.pending_result
-        self.runtime.context = ctx
-        self.runtime.pending_result = _NO_RESULT
+        runtime = self.runtime
+        previous = runtime.context
+        previous_result = runtime.pending_result
+        runtime.context = InvocationContext(args, writable)
+        runtime.pending_result = _NO_RESULT
         try:
-            marshaled = [ctx.marshal(i) for i in range(min(5, len(args)))]
+            n = len(args)
+            a1 = marshal(args[0], 0) if n > 0 else 0
+            a2 = marshal(args[1], 1) if n > 1 else 0
+            a3 = marshal(args[2], 2) if n > 2 else 0
+            a4 = marshal(args[3], 3) if n > 3 else 0
+            a5 = marshal(args[4], 4) if n > 4 else 0
             if self._profiler is None:
-                value = vm.run(*marshaled)
+                value = vm.run(a1, a2, a3, a4, a5)
             else:
-                value = self._run_profiled(vm, pluglet, marshaled)
-            if self.runtime.pending_result is not _NO_RESULT:
-                return self.runtime.pending_result
+                value = self._run_profiled(vm, pluglet, (a1, a2, a3, a4, a5))
+            if runtime.pending_result is not _NO_RESULT:
+                return runtime.pending_result
             return value
         except (MemoryViolation, ExecutionError, ApiViolation,
                 ProtoopError) as exc:
@@ -490,8 +502,8 @@ class PluginInstance:
                 f"plugin {self.plugin.name}: pluglet {pluglet.name}: {exc}",
             )
         finally:
-            self.runtime.context = previous
-            self.runtime.pending_result = previous_result
+            runtime.context = previous
+            runtime.pending_result = previous_result
 
     def _on_runtime_failure(self, exc: Exception) -> None:
         """§2.1: any violation of memory safety results in the removal of
@@ -621,7 +633,7 @@ class PluginInstance:
 
     def _make_post(self, pluglet: Pluglet) -> Callable:
         def run_post(conn, args, result):
-            self.invoke(pluglet, tuple(args) + (result,), writable=False)
+            self.invoke(pluglet, args + (result,), writable=False)
 
         run_post.pluglet = pluglet  # type: ignore[attr-defined]
         return run_post

@@ -21,6 +21,7 @@ from repro.core.api import (
     FLD_BYTES_IN_FLIGHT,
     FLD_CWND,
     H_PLUGIN_BASE,
+    HelperEffect,
 )
 from repro.core.plugin import Plugin, Pluglet, register_host_resolver
 
@@ -31,6 +32,10 @@ H_CC_RELEASE = H_PLUGIN_BASE + 0
 H_CC_PKT_SIZE = H_PLUGIN_BASE + 1
 
 CC_HELPERS = {"cc_release": H_CC_RELEASE, "cc_pkt_size": H_CC_PKT_SIZE}
+
+#: Declared for the JIT: none of them touches the calling pluglet's stack.
+CC_HELPER_EFFECTS = {
+    hid: HelperEffect(name) for name, hid in CC_HELPERS.items()}
 
 #: Plugin-memory state block.
 ST_AREA = 5
@@ -60,7 +65,8 @@ def _host_helpers(runtime) -> dict:
     return {H_CC_RELEASE: h_release, H_CC_PKT_SIZE: h_pkt_size}
 
 
-register_host_resolver(PLUGIN_BASE_NAME, lambda name: (_host_helpers, None))
+register_host_resolver(
+    PLUGIN_BASE_NAME, lambda name: (_host_helpers, None, CC_HELPER_EFFECTS))
 
 # congestion_on_ack(pkt, path_index): post wrapper gives marshaled args;
 # replace receives (pkt, path_index) -> pkt is a handle, size via input.
@@ -136,7 +142,8 @@ def build_ccontrol_plugin(variant: str = "aimd",
                             on_loss_src, helpers=CC_HELPERS),
     ]
     name = f"{PLUGIN_BASE_NAME}.{variant}"
-    plugin = Plugin(name, pluglets, host_helpers=_host_helpers)
+    plugin = Plugin(name, pluglets, host_helpers=_host_helpers,
+                    helper_effects=CC_HELPER_EFFECTS)
     if variant == "fixed":
         original_attach = plugin  # set window at instantiation
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.core.api import H_PLUGIN_BASE
+from repro.core.api import H_PLUGIN_BASE, HelperEffect
 from repro.core.plugin import Plugin, Pluglet
 from repro.quic import frames as F
 from repro.quic.connection import ReservedFrame
@@ -44,6 +44,10 @@ DG_HELPERS = {
     "dg_parse": H_DG_PARSE,
     "dg_max_size": H_DG_MAX_SIZE,
 }
+
+#: Declared for the JIT: none of them touches the calling pluglet's stack.
+DG_HELPER_EFFECTS = {
+    hid: HelperEffect(name) for name, hid in DG_HELPERS.items()}
 
 #: Stats block in plugin memory.
 ST_AREA = 2
@@ -151,7 +155,8 @@ def _register_frames(conn) -> None:
 from repro.core.plugin import register_host_resolver
 
 register_host_resolver(
-    PLUGIN_NAME, lambda name: (_host_helpers, _register_frames)
+    PLUGIN_NAME,
+    lambda name: (_host_helpers, _register_frames, DG_HELPER_EFFECTS),
 )
 
 
@@ -245,6 +250,7 @@ def datagram_max_size():
         PLUGIN_NAME,
         pluglets,
         host_helpers=_host_helpers,
+        helper_effects=DG_HELPER_EFFECTS,
         frame_registrar=_register_frames,
     )
 

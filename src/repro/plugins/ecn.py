@@ -21,6 +21,7 @@ from repro.core.api import (
     FLD_ECN_CE_RECEIVED,
     FLD_SRTT_US,
     H_PLUGIN_BASE,
+    HelperEffect,
 )
 from repro.core.plugin import Plugin, Pluglet, register_host_resolver
 from repro.quic import frames as F
@@ -41,6 +42,10 @@ ECN_HELPERS = {
     "ecn_write": H_ECN_WRITE,
     "ecn_frame_count": H_ECN_FRAME_COUNT,
 }
+
+#: Declared for the JIT: none of them touches the calling pluglet's stack.
+ECN_HELPER_EFFECTS = {
+    hid: HelperEffect(name) for name, hid in ECN_HELPERS.items()}
 
 ST_AREA = 6
 ST_SIZE = 40
@@ -110,7 +115,8 @@ def _register_frames(conn) -> None:
 
 
 register_host_resolver(
-    PLUGIN_NAME, lambda name: (_host_helpers, _register_frames)
+    PLUGIN_NAME,
+    lambda name: (_host_helpers, _register_frames, ECN_HELPER_EFFECTS),
 )
 
 
@@ -166,5 +172,6 @@ def process_ecn(frame, ctx):
         PLUGIN_NAME,
         pluglets,
         host_helpers=_host_helpers,
+        helper_effects=ECN_HELPER_EFFECTS,
         frame_registrar=_register_frames,
     )

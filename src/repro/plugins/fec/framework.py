@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.api import H_PLUGIN_BASE
+from repro.core.api import H_PLUGIN_BASE, HelperEffect
 from repro.core.plugin import Plugin, Pluglet
 from repro.quic import frames as F
 from repro.quic.connection import ReservedFrame
@@ -56,6 +56,10 @@ FEC_HELPERS = {
     "fec_process_rs": H_FEC_PROCESS_RS,
     "fec_write": H_FEC_WRITE,
 }
+
+#: Declared for the JIT: none of them touches the calling pluglet's stack.
+FEC_HELPER_EFFECTS = {
+    hid: HelperEffect(name) for name, hid in FEC_HELPERS.items()}
 
 ST_AREA = 4
 ST_SIZE = 64
@@ -403,7 +407,8 @@ def _resolve_fec_hooks(name: str):
     parts = name[len(PLUGIN_BASE_NAME) + 1:].split(".")
     ecc = parts[0] if parts and parts[0] in CODES else "rlc"
     repair = 1 if ecc == "xor" else 5
-    return _host_helpers_factory(25, repair, ecc), _register_frames
+    return (_host_helpers_factory(25, repair, ecc), _register_frames,
+            FEC_HELPER_EFFECTS)
 
 
 register_host_resolver(PLUGIN_BASE_NAME, _resolve_fec_hooks)
@@ -515,6 +520,7 @@ def fec_recovered_count():
         plugin_name(ecc, mode),
         pluglets,
         host_helpers=_host_helpers_factory(window, repair, ecc),
+        helper_effects=FEC_HELPER_EFFECTS,
         frame_registrar=_register_frames,
         memory_size=32 * 1024,
     )

@@ -29,6 +29,7 @@ from repro.core.api import (
     FLD_PATH_VALIDATED,
     FLD_SRTT_US,
     H_PLUGIN_BASE,
+    HelperEffect,
 )
 from repro.core.plugin import Plugin, Pluglet
 from repro.quic import frames as F
@@ -61,6 +62,10 @@ MP_HELPERS = {
     "mp_map_path": H_MP_MAP_PATH,
     "mp_requeue": H_MP_REQUEUE,
 }
+
+#: Declared for the JIT: none of them touches the calling pluglet's stack.
+MP_HELPER_EFFECTS = {
+    hid: HelperEffect(name) for name, hid in MP_HELPERS.items()}
 
 ST_AREA = 3
 ST_SIZE = 64
@@ -288,7 +293,8 @@ def select_path_lowrtt():
 from repro.core.plugin import register_host_resolver
 
 register_host_resolver(
-    PLUGIN_NAME, lambda name: (_host_helpers, _register_frames)
+    PLUGIN_NAME,
+    lambda name: (_host_helpers, _register_frames, MP_HELPER_EFFECTS),
 )
 
 
@@ -393,4 +399,5 @@ def map_incoming(local_addr, peer_addr):
         pluglets,
         host_helpers=_host_helpers,
         frame_registrar=_register_frames,
+        helper_effects=MP_HELPER_EFFECTS,
     )

@@ -42,12 +42,17 @@ class HelperEffect:
     ``field_arg`` names the argument position (0 = r1) that carries a
     field id when the helper reads (``writes_field`` False) or writes
     (True) host state; ``triggers_protoop`` marks helpers that dispatch
-    other protoops (``plugin_run_protoop``)."""
+    other protoops (``plugin_run_protoop``); ``reaches_stack`` marks
+    helpers that read or write the calling pluglet's stack (through
+    ``vm.current_stack``, ``vm.load`` or ``vm.store``) — the JIT keeps a
+    pluglet's frame in locals across a call to any helper declared
+    without it, and treats an undeclared helper id as having it."""
 
     name: str
     field_arg: Optional[int] = None
     writes_field: bool = False
     triggers_protoop: bool = False
+    reaches_stack: bool = False
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,10 @@ Translation scheme
   and ``continue``s; falling off a block flows naturally into the next
   guard, so straight-line code pays nothing for the dispatch.
 * Frame-pointer-relative accesses (the common case for compiled pluglets)
-  have their bounds check folded away at translation time; other accesses
-  get the two-region monitor check inlined as two chained comparisons.
+  have their bounds check folded away at translation time — and, in a
+  private frame, become accesses to a Python local (see *Frame
+  promotion*); other accesses get the two-region monitor check inlined
+  as two chained comparisons.
 * Fuel is accounted in *batches*: pure register-only instructions
   accumulate a pending count which is flushed — ``_fuel -= k`` plus one
   comparison — before any instruction whose effects are observable from
@@ -33,6 +35,45 @@ Translation scheme
   fault classes are bit-identical to :class:`~repro.vm.interpreter.
   VirtualMachine` (the differential suite in ``tests/test_vm_jit.py``
   enforces this).
+
+Frame promotion
+===============
+
+Compiled pluglets keep every local and temporary in an FP-relative stack
+slot, so most of what a pluglet executes is stack traffic.  When a
+program's frame is *private* its slots become Python locals as well
+(``s<stack offset>``), in both closures.  A frame is private when
+
+* ``r10`` appears only as the base register of loads and stores — never
+  as an ALU or jump operand, never stored as a value — so no stack
+  address can be computed from it;
+* every FP-relative access lies inside the 512-byte stack;
+* the accessed ``(offset, size)`` footprints are pairwise identical or
+  disjoint, so each one can be a variable of its own.
+
+The test reads the bytecode alone.  Slots start at 0 like the zeroed
+stack they stand for, and sub-word stores mask as the memory would.  A
+promoted access cannot fault, and nothing can look at a slot after a
+fault (the stack is dropped with the invocation), so it counts as *pure*
+for fuel batching: it is charged in arrears like an ALU op and a
+straight-line run of ALU ops and slot accesses collapses to one
+``_fuel -= k``.  No batch spans an observable instruction, so the charge
+at every observable event is still the interpreter's.
+
+The stack bytearray stays, because two other doors lead to it: a
+monitored access through a register other than ``r10`` may land in the
+stack (its stack arm; or the whole access, once proven to), and a helper
+may go through ``vm.current_stack``.  At exactly those points every slot
+is written back before and re-read after — one struct call per run of
+adjacent slots — so the bytearray is current whenever anything can read
+it by address, and the locals are whenever the pluglet resumes.  Helpers
+declared not to reach the stack (``HelperEffect.reaches_stack`` false;
+``compile_jit``'s ``stack_blind``) are called without the bracket; an id
+with no declaration is assumed to reach it.
+
+A frame that fails the test is compiled by the unpromoted emission —
+each FP-relative access a struct call on the bytearray behind its own
+fuel flush — exactly as before promotion existed.
 
 Proof-guided specialization
 ===========================
@@ -69,7 +110,7 @@ from __future__ import annotations
 
 import os
 import struct
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, Container, Dict, List, NamedTuple, Optional
 
 from .interpreter import (
     DEFAULT_FUEL,
@@ -94,7 +135,6 @@ from .isa import (
     MEM_SIZES,
     NUM_REGISTERS,
     STACK_SIZE,
-    STORE_IMM_OPS,
     STORE_REG_OPS,
     WORD_MASK,
     Op,
@@ -221,16 +261,33 @@ class _Emitter:
     """Collects generated lines for one basic block and tracks which
     runtime preamble facilities (heap view, helper table) are needed."""
 
-    def __init__(self, indent: str, fuel_check: bool = True):
+    def __init__(self, indent: str, fuel_check: bool = True,
+                 frame: Optional["_Frame"] = None):
         self.lines: List[str] = []
         self.indent = indent
         self.fuel_check = fuel_check
+        #: The promoted frame; None for one that stays in the stack
+        #: bytearray.
+        self.frame = frame
         self.uses_heap = False
         self.uses_call = False
         self.heap_sizes: set = set()
 
     def emit(self, line: str) -> None:
         self.lines.append(self.indent + line)
+
+    def write_back(self, prefix: str = "") -> None:
+        """Store every promoted slot to the stack bytearray: emitted
+        before code that may reach the stack by address."""
+        if self.frame is not None:
+            for line in self.frame.write_back:
+                self.emit(prefix + line)
+
+    def re_read(self, prefix: str = "") -> None:
+        """Load every promoted slot back after such code."""
+        if self.frame is not None:
+            for line in self.frame.re_read:
+                self.emit(prefix + line)
 
     def flush_fuel(self, count: int) -> None:
         """Charge `count` instructions; on exhaustion the partial batch is
@@ -283,6 +340,11 @@ def _emit_memory_op(em: _Emitter, op: Op, dst: int, src: int,
         return f"_p{size}(_heap, {addr_expr}, {value})"
 
     if base_reg == FP_REGISTER:
+        if em.frame is not None:
+            # Private frame: the slot is a local (see `_private_frame`).
+            slot = f"s{STACK_SIZE + offset}"
+            em.emit(f"r{dst} = {slot}" if is_load else f"{slot} = {value}")
+            return
         # Frame-pointer-relative: the address is a translation-time
         # constant, so the monitor check is resolved here — accesses that
         # stay in the stack need no runtime check at all.
@@ -301,7 +363,9 @@ def _emit_memory_op(em: _Emitter, op: Op, dst: int, src: int,
         em.emit(f"_a = {base}")
     if region == "stack":
         # Proven: every execution lands in the pluglet stack.
+        em.write_back()
         em.emit(stack_access(f"_a - {STACK_BASE}"))
+        em.re_read()
         return
     if region == "heap":
         em.uses_heap = True
@@ -310,7 +374,9 @@ def _emit_memory_op(em: _Emitter, op: Op, dst: int, src: int,
     em.uses_heap = True
     em.heap_sizes.add(size)
     em.emit(f"if {STACK_BASE} <= _a <= {STACK_BASE + STACK_SIZE - size}:")
+    em.write_back("    ")
     em.emit("    " + stack_access(f"_a - {STACK_BASE}"))
+    em.re_read("    ")
     em.emit(f"elif {HEAP_BASE} <= _a <= _he{size}:")
     em.emit("    " + heap_access(f"_a - {HEAP_BASE}"))
     em.emit("else:")
@@ -318,7 +384,77 @@ def _emit_memory_op(em: _Emitter, op: Op, dst: int, src: int,
             f'outside pluglet stack and plugin memory" % _a)')
 
 
-def compile_jit(instructions, proof=None) -> Callable:
+_STRUCT_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+class _Frame:
+    """A private frame promoted to locals: slot at stack offset ``at``
+    is the local ``s<at>``.  ``write_back`` / ``re_read`` are the lines
+    that store every slot to the stack bytearray / load it back, one
+    struct call per run of adjacent slots (the bytes between runs are
+    not slots and must not be written); ``namespace`` holds the struct
+    functions those lines name."""
+
+    def __init__(self, slots: Dict[int, int]):
+        self.names = [f"s{at}" for at in slots]
+        self.write_back: List[str] = []
+        self.re_read: List[str] = []
+        self.namespace: dict = {}
+        runs: List[List[int]] = []
+        for at in sorted(slots):
+            if runs and runs[-1][-1] + slots[runs[-1][-1]] == at:
+                runs[-1].append(at)
+            else:
+                runs.append([at])
+        for k, run in enumerate(runs):
+            packer = struct.Struct(
+                "<" + "".join(_STRUCT_CODE[slots[at]] for at in run))
+            names = ", ".join(f"s{at}" for at in run)
+            self.namespace[f"_wb{k}"] = packer.pack_into
+            self.namespace[f"_rr{k}"] = packer.unpack_from
+            self.write_back.append(f"_wb{k}(stack, {run[0]}, {names})")
+            self.re_read.append(f"({names},) = _rr{k}(stack, {run[0]})")
+
+
+def _mem_base(ins) -> int:
+    """The address register of a load or store."""
+    return ins.src if ins.opcode in LOAD_OPS else ins.dst
+
+
+def _private_frame(instructions) -> Optional[_Frame]:
+    """The promoted frame of a program whose frame is private, None when
+    the frame has to stay in memory.
+
+    Private means the bytecode can reach its stack by address only
+    through constant ``r10 + offset`` accesses: ``r10`` is never an ALU
+    or jump operand and never stored as a value, every such access lies
+    inside the stack, and any two footprints are identical or disjoint —
+    so each footprint can live in a local of its own."""
+    slots: Dict[int, int] = {}  # stack offset -> size
+    for ins in instructions:
+        op = ins.opcode
+        if (op in ALU_REG_OPS or op in STORE_REG_OPS) \
+                and ins.src == FP_REGISTER:
+            return None
+        if (op in JMP_REG_OPS and FP_REGISTER in (ins.dst, ins.src)) \
+                or (op in JMP_IMM_OPS and ins.dst == FP_REGISTER):
+            return None
+        if op in MEM_SIZES and _mem_base(ins) == FP_REGISTER:
+            size = MEM_SIZES[op]
+            at = STACK_SIZE + ins.offset
+            if not 0 <= at <= STACK_SIZE - size \
+                    or slots.setdefault(at, size) != size:
+                return None
+    end = 0
+    for at in sorted(slots):
+        if at < end:
+            return None
+        end = at + slots[at]
+    return _Frame(slots)
+
+
+def compile_jit(instructions, proof=None,
+                stack_blind: Container[int] = ()) -> Callable:
     """Translate a program into a Python function with inlined monitoring.
 
     The returned callable has signature ``fn(vm, stack, out, r1..r5)``;
@@ -335,6 +471,10 @@ def compile_jit(instructions, proof=None) -> Callable:
     ``helper_call_budget >= helper_bound`` and an actual plugin memory
     at least ``proof.heap_size`` bytes — :class:`JitVirtualMachine`
     does — otherwise elided checks could change behaviour.
+
+    ``stack_blind`` holds the ids of helpers declared never to touch the
+    calling pluglet's stack (``HelperEffect.reaches_stack`` false); in a
+    promoted frame a call to any other id is bracketed by a write-back.
     """
     mem_facts: dict = {}
     fuel_check = helper_check = True
@@ -374,6 +514,7 @@ def compile_jit(instructions, proof=None) -> Callable:
     order = sorted(leaders)
     block_of = {start: i for i, start in enumerate(order)}
 
+    frame = _private_frame(instructions)
     body_indent = " " * 16
     emitters: List[_Emitter] = []
     uses_heap = False
@@ -382,7 +523,7 @@ def compile_jit(instructions, proof=None) -> Callable:
 
     for bi, start in enumerate(order):
         end = order[bi + 1] if bi + 1 < len(order) else n
-        em = _Emitter(body_indent, fuel_check=fuel_check)
+        em = _Emitter(body_indent, fuel_check=fuel_check, frame=frame)
         emitters.append(em)
         pending = 0
         terminated = False
@@ -420,9 +561,15 @@ def compile_jit(instructions, proof=None) -> Callable:
                 em.emit(f"r{ins.dst} = {ins.imm & _M}")
                 pending += 1
                 continue
-            if op in LOAD_OPS or op in STORE_REG_OPS or op in STORE_IMM_OPS:
-                em.flush_fuel(pending + 1)
-                pending = 0
+            if op in MEM_SIZES:
+                if frame is not None and _mem_base(ins) == FP_REGISTER:
+                    # A promoted slot is a register in all but name: the
+                    # access cannot fault and nothing sees the slot after
+                    # a fault, so it is charged in arrears.
+                    pending += 1
+                else:
+                    em.flush_fuel(pending + 1)
+                    pending = 0
                 _emit_memory_op(em, op, ins.dst, ins.src, ins.offset,
                                 ins.imm, region=mem_facts.get(pc))
                 continue
@@ -440,7 +587,12 @@ def compile_jit(instructions, proof=None) -> Callable:
                             '"helper-call budget exhausted (%d calls)" '
                             '% _hbudget)')
                 em.emit("_hcalls += 1")
-                em.emit("_r = _h(vm, r1, r2, r3, r4, r5)")
+                if ins.imm in stack_blind:
+                    em.emit("_r = _h(vm, r1, r2, r3, r4, r5)")
+                else:  # may go through vm.current_stack
+                    em.write_back()
+                    em.emit("_r = _h(vm, r1, r2, r3, r4, r5)")
+                    em.re_read()
                 em.emit(f"r0 = (_r or 0) & {_M_LIT}")
                 continue
             if op is Op.EXIT:
@@ -515,6 +667,11 @@ def compile_jit(instructions, proof=None) -> Callable:
         "    r7 = 0",
         "    r8 = 0",
         "    r9 = 0",
+    ]
+    if frame is not None and frame.names:
+        # Slots start at 0 like the zeroed stack they stand for.
+        lines.append("    " + " = ".join(frame.names) + " = 0")
+    lines += [
         "    _bb = 0",
         "    try:",
         "        while 1:",
@@ -530,6 +687,8 @@ def compile_jit(instructions, proof=None) -> Callable:
     source = "\n".join(lines) + "\n"
 
     namespace = dict(_EXEC_GLOBALS)
+    if frame is not None:
+        namespace.update(frame.namespace)
     try:
         code = compile(source, "<pre-jit>", "exec")
     except SyntaxError as exc:  # pragma: no cover - translation bug guard
@@ -566,12 +725,14 @@ class JitCode(NamedTuple):
     heap_size: int = 0
 
 
-def load_jit(instructions: list, analysis: Optional[object] = None) -> JitCode:
+def load_jit(instructions: list, analysis: Optional[object] = None,
+             stack_blind: Container[int] = ()) -> JitCode:
     """Compile a pluglet once: the fully-checked closure and, when
     ``analysis`` (an :class:`~repro.vm.analysis.AnalysisReport`) is clean
-    and proves something, the monitor-free variant with its gates."""
+    and proves something, the monitor-free variant with its gates.
+    ``stack_blind`` is passed on to :func:`compile_jit`."""
     try:
-        checked = compile_jit(instructions)
+        checked = compile_jit(instructions, stack_blind=stack_blind)
     except JitError:
         return JitCode(None)
     if analysis is None or not getattr(analysis, "ok", False):
@@ -582,7 +743,8 @@ def load_jit(instructions: list, analysis: Optional[object] = None) -> JitCode:
     if not mem_facts and fuel_bound is None and helper_bound is None:
         return JitCode(checked)  # the proof elides nothing
     try:
-        fast = compile_jit(instructions, proof=analysis)
+        fast = compile_jit(instructions, proof=analysis,
+                           stack_blind=stack_blind)
     except JitError:  # pragma: no cover - checked variant compiled
         return JitCode(checked)
     return JitCode(checked, fast, fuel_bound, helper_bound,
@@ -634,30 +796,25 @@ class JitVirtualMachine(VirtualMachine):
         interpreter fallback (profiling attribution)."""
         return "jit" if self.jit_function is not None else "interpreter"
 
-    def run(self, *args: int) -> int:
-        fn = self.jit_function
-        fast = self._fast_function
-        if fast is not None \
-                and (self._fuel_bound is None
-                     or self.instruction_budget >= self._fuel_bound) \
-                and (self._helper_bound is None
-                     or self.helper_call_budget >= self._helper_bound):
-            fn = fast
-        if fn is None:
-            return super().run(*args)
-        if len(args) > 5:
-            raise ValueError("at most 5 arguments (r1-r5)")
-        a1 = a2 = a3 = a4 = a5 = 0
-        if args:
-            padded = [value & _M for value in args] + [0] * (5 - len(args))
-            a1, a2, a3, a4, a5 = padded
+    def run(self, a1: int = 0, a2: int = 0, a3: int = 0, a4: int = 0,
+            a5: int = 0) -> int:
+        fn = self._fast_function
+        if fn is None \
+                or (self._fuel_bound is not None
+                    and self.instruction_budget < self._fuel_bound) \
+                or (self._helper_bound is not None
+                    and self.helper_call_budget < self._helper_bound):
+            fn = self.jit_function
+            if fn is None:
+                return super().run(a1, a2, a3, a4, a5)
         stack = bytearray(STACK_SIZE)
         out = [0, 0]
         previous_stack = self.current_stack
         self.current_stack = stack
         self._helper_calls = 0
         try:
-            return fn(self, stack, out, a1, a2, a3, a4, a5)
+            return fn(self, stack, out, a1 & _M, a2 & _M, a3 & _M,
+                      a4 & _M, a5 & _M)
         finally:
             self.instructions_executed += out[0]
             self._helper_calls = out[1]

@@ -10,6 +10,7 @@ from repro.core.api import (
     FLD_SRTT_US,
     ApiViolation,
 )
+from repro.errors import TransportError, TransportErrorCode
 from repro.quic import QuicConfiguration
 from repro.quic.connection import QuicConnection
 from repro.vm import assemble
@@ -278,3 +279,189 @@ class TestInputsAndMessages:
         conn.now = 1.5
         attach_one(conn, "t", "when", "call 15\nexit")
         assert conn.protoops.run(conn, "when", None) == 1_500_000
+
+
+@pytest.fixture(params=["0", "1"], ids=["interpreter", "jit"])
+def engine(request, monkeypatch):
+    monkeypatch.setenv("REPRO_JIT", request.param)
+    return request.param
+
+
+class TestBulkRangeHelpers:
+    """``pl_memcpy`` / ``pl_memset`` / ``read_input_bytes`` /
+    ``write_input_bytes`` / ``push_message`` check ``[addr, addr + n)``
+    against the monitor once and move the bytes by slice — same results
+    from both engines."""
+
+    HEAP_END = HEAP_BASE + 16 * 1024
+
+    def run(self, asm, *args, plugin_name="org.api.bulk"):
+        conn = make_conn()
+        inst = attach_one(conn, "b", "bulk_op", asm, plugin_name=plugin_name)
+        return conn, inst, lambda: conn.protoops.run(conn, "bulk_op", None,
+                                                     *args)
+
+    def violation(self, call):
+        with pytest.raises(TransportError) as info:
+            call()
+        assert info.value.code is TransportErrorCode.PLUGIN_MEMORY_VIOLATION
+
+    def test_overlapping_memcpy_is_a_memmove(self, engine):
+        conn, inst, call = self.run(f"""
+            lddw r6, {HEAP_BASE}
+            lddw r1, 0x0807060504030201
+            stxdw [r6+0], r1
+            mov r1, r6
+            add r1, 2       ; dst = src + 2: a byte loop would smear
+            mov r2, r6
+            mov r3, 6
+            call 6
+            ldxdw r0, [r6+0]
+            exit
+        """)
+        assert call() == 0x0605040302010201
+
+    def test_memcpy_between_stack_and_heap(self, engine):
+        conn, inst, call = self.run(f"""
+            lddw r1, 0x1122334455667788
+            stxdw [r10-8], r1
+            lddw r6, {HEAP_BASE}
+            mov r1, r6
+            mov r2, r10
+            sub r2, 8
+            mov r3, 8
+            call 6          ; heap <- stack
+            mov r1, r10
+            sub r1, 16
+            mov r2, r6
+            add r2, 4
+            mov r3, 4
+            call 6          ; stack <- heap
+            ldxw r0, [r10-16]
+            exit
+        """)
+        assert call() == 0x11223344
+        assert inst.runtime.memory.data[:8] == bytes.fromhex(
+            "8877665544332211")
+
+    def test_length_zero_checks_nothing(self, engine):
+        # Every address is wild; with length 0 none of them is looked at.
+        conn, inst, call = self.run("""
+            lddw r1, 0x7f0000000000
+            lddw r2, 0x7e0000000000
+            mov r3, 0
+            call 6          ; pl_memcpy
+            lddw r1, 0x7f0000000000
+            mov r2, 1
+            mov r3, 0
+            call 7          ; pl_memset
+            mov r1, 0
+            lddw r2, 0x7f0000000000
+            mov r3, 0
+            mov r4, 0
+            call 13         ; write_input_bytes
+            lddw r1, 0x7f0000000000
+            mov r2, 0
+            call 14         ; push_message
+            mov r0, 5
+            exit
+        """, bytearray(4))
+        got = []
+        conn.on_plugin_message = lambda name, data: got.append(data)
+        assert call() == 5
+        assert got == [b""] and not conn.closed
+
+    @pytest.mark.parametrize("helper", [6, 7])
+    def test_length_above_plugin_memory_is_refused(self, engine, helper):
+        conn, inst, call = self.run(f"""
+            lddw r1, {HEAP_BASE}
+            lddw r2, {HEAP_BASE}
+            mov r3, {16 * 1024 + 1}
+            call {helper}
+            exit
+        """)
+        self.violation(call)
+
+    def test_range_past_the_region_end_writes_nothing(self, engine):
+        # The last 4 bytes of the heap are in range, the 5th is not: the
+        # whole memset is refused before it writes the first byte.
+        conn, inst, call = self.run(f"""
+            lddw r1, {self.HEAP_END - 4}
+            mov r2, 0xEE
+            mov r3, 5
+            call 7
+            exit
+        """)
+        self.violation(call)
+        assert inst.runtime.memory.data[-4:] == bytes(4)
+
+    def test_memcpy_bad_destination_writes_nothing(self, engine):
+        conn, inst, call = self.run(f"""
+            lddw r6, {HEAP_BASE}
+            stdw [r6+0], 0x01020304
+            lddw r1, {self.HEAP_END - 2}
+            mov r2, r6
+            mov r3, 4
+            call 6
+            exit
+        """)
+        self.violation(call)
+        assert inst.runtime.memory.data[-2:] == bytes(2)
+
+    def test_stack_range_may_not_run_off_the_stack(self, engine):
+        conn, inst, call = self.run("""
+            mov r1, r10
+            sub r1, 4
+            mov r2, 8       ; 4 bytes of stack, then nothing
+            call 14
+            exit
+        """)
+        got = []
+        conn.on_plugin_message = lambda name, data: got.append(data)
+        self.violation(call)
+        assert got == []
+
+    def test_read_and_write_input_bytes(self, engine):
+        out = bytearray(b"........")
+        conn, inst, call = self.run(f"""
+            mov r1, 0
+            lddw r2, {HEAP_BASE + 32}
+            mov r3, 2
+            mov r4, 100     ; clipped to what the input holds
+            call 12         ; read_input_bytes(0, heap+32, 2, 100)
+            mov r6, r0
+            mov r1, 1
+            lddw r2, {HEAP_BASE + 33}
+            mov r3, 3
+            mov r4, 4
+            call 13         ; write_input_bytes(1, heap+33, 3, 4)
+            mov r0, r6
+            exit
+        """, b"abcdefgh", out)
+        assert call() == 6
+        assert inst.runtime.memory.data[32:38] == b"cdefgh"
+        assert out == bytearray(b"...defg.")
+
+    def test_push_message_256_bytes_is_one_range_check(self, engine,
+                                                       monkeypatch):
+        conn, inst, call = self.run(f"""
+            lddw r1, {HEAP_BASE}
+            mov r2, 0x5A
+            mov r3, 256
+            call 7
+            lddw r1, {HEAP_BASE}
+            mov r2, 256
+            call 14
+            exit
+        """)
+        got = []
+        conn.on_plugin_message = lambda name, data: got.append(data)
+        checks = []
+        vm = inst.vms["b"]
+        region = vm._region
+        monkeypatch.setattr(
+            vm, "_region",
+            lambda *args: (checks.append(args[1]), region(*args))[1])
+        call()
+        assert got == [b"\x5a" * 256]
+        assert checks == [256, 256]

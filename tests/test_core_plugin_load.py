@@ -57,9 +57,10 @@ class TestLoadedOnce:
         compiled, verified = [], []
         real_compile, real_verify = jit_module.compile_jit, plugin_module.verify
 
-        def counting_compile(instructions, proof=None):
+        def counting_compile(instructions, *args, **kwargs):
+            proof = kwargs.get("proof", args[0] if args else None)
             compiled.append((id(instructions), proof is not None))
-            return real_compile(instructions, proof=proof)
+            return real_compile(instructions, *args, **kwargs)
 
         def counting_verify(instructions):
             verified.append(id(instructions))

@@ -10,6 +10,7 @@ state is compared bit-for-bit.
 """
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,7 @@ from repro.vm.isa import (
 )
 from repro.vm.jit import (
     MAX_JIT_PROGRAM,
+    JitCode,
     JitError,
     JitVirtualMachine,
     compile_jit,
@@ -475,3 +477,425 @@ class TestProofGuided:
                        analysis=report)
         assert vm.jit_specialized
         assert vm.run() == 42
+
+
+# --- frame promotion ----------------------------------------------------------
+#
+# The generator above draws FP offsets and sizes at random and reads r10
+# as an ALU source, so its frames are almost never private.  This one
+# keeps r10 a pure base register over aligned, disjoint slots — and then
+# aims everything else that can reach the stack at those same slots.
+
+SLOT_AREA = STACK_SIZE - 64          # slots live in the top 64 bytes
+SLOT_REGS = [0, 1, 2, 3, 4, 5, 8, 9]  # r6/r7 stay the fabricated pointers
+H_BLIND, H_VOID, H_DECLARED, H_UNDECLARED = 1, 7, 3, 4
+STACK_BLIND = frozenset({H_BLIND, H_VOID})
+OPS_BY_SIZE = {size: [op for op in MEM_LIST if MEM_SIZES[op] == size]
+               for size in (1, 2, 4, 8)}
+
+
+def _slot_layout(rng):
+    """Aligned, pairwise disjoint (stack offset, size) slots, with gaps."""
+    slots, at = [], SLOT_AREA
+    while at < STACK_SIZE:
+        size = rng.choice([s for s in (1, 2, 4, 8) if at % s == 0])
+        if rng.random() < 0.7:
+            slots.append((at, size))
+        at += size
+    return slots or [(STACK_SIZE - 8, 8)]
+
+
+def _memory_ins(rng, op, base, offset):
+    if op in LOAD_OPS:
+        return Instruction(op, dst=rng.choice(SLOT_REGS), src=base,
+                           offset=offset)
+    if op in STORE_REG_OPS:
+        return Instruction(op, dst=base, src=rng.randrange(10), offset=offset)
+    return Instruction(op, dst=base, offset=offset, imm=_random_imm(rng))
+
+
+def _promotable_ins(rng, pc, total, slots):
+    r = rng.random()
+    dst = rng.choice(SLOT_REGS)
+    src = rng.randrange(10)  # r10 never escapes
+    if r < 0.30:
+        at, size = rng.choice(slots)
+        return _memory_ins(rng, rng.choice(OPS_BY_SIZE[size]), 10,
+                           at - STACK_SIZE)
+    if r < 0.42:
+        # Through r6, a constant pointer into the slot area: any size at
+        # any byte, so accesses straddle slots.  The analyzer proves the
+        # region, so the specialised closure reaches the stack unmonitored.
+        op = rng.choice(MEM_LIST)
+        return _memory_ins(rng, op, 6, rng.randrange(65 - MEM_SIZES[op]))
+    if r < 0.47:
+        return _memory_ins(rng, rng.choice(MEM_LIST), 7,
+                           rng.choice([0, 8, 16, 24]))
+    if r < 0.52:
+        # Through an argument register: monitored in both closures, and
+        # a stack address, a heap address or a violation depending on
+        # the run.
+        return _memory_ins(rng, rng.choice(MEM_LIST), rng.choice([1, 2, 3]),
+                           rng.choice([0, 0, 1, 8]))
+    if r < 0.64:
+        return Instruction(Op.CALL, imm=rng.choice(
+            [H_BLIND, H_VOID] + [H_DECLARED, H_UNDECLARED] * 4 + [99]))
+    if r < 0.74:
+        op = rng.choice(JUMP_LIST)
+        if rng.random() < 0.75 and pc + 1 < total:
+            target = rng.randrange(pc + 1, total)
+        else:
+            target = rng.randrange(total)  # loops
+        off = target - pc - 1
+        if op is Op.JA:
+            return Instruction(op, offset=off)
+        if op in JMP_IMM_SET:
+            return Instruction(op, dst=dst, offset=off, imm=_random_imm(rng))
+        return Instruction(op, dst=dst, src=src, offset=off)
+    if r < 0.86:
+        op = rng.choice(ALU_IMM_LIST)
+        if op in (Op.LSH_IMM, Op.RSH_IMM, Op.ARSH_IMM):
+            imm = rng.randrange(64)
+        elif op in (Op.DIV_IMM, Op.MOD_IMM):
+            imm = rng.choice([1, 2, 3, 7, 255, 65521])
+        else:
+            imm = _random_imm(rng)
+        return Instruction(op, dst=dst, imm=imm)
+    if r < 0.96:
+        op = rng.choice(ALU_REG_LIST)
+        if op in (Op.DIV, Op.MOD) and rng.random() < 0.7:
+            op = Op.ADD  # registers are often 0: keep most programs alive
+        return Instruction(op, dst=dst, src=src)
+    return Instruction(Op.LDDW, dst=dst, imm=_random_imm(rng))
+
+
+#: Argument sets for the promotable programs: r1-r3 double as pointers.
+POINTER_RUNS = (
+    (STACK_BASE + SLOT_AREA + 8, HEAP_BASE + 16, STACK_BASE + SLOT_AREA + 40),
+    (HEAP_BASE + 64, STACK_BASE + SLOT_AREA, HEAP_BASE + HEAP_SIZE - 4),
+    (),
+)
+
+
+def promotable_program(rng, n_body=30):
+    slots = _slot_layout(rng)
+    prog = [
+        Instruction(Op.LDDW, dst=6, imm=STACK_BASE + SLOT_AREA),
+        Instruction(Op.LDDW, dst=7,
+                    imm=HEAP_BASE + rng.randrange(0, HEAP_SIZE - 32, 8)),
+        # Every register is written before the body reads it, so the
+        # analyzer accepts the program and the proofs get used.
+        Instruction(Op.MOV_IMM, dst=0, imm=0),
+        Instruction(Op.MOV_IMM, dst=8, imm=rng.randrange(1, 9)),
+        Instruction(Op.MOV_IMM, dst=9, imm=rng.randrange(1, 9)),
+    ]
+    total = len(prog) + n_body + 1
+    for _ in range(n_body):
+        prog.append(_promotable_ins(rng, len(prog), total, slots))
+    prog.append(Instruction(Op.EXIT))
+    return prog
+
+
+def _stack_helpers(log):
+    """The blind pair of ``_make_helpers`` plus one helper that reads
+    *and* writes the running stack, installed under a declared and an
+    undeclared id."""
+    def h_poke(vm, a1, a2, a3, a4, a5):
+        stack = vm.current_stack
+        log.append(("poke", a1, bytes(stack[SLOT_AREA:])))
+        at = SLOT_AREA + a1 % 57
+        for i in range(8):
+            stack[at + i] = (stack[at + i] + a2 + i) & 0xFF
+        return stack[at] + a1
+
+    helpers = _make_helpers(log)
+    helpers[H_DECLARED] = helpers[H_UNDECLARED] = h_poke
+    return helpers
+
+
+def _observe_promoted(program, code, budget, runs):
+    mem = PluginMemory(size=HEAP_SIZE)
+    log = []
+    if code is None:
+        vm = VirtualMachine(program, mem, helpers=_stack_helpers(log),
+                            instruction_budget=budget, helper_call_budget=8)
+    else:
+        vm = JitVirtualMachine(program, mem, helpers=_stack_helpers(log),
+                               instruction_budget=budget,
+                               helper_call_budget=8, code=code)
+    trace = []
+    for args in runs:
+        try:
+            trace.append(("ok", vm.run(*args)))
+        except VmError as exc:
+            trace.append(("err", type(exc).__name__, str(exc)))
+        trace.append((vm.instructions_executed, vm.helper_calls_made))
+        assert vm.current_stack is None
+    return trace, bytes(mem.data), log
+
+
+def is_promoted(fn):
+    """Whether a compiled closure keeps its frame in ``s<offset>`` locals."""
+    return re.search(r"\bs\d+\b", fn.source) is not None
+
+
+def assert_promoted_equivalent(program, runs=POINTER_RUNS, cap=200):
+    """Interpreter vs checked vs proof-specialised closure, under every
+    fuel budget from 0 to what the program executes (``cap`` for the
+    ones that loop for ever)."""
+    verify(program)
+    report = analyze(program, heap_size=HEAP_SIZE)
+    checked = JitCode(compile_jit(program, stack_blind=STACK_BLIND))
+    proven = load_jit(program, report, STACK_BLIND)
+    assert is_promoted(checked.checked)
+    assert proven.fast is None or is_promoted(proven.fast)
+    counts = [0] + [step[0] for step in _observe_promoted(
+        program, None, cap, runs)[0][1::2]]  # cumulative, after each run
+    executed = max(after - before
+                   for before, after in zip(counts, counts[1:]))
+    for budget in range(executed + 1):
+        ref = _observe_promoted(program, None, budget, runs)
+        for name, code in (("checked", checked), ("proven", proven)):
+            got = _observe_promoted(program, code, budget, runs)
+            assert got == ref, (
+                f"{name} closure diverges at budget={budget}:\n ref={ref}\n"
+                f" got={got}\n program={program}\n"
+                f"{(code.fast or code.checked).source}")
+
+
+class TestFramePromotion:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_seeded_promotable_programs(self, seed):
+        rng = random.Random(0x51075 ^ seed)
+        for _ in range(2):
+            assert_promoted_equivalent(promotable_program(rng))
+
+    def test_longer_promotable_programs(self):
+        rng = random.Random(0xF4A3E)
+        for _ in range(3):
+            assert_promoted_equivalent(promotable_program(rng, n_body=100),
+                                       cap=300)
+
+    def test_sub_word_slots_and_a_straddling_pointer(self):
+        # Four byte slots and a half-word slot; r6 reads a word across
+        # the bytes and stores a dword over everything.
+        program = assemble(f"""
+            lddw r6, {STACK_BASE + STACK_SIZE - 8}
+            stb [r10-8], 0x11
+            stb [r10-7], 0x22
+            stb [r10-6], 0x33
+            stb [r10-5], 0x44
+            sth [r10-4], 0x6655
+            ldxw r1, [r6+0]
+            ldxh r2, [r6+3]
+            lddw r3, 0x0102030405060708
+            stxdw [r6+0], r3
+            ldxb r4, [r10-7]
+            ldxh r5, [r10-4]
+            mov r0, r1
+            add r0, r2
+            add r0, r4
+            add r0, r5
+            exit
+        """)
+        assert_promoted_equivalent(program, runs=((),))
+        vm = JitVirtualMachine(program, PluginMemory(size=64),
+                               code=load_jit(program))
+        assert vm.run() == 0x44332211 + 0x5544 + 0x07 + 0x0304
+
+    def test_loop_over_a_promoted_counter(self):
+        program = assemble("""
+            stdw [r10-8], 0
+        top:
+            ldxdw r1, [r10-8]
+            add r1, 1
+            stxdw [r10-8], r1
+            jlt r1, 9, top
+            ldxdw r0, [r10-8]
+            exit
+        """)
+        assert_promoted_equivalent(program, runs=((),))
+
+    def test_helper_written_slot_is_re_read(self):
+        program = assemble(f"""
+            stdw [r10-64], 5
+            mov r1, 0
+            mov r2, 1
+            call {H_UNDECLARED}
+            ldxdw r0, [r10-64]
+            mov r1, 0
+            mov r2, 1
+            call {H_DECLARED}
+            ldxdw r3, [r10-64]
+            add r0, r3
+            exit
+        """)
+        assert_promoted_equivalent(program, runs=((),))
+
+    def test_promoted_slots_use_no_struct_outside_write_back(self):
+        program = assemble(f"""
+            stdw [r10-8], 1
+            sth [r10-16], 2
+            ldxdw r1, [r10-8]
+            ldxh r2, [r10-16]
+            call {H_BLIND}
+            exit
+        """)
+        source = compile_jit(program, stack_blind=STACK_BLIND).source
+        assert "s504 = 1" in source and "r2 = s496" in source
+        assert "stack" not in source.split("\n", 1)[1]
+        # One flush for the whole straight-line run up to the call.
+        assert source.count("_fuel -= ") == 2 and "_fuel -= 5" in source
+
+    def test_write_back_brackets_exactly_the_calls_that_may_reach(self):
+        program = assemble(f"""
+            stdw [r10-8], 1
+            call {H_BLIND}
+            call {H_DECLARED}
+            call {H_UNDECLARED}
+            call {H_VOID}
+            ldxdw r0, [r10-8]
+            exit
+        """)
+        lines = [line.strip() for line in compile_jit(
+            program, stack_blind=STACK_BLIND).source.splitlines()]
+        calls = [i for i, line in enumerate(lines) if line.startswith("_r = ")]
+        fetched = [int(re.search(r"_hget\((\d+)\)", line).group(1))
+                   for line in lines if "_hget(" in line]
+        assert fetched == [H_BLIND, H_DECLARED, H_UNDECLARED, H_VOID]
+        for helper, at in zip(fetched, calls):
+            bracketed = (lines[at - 1].startswith("_wb0(stack, 504, s504")
+                         and lines[at + 1].startswith("(s504,) = _rr0("))
+            assert bracketed == (helper not in STACK_BLIND)
+        # No declaration at all: every id is taken to reach the stack.
+        assert compile_jit(program).source.count("_wb0(") == 4
+
+    def test_monitored_access_writes_back_only_in_its_stack_arm(self):
+        program = assemble("""
+            stdw [r10-8], 1
+            ldxdw r0, [r1+0]
+            exit
+        """)
+        lines = [line.strip()
+                 for line in compile_jit(program).source.splitlines()]
+        arm = lines.index(f"if {STACK_BASE} <= _a <= "
+                          f"{STACK_BASE + STACK_SIZE - 8}:")
+        assert lines[arm + 1].startswith("_wb0(")
+        assert lines[arm + 3].startswith("(s504,) = _rr0(")
+        assert lines[arm + 4].startswith("elif ")
+        assert sum("_wb0(" in line for line in lines) == 1
+        assert_promoted_equivalent(
+            program, runs=((STACK_BASE + STACK_SIZE - 8,), (HEAP_BASE,),
+                           (STACK_BASE + STACK_SIZE - 4,), (0,)))
+
+
+#: What the parent of the frame-promotion change emitted for
+#: ``ESCAPING_R10``: a frame that is not private compiles as before.
+ESCAPING_R10 = """
+    stdw [r10-8], 7
+    mov r1, r10
+    add r1, -8
+    ldxdw r0, [r1+0]
+    call 1
+    exit
+"""
+UNPROMOTED_SOURCE = '''\
+def _pluglet(vm, stack, out, r1, r2, r3, r4, r5):
+    _budget = vm.instruction_budget
+    _fuel = _budget
+    _hcalls = 0
+    _hbudget = vm.helper_call_budget
+    _hget = vm.helpers.get
+    _heap = vm.memory.data
+    _hm = 536870912 + vm.memory.size
+    _he8 = _hm - 8
+    r0 = 0
+    r6 = 0
+    r7 = 0
+    r8 = 0
+    r9 = 0
+    _bb = 0
+    try:
+        while 1:
+            if _bb <= 0:
+                _fuel -= 1
+                if _fuel < 0:
+                    _fuel = 0
+                    raise _FuelExhausted("fuel budget exhausted (%d instructions)" % _budget)
+                _p8(stack, 504, 7)
+                r1 = 268435968
+                r1 = (r1 + 18446744073709551608) & 18446744073709551615
+                _fuel -= 3
+                if _fuel < 0:
+                    _fuel = 0
+                    raise _FuelExhausted("fuel budget exhausted (%d instructions)" % _budget)
+                _a = r1
+                if 268435456 <= _a <= 268435960:
+                    r0 = _u8(stack, _a - 268435456)[0]
+                elif 536870912 <= _a <= _he8:
+                    r0 = _u8(_heap, _a - 536870912)[0]
+                else:
+                    raise _MemoryViolation("access of 8 bytes at 0x%x outside pluglet stack and plugin memory" % _a)
+                _fuel -= 1
+                if _fuel < 0:
+                    _fuel = 0
+                    raise _FuelExhausted("fuel budget exhausted (%d instructions)" % _budget)
+                _h = _hget(1)
+                if _h is None:
+                    raise _ExecutionError("unknown helper id 1")
+                if _hcalls >= _hbudget:
+                    raise _FuelExhausted("helper-call budget exhausted (%d calls)" % _hbudget)
+                _hcalls += 1
+                _r = _h(vm, r1, r2, r3, r4, r5)
+                r0 = (_r or 0) & 18446744073709551615
+                _fuel -= 1
+                if _fuel < 0:
+                    _fuel = 0
+                    raise _FuelExhausted("fuel budget exhausted (%d instructions)" % _budget)
+                return r0
+    finally:
+        out[0] = _budget - _fuel
+        out[1] = _hcalls
+'''
+
+
+class TestPromotionRefused:
+    """A frame that fails the privacy test compiles by the unpromoted
+    emission: every FP-relative access is a struct call on the stack
+    bytearray with its own fuel flush."""
+
+    def test_escaping_r10_emits_the_parent_source(self):
+        fn = compile_jit(assemble(ESCAPING_R10), stack_blind=STACK_BLIND)
+        assert fn.source == UNPROMOTED_SOURCE
+
+    @pytest.mark.parametrize("asm", [
+        # same offset, different extent
+        "stdw [r10-8], 1\nldxw r0, [r10-8]\nexit",
+        # partial overlap
+        "stdw [r10-8], 1\nldxw r0, [r10-4]\nexit",
+        "stdw [r10-8], 1\nldxb r0, [r10-7]\nexit",
+        # r10 as ALU operand, jump operand (either side), stored value
+        "stdw [r10-8], 1\nmov r1, r10\nexit",
+        "stdw [r10-8], 1\nadd r1, r10\nexit",
+        "stdw [r10-8], 1\njeq r1, r10, +0\nexit",
+        "stdw [r10-8], 1\njgt r10, r1, +0\nexit",
+        "stdw [r10-8], 1\njne r10, 5, +0\nexit",
+        "stdw [r10-8], 1\nstxdw [r10-16], r10\nexit",
+        "stdw [r10-8], 1\nstxdw [r1+0], r10\nexit",
+        # an FP-relative access outside the 512-byte frame
+        "stdw [r10-8], 1\nldxdw r0, [r10+0]\nexit",
+        "stdw [r10-8], 1\nldxdw r0, [r10-516]\nexit",
+        "stdw [r10-8], 1\nstb [r10-513], 1\nexit",
+    ])
+    def test_not_private(self, asm):
+        program = assemble(asm)
+        fn = compile_jit(program, stack_blind=STACK_BLIND)
+        assert not is_promoted(fn)
+        lines = [line.strip() for line in fn.source.splitlines()]
+        # The store is a struct call behind a fuel flush of its own.
+        assert lines[lines.index("_p8(stack, 504, 1)") - 4] == "_fuel -= 1"
+
+    def test_private_frame_needs_no_slots(self):
+        fn = compile_jit(assemble("mov r0, 1\nexit"))
+        assert not is_promoted(fn) and "stack" not in fn.source.split(
+            "\n", 1)[1]
