@@ -14,9 +14,10 @@ new frames without touching callers.  Protoops may also be *external*:
 callable only by the application (§2.4), the channel through which plugins
 extend the application-facing API.
 
-Combining plugins must not create call loops (Figure 3): the table tracks
-the stack of running protoops and aborts the connection if an operation is
-re-entered.
+Combining plugins must not create call loops (Figure 3): every
+(protoop, parameter) has a re-entry guard that is set while the operation
+runs, and the table aborts the connection if a running operation is
+entered again.
 """
 
 from __future__ import annotations
@@ -69,19 +70,52 @@ class ProtocolOperation:
         return self.defaults.get(param)
 
 
+class _Guard:
+    """Re-entry guard of one (protoop, parameter): set while it runs."""
+
+    __slots__ = ("running",)
+
+    def __init__(self) -> None:
+        self.running = False
+
+
+class CallPlan:
+    """Everything one run of a (protoop, parameter) needs, resolved once
+    per epoch: the anchors as they stood when the plan was built, plus
+    the facts the dispatcher would otherwise recompute on every run."""
+
+    __slots__ = ("op", "key", "pre", "behavior", "post",
+                 "external", "bare", "epoch", "guard")
+
+    def __init__(self, op: ProtocolOperation, key: Any, pre: tuple,
+                 behavior: Optional[Callable], post: tuple, epoch: int,
+                 guard: _Guard) -> None:
+        self.op = op
+        self.key = key
+        self.pre = pre
+        self.behavior = behavior
+        self.post = post
+        self.external = op.external
+        self.bare = not pre and not post  # nothing observes this run
+        self.epoch = epoch
+        self.guard = guard
+
+
 class ProtoopTable:
     """Per-connection registry and dispatcher of protocol operations."""
 
     def __init__(self) -> None:
         self._ops: dict[str, ProtocolOperation] = {}
-        self._call_stack: list[tuple[str, Any]] = []
         self.runs = 0  # total protoop invocations (monitoring/benchmarks)
-        #: Dispatch cache: (name, param) -> flat call plan
-        #: (op, key, pre tuple, behavior, post tuple).  Invalidated as a
-        #: whole whenever any anchor changes (register/attach/detach), so
-        #: the common no-plugin dispatch is a single dict hit instead of
-        #: per-call anchor resolution.
+        #: Dispatch cache: one :class:`CallPlan` per (name, param), keyed
+        #: by ``name`` alone when ``param is None`` so the common run
+        #: builds no tuple.  Invalidated as a whole whenever any anchor
+        #: changes (register/attach/detach): a plan found here was built
+        #: at the current epoch.
         self._plans: dict = {}
+        #: (name, key) -> re-entry guard.  Never cleared: an operation
+        #: stays "running" across a mid-run attach/detach/quarantine.
+        self._guards: dict = {}
         self._params_cache: dict[str, frozenset] = {}
         self._epoch = 0  # bumped on every invalidation
         self.plan_builds = 0  # cache fills (tests/monitoring)
@@ -97,9 +131,12 @@ class ProtoopTable:
         self._plans.clear()
         self._params_cache.clear()
 
-    def _build_plan(self, name: str, param: Any) -> tuple:
+    def _build_plan(self, name: str, param: Any) -> CallPlan:
         op = self.get(name)
         key = param if op.parameterized else None
+        guard = self._guards.get((name, key))
+        if guard is None:
+            guard = self._guards[(name, key)] = _Guard()
         pre = tuple(op.pre.get(key, ()))
         if self._count_runs:
             counts = self.run_counts
@@ -108,9 +145,9 @@ class ProtoopTable:
                 counts[_name] = counts.get(_name, 0) + 1
 
             pre = (count_run,) + pre
-        plan = (op, key, pre, op.behavior(key),
-                tuple(op.post.get(key, ())))
-        self._plans[(name, param)] = plan
+        plan = CallPlan(op, key, pre, op.behavior(key),
+                        tuple(op.post.get(key, ())), self._epoch, guard)
+        self._plans[name if param is None else (name, param)] = plan
         self.plan_builds += 1
         return plan
 
@@ -240,10 +277,10 @@ class ProtoopTable:
 
     def has_behavior(self, name: str, param: Any = None) -> bool:
         """Cached ``op.behavior(param) is not None``."""
-        plan = self._plans.get((name, param))
+        plan = self._plans.get(name if param is None else (name, param))
         if plan is None:
             plan = self._build_plan(name, param)
-        return plan[3] is not None
+        return plan.behavior is not None
 
     def run(self, conn, name: str, param: Any = None, *args: Any, _from_app: bool = False) -> Any:
         """Invoke a protoop: pre anchors, behaviour, post anchors.
@@ -251,41 +288,53 @@ class ProtoopTable:
         Raises :class:`ProtoopError` on re-entry (call-graph loop, Fig. 3)
         or when an external operation is invoked from within the protocol.
         """
-        epoch = self._epoch
-        plan = self._plans.get((name, param))
+        plan = self._plans.get(name if param is None else (name, param))
         if plan is None:
             plan = self._build_plan(name, param)
-        op, key, pre_chain, behavior, post_chain = plan
-        if op.external and not _from_app:
+        if plan.external and not _from_app:
             raise ProtoopError(
                 TransportErrorCode.PROTOCOL_VIOLATION,
                 f"external protoop {name!r} called from protocol code",
             )
-        frame_key = (name, key)
-        if frame_key in self._call_stack:
+        guard = plan.guard
+        if guard.running:
             raise ProtoopError(
                 TransportErrorCode.PLUGIN_LOOP_DETECTED,
                 f"protocol operation loop through {name}[{param}]",
             )
-        self._call_stack.append(frame_key)
         self.runs += 1
+        behavior = plan.behavior
+        bare = plan.bare
+        if bare and behavior is None:
+            return None  # an event nobody observes
+        guard.running = True
         try:
-            # The plan snapshots are exactly the copies the uncached
-            # dispatcher iterated over; if a failing pluglet detaches its
-            # plugin mid-run the epoch moves and we re-resolve the stale
-            # parts, matching the uncached anchor-by-anchor timeline.
-            for observer in pre_chain:  # passive, read-only
+            if bare:
+                result = behavior(conn, *args)
+                # Post anchors are resolved after the behaviour ran: one
+                # it attached itself must still fire.
+                if self._epoch != plan.epoch:
+                    for observer in tuple(plan.op.post.get(plan.key, ())):
+                        observer(conn, args, result)
+                return result
+            # The plan snapshots are exactly the copies an uncached
+            # dispatcher would iterate over; if a failing pluglet detaches
+            # its plugin mid-run the epoch moves and we re-resolve the
+            # stale parts, matching the anchor-by-anchor timeline.
+            epoch = plan.epoch
+            post_chain = plan.post
+            for observer in plan.pre:  # passive, read-only
                 observer(conn, args)
             if self._epoch != epoch:
-                behavior = op.behavior(key)
+                behavior = plan.op.behavior(plan.key)
             result = behavior(conn, *args) if behavior is not None else None
             if self._epoch != epoch:
-                post_chain = tuple(op.post.get(key, ()))
+                post_chain = tuple(plan.op.post.get(plan.key, ()))
             for observer in post_chain:
                 observer(conn, args, result)
             return result
         finally:
-            self._call_stack.pop()
+            guard.running = False
 
     def run_external(self, conn, name: str, param: Any = None, *args: Any) -> Any:
         """Entry point for the application (§2.4)."""

@@ -1,17 +1,22 @@
-"""Protoop dispatch-cache invalidation.
+"""Protoop dispatch: plan cache, re-entry guards, cost of a run.
 
-The ``ProtoopTable`` precomputes a flat call plan per (protoop, param).
+The ``ProtoopTable`` precomputes one call plan per (protoop, param).
 These tests pin the invalidation protocol: any anchor change —
 ``register``/``attach``/``detach``, including a containment-triggered
 quarantine mid-connection — must drop stale plans, and a plan captured at
 the start of a run must not fire anchors that were removed while the run
-was in flight.
+was in flight.  They also pin what invalidation must *not* touch (the
+re-entry guard of an operation that is running) and, by counting Python
+calls, what a run with nothing attached costs.
 """
+
+import sys
 
 import pytest
 
 from repro.core import ContainmentPolicy, Plugin, PluginInstance, Pluglet
-from repro.core.protoop import Anchor, ProtoopTable
+from repro.core.protoop import Anchor, ProtoopError, ProtoopTable
+from repro.errors import TransportErrorCode
 from repro.quic import QuicConfiguration
 from repro.quic.connection import QuicConnection
 from repro.vm import assemble
@@ -189,3 +194,125 @@ class TestPlanCorrectness:
         with pytest.raises(Exception, match="external"):
             table.run(None, "app_op")
         assert table.run_external(None, "app_op") == "app"
+
+
+class TestReentryGuards:
+    def test_guard_survives_midrun_invalidation(self):
+        """A pre observer detaches itself — the epoch moves and every
+        plan is dropped — then runs its own operation: still a loop."""
+        table = make_table()
+        seen = []
+
+        def observer(conn, args):
+            table.detach("greet", Anchor.PRE, observer)
+            with pytest.raises(ProtoopError) as exc:
+                table.run(conn, "greet")
+            seen.append(exc.value.code)
+
+        table.attach("greet", Anchor.PRE, observer)
+        assert table.run(None, "greet") == "default"
+        assert seen == [TransportErrorCode.PLUGIN_LOOP_DETECTED]
+        assert table.run(None, "greet") == "default"  # released afterwards
+
+    @pytest.mark.parametrize("anchor", [Anchor.PRE, Anchor.REPLACE, Anchor.POST])
+    def test_exception_releases_guard(self, anchor):
+        table = make_table()
+
+        def boom(conn, *args):
+            raise RuntimeError("pluglet failure")
+
+        table.attach("greet", anchor, boom)
+        with pytest.raises(RuntimeError):
+            table.run(None, "greet")
+        table.detach("greet", anchor, boom)
+        assert table.run(None, "greet") == "default"
+
+    def test_exception_in_bare_default_releases_guard(self):
+        table = ProtoopTable()
+        calls = []
+
+        def flaky(conn):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("first run fails")
+            return "ok"
+
+        table.register("flaky", flaky)
+        with pytest.raises(RuntimeError):
+            table.run(None, "flaky")
+        assert table.run(None, "flaky") == "ok"
+
+    def test_guard_is_per_parameter(self):
+        table = ProtoopTable()
+
+        def frame_a(conn, inner):
+            return ("A", table.run(conn, "frame", inner))
+
+        table.register("frame", frame_a, param="A", parameterized=True)
+        table.register("frame", lambda conn: "B", param="B", parameterized=True)
+        assert table.run(None, "frame", "A", "B") == ("A", "B")
+        with pytest.raises(ProtoopError) as exc:
+            table.run(None, "frame", "A", "A")
+        assert exc.value.code == TransportErrorCode.PLUGIN_LOOP_DETECTED
+
+    def test_stray_param_shares_the_plain_guard(self):
+        table = ProtoopTable()
+        table.register("plain", lambda conn: table.run(conn, "plain", "stray"))
+        with pytest.raises(ProtoopError) as exc:
+            table.run(None, "plain")
+        assert exc.value.code == TransportErrorCode.PLUGIN_LOOP_DETECTED
+
+
+class TestUnobservedEvent:
+    def test_counts_and_calls_nothing(self):
+        table = ProtoopTable()
+        table.declare("evt")
+        assert table.run(None, "evt", None, 1, 2) is None
+        assert table.run(None, "evt") is None
+        assert table.runs == 2
+
+    def test_still_refuses_external_misuse(self):
+        table = ProtoopTable()
+        table.register("app_evt", None, external=True)
+        with pytest.raises(ProtoopError) as exc:
+            table.run(None, "app_evt")
+        assert exc.value.code == TransportErrorCode.PROTOCOL_VIOLATION
+        assert table.runs == 0
+        assert table.run_external(None, "app_evt") is None
+        assert table.runs == 1
+
+
+def python_calls_during(fn):
+    """Python-level functions entered while ``fn()`` runs, as seen by
+    ``sys.setprofile`` (C functions raise ``c_call``, not ``call``)."""
+    entered = []
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+class TestDispatchCostGate:
+    """What a run costs, counted rather than timed: a helper function
+    slipped back into the hot path fails here, not in a noisy benchmark."""
+
+    def test_bare_default_enters_only_the_behaviour(self):
+        table = make_table()
+        greet = table.get("greet").defaults[None]
+        table.run(None, "greet")  # build the plan
+        entered = python_calls_during(lambda: table.run(None, "greet", None, 1))
+        assert entered == ["<lambda>", "run", greet.__code__.co_name]
+
+    def test_unobserved_event_enters_nothing(self):
+        table = ProtoopTable()
+        table.declare("evt")
+        table.run(None, "evt")
+        entered = python_calls_during(lambda: table.run(None, "evt", None, 1))
+        assert entered == ["<lambda>", "run"]

@@ -129,7 +129,8 @@ class TestDetach:
         # Counting stops: further dispatches leave the counts untouched.
         table.run(conn, "packet_sent_event", None)
         assert table.run_counts.get("packet_sent_event") == 1
-        # No plan in the cache carries a counting observer anymore.
+        # A freshly built plan carries no counting observer anymore.
         table._plans.clear()
         plan = table._build_plan("packet_sent_event", None)
-        assert plan[2] == ()
+        assert plan.pre == ()
+        assert plan.bare
