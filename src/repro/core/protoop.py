@@ -117,6 +117,8 @@ class ProtoopTable:
         #: stays "running" across a mid-run attach/detach/quarantine.
         self._guards: dict = {}
         self._params_cache: dict[str, frozenset] = {}
+        #: names tuple -> :meth:`untouched` verdict, dropped with the plans.
+        self._untouched: dict[tuple, bool] = {}
         self._epoch = 0  # bumped on every invalidation
         self.plan_builds = 0  # cache fills (tests/monitoring)
         #: Per-operation run counts, populated only after
@@ -130,6 +132,7 @@ class ProtoopTable:
         self._epoch += 1
         self._plans.clear()
         self._params_cache.clear()
+        self._untouched.clear()
 
     def _build_plan(self, name: str, param: Any) -> CallPlan:
         op = self.get(name)
@@ -281,6 +284,20 @@ class ProtoopTable:
         if plan is None:
             plan = self._build_plan(name, param)
         return plan.behavior is not None
+
+    def untouched(self, names: tuple) -> bool:
+        """True while running any of *names* can do nothing but its
+        built-in behaviour: no pre / post observer, no replacement, and
+        run counting off.  Callers use it to skip a run whose default
+        they can prove is a no-op; resolved once per epoch like a plan,
+        so any attach / detach / quarantine re-opens the question."""
+        verdict = self._untouched.get(names)
+        if verdict is None:
+            ops = [self._ops[name] for name in names if name in self._ops]
+            verdict = self._untouched[names] = not self._count_runs and not any(
+                op.replacements or any(op.pre.values()) or any(op.post.values())
+                for op in ops)
+        return verdict
 
     def run(self, conn, name: str, param: Any = None, *args: Any, _from_app: bool = False) -> Any:
         """Invoke a protoop: pre anchors, behaviour, post anchors.

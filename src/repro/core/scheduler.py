@@ -15,7 +15,6 @@ from typing import Optional
 
 from repro.quic import frames as F
 from repro.quic.packet import Epoch
-from repro.quic.wire import Buffer
 
 #: Guaranteed fraction of each packet's budget for core frames while
 #: application data is pending ("at least x% of the available congestion
@@ -26,19 +25,6 @@ DRR_QUANTUM = 512
 #: Bytes of frame header slack assumed when sizing stream chunks.
 STREAM_FRAME_OVERHEAD = 12
 MIN_PACKET_USEFUL = 64
-
-#: Scratch buffer for sizing: the scheduler only needs each candidate
-#: frame's encoded *length*, so it serializes into one reused bytearray
-#: instead of allocating a fresh ``bytes`` per query (``to_bytes``).
-_size_buf = Buffer(bytearray())
-
-
-def _frame_size(frame: F.Frame) -> int:
-    if type(frame) is F.StreamFrame:
-        return frame.encoded_size()
-    _size_buf.clear()
-    frame.serialize(_size_buf)
-    return len(_size_buf)
 
 
 class DrrState:
@@ -85,7 +71,7 @@ def schedule_packet_frames(conn, epoch: Epoch, path_index: int, budget: int):
         ack = space.ack_frame(
             conn.now, conn.configuration.transport_parameters.max_ack_delay)
         if ack is not None:
-            size = _frame_size(ack)
+            size = ack.encoded_size()
             if used + size <= budget:
                 frames.append(ack)
                 used += size
@@ -102,7 +88,7 @@ def schedule_packet_frames(conn, epoch: Epoch, path_index: int, budget: int):
             offset, data, _fin = chunk
             frame = F.CryptoFrame(offset=offset, data=data)
             frames.append(frame)
-            used += _frame_size(frame)
+            used += frame.encoded_size()
             ack_only = False
         return frames, ack_only
 
@@ -110,7 +96,7 @@ def schedule_packet_frames(conn, epoch: Epoch, path_index: int, budget: int):
     # this very path (RFC 9000 §8.2.2) and, like ACKs, exempt from the
     # congestion window (§8.2.4 allows probing outside the send window).
     while path.probe_frames:
-        size = _frame_size(path.probe_frames[0])
+        size = path.probe_frames[0].encoded_size()
         if used + size > budget:
             break
         frames.append(path.probe_frames.pop(0))
@@ -125,7 +111,7 @@ def schedule_packet_frames(conn, epoch: Epoch, path_index: int, budget: int):
     if path.pto_probes:
         bundle = path.pto_probes[0]
         while bundle:
-            size = _frame_size(bundle[0])
+            size = bundle[0].encoded_size()
             if used + size > budget:
                 break
             frames.append(bundle.pop(0))
@@ -139,7 +125,7 @@ def schedule_packet_frames(conn, epoch: Epoch, path_index: int, budget: int):
     for reserved in list(conn.reserved_frames):
         if reserved.congestion_controlled:
             continue
-        size = _frame_size(reserved.frame)
+        size = reserved.frame.encoded_size()
         if used + size > budget:
             continue
         conn.reserved_frames.remove(reserved)
@@ -168,7 +154,7 @@ def schedule_packet_frames(conn, epoch: Epoch, path_index: int, budget: int):
         frame = conn.pop_control_frame()
         if frame is None:
             break
-        size = _frame_size(frame)
+        size = frame.encoded_size()
         if size > core_budget:
             conn._control_frames.insert(0, frame)
             break
@@ -218,7 +204,7 @@ def schedule_packet_frames(conn, epoch: Epoch, path_index: int, budget: int):
             if not data and not fin:
                 break
         frame = F.StreamFrame(stream_id=stream_id, offset=offset, data=data, fin=fin)
-        encoded = _frame_size(frame)
+        encoded = frame.encoded_size()
         frames.append(frame)
         used += encoded
         core_budget -= encoded
@@ -251,7 +237,7 @@ def _drr_fill(conn, budget: int):
             state.deficits[plugin] += DRR_QUANTUM
             while queue and used < budget:
                 reserved = queue[0]
-                size = _frame_size(reserved.frame)
+                size = reserved.frame.encoded_size()
                 if size > state.deficits[plugin] or used + size > budget:
                     break
                 queue.pop(0)

@@ -35,7 +35,7 @@ from repro.core.plugin import Plugin, Pluglet
 from repro.quic import frames as F
 from repro.quic.connection import ReservedFrame
 from repro.quic.packet import Epoch
-from repro.quic.wire import Buffer
+from repro.quic.wire import Buffer, varint_size
 
 PLUGIN_NAME = "org.pquic.multipath"
 ADD_ADDRESS_FRAME_TYPE = 0x40
@@ -111,6 +111,10 @@ class MpAckFrame(F.Frame):
         buf.push_varint(self.type)
         buf.push_varint(self.path_id)
         self.ack.serialize(buf)  # includes its own 0x02 type byte
+
+    def encoded_size(self) -> int:
+        return (varint_size(self.type) + varint_size(self.path_id)
+                + self.ack.encoded_size())
 
     @classmethod
     def parse(cls, buf: Buffer, frame_type: int) -> "MpAckFrame":

@@ -86,6 +86,10 @@ def _closed_id_sets() -> tuple:
 
 CID_LENGTH = 8
 INITIAL_PADDING_TARGET = 1200
+#: Every protocol operation one empty ``prepare_packet`` attempt runs.
+_SEND_ATTEMPT_OPS = ("prepare_packet", "before_sending_packet",
+                     "select_sending_path", "schedule_frames",
+                     "stream_to_send")
 HANDSHAKE_CH = 1
 HANDSHAKE_SH = 2
 #: §8.1: an unvalidated path may carry at most 3x the bytes received on it.
@@ -259,6 +263,7 @@ class QuicConnection:
         self._crypto_recv = ReceiveStream(-1, 1 << 30)
         self._key_share = bytes(self._rng.randrange(256) for _ in range(32))
         self._handshake_sent = False
+        self._ch_pending = False  # client: ClientHello not yet queued
         self.handshake_complete = False
         self.peer_transport_parameters: Optional[TransportParameters] = None
 
@@ -1276,15 +1281,13 @@ class QuicConnection:
 
     def _op_set_loss_alarm(self, conn) -> Optional[float]:
         """Earliest loss/PTO deadline across spaces and paths."""
-        deadlines = []
-        t = self.initial_space.next_timer(self.paths[0].rtt, self._pto_count)
-        if t is not None:
-            deadlines.append(t)
+        pto_count = self._pto_count
+        earliest = self.initial_space.next_timer(self.paths[0].rtt, pto_count)
         for path in self.paths:
-            t = path.space.next_timer(path.rtt, self._pto_count)
-            if t is not None:
-                deadlines.append(t)
-        return min(deadlines) if deadlines else None
+            t = path.space.next_timer(path.rtt, pto_count)
+            if t is not None and (earliest is None or t < earliest):
+                earliest = t
+        return earliest
 
     def _op_set_idle_timer(self, conn) -> float:
         return self._last_activity + self.configuration.transport_parameters.idle_timeout
@@ -1294,13 +1297,19 @@ class QuicConnection:
             return None
         if self.drain_deadline is not None:
             return self.drain_deadline
-        alarm = self.protoops.run(self, "set_loss_alarm", None)
+        earliest = self.protoops.run(self, "set_loss_alarm", None)
         idle = self.protoops.run(self, "set_idle_timer", None)
-        probes = (p.probe_deadline for p in self.paths)
-        hints = (hint() for hint in self.wakeup_hints)
-        candidates = [t for t in (alarm, idle, *probes, *hints)
-                      if t is not None]
-        return min(candidates) if candidates else None
+        if idle is not None and (earliest is None or idle < earliest):
+            earliest = idle
+        for path in self.paths:
+            t = path.probe_deadline
+            if t is not None and (earliest is None or t < earliest):
+                earliest = t
+        for hint in self.wakeup_hints:
+            t = hint()
+            if t is not None and (earliest is None or t < earliest):
+                earliest = t
+        return earliest
 
     def handle_timer(self, now: float) -> None:
         if self.state is ConnectionState.CLOSED:
@@ -1683,6 +1692,8 @@ class QuicConnection:
         if self.closed:
             return out
         for _ in range(256):  # per-call packet budget
+            if self._nothing_to_send():
+                break
             built = self.protoops.run(self, "prepare_packet", None)
             if built is None:
                 break
@@ -1690,6 +1701,25 @@ class QuicConnection:
         if self._batch and len(out) > 1:
             out = self._coalesce_datagrams(out)
         return out
+
+    def _nothing_to_send(self) -> bool:
+        """True when a ``prepare_packet`` attempt could only come back
+        empty-handed *and* nobody could tell it was not made: the
+        operations such an attempt runs carry nothing but their defaults,
+        and every queue those defaults read is empty.  Conservative — a
+        cwnd-blocked or amplification-limited attempt is still made (the
+        latter is counted in ``amp_blocked``)."""
+        if not self.protoops.untouched(_SEND_ATTEMPT_OPS):
+            return False
+        if (self._ch_pending or self._crypto_send.has_pending
+                or self.initial_space.ack_needed
+                or self._control_frames or self.reserved_frames):
+            return False
+        for path in self.paths:
+            if (path.space.ack_needed or path.probe_frames
+                    or path.pto_probes or path.amp_limited):
+                return False
+        return not self.data_to_send_pending()
 
     def _coalesce_datagrams(self, packets: list) -> list:
         """Pack consecutive QUIC packets into shared UDP datagrams
@@ -1761,7 +1791,7 @@ class QuicConnection:
     def _initial_needs_sending(self) -> bool:
         if self.crypto[Epoch.INITIAL] is None:
             return False
-        if getattr(self, "_ch_pending", False):
+        if self._ch_pending:
             self._ch_pending = False
             self._queue_handshake_message(HANDSHAKE_CH)
         return self._crypto_send.has_pending or self.initial_space.ack_needed
@@ -1940,4 +1970,7 @@ class QuicConnection:
     def data_to_send_pending(self) -> bool:
         """True when application data is waiting (used by the scheduler's
         core-traffic guarantee)."""
-        return any(s.has_pending for s in self.streams_send.values())
+        for stream in self.streams_send.values():
+            if stream.has_pending:
+                return True
+        return False

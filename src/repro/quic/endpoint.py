@@ -36,6 +36,9 @@ class _ConnectionDriver:
         self.peer_port = peer_port
         self.conn = conn
         self._timer_event = None
+        #: What ``conn.next_timer()`` last said; the queued event may be
+        #: due earlier than this (see :meth:`_rearm_timer`), never later.
+        self._deadline = 0.0
         #: CIDs this driver is registered under in a server demux table.
         self.bound_cids: list[bytes] = []
         #: Called once when the connection reaches CLOSED (after the
@@ -103,22 +106,42 @@ class _ConnectionDriver:
             self.host.send_burst(DatagramBurst(segments))
 
     def _rearm_timer(self) -> None:
-        if self._timer_event is not None:
-            self._timer_event.cancel()
-            self._timer_event = None
+        """Arm the timer lazily: a deadline that only moved *later* keeps
+        the event already queued (it fires early and :meth:`_on_timer`
+        re-arms it), so a pump costs the simulator nothing unless the
+        deadline moved earlier or vanished."""
         # A closing/draining connection still reports its drain deadline
         # through next_timer(); only CLOSED (or a fully idle connection)
         # returns None.
         deadline = self.conn.next_timer()
         if deadline is None:
+            self.stop()
             return
         # Enforce minimum progress: a deadline at or before `now` must
         # still advance simulated time, or a no-op alarm would loop the
         # simulation at a single instant.
         deadline = max(deadline, self.sim.now + 1e-4)
-        self._timer_event = self.sim.schedule_at(deadline, self._on_timer)
+        event = self._timer_event
+        if event is not None:
+            if event.time <= deadline:
+                self._deadline = deadline
+                return
+            event.cancel()
+        self._arm(deadline)
+
+    def _arm(self, deadline: float) -> None:
+        event = self._timer_event = self.sim.schedule_at(
+            deadline, self._on_timer)
+        # ``schedule_at`` rounds through a delay: remember when the event
+        # really fires, so firing on time is never mistaken for early.
+        self._deadline = event.time
 
     def _on_timer(self) -> None:
+        if self.sim.now < self._deadline:
+            # Fired early: nothing is due, so nothing runs that a plugin
+            # or the peer could see.
+            self._arm(self._deadline)
+            return
         self._timer_event = None
         self.conn.handle_timer(self.sim.now)
         self.pump()

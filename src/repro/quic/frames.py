@@ -37,6 +37,10 @@ HANDSHAKE_DONE = 0x1E
 NON_ACK_ELICITING = {PADDING, ACK, CONNECTION_CLOSE}
 
 
+#: Scratch buffer of :meth:`Frame.encoded_size`.
+_size_buf = Buffer(bytearray())
+
+
 class Frame:
     """Base class; concrete frames are dataclasses below."""
 
@@ -64,6 +68,14 @@ class Frame:
         buf = Buffer()
         self.serialize(buf)
         return buf.data()
+
+    def encoded_size(self) -> int:
+        """``len(self.to_bytes())``.  Frames the scheduler sizes on every
+        packet (STREAM, ACK) override this with arithmetic on the field
+        widths; the rest are measured in a reused scratch buffer."""
+        _size_buf.clear()
+        self.serialize(_size_buf)
+        return len(_size_buf)
 
 
 @dataclass
@@ -120,6 +132,25 @@ class AckFrame(Frame):
             buf.push_varint(r.stop - 1 - r.start)
             prev_start = r.start
         return
+
+    def encoded_size(self) -> int:
+        """Mirrors :meth:`serialize` field by field, errors included."""
+        if not self.ranges:
+            raise FrameEncodingError("ACK frame with no ranges")
+        desc = self.ranges.descending()
+        first = desc[0]
+        size = (1 + varint_size(first.stop - 1)
+                + varint_size(int(self.ack_delay * 1_000_000))
+                + varint_size(len(desc) - 1)
+                + varint_size(first.stop - 1 - first.start))
+        prev_start = first.start
+        for r in desc[1:]:
+            gap = prev_start - r.stop - 1
+            if gap < 0:
+                raise FrameEncodingError("ACK ranges overlap")
+            size += varint_size(gap) + varint_size(r.stop - 1 - r.start)
+            prev_start = r.start
+        return size
 
     @classmethod
     def parse(cls, buf: Buffer, frame_type: int) -> "AckFrame":

@@ -115,6 +115,9 @@ class PacketNumberSpace:
         # Send side.
         self.next_packet_number = 0
         self.sent: dict[int, SentPacket] = {}
+        #: Ack-eliciting packets in ``sent``, kept in step wherever a
+        #: packet enters or leaves it: the PTO alarm is armed iff > 0.
+        self.ack_eliciting_in_flight = 0
         self.largest_acked = -1
         self.loss_time: Optional[float] = None
         self.last_ack_eliciting_sent: Optional[float] = None
@@ -141,11 +144,8 @@ class PacketNumberSpace:
     def on_packet_sent(self, packet: SentPacket) -> None:
         self.sent[packet.packet_number] = packet
         if packet.ack_eliciting:
+            self.ack_eliciting_in_flight += 1
             self.last_ack_eliciting_sent = packet.sent_time
-
-    @property
-    def ack_eliciting_in_flight(self) -> int:
-        return sum(1 for p in self.sent.values() if p.ack_eliciting)
 
     # --- receiving ---------------------------------------------------------
 
@@ -200,6 +200,7 @@ class PacketNumberSpace:
                 candidates.append(pn)
         for pn in candidates:
             pkt = self.sent.pop(pn)
+            self.ack_eliciting_in_flight -= pkt.ack_eliciting
             result.newly_acked.append(pkt)
             self.acked_pns.add(pn)
             if pn == largest and pkt.ack_eliciting:
@@ -267,6 +268,7 @@ class PacketNumberSpace:
                     self.loss_time = when
         for pkt in lost:
             del self.sent[pkt.packet_number]
+            self.ack_eliciting_in_flight -= pkt.ack_eliciting
             pkt.lost_time = now
             self.lost_packets[pkt.packet_number] = pkt
         if len(self.lost_packets) > MAX_LOST_HISTORY:
@@ -305,20 +307,22 @@ class PacketNumberSpace:
 
     def pto_deadline(self, rtt: RttEstimator, pto_count: int) -> Optional[float]:
         """When the PTO alarm should fire, or None if nothing in flight."""
-        if self.last_ack_eliciting_sent is None or not self.sent:
-            return None
-        if not any(p.ack_eliciting for p in self.sent.values()):
+        if self.last_ack_eliciting_sent is None or not self.ack_eliciting_in_flight:
             return None
         return self.last_ack_eliciting_sent + rtt.pto() * (1 << pto_count)
 
     def next_timer(self, rtt: RttEstimator, pto_count: int) -> Optional[float]:
         """Earliest of the loss-time and PTO alarms."""
-        candidates = [t for t in (self.loss_time, self.pto_deadline(rtt, pto_count)) if t is not None]
-        return min(candidates) if candidates else None
+        loss = self.loss_time
+        pto = self.pto_deadline(rtt, pto_count)
+        if loss is None or (pto is not None and pto < loss):
+            return pto
+        return loss
 
     def release(self) -> None:
         """Drop all send/receive tracking (connection terminated)."""
         self.sent.clear()
+        self.ack_eliciting_in_flight = 0
         self.lost_packets.clear()
         self.received = RangeSet()
         self.loss_time = None
@@ -350,4 +354,5 @@ class PacketNumberSpace:
         path against — no kill-switch mode uses it."""
         lost = [self.sent[pn] for pn in sorted(self.sent)]
         self.sent.clear()
+        self.ack_eliciting_in_flight = 0
         return lost

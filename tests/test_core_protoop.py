@@ -228,3 +228,59 @@ def test_run_counter_increments():
     t.run(CONN, "op", None)
     t.run(CONN, "op", None)
     assert t.runs == 2
+
+
+class TestUntouched:
+    """``untouched(names)``: may a caller skip running these operations
+    when it can prove their defaults are no-ops?"""
+
+    NAMES = ("first", "second")
+
+    def table(self):
+        t = make_table()
+        t.register("first", lambda conn: 1)
+        t.declare("second")
+        return t
+
+    def test_defaults_alone_are_untouched(self):
+        t = self.table()
+        assert t.untouched(self.NAMES)
+        assert t.untouched(("first", "never_registered"))
+
+    @pytest.mark.parametrize("anchor", list(Anchor))
+    @pytest.mark.parametrize("name", NAMES)
+    def test_any_anchor_on_any_name_touches_and_detach_restores(
+            self, name, anchor):
+        t = self.table()
+
+        def fn(conn, *args):
+            return None
+
+        assert t.untouched(self.NAMES)
+        t.attach(name, anchor, fn)
+        assert not t.untouched(self.NAMES)
+        assert t.untouched(tuple(n for n in self.NAMES if n != name))
+        t.detach(name, anchor, fn)
+        assert t.untouched(self.NAMES)
+
+    def test_parameterized_attachment_touches(self):
+        t = make_table()
+        t.register("process_frame", lambda conn, f: None, param=1,
+                   parameterized=True)
+        assert t.untouched(("process_frame",))
+        t.attach("process_frame", Anchor.POST, lambda c, a, r: None, param=2)
+        assert not t.untouched(("process_frame",))
+
+    def test_run_counting_touches_everything(self):
+        t = self.table()
+        t.enable_run_counting()
+        assert not t.untouched(self.NAMES)
+        t.disable_run_counting()
+        assert t.untouched(self.NAMES)
+
+    def test_verdict_is_resolved_once_per_epoch(self):
+        t = self.table()
+        assert t.untouched(self.NAMES)
+        assert t._untouched == {self.NAMES: True}
+        t.register("third", lambda conn: 3)  # any invalidation drops it
+        assert t._untouched == {}

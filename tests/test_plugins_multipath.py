@@ -1,6 +1,8 @@
 """Multipath plugin tests (§4.3)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import PluginInstance
 from repro.netsim import Simulator, symmetric_topology
@@ -13,6 +15,8 @@ from repro.plugins.multipath import (
 from repro.quic import ClientEndpoint, ServerEndpoint
 from repro.quic import frames as F
 from repro.quic.wire import Buffer, RangeSet
+
+from tests.test_quic_frames import ack_delays, ack_layouts, ack_ranges
 
 
 def setup_pair(sim, topo, scheduler="rr"):
@@ -63,6 +67,14 @@ class TestFrames:
         parsed = MpAckFrame.parse(buf, ftype)
         assert parsed.path_id == 1
         assert parsed.ack.ranges == ack.ranges
+
+    @given(ack_layouts, ack_delays,
+           st.sampled_from([0, 1, 63, 64, 16383, 16384]))
+    def test_mp_ack_encoded_size_matches_serialization(
+            self, layout, ack_delay, path_id):
+        frame = MpAckFrame(path_id=path_id, ack=F.AckFrame(
+            ranges=ack_ranges(layout), ack_delay=ack_delay))
+        assert frame.encoded_size() == len(frame.to_bytes())
 
     def test_mp_ack_not_ack_eliciting(self):
         frame = MpAckFrame(path_id=0, ack=F.AckFrame(

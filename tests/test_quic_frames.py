@@ -204,3 +204,54 @@ def test_stream_encoded_size_matches_serialization(stream_id, offset, length, fi
     frame = F.StreamFrame(stream_id=stream_id, offset=offset,
                           data=b"d" * length, fin=fin)
     assert frame.encoded_size() == len(frame.to_bytes())
+
+
+#: ACK range layouts: (first packet number, [(range length, gap to the
+#: next range)...]) with lengths and gaps on every varint width.
+ack_spans = st.one_of(
+    st.integers(1, 70),
+    st.sampled_from([1, 63, 64, 65, 16383, 16384, 16385, 1 << 30]),
+)
+ack_layouts = st.tuples(
+    varint_edges.filter(lambda v: v < 1 << 40),
+    st.lists(st.tuples(ack_spans, ack_spans), min_size=1, max_size=40),
+)
+ack_delays = st.one_of(
+    st.floats(0, 16.0, allow_nan=False),
+    st.sampled_from([0.0, 63e-6, 64e-6, 0.016383, 0.016384, 0.025]),
+)
+
+
+def ack_ranges(layout) -> RangeSet:
+    start, spans = layout
+    ranges = RangeSet()
+    for length, gap in spans:
+        ranges.add(start, start + length)
+        start += length + gap
+    return ranges
+
+
+@given(ack_layouts, ack_delays)
+def test_ack_encoded_size_matches_serialization(layout, ack_delay):
+    """The scheduler sizes ACK frames without serialising them: largest,
+    delay, range count, first range, gaps and lengths each take their
+    own varint width."""
+    frame = F.AckFrame(ranges=ack_ranges(layout), ack_delay=ack_delay)
+    assert frame.encoded_size() == len(frame.to_bytes())
+
+
+def test_ack_encoded_size_rejects_what_serialize_rejects():
+    with pytest.raises(FrameEncodingError):
+        F.AckFrame(ranges=RangeSet()).encoded_size()
+    with pytest.raises(FrameEncodingError):
+        F.AckFrame(ranges=RangeSet()).to_bytes()
+
+
+def test_unsized_frames_are_measured_by_serialising():
+    """Frames without their own arithmetic fall back to a scratch
+    serialisation; the answer is the same."""
+    for frame in (F.PingFrame(), F.MaxDataFrame(maximum=1 << 20),
+                  F.PathChallengeFrame(data=b"12345678"),
+                  F.CryptoFrame(offset=70, data=b"c" * 300),
+                  F.ConnectionCloseFrame(error_code=7, reason="why")):
+        assert frame.encoded_size() == len(frame.to_bytes())

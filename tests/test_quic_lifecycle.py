@@ -5,8 +5,14 @@ import pytest
 
 from repro.netsim import Simulator, symmetric_topology
 from repro.quic import ClientEndpoint, ServerEndpoint
-from repro.quic.connection import ConnectionState
+from repro.quic.connection import ConnectionState, reset_instance_counter
 from repro.trace import MetricsRegistry
+
+from tests.test_quic_endpoint import (
+    assert_same_fires,
+    both_timer_paths,
+    timer_log,
+)
 
 
 def handshake(sim, topo, port=5000, server=None):
@@ -246,3 +252,102 @@ class TestChurn:
             timeout=120)
         assert server.stats["peak_connections"] <= 20
         assert server._by_cid == {}
+
+
+class TestLazyTimers:
+    """Idle timeout and drain end under the lazily re-armed timer fire
+    when the eager reference path fires them; terminated connections and
+    a thousand live ones leave the event queue as small as it can be."""
+
+    def test_idle_timeout_fires_at_the_eager_instant(self, monkeypatch):
+        def scenario():
+            reset_instance_counter()
+            sim = Simulator()
+            topo = symmetric_topology(sim, d_ms=5, bw_mbps=10)
+            ServerEndpoint(sim, topo.server, "server.0", 443)
+            client = handshake(sim, topo)
+            log = timer_log(client.conn)
+            # Traffic at 3 s moves the idle deadline after it was armed.
+            sim.run(until=3.0)
+            client.conn.send_stream_data(client.conn.create_stream(), b"x")
+            client.pump()
+            assert sim.run_until(
+                lambda: client.conn.state is ConnectionState.CLOSED,
+                timeout=60)
+            return log, sim.now, client.conn.close_error
+
+        (lazy_log, lazy_end, lazy_err), (eager_log, eager_end, eager_err) = \
+            both_timer_paths(scenario, monkeypatch)
+        assert lazy_err == eager_err == (0, "idle timeout")
+        assert lazy_end == pytest.approx(eager_end, abs=1e-9)
+        assert 33.0 < lazy_end < 33.1
+        assert_same_fires(lazy_log, eager_log)
+
+    def test_drain_period_ends_at_the_eager_instant(self, monkeypatch):
+        def scenario():
+            reset_instance_counter()
+            sim = Simulator()
+            topo = symmetric_topology(sim, d_ms=5, bw_mbps=10)
+            server = ServerEndpoint(sim, topo.server, "server.0", 443)
+            client = handshake(sim, topo)
+            sconn = server.connections[0]
+            logs = timer_log(client.conn), timer_log(sconn)
+            client.close(0, "done")
+            deadline = client.conn.drain_deadline
+            assert deadline > sim.now
+            assert sim.run_until(
+                lambda: server.stats["evicted"] == 1
+                and client.conn.state is ConnectionState.CLOSED, timeout=30)
+            closed_at = [log[-1][0] for log in logs]
+            assert closed_at[0] == pytest.approx(deadline, abs=1e-9)
+            sim.run(until=sim.now + 1.0)
+            assert sim.pending() == 0  # eviction left no live event
+            return logs
+
+        lazy, eager = both_timer_paths(scenario, monkeypatch)
+        for lazy_log, eager_log in zip(lazy, eager):
+            assert_same_fires(lazy_log, eager_log)
+
+    def test_thousand_connections_queue_one_timer_each(self):
+        """1000 established connections, then one request each: the
+        queue holds one timer per connection end, no cancelled garbage
+        after the handshakes, and a request on an idle connection costs
+        each end at most one cancel (its wake-up from the idle alarm)."""
+        n = 1000
+        sim = Simulator()
+        topo = symmetric_topology(sim, d_ms=5, bw_mbps=1000)
+
+        def on_conn(conn):
+            def on_data(stream_id, data, fin):
+                if fin:
+                    conn.send_stream_data(stream_id, b"r" * 200, fin=True)
+            conn.on_stream_data = on_data
+
+        ServerEndpoint(sim, topo.server, "server.0", 443,
+                       on_connection=on_conn)
+        cancels = []
+        on_cancel = sim._on_cancel
+        sim._on_cancel = lambda ev: cancels.append(ev) or on_cancel(ev)
+
+        def queued():
+            return len(sim._heap) + len(sim._wheel)  # garbage included
+
+        answered = []
+        clients = []
+        for i in range(n):
+            client = handshake(sim, topo, port=5000 + i)
+            client.conn.on_stream_data = (
+                lambda sid, data, fin: fin and answered.append(sid))
+            clients.append(client)
+        sim.run(until=sim.now + 1.0)
+        assert cancels == []
+        assert queued() == sim.pending() == 2 * n
+
+        for client in clients:
+            stream_id = client.conn.create_stream()
+            client.conn.send_stream_data(stream_id, b"q" * 64, fin=True)
+            client.pump()
+        assert sim.run_until(lambda: len(answered) == n, timeout=30)
+        sim.run(until=sim.now + 1.0)
+        assert len(cancels) <= 2 * n
+        assert queued() == sim.pending() == 2 * n

@@ -11,13 +11,20 @@ import pytest
 from repro.core.protoop import Anchor
 from repro.netsim import Simulator, symmetric_topology
 from repro.quic import QuicConfiguration
+from repro.quic.connection import reset_instance_counter
 
 from tests.test_quic_connection import build_pair, run_transfer
+from tests.test_quic_endpoint import (
+    assert_same_fires,
+    both_timer_paths,
+    timer_log,
+)
 
 
-def _delayed_ack_run(delay_s=1.0):
+def _delayed_ack_run(delay_s=1.0, observe=None):
     """Start a transfer, then stall the server->client direction so ACKs
     arrive late.  Returns (sim, client, state observed at PTO time)."""
+    reset_instance_counter()
     sim = Simulator()
     topo = symmetric_topology(sim, d_ms=10, bw_mbps=10)
     client, server = build_pair(sim, topo)
@@ -30,6 +37,8 @@ def _delayed_ack_run(delay_s=1.0):
     server.on_connection = on_conn
     client.connect()
     assert sim.run_until(lambda: client.conn.is_established, timeout=5.0)
+    if observe is not None:
+        observe(client)
 
     stream_id = client.conn.create_stream()
     client.conn.send_stream_data(stream_id, b"z" * 60_000, fin=True)
@@ -148,3 +157,23 @@ def test_declare_all_on_pto_legacy_flag():
     # The legacy path declares whole flights lost instead of probing.
     assert client.conn.stats["packets_lost"] > 0
     assert client.conn.stats["probes_sent"] == 0
+
+
+def test_pto_expiry_fires_at_the_eager_instant(monkeypatch):
+    """Under the lazily re-armed timer the PTO alarms (first expiry and
+    its backed-off successor) go off when the eager reference path fires
+    them, and the connection ends up in the same state."""
+
+    def scenario():
+        logs = []
+        sim, client, _topo, _state = _delayed_ack_run(
+            observe=lambda client: logs.append(timer_log(client.conn)))
+        assert sim.run_until(
+            lambda: client.conn.stats["pto_fired"] >= 2, timeout=5.0)
+        return logs[0], dict(client.conn.stats), client.conn.protoops.runs
+
+    (lazy_log, *lazy_state), (eager_log, *eager_state) = both_timer_paths(
+        scenario, monkeypatch)
+    assert lazy_state == eager_state
+    assert sum(after[0] - before[0] for _, before, after in lazy_log) == 2
+    assert_same_fires(lazy_log, eager_log)

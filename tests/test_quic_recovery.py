@@ -314,6 +314,34 @@ class TestPto:
         d1 = space.pto_deadline(rtt, 1)
         assert d1 == pytest.approx(2 * d0)
 
+    def test_pto_armed_only_while_something_ack_eliciting_is_in_flight(self):
+        """``ack_eliciting_in_flight`` follows ``sent`` through every way
+        a packet leaves it: ACK-only packets never arm the PTO, and the
+        alarm clears when the last ack-eliciting packet is acked, lost,
+        or released."""
+        rtt = RttEstimator()
+        space = PacketNumberSpace()
+        space.on_packet_sent(sent(0, eliciting=False))
+        assert space.ack_eliciting_in_flight == 0
+        assert space.next_timer(rtt, 0) is None
+        space.on_packet_sent(sent(1, t=1.09))
+        space.on_packet_sent(sent(2, t=1.1))
+        assert space.ack_eliciting_in_flight == 2
+        assert space.next_timer(rtt, 0) == space.pto_deadline(rtt, 0)
+        space.on_ack_received(ack_of(2), now=1.2, rtt=rtt)
+        assert space.ack_eliciting_in_flight == 1  # pn 1 waits on loss_time
+        assert space.next_timer(rtt, 0) == space.loss_time
+        assert [p.packet_number for p in space.detect_lost(9.0, rtt)] == [1]
+        assert space.ack_eliciting_in_flight == 0
+        assert space.next_timer(rtt, 0) is None
+        for drop in (PacketNumberSpace.release,
+                     PacketNumberSpace.declare_all_lost):
+            space = PacketNumberSpace()
+            space.on_packet_sent(sent(0))
+            drop(space)
+            assert space.ack_eliciting_in_flight == 0
+            assert space.pto_deadline(rtt, 0) is None
+
     def test_probe_candidates_oldest_eliciting_first(self):
         space = PacketNumberSpace()
         for pn in range(4):

@@ -93,6 +93,9 @@ def test_rfc9002_invariants(mode, schedule):
             assert not (acked & lost)
             # Conservation: sent == in_flight + acked + lost.
             assert n_sent == len(space.sent) + len(acked) + len(lost)
+            # The maintained count is the scan it replaced.
+            assert space.ack_eliciting_in_flight == sum(
+                1 for p in space.sent.values() if p.ack_eliciting)
             # Probe count per PTO expiry is bounded.
             assert len(space.probe_candidates()) <= MAX_PTO_PROBES
             # Persistent congestion needs a duration-spanning run.

@@ -81,7 +81,44 @@ an unobserved event (`docs/performance.md`, Layer 2);
 `tests/test_core_dispatch_cache.py::TestDispatchCostGate` pins both by
 counting Python-level calls rather than timing them.
 
+### When a caller may skip a run: `untouched(names)`
+
+`ProtoopTable.untouched(names)` is true while none of the named
+operations has a pre or post observer or a replacement, and run counting
+is off — running any of them can then do nothing but its built-in
+default.  The verdict is resolved once per epoch and dropped with the
+plans, so an `attach` / `detach` / quarantine re-opens the question.  It
+does not run anything and is not a second way in: a caller that can
+prove the defaults are no-ops for its current state uses it to leave the
+runs out; the moment anything is attached, every run is made again.  The
+send loop is the one caller (below).
+
 ## Event semantics
+
+### `prepare_packet` / `before_sending_packet`: once per *attempt*
+
+`datagrams_to_send` loops: each turn is one **attempt** — one run of
+`prepare_packet`, which fires `before_sending_packet`, asks
+`select_sending_path`, and has `schedule_frames` (and through it
+`stream_to_send`) fill a packet — until an attempt comes back empty.
+Both events therefore fire once per attempt, not once per packet: a loop
+that sends *n* packets makes *n* + 1 attempts, the last of which sends
+nothing.
+
+**An attempt is not made when nothing is queued and nobody is
+attached.**  The loop ends without the empty attempt exactly when
+`untouched` holds for those five operations *and* every queue the
+default scheduler reads is empty: no ClientHello, CRYPTO data or Initial
+ACK pending, no path owing an ACK or holding path-probe or PTO-probe
+frames, no control or plugin-reserved frame, no stream with sendable
+data, no amplification-limited path.  The test is conservative — a
+congestion-blocked or amplification-limited attempt is still made (the
+latter is what `stats["amp_blocked"]` counts).  A plugin or tracer on
+any of the five — the multipath plugin's `mp_ack_booker` on
+`before_sending_packet`, the plugin exchanger's retry tick, a profiler's
+run counting — sees every attempt, the trailing empty one included,
+exactly as if the shortcut did not exist
+(`tests/test_quic_send_loop.py`).
 
 ### `stream_opened` / `stream_closed`
 
