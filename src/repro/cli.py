@@ -16,8 +16,8 @@ Commands:
   built-in plugins, ``.s`` assembly files, or directories of them;
   exits non-zero when any error-severity diagnostic fires;
 * ``conform``             — differential conformance sweeps: run a named
-  suite, a seeded random sweep or a saved repro file across the
-  kill-switch mode matrix, shrink any failure to a minimal repro.
+  suite, a seeded random sweep or a saved repro file under the JIT and
+  the interpreter, shrink any failure to a minimal repro.
 """
 
 from __future__ import annotations
@@ -343,11 +343,7 @@ def cmd_conform(args) -> int:
             print(f"      ... {len(verdict.failures) - args.max_failures} more")
         if args.no_shrink:
             continue
-        result = conf.shrink(scenario, conf.FAST_MODES)
-        if not result.failures:
-            # Failure not reproducible under the cheap two-mode matrix
-            # (e.g. batch-only divergence): shrink under the full one.
-            result = conf.shrink(scenario, modes)
+        result = conf.shrink(scenario, modes)
         minimal = result.minimal
         print(f"      shrunk to {len(minimal.faults)} fault event(s), "
               f"{minimal.workload.size} bytes, plugins "
@@ -478,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "conform",
-        help="cross-mode differential conformance sweeps")
+        help="JIT vs interpreter differential conformance sweeps")
     p.add_argument("--suite", metavar="NAME",
                    help="run a named suite (see --list)")
     p.add_argument("--cases", type=int, metavar="N",
@@ -488,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repro", metavar="PATH",
                    help="replay a saved repro file")
     p.add_argument("--modes", metavar="LIST",
-                   help="comma-separated mode names like J1-B1-A1 "
-                        "(default: the full kill-switch cross-product)")
+                   help="comma-separated mode names, J1 (JIT) and/or J0 "
+                        "(interpreter); default: both")
     p.add_argument("--no-shrink", action="store_true",
                    help="report failures without delta-debugging them")
     p.add_argument("--out", default="conformance-repros",

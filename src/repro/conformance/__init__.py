@@ -1,13 +1,13 @@
 """Differential conformance harness.
 
-The three kill-switched fast paths (``REPRO_JIT``, ``REPRO_BATCH``,
-``REPRO_ANALYSIS``) promise to change performance, never semantics, and
-pluglets promise to extend the protocol, never alter it.  This package
-turns both promises into a first-class oracle: declarative scenarios
-(topology × workload × plugin set × fault schedule) run across the full
-kill-switch cross-product, invariant oracles compare the runs, and a
-delta-debugging shrinker reduces any failure to the smallest scenario
-that still reproduces it, saved as a self-contained repro file.
+The PRE JIT (``REPRO_JIT``) promises to change performance, never
+semantics, and pluglets promise to extend the protocol, never alter it.
+This package turns both promises into a first-class oracle: declarative
+scenarios (topology × workload × plugin set × fault schedule) run under
+the JIT and under the interpreter it is checked against, invariant
+oracles compare the runs, and a delta-debugging shrinker reduces any
+failure to the smallest scenario that still reproduces it, saved as a
+self-contained repro file.
 
 Entry points: ``repro conform`` (CLI), :func:`run_conformance`,
 :func:`shrink`, the ``SUITES`` registry, and :func:`random_scenarios`

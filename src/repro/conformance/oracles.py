@@ -4,13 +4,11 @@ Two layers:
 
 * **per-run oracles** (:func:`check_run`) hold for every run in
   isolation — completion, delivered-byte digest, the send-side
-  conservation ledger, trace-schema validity, metrics/stats agreement,
-  shadow-encode cleanliness;
+  conservation ledger, trace-schema validity, metrics/stats agreement;
 * **cross-run oracles** (:func:`check_cross`) compare the runs of one
-  scenario across execution modes — delivered bytes must be identical
-  everywhere, and runs in the same timing class (same ``REPRO_BATCH``)
-  must be *bit-identical*: stats, per-pluglet invocation/fuel rows, host
-  protoop dispatch counts, and the deterministic trace stream.
+  scenario across execution modes, which must be *bit-identical*:
+  delivered bytes, stats, per-pluglet invocation/fuel rows, host protoop
+  dispatch counts, and the deterministic trace stream.
 
 An oracle failure is data (:class:`OracleFailure`), never an exception:
 the engine aggregates them and the shrinker minimizes the scenario that
@@ -85,17 +83,14 @@ def check_run(report: RunReport, scenario: Scenario) -> List[OracleFailure]:
               f"{report.schema_errors[0]}")
     if report.trace_events == 0:
         _fail(failures, "trace-schema", mode, "trace stream is empty")
-    if report.shadow_mismatches:
-        _fail(failures, "shadow-encode", mode,
-              f"{report.shadow_mismatches} scatter-gather vs legacy "
-              f"encoder mismatches")
     return failures
 
 
 # --- cross-run oracles -----------------------------------------------------
 
-#: Fields that must be bit-identical within a timing class.
-_TIMING_CLASS_FIELDS = (
+#: Fields that must be bit-identical across modes (beside the delivered
+#: bytes, which get their own oracle).
+_PARITY_FIELDS = (
     ("stats", "per-side stats ledgers"),
     ("ledger", "send-side conservation samples"),
     ("pluglet_rows", "per-pluglet invocation/fuel rows"),
@@ -108,11 +103,13 @@ _TIMING_CLASS_FIELDS = (
 )
 
 
-def _diff_dicts(a: dict, b: dict) -> str:
-    keys = sorted(set(a) | set(b))
-    for key in keys:
-        if a.get(key) != b.get(key):
-            return f"{key}: {a.get(key)!r} != {b.get(key)!r}"
+def first_difference(a: dict, b: dict) -> str:
+    """The first dotted path at which two nested dicts disagree, as
+    ``stats.client.packets_sent: 412 != 409``."""
+    flat_a, flat_b = _flatten(a), _flatten(b)
+    for key in sorted(set(flat_a) | set(flat_b)):
+        if flat_a.get(key) != flat_b.get(key):
+            return f"{key}: {flat_a.get(key)!r} != {flat_b.get(key)!r}"
     return "values differ"
 
 
@@ -129,27 +126,17 @@ def check_cross(reports: List[RunReport],
             _fail(failures, "cross-mode-bytes", report.mode,
                   f"delivered bytes differ from {reference.mode}: "
                   f"{report.digest[:16]} != {reference.digest[:16]}")
-
-    by_class: dict = {}
-    for report in usable:
-        by_class.setdefault(report.timing_class, []).append(report)
-    for timing_class, group in by_class.items():
-        anchor = group[0]
-        for report in group[1:]:
-            for field_name, label in _TIMING_CLASS_FIELDS:
-                mine = getattr(report, field_name)
-                theirs = getattr(anchor, field_name)
-                if mine == theirs:
-                    continue
-                if isinstance(mine, dict) and isinstance(theirs, dict):
-                    flat_m = _flatten(mine)
-                    flat_t = _flatten(theirs)
-                    detail = _diff_dicts(flat_m, flat_t)
-                else:
-                    detail = f"{mine!r} != {theirs!r}"
-                _fail(failures, "mode-parity", report.mode,
-                      f"{label} diverge from {anchor.mode} within timing "
-                      f"class {timing_class}: {detail}")
+        for field_name, label in _PARITY_FIELDS:
+            mine = getattr(report, field_name)
+            theirs = getattr(reference, field_name)
+            if mine == theirs:
+                continue
+            if isinstance(mine, dict) and isinstance(theirs, dict):
+                detail = first_difference(mine, theirs)
+            else:
+                detail = f"{mine!r} != {theirs!r}"
+            _fail(failures, "mode-parity", report.mode,
+                  f"{label} diverge from {reference.mode}: {detail}")
     return failures
 
 
@@ -180,7 +167,7 @@ def check_transparency(plugged: RunReport, bare: RunReport,
     if plugged.stats != bare.stats:
         _fail(failures, "observer-transparency", plugged.mode,
               "connection stats change when observer plugins attach: " +
-              _diff_dicts(_flatten(plugged.stats), _flatten(bare.stats)))
+              first_difference(plugged.stats, bare.stats))
     if plugged.duration != bare.duration:
         _fail(failures, "observer-transparency", plugged.mode,
               f"completion time changes when observer plugins attach: "

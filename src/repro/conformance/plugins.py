@@ -34,7 +34,7 @@ _DIVERGE_AREA_SIZE = 16
 def build_jit_divergent_plugin():
     """A test-only plugin that misbehaves *only under the JIT*.
 
-    The builder consults the ``REPRO_JIT`` kill switch and compiles a
+    The builder consults the ``REPRO_JIT`` switch and compiles a
     per-packet counter pluglet whose loop runs three times under the JIT
     but once under the interpreter.  Delivered bytes stay identical —
     the divergence is invisible to an end-to-end check — but per-pluglet
@@ -60,10 +60,8 @@ def diverge_count(epoch, path_id, pn):
 
 def _build_conflict_plugin(suffix: str):
     """One half of a deliberately conflicting pair: both halves replace
-    the same protoop, so whichever attaches second must be rejected —
-    by the conflict analyzer (``PRE200``) when ``REPRO_ANALYSIS=1``, by
-    the protoop table's already-replaced check when it is off.  The
-    conformance suite asserts the rejection is mode-independent."""
+    the same protoop, so whichever attaches second must be rejected by
+    the conflict analyzer (``PRE200``)."""
     from repro.core.plugin import Plugin, Pluglet
 
     pluglet = Pluglet.from_source(

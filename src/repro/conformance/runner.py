@@ -30,7 +30,6 @@ class RunReport:
     """Everything one run exposes to the oracle catalog."""
 
     mode: str
-    timing_class: str
     completed: bool = False
     received: int = 0
     digest: str = ""
@@ -52,18 +51,14 @@ class RunReport:
     #: Digest of the deterministic part of the trace stream.
     trace_digest: str = ""
     fault_stats: dict = field(default_factory=dict)
-    shadow_mismatches: int = 0
-    #: Plugin names refused at attach time (conflict analyzer or protoop
-    #: table).  Rejection must be mode-independent, so this is part of
-    #: the cross-mode parity fields; the *reason* text is not compared
-    #: (the analyzer and the table word the same refusal differently).
+    #: Plugin names refused at attach time (by the conflict analyzer).
     plugins_rejected: list = field(default_factory=list)
     #: Unexpected exception text (the run itself crashed).
     error: Optional[str] = None
 
 
 class _EnvOverride:
-    """Set mode kill switches for the duration of one run."""
+    """Set the mode's environment for the duration of one run."""
 
     def __init__(self, env: dict):
         self.env = env
@@ -119,7 +114,7 @@ def _build_injector(sim, scenario: Scenario):
 
 
 def run_scenario(scenario: Scenario, mode: Mode) -> RunReport:
-    report = RunReport(mode=mode.name, timing_class=mode.timing_class)
+    report = RunReport(mode=mode.name)
     with _EnvOverride(mode.env()):
         try:
             _run(scenario, report)
@@ -241,9 +236,6 @@ def _run(scenario: Scenario, report: RunReport) -> None:
     if server_conns:
         report.stats["server"] = dict(server_conns[0].stats)
         report.ledger["server"] = _ledger(server_conns[0])
-    report.shadow_mismatches = len(client.conn.shadow_mismatches)
-    report.shadow_mismatches += sum(
-        len(conn.shadow_mismatches) for conn in server_conns)
 
     report.pluglet_rows = {
         f"{rec.plugin}/{rec.pluglet}/{rec.protoop}": {
@@ -254,14 +246,7 @@ def _run(scenario: Scenario, report: RunReport) -> None:
         }
         for rec in profiler.records.values()
     }
-    # plugin_analyzed / plugin_conflict_report only fire with
-    # REPRO_ANALYSIS=1: like the plugin:analysis trace event they
-    # describe the mode, not the protocol, so they are exempt from
-    # cross-mode parity.
-    report.protoop_runs = {
-        name: count for name, count in profiler.protoop_runs().items()
-        if name not in ("plugin_analyzed", "plugin_conflict_report")
-    }
+    report.protoop_runs = profiler.protoop_runs()
     report.metric_counters = {
         name: registry.get(name).value
         for name in registry.names()
@@ -280,10 +265,9 @@ def _run(scenario: Scenario, report: RunReport) -> None:
             report.schema_errors.append(str(exc))
         if (event.category not in _NONDETERMINISTIC_TRACE_CATEGORIES
                 and event.name not in ("analysis", "conflict_report")):
-            # plugin:analysis and plugin:conflict_report describe the
-            # mode itself (they only fire with REPRO_ANALYSIS=1), so they
-            # are exempt from cross-mode trace parity along with the
-            # wall-clock profiler rows.
+            # plugin:analysis and plugin:conflict_report carry the
+            # analyzer's diagnostic counts, not protocol behaviour: a new
+            # lint rule must not move every digest in the golden records.
             deterministic.append(record)
     report.trace_digest = hashlib.sha256(
         json.dumps(deterministic, sort_keys=True).encode()).hexdigest()

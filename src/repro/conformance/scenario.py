@@ -3,20 +3,14 @@
 A :class:`Scenario` is pure data — topology, workload, plugin set, fault
 schedule, seed — with a stable JSON form, so a failing case can be saved
 as a self-contained repro file and replayed bit-for-bit later.  A
-:class:`Mode` pins the three kill-switched fast paths (``REPRO_JIT``,
-``REPRO_BATCH``, ``REPRO_ANALYSIS``); the engine runs every scenario
-across a cross-product of modes and compares the runs.
-
-Modes that share a *timing class* (the batch flag, which changes
-packetization and therefore simulated time) must produce bit-identical
-runs; modes in different timing classes must still deliver identical
-bytes and satisfy every per-run invariant.
+:class:`Mode` pins the pluglet engine (``REPRO_JIT``: the JIT, or the
+interpreter it is checked against); the engine runs every scenario under
+both and the runs must be bit-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import random
 from dataclasses import asdict, dataclass, field, replace
@@ -31,54 +25,33 @@ FAULT_KINDS = RATE_FAULTS + TIMED_FAULTS
 
 @dataclass(frozen=True)
 class Mode:
-    """One point in the kill-switch cross-product."""
+    """The pluglet engine a run uses: the JIT (``J1``, the reference) or
+    the interpreter (``J0``)."""
 
     jit: bool = True
-    batch: bool = True
-    analysis: bool = True
 
     @property
     def name(self) -> str:
-        return f"J{int(self.jit)}-B{int(self.batch)}-A{int(self.analysis)}"
-
-    @property
-    def timing_class(self) -> str:
-        """Runs in the same timing class must be bit-identical; the
-        batched datapath changes packetization (and thus simulated
-        clocks), the JIT and the analyzer may not."""
-        return f"B{int(self.batch)}"
+        return f"J{int(self.jit)}"
 
     def env(self) -> dict:
-        return {
-            "REPRO_JIT": "1" if self.jit else "0",
-            "REPRO_BATCH": "1" if self.batch else "0",
-            "REPRO_ANALYSIS": "1" if self.analysis else "0",
-        }
+        return {"REPRO_JIT": "1" if self.jit else "0"}
 
     @classmethod
     def parse(cls, name: str) -> "Mode":
-        """Inverse of :attr:`name` (``J1-B0-A1``)."""
-        parts = name.strip().upper().split("-")
-        flags = {}
-        for part in parts:
-            if len(part) != 2 or part[0] not in "JBA" or part[1] not in "01":
-                raise ValueError(f"bad mode component {part!r} in {name!r}")
-            flags[{"J": "jit", "B": "batch", "A": "analysis"}[part[0]]] = part[1] == "1"
-        return cls(**flags)
+        """Inverse of :attr:`name`."""
+        text = name.strip().upper()
+        if text not in ("J1", "J0"):
+            raise ValueError(f"bad mode {name!r} (expected J1 or J0)")
+        return cls(jit=text == "J1")
 
 
-#: The full kill-switch cross-product, reference mode (all on) first.
-ALL_MODES = tuple(
-    Mode(jit=j, batch=b, analysis=a)
-    for j, b, a in itertools.product((True, False), repeat=3)
-)
-#: A cheap two-mode matrix (JIT vs interpreter) for shrinking, where the
-#: predicate is re-evaluated dozens of times.
-FAST_MODES = (Mode(), Mode(jit=False))
+#: Every mode, reference (JIT) first.
+ALL_MODES = FAST_MODES = (Mode(), Mode(jit=False))
 
 
 def parse_modes(spec: str) -> tuple:
-    """Parse a comma-separated ``--modes`` list like ``J1-B1-A1,J0-B1-A1``."""
+    """Parse a comma-separated ``--modes`` list like ``J1,J0``."""
     modes = tuple(Mode.parse(part) for part in spec.split(",") if part.strip())
     if not modes:
         raise ValueError(f"no modes in {spec!r}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Sequence
 
 from .engine import run_conformance
-from .scenario import FAST_MODES, Mode, Scenario, Topology, Workload
+from .scenario import ALL_MODES, Mode, Scenario, Topology, Workload
 
 #: Never shrink the workload below this (a transfer still has to happen).
 MIN_WORKLOAD = 1_000
@@ -60,7 +60,7 @@ def ddmin(items: List, still_fails: Callable[[List], bool]) -> List:
 
 
 def shrink(scenario: Scenario,
-           modes: Sequence[Mode] = FAST_MODES) -> ShrinkResult:
+           modes: Sequence[Mode] = ALL_MODES) -> ShrinkResult:
     """Minimize ``scenario`` while :func:`run_conformance` keeps failing.
 
     If the input does not fail under ``modes`` it is returned unchanged

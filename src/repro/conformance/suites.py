@@ -3,7 +3,7 @@
 A suite is just a list of :class:`Scenario` values; the declarative
 scenario format lets a few dozen lines here compose the existing netsim
 topologies, :class:`FaultInjector` primitives and bundled plugins into
-full mode-matrix sweeps.  ``smoke`` is the blocking CI gate; ``faults``
+JIT × interpreter sweeps.  ``smoke`` is the blocking CI gate; ``faults``
 leans harder on the fault space; ``tiny`` exists for fast unit tests.
 Random exploration is a seeded sweep (``repro conform --cases N --seed
 S``), not a suite — see :func:`repro.conformance.random_scenarios`.
@@ -61,11 +61,8 @@ def smoke_suite() -> List[Scenario]:
         Scenario(
             # A deliberately conflicting plugin pair: both replace the
             # same protoop, so the second must be rejected at attach time
-            # — by the conflict analyzer (PRE200) in analysis modes, by
-            # the protoop table otherwise.  The parity oracles check the
-            # rejected set (and everything else) is identical in all 8
-            # kill-switch modes: the checker changes diagnostics, never
-            # semantics.
+            # by the conflict analyzer (PRE200) and the transfer must go
+            # on without it.
             name="conflict-pair-rejected",
             workload=Workload(size=16_000),
             topology=Topology(d_ms=10.0, bw_mbps=20.0),

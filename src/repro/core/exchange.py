@@ -36,7 +36,7 @@ from typing import Callable, Optional
 from repro.quic import frames as F
 from repro.quic.connection import QuicConnection, ReservedFrame
 from repro.quic.wire import Buffer
-from repro.vm.analysis import LEGACY_RULES, Severity, analysis_enabled_by_env
+from repro.vm.analysis import LEGACY_RULES, Severity
 from repro.secure.formula import Formula, parse_formula
 from repro.secure.merkle import AuthenticationPath, verify_path
 from repro.secure.validator import SignedTreeRoot
@@ -553,8 +553,6 @@ class PluginExchanger:
         error.  Only the §2.1 acceptance rules reject — deeper analyzer
         findings (unproven memory, loops) stay advisory, matching
         ``Plugin.verify_all``.  Returns a rejection reason or None."""
-        if not analysis_enabled_by_env():
-            return None
         for pluglet_name, report in plugin.analyze_all().items():
             for diag in report.diagnostics:
                 if diag.rule in LEGACY_RULES and diag.severity is Severity.ERROR:

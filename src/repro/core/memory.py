@@ -108,9 +108,3 @@ class BlockAllocator:
         count = self._allocated.get(block)
         return count * self.block_size if count else None
 
-    def reset(self) -> None:
-        """Return every block and zero the memory."""
-        self.memory.reset()
-        self._free = list(range(self.num_blocks - 1, -1, -1))
-        self._free_set = set(self._free)
-        self._allocated.clear()

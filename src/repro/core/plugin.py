@@ -29,7 +29,6 @@ from repro.errors import TransportError, TransportErrorCode
 from repro.quic.wire import Buffer
 from repro.vm.analysis import (
     Severity,
-    analysis_enabled_by_env,
     analyze_plugin,
     check_conflicts,
     summarize_plugin,
@@ -184,9 +183,8 @@ class Plugin:
         #: the first failing pluglet, None when verified and clean.
         self._verified = False
         self._rejection: Optional[str] = None
-        #: Loaded code, {pluglet name: JitCode}, keyed by whether the
-        #: proofs were applied (``REPRO_ANALYSIS``).
-        self._code: dict[bool, dict] = {}
+        #: Loaded code, {pluglet name: JitCode}.
+        self._code: Optional[dict] = None
 
     # --- serialization (the §3.1 binding) -------------------------------
 
@@ -296,33 +294,28 @@ class Plugin:
     @property
     def loaded(self) -> bool:
         """True when :meth:`load` has nothing left to produce under the
-        current ``REPRO_JIT`` / ``REPRO_ANALYSIS`` switches."""
+        current ``REPRO_JIT`` switch."""
         return self._verified and self._rejection is None and (
-            not jit_enabled_by_env()
-            or analysis_enabled_by_env() in self._code)
+            not jit_enabled_by_env() or self._code is not None)
 
     def load(self) -> Optional[dict]:
         """Verify the plugin and JIT-compile its pluglets — §2.5: paid
         once per plugin, not per connection.  Returns ``{pluglet name:
         JitCode}`` shared by every instance, or None when ``REPRO_JIT=0``
-        leaves nothing to compile.  The proof-specialized closures exist
-        only in the code loaded with ``REPRO_ANALYSIS`` on."""
+        leaves nothing to compile."""
         self.verify_all()
         if not jit_enabled_by_env():
             return None
-        proofs = analysis_enabled_by_env()
-        code = self._code.get(proofs)
-        if code is None:
-            reports = self.analyze_all() if proofs else {}
+        if self._code is None:
+            reports = self.analyze_all()
             stack_blind = frozenset(
                 hid for hid, effect in self.helper_effects.items()
                 if not effect.reaches_stack)
-            code = self._code[proofs] = {
-                p.name: load_jit(p.instructions, reports.get(p.name),
-                                 stack_blind)
+            self._code = {
+                p.name: load_jit(p.instructions, reports[p.name], stack_blind)
                 for p in self.pluglets
             }
-        return code
+        return self._code
 
     def stats(self) -> dict:
         """Table-2 style statistics."""
@@ -415,12 +408,9 @@ class PluginInstance:
         helper_table = api.helper_table()
         self.vms: dict[str, VirtualMachine] = {}
         self._attached: list = []  # (protoop, anchor, func, param)
-        #: Static-analysis reports per pluglet — drives the attach-time
-        #: conflict check and the ``plugin_analyzed`` event; empty when
-        #: ``REPRO_ANALYSIS=0``.
-        self.analysis_reports: dict = (
-            plugin.analyze_all() if analysis_enabled_by_env() else {}
-        )
+        #: Static-analysis reports per pluglet, for the
+        #: ``plugin_analyzed`` event.
+        self.analysis_reports: dict = plugin.analyze_all()
         for p in plugin.pluglets:
             # One VM shell per pluglet — its own counters and budgets —
             # around the plugin's shared JIT-compiled code, with automatic
@@ -545,12 +535,9 @@ class PluginInstance:
         plugin's effect summaries against the already-attached set.  An
         error-severity conflict (``PRE200``/``PRE203``) rejects the plugin
         before anything is registered; warnings ride along in the
-        ``plugin:conflict_report`` event.  Disabled (with the rest of the
-        attach-time analysis) by ``REPRO_ANALYSIS=0`` — hard collisions
-        are still caught by the protoop table at registration time, so
-        the rejection outcome is mode-independent."""
-        if not self.analysis_reports:
-            return []
+        ``plugin:conflict_report`` event.  A hard collision that got past
+        it would still be refused by the protoop table at registration
+        time."""
         from .api import FIELD_NAMES
 
         attached = [

@@ -201,9 +201,9 @@ class FaultInjector:
 
     def _process_burst(self, inner: Callable, burst) -> None:
         """Unbundle a GSO burst through the fault pipeline: every segment
-        gets its own draws (the identical RNG sequence an unbatched run
-        would see), faulted segments splinter off into their own delivery
-        events, and the clean survivors continue as one burst."""
+        gets its own draws (the RNG sequence the same datagrams sent one
+        by one would see), faulted segments splinter off into their own
+        delivery events, and the clean survivors continue as one burst."""
         survivors = []
         for packet in burst.segments:
             corrupt = self._corrupt_rng.random() < self.corrupt_rate

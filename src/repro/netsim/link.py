@@ -145,8 +145,8 @@ class Pipe:
         """GSO-style enqueue: the burst occupies ONE queue slot and ONE
         delivery event, but loss draws, buffer admission and ECN marking
         happen per segment, in order — the identical decision sequence to
-        sending each segment alone (the unbatched sender also enqueues
-        its datagrams back to back with no simulated time in between).
+        sending each segment alone, back to back with no simulated time
+        in between.
         Serialization time equals the sum of the segments'; the burst is
         delivered tail-aligned (when its last byte would have arrived),
         with one jitter draw for the train.  Returns the number of

@@ -46,11 +46,11 @@ class Datagram:
 class DatagramBurst:
     """A GSO/GRO-style train of datagrams traveling as ONE simulator event.
 
-    Batched senders emit a whole pump's worth of datagrams for a path as
+    A sender emits a whole pump's worth of datagrams for a path as
     a single burst; every hop then pays one route lookup and one event
     per *burst* instead of per datagram.  Loss, buffer admission and link
     statistics remain per segment (see ``Pipe.send_burst``), so drop
-    patterns match unbatched runs."""
+    patterns match the same datagrams sent one by one."""
 
     segments: list
 

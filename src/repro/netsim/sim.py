@@ -277,7 +277,7 @@ class Simulator:
         self._wheel_bound: Optional[float] = None
         self.events_fired = 0  # total events executed (observability)
         #: Events *saved* by GSO/GRO batching: each n-segment burst rides
-        #: one delivery event where the unbatched path would schedule n.
+        #: one delivery event where n single datagrams would schedule n.
         self.events_coalesced = 0
         #: Optional :class:`~repro.trace.metrics.MetricsRegistry`; run
         #: loops fold their event counts into it on exit (never per

@@ -15,7 +15,6 @@ reports its next timer via :meth:`next_timer`.  The endpoint adapter in
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -134,11 +133,6 @@ class QuicConfiguration:
     #: Static key deriving per-CID stateless reset tokens (§10.3); None
     #: disables stateless reset generation and advertisement.
     stateless_reset_key: Optional[bytes] = None
-    #: Pre-RFC 9002 PTO response: declare every outstanding packet lost
-    #: on PTO expiry instead of sending 1-2 probe packets.  Exists solely
-    #: as the baseline the ``lossy-recovery`` benchmark compares probe
-    #: recovery against; none of the kill-switch modes sets it.
-    declare_all_on_pto: bool = False
 
 
 class PathState:
@@ -339,19 +333,9 @@ class QuicConnection:
 
         # Reusable per-packet encode buffer (cleared before each use).
         self._payload_buf = Buffer()
-        # Batched datapath (REPRO_BATCH=0 restores one packet per
-        # datagram).  Read once at construction so a single process can
-        # host batched and unbatched endpoints side by side (the bench
-        # A/B does exactly that).
-        self._batch = os.environ.get("REPRO_BATCH", "1") != "0"
         # Pooled scatter-gather packet buffer: header ‖ ciphertext ‖ tag
         # are appended into it, never concatenated.
         self._pkt_buf = bytearray()
-        # Differential hook: when True every outgoing packet is also
-        # produced through the legacy encode/seal path and compared
-        # byte-for-byte; mismatches accumulate here.
-        self._shadow_encode = False
-        self.shadow_mismatches: list = []
 
         # Statistics (read by the monitoring plugin through get/set API).
         self.stats = {
@@ -1356,14 +1340,7 @@ class QuicConnection:
             for space, path in self._spaces_and_paths():
                 deadline = space.pto_deadline(path.rtt, max(0, self._pto_count - 1))
                 if deadline is not None and self.now >= deadline - 1e-12:
-                    if self.configuration.declare_all_on_pto:
-                        # Legacy declare-all-lost behavior, kept only as
-                        # the bench baseline the probe path must beat.
-                        for pkt in space.declare_all_lost():
-                            self.protoops.run(
-                                self, "on_packet_lost", None, pkt, path.index)
-                    else:
-                        self._send_pto_probes(space, path)
+                    self._send_pto_probes(space, path)
 
     def _send_pto_probes(self, space: PacketNumberSpace, path: Path) -> None:
         """Queue 1-2 ack-eliciting probe packets for *space* on *path*.
@@ -1679,8 +1656,8 @@ class QuicConnection:
 
     def datagrams_to_send(self, now: float) -> list:
         """Build as many packets as credit allows; returns
-        [(datagram, path_index), ...].  On the batched path several
-        QUIC packets may share one datagram (§12.2 coalescing)."""
+        [(datagram, path_index), ...].  Several QUIC packets may share
+        one datagram (§12.2 coalescing)."""
         self.now = max(self.now, now)
         out = []
         if self._close_frame_pending is not None:
@@ -1698,7 +1675,7 @@ class QuicConnection:
             if built is None:
                 break
             out.append(built)
-        if self._batch and len(out) > 1:
+        if len(out) > 1:
             out = self._coalesce_datagrams(out)
         return out
 
@@ -1823,12 +1800,6 @@ class QuicConnection:
                 self._write_param(frame), frame, payload,
             )
         plaintext = payload.data()
-        if self._shadow_encode:
-            # Differential check: the scatter-gather encode must be
-            # bit-identical to the legacy one-bytes-per-frame path.
-            legacy = b"".join(f.to_bytes() for f in frames)
-            if legacy != plaintext:
-                self.shadow_mismatches.append(("encode", epoch, plaintext, legacy))
         return self._protect_and_record(
             epoch, path_index, plaintext, frames, not ack_only
         )
@@ -1884,12 +1855,6 @@ class QuicConnection:
         del pkt_buf[:]
         seal_packet_into(pkt_buf, header, plaintext, self.crypto[epoch].send, pn)
         packet = bytes(pkt_buf)
-        if self._shadow_encode:
-            # Differential check: scatter-gather sealing must be
-            # bit-identical to the legacy header + seal() concatenation.
-            legacy = seal_packet(header, plaintext, self.crypto[epoch].send, pn)
-            if legacy != packet:
-                self.shadow_mismatches.append(("seal", pn, packet, legacy))
         if epoch is Epoch.INITIAL and self.is_client and len(packet) < INITIAL_PADDING_TARGET:
             # Clients pad Initial datagrams (anti-amplification).
             pad = INITIAL_PADDING_TARGET - len(packet)

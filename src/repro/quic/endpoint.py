@@ -49,7 +49,7 @@ class _ConnectionDriver:
     def pump(self) -> None:
         """Send everything sendable and rearm the timer."""
         out = self.conn.datagrams_to_send(self.sim.now)
-        if len(out) > 1 and self.conn._batch:
+        if len(out) > 1:
             self._send_batched(out)
         else:
             for payload, path_index in out:

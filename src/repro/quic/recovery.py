@@ -346,13 +346,3 @@ class PacketNumberSpace:
                 if len(probes) >= max_probes:
                     break
         return probes
-
-    def declare_all_lost(self) -> list:
-        """Pre-RFC 9002 PTO response: declare every outstanding packet
-        lost and retransmit whole flights.  Kept only as the baseline the
-        ``lossy-recovery`` benchmark (and its CI gate) compares the probe
-        path against — no kill-switch mode uses it."""
-        lost = [self.sent[pn] for pn in sorted(self.sent)]
-        self.sent.clear()
-        self.ack_eliciting_in_flight = 0
-        return lost

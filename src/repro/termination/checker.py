@@ -38,8 +38,7 @@ from repro.vm.isa import (
     Instruction,
     Op,
 )
-
-from .cfg import ControlFlowGraph
+from repro.vm.analysis.cfg import ControlFlowGraph
 
 MAX_PATHS = 256
 

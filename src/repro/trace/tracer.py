@@ -7,11 +7,10 @@ declarative: :data:`HOOKS` maps each protoop event to its schema event
 and a decoder, so adding an event means one catalog entry plus one table
 row, not a new method.
 
-New over the old ``repro.quic.qlog`` tracer:
+Beyond recording events:
 
 * events past ``max_events`` are *counted*, and :meth:`finish` appends a
-  final ``trace:truncated`` event carrying the drop count (previously
-  they vanished silently);
+  final ``trace:truncated`` event carrying the drop count;
 * optional streaming to a :class:`~repro.trace.writer.JsonlTraceWriter`
   as events are recorded;
 * optional strict schema validation of every recorded event;

@@ -4,7 +4,6 @@ from .analysis import (
     AnalysisReport,
     Diagnostic,
     Severity,
-    analysis_enabled_by_env,
     analyze,
     analyze_plugin,
     lint_plugin,
@@ -67,7 +66,6 @@ __all__ = [
     "VerificationError",
     "VirtualMachine",
     "VmError",
-    "analysis_enabled_by_env",
     "analyze",
     "analyze_plugin",
     "assemble",

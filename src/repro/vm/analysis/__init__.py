@@ -7,15 +7,9 @@ interval domain (:mod:`.absint` / :mod:`.domain`), evaluates the rule
 catalog (:mod:`.rules`) and returns an :class:`AnalysisReport` whose
 proofs — ``memory_safe``, ``loop_free``, ``fuel_bound`` and per-access
 region facts — let :mod:`repro.vm.jit` drop its inlined runtime monitor.
-
-``REPRO_ANALYSIS=0`` disables attach-time analysis and proof-guided JIT
-specialization throughout (mirroring ``REPRO_JIT``); the lint toolchain
-(``repro lint``, ``tools/lint_plugins.py``) always analyzes.
 """
 
 from __future__ import annotations
-
-import os
 
 from .absint import AbstractInterpretation, AbsState, CallSite, interpret
 from .callgraph import ProtoopCallGraph, TriggerEdge, build_call_graph
@@ -67,7 +61,6 @@ __all__ = [
     "Severity",
     "TriggerEdge",
     "VerificationError",
-    "analysis_enabled_by_env",
     "analyze",
     "analyze_plugin",
     "build_call_graph",
@@ -82,9 +75,3 @@ __all__ = [
     "verify",
     "verify_bytecode",
 ]
-
-
-def analysis_enabled_by_env() -> bool:
-    """Attach-time analysis and proof-guided JIT specialization are on by
-    default; ``REPRO_ANALYSIS=0`` reverts to the pre-analyzer behavior."""
-    return os.environ.get("REPRO_ANALYSIS", "1") != "0"

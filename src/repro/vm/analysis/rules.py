@@ -1,8 +1,8 @@
 """The analyzer's rule catalog and the :func:`analyze` entry point.
 
-Rules ``PRE001``–``PRE012`` are the legacy §2.1 acceptance checks folded
-in from :mod:`repro.vm.verifier` — its ``verify()`` is now a thin
-wrapper that raises on the first of these.  Rules ``PRE1xx`` come from
+Rules ``PRE001``–``PRE012`` are the legacy §2.1 acceptance checks —
+:func:`repro.vm.analysis.verify.verify` is a thin wrapper that raises on
+the first of these.  Rules ``PRE1xx`` come from
 the control-flow graph and the abstract interpretation; they localize
 faults that previously only surfaced at run time.
 

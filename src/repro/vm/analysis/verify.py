@@ -18,9 +18,6 @@ abstract interpretation) stay deliberately *relaxed* here — loops are
 allowed, unproven memory accesses are deferred to the runtime monitor —
 matching the paper's acceptance policy.  Oversized programs are
 rejected without materializing the whole input.
-
-(Until this package absorbed it, the gate lived in
-:mod:`repro.vm.verifier`; that module remains as a deprecated shim.)
 """
 
 from __future__ import annotations

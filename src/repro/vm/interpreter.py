@@ -92,10 +92,6 @@ class PluginMemory:
         self.size = size
         self.data = bytearray(size)
 
-    def reset(self) -> None:
-        """Zero the memory."""
-        self.data[:] = bytes(self.size)
-
 
 class VirtualMachine:
     """Executes one pluglet's bytecode against a plugin memory."""

@@ -835,19 +835,15 @@ def create_vm(
 
     ``code`` is the pluglet's already loaded :class:`JitCode`: a plugin
     loads it once and hands it to the VM of every connection.  Without
-    it the pluglet is compiled here — with the proofs of ``analysis``
-    unless ``REPRO_ANALYSIS=0`` — or, when the ``REPRO_JIT=0``
-    environment switch forces it, run by the reference interpreter.
+    it the pluglet is compiled here — with the proofs of ``analysis``,
+    monitored throughout when there is none — or, when the
+    ``REPRO_JIT=0`` environment switch forces it, run by the reference
+    interpreter.
     """
     if code is None:
         if not jit_enabled_by_env():
             return VirtualMachine(instructions, plugin_memory, helpers,
                                   instruction_budget, helper_call_budget)
-        if analysis is not None:
-            from .analysis import analysis_enabled_by_env
-
-            if not analysis_enabled_by_env():
-                analysis = None
         code = load_jit(instructions, analysis)
     return JitVirtualMachine(instructions, plugin_memory, helpers,
                              instruction_budget, helper_call_budget,

@@ -1,9 +1,9 @@
 """Conformance harness: scenario model, runner reports, oracles.
 
-The heavyweight full-matrix sweeps live in CI (``repro conform``); these
-tests pin the machinery itself — mode/scenario round-trips, the shape of
-a run report, that a clean scenario passes the oracle catalog on a
-reduced mode set, that observer transparency holds, and that the planted
+The suite sweeps live in CI (``repro conform``); these tests pin the
+machinery itself — mode/scenario round-trips, the shape of a run
+report, that a clean scenario passes the oracle catalog under both
+engines, that observer transparency holds, and that the planted
 JIT-divergent plugin is caught by the mode-parity oracle.
 """
 
@@ -16,24 +16,22 @@ from repro.conformance.suites import tiny_suite
 # --- scenario model --------------------------------------------------------
 
 def test_mode_name_parse_roundtrip():
+    assert [mode.name for mode in conf.ALL_MODES] == ["J1", "J0"]
     for mode in conf.ALL_MODES:
         assert conf.Mode.parse(mode.name) == mode
-    assert conf.Mode.parse("J0-B1-A0") == conf.Mode(jit=False, analysis=False)
 
 
-def test_mode_env_and_timing_class():
-    mode = conf.Mode(jit=True, batch=False, analysis=True)
-    assert mode.env() == {"REPRO_JIT": "1", "REPRO_BATCH": "0",
-                          "REPRO_ANALYSIS": "1"}
-    assert mode.timing_class == "B0"
-    assert conf.Mode().timing_class == "B1"
+def test_mode_env_is_the_jit_switch_alone():
+    assert conf.Mode().env() == {"REPRO_JIT": "1"}
+    assert conf.Mode(jit=False).env() == {"REPRO_JIT": "0"}
 
 
 def test_parse_modes_spec():
-    modes = conf.parse_modes("J1-B1-A1,J0-B1-A1")
-    assert modes == conf.FAST_MODES
-    with pytest.raises(ValueError):
-        conf.parse_modes("J2-B1-A1")
+    assert conf.parse_modes("J1,J0") == conf.ALL_MODES
+    # the batch / analysis components name switches that no longer exist
+    for spec in ("J2", "J1-B1-A1", "J1-B0", "J0-A0", "B1", ""):
+        with pytest.raises(ValueError):
+            conf.parse_modes(spec)
 
 
 def test_scenario_json_roundtrip():
@@ -101,20 +99,10 @@ def test_tiny_scenario_passes_fast_modes():
     assert len(verdict.reports) == len(conf.FAST_MODES) + 1
 
 
-def test_batch_off_same_bytes_different_timing_class():
-    scenario = tiny_suite()[0]
-    modes = (conf.Mode(), conf.Mode(batch=False))
-    verdict = conf.run_conformance(scenario, modes=modes, transparency=False)
-    assert verdict.passed, [f.format() for f in verdict.failures]
-    a, b = (verdict.reports[m.name] for m in modes)
-    assert a.digest == b.digest
-    assert a.timing_class != b.timing_class
-
-
 def test_jit_divergent_plugin_is_caught():
     scenario = tiny_suite()[0].with_(
         name="tiny-divergent", plugins=("x-jit-divergent",))
-    verdict = conf.run_conformance(scenario, modes=conf.FAST_MODES,
+    verdict = conf.run_conformance(scenario, modes=conf.ALL_MODES,
                                    transparency=False)
     assert not verdict.passed
     oracles = {failure.oracle for failure in verdict.failures}
@@ -124,14 +112,13 @@ def test_jit_divergent_plugin_is_caught():
 
 
 def test_conflicting_pair_rejected_identically_across_modes():
-    # The second conflict plugin must be rejected whether the static
-    # conflict checker (A1) or the protoop table's "already replaced"
-    # check (A0) does it — the mode-parity oracle compares the
-    # plugins_rejected lists, so a mode-dependent rejection would fail.
+    # The second conflict plugin is refused at attach time and the
+    # transfer completes without it; the mode-parity oracle compares the
+    # plugins_rejected lists, so an engine-dependent rejection would fail.
     scenario = tiny_suite()[0].with_(
         name="tiny-conflict",
         plugins=("monitoring", "x-conflict-a", "x-conflict-b"))
-    modes = (conf.Mode(), conf.Mode(analysis=False))
+    modes = conf.ALL_MODES
     verdict = conf.run_conformance(scenario, modes=modes,
                                    transparency=False)
     assert verdict.passed, [f.format() for f in verdict.failures]
@@ -143,8 +130,8 @@ def test_conflicting_pair_rejected_identically_across_modes():
 def test_repro_file_roundtrip(tmp_path):
     scenario = tiny_suite()[0]
     path = tmp_path / "case.repro.json"
-    conf.save_repro(path, scenario, modes=conf.FAST_MODES, failures=[],
+    conf.save_repro(path, scenario, modes=conf.ALL_MODES, failures=[],
                     note="unit test")
     loaded, modes = conf.load_repro(path)
     assert loaded == scenario
-    assert tuple(modes) == conf.FAST_MODES
+    assert tuple(modes) == conf.ALL_MODES

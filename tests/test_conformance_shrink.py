@@ -1,7 +1,7 @@
 """Shrinker and ``repro conform`` CLI.
 
 The acceptance bar for this harness: a deliberately-planted divergence
-(a plugin whose behavior depends on the JIT kill switch) must be caught
+(a plugin whose behavior depends on the JIT switch) must be caught
 by the oracles and shrunk — deterministically — to a minimal scenario,
 and the CLI must speak in exit codes (0 pass, 1 oracle failure, 2 usage
 error) so CI can gate on it.
@@ -58,7 +58,7 @@ def _planted() -> conf.Scenario:
 
 
 def test_planted_divergence_shrinks_to_minimal_scenario():
-    result = conf.shrink(_planted(), modes=conf.FAST_MODES)
+    result = conf.shrink(_planted(), modes=conf.ALL_MODES)
     minimal = result.minimal
     assert result.failures, "shrinker lost the failure"
     # ≤3-event acceptance bar — in fact every fault is a bystander here
@@ -69,7 +69,7 @@ def test_planted_divergence_shrinks_to_minimal_scenario():
     assert minimal.topology.loss_pct == 0.0
     assert minimal.name == "planted.min"
 
-    again = conf.shrink(_planted(), modes=conf.FAST_MODES)
+    again = conf.shrink(_planted(), modes=conf.ALL_MODES)
     assert again.minimal.to_dict() == minimal.to_dict()
     assert again.evaluations == result.evaluations
 
@@ -92,7 +92,7 @@ def run_cli(capsys, *argv):
 
 def test_conform_cli_pass_exit_zero(capsys):
     code, out = run_cli(capsys, "conform", "--suite", "tiny",
-                        "--modes", "J1-B1-A1,J0-B1-A1")
+                        "--modes", "J1,J0")
     assert code == 0
     assert "1/1 scenario(s) pass" in out
 
@@ -101,7 +101,7 @@ def test_conform_cli_failure_exit_one_and_writes_repro(capsys, tmp_path):
     repro_in = tmp_path / "case.repro.json"
     scenario = conf.load_suite("tiny")[0].with_(
         name="tiny-divergent", plugins=("x-jit-divergent",))
-    conf.save_repro(repro_in, scenario, modes=conf.FAST_MODES)
+    conf.save_repro(repro_in, scenario, modes=conf.ALL_MODES)
 
     code, out = run_cli(capsys, "conform", "--repro", str(repro_in),
                         "--out", str(tmp_path / "repros"))
@@ -120,7 +120,7 @@ def test_conform_cli_usage_errors_exit_two(capsys, tmp_path):
     assert run_cli(capsys, "conform")[0] == 2
     assert run_cli(capsys, "conform", "--suite", "nope")[0] == 2
     assert run_cli(capsys, "conform", "--suite", "tiny",
-                   "--modes", "J9-B1-A1")[0] == 2
+                   "--modes", "J1-B1-A1")[0] == 2
     bogus = tmp_path / "bogus.json"
     bogus.write_text('{"schema": "something-else"}')
     assert run_cli(capsys, "conform", "--repro", str(bogus))[0] == 2

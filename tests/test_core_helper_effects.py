@@ -30,7 +30,7 @@ from repro.quic.connection import QuicConnection
 from repro.vm import PluginMemory, VirtualMachine, VmError, assemble
 from repro.vm.interpreter import HEAP_BASE, STACK_BASE
 from repro.vm.isa import Op
-from repro.vm.jit import JitVirtualMachine
+from repro.vm.jit import JitVirtualMachine, load_jit
 
 BUILDERS = [build_monitoring_plugin, build_multipath_plugin,
             build_datagram_plugin, build_fec_plugin, build_ecn_plugin,
@@ -96,18 +96,26 @@ class TestBundledDeclarations:
         assert promoted
 
     def test_each_pluglet_is_engine_independent_at_every_budget(self, build):
+        """The interpreter, the closures the plugin loads (specialized
+        where the proof allows) and the monitored closure an unproven
+        pluglet would get agree at every fuel budget."""
         plugin = build()
         code = plugin.load()
         for pluglet in plugin.pluglets:
-            def observe(budget, jit):
-                return observe_pluglet(plugin, pluglet, budget,
-                                       code[pluglet.name] if jit else None)
+            def observe(budget, engine):
+                return observe_pluglet(plugin, pluglet, budget, engine)
 
-            executed = observe(10_000, jit=False)[1]
+            loaded = code[pluglet.name]
+            monitored = load_jit(pluglet.instructions, None)
+            assert monitored.fast is None
+            executed = observe(10_000, None)[1]
             assert 0 < executed < 10_000
             for budget in range(executed + 1):
-                assert observe(budget, jit=True) == observe(
-                    budget, jit=False), (pluglet.name, budget)
+                interpreted = observe(budget, None)
+                assert observe(budget, loaded) == interpreted, (
+                    pluglet.name, budget, "loaded")
+                assert observe(budget, monitored) == interpreted, (
+                    pluglet.name, budget, "monitored")
 
 
 def observe_pluglet(plugin, pluglet, budget, code):

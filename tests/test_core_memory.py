@@ -87,16 +87,6 @@ def test_invalid_size_rejected():
         alloc.malloc(-5)
 
 
-def test_reset_restores_pool():
-    alloc = make(256)
-    for _ in range(4):
-        alloc.malloc(8)
-    alloc.reset()
-    assert alloc.free_blocks == 4
-    assert alloc.allocated_blocks == 0
-    assert alloc.malloc(8) >= HEAP_BASE
-
-
 def test_size_must_be_multiple_of_block():
     with pytest.raises(ValueError):
         BlockAllocator(PluginMemory(100))

@@ -2,10 +2,9 @@
 
 Covers the send-side packer (`_coalesce_datagrams`), the multi-packet
 receive loop (runt tails, mixed long/short trains, stateless-reset
-reachability), the scatter-gather sealers, and the differential
-guarantees of the batched path: bit-identical wire bytes via shadow
-encoding, and unchanged per-packet plugin protoop semantics (one
-invocation per packet, same fuel) with the GSO/GRO datapath on.
+reachability), the scatter-gather sealers (bit-identical to the
+concatenating `seal_packet`), and per-packet plugin protoop semantics
+under GSO/GRO (one invocation per packet, same fuel).
 """
 
 from repro.core.plugin import PluginInstance
@@ -116,23 +115,6 @@ class TestCoalescedReceive:
         exchange(client, server)
         assert client.is_established and server.is_established
 
-    def test_kill_switch_restores_one_packet_per_datagram(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        client = QuicConnection(QuicConfiguration(is_client=True))
-        server = QuicConnection(QuicConfiguration(is_client=False))
-        assert not client._batch
-        (first, _), = client.datagrams_to_send(0.0)
-        server.receive_datagram(first, now=0.0)
-        for payload, _ in server.datagrams_to_send(0.0):
-            client.receive_datagram(payload, now=0.0)
-        # The same flight now goes out as two datagrams, one per packet.
-        flight = client.datagrams_to_send(0.0)
-        assert len(flight) == 2
-        for payload, _ in flight:
-            server.receive_datagram(payload, now=0.0)
-        exchange(client, server)
-        assert client.is_established and server.is_established
-
     def test_runt_tail_is_dropped_silently(self):
         """§12.2: once one packet authenticated, an undecodable tail is
         ignored — the datagram must not be treated as an error."""
@@ -217,34 +199,25 @@ class TestScatterGatherSeal:
         assert bytes(out) == seal_packet(header, payload, aead, 42)
 
 
-def _lossy_transfer(size=60_000, shadow=False, plugin=False, seed=5):
-    """One bulk transfer over a seeded lossy link; returns the client
-    endpoint, the server connection, and the delivered bytes."""
+def _lossy_monitored_transfer(size=60_000):
+    """One bulk transfer over a seeded lossy link with the monitoring
+    plugin on both ends; returns the client connection and its plugin
+    instance."""
     sim = Simulator()
-    topo = symmetric_topology(sim, d_ms=10, bw_mbps=20, loss_pct=1.0,
-                              seed=seed)
+    topo = symmetric_topology(sim, d_ms=10, bw_mbps=20, loss_pct=1.0, seed=5)
     received = bytearray()
     done = [False]
-    sconns = []
 
     def on_conn(conn):
-        sconns.append(conn)
-        if shadow:
-            conn._shadow_encode = True
-        if plugin:
-            PluginInstance(build_monitoring_plugin(), conn).attach()
+        PluginInstance(build_monitoring_plugin(), conn).attach()
         conn.on_stream_data = lambda sid, d, fin: (
             received.extend(d), done.__setitem__(0, fin))
 
     ServerEndpoint(sim, topo.server, "server.0", 443, on_connection=on_conn)
     client = ClientEndpoint(sim, topo.client, "client.0", 5000,
                             "server.0", 443)
-    if shadow:
-        client.conn._shadow_encode = True
-    instance = (PluginInstance(build_monitoring_plugin(), client.conn)
-                if plugin else None)
-    if instance is not None:
-        instance.attach()
+    instance = PluginInstance(build_monitoring_plugin(), client.conn)
+    instance.attach()
     client.connect()
     assert sim.run_until(lambda: client.conn.is_established, timeout=10)
     sid = client.conn.create_stream()
@@ -252,7 +225,7 @@ def _lossy_transfer(size=60_000, shadow=False, plugin=False, seed=5):
     client.pump()
     assert sim.run_until(lambda: done[0], timeout=600)
     assert len(received) == size
-    return client, sconns[0], bytes(received), instance
+    return client.conn, instance
 
 
 def _pi_counter(instance: PluginInstance, offset: int) -> int:
@@ -263,41 +236,20 @@ def _pi_counter(instance: PluginInstance, offset: int) -> int:
 
 
 class TestBatchedDifferential:
-    """The batched datapath changes timing, never bytes or semantics."""
+    """Batching datagrams must not batch what a plugin sees."""
 
-    def test_shadow_encode_is_bit_identical_under_loss(self):
-        """Every packet both sides sent had its scatter-gather plaintext
-        and sealed bytes compared against the legacy concatenating
-        encoder in-line; a lossy transfer must produce zero mismatches."""
-        client, sconn, _, _ = _lossy_transfer(shadow=True)
-        assert client.conn.stats["packets_sent"] > 50
-        assert client.conn.shadow_mismatches == []
-        assert sconn.shadow_mismatches == []
-
-    def test_delivered_bytes_identical_across_modes(self, monkeypatch):
-        payload_batched = _lossy_transfer()[2]
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        payload_legacy = _lossy_transfer()[2]
-        assert payload_batched == payload_legacy
-
-    def test_plugin_sees_every_packet_exactly_once(self, monkeypatch):
+    def test_plugin_sees_every_packet_exactly_once(self):
         """GRO batch receive and GSO bursts must not change protoop
         cardinality: the monitoring plugin's per-packet counters equal
-        the connection's own packet stats, in both modes, and each
-        invocation burns identical fuel."""
-        reports = {}
-        for mode in ("1", "0"):
-            monkeypatch.setenv("REPRO_BATCH", mode)
-            client, _, _, instance = _lossy_transfer(plugin=True)
-            stats = client.conn.stats
-            sent = _pi_counter(instance, OFF_PACKETS_SENT)
-            recv = _pi_counter(instance, OFF_PACKETS_RECEIVED)
-            assert sent == stats["packets_sent"]
-            assert recv == stats["packets_received"]
-            vm = instance.vms["count_received"]
-            reports[mode] = vm.instructions_executed / recv
-        # Fuel accounting per invocation is mode-independent.
-        assert reports["1"] == reports["0"]
+        the connection's own packet stats, and every invocation of the
+        straight-line counter burns the same fuel."""
+        conn, instance = _lossy_monitored_transfer()
+        stats = conn.stats
+        sent = _pi_counter(instance, OFF_PACKETS_SENT)
+        recv = _pi_counter(instance, OFF_PACKETS_RECEIVED)
+        assert sent == stats["packets_sent"]
+        assert recv == stats["packets_received"]
+        assert instance.vms["count_received"].instructions_executed % recv == 0
 
 
 class TestGsoBursts:
@@ -325,27 +277,3 @@ class TestGsoBursts:
         assert sim.run_until(lambda: done[0], timeout=600)
         assert len(received) == 120_000
         assert sim.events_coalesced > 50
-
-    def test_kill_switch_disables_bursts(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        sim = Simulator()
-        topo = symmetric_topology(sim, d_ms=10, bw_mbps=20)
-        received = bytearray()
-        done = [False]
-
-        def on_conn(conn):
-            conn.on_stream_data = lambda sid, d, fin: (
-                received.extend(d), done.__setitem__(0, fin))
-
-        ServerEndpoint(sim, topo.server, "server.0", 443,
-                       on_connection=on_conn)
-        client = ClientEndpoint(sim, topo.client, "client.0", 5000,
-                                "server.0", 443)
-        client.connect()
-        assert sim.run_until(lambda: client.conn.is_established, timeout=10)
-        sid = client.conn.create_stream()
-        client.conn.send_stream_data(sid, b"b" * 60_000, fin=True)
-        client.pump()
-        assert sim.run_until(lambda: done[0], timeout=600)
-        assert len(received) == 60_000
-        assert sim.events_coalesced == 0

@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.protoop import Anchor
 from repro.netsim import Simulator, symmetric_topology
-from repro.quic import QuicConfiguration
 from repro.quic.connection import reset_instance_counter
 
 from tests.test_quic_connection import build_pair, run_transfer
@@ -132,31 +131,6 @@ def test_conservation_and_probes_under_ambient_loss():
     # 2% loss over ~120 kB makes real losses (and their congestion
     # response) all but certain.
     assert client.conn.stats["packets_lost"] > 0
-
-
-def test_declare_all_on_pto_legacy_flag():
-    """The bench baseline flag restores the old declare-everything-lost
-    PTO response (and with it the cwnd collapse on late ACKs)."""
-    sim = Simulator()
-    topo = symmetric_topology(sim, d_ms=10, bw_mbps=10)
-    cfg = QuicConfiguration(is_client=True, declare_all_on_pto=True)
-    client, server = build_pair(sim, topo, client_config=cfg)
-
-    server.on_connection = lambda conn: None
-    client.connect()
-    assert sim.run_until(lambda: client.conn.is_established, timeout=5.0)
-    stream_id = client.conn.create_stream()
-    client.conn.send_stream_data(stream_id, b"z" * 40_000, fin=True)
-    client.pump()
-    assert sim.run_until(
-        lambda: client.conn.stats["packets_acked"] > 2, timeout=5.0)
-    for link in topo.path_links:
-        link.backward.delay = 1.0
-    assert sim.run_until(
-        lambda: client.conn.stats["pto_fired"] >= 1, timeout=5.0)
-    # The legacy path declares whole flights lost instead of probing.
-    assert client.conn.stats["packets_lost"] > 0
-    assert client.conn.stats["probes_sent"] == 0
 
 
 def test_pto_expiry_fires_at_the_eager_instant(monkeypatch):

@@ -334,13 +334,11 @@ class TestPto:
         assert [p.packet_number for p in space.detect_lost(9.0, rtt)] == [1]
         assert space.ack_eliciting_in_flight == 0
         assert space.next_timer(rtt, 0) is None
-        for drop in (PacketNumberSpace.release,
-                     PacketNumberSpace.declare_all_lost):
-            space = PacketNumberSpace()
-            space.on_packet_sent(sent(0))
-            drop(space)
-            assert space.ack_eliciting_in_flight == 0
-            assert space.pto_deadline(rtt, 0) is None
+        space = PacketNumberSpace()
+        space.on_packet_sent(sent(0))
+        space.release()
+        assert space.ack_eliciting_in_flight == 0
+        assert space.pto_deadline(rtt, 0) is None
 
     def test_probe_candidates_oldest_eliciting_first(self):
         space = PacketNumberSpace()
@@ -366,14 +364,6 @@ class TestPto:
             space.on_packet_sent(sent(pn))
         assert len(space.probe_candidates(max_probes=1)) == 1
         assert len(space.probe_candidates()) == MAX_PTO_PROBES
-
-    def test_declare_all_lost_legacy_baseline(self):
-        space = PacketNumberSpace()
-        for pn in range(3):
-            space.on_packet_sent(sent(pn))
-        lost = space.declare_all_lost()
-        assert [p.packet_number for p in lost] == [0, 1, 2]
-        assert not space.sent
 
 
 class TestSpuriousLoss:

@@ -251,17 +251,19 @@ class TestAttachTimeConflicts:
         assert "org.t.second" not in conn.plugins
         assert "org.t.first" in conn.plugins
 
-    def test_rejection_is_mode_independent(self, monkeypatch):
-        # With the analyzer off the protoop table's "already replaced"
-        # check still rejects the same plugin: *whether* a plugin
-        # attaches never depends on REPRO_ANALYSIS.
-        monkeypatch.setenv("REPRO_ANALYSIS", "0")
+    def test_protoop_table_alone_refuses_the_second_replace(self, monkeypatch):
+        # The safety net under the analyzer: a collision the conflict
+        # check let through is still refused at registration, and the
+        # half-attached plugin is rolled back.
+        monkeypatch.setattr(PluginInstance, "_check_conflicts",
+                            lambda self: [])
         conn = make_conn()
         first, second = self._conflicting_pair()
         PluginInstance(first, conn).attach()
-        with pytest.raises(ProtoopError):
+        with pytest.raises(ProtoopError, match="already"):
             PluginInstance(second, conn).attach()
         assert "org.t.second" not in conn.plugins
+        assert "org.t.first" in conn.plugins
 
     def test_warning_conflicts_attach_and_emit_report(self):
         conn = make_conn()

@@ -89,7 +89,7 @@ def test_random_programs_roundtrip_bytecode(seed):
 def test_arbitrary_bytes_never_crash_verifier(data):
     """Hostile wire bytes (a malicious PLUGIN frame) must be rejected
     cleanly, never crash."""
-    from repro.vm.verifier import verify_bytecode
+    from repro.vm.analysis import verify_bytecode
 
     try:
         verify_bytecode(data)

@@ -250,11 +250,3 @@ class TestBudget:
         vm = VirtualMachine(assemble("exit"), PluginMemory())
         with pytest.raises(ValueError):
             vm.run(1, 2, 3, 4, 5, 6)
-
-
-class TestPluginMemoryReset:
-    def test_reset_zeroes(self):
-        mem = PluginMemory(32)
-        mem.data[5] = 77
-        mem.reset()
-        assert mem.data == bytearray(32)

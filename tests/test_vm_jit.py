@@ -460,19 +460,16 @@ class TestProofGuided:
         assert not vm.jit_specialized  # proof assumed a bigger heap
         vm.run()  # checked path still executes correctly
 
-    def test_create_vm_analysis_env_gate(self, monkeypatch):
+    def test_create_vm_specializes_only_with_a_report(self, monkeypatch):
         monkeypatch.delenv("REPRO_JIT", raising=False)
         program = assemble("mov r0, 42\nexit")
         report = analyze(program, heap_size=HEAP_SIZE)
 
-        monkeypatch.setenv("REPRO_ANALYSIS", "0")
-        vm = create_vm(program, PluginMemory(size=HEAP_SIZE),
-                       analysis=report)
+        vm = create_vm(program, PluginMemory(size=HEAP_SIZE))
         assert isinstance(vm, JitVirtualMachine)
-        assert not vm.jit_specialized
+        assert not vm.jit_specialized  # no report: monitored
         assert vm.run() == 42
 
-        monkeypatch.delenv("REPRO_ANALYSIS")
         vm = create_vm(program, PluginMemory(size=HEAP_SIZE),
                        analysis=report)
         assert vm.jit_specialized

@@ -1,6 +1,7 @@
 """Regenerate tests/corpus/golden/{smoke,faults}.json from the reference run.
 
-Run from the repository root:  python tools/gen_conformance_golden.py
+Run from the repository root:
+    PYTHONPATH=src python tools/gen_conformance_golden.py
 
 One entry per suite scenario: what the reference mode (`Mode()`)
 delivers and counts.  `tests/test_conformance_golden.py` is the only
