@@ -13,10 +13,15 @@ The cache holds :class:`~repro.core.plugin.Plugin` objects, and a plugin
 keeps what depends only on its immutable §3.1 binding, computed once
 (:meth:`Plugin.load <repro.core.plugin.Plugin.load>`, run by the first
 instantiation): the verification verdict, the analyzer's proofs and
-effect summaries, and per pluglet the JIT-compiled checked closure, the
-proof-specialized closure and its ``fuel_bound`` / ``helper_bound`` /
-``heap_size`` gates.  The generated code takes its VM as an argument and
-keeps all state in locals, so connections share it as is.
+effect summaries — all three read off one analysis per pluglet — and
+per pluglet one JIT-compiled closure: the proof-specialized one with its
+``fuel_bound`` / ``helper_bound`` / ``heap_size`` gates, or the
+fully-checked one when no proof applies.  A proven pluglet's
+fully-checked closure is compiled by the first run whose gates are
+closed, once, and then shared like the rest.  The generated code takes
+its VM as an argument and keeps all state in locals, so connections
+share it as is.  ``store`` only verifies: it runs the §2.1 rules, or
+reads their verdict off the analysis a received plugin already holds.
 
 Every connection gets its own :class:`~repro.core.plugin.PluginInstance`:
 a zeroed heap and allocator, the helper table, one VM shell per pluglet
@@ -56,8 +61,9 @@ class PluginCache:
         self.misses = 0
 
     def store(self, plugin: Plugin) -> None:
-        """Add a plugin to the local cache (verifies it once; its code is
-        compiled by the first connection that instantiates it)."""
+        """Add a plugin to the local cache (verifies it once, shallowly
+        unless it was analyzed already; its code is compiled by the first
+        connection that instantiates it)."""
         plugin.verify_all()
         self._plugins[plugin.name] = plugin
 

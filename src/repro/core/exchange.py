@@ -522,18 +522,23 @@ class PluginExchanger:
             self.stats["integrity_failures"] += 1
             state.chunks.clear()
             return
-        reason = self._verify_incoming(name, compressed, state.proofs)
-        if reason is None:
+        # Decoded once: the proof check, the analyzer gate and the cache
+        # all work on this one object.
+        try:
             plugin = Plugin.decompress(compressed)
-            reason = self._analyze_received(plugin)
-            if reason is None:
-                del self._incoming[name]
-                self.pending.pop(name, None)
-                self.rejected.pop(name, None)
-                self.cache.store(plugin)
-                self.received.append(name)
-                self._emit("plugin_exchange_completed", name, len(compressed))
-                return
+        except Exception as exc:
+            reason: Optional[str] = f"undecodable plugin: {exc}"
+        else:
+            reason = (self._verify_incoming(name, plugin, state.proofs)
+                      or self._analyze_received(plugin))
+        if reason is None:
+            del self._incoming[name]
+            self.pending.pop(name, None)
+            self.rejected.pop(name, None)
+            self.cache.store(plugin)
+            self.received.append(name)
+            self._emit("plugin_exchange_completed", name, len(compressed))
+            return
         self.rejected[name] = reason
         if "unsatisfied" not in reason:
             # Definitive failure; a formula-unsatisfied plugin stays
@@ -552,7 +557,9 @@ class PluginExchanger:
         a precise diagnostic (rule id + pc) instead of a later attach
         error.  Only the §2.1 acceptance rules reject — deeper analyzer
         findings (unproven memory, loops) stay advisory, matching
-        ``Plugin.verify_all``.  Returns a rejection reason or None."""
+        ``Plugin.verify_all``, which takes its verdict from this same
+        analysis when the cache stores the plugin.  Returns a rejection
+        reason or None."""
         for pluglet_name, report in plugin.analyze_all().items():
             for diag in report.diagnostics:
                 if diag.rule in LEGACY_RULES and diag.severity is Severity.ERROR:
@@ -563,14 +570,11 @@ class PluginExchanger:
                             f"{diag.message}{where}")
         return None
 
-    def _verify_incoming(self, name: str, compressed: bytes, proofs: list):
+    def _verify_incoming(self, name: str, plugin: Plugin,
+                         proofs: list) -> Optional[str]:
         """Check of the proof of consistency (§3.3 / Figure 5).
 
         Returns a rejection reason, or None on success."""
-        try:
-            plugin = Plugin.decompress(compressed)
-        except Exception as exc:
-            return f"undecodable plugin: {exc}"
         if plugin.name != name:
             return "plugin name mismatch"
         code = plugin.serialize()

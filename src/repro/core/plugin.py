@@ -10,6 +10,12 @@ their Merkle trees.
 *Loading* (:meth:`Plugin.load`) is everything that depends only on that
 binding — the verification verdict, the analyzer's proofs, the
 JIT-compiled closures — and happens once per :class:`Plugin` object.
+Each piece is computed once: the §2.1 rules once per pluglet (the
+verdict), one abstract interpretation per pluglet extending that report
+(the proofs and the effect summaries), and one closure per pluglet at
+load — the proof-specialized one where a proof applies; the
+fully-checked fallback of such a pluglet is compiled by the first run
+that needs it (:class:`~repro.vm.jit.JitCode`).
 *Instantiation* (:class:`PluginInstance`) happens once per connection and
 gives the plugin its dedicated memory, one PRE
 (:class:`~repro.vm.interpreter.VirtualMachine`) per pluglet sharing that
@@ -29,9 +35,12 @@ from repro.errors import TransportError, TransportErrorCode
 from repro.quic.wire import Buffer
 from repro.vm.analysis import (
     Severity,
-    analyze_plugin,
+    VerificationError,
+    analyze,
     check_conflicts,
+    deepen,
     summarize_plugin,
+    verify_report,
 )
 from repro.vm.compiler import compile_pluglet
 from repro.vm.interpreter import (
@@ -44,7 +53,6 @@ from repro.vm.interpreter import (
 )
 from repro.vm.isa import decode_program, encode_program
 from repro.vm.jit import create_vm, jit_enabled_by_env, load_jit
-from repro.vm.analysis import VerificationError, verify
 
 from .api import (
     CORE_HELPER_NAMES,
@@ -177,7 +185,10 @@ class Plugin:
         #: own host helpers.  A helper left out is taken to reach the
         #: calling pluglet's stack.
         self.helper_effects = {**HELPER_EFFECTS, **(helper_effects or {})}
-        self._analysis: Optional[dict] = None
+        #: Analyzer reports, one per pluglet in order: shallow (the §2.1
+        #: rules) until ``_deep``, when they were extended in place.
+        self._analysis: Optional[list] = None
+        self._deep = False
         self._effects = None
         #: Verification verdict, kept like the analysis: the message of
         #: the first failing pluglet, None when verified and clean.
@@ -261,12 +272,15 @@ class Plugin:
         """Static verification of every pluglet; §2.1: "A plugin is
         rejected if any of the above checks fails for one of its
         pluglets."  The verdict is kept: a plugin is checked once, and one
-        that failed is rejected again on every later call."""
+        that failed is rejected again on every later call.  The verdict is
+        read off the analyzer reports — shallow ones, unless a deep
+        analysis already ran — so the rules are evaluated once either
+        way."""
         if not self._verified:
             self._verified = True
-            for p in self.pluglets:
+            for p, report in zip(self.pluglets, self._reports(deep=False)):
                 try:
-                    verify(p.instructions)
+                    verify_report(report)
                 except VerificationError as exc:
                     self._rejection = (
                         f"plugin {self.name}: pluglet {p.name}: {exc}")
@@ -279,30 +293,50 @@ class Plugin:
         name.  Cached: the pluglet list is immutable once distributed (it
         is the §3.1 binding), so one analysis serves every connection the
         plugin attaches to."""
+        return {p.name: report
+                for p, report in zip(self.pluglets, self._reports(deep=True))}
+
+    def _reports(self, deep: bool) -> list:
+        """The analyzer reports in pluglet order, each pluglet analyzed
+        once: the §2.1 rules first, and the deep passes on top of them
+        when a deep report is asked for."""
         if self._analysis is None:
-            self._analysis = analyze_plugin(self)
+            self._analysis = [
+                analyze(p.instructions, heap_size=self.memory_size,
+                        deep=False)
+                for p in self.pluglets]
+        if deep and not self._deep:
+            self._deep = True
+            for p, report in zip(self.pluglets, self._analysis):
+                deepen(report, p.instructions)
         return self._analysis
 
     def effect_summaries(self):
         """Per-pluglet effect summaries (fields read/written, helpers,
-        declared triggers) for the inter-plugin conflict analyzer.
-        Cached for the same reason as :meth:`analyze_all`."""
+        declared triggers) for the inter-plugin conflict analyzer, read
+        off the call sites in :meth:`analyze_all`'s reports.  Cached for
+        the same reason."""
         if self._effects is None:
-            self._effects = summarize_plugin(self, self.helper_effects)
+            self._effects = summarize_plugin(self, self.helper_effects,
+                                             self._reports(deep=True))
         return self._effects
 
     @property
     def loaded(self) -> bool:
         """True when :meth:`load` has nothing left to produce under the
-        current ``REPRO_JIT`` switch."""
+        current ``REPRO_JIT`` switch.  A proven pluglet's fully-checked
+        closure is not part of the load: its
+        :class:`~repro.vm.jit.JitCode` compiles it on the first run that
+        needs it."""
         return self._verified and self._rejection is None and (
             not jit_enabled_by_env() or self._code is not None)
 
     def load(self) -> Optional[dict]:
         """Verify the plugin and JIT-compile its pluglets — §2.5: paid
-        once per plugin, not per connection.  Returns ``{pluglet name:
-        JitCode}`` shared by every instance, or None when ``REPRO_JIT=0``
-        leaves nothing to compile."""
+        once per plugin, not per connection.  One closure per pluglet is
+        compiled here (:func:`~repro.vm.jit.load_jit`).  Returns
+        ``{pluglet name: JitCode}`` shared by every instance, or None when
+        ``REPRO_JIT=0`` leaves nothing to compile."""
         self.verify_all()
         if not jit_enabled_by_env():
             return None

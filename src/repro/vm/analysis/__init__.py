@@ -30,15 +30,17 @@ from .rules import (
     LEGACY_RULES,
     RULES,
     analyze,
+    deepen,
 )
 from .summaries import (
     EffectSummary,
     HelperEffect,
     PluginEffects,
+    summarize_calls,
     summarize_plugin,
     summarize_pluglet,
 )
-from .verify import VerificationError, verify, verify_bytecode
+from .verify import VerificationError, verify, verify_bytecode, verify_report
 
 __all__ = [
     "AbsState",
@@ -68,10 +70,13 @@ __all__ = [
     "certify",
     "check_conflicts",
     "check_plugin_set",
+    "deepen",
     "interpret",
     "lint_plugin",
+    "summarize_calls",
     "summarize_plugin",
     "summarize_pluglet",
     "verify",
     "verify_bytecode",
+    "verify_report",
 ]

@@ -8,7 +8,8 @@ An :class:`AnalysisReport` carries two kinds of information:
 * **facts** — proofs about the whole program ("all memory accesses stay
   in bounds", "loop-free", "worst-case fuel ≤ N") plus per-instruction
   memory-region facts that let the JIT drop its inlined monitor
-  (:mod:`repro.vm.jit`).
+  (:mod:`repro.vm.jit`), and the helper call sites the effect summaries
+  are derived from — so one abstract interpretation serves all three.
 
 The report is pure data: producing it never raises, so callers decide
 their own policy (reject, warn, lint, specialize).
@@ -18,7 +19,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .absint import CallSite
 
 
 class Severity(enum.Enum):
@@ -118,6 +122,9 @@ class AnalysisReport:
     mem_facts: MemFacts = field(default_factory=dict)
     #: Helper ids the program may call.
     helper_ids: Tuple[int, ...] = ()
+    #: Every reachable ``CALL`` with the argument intervals reaching it,
+    #: by pc: what the effect summaries (:mod:`.summaries`) are read from.
+    call_sites: Tuple[CallSite, ...] = ()
     #: pcs of reachable instructions (empty when the CFG was not built).
     reachable: Tuple[int, ...] = ()
 

@@ -114,24 +114,41 @@ def analyze(
     """Run the full static analysis; returns a report, never raises.
 
     ``deep=False`` restricts to the legacy rule set (the fast path used
-    by the ``verify()`` compatibility wrapper).
+    by the ``verify()`` compatibility wrapper); :func:`deepen` completes
+    such a report later without evaluating those rules again.
     """
     report = AnalysisReport(heap_size=heap_size)
     instructions = _materialize(program, max_instructions, report)
     report.instruction_count = len(instructions)
     if instructions and report.ok:
         _legacy_rules(instructions, report)
-    if not deep or not instructions or _structurally_broken(report):
-        return report
-    if not all(isinstance(ins.opcode, Op) for ins in instructions):
-        return report
+    if deep:
+        _deep_passes(instructions, report)
+    return report
 
+
+def deepen(report: AnalysisReport,
+           program: Sequence[Instruction]) -> AnalysisReport:
+    """Extend a shallow report — ``analyze(program, deep=False)`` — in
+    place with the CFG rules, the abstract interpretation and the facts,
+    giving exactly the report ``analyze(program)`` would.  ``program``
+    must be the one the shallow report was made from, and a report must
+    be deepened at most once."""
+    _deep_passes(list(program), report)
+    return report
+
+
+def _deep_passes(instructions: List[Instruction],
+                 report: AnalysisReport) -> None:
+    if not instructions or _structurally_broken(report):
+        return
+    if not all(isinstance(ins.opcode, Op) for ins in instructions):
+        return
     cfg = ControlFlowGraph(instructions)
     _cfg_rules(cfg, instructions, report)
-    absint = AbstractInterpretation(cfg, heap_size)
+    absint = AbstractInterpretation(cfg, report.heap_size)
     _absint_rules(cfg, absint, instructions, report)
     _facts(cfg, absint, instructions, report)
-    return report
 
 
 # --- materialization (the lazy empty/size fix) -------------------------
@@ -313,6 +330,8 @@ def _facts(cfg: ControlFlowGraph, absint: AbstractInterpretation,
     report.loop_free = cfg.loop_free
     report.reachable = tuple(cfg.reachable_pcs())
     report.helper_ids = tuple(sorted(absint.helper_ids))
+    report.call_sites = tuple(absint.call_sites[pc]
+                              for pc in sorted(absint.call_sites))
 
     mem_facts: Dict[int, str] = {}
     all_proven = True

@@ -17,19 +17,33 @@ summary of
   declaring targets is flagged as a wildcard).
 
 Summaries are the input to the cross-plugin conflict catalog
-(:mod:`.conflicts`) and call graph (:mod:`.callgraph`).
+(:mod:`.conflicts`) and call graph (:mod:`.callgraph`).  The analyzer's
+report keeps the call sites (``AnalysisReport.call_sites``), so a plugin
+that was analyzed is summarized without interpreting its bytecode again
+(:func:`summarize_calls`); :func:`summarize_pluglet` interprets it for
+callers that hold no report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from .absint import interpret
 from .cfg import ControlFlowGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..isa import Instruction
+    from .absint import CallSite
+    from .report import AnalysisReport
 
 #: A pluglet parameter: frame-type ids are ints, named parameters strings.
 Param = Optional[Union[int, str]]
@@ -106,16 +120,29 @@ def summarize_pluglet(name: str,
     ``effects`` is the host's helper-id -> :class:`HelperEffect` table;
     helpers absent from it are assumed effect-free on shared state
     (they may still compute, allocate plugin memory, etc.)."""
-    program = list(instructions)
-    cfg = ControlFlowGraph(program)
-    absint = interpret(cfg, heap_size)
+    absint = interpret(ControlFlowGraph(list(instructions)), heap_size)
+    return summarize_calls(name, protoop, anchor,
+                           absint.call_sites.values(), absint.helper_ids,
+                           effects, param, triggers)
 
+
+def summarize_calls(name: str,
+                    protoop: str,
+                    anchor: str,
+                    call_sites: "Iterable[CallSite]",
+                    helper_ids: Iterable[int],
+                    effects: Mapping[int, HelperEffect],
+                    param: Param = None,
+                    triggers: Tuple[str, ...] = ()) -> EffectSummary:
+    """One pluglet's effect summary from the call sites and helper ids an
+    abstract interpretation of it found (an :class:`AnalysisReport`
+    keeps both)."""
     reads: set = set()
     writes: set = set()
     unknown_reads = False
     unknown_writes = False
     calls_run_protoop = False
-    for site in absint.call_sites.values():
+    for site in call_sites:
         effect = effects.get(site.helper_id)
         if effect is None:
             continue
@@ -143,29 +170,37 @@ def summarize_pluglet(name: str,
         fields_written=tuple(sorted(writes)),
         unknown_reads=unknown_reads,
         unknown_writes=unknown_writes,
-        helpers=tuple(sorted(absint.helper_ids)),
+        helpers=tuple(sorted(helper_ids)),
         triggers=tuple(triggers),
         calls_run_protoop=calls_run_protoop,
     )
 
 
-def summarize_plugin(plugin: object,
-                     effects: Mapping[int, HelperEffect]) -> PluginEffects:
+def summarize_plugin(
+    plugin: object,
+    effects: Mapping[int, HelperEffect],
+    reports: "Optional[Sequence[AnalysisReport]]" = None,
+) -> PluginEffects:
     """Summarize every pluglet of a duck-typed plugin (``name``,
     ``memory_size``, ``pluglets`` with ``name``/``protoop``/``anchor``/
-    ``instructions`` and optional ``param``/``triggers``)."""
+    ``instructions`` and optional ``param``/``triggers``).
+
+    ``reports`` — the pluglets' deep analyzer reports, in pluglet order
+    — supply the call sites when given; without them each pluglet's
+    bytecode is interpreted here."""
     heap_size = int(getattr(plugin, "memory_size", 16 * 1024))
     summaries = []
-    for pluglet in getattr(plugin, "pluglets", []):
-        summaries.append(summarize_pluglet(
-            name=pluglet.name,
-            protoop=pluglet.protoop,
-            anchor=pluglet.anchor,
-            instructions=pluglet.instructions,
-            effects=effects,
-            heap_size=heap_size,
-            param=getattr(pluglet, "param", None),
-            triggers=tuple(getattr(pluglet, "triggers", ()) or ()),
-        ))
+    for i, pluglet in enumerate(getattr(plugin, "pluglets", [])):
+        param = getattr(pluglet, "param", None)
+        triggers = tuple(getattr(pluglet, "triggers", ()) or ())
+        if reports is None:
+            summaries.append(summarize_pluglet(
+                pluglet.name, pluglet.protoop, pluglet.anchor,
+                pluglet.instructions, effects, heap_size, param, triggers))
+        else:
+            summaries.append(summarize_calls(
+                pluglet.name, pluglet.protoop, pluglet.anchor,
+                reports[i].call_sites, reports[i].helper_ids, effects,
+                param, triggers))
     return PluginEffects(plugin=str(getattr(plugin, "name", "?")),
                          summaries=tuple(summaries))

@@ -26,6 +26,7 @@ import struct
 from typing import Iterable, List, Optional
 
 from ..isa import Instruction
+from .report import AnalysisReport
 from .rules import DEFAULT_MAX_INSTRUCTIONS, LEGACY_RULES, analyze
 
 
@@ -43,7 +44,13 @@ def verify(program: Iterable[Instruction],
            max_instructions: int = DEFAULT_MAX_INSTRUCTIONS) -> None:
     """Run the §2.1 static checks; raises :class:`VerificationError` on
     the first failure."""
-    report = analyze(program, max_instructions=max_instructions, deep=False)
+    verify_report(analyze(program, max_instructions=max_instructions,
+                          deep=False))
+
+
+def verify_report(report: AnalysisReport) -> None:
+    """The §2.1 verdict of an analyzer report, shallow or deep: raises
+    :class:`VerificationError` on its first legacy-rule violation."""
     for diag in report.diagnostics:
         if diag.rule in LEGACY_RULES:
             raise VerificationError(diag.message, diag.pc)

@@ -98,7 +98,10 @@ it is used only when ``instruction_budget >= fuel_bound`` and
 at least the size the proofs assumed); otherwise every run goes through
 the fully-checked closure.  Both closures flush fuel at identical
 program points, so counters and fault behaviour stay bit-identical
-either way.
+either way.  Since a gate is rarely closed, :func:`load_jit` compiles
+only the specialized closure of a proven program; the fully-checked one
+is compiled by the first run that needs it, once per :class:`JitCode`,
+and shared from then on.
 
 The interpreter remains the reference semantics: anything ``compile_jit``
 does not cover raises :class:`JitError` and :class:`JitVirtualMachine`
@@ -110,7 +113,7 @@ from __future__ import annotations
 
 import os
 import struct
-from typing import Callable, Container, Dict, List, NamedTuple, Optional
+from typing import Callable, Container, Dict, List, Optional
 
 from .interpreter import (
     DEFAULT_FUEL,
@@ -704,7 +707,7 @@ def jit_enabled_by_env() -> bool:
     return os.environ.get("REPRO_JIT", "1") != "0"
 
 
-class JitCode(NamedTuple):
+class JitCode:
     """The compiled closures of one pluglet plus the gates of the
     proof-specialized one.
 
@@ -712,43 +715,71 @@ class JitCode(NamedTuple):
     connection: the generated functions take the VM as an argument and
     keep all state in locals, so one ``JitCode`` serves any number of
     :class:`JitVirtualMachine` shells, concurrently and re-entrantly.
+
+    ``deferred`` — ``(instructions, stack_blind)`` — leaves the
+    fully-checked closure to be compiled on the first read of
+    :attr:`checked`: :func:`load_jit` defers it when a specialized
+    closure exists, since only a run whose gates are closed needs it.
     """
 
-    #: Fully-checked closure; None when the program cannot be translated
-    #: (the VM then interprets).
-    checked: Optional[Callable]
-    #: Monitor-free closure; None when no proof applies.
-    fast: Optional[Callable] = None
-    fuel_bound: Optional[int] = None
-    helper_bound: Optional[int] = None
-    #: Plugin memory size the heap in-bounds proofs assumed.
-    heap_size: int = 0
+    __slots__ = ("fast", "fuel_bound", "helper_bound", "heap_size",
+                 "_checked", "_deferred")
+
+    def __init__(self, checked: Optional[Callable] = None,
+                 fast: Optional[Callable] = None,
+                 fuel_bound: Optional[int] = None,
+                 helper_bound: Optional[int] = None,
+                 heap_size: int = 0,
+                 deferred: Optional[tuple] = None):
+        self._checked = checked
+        self._deferred = deferred
+        #: Monitor-free closure; None when no proof applies.
+        self.fast = fast
+        self.fuel_bound = fuel_bound
+        self.helper_bound = helper_bound
+        #: Plugin memory size the heap in-bounds proofs assumed.
+        self.heap_size = heap_size
+
+    @property
+    def checked(self) -> Optional[Callable]:
+        """Fully-checked closure; None when the program cannot be
+        translated (the VM then interprets).  A deferred one is compiled
+        here, exactly once."""
+        if self._deferred is not None:
+            instructions, stack_blind = self._deferred
+            self._deferred = None
+            try:
+                self._checked = compile_jit(instructions,
+                                            stack_blind=stack_blind)
+            except JitError:
+                self._checked = None
+        return self._checked
 
 
 def load_jit(instructions: list, analysis: Optional[object] = None,
              stack_blind: Container[int] = ()) -> JitCode:
-    """Compile a pluglet once: the fully-checked closure and, when
-    ``analysis`` (an :class:`~repro.vm.analysis.AnalysisReport`) is clean
-    and proves something, the monitor-free variant with its gates.
-    ``stack_blind`` is passed on to :func:`compile_jit`."""
+    """Compile a pluglet once.  When ``analysis`` (an
+    :class:`~repro.vm.analysis.AnalysisReport`) is clean and proves
+    something, that is the monitor-free closure with its gates, and the
+    fully-checked closure is deferred to the first run that needs it;
+    otherwise it is the fully-checked closure.  ``stack_blind`` is passed
+    on to :func:`compile_jit`."""
+    proven = analysis is not None and getattr(analysis, "ok", False) and (
+        getattr(analysis, "mem_facts", None)
+        or getattr(analysis, "fuel_bound", None) is not None
+        or getattr(analysis, "helper_bound", None) is not None)
     try:
-        checked = compile_jit(instructions, stack_blind=stack_blind)
-    except JitError:
-        return JitCode(None)
-    if analysis is None or not getattr(analysis, "ok", False):
-        return JitCode(checked)
-    mem_facts = getattr(analysis, "mem_facts", None) or {}
-    fuel_bound = getattr(analysis, "fuel_bound", None)
-    helper_bound = getattr(analysis, "helper_bound", None)
-    if not mem_facts and fuel_bound is None and helper_bound is None:
-        return JitCode(checked)  # the proof elides nothing
-    try:
+        if not proven:  # no proof, or one that elides nothing
+            return JitCode(compile_jit(instructions, stack_blind=stack_blind))
         fast = compile_jit(instructions, proof=analysis,
                            stack_blind=stack_blind)
-    except JitError:  # pragma: no cover - checked variant compiled
-        return JitCode(checked)
-    return JitCode(checked, fast, fuel_bound, helper_bound,
-                   getattr(analysis, "heap_size", 0))
+    except JitError:
+        return JitCode(None)
+    return JitCode(fast=fast,
+                   fuel_bound=getattr(analysis, "fuel_bound", None),
+                   helper_bound=getattr(analysis, "helper_bound", None),
+                   heap_size=getattr(analysis, "heap_size", 0),
+                   deferred=(instructions, stack_blind))
 
 
 class JitVirtualMachine(VirtualMachine):
@@ -758,7 +789,9 @@ class JitVirtualMachine(VirtualMachine):
     (``current_stack``, ``load``/``store``, budgets).  ``code`` comes from
     :func:`load_jit` and may be shared with other VMs; counters, budgets
     and memory are this VM's own.  If translation failed, ``run``
-    transparently falls back to the interpreter loop.
+    transparently falls back to the interpreter loop.  A run whose gates
+    keep it off the specialized closure takes the fully-checked one,
+    which ``code`` compiles on the first such run of any of its VMs.
     """
 
     def __init__(
@@ -773,7 +806,7 @@ class JitVirtualMachine(VirtualMachine):
     ):
         super().__init__(instructions, plugin_memory, helpers,
                          instruction_budget, helper_call_budget)
-        self.jit_function: Optional[Callable] = code.checked
+        self.code = code
         # The heap in-bounds facts assumed `heap_size` bytes; dropping the
         # monitor against a smaller memory would be unsound.
         self._fast_function: Optional[Callable] = (
@@ -782,8 +815,14 @@ class JitVirtualMachine(VirtualMachine):
         self._helper_bound = code.helper_bound
 
     @property
+    def jit_function(self) -> Optional[Callable]:
+        """The fully-checked closure (compiled by this read if it was
+        deferred); None when the program cannot be translated."""
+        return self.code.checked
+
+    @property
     def jit_enabled(self) -> bool:
-        return self.jit_function is not None
+        return self._fast_function is not None or self.jit_function is not None
 
     @property
     def jit_specialized(self) -> bool:
@@ -794,7 +833,7 @@ class JitVirtualMachine(VirtualMachine):
     def execution_path(self) -> str:  # type: ignore[override]
         """"jit" when runs go through the compiled closure, else the
         interpreter fallback (profiling attribution)."""
-        return "jit" if self.jit_function is not None else "interpreter"
+        return "jit" if self.jit_enabled else "interpreter"
 
     def run(self, a1: int = 0, a2: int = 0, a3: int = 0, a4: int = 0,
             a5: int = 0) -> int:
@@ -804,7 +843,7 @@ class JitVirtualMachine(VirtualMachine):
                     and self.instruction_budget < self._fuel_bound) \
                 or (self._helper_bound is not None
                     and self.helper_call_budget < self._helper_bound):
-            fn = self.jit_function
+            fn = self.code.checked
             if fn is None:
                 return super().run(a1, a2, a3, a4, a5)
         stack = bytearray(STACK_SIZE)

@@ -15,10 +15,12 @@ from repro.core.exchange import (
     make_proof_provider,
 )
 from repro.netsim import Simulator, symmetric_topology
+from repro.plugins import build_multipath_plugin
 from repro.quic import ClientEndpoint, QuicConfiguration, ServerEndpoint
 from repro.quic.wire import Buffer
 from repro.secure import EquivocatingValidator, PluginRepository, PluginValidator
 from repro.vm import assemble
+from repro.vm.analysis import AbstractInterpretation
 
 
 def make_plugin(name="org.x.exch"):
@@ -461,6 +463,30 @@ class TestExchange:
         client.connect()
         assert sim.run_until(lambda: bool(exchanger.received), timeout=60)
         assert cache.has(plugin.name)
+
+    def test_received_plugin_is_decoded_once_and_interpreted_once(
+            self, monkeypatch):
+        """The proof check, the receive-time analyzer gate, the cache's
+        verdict and the first load all work on one decoded plugin and one
+        abstract interpretation per pluglet."""
+        plugin, repo, validators, trust = build_world(
+            plugin=build_multipath_plugin())
+        decoded, interpreted = [], []
+        deserialize = Plugin.deserialize.__func__
+        monkeypatch.setattr(Plugin, "deserialize", classmethod(
+            lambda cls, data: decoded.append(1) or deserialize(cls, data)))
+        real_init = AbstractInterpretation.__init__
+        monkeypatch.setattr(
+            AbstractInterpretation, "__init__",
+            lambda absint, *args: (interpreted.append(1),
+                                   real_init(absint, *args))[1])
+
+        sim, client, exchanger, cache = connect_with_exchange(
+            plugin, repo, validators, trust, "PV1 & (PV2 | PV3)")
+        assert exchanger.received == [plugin.name]
+        cache.instantiate(plugin.name, client.conn).attach()
+        assert len(decoded) == 1
+        assert len(interpreted) == len(plugin.pluglets)
 
     def test_supported_plugins_advertised(self):
         plugin, repo, validators, trust = build_world(1)

@@ -118,10 +118,10 @@ class TestBundledDeclarations:
                     pluglet.name, budget, "monitored")
 
 
-def observe_pluglet(plugin, pluglet, budget, code):
+def observe_pluglet(plugin, pluglet, budget, code, memory_size=None):
     """One run against canned helpers: outcome, counters, heap, and what
     the helpers saw (the stack too, for those that may look at it)."""
-    memory = PluginMemory(plugin.memory_size)
+    memory = PluginMemory(memory_size or plugin.memory_size)
     log = []
 
     def canned(helper_id):

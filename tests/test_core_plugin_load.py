@@ -1,13 +1,27 @@
 """Load once, instantiate per connection (§2.5): what a ``Plugin`` computes
 once and shares — verdict, proofs, JIT-compiled closures — and what every
-``PluginInstance`` owns — heap, VM counters, budgets."""
+``PluginInstance`` owns — heap, VM counters, budgets.  Also what a load
+costs: one abstract interpretation, one pass of the §2.1 rules and one
+closure per pluglet, the checked closure of a proven pluglet on demand."""
+
+from pathlib import Path
 
 import pytest
 
 import repro.core.plugin as plugin_module
+import repro.vm.analysis.rules as rules_module
 import repro.vm.jit as jit_module
+from repro.cli import BUILTIN_PLUGINS, _load_plugin_set_file
 from repro.core import Plugin, PluginCache, PluginInstance, Pluglet
-from repro.plugins.monitoring import build_monitoring_plugin
+from repro.core.api import FIELD_NAMES
+from repro.plugins import (
+    build_ccontrol_plugin,
+    build_datagram_plugin,
+    build_ecn_plugin,
+    build_fec_plugin,
+    build_monitoring_plugin,
+    build_multipath_plugin,
+)
 from repro.quic import QuicConfiguration
 from repro.quic.connection import QuicConnection
 from repro.vm import (
@@ -18,7 +32,14 @@ from repro.vm import (
     VmError,
     assemble,
 )
+from repro.vm.analysis import (
+    AbstractInterpretation,
+    check_plugin_set,
+    summarize_plugin,
+)
 from repro.vm.isa import Instruction, Op
+from repro.vm.jit import JitError
+from tests.test_core_helper_effects import observe_pluglet
 
 #: Bumps an 8-byte counter in plugin memory (opaque area 1) and returns it.
 COUNT = """
@@ -51,22 +72,32 @@ def default_switches(monkeypatch):
     monkeypatch.delenv("REPRO_JIT", raising=False)
 
 
+def counting_compile(monkeypatch) -> list:
+    """Record ``(program id, specialized)`` for every ``compile_jit``."""
+    compiled = []
+    real_compile = jit_module.compile_jit
+
+    def counting(instructions, *args, **kwargs):
+        proof = kwargs.get("proof", args[0] if args else None)
+        compiled.append((id(instructions), proof is not None))
+        return real_compile(instructions, *args, **kwargs)
+
+    monkeypatch.setattr(jit_module, "compile_jit", counting)
+    return compiled
+
+
 class TestLoadedOnce:
     def test_n_instantiations_compile_and_verify_once(self, monkeypatch):
-        compiled, verified = [], []
-        real_compile, real_verify = jit_module.compile_jit, plugin_module.verify
-
-        def counting_compile(instructions, *args, **kwargs):
-            proof = kwargs.get("proof", args[0] if args else None)
-            compiled.append((id(instructions), proof is not None))
-            return real_compile(instructions, *args, **kwargs)
-
-        def counting_verify(instructions):
-            verified.append(id(instructions))
-            return real_verify(instructions)
-
-        monkeypatch.setattr(jit_module, "compile_jit", counting_compile)
-        monkeypatch.setattr(plugin_module, "verify", counting_verify)
+        """One verdict and one closure per pluglet, however many
+        connections: every monitoring pluglet is proven, so the closure
+        is the specialized one and no checked fallback is compiled."""
+        compiled = counting_compile(monkeypatch)
+        verified = []
+        real_verify = plugin_module.verify_report
+        monkeypatch.setattr(
+            plugin_module, "verify_report",
+            lambda report: (verified.append(id(report)),
+                            real_verify(report))[1])
 
         plugin = build_monitoring_plugin()
         programs = sorted(id(p.instructions) for p in plugin.pluglets)
@@ -79,12 +110,10 @@ class TestLoadedOnce:
         PluginInstance(plugin, make_conn())  # not through the cache
 
         assert compiled == after_first
-        assert sorted(verified) == programs
-        checked = sorted(key for key, fast in compiled if not fast)
-        fast = [key for key, fast in compiled if fast]
-        assert checked == programs
-        assert len(set(fast)) == len(fast) == sum(
-            vm.jit_specialized for vm in first.vms.values()) > 0
+        assert len(set(verified)) == len(verified) == len(programs)
+        assert sorted(key for key, _ in compiled) == programs
+        assert all(fast for _, fast in compiled)
+        assert all(vm.jit_specialized for vm in first.vms.values())
         assert (cache.misses, cache.hits) == (1, 3)
 
     def test_store_does_not_compile(self, monkeypatch):
@@ -95,10 +124,10 @@ class TestLoadedOnce:
 
     def test_failed_verification_fails_every_instantiation(self, monkeypatch):
         verified = []
-        real_verify = plugin_module.verify
+        real_verify = plugin_module.verify_report
         monkeypatch.setattr(
-            plugin_module, "verify",
-            lambda ins: (verified.append(1), real_verify(ins))[1])
+            plugin_module, "verify_report",
+            lambda report: (verified.append(1), real_verify(report))[1])
         bad = Plugin("org.load.bad", [
             Pluglet("ok", "op", "post", assemble("exit")),
             Pluglet("b", "op", "post", [Instruction(Op.MOV_IMM, dst=0)]),
@@ -150,21 +179,28 @@ class TestInstancesAreIsolated:
         assert vm_a.instructions_executed == 3 * vm_b.instructions_executed > 0
         assert (vm_a.helper_calls_made, vm_b.helper_calls_made) == (3, 1)
 
-    def test_budget_gates_are_evaluated_per_vm(self):
+    def test_budget_gates_are_evaluated_per_vm(self, monkeypatch):
+        compiled = counting_compile(monkeypatch)
         plugin = Plugin("org.load.gate", [
             replace_pluglet("sum", "mov r0, 1\nadd r0, 2\nexit")])
         assert plugin.analyze_all()["sum"].fuel_bound == 3
         starved = PluginInstance(plugin, make_conn()).vms["sum"]
         sibling = PluginInstance(plugin, make_conn()).vms["sum"]
         assert starved._fast_function is sibling._fast_function is not None
+        assert [fast for _, fast in compiled] == [True]  # the load
         # Below the proven bound only the checked closure may run — the
         # specialized one has no exhaustion check and would return 3.
+        # The first such run compiles it, for every VM of the plugin.
         starved.instruction_budget = 2
-        with pytest.raises(FuelExhausted, match="2 instructions"):
-            starved.run()
+        for _ in range(2):
+            with pytest.raises(FuelExhausted, match="2 instructions"):
+                starved.run()
         assert sibling.run() == 3
         assert (starved.instructions_executed,
-                sibling.instructions_executed) == (2, 3)
+                sibling.instructions_executed) == (4, 3)
+        assert [fast for _, fast in compiled] == [True, False]
+        assert starved.jit_function is sibling.jit_function is not None
+        assert len(compiled) == 2
 
     def test_shared_code_is_reentrant(self):
         """Connection A's pluglet is still running when the same code is
@@ -251,3 +287,163 @@ class TestSwitchesFlippedOnOnePlugin:
         results = observe(PluginInstance(shared, make_conn()))[0]
         assert results["divide"][0][0] == "ExecutionError"
         assert results["spin"][0][0] == "FuelExhausted"
+
+
+# --- what a load costs ---------------------------------------------------------
+
+BUNDLED = [build_monitoring_plugin, build_multipath_plugin,
+           build_datagram_plugin, build_fec_plugin, build_ecn_plugin,
+           build_ccontrol_plugin]
+
+PAIRS = Path(__file__).parent / "corpus" / "pairs"
+
+
+@pytest.fixture
+def load_work(monkeypatch):
+    """Counts of the three pieces of work a load does: abstract
+    interpretations, passes of the §2.1 rules, closures compiled."""
+    work = {"interpretations": 0, "legacy_passes": 0, "closures": 0}
+
+    def count(owner, attr, key):
+        real = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            work[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(AbstractInterpretation, "__init__", "interpretations")
+    count(rules_module, "_legacy_rules", "legacy_passes")
+    count(jit_module, "compile_jit", "closures")
+    return work
+
+
+class TestLoadCost:
+    """A cost gate that times nothing: a cold load interprets each
+    pluglet once, evaluates the §2.1 rules on it once and compiles one
+    closure for it, whatever asks for the verdict, the proofs, the
+    effect summaries and the code, in whatever order."""
+
+    @pytest.mark.parametrize("build", BUNDLED, ids=lambda b: b.__name__)
+    def test_each_piece_of_work_once_per_pluglet(self, build, load_work):
+        plugin = build()
+        plugin.verify_all()
+        plugin.analyze_all()
+        plugin.effect_summaries()
+        plugin.load()
+        for _ in range(2):
+            PluginInstance(plugin, make_conn()).attach()
+        n = len(plugin.pluglets)
+        assert load_work == {"interpretations": n, "legacy_passes": n,
+                             "closures": n}
+
+    def test_analysis_first_then_verdict(self, load_work):
+        """The order of a plugin received in-band: the deep analysis
+        runs first and the cache's verdict is read off it."""
+        plugin = build_multipath_plugin()
+        plugin.analyze_all()
+        PluginCache().store(plugin)
+        n = len(plugin.pluglets)
+        assert load_work == {"interpretations": n, "legacy_passes": n,
+                             "closures": 0}
+
+    def test_verdict_alone_stays_shallow(self, load_work):
+        PluginCache().store(build_monitoring_plugin())
+        assert load_work["interpretations"] == load_work["closures"] == 0
+
+    def test_bundled_plugins_load_one_closure_per_pluglet(self, load_work):
+        for build in BUNDLED:
+            build().load()
+        assert load_work["closures"] == 46
+
+
+# --- the checked closure, on demand ---------------------------------------------
+
+
+class TestCheckedClosureOnDemand:
+    @pytest.mark.parametrize("build", BUNDLED, ids=lambda b: b.__name__)
+    def test_matches_the_interpreter_at_every_budget(self, build,
+                                                     monkeypatch):
+        """VMs sharing one loaded ``JitCode``: one with its gates open
+        runs the specialized closure; one below the proven fuel bound —
+        or, for a pluglet without one, in a memory smaller than the
+        proofs assumed — compiles the checked closure on its first run.
+        Then every budget from 0 to what the pluglet executes, in both
+        memories, agrees with the interpreter on result, counters, heap
+        and fault, with the checked closure compiled exactly once."""
+        plugin = build()
+        loaded = plugin.load()
+        compiled = counting_compile(monkeypatch)
+        for pluglet in plugin.pluglets:
+            code = loaded[pluglet.name]
+            assert code.fast is not None
+            full, small = plugin.memory_size, code.heap_size - 8
+
+            def agree(budget, memory):
+                return (observe_pluglet(plugin, pluglet, budget, code, memory)
+                        == observe_pluglet(plugin, pluglet, budget, None,
+                                           memory))
+
+            executed = observe_pluglet(plugin, pluglet, 10_000, None)[1]
+            assert agree(max(executed, code.fuel_bound or 0), full)
+            assert compiled == []
+            assert (agree(code.fuel_bound - 1, full) if code.fuel_bound
+                    else agree(executed, small))
+            assert compiled == [(id(pluglet.instructions), False)]
+            for budget in range(executed + 1):
+                for memory in (full, small):
+                    assert agree(budget, memory), (pluglet.name, budget,
+                                                   memory)
+            assert len(compiled) == 1
+            compiled.clear()
+
+    def test_a_checked_compile_that_fails_runs_in_the_interpreter(
+            self, monkeypatch):
+        plugin = Plugin("org.load.gate", [
+            replace_pluglet("sum", "mov r0, 1\nadd r0, 2\nexit")])
+        starved, sibling = (PluginInstance(plugin, make_conn()).vms["sum"]
+                            for _ in range(2))
+        interpreted = []
+        real_run = VirtualMachine.run
+        monkeypatch.setattr(
+            VirtualMachine, "run",
+            lambda vm, *args: (interpreted.append(vm), real_run(vm, *args))[1])
+
+        def refuse(*args, **kwargs):
+            raise JitError("refused")
+
+        monkeypatch.setattr(jit_module, "compile_jit", refuse)
+        starved.instruction_budget = 2
+        with pytest.raises(FuelExhausted, match="2 instructions"):
+            starved.run()
+        assert sibling.run() == 3
+        assert interpreted == [starved]
+        assert starved.jit_function is None  # not retried
+        assert (starved.instructions_executed,
+                sibling.instructions_executed) == (2, 3)
+
+
+def two_interpretation_effects(plugins) -> tuple:
+    """Summaries and set-wide conflicts as a plugin's own analysis gives
+    them, and as a second interpretation of the bytecode gives them."""
+    one = [p.effect_summaries() for p in plugins]
+    two = [summarize_plugin(p, p.helper_effects) for p in plugins]
+    return ((one, check_plugin_set(one, FIELD_NAMES)),
+            (two, check_plugin_set(two, FIELD_NAMES)))
+
+
+class TestOneInterpretationServesTheSummaries:
+    def test_bundled_plugins(self):
+        ours, theirs = two_interpretation_effects(
+            [build() for build in BUILTIN_PLUGINS.values()])
+        assert ours == theirs
+        assert any(s.fields_written for e in ours[0] for s in e.summaries)
+        assert ours[1]  # the FEC variants collide by design
+
+    @pytest.mark.parametrize("path", sorted(PAIRS.glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_corpus_pairs(self, path):
+        ours, theirs = two_interpretation_effects(
+            _load_plugin_set_file(path))
+        assert ours == theirs

@@ -20,6 +20,7 @@ from repro.vm.analysis import (
     VerificationError,
     analyze,
     analyze_plugin,
+    deepen,
     lint_plugin,
     verify,
 )
@@ -59,6 +60,22 @@ class TestCorpus:
         assert expected == "ok"
         report = analyze(assemble(path.read_text()))
         assert report.ok, [str(d) for d in report.errors()]
+
+    @pytest.mark.parametrize(
+        "path,expected", _corpus_cases("bad") + _corpus_cases("good"))
+    def test_deepened_shallow_report_is_the_deep_report(self, path, expected):
+        program = assemble(path.read_text())
+        shallow = analyze(program, deep=False)
+        assert _everything(deepen(shallow, program)) == _everything(
+            analyze(program))
+
+
+def _everything(report):
+    """Every field of a report, call sites by value."""
+    fields = dict(vars(report))
+    fields["call_sites"] = [(site.pc, site.helper_id, site.args)
+                            for site in report.call_sites]
+    return fields
 
 
 # --- control-flow graph ------------------------------------------------------
