@@ -2,8 +2,8 @@
 
 Paper columns: LoC, pluglets, proven terminating, ELF size, compressed
 size.  Our analogues: pluglet-source lines, pluglet count, termination
-proofs from :mod:`repro.termination`, serialized bytecode size and
-zlib-compressed size (§3.4's exchange format).
+proofs from :mod:`repro.vm.analysis.termination`, serialized bytecode
+size and zlib-compressed size (§3.4's exchange format).
 """
 
 import pytest
@@ -12,7 +12,7 @@ from repro.plugins.datagram import build_datagram_plugin
 from repro.plugins.fec import build_fec_plugin
 from repro.plugins.monitoring import build_monitoring_plugin
 from repro.plugins.multipath import build_multipath_plugin
-from repro.termination import check_termination
+from repro.vm.analysis.termination import check_termination
 
 from _util import print_table, write_rows
 

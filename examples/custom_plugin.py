@@ -18,8 +18,8 @@ from repro.core import Plugin, PluginInstance, Pluglet
 from repro.core.api import FLD_BYTES_IN_FLIGHT, H_PLUGIN_BASE
 from repro.netsim import Simulator, symmetric_topology
 from repro.quic import ClientEndpoint, ServerEndpoint
-from repro.termination import check_termination
 from repro.vm import verify
+from repro.vm.analysis.termination import check_termination
 
 PLUGIN_NAME = "org.example.keepalive"
 H_SEND_PING = H_PLUGIN_BASE + 0

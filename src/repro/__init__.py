@@ -6,13 +6,13 @@ Subpackages:
 * :mod:`repro.quic` — the QUIC implementation, decomposed into protocol
   operations.
 * :mod:`repro.vm` — the Pluglet Runtime Environment (verifier,
-  interpreter with memory monitor, assembler, restricted-Python compiler).
+  interpreter with memory monitor, JIT, assembler, restricted-Python
+  compiler) and its static analyzer, whose termination checker
+  (:mod:`repro.vm.analysis.termination`) validates pluglets.
 * :mod:`repro.core` — pluginization machinery (protoops, plugins, helper
   API, frame scheduler, cache, in-band exchange).
 * :mod:`repro.secure` — the distributed trust system (validators, Merkle
   prefix trees, the plugin repository).
-* :mod:`repro.termination` — the termination checker used to validate
-  pluglets.
 * :mod:`repro.plugins` — monitoring, datagram, multipath, FEC and
   congestion-control plugins as PRE bytecode.
 * :mod:`repro.apps` — VPN tunnel and bulk-transfer applications.

@@ -107,7 +107,7 @@ def cmd_protoops(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    from repro.termination import check_termination
+    from repro.vm.analysis.termination import check_termination
 
     plugin = BUILTIN_PLUGINS[args.plugin]()
     stats = plugin.stats()

@@ -9,9 +9,10 @@ plugins it vouches for, signs the root (STR) and serves lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from repro.core.plugin import Plugin
+from repro.vm.analysis.termination import check_termination
 
 from .merkle import (
     AbsenceProof,
@@ -42,9 +43,9 @@ class SignedTreeRoot:
         return verify_signature(public_key, self.payload(), self.signature)
 
 
-def default_validation(name: str, code: bytes) -> Optional[str]:
-    """Built-in validation: the plugin must deserialize, carry the claimed
-    name and pass static verification.  Returns a failure reason or None."""
+def _decoded(name: str, code: bytes) -> Union[Plugin, str]:
+    """The plugin, decoded once, when it carries the claimed name and
+    passes static verification; otherwise the failure reason."""
     try:
         plugin = Plugin.deserialize(code)
     except Exception as exc:
@@ -55,7 +56,14 @@ def default_validation(name: str, code: bytes) -> Optional[str]:
         plugin.verify_all()
     except Exception as exc:
         return f"verification failed: {exc}"
-    return None
+    return plugin
+
+
+def default_validation(name: str, code: bytes) -> Optional[str]:
+    """Built-in validation: the plugin must deserialize, carry the claimed
+    name and pass static verification.  Returns a failure reason or None."""
+    plugin = _decoded(name, code)
+    return plugin if isinstance(plugin, str) else None
 
 
 def termination_validation(name: str, code: bytes) -> Optional[str]:
@@ -63,12 +71,9 @@ def termination_validation(name: str, code: bytes) -> Optional[str]:
     for every pluglet ("A very important property for any code is its
     (correct) termination").  PVs differ in capability — this is the
     formal-methods profile, ``default_validation`` the basic one."""
-    reason = default_validation(name, code)
-    if reason is not None:
-        return reason
-    from repro.termination import check_termination
-
-    plugin = Plugin.deserialize(code)
+    plugin = _decoded(name, code)
+    if isinstance(plugin, str):
+        return plugin
     for pluglet in plugin.pluglets:
         report = check_termination(pluglet.instructions)
         if not report.proven:

@@ -3,17 +3,19 @@
 The package upgrades the paper's "simple checks" (§2.1) to a real
 dataflow analyzer.  :func:`analyze` builds a control-flow graph
 (:mod:`.cfg`), runs a worklist abstract interpretation with an unsigned
-interval domain (:mod:`.absint` / :mod:`.domain`), evaluates the rule
-catalog (:mod:`.rules`) and returns an :class:`AnalysisReport` whose
-proofs — ``memory_safe``, ``loop_free``, ``fuel_bound`` and per-access
-region facts — let :mod:`repro.vm.jit` drop its inlined runtime monitor.
+interval domain (:mod:`.absint` / :mod:`repro.vm.domain`), evaluates
+the rule catalog (:mod:`.rules`) and returns an :class:`AnalysisReport`
+whose proofs — ``memory_safe``, ``loop_free``, ``fuel_bound`` and
+per-access region facts — let :mod:`repro.vm.jit` drop its inlined
+runtime monitor.  The §5 termination checker (:mod:`.termination`)
+supplies the loop rankings behind the fuel certificates.
 """
 
 from __future__ import annotations
 
 from .absint import AbstractInterpretation, AbsState, CallSite, interpret
 from .callgraph import ProtoopCallGraph, TriggerEdge, build_call_graph
-from .cfg import BasicBlock, ControlFlowGraph, build_cfg
+from .cfg import BasicBlock, ControlFlowGraph
 from .conflicts import check_conflicts, check_plugin_set
 from .fuelbound import certify
 from .manifest import analyze_plugin, lint_plugin
@@ -66,7 +68,6 @@ __all__ = [
     "analyze",
     "analyze_plugin",
     "build_call_graph",
-    "build_cfg",
     "certify",
     "check_conflicts",
     "check_plugin_set",

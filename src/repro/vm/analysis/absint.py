@@ -2,7 +2,8 @@
 
 The analysis joins, per basic block, an :class:`AbsState` tracking
 
-* one value interval per register (:mod:`.domain`);
+* one value interval per register (:mod:`repro.vm.domain`, through the
+  ``interval`` column of :data:`repro.vm.isa.SEMANTICS`);
 * which registers have definitely been written (for the
   uninitialized-read lint — the interpreter zero-fills registers, so
   this is a code-smell rule, not a soundness one);
@@ -21,25 +22,22 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
+from .. import domain
+from ..domain import TOP, Interval
 from ..interpreter import HEAP_BASE, STACK_BASE
 from ..isa import (
-    ALU_IMM_OPS,
-    ALU_REG_OPS,
     FP_REGISTER,
-    JMP_IMM_OPS,
-    JMP_REG_OPS,
     LOAD_OPS,
     MEM_SIZES,
     NUM_REGISTERS,
+    SEMANTICS,
     STACK_SIZE,
     STORE_IMM_OPS,
     STORE_REG_OPS,
     Instruction,
     Op,
 )
-from . import domain
 from .cfg import ControlFlowGraph
-from .domain import TOP, Interval
 
 _STACK_TOP = STACK_BASE + STACK_SIZE
 #: Joins at one block before widening kicks in.
@@ -48,21 +46,6 @@ WIDEN_AFTER = 8
 #: Registers holding definite values at entry: arguments r1-r5 and the
 #: frame pointer.  r0/r6-r9 are zero-filled but never *assigned*.
 _ENTRY_WRITTEN = sum(1 << r for r in range(1, 6)) | (1 << FP_REGISTER)
-
-_ALU_FNS = {
-    Op.ADD: domain.add,
-    Op.SUB: domain.sub,
-    Op.MUL: domain.mul,
-    Op.DIV: domain.div,
-    Op.MOD: domain.mod,
-    Op.AND: domain.and_,
-    Op.OR: domain.or_,
-    Op.XOR: domain.xor,
-    Op.LSH: domain.lsh,
-    Op.RSH: domain.rsh,
-    Op.ARSH: domain.arsh,
-    Op.MOV: domain.mov,
-}
 
 
 class AbsState:
@@ -233,23 +216,20 @@ class AbstractInterpretation:
     def _transfer(self, ins: Instruction, pc: int, st: AbsState,
                   res: Optional[PcResult]) -> None:
         op = ins.opcode
+        row = SEMANTICS.get(op)
 
-        if op in ALU_REG_OPS:
-            self._read(ins.src, st, res)
-            if op is not Op.MOV:
-                self._read(ins.dst, st, res)
-            if op in (Op.DIV, Op.MOD) and res is not None:
-                if st.regs[ins.src] == (0, 0):
+        if row is not None:
+            if op is row.imm:
+                src = domain.const(ins.imm)
+            else:
+                self._read(ins.src, st, res)
+                src = st.regs[ins.src]
+                if row.may_fault and res is not None and src == (0, 0):
                     res.definite_div_zero = True
-            self._write(ins.dst, self._alu(op, st.regs[ins.dst],
-                                           st.regs[ins.src]), st)
-            return
-        if op in ALU_IMM_OPS:
-            base = Op(op - 0x10)
-            if base is not Op.MOV:
+            if row.reg is not Op.MOV:
                 self._read(ins.dst, st, res)
-            self._write(ins.dst, self._alu(base, st.regs[ins.dst],
-                                           domain.const(ins.imm)), st)
+            if row.interval is not None:
+                self._write(ins.dst, row.interval(st.regs[ins.dst], src), st)
             return
         if op is Op.NEG:
             self._read(ins.dst, st, res)
@@ -257,13 +237,6 @@ class AbstractInterpretation:
             return
         if op is Op.LDDW:
             self._write(ins.dst, domain.const(ins.imm), st)
-            return
-        if op in JMP_REG_OPS:
-            self._read(ins.dst, st, res)
-            self._read(ins.src, st, res)
-            return
-        if op in JMP_IMM_OPS:
-            self._read(ins.dst, st, res)
             return
         if op in LOAD_OPS:
             self._read(ins.src, st, res)
@@ -292,15 +265,6 @@ class AbstractInterpretation:
             st.slots.clear()
             return
         # JA / EXIT: no register or memory effect.
-
-    @staticmethod
-    def _alu(base: Op, dst: Interval, src: Interval) -> Interval:
-        if base in (Op.ADD, Op.SUB):
-            c = domain.is_const(src)
-            if c is not None:
-                return domain.add_const(dst, c if base is Op.ADD else -c)
-        fn = _ALU_FNS[base]
-        return fn(dst, src)
 
     def _read(self, reg: int, st: AbsState, res: Optional[PcResult]) -> None:
         if res is not None and not (st.written >> reg) & 1:

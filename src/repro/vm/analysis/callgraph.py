@@ -127,5 +127,5 @@ class ProtoopCallGraph:
 
 def build_call_graph(
         plugin_effects: Iterable[PluginEffects]) -> ProtoopCallGraph:
-    """Convenience constructor mirroring :func:`..cfg.build_cfg`."""
+    """Build the protoop call graph of a set of plugins."""
     return ProtoopCallGraph(plugin_effects)

@@ -2,8 +2,8 @@
 
 Basic blocks are maximal straight-line instruction runs; leaders are the
 entry, every jump target and every instruction after a jump or ``exit``
-(the same partition :mod:`repro.vm.jit` compiles from).  Edges follow
-the interpreter's control transfers exactly:
+(:func:`block_starts`, the partition :mod:`repro.vm.jit` compiles from
+too).  Edges follow the interpreter's control transfers exactly:
 
 * ``exit`` terminates — no successors;
 * an out-of-range jump target or falling past the last instruction
@@ -23,9 +23,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from ..isa import JMP_IMM_OPS, JMP_REG_OPS, JUMP_OPS, Instruction, Op
+from ..isa import JUMP_OPS, Instruction, Op
 
-_COND_OPS = JMP_REG_OPS | JMP_IMM_OPS
+
+def block_starts(instructions: Sequence[Instruction]) -> List[int]:
+    """The sorted leaders of a non-empty program: the entry, every
+    in-range jump target, and every instruction after a jump or exit."""
+    n = len(instructions)
+    leaders = {0}
+    for pc, ins in enumerate(instructions):
+        op = ins.opcode
+        if op in JUMP_OPS or op is Op.EXIT:
+            if pc + 1 < n:
+                leaders.add(pc + 1)
+            if op in JUMP_OPS:
+                target = pc + 1 + ins.offset
+                if 0 <= target < n:
+                    leaders.add(target)
+    return sorted(leaders)
 
 
 @dataclass(frozen=True)
@@ -58,17 +73,7 @@ class ControlFlowGraph:
             self._back_edges: List[Tuple[int, int]] = []
             return
 
-        leaders = {0}
-        for pc, ins in enumerate(self.instructions):
-            op = ins.opcode
-            if op in JUMP_OPS or op is Op.EXIT:
-                if pc + 1 < n:
-                    leaders.add(pc + 1)
-                if op in JUMP_OPS:
-                    target = pc + 1 + ins.offset
-                    if 0 <= target < n:
-                        leaders.add(target)
-        order = sorted(leaders)
+        order = block_starts(self.instructions)
         for i, start in enumerate(order):
             end = order[i + 1] if i + 1 < len(order) else n
             self.blocks[start] = BasicBlock(
@@ -90,7 +95,7 @@ class ControlFlowGraph:
                 return (target,)
             self.fall_off.add(start)
             return ()
-        if op in _COND_OPS:
+        if op in JUMP_OPS:  # conditional
             succs = []
             target = end + last.offset
             if 0 <= target < n:
@@ -259,7 +264,3 @@ class ControlFlowGraph:
     def unreachable_blocks(self) -> List[int]:
         return sorted(b for b in self.blocks if b not in self._reachable)
 
-
-def build_cfg(instructions: Iterable[Instruction]) -> ControlFlowGraph:
-    """Construct the CFG of a structurally valid program."""
-    return ControlFlowGraph(list(instructions))

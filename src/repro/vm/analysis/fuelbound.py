@@ -5,7 +5,7 @@ longest path (:func:`.rules._facts`).  This module extends the proof to
 programs *with* loops by combining two existing analyses:
 
 * the termination checker's ranking functions
-  (:mod:`repro.termination.checker`) give, per natural loop, a counter
+  (:mod:`.termination`) give, per natural loop, a counter
   that every lap moves by a constant delta toward a loop-invariant
   bound tested at the loop head;
 * the interval abstract interpretation (:mod:`.absint`) gives the
@@ -31,17 +31,10 @@ anyway).
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
+from .. import domain
+from ..domain import Interval
 from ..isa import (
     FP_REGISTER,
     LOAD_OPS,
@@ -50,14 +43,10 @@ from ..isa import (
     STACK_SIZE,
     Op,
 )
-from . import domain
 from .absint import AbsState, AbstractInterpretation
 from .cfg import ControlFlowGraph
-from .domain import Interval
 from .report import FuelCertificate, LoopBound
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.termination.checker import LoopReport
+from .termination import LoopReport, check_termination, cycle_paths
 
 _WORD = (1 << 64) - 1
 
@@ -87,14 +76,10 @@ def certify(cfg: ControlFlowGraph, absint: AbstractInterpretation,
             if a & b:
                 return None  # nested or overlapping loops
 
-    # Imported lazily: repro.termination re-exports this package's CFG,
-    # so a module-level import would cycle during package init.
-    from repro.termination.checker import check_termination, cycle_paths
-
-    term = check_termination(cfg.instructions)
+    term = check_termination(cfg)
     if not term.proven:
         return None
-    by_head: Dict[int, "LoopReport"] = {rep.head: rep for rep in term.loops}
+    by_head: Dict[int, LoopReport] = {rep.head: rep for rep in term.loops}
 
     fuel = _dag_longest(cfg, set(back), lambda b: cfg.blocks[b].size)
     helpers = _dag_longest(cfg, set(back), lambda b: _call_count(cfg, b))

@@ -11,7 +11,8 @@ scale our pluglets need:
 * for each natural loop, we search for a **ranking function**: a counter
   variable (register or stack slot) that every path around the loop moves
   monotonically toward a loop-invariant bound tested by the loop's exit
-  condition;
+  condition, by a step that cannot jump over the exit set on 64-bit
+  words (see :func:`_reaches_exit`);
 * anything else is reported *not proven* — exactly how the paper reports
   pluglets T2 could not handle (Table 2's "Proven terminating" column).
 
@@ -21,24 +22,38 @@ The symbolic core is a tiny linear abstract interpretation: values are
 
 A proven :class:`LoopReport` carries the ranking *data* (counter key,
 per-lap delta, stay condition and bound operand), not just prose: the
-fuel certifier (:mod:`repro.vm.analysis.fuelbound`) combines it with the
-interval analysis to bound the loop's trip count statically.
+fuel certifier (:mod:`.fuelbound`) combines it with the interval
+analysis to bound the loop's trip count statically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
-from repro.vm.isa import (
+from ..isa import (
     DST_WRITE_OPS,
     FP_REGISTER,
     JMP_IMM_OPS,
     JMP_REG_OPS,
+    SEMANTICS,
+    WORD_MASK,
     Instruction,
     Op,
+    to_signed,
 )
-from repro.vm.analysis.cfg import ControlFlowGraph
+from .cfg import ControlFlowGraph
 
 MAX_PATHS = 256
 
@@ -55,7 +70,7 @@ VarKey = Tuple[str, int]
 
 
 def _const(c: int) -> Sym:
-    return (CONST, c & ((1 << 64) - 1), 0)
+    return (CONST, c & WORD_MASK, 0)
 
 
 def _var(key: VarKey, delta: int = 0) -> Sym:
@@ -112,9 +127,7 @@ class _State:
 def _step(state: _State, ins: Instruction) -> None:
     op = ins.opcode
     regs = state.regs
-    if op is Op.MOV_IMM:
-        regs[ins.dst] = _const(ins.imm)
-    elif op is Op.LDDW:
+    if op is Op.MOV_IMM or op is Op.LDDW:
         regs[ins.dst] = _const(ins.imm)
     elif op is Op.MOV:
         regs[ins.dst] = regs[ins.src]
@@ -132,17 +145,10 @@ def _step(state: _State, ins: Instruction) -> None:
         state.slots[ins.offset] = regs[ins.src]
     elif op is Op.CALL:
         regs[0] = _UNKNOWN
-    elif op in (Op.LDXB, Op.LDXH, Op.LDXW, Op.LDXDW):
+    elif op in DST_WRITE_OPS:
+        # Other loads and any other ALU op destroy linearity; jumps and
+        # stores outside the slots leave the counters alone.
         regs[ins.dst] = _UNKNOWN
-    elif op is Op.EXIT or op in JMP_REG_OPS or op in JMP_IMM_OPS or op is Op.JA:
-        pass
-    elif op in (Op.STXB, Op.STXH, Op.STXW, Op.STXDW,
-                Op.STB, Op.STH, Op.STW, Op.STDW):
-        pass  # non-slot memory: irrelevant to counters
-    else:
-        # Any other ALU op destroys linearity.
-        if ins.dst in regs:
-            regs[ins.dst] = _UNKNOWN
 
 
 def _add(value: Sym, c: int) -> Sym:
@@ -156,35 +162,34 @@ def _add(value: Sym, c: int) -> Sym:
 
 def _add_sym(a: Sym, b: Sym, sign: int) -> Sym:
     if b[0] == CONST:
-        return _add(a, sign * _signed64(b[1]))
+        return _add(a, sign * to_signed(b[1]))
     if a[0] == CONST and b[0] == VAR and sign == 1:
-        return (VAR, b[1], b[2] + _signed64(a[1]))
+        return (VAR, b[1], b[2] + to_signed(a[1]))
     return _UNKNOWN
 
 
-def _signed64(v: int) -> int:
-    v &= (1 << 64) - 1
-    return v - (1 << 64) if v >= 1 << 63 else v
-
-
-#: For each comparison op: does *staying* in the loop while this condition
-#: holds terminate with an increasing (+1) or decreasing (-1) counter on
-#: the left-hand side?  (Unsigned semantics.)
-_NEGATE = {
-    Op.JEQ: Op.JNE, Op.JNE: Op.JEQ,
-    Op.JGT: Op.JLE, Op.JGE: Op.JLT,
-    Op.JLT: Op.JGE, Op.JLE: Op.JGT,
-    Op.JSGT: Op.JSLT, Op.JSLT: Op.JSGT,  # approximate negations
-}
-_SWAP = {
-    Op.JGT: Op.JLT, Op.JLT: Op.JGT, Op.JGE: Op.JLE, Op.JLE: Op.JGE,
-    Op.JEQ: Op.JEQ, Op.JNE: Op.JNE, Op.JSGT: Op.JSLT, Op.JSLT: Op.JSGT,
+#: Stay comparisons a rising counter leaves; the others need it falling.
+_RISING = (Op.JLT, Op.JLE, Op.JSLT)
+#: Stay comparisons whose exit set is never empty, whatever the bound.
+_STRICT = (Op.JLT, Op.JGT, Op.JSLT, Op.JSGT)
+#: How many words leave ``stay while x <op> b``, as a function of ``b``.
+_EXIT_SIZE: Dict[Op, Callable[[int], int]] = {
+    Op.JLT: lambda b: (1 << 64) - b,
+    Op.JLE: lambda b: WORD_MASK - b,
+    Op.JSLT: lambda b: (1 << 63) - to_signed(b),
+    Op.JGT: lambda b: b + 1,
+    Op.JGE: lambda b: b,
+    Op.JSGT: lambda b: to_signed(b) + (1 << 63) + 1,
 }
 
 
-def check_termination(instructions: List[Instruction]) -> TerminationReport:
-    """Try to prove that a pluglet terminates on every input."""
-    cfg = ControlFlowGraph(instructions)
+def check_termination(
+        program: Union[ControlFlowGraph, Sequence[Instruction]],
+) -> TerminationReport:
+    """Try to prove that a pluglet terminates on every input.  ``program``
+    is its instructions or, when the caller has built it, its CFG."""
+    cfg = program if isinstance(program, ControlFlowGraph) \
+        else ControlFlowGraph(program)
     back = cfg.back_edges
     if not back:
         return TerminationReport(proven=True, reason="loop-free")
@@ -303,7 +308,8 @@ def _match_ranking(cond_op: Op, left: Sym, right: Sym,
             return deltas.get(key, 0) == 0
         return False
 
-    for a, b, op in ((left, right, cond_op), (right, left, _SWAP.get(cond_op))):
+    for a, b, op in ((left, right, cond_op),
+                     (right, left, SEMANTICS[cond_op].swap)):
         if op is None:
             continue
         if a[0] != VAR:
@@ -316,16 +322,31 @@ def _match_ranking(cond_op: Op, left: Sym, right: Sym,
             continue
         if not invariant(b):
             continue
-        if op in (Op.JLT, Op.JLE, Op.JSLT) and delta > 0:
-            return _Ranking(f"{key} increases by {delta} toward bound",
-                            a, delta, op, b)
-        if op in (Op.JGT, Op.JGE, Op.JSGT) and delta < 0:
-            return _Ranking(f"{key} decreases by {delta} toward bound",
-                            a, delta, op, b)
         if op is Op.JNE and abs(delta) == 1 and b[0] == CONST:
             return _Ranking(f"{key} steps by {delta} to exact bound",
                             a, delta, op, b)
+        if op not in _EXIT_SIZE or (op in _RISING) != (delta > 0) \
+                or not _reaches_exit(op, delta, b):
+            continue
+        trend = "increases" if delta > 0 else "decreases"
+        return _Ranking(f"{key} {trend} by {delta} toward bound",
+                        a, delta, op, b)
     return None
+
+
+def _reaches_exit(stay_op: Op, delta: int, bound: Sym) -> bool:
+    """Must a counter moving by ``delta`` per lap, modulo 2^64, land in
+    the exit set of ``stay while counter <stay_op> bound``?
+
+    An odd step visits every word, so any non-empty exit set will do —
+    a strict comparison's always is.  An even step can jump over the
+    exit set and wrap around, so it needs a constant bound whose exit
+    set is at least one step wide."""
+    if bound[0] == CONST:
+        size = _EXIT_SIZE[stay_op](bound[1])
+    else:  # the smallest exit set over every bound
+        size = 1 if stay_op in _STRICT else 0
+    return size >= (1 if delta % 2 else abs(delta))
 
 
 def _exit_conditions(
@@ -348,22 +369,16 @@ def _exit_conditions(
         state = _State()
         for pc in range(block.start, block.end - 1):
             _step(state, cfg.instructions[pc])
-        if last.opcode in JMP_IMM_OPS:
-            base = Op(last.opcode - 0x10)
-            left = state.regs[last.dst]
-            right = _const(last.imm)
-        else:
-            base = last.opcode
-            left = state.regs[last.dst]
-            right = state.regs[last.src]
-        taken = block.end - 1 + 1 + last.offset
-        if taken in exits:
-            stay_op = _NEGATE.get(base)
-            if stay_op is None:
-                continue
+        row = SEMANTICS[last.opcode]
+        left = state.regs[last.dst]
+        right = _const(last.imm) if last.opcode is row.imm \
+            else state.regs[last.src]
+        taken = block.end + last.offset
+        # Taking the jump leaves the loop: it stays while the jump's
+        # exact negation holds, and a jump with none gives no condition.
+        stay_op = row.negation if taken in exits else row.reg
+        if stay_op is not None:
             out.append((stay_op, left, right, start))
-        else:
-            out.append((base, left, right, start))
     return out
 
 
@@ -389,7 +404,3 @@ def cycle_paths(cfg: ControlFlowGraph, head: int,
     if not walk(head, [head]):
         return None
     return paths
-
-
-# Backwards-compatible alias (pre-unification name).
-_cycle_paths = cycle_paths

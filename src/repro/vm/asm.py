@@ -21,11 +21,9 @@ import re
 from typing import Optional
 
 from .isa import (
-    JMP_IMM_OPS,
-    JMP_REG_OPS,
-    JUMP_OPS,
     LOAD_OPS,
-    MEM_SIZES,
+    MEM_OPS,
+    SEMANTICS,
     STORE_IMM_OPS,
     STORE_REG_OPS,
     Instruction,
@@ -43,20 +41,10 @@ _LABEL_RE = re.compile(r"^([A-Za-z_][\w.]*):$")
 _REG_RE = re.compile(r"^r(\d+)$")
 _MEM_RE = re.compile(r"^\[r(\d+)\s*([+-]\s*\d+)?\]$")
 
-# Mnemonics that pick REG vs IMM form from the second operand.
-_ALU_BASE = {
-    "add": Op.ADD, "sub": Op.SUB, "mul": Op.MUL, "div": Op.DIV,
-    "mod": Op.MOD, "and": Op.AND, "or": Op.OR, "xor": Op.XOR,
-    "lsh": Op.LSH, "rsh": Op.RSH, "arsh": Op.ARSH, "mov": Op.MOV,
-}
-_JMP_BASE = {
-    "jeq": Op.JEQ, "jne": Op.JNE, "jgt": Op.JGT, "jge": Op.JGE,
-    "jlt": Op.JLT, "jle": Op.JLE, "jsgt": Op.JSGT, "jslt": Op.JSLT,
-    "jset": Op.JSET,
-}
-_LOAD = {"ldxb": Op.LDXB, "ldxh": Op.LDXH, "ldxw": Op.LDXW, "ldxdw": Op.LDXDW}
-_STORE_REG = {"stxb": Op.STXB, "stxh": Op.STXH, "stxw": Op.STXW, "stxdw": Op.STXDW}
-_STORE_IMM = {"stb": Op.STB, "sth": Op.STH, "stw": Op.STW, "stdw": Op.STDW}
+# Mnemonics of the semantics table: the second operand picks the REG or
+# IMM form.
+_ROWS = {row.mnemonic: row for row in SEMANTICS.values()}
+_MEM = {op.name.lower(): op for op in MEM_OPS}
 
 
 def _parse_reg(tok: str, line: int) -> int:
@@ -141,47 +129,43 @@ def _emit(text: str, pc: int, labels: dict, helpers: dict, line: int) -> Instruc
                            imm=_parse_int(ops[1], line))
     if mnemonic == "ja":
         return Instruction(Op.JA, offset=_resolve_target(ops[0], pc, labels, line))
-    if mnemonic in _ALU_BASE:
+    if mnemonic in _ROWS:
+        row = _ROWS[mnemonic]
         dst = _parse_reg(ops[0], line)
+        offset = 0 if row.writes_dst \
+            else _resolve_target(ops[2], pc, labels, line)
         if _REG_RE.match(ops[1]):
-            return Instruction(_ALU_BASE[mnemonic], dst=dst,
-                               src=_parse_reg(ops[1], line))
-        return Instruction(Op(_ALU_BASE[mnemonic] + 0x10), dst=dst,
-                           imm=_parse_int(ops[1], line))
-    if mnemonic in _JMP_BASE:
-        dst = _parse_reg(ops[0], line)
-        offset = _resolve_target(ops[2], pc, labels, line)
-        if _REG_RE.match(ops[1]):
-            return Instruction(_JMP_BASE[mnemonic], dst=dst,
-                               src=_parse_reg(ops[1], line), offset=offset)
-        return Instruction(Op(_JMP_BASE[mnemonic] + 0x10), dst=dst,
-                           imm=_parse_int(ops[1], line), offset=offset)
-    if mnemonic in _LOAD:
+            return Instruction(row.reg, dst=dst, src=_parse_reg(ops[1], line),
+                               offset=offset)
+        return Instruction(row.imm, dst=dst, imm=_parse_int(ops[1], line),
+                           offset=offset)
+    op = _MEM.get(mnemonic)
+    if op in LOAD_OPS:
         dst = _parse_reg(ops[0], line)
         src, off = _parse_mem(ops[1], line)
-        return Instruction(_LOAD[mnemonic], dst=dst, src=src, offset=off)
-    if mnemonic in _STORE_REG:
+        return Instruction(op, dst=dst, src=src, offset=off)
+    if op in STORE_REG_OPS:
         dst, off = _parse_mem(ops[0], line)
-        return Instruction(_STORE_REG[mnemonic], dst=dst,
-                           src=_parse_reg(ops[1], line), offset=off)
-    if mnemonic in _STORE_IMM:
+        return Instruction(op, dst=dst, src=_parse_reg(ops[1], line),
+                           offset=off)
+    if op in STORE_IMM_OPS:
         dst, off = _parse_mem(ops[0], line)
-        return Instruction(_STORE_IMM[mnemonic], dst=dst,
-                           imm=_parse_int(ops[1], line), offset=off)
+        return Instruction(op, dst=dst, imm=_parse_int(ops[1], line),
+                           offset=off)
     raise AssemblyError(f"unknown mnemonic {mnemonic!r}", line)
 
 
 def disassemble(instructions: list) -> str:
     """Render instructions back to assembly text (without labels)."""
-    inv_alu = {v: k for k, v in _ALU_BASE.items()}
-    inv_jmp = {v: k for k, v in _JMP_BASE.items()}
-    inv_load = {v: k for k, v in _LOAD.items()}
-    inv_sreg = {v: k for k, v in _STORE_REG.items()}
-    inv_simm = {v: k for k, v in _STORE_IMM.items()}
     out = []
     for ins in instructions:
         op = ins.opcode
-        if op is Op.EXIT:
+        row = SEMANTICS.get(op)
+        if row is not None:
+            second = f"r{ins.src}" if op is row.reg else f"{ins.imm}"
+            target = "" if row.writes_dst else f", {ins.offset:+d}"
+            out.append(f"{row.mnemonic} r{ins.dst}, {second}{target}")
+        elif op is Op.EXIT:
             out.append("exit")
         elif op is Op.CALL:
             out.append(f"call {ins.imm}")
@@ -191,22 +175,12 @@ def disassemble(instructions: list) -> str:
             out.append(f"lddw r{ins.dst}, {ins.imm}")
         elif op is Op.JA:
             out.append(f"ja {ins.offset:+d}")
-        elif op in inv_alu:
-            out.append(f"{inv_alu[op]} r{ins.dst}, r{ins.src}")
-        elif Op(op) in JMP_REG_OPS:
-            out.append(f"{inv_jmp[op]} r{ins.dst}, r{ins.src}, {ins.offset:+d}")
-        elif Op(op) in JMP_IMM_OPS:
-            base = Op(op - 0x10)
-            out.append(f"{inv_jmp[base]} r{ins.dst}, {ins.imm}, {ins.offset:+d}")
-        elif op in inv_load:
-            out.append(f"{inv_load[op]} r{ins.dst}, [r{ins.src}{ins.offset:+d}]")
-        elif op in inv_sreg:
-            out.append(f"{inv_sreg[op]} [r{ins.dst}{ins.offset:+d}], r{ins.src}")
-        elif op in inv_simm:
-            out.append(f"{inv_simm[op]} [r{ins.dst}{ins.offset:+d}], {ins.imm}")
-        elif op in {Op(o + 0x10) for o in inv_alu}:
-            base = Op(op - 0x10)
-            out.append(f"{inv_alu[base]} r{ins.dst}, {ins.imm}")
+        elif op in LOAD_OPS:
+            out.append(f"{op.name.lower()} r{ins.dst}, [r{ins.src}{ins.offset:+d}]")
+        elif op in STORE_REG_OPS:
+            out.append(f"{op.name.lower()} [r{ins.dst}{ins.offset:+d}], r{ins.src}")
+        elif op in STORE_IMM_OPS:
+            out.append(f"{op.name.lower()} [r{ins.dst}{ins.offset:+d}], {ins.imm}")
         else:
             out.append(f"; unknown {ins!r}")
     return "\n".join(out)

@@ -32,7 +32,7 @@ import inspect
 import textwrap
 from typing import Callable, Optional, Union
 
-from .isa import FP_REGISTER, Instruction, Op
+from .isa import FP_REGISTER, SEMANTICS, Instruction, Op
 
 MAX_PARAMS = 5
 SLOT_SIZE = 8
@@ -74,21 +74,13 @@ _BINOPS = {
 }
 
 # Unsigned comparison ops (64-bit unsigned semantics throughout).
-_CMP_TRUE = {
+_CMP = {
     ast.Eq: Op.JEQ,
     ast.NotEq: Op.JNE,
     ast.Gt: Op.JGT,
     ast.GtE: Op.JGE,
     ast.Lt: Op.JLT,
     ast.LtE: Op.JLE,
-}
-_CMP_FALSE = {  # jump op for the *negation* of each comparison
-    ast.Eq: Op.JNE,
-    ast.NotEq: Op.JEQ,
-    ast.Gt: Op.JLE,
-    ast.GtE: Op.JLT,
-    ast.Lt: Op.JGE,
-    ast.LtE: Op.JGT,
 }
 
 
@@ -283,7 +275,7 @@ class PlugletCompiler:
             self._cond_true(test.operand, false_target)
             return
         if isinstance(test, ast.Compare):
-            self._compare(test, _CMP_FALSE, false_target)
+            self._compare(test, false_target, negate=True)
             return
         # Bare expression: false iff zero.
         self._expr(test, 0)
@@ -292,7 +284,7 @@ class PlugletCompiler:
     def _cond_true(self, test: ast.expr, true_target: _Label) -> None:
         """Jump to ``true_target`` when ``test`` is true."""
         if isinstance(test, ast.Compare):
-            self._compare(test, _CMP_TRUE, true_target)
+            self._compare(test, true_target, negate=False)
             return
         if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
             self._cond(test.operand, true_target)
@@ -300,19 +292,25 @@ class PlugletCompiler:
         self._expr(test, 0)
         self._emit(Op.JNE_IMM, dst=0, imm=0, offset=true_target)
 
-    def _compare(self, test: ast.Compare, table: dict, target: _Label) -> None:
+    def _compare(self, test: ast.Compare, target: _Label,
+                 negate: bool) -> None:
+        """Jump to ``target`` when the comparison holds (``negate``:
+        when it does not)."""
         if len(test.ops) != 1 or len(test.comparators) != 1:
             raise CompileError("chained comparisons not supported")
         op_type = type(test.ops[0])
-        if op_type not in table:
+        if op_type not in _CMP:
             raise CompileError(f"unsupported comparison {op_type.__name__}")
+        jump = _CMP[op_type]
+        if negate:
+            jump = SEMANTICS[jump].negation
         # left -> temp, right -> r0, left -> r1, compare r1 ? r0
         self._expr(test.left, 0)
         tmp = self._temp_slot(0)
         self._emit(Op.STXDW, dst=FP_REGISTER, offset=tmp, src=0)
         self._expr(test.comparators[0], 1)
         self._emit(Op.LDXDW, dst=1, src=FP_REGISTER, offset=tmp)
-        self._emit(table[op_type], dst=1, src=0, offset=target)
+        self._emit(jump, dst=1, src=0, offset=target)
 
     # --- expressions ------------------------------------------------------
 

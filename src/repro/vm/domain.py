@@ -13,22 +13,24 @@ heap at disjoint constant bases (:mod:`repro.vm.interpreter`), plain
 value intervals double as region information: an address interval that
 fits entirely inside one region *proves* the access, with no need for a
 separate points-to domain.
+
+The binary transfer functions are the ``interval`` column of the ISA's
+semantics table (:data:`repro.vm.isa.SEMANTICS`); this module imports
+nothing, so the table can.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..isa import WORD_MASK
-
 Interval = Tuple[int, int]
 
-TOP: Interval = (0, WORD_MASK)
-_LIMIT = WORD_MASK
+_LIMIT = (1 << 64) - 1
+TOP: Interval = (0, _LIMIT)
 
 
 def const(value: int) -> Interval:
-    v = value & WORD_MASK
+    v = value & _LIMIT
     return (v, v)
 
 
@@ -54,6 +56,9 @@ def widen(old: Interval, new: Interval) -> Interval:
 
 
 def add(a: Interval, b: Interval) -> Interval:
+    c = is_const(b)
+    if c is not None:
+        return add_const(a, c)
     hi = a[1] + b[1]
     if hi > _LIMIT:  # may wrap
         return TOP
@@ -63,7 +68,7 @@ def add(a: Interval, b: Interval) -> Interval:
 def add_const(a: Interval, c: int) -> Interval:
     """Modular addition of a constant — exact unless the interval
     straddles the wrap point."""
-    c &= WORD_MASK
+    c &= _LIMIT
     lo, hi = a[0] + c, a[1] + c
     if hi <= _LIMIT:
         return (lo, hi)
@@ -73,6 +78,9 @@ def add_const(a: Interval, c: int) -> Interval:
 
 
 def sub(a: Interval, b: Interval) -> Interval:
+    c = is_const(b)
+    if c is not None:
+        return add_const(a, -c)
     if a[0] < b[1]:  # may wrap through zero
         return TOP
     return (a[0] - b[1], a[1] - b[0])

@@ -27,14 +27,11 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .isa import (
-    ALU_IMM_OPS,
-    ALU_REG_OPS,
     FP_REGISTER,
-    JMP_IMM_OPS,
-    JMP_REG_OPS,
     LOAD_OPS,
     MEM_SIZES,
     NUM_REGISTERS,
+    SEMANTICS,
     STACK_SIZE,
     STORE_IMM_OPS,
     STORE_REG_OPS,
@@ -78,11 +75,6 @@ class FuelExhausted(ExecutionError):
     :class:`MemoryViolation`, fuel exhaustion is a *transient* fault: the
     containment policy detaches and quarantines the plugin instead of
     terminating the connection."""
-
-
-def _signed(value: int) -> int:
-    value &= WORD_MASK
-    return value - (1 << 64) if value >= 1 << 63 else value
 
 
 class PluginMemory:
@@ -200,13 +192,16 @@ class VirtualMachine:
 
     def _step(self, ins: Instruction, op: Op, regs: List[int],
               stack: bytearray, pc: int) -> int:
-        if op in ALU_REG_OPS:
-            regs[ins.dst] = self._alu(op, regs[ins.dst], regs[ins.src])
-            return pc + 1
-        if op in ALU_IMM_OPS:
-            base = Op(op - 0x10)
-            regs[ins.dst] = self._alu(base, regs[ins.dst], ins.imm & WORD_MASK)
-            return pc + 1
+        row = SEMANTICS.get(op)
+        if row is not None:
+            src = ins.imm & WORD_MASK if op is row.imm else regs[ins.src]
+            if row.fault is not None and src == 0:
+                raise ExecutionError(row.fault)
+            result = row.concrete(regs[ins.dst], src)
+            if row.writes_dst:
+                regs[ins.dst] = result
+                return pc + 1
+            return pc + 1 + (ins.offset if result else 0)
         if op is Op.NEG:
             regs[ins.dst] = (-regs[ins.dst]) & WORD_MASK
             return pc + 1
@@ -215,13 +210,6 @@ class VirtualMachine:
             return pc + 1
         if op is Op.JA:
             return pc + 1 + ins.offset
-        if op in JMP_REG_OPS:
-            taken = self._cond(op, regs[ins.dst], regs[ins.src])
-            return pc + 1 + (ins.offset if taken else 0)
-        if op in JMP_IMM_OPS:
-            base = Op(op - 0x10)
-            taken = self._cond(base, regs[ins.dst], ins.imm & WORD_MASK)
-            return pc + 1 + (ins.offset if taken else 0)
         if op in LOAD_OPS:
             size = MEM_SIZES[op]
             addr = (regs[ins.src] + ins.offset) & WORD_MASK
@@ -251,57 +239,3 @@ class VirtualMachine:
             regs[0] = (result or 0) & WORD_MASK
             return pc + 1
         raise ExecutionError(f"unhandled opcode {op!r}")
-
-    @staticmethod
-    def _alu(op: Op, dst: int, src: int) -> int:
-        if op is Op.ADD:
-            return (dst + src) & WORD_MASK
-        if op is Op.SUB:
-            return (dst - src) & WORD_MASK
-        if op is Op.MUL:
-            return (dst * src) & WORD_MASK
-        if op is Op.DIV:
-            if src == 0:
-                raise ExecutionError("division by zero")
-            return (dst // src) & WORD_MASK
-        if op is Op.MOD:
-            if src == 0:
-                raise ExecutionError("modulo by zero")
-            return (dst % src) & WORD_MASK
-        if op is Op.AND:
-            return dst & src
-        if op is Op.OR:
-            return dst | src
-        if op is Op.XOR:
-            return dst ^ src
-        if op is Op.LSH:
-            return (dst << (src & 63)) & WORD_MASK
-        if op is Op.RSH:
-            return (dst >> (src & 63)) & WORD_MASK
-        if op is Op.ARSH:
-            return (_signed(dst) >> (src & 63)) & WORD_MASK
-        if op is Op.MOV:
-            return src & WORD_MASK
-        raise ExecutionError(f"bad ALU op {op!r}")
-
-    @staticmethod
-    def _cond(op: Op, dst: int, src: int) -> bool:
-        if op is Op.JEQ:
-            return dst == src
-        if op is Op.JNE:
-            return dst != src
-        if op is Op.JGT:
-            return dst > src
-        if op is Op.JGE:
-            return dst >= src
-        if op is Op.JLT:
-            return dst < src
-        if op is Op.JLE:
-            return dst <= src
-        if op is Op.JSGT:
-            return _signed(dst) > _signed(src)
-        if op is Op.JSLT:
-            return _signed(dst) < _signed(src)
-        if op is Op.JSET:
-            return bool(dst & src)
-        raise ExecutionError(f"bad jump op {op!r}")

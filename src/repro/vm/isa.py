@@ -13,14 +13,22 @@ see :mod:`repro.vm.interpreter`.
 
 Instructions serialize to a fixed 16-byte wire format so plugins can be
 hashed, exchanged and measured.
+
+What each ALU and conditional-jump operation *means* is written once, in
+:data:`SEMANTICS`: the interpreter, the JIT, the abstract interpreter,
+the termination checker, the assembler and the compiler all read it.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import struct
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Callable, Dict, Iterable, List, Optional
+
+from . import domain
+from .domain import Interval
 
 NUM_REGISTERS = 11
 FP_REGISTER = 10  # read-only frame pointer
@@ -97,15 +105,117 @@ class Op(enum.IntEnum):
     LDDW = 0x52  # dst = 64-bit immediate
 
 
-ALU_REG_OPS = {Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD, Op.AND, Op.OR,
-               Op.XOR, Op.LSH, Op.RSH, Op.ARSH, Op.MOV}
-ALU_IMM_OPS = {Op.ADD_IMM, Op.SUB_IMM, Op.MUL_IMM, Op.DIV_IMM, Op.MOD_IMM,
-               Op.AND_IMM, Op.OR_IMM, Op.XOR_IMM, Op.LSH_IMM, Op.RSH_IMM,
-               Op.ARSH_IMM, Op.MOV_IMM}
-JMP_REG_OPS = {Op.JEQ, Op.JNE, Op.JGT, Op.JGE, Op.JLT, Op.JLE, Op.JSGT,
-               Op.JSLT, Op.JSET}
-JMP_IMM_OPS = {Op.JEQ_IMM, Op.JNE_IMM, Op.JGT_IMM, Op.JGE_IMM, Op.JLT_IMM,
-               Op.JLE_IMM, Op.JSGT_IMM, Op.JSLT_IMM, Op.JSET_IMM}
+def to_signed(value: int) -> int:
+    """A 64-bit word read as a two's-complement integer."""
+    value &= WORD_MASK
+    return value - (1 << 64) if value >= 1 << 63 else value
+
+
+@dataclass(frozen=True)
+class Semantics:
+    """One ALU or conditional-jump operation, in both of its forms: the
+    second operand is register ``src`` for ``reg`` and the immediate for
+    ``imm``.
+
+    * ``concrete(dst, src)`` — the reference meaning on 64-bit words: the
+      new ``dst`` of an ALU op, whether a jump is taken.  A ``fault`` row
+      is never called with a zero ``src``: the caller raises ``fault``.
+    * ``interval(dst, src)`` — its sound abstraction on unsigned
+      intervals (:mod:`.domain`); ALU rows only.
+    * ``jit`` — the Python the JIT emits.  ALU templates assign ``{d}``
+      from ``{d}`` and ``{s}`` (``{k}``: the shift amount ``src & 63``);
+      jump templates test ``{a}`` against ``{b}`` (``{sa}`` / ``{sb}``:
+      read as signed).  Written apart from ``concrete`` on purpose: the
+      differential tests check one against the other.
+    * ``negation`` / ``swap`` — jumps only: the register-form op taken
+      exactly when this one is not (``None`` when the ISA has none), and
+      the one with its operands exchanged.
+    """
+
+    reg: Op
+    imm: Op
+    concrete: Callable[[int, int], int]
+    jit: str
+    writes_dst: bool
+    interval: Optional[Callable[[Interval, Interval], Interval]] = None
+    fault: Optional[str] = None
+    negation: Optional[Op] = None
+    swap: Optional[Op] = None
+
+    @property
+    def mnemonic(self) -> str:
+        return self.reg.name.lower()
+
+    @property
+    def may_fault(self) -> bool:
+        """A zero ``src`` faults (division and modulo)."""
+        return self.fault is not None
+
+    @property
+    def pure(self) -> bool:
+        """Writes a register and nothing else, and cannot fault."""
+        return self.writes_dst and self.fault is None
+
+
+def _alu(reg: Op, imm: Op, concrete: Callable[[int, int], int],
+         interval: Callable[[Interval, Interval], Interval], jit: str,
+         fault: Optional[str] = None) -> Semantics:
+    return Semantics(reg, imm, concrete, jit, True, interval, fault)
+
+
+def _jump(reg: Op, imm: Op, concrete: Callable[[int, int], int], jit: str,
+          negation: Optional[Op], swap: Op) -> Semantics:
+    return Semantics(reg, imm, concrete, jit, False, negation=negation,
+                     swap=swap)
+
+
+_ROWS = (
+    _alu(Op.ADD, Op.ADD_IMM, lambda d, s: (d + s) & WORD_MASK, domain.add,
+         "{d} = ({d} + {s}) & {mask}"),
+    _alu(Op.SUB, Op.SUB_IMM, lambda d, s: (d - s) & WORD_MASK, domain.sub,
+         "{d} = ({d} - {s}) & {mask}"),
+    _alu(Op.MUL, Op.MUL_IMM, lambda d, s: (d * s) & WORD_MASK, domain.mul,
+         "{d} = ({d} * {s}) & {mask}"),
+    _alu(Op.DIV, Op.DIV_IMM, operator.floordiv, domain.div,
+         "{d} = {d} // {s}", fault="division by zero"),
+    _alu(Op.MOD, Op.MOD_IMM, operator.mod, domain.mod,
+         "{d} = {d} % {s}", fault="modulo by zero"),
+    _alu(Op.AND, Op.AND_IMM, operator.and_, domain.and_, "{d} = {d} & {s}"),
+    _alu(Op.OR, Op.OR_IMM, operator.or_, domain.or_, "{d} = {d} | {s}"),
+    _alu(Op.XOR, Op.XOR_IMM, operator.xor, domain.xor, "{d} = {d} ^ {s}"),
+    _alu(Op.LSH, Op.LSH_IMM, lambda d, s: (d << (s & 63)) & WORD_MASK,
+         domain.lsh, "{d} = ({d} << {k}) & {mask}"),
+    _alu(Op.RSH, Op.RSH_IMM, lambda d, s: d >> (s & 63), domain.rsh,
+         "{d} = {d} >> {k}"),
+    _alu(Op.ARSH, Op.ARSH_IMM,
+         lambda d, s: (to_signed(d) >> (s & 63)) & WORD_MASK, domain.arsh,
+         "{d} = ((({d} - {two64}) >> {k}) & {mask}) if {d} >= {sign} "
+         "else ({d} >> {k})"),
+    _alu(Op.MOV, Op.MOV_IMM, lambda _d, s: s, domain.mov, "{d} = {s}"),
+    _jump(Op.JEQ, Op.JEQ_IMM, operator.eq, "{a} == {b}", Op.JNE, Op.JEQ),
+    _jump(Op.JNE, Op.JNE_IMM, operator.ne, "{a} != {b}", Op.JEQ, Op.JNE),
+    _jump(Op.JGT, Op.JGT_IMM, operator.gt, "{a} > {b}", Op.JLE, Op.JLT),
+    _jump(Op.JGE, Op.JGE_IMM, operator.ge, "{a} >= {b}", Op.JLT, Op.JLE),
+    _jump(Op.JLT, Op.JLT_IMM, operator.lt, "{a} < {b}", Op.JGE, Op.JGT),
+    _jump(Op.JLE, Op.JLE_IMM, operator.le, "{a} <= {b}", Op.JGT, Op.JGE),
+    _jump(Op.JSGT, Op.JSGT_IMM, lambda a, b: to_signed(a) > to_signed(b),
+          "{sa} > {sb}", None, Op.JSLT),
+    _jump(Op.JSLT, Op.JSLT_IMM, lambda a, b: to_signed(a) < to_signed(b),
+          "{sa} < {sb}", None, Op.JSGT),
+    _jump(Op.JSET, Op.JSET_IMM, lambda a, b: a & b != 0, "{a} & {b}",
+          None, Op.JSET),
+)
+
+#: The semantics of every ALU and conditional-jump opcode, keyed by both
+#: forms.  ``NEG`` (the one unary ALU op), ``LDDW``, ``JA``, ``EXIT``,
+#: ``CALL`` and the memory ops have no row.
+SEMANTICS: Dict[Op, Semantics] = {
+    op: row for row in _ROWS for op in (row.reg, row.imm)}
+
+ALU_REG_OPS = {row.reg for row in _ROWS if row.writes_dst}
+ALU_IMM_OPS = {row.imm for row in _ROWS if row.writes_dst}
+JMP_REG_OPS = {row.reg for row in _ROWS if not row.writes_dst}
+JMP_IMM_OPS = {row.imm for row in _ROWS if not row.writes_dst}
 JUMP_OPS = JMP_REG_OPS | JMP_IMM_OPS | {Op.JA}
 LOAD_OPS = {Op.LDXB, Op.LDXH, Op.LDXW, Op.LDXDW}
 STORE_REG_OPS = {Op.STXB, Op.STXH, Op.STXW, Op.STXDW}

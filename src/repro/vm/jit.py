@@ -17,7 +17,10 @@ Translation scheme
   Generated code maintains the invariant that every register local is a
   non-negative int below 2**64, so masking is emitted only where a result
   can actually leave that range.
-* Control flow is flattened: basic blocks become guarded sections
+* ALU and conditional-jump instructions are emitted from the ``jit``
+  templates of the ISA's semantics table (:data:`repro.vm.isa.SEMANTICS`).
+* Control flow is flattened: basic blocks — the analyzer's
+  (:func:`repro.vm.analysis.cfg.block_starts`) — become guarded sections
   ``if _bb <= k:`` inside a single ``while 1:`` loop.  A jump sets ``_bb``
   and ``continue``s; falling off a block flows naturally into the next
   guard, so straight-line code pays nothing for the dispatch.
@@ -126,21 +129,19 @@ from .interpreter import (
     PluginMemory,
     VirtualMachine,
 )
+from .analysis.cfg import block_starts
 from .isa import (
-    ALU_IMM_OPS,
-    ALU_REG_OPS,
     DST_WRITE_OPS,
     FP_REGISTER,
-    JMP_IMM_OPS,
-    JMP_REG_OPS,
-    JUMP_OPS,
     LOAD_OPS,
     MEM_SIZES,
     NUM_REGISTERS,
+    SEMANTICS,
     STACK_SIZE,
     STORE_REG_OPS,
     WORD_MASK,
     Op,
+    to_signed,
 )
 
 __all__ = [
@@ -158,6 +159,8 @@ _M_LIT = str(WORD_MASK)  # 18446744073709551615
 _SIGN_LIT = str(1 << 63)
 _TWO64_LIT = str(1 << 64)
 _STACK_TOP = STACK_BASE + STACK_SIZE
+#: The constants a semantics-table template names.
+_TEMPLATE_CONSTS = {"mask": _M_LIT, "two64": _TWO64_LIT, "sign": _SIGN_LIT}
 
 #: Programs larger than this fall back to the interpreter — keeps worst
 #: case translation time bounded (the verifier itself allows 65k).
@@ -168,22 +171,6 @@ class JitError(Exception):
     """The program cannot be translated; callers fall back to the
     interpreter (which yields identical runtime semantics)."""
 
-
-# Pure instructions only touch the register file and cannot fault, so
-# their fuel may be charged in arrears (registers are unobservable after
-# a fault).  DIV/MOD by register can fault and are excluded; DIV_IMM /
-# MOD_IMM are pure only because translation rejects a zero immediate.
-_PURE_ALU_REG = {Op.ADD, Op.SUB, Op.MUL, Op.AND, Op.OR, Op.XOR, Op.LSH,
-                 Op.RSH, Op.ARSH, Op.MOV}
-
-_CMP = {
-    Op.JEQ: "==",
-    Op.JNE: "!=",
-    Op.JGT: ">",
-    Op.JGE: ">=",
-    Op.JLT: "<",
-    Op.JLE: "<=",
-}
 
 _EXEC_GLOBALS = {
     "__builtins__": {},
@@ -199,11 +186,6 @@ _EXEC_GLOBALS = {
 }
 
 
-def _signed_const(value: int) -> int:
-    value &= _M
-    return value - (1 << 64) if value >= 1 << 63 else value
-
-
 def _reg_expr(reg: int) -> str:
     """Expression for reading a register (r10 folds to a constant)."""
     return str(_STACK_TOP) if reg == FP_REGISTER else f"r{reg}"
@@ -211,53 +193,6 @@ def _reg_expr(reg: int) -> str:
 
 def _signed_expr(expr: str) -> str:
     return f"(({expr} - {_TWO64_LIT}) if {expr} >= {_SIGN_LIT} else {expr})"
-
-
-def _alu_line(base: Op, dst: int, src_expr: str,
-              src_const: Optional[int]) -> str:
-    rd = f"r{dst}"
-    if base is Op.ADD:
-        return f"{rd} = ({rd} + {src_expr}) & {_M_LIT}"
-    if base is Op.SUB:
-        return f"{rd} = ({rd} - {src_expr}) & {_M_LIT}"
-    if base is Op.MUL:
-        return f"{rd} = ({rd} * {src_expr}) & {_M_LIT}"
-    if base is Op.AND:
-        return f"{rd} = {rd} & {src_expr}"
-    if base is Op.OR:
-        return f"{rd} = {rd} | {src_expr}"
-    if base is Op.XOR:
-        return f"{rd} = {rd} ^ {src_expr}"
-    if base is Op.MOV:
-        return f"{rd} = {src_expr}"
-    if base is Op.DIV:  # pure only for verified nonzero immediates
-        return f"{rd} = {rd} // {src_expr}"
-    if base is Op.MOD:
-        return f"{rd} = {rd} % {src_expr}"
-    if base in (Op.LSH, Op.RSH, Op.ARSH):
-        sh = str(src_const & 63) if src_const is not None \
-            else f"({src_expr} & 63)"
-        if base is Op.LSH:
-            return f"{rd} = ({rd} << {sh}) & {_M_LIT}"
-        if base is Op.RSH:
-            return f"{rd} = {rd} >> {sh}"
-        return (f"{rd} = ((({rd} - {_TWO64_LIT}) >> {sh}) & {_M_LIT}) "
-                f"if {rd} >= {_SIGN_LIT} else ({rd} >> {sh})")
-    raise JitError(f"unsupported ALU op {base!r}")
-
-
-def _cond_expr(base: Op, a_expr: str, b_expr: str,
-               b_const: Optional[int]) -> str:
-    if base in _CMP:
-        return f"{a_expr} {_CMP[base]} {b_expr}"
-    if base is Op.JSET:
-        return f"{a_expr} & {b_expr}"
-    if base in (Op.JSGT, Op.JSLT):
-        sa = _signed_expr(a_expr)
-        sb = str(_signed_const(b_const)) if b_const is not None \
-            else _signed_expr(b_expr)
-        return f"{sa} {'>' if base is Op.JSGT else '<'} {sb}"
-    raise JitError(f"unsupported jump op {base!r}")
 
 
 class _Emitter:
@@ -436,11 +371,12 @@ def _private_frame(instructions) -> Optional[_Frame]:
     slots: Dict[int, int] = {}  # stack offset -> size
     for ins in instructions:
         op = ins.opcode
-        if (op in ALU_REG_OPS or op in STORE_REG_OPS) \
-                and ins.src == FP_REGISTER:
-            return None
-        if (op in JMP_REG_OPS and FP_REGISTER in (ins.dst, ins.src)) \
-                or (op in JMP_IMM_OPS and ins.dst == FP_REGISTER):
+        row = SEMANTICS.get(op)
+        if row is not None:
+            if FP_REGISTER == ins.dst \
+                    or (op is row.reg and FP_REGISTER == ins.src):
+                return None
+        elif op in STORE_REG_OPS and ins.src == FP_REGISTER:
             return None
         if op in MEM_SIZES and _mem_base(ins) == FP_REGISTER:
             size = MEM_SIZES[op]
@@ -499,22 +435,12 @@ def compile_jit(instructions, proof=None,
             raise JitError(f"register out of range in {ins!r}")
         if op in DST_WRITE_OPS and ins.dst == FP_REGISTER:
             raise JitError("write to read-only r10")
-        if op in (Op.DIV_IMM, Op.MOD_IMM) and (ins.imm & _M) == 0:
+        row = SEMANTICS.get(op)
+        if row is not None and row.may_fault and op is row.imm \
+                and (ins.imm & _M) == 0:
             raise JitError("division by zero immediate")
 
-    # Basic-block leaders: entry, every jump target, every fall-through
-    # successor of a jump or exit.
-    leaders = {0}
-    for pc, ins in enumerate(instructions):
-        op = ins.opcode
-        if op in JUMP_OPS or op is Op.EXIT:
-            if pc + 1 < n:
-                leaders.add(pc + 1)
-            if op in JUMP_OPS:
-                target = pc + 1 + ins.offset
-                if 0 <= target < n:
-                    leaders.add(target)
-    order = sorted(leaders)
+    order = block_starts(instructions)
     block_of = {start: i for i, start in enumerate(order)}
 
     frame = _private_frame(instructions)
@@ -533,28 +459,30 @@ def compile_jit(instructions, proof=None,
         for pc in range(start, end):
             ins = instructions[pc]
             op = ins.opcode
+            row = SEMANTICS.get(op)
 
-            if op in ALU_REG_OPS:
-                if op in _PURE_ALU_REG:
-                    em.emit(_alu_line(op, ins.dst, _reg_expr(ins.src), None))
+            if row is not None and row.writes_dst:
+                if op is row.imm:
+                    src = str(ins.imm & _M)
+                    shift = str(ins.imm & 63)
+                else:
+                    src = _reg_expr(ins.src)
+                    shift = f"({src} & 63)"
+                line = row.jit.format(d=f"r{ins.dst}", s=src, k=shift,
+                                      **_TEMPLATE_CONSTS)
+                # Pure instructions only touch the register file and
+                # cannot fault, so their fuel is charged in arrears
+                # (registers are unobservable after a fault).  An
+                # immediate divisor is nonzero: translation rejects zero.
+                if row.pure or op is row.imm:
+                    em.emit(line)
                     pending += 1
                 else:  # DIV / MOD by register: can fault
                     em.flush_fuel(pending + 1)
                     pending = 0
-                    src = _reg_expr(ins.src)
-                    word = "division" if op is Op.DIV else "modulo"
                     em.emit(f"if {src} == 0:")
-                    em.emit(f'    raise _ExecutionError("{word} by zero")')
-                    line = (f"r{ins.dst} = r{ins.dst} // {src}"
-                            if op is Op.DIV else
-                            f"r{ins.dst} = r{ins.dst} % {src}")
+                    em.emit(f'    raise _ExecutionError("{row.fault}")')
                     em.emit(line)
-                continue
-            if op in ALU_IMM_OPS:
-                base = Op(op - 0x10)
-                const = ins.imm & _M
-                em.emit(_alu_line(base, ins.dst, str(const), const))
-                pending += 1
                 continue
             if op is Op.NEG:
                 em.emit(f"r{ins.dst} = (-r{ins.dst}) & {_M_LIT}")
@@ -614,17 +542,19 @@ def compile_jit(instructions, proof=None,
                     em.emit("continue")
                 terminated = True
                 continue
-            if op in JMP_REG_OPS or op in JMP_IMM_OPS:
+            if row is not None:  # conditional jump
                 em.flush_fuel(pending + 1)
-                if op in JMP_REG_OPS:
-                    base = op
+                if op is row.imm:
+                    b_const: Optional[int] = ins.imm & _M
+                    b_expr = str(b_const)
+                else:
                     b_const = _STACK_TOP if ins.src == FP_REGISTER else None
                     b_expr = _reg_expr(ins.src)
-                else:
-                    base = Op(op - 0x10)
-                    b_const = ins.imm & _M
-                    b_expr = str(b_const)
-                cond = _cond_expr(base, _reg_expr(ins.dst), b_expr, b_const)
+                a_expr = _reg_expr(ins.dst)
+                cond = row.jit.format(
+                    a=a_expr, b=b_expr, sa=_signed_expr(a_expr),
+                    sb=_signed_expr(b_expr) if b_const is None
+                    else str(to_signed(b_const)))
                 target = pc + 1 + ins.offset
                 if target != pc + 1 or target >= n:
                     em.emit(f"if {cond}:")

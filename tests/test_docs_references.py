@@ -2,12 +2,15 @@
 
 Over the living documentation — README, DESIGN, EXPERIMENTS, ``docs/``
 and the verify skill — every repo path in back-ticks or in a fenced
-block exists (a ``*`` must match something), and every ``REPRO_*``
-environment variable named there is still read by some code.
-ROADMAP.md, CHANGES.md and ``bench/README.md`` are history / owned by
-the benchmark and are not scanned.
+block exists (a ``*`` must match something), every dotted ``repro.…``
+name there imports or resolves as an attribute (a trailing ``*`` is a
+prefix), and every ``REPRO_*`` environment variable named there is
+still read by some code.  ROADMAP.md, CHANGES.md and
+``bench/README.md`` are history / owned by the benchmark and are not
+scanned.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -20,6 +23,7 @@ DOCS = sorted(
      *(ROOT / "docs").glob("*.md")])
 PATH = re.compile(
     r"(?<![\w/.-])(?:src|tests|tools|docs|bench|benchmarks|examples)/[\w./*-]+")
+MODULE = re.compile(r"(?<![\w/.-])repro(?:\.\w+)+\*?")
 ENV = re.compile(r"\bREPRO_[A-Z_]+\b")
 #: Where an environment variable has to be read: ``environ ... NAME`` on
 #: one line, or ``$NAME`` in a workflow.
@@ -50,6 +54,34 @@ def test_every_quoted_path_exists(doc):
         ref for ref in (m.rstrip(".") for m in PATH.findall(quoted(doc.read_text())))
         if not (any(ROOT.glob(ref)) if "*" in ref else (ROOT / ref).exists())})
     assert not missing, f"{doc.relative_to(ROOT)} names paths that do not exist: {missing}"
+
+
+def resolves(name: str) -> bool:
+    """``repro.a.b.c``: the longest importable prefix, then attributes;
+    a trailing ``*`` matches any attribute starting with the last part."""
+    prefix = name.endswith("*")
+    parts = name.rstrip("*").split(".")
+    stem = parts[:-1] if prefix else parts
+    for i in range(len(stem), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(stem[:i]))
+        except ImportError:
+            continue
+        break
+    for attr in stem[i:]:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return not prefix or any(n.startswith(parts[-1]) for n in dir(obj))
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_quoted_module_name_resolves(doc):
+    missing = sorted({
+        name for name in MODULE.findall(quoted(doc.read_text()))
+        if not resolves(name)})
+    assert not missing, (f"{doc.relative_to(ROOT)} names modules or "
+                         f"attributes that do not exist: {missing}")
 
 
 def test_every_named_switch_is_still_read():

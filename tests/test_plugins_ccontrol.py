@@ -9,7 +9,7 @@ from repro.experiments import run_quic_transfer
 from repro.plugins.ccontrol import ST_AREA, build_ccontrol_plugin
 from repro.quic import QuicConfiguration
 from repro.quic.connection import QuicConnection
-from repro.termination import check_termination
+from repro.vm.analysis.termination import check_termination
 from repro.vm.interpreter import HEAP_BASE
 
 

@@ -15,7 +15,7 @@ from repro.plugins.ecn import (
 )
 from repro.quic import ClientEndpoint, ServerEndpoint
 from repro.quic.wire import Buffer
-from repro.termination import check_termination
+from repro.vm.analysis.termination import check_termination
 from repro.vm.interpreter import HEAP_BASE
 
 

@@ -10,7 +10,7 @@ from repro.plugins.monitoring import (
     build_monitoring_plugin,
 )
 from repro.quic import ClientEndpoint, ServerEndpoint
-from repro.termination import check_termination
+from repro.vm.analysis.termination import check_termination
 
 
 @pytest.fixture

@@ -149,6 +149,21 @@ class TestValidator:
         assert not pv.validated(looping.name)
         assert "termination" in pv.failures[looping.name]
 
+    def test_termination_validator_decodes_each_plugin_once(
+            self, monkeypatch):
+        """The static checks and the termination proofs work on one
+        decoded plugin."""
+        from repro.plugins.multipath import build_multipath_plugin
+        from repro.secure.validator import termination_validation
+
+        plugin = build_multipath_plugin()
+        decoded = []
+        deserialize = Plugin.deserialize.__func__
+        monkeypatch.setattr(Plugin, "deserialize", classmethod(
+            lambda cls, data: decoded.append(1) or deserialize(cls, data)))
+        assert termination_validation(plugin.name, plugin.serialize()) is None
+        assert len(decoded) == 1
+
     def test_all_builtin_plugins_pass_termination_validator(self):
         from repro.plugins.datagram import build_datagram_plugin
         from repro.plugins.fec import build_fec_plugin

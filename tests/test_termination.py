@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.termination import ControlFlowGraph, check_termination
+from repro.vm.analysis.cfg import ControlFlowGraph
+from repro.vm.analysis.termination import check_termination
 from repro.vm import assemble, compile_pluglet
 
 
@@ -197,6 +198,73 @@ def f(n):
     return i
 """
         assert not check_termination(compile_pluglet(src)).proven
+
+
+class TestWraparound:
+    """Counters are 64-bit words: a ranking must reach the exit set
+    modulo 2^64, not just move toward the bound."""
+
+    def test_non_negative_countdown_never_exits(self):
+        # Every unsigned value is >= 0: the exit set is empty.
+        src = """
+def f(n):
+    while n >= 0:
+        n -= 1
+    return n
+"""
+        assert not check_termination(compile_pluglet(src)).proven
+
+    def test_inclusive_bound_may_be_the_largest_word(self):
+        # n = 2^64 - 1: every i <= n, so the loop never exits.
+        src = """
+def f(n):
+    i = 0
+    while i <= n:
+        i += 1
+    return i
+"""
+        assert not check_termination(compile_pluglet(src)).proven
+
+    def test_even_step_can_jump_over_the_exit(self):
+        # n = 2^64 - 1: an even i is always below n, and wraps to 0.
+        src = """
+def f(n):
+    i = 0
+    while i < n:
+        i += 2
+    return i
+"""
+        assert not check_termination(compile_pluglet(src)).proven
+
+    def test_signed_exit_has_no_negation(self):
+        # No word is signed-greater than INT64_MAX: the only exit is
+        # never taken.  JSGT has no negation in the ISA, so its exit
+        # gives no stay condition to rank.
+        report = check_termination(assemble("""
+        top:
+            add r1, 1
+            jsgt r1, 9223372036854775807, out
+            ja top
+        out:
+            exit
+        """))
+        assert not report.proven
+
+    @pytest.mark.parametrize("loop", [
+        "i = 0\n    while i < 100:\n        i += 2",
+        "i = 0\n    while i <= 100:\n        i += 1",
+        "while n >= 1:\n        n -= 1",
+        "i = 0\n    while i != 100:\n        i += 1",
+    ])
+    def test_constant_bound_the_step_cannot_skip_proven(self, loop):
+        src = f"def f(n):\n    {loop}\n    return n\n"
+        assert check_termination(compile_pluglet(src)).proven
+
+    def test_accepts_the_cfg_it_was_given(self):
+        program = compile_pluglet(
+            "def f(n):\n    while n > 0:\n        n -= 1\n    return n\n")
+        cfg = ControlFlowGraph(program)
+        assert check_termination(cfg) == check_termination(program)
 
 
 class TestPluginCorpus:

@@ -11,6 +11,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.vm.analysis import (
     LEGACY_RULES,
@@ -24,10 +26,22 @@ from repro.vm.analysis import (
     lint_plugin,
     verify,
 )
-from repro.vm.analysis import domain
+from repro.vm import domain
 from repro.vm.asm import assemble
-from repro.vm.interpreter import HEAP_BASE, STACK_BASE
-from repro.vm.isa import STACK_SIZE, WORD_MASK, Instruction, Op
+from repro.vm.interpreter import (
+    HEAP_BASE,
+    STACK_BASE,
+    PluginMemory,
+    VirtualMachine,
+)
+from repro.vm.isa import (
+    ALU_REG_OPS,
+    SEMANTICS,
+    STACK_SIZE,
+    WORD_MASK,
+    Instruction,
+    Op,
+)
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -197,6 +211,44 @@ class TestIntervalDomain:
         assert domain.div((10, 20), (0, 5)) == (2, 20)  # divisor >= 1
         assert domain.mod((0, 3), (10, 10)) == (0, 3)
         assert domain.mod((0, 99), (10, 10)) == (0, 9)
+
+
+_EDGES = [0, 1, 2, 63, 64, (1 << 63) - 1, 1 << 63, WORD_MASK - 1, WORD_MASK]
+_WORDS = st.one_of(st.integers(0, WORD_MASK), st.integers(0, 130),
+                   st.integers(WORD_MASK - 130, WORD_MASK),
+                   st.sampled_from(_EDGES))
+
+
+@st.composite
+def _member(draw):
+    """An interval and a word in it; constants take the exact paths."""
+    a = draw(_WORDS)
+    b = a if draw(st.booleans()) else draw(_WORDS)
+    lo, hi = min(a, b), max(a, b)
+    return (lo, hi), draw(st.sampled_from([lo, hi]) | st.integers(lo, hi))
+
+
+class TestIntervalSoundness:
+    """For x in X and y in Y, the concrete result lies in the interval
+    result: what the analyzer proves holds for every execution."""
+
+    @pytest.mark.parametrize("row", [SEMANTICS[op] for op in sorted(ALU_REG_OPS)],
+                             ids=lambda row: row.mnemonic)
+    @given(_member(), _member())
+    @settings(max_examples=150, deadline=None)
+    def test_alu_row(self, row, xs, ys):
+        (X, x), (Y, y) = xs, ys
+        assume(not (row.may_fault and y == 0))  # faults: no result
+        assert domain.contains(row.interval(X, Y), row.concrete(x, y))
+
+    @given(_member())
+    @settings(max_examples=150, deadline=None)
+    def test_neg(self, xs):
+        X, x = xs
+        vm = VirtualMachine([Instruction(Op.LDDW, dst=0, imm=x),
+                             Instruction(Op.NEG, dst=0),
+                             Instruction(Op.EXIT)], PluginMemory(8))
+        assert domain.contains(domain.neg(X), vm.run())
 
 
 # --- proofs / facts ----------------------------------------------------------
