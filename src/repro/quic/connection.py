@@ -58,7 +58,7 @@ from .recovery import (
     SentPacket,
 )
 from .reset import is_stateless_reset, stateless_reset_token
-from .stream import ReceiveStream, SendStream
+from .stream import FlowWindow, ReceiveStream, SendStream
 from .transport_params import TransportParameters
 from .wire import Buffer, RangeSet
 
@@ -270,6 +270,7 @@ class QuicConnection:
         self.closed_streams_recv = _closed_id_sets()
         self._next_stream_id = 0 if self.is_client else 1
         self.max_data_local = configuration.transport_parameters.initial_max_data
+        self._data_window = FlowWindow(self.max_data_local, now)
         self.max_data_remote = 0  # learned from peer params
         self.data_sent = 0
         self.data_received = 0
@@ -716,6 +717,7 @@ class QuicConnection:
             self.streams_recv[stream_id] = ReceiveStream(
                 stream_id,
                 self.configuration.transport_parameters.initial_max_stream_data,
+                self.now,
             )
         self._record_streams_open()
 
@@ -776,25 +778,31 @@ class QuicConnection:
         return self.max_data_remote
 
     def _op_should_send_max_data(self, conn) -> bool:
-        window = self.configuration.transport_parameters.initial_max_data
-        return self.data_received > self.max_data_local - window // 2
+        return self._data_window.due(self.data_received, self.max_data_local)
 
     def _op_update_flow_credit(self, conn) -> None:
-        """Raise connection and stream receive windows as data is consumed."""
-        window = self.configuration.transport_parameters.initial_max_data
+        """Raise connection and stream receive windows as data is consumed.
+
+        Each renewal retunes its window to the delivery rate since the
+        previous renewal × the min RTT of path 0, the path the handshake
+        ran on (see :class:`~repro.quic.stream.FlowWindow`)."""
+        min_rtt = self.paths[0].rtt.min_rtt
         if self.protoops.run(self, "should_send_max_data", None):
-            self.max_data_local = self.data_received + window
-            self.protoops.run(
-                self, "queue_control_frame", None,
-                F.MaxDataFrame(maximum=self.max_data_local),
-            )
-            self.protoops.run(self, "flow_control_raised", None, self.max_data_local)
-        stream_window = self.configuration.transport_parameters.initial_max_stream_data
+            new_limit = self._data_window.renew(
+                self.data_received, self.data_received, self.max_data_local,
+                self.now, min_rtt)
+            if new_limit:
+                self.max_data_local = new_limit
+                self.protoops.run(
+                    self, "queue_control_frame", None,
+                    F.MaxDataFrame(maximum=new_limit),
+                )
+                self.protoops.run(self, "flow_control_raised", None, new_limit)
         for stream_id, stream in self.streams_recv.items():
             if stream.final_size is not None:
                 continue
-            if stream.bytes_received > stream.max_stream_data - stream_window // 2:
-                new_limit = stream.grant_credit(stream_window)
+            if stream.window.due(stream.bytes_received, stream.max_stream_data):
+                new_limit = stream.grant_credit(self.now, min_rtt)
                 if new_limit:
                     self.protoops.run(
                         self, "queue_control_frame", None,

@@ -13,6 +13,63 @@ from .errors import FinalSizeError, FlowControlError, StreamStateError
 from .wire import RangeSet
 
 
+#: Receive-window auto-tuning gain.  Credit is renewed at half-use, so a
+#: window-limited sender delivers about half a window per round trip:
+#: a gain of 2 would reproduce the window it measures and never grow it.
+FLOW_WINDOW_GAIN = 2.5
+#: A tuned window never exceeds this many times its initial size.
+FLOW_WINDOW_CAP = 16
+
+
+class FlowWindow:
+    """A receive window that tracks delivery rate × min RTT.
+
+    One per receive stream and one per connection.  Credit is renewed
+    once half the window is used (:meth:`due`).  A renewal
+    (:meth:`renew`) measures the bytes received since the previous one
+    over the time elapsed, and the window becomes ``max(window,
+    FLOW_WINDOW_GAIN × rate × min RTT)``, capped at ``FLOW_WINDOW_CAP ×``
+    the initial window.  It never shrinks, and a sender that does not
+    fill it (an app-limited trickle) measures a rate × RTT far below it,
+    so never grows it.
+    """
+
+    __slots__ = ("size", "cap", "_mark_time", "_mark_bytes")
+
+    def __init__(self, initial: int, now: float = 0.0):
+        self.size = initial
+        self.cap = FLOW_WINDOW_CAP * initial
+        self._mark_time = now
+        self._mark_bytes = 0
+
+    def due(self, received: int, limit: int) -> bool:
+        """Whether credit up to *limit* should be renewed, *received*
+        bytes having arrived."""
+        return received > limit - self.size // 2
+
+    def renew(self, received: int, base: int, limit: int, now: float,
+              min_rtt: float) -> int:
+        """Retune the window and return the new limit ``base + window``,
+        or 0 when that would not raise *limit*: credit already granted
+        is never taken back, and a renewal that grants nothing leaves the
+        measurement running.  An RTT not yet sampled (``inf``) or no
+        elapsed time leaves the window as it is."""
+        size = self.size
+        elapsed = now - self._mark_time
+        if elapsed > 0 and min_rtt != float("inf"):
+            target = int(FLOW_WINDOW_GAIN * (received - self._mark_bytes)
+                         / elapsed * min_rtt)
+            if target > size:
+                size = min(self.cap, target)
+        new_limit = base + size
+        if new_limit <= limit:
+            return 0
+        self.size = size
+        self._mark_time = now
+        self._mark_bytes = received
+        return new_limit
+
+
 def stream_is_client_initiated(stream_id: int) -> bool:
     return stream_id % 2 == 0
 
@@ -171,9 +228,10 @@ class SendStream:
 class ReceiveStream:
     """The receiving half: reassembles, enforces flow control and final size."""
 
-    def __init__(self, stream_id: int, max_stream_data: int):
+    def __init__(self, stream_id: int, max_stream_data: int, now: float = 0.0):
         self.stream_id = stream_id
         self.max_stream_data = max_stream_data  # local limit we advertised
+        self.window = FlowWindow(max_stream_data, now)
         self._received = RangeSet()
         # Out-of-order chunks; bytes or memoryviews into packet plaintext
         # (fresh per packet, so views stay valid until drained).
@@ -261,14 +319,15 @@ class ReceiveStream:
     def bytes_received(self) -> int:
         return self._received.largest() + 1 if self._received else 0
 
-    def grant_credit(self, window: int) -> int:
-        """Advance the flow-control limit to read_offset + window.
+    def grant_credit(self, now: float, min_rtt: float) -> int:
+        """Retune the window and advance the flow-control limit to
+        read_offset + window.
 
         Returns the new limit (to advertise via MAX_STREAM_DATA) or 0 if
-        unchanged.
+        unchanged: a limit already advertised is never taken back.
         """
-        new_limit = self._read_offset + window
-        if new_limit > self.max_stream_data:
+        new_limit = self.window.renew(self.bytes_received, self._read_offset,
+                                      self.max_stream_data, now, min_rtt)
+        if new_limit:
             self.max_stream_data = new_limit
-            return new_limit
-        return 0
+        return new_limit

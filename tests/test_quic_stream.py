@@ -199,13 +199,14 @@ class TestReceiveStream:
     def test_grant_credit_advances_limit(self):
         r = self.make(limit=4)
         r.receive(0, b"abcd", False)
-        new_limit = r.grant_credit(8)
-        assert new_limit == 12  # 4 read + window 8
+        # No RTT sample yet: the window keeps its initial size.
+        new_limit = r.grant_credit(1.0, float("inf"))
+        assert new_limit == 8  # 4 read + window 4
         r.receive(4, b"efgh", False)
 
     def test_grant_credit_no_regression(self):
         r = self.make(limit=100)
-        assert r.grant_credit(10) == 0
+        assert r.grant_credit(1.0, 0.01) == 0
         assert r.max_stream_data == 100
 
     @given(st.binary(min_size=1, max_size=300), st.integers(1, 20),

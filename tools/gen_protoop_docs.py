@@ -142,6 +142,38 @@ the moment the half is retired from the live tables
 
 A bidirectional stream can therefore fire `stream_closed` twice, once
 per half; the monitoring plugin's `streams_closed` counts these runs.
+
+## Flow control
+
+### `update_flow_credit` / `should_send_max_data`
+
+`update_flow_credit()` runs after every STREAM and RESET_STREAM frame the
+connection processes, and is the one place receive credit is renewed: a
+plugin that replaces it replaces the whole policy.  Its default renews
+
+* the **connection** window when `should_send_max_data()` says so — by
+  default once more than half of it is used (`data_received >
+  max_data_local − window / 2`);
+* every live **receive stream** whose highest received offset passed
+  half of its window.
+
+A renewal first retunes the window (`repro.quic.stream.FlowWindow`):
+
+    window = max(window, 2.5 × bytes received since the previous renewal
+                         ÷ time elapsed since it × path 0's min RTT)
+
+capped at 16 × the initial window (`initial_max_data`,
+`initial_max_stream_data`), and then advertises *base* + window in
+MAX_DATA (*base*: bytes received) or MAX_STREAM_DATA (*base*: the read
+offset).  Credit already granted is never taken back: a renewal that
+would not raise the limit queues nothing and leaves the rate measurement
+running.  Until path 0 has an RTT sample the window keeps its size.  A
+sender that does not fill the window — an application-limited trickle,
+request/response traffic — therefore never grows it, and a bulk sender
+grows it about 25 % per renewal until it carries ≈ 2.5 bandwidth-delay
+products.  `flow_control_raised(max_data)` fires after each MAX_DATA is
+queued.  Replacing `should_send_max_data` changes *when* the connection
+window is renewed, not by how much.
 """
 
 
