@@ -109,19 +109,10 @@ class Pipe:
         """Set the receive callback at the far end of the pipe."""
         self._deliver = deliver
 
-    @property
-    def queued_bytes(self) -> int:
-        return self._queued_bytes
-
-    def send(self, packet: object, size: int) -> bool:
-        """Enqueue ``packet`` whose payload is ``size`` bytes.
-
-        Returns False if the packet was dropped (buffer overflow or random
-        loss at ingress).
-        """
-        if self._deliver is None:
-            raise RuntimeError("pipe is not connected")
-        wire_size = size + self.overhead
+    def _admit(self, packet: object, wire_size: int) -> bool:
+        """The ingress rule for one datagram: loss draw, then buffer
+        check, then ECN mark.  An admitted datagram's bytes count as
+        queued; the caller puts it on the queue."""
         if self.loss is not None and self.loss.should_drop():
             self.stats.dropped_loss += 1
             return False
@@ -135,18 +126,33 @@ class Pipe:
         ):
             packet.ecn_ce = True
             self.ecn_marked += 1
-        self._queue.append((packet, wire_size))
         self._queued_bytes += wire_size
+        return True
+
+    def send(self, packet: object, size: int) -> bool:
+        """Enqueue ``packet`` whose payload is ``size`` bytes.
+
+        Returns False if the packet was dropped (buffer overflow or random
+        loss at ingress).
+        """
+        if self._deliver is None:
+            raise RuntimeError("pipe is not connected")
+        wire_size = size + self.overhead
+        if not self._admit(packet, wire_size):
+            return False
+        self._queue.append((packet, wire_size))
         if not self._busy:
             self._transmit_next()
         return True
 
     def send_burst(self, burst) -> int:
         """GSO-style enqueue: the burst occupies ONE queue slot and ONE
-        delivery event, but loss draws, buffer admission and ECN marking
-        happen per segment, in order — the identical decision sequence to
+        delivery event, but each segment passes :meth:`_admit` in order
+        — behind a busy transmitter, the identical decision sequence to
         sending each segment alone, back to back with no simulated time
-        in between.
+        in between.  (On an idle pipe a lone datagram goes straight to
+        the transmitter, while a burst's first segment waits in the
+        queue with the rest of the train.)
         Serialization time equals the sum of the segments'; the burst is
         delivered tail-aligned (when its last byte would have arrived),
         with one jitter draw for the train.  Returns the number of
@@ -157,21 +163,9 @@ class Pipe:
         burst_wire = 0
         for dgram in burst.segments:
             wire_size = dgram.size + self.overhead
-            if self.loss is not None and self.loss.should_drop():
-                self.stats.dropped_loss += 1
-                continue
-            if self._queued_bytes + wire_size > self.buffer_bytes:
-                self.stats.dropped_buffer += 1
-                continue
-            if (
-                self.ecn_threshold is not None
-                and self._queued_bytes > self.ecn_threshold
-            ):
-                dgram.ecn_ce = True
-                self.ecn_marked += 1
-            admitted.append(dgram)
-            self._queued_bytes += wire_size
-            burst_wire += wire_size
+            if self._admit(dgram, wire_size):
+                admitted.append(dgram)
+                burst_wire += wire_size
         if not admitted:
             return 0
         burst.segments = admitted

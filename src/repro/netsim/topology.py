@@ -93,14 +93,6 @@ class Figure7Topology:
         self.r3.add_route("client.1", 1)
         self.r3.add_route("server.*", 2)
 
-    @property
-    def client_addresses(self) -> list[str]:
-        return ["client.0", "client.1"]
-
-    @property
-    def server_address(self) -> str:
-        return "server.0"
-
 
 def symmetric_topology(
     sim: Simulator,

@@ -47,7 +47,6 @@ from .packet import (
     encode_long_header,
     encode_short_header,
     parse_header,
-    seal_packet,
     seal_packet_into,
 )
 from .recovery import (
@@ -1846,13 +1845,19 @@ class QuicConnection:
         self.protoops.run(self, "packet_ready", None, epoch, path_index, pn, plaintext)
         if epoch is Epoch.INITIAL:
             dcid = self.protoops.run(self, "get_destination_cid", None)
+            scid = self.protoops.run(self, "get_source_cid", None)
             header = encode_long_header(
-                PacketType.INITIAL,
-                dcid,
-                self.protoops.run(self, "get_source_cid", None),
-                pn,
-                len(plaintext) + TAG_LENGTH,
+                PacketType.INITIAL, dcid, scid, pn, len(plaintext) + TAG_LENGTH,
             )
+            # Clients pad Initial datagrams (anti-amplification).  The pad
+            # is sized on the unpadded packet, so a length varint that
+            # grows with it leaves the datagram one byte over target.
+            pad = INITIAL_PADDING_TARGET - (len(header) + len(plaintext) + TAG_LENGTH)
+            if self.is_client and pad > 0:
+                plaintext = plaintext + b"\x00" * pad
+                header = encode_long_header(
+                    PacketType.INITIAL, dcid, scid, pn, len(plaintext) + TAG_LENGTH,
+                )
         else:
             header = encode_short_header(
                 self.protoops.run(self, "get_destination_cid", None),
@@ -1863,17 +1868,6 @@ class QuicConnection:
         del pkt_buf[:]
         seal_packet_into(pkt_buf, header, plaintext, self.crypto[epoch].send, pn)
         packet = bytes(pkt_buf)
-        if epoch is Epoch.INITIAL and self.is_client and len(packet) < INITIAL_PADDING_TARGET:
-            # Clients pad Initial datagrams (anti-amplification).
-            pad = INITIAL_PADDING_TARGET - len(packet)
-            padded_plain = plaintext + b"\x00" * pad
-            packet = seal_packet(
-                encode_long_header(
-                    PacketType.INITIAL, dcid,
-                    self.local_cid, pn, len(padded_plain) + TAG_LENGTH,
-                ),
-                padded_plain, self.crypto[epoch].send, pn,
-            )
         # Every ack-eliciting frame is tracked for ACK/loss notification;
         # whether a lost frame is retransmitted is the per-type notifier's
         # decision (e.g. DATAGRAM frames only count their losses, §4.2).

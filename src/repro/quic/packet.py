@@ -185,18 +185,13 @@ def parse_header(buf: Buffer, local_cid_length: int) -> tuple[PacketHeader, int]
     return header, buf.remaining
 
 
-def seal_packet(header_bytes: bytes, payload: bytes, aead: AeadContext, full_pn: int) -> bytes:
-    """Encrypt ``payload`` and return the complete wire packet."""
-    return header_bytes + aead.seal(full_pn, header_bytes, payload)
-
-
 def seal_packet_into(
     out: bytearray, header_bytes: bytes, payload: bytes,
     aead: AeadContext, full_pn: int,
 ) -> None:
     """Append the complete wire packet into ``out`` (the pooled datagram
     buffer) without per-packet concatenation; bit-identical to
-    :func:`seal_packet`."""
+    ``header_bytes + aead.seal(full_pn, header_bytes, payload)``."""
     aead.seal_into(out, full_pn, header_bytes, payload)
 
 

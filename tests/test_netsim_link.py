@@ -1,9 +1,12 @@
 """Unit tests for link bandwidth/delay/loss/buffer modelling."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim import IPV4_UDP_OVERHEAD, Link, Simulator
 from repro.netsim.link import Pipe, SeededLossGen
+from repro.netsim.node import Datagram, DatagramBurst
 
 
 def make_pipe(sim, **kw):
@@ -124,3 +127,44 @@ def test_link_directions_independent():
     sim.run()
     assert fwd == ["f"]
     assert bwd == ["b"]
+
+
+SIZES = st.lists(st.integers(1, 1400), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=SIZES, backlog=SIZES, loss=st.sampled_from([0.0, 0.1, 0.5]),
+       seed=st.integers(0, 2**16), buffer_bytes=st.integers(1500, 12_000),
+       ecn_threshold=st.none() | st.integers(0, 8000))
+def test_burst_admits_like_datagrams_sent_one_by_one(
+        sizes, backlog, loss, seed, buffer_bytes, ecn_threshold):
+    """Behind a busy transmitter, a burst makes the same drops, ECN marks,
+    link statistics and loss-RNG draws as its segments sent one by one."""
+
+    def run(as_burst):
+        sim = Simulator()
+        delivered = []
+        pipe = Pipe(sim, delay=0.001, bandwidth=1e6,
+                    buffer_bytes=buffer_bytes, ecn_threshold=ecn_threshold)
+        pipe.connect(lambda pkt: delivered.extend(
+            d.src_port for d in getattr(pkt, "segments", [pkt])))
+        pipe.send(Datagram("c", -1, "s", 443, bytes(1000)), 1000)  # busy
+        pipe.loss = SeededLossGen(loss, seed)
+        for i, size in enumerate(backlog):
+            pipe.send(Datagram("c", 100 + i, "s", 443, bytes(size)), size)
+        dgrams = [Datagram("c", i, "s", 443, bytes(size))
+                  for i, size in enumerate(sizes)]
+        if as_burst:
+            burst = DatagramBurst(list(dgrams))
+            kept = burst.segments if pipe.send_burst(burst) else []
+            admitted = [any(d is k for k in kept) for d in dgrams]
+        else:
+            admitted = [pipe.send(d, d.size) for d in dgrams]
+        sim.run()
+        stats = pipe.stats
+        return (admitted, [d.ecn_ce for d in dgrams], pipe.ecn_marked,
+                (stats.tx_packets, stats.tx_bytes, stats.dropped_buffer,
+                 stats.dropped_loss),
+                pipe.loss._rng.getstate(), sorted(delivered))
+
+    assert run(as_burst=True) == run(as_burst=False)

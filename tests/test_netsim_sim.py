@@ -1,6 +1,10 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim import Simulator
 
@@ -134,6 +138,7 @@ def test_runaway_guard_message_is_diagnostic():
     assert "100 events" in msg
     assert "t=" in msg
     assert "pending" in msg
+    assert "next: <Event t=25.000000" in msg
 
 
 def test_runaway_guard_warn_mode_keeps_state():
@@ -180,35 +185,32 @@ def test_step_single_event():
     assert not sim.step()
 
 
-# --- hybrid near-heap / far-wheel queue --------------------------------------
+# --- ordering, cancellation and the queue contract ---------------------------
 
-def test_cross_horizon_ordering():
-    """Near (heap) and far (wheel) events interleave in exact time order."""
-    from repro.netsim.sim import NEAR_HORIZON
-
+def test_mixed_delays_fire_in_time_order():
     sim = Simulator()
     fired = []
-    delays = [0.001, NEAR_HORIZON - 1e-6, NEAR_HORIZON, NEAR_HORIZON + 1e-6,
-              0.1, 0.9, 0.3, 5.0, 0.24, 0.26, 2.5, 0.0]
+    delays = [0.001, 0.249999, 0.25, 0.250001, 0.1, 0.9, 0.3, 5.0, 0.24,
+              0.26, 2.5, 0.0]
     for d in delays:
         sim.schedule(d, fired.append, d)
     sim.run()
     assert fired == sorted(delays)
 
 
-def test_cross_horizon_scheduling_order_tiebreak():
-    """Identical deadlines fire in scheduling order even when the events
-    landed in different queues at schedule time."""
+def test_equal_deadlines_fire_in_scheduling_order_across_runs():
+    """An event scheduled long ago and one scheduled just now for the same
+    instant fire in scheduling order."""
     sim = Simulator()
     fired = []
-    sim.schedule(1.0, fired.append, "far-first")   # wheel
-    sim.run(until=0.9)                             # 1.0 is now near
-    sim.schedule(0.1, fired.append, "near-second")  # heap, same deadline
+    sim.schedule(1.0, fired.append, "first")
+    sim.run(until=0.9)
+    sim.schedule(0.1, fired.append, "second")
     sim.run()
-    assert fired == ["far-first", "near-second"]
+    assert fired == ["first", "second"]
 
 
-def test_far_event_cancellation_and_compaction():
+def test_cancellation_and_compaction():
     sim = Simulator()
     fired = []
     events = [sim.schedule(10.0 + i, fired.append, i) for i in range(100)]
@@ -217,11 +219,12 @@ def test_far_event_cancellation_and_compaction():
         if ev not in keep:
             ev.cancel()
     assert sim.pending() == len(keep)
+    assert len(sim._heap) < 2 * len(keep) + 8  # compacted along the way
     sim.run()
     assert fired == [0, 10, 20, 30, 40, 50, 60, 70, 80, 90]
 
 
-def test_hybrid_determinism_against_reference():
+def test_schedule_cancel_determinism_against_reference():
     """A mixed schedule/cancel workload fires exactly like a sorted list."""
     sim = Simulator()
     fired = []
@@ -241,40 +244,195 @@ def test_hybrid_determinism_against_reference():
     assert fired == expected
 
 
-def test_wheel_overflow_beyond_horizon():
-    """Events past the wheel's top-level horizon park in its overflow
-    heap and still fire (the idle-timeout-of-the-far-future case)."""
+def test_far_future_event_fires_last():
     sim = Simulator()
     fired = []
-    sim.schedule(2_000_000.0, fired.append, "overflow")
-    sim.schedule(1.0, fired.append, "wheel")
-    sim.schedule(0.01, fired.append, "heap")
+    sim.schedule(2_000_000.0, fired.append, "far")
+    sim.schedule(1.0, fired.append, "second")
+    sim.schedule(0.01, fired.append, "first")
     sim.run()
-    assert fired == ["heap", "wheel", "overflow"]
+    assert fired == ["first", "second", "far"]
+    assert sim.now == 2_000_000.0
 
 
-def test_run_until_pushback_across_horizon():
-    """run_until may pop a far event past its deadline; the push-back
-    must preserve its place in the order."""
+def test_run_until_timeout_keeps_the_late_event():
     sim = Simulator()
     fired = []
-    sim.schedule(5.0, fired.append, "far")
+    sim.schedule(5.0, fired.append, "late")
     assert not sim.run_until(lambda: False, timeout=1.0)
     assert sim.pending() == 1
-    sim.schedule(0.5, fired.append, "near")  # now at t=1.0 -> fires at 1.5
+    sim.schedule(0.5, fired.append, "early")  # now at t=1.0 -> fires at 1.5
     sim.run()
-    assert fired == ["near", "far"]
+    assert fired == ["early", "late"]
+
+
+def test_run_until_drained_leaves_now_alone():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    assert not sim.run_until(lambda: False, timeout=10.0)
+    assert sim.now == 1.0
+
+
+def test_run_until_true_predicate_fires_nothing():
+    sim = Simulator()
+    sim.schedule(0.0, lambda: None)
+    assert sim.run_until(lambda: True)
+    assert sim.pending() == 1
+    assert sim.events_fired == 0
+
+
+def test_run_with_until_advances_now_past_a_drained_queue():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    sim.run(until=3.0)
+    assert sim.now == 3.0
 
 
 def test_rearm_churn_stays_bounded():
-    """Cancel + reschedule of standing far timers (the per-packet idle
-    alarm pattern) must not accumulate dead events."""
+    """Cancel + reschedule of a standing timer (the per-packet idle alarm
+    pattern) must not accumulate dead events."""
     sim = Simulator()
     alarm = sim.schedule(30.0, lambda: None)
     for _ in range(5000):
         alarm.cancel()
         alarm = sim.schedule(30.0, lambda: None)
     assert sim.pending() == 1
-    # The internal queues hold at most O(live + recent garbage) entries.
-    assert len(sim._heap) + len(sim._wheel) < 64
+    # The heap holds at most O(live + recent garbage) entries.
+    assert len(sim._heap) < 64
+
+
+class ReferenceQueue:
+    """The queue contract spelled out on a plain list: the live entry
+    with the least ``(time, seq)`` fires next."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.queue = []  # [time, seq, label, child_delay]
+        self.seq = 0
+        self.fired = []
+
+    def schedule(self, delay, label, child):
+        entry = [self.now + delay, self.seq, label, child]
+        self.seq += 1
+        self.queue.append(entry)
+        return entry
+
+    def cancel(self, entry):
+        self.queue = [e for e in self.queue if e is not entry]
+
+    def fire_next(self, until=math.inf):
+        """'fired', 'late' (the head is due after ``until``) or 'empty'."""
+        if not self.queue:
+            return "empty"
+        head = min(self.queue, key=lambda e: (e[0], e[1]))
+        if head[0] > until:
+            return "late"
+        self.cancel(head)
+        self.now = head[0]
+        self.fired.append(head[2])
+        if head[3] is not None:
+            self.schedule(head[3], ("child", head[2]), None)
+        return "fired"
+
+    def run(self, until):
+        result = "fired"
+        while result == "fired":
+            result = self.fire_next(math.inf if until is None else until)
+        if until is not None:
+            self.now = until if result == "late" else max(self.now, until)
+
+    def run_until(self, predicate, timeout):
+        deadline = self.now + timeout
+        if predicate():
+            return True
+        while True:
+            result = self.fire_next(deadline)
+            if result != "fired":
+                if result == "late":
+                    self.now = deadline
+                return predicate()
+            if predicate():
+                return True
+
+
+DELAYS = st.sampled_from([0.0, 0.001, 0.25, 0.5, 1.0, 30.0]) | st.floats(
+    0.0, 100.0, allow_nan=False)
+SCHEDULE = st.tuples(st.just("schedule"), DELAYS, st.none() | DELAYS)
+CANCEL = st.tuples(st.just("cancel"), st.integers(0, 1000))
+# Batches of schedules and cancels of queued events grow the heap past
+# the size where cancelled garbage gets compacted away.
+OPS = st.lists(st.one_of(
+    SCHEDULE, CANCEL, CANCEL,
+    st.tuples(st.just("schedule_many"), st.lists(DELAYS, max_size=20)),
+    st.tuples(st.just("cancel_many"), st.integers(1, 3)),
+    st.tuples(st.just("schedule_at"), st.floats(0.0, 60.0), st.none() | DELAYS),
+    st.tuples(st.just("run"), st.none() | st.floats(0.0, 20.0)),
+    st.tuples(st.just("run_until"), st.integers(0, 5), st.floats(0.0, 20.0)),
+    st.tuples(st.just("step")),
+), max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(OPS)
+def test_queue_matches_sorted_list_reference(ops):
+    """Random schedule / schedule_at / cancel / run / run_until / step
+    sequences fire in the reference's order and leave the same
+    ``pending()`` and ``now`` after every call.  A fired event may
+    schedule one child, so the queue also grows while it runs."""
+    sim = Simulator()
+    ref = ReferenceQueue()
+    fired = []
+    handles = []
+
+    def fire(label, child):
+        fired.append(label)
+        if child is not None:
+            sim.schedule(child, fire, ("child", label), None)
+
+    def queued():
+        return [h for h in handles if any(h[1] is e for e in ref.queue)]
+
+    def schedule(delay, child):
+        label = len(handles)
+        ev = sim.schedule(delay, fire, label, child)
+        handles.append((ev, ref.schedule(delay, label, child)))
+
+    for op in ops + [("run", None)]:  # drain at the end
+        kind = op[0]
+        if kind == "schedule":
+            schedule(op[1], op[2])
+        elif kind == "schedule_many":
+            for delay in op[1]:
+                schedule(delay, None)
+        elif kind == "schedule_at":
+            label = len(handles)
+            ev = sim.schedule_at(op[1], fire, label, op[2])
+            entry = ref.schedule(max(0.0, op[1] - ref.now), label, op[2])
+            handles.append((ev, entry))
+        elif kind == "cancel" and handles:
+            # A queued event while there is one; otherwise a fired or
+            # cancelled one, whose cancel must be a no-op.
+            pool = queued() or handles
+            ev, entry = pool[op[1] % len(pool)]
+            ev.cancel()
+            ref.cancel(entry)
+        elif kind == "cancel_many":
+            for ev, entry in queued()[::op[1]]:
+                ev.cancel()
+                ref.cancel(entry)
+        elif kind == "run":
+            until = None if op[1] is None else sim.now + op[1]
+            sim.run(until=until)
+            ref.run(until)
+        elif kind == "run_until":
+            target = len(fired) + op[1]
+            got = sim.run_until(lambda: len(fired) >= target, timeout=op[2])
+            want = ref.run_until(lambda: len(ref.fired) >= target, op[2])
+            assert got == want
+        elif kind == "step":
+            assert sim.step() == (ref.fire_next() == "fired")
+        assert fired == ref.fired
+        assert sim.pending() == len(ref.queue)
+        assert sim.now == ref.now
+
 

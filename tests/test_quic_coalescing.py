@@ -2,8 +2,8 @@
 
 Covers the send-side packer (`_coalesce_datagrams`), the multi-packet
 receive loop (runt tails, mixed long/short trains, stateless-reset
-reachability), the scatter-gather sealers (bit-identical to the
-concatenating `seal_packet`), and per-packet plugin protoop semantics
+reachability), the scatter-gather sealers (bit-identical to the header
+concatenated with `AeadContext.seal`), and per-packet plugin protoop semantics
 under GSO/GRO (one invocation per packet, same fuel).
 """
 
@@ -19,7 +19,7 @@ from repro.plugins.monitoring import (
 from repro.quic import ClientEndpoint, QuicConfiguration, ServerEndpoint
 from repro.quic.connection import ConnectionState, QuicConnection
 from repro.quic.crypto import AeadContext
-from repro.quic.packet import FORM_LONG, seal_packet, seal_packet_into
+from repro.quic.packet import FORM_LONG, seal_packet_into
 from repro.quic.reset import stateless_reset_token
 from repro.vm.interpreter import HEAP_BASE
 
@@ -190,13 +190,13 @@ class TestScatterGatherSeal:
         assert bytes(out) == bytes(header) + aead.seal(
             5, bytes(header), bytes(payload))
 
-    def test_seal_packet_into_matches_seal_packet(self):
+    def test_seal_packet_into_matches_header_plus_seal(self):
         aead = AeadContext(b"s" * 16)
         header = b"\xc0" + b"\x01" * 10
         payload = b"frame-bytes" * 20
         out = bytearray()
         seal_packet_into(out, header, payload, aead, 42)
-        assert bytes(out) == seal_packet(header, payload, aead, 42)
+        assert bytes(out) == header + aead.seal(42, header, payload)
 
 
 def _lossy_monitored_transfer(size=60_000):

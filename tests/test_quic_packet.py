@@ -13,7 +13,7 @@ from repro.quic.packet import (
     encode_short_header,
     open_payload,
     parse_header,
-    seal_packet,
+    seal_packet_into,
 )
 from repro.quic.wire import Buffer
 
@@ -98,7 +98,8 @@ class TestPacketNumberDecode:
 def test_seal_and_open_packet():
     aead = AeadContext(b"k" * 32)
     hdr = encode_short_header(DCID, 3)
-    packet = seal_packet(hdr, b"frame bytes", aead, 3)
+    packet = bytearray()
+    seal_packet_into(packet, hdr, b"frame bytes", aead, 3)
     parsed, payload_len = parse_header(Buffer(packet), 8)
     assert payload_len == len(packet) - len(hdr)
     plaintext = open_payload(hdr, packet[len(hdr):], aead, 3)
