@@ -62,25 +62,31 @@ def schedule_packet_frames(conn, epoch: Epoch, path_index: int, budget: int):
     space = conn.initial_space if epoch is Epoch.INITIAL else path.space
     frames: list[F.Frame] = []
     used = 0
-    ack_only = True
 
     # 1. ACK — not congestion controlled, always fits first.  The
     # reported ack_delay is clamped to our own advertised max_ack_delay
-    # (the send-side mirror of the RFC 9002 §5.3 receive clamp).
+    # (the send-side mirror of the RFC 9002 §5.3 receive clamp).  Its
+    # room is kept while the rest is filled: an owed ACK rides on any
+    # packet that leaves anyway, and leaves alone only when due (RFC 9000
+    # §13.2.1) — an Initial ACK always is; for a path, ``is_ack_needed``
+    # decides.
+    ack = None
     if space.ack_needed:
         ack = space.ack_frame(
             conn.now, conn.configuration.transport_parameters.max_ack_delay)
-        if ack is not None:
-            size = ack.encoded_size()
-            if used + size <= budget:
-                frames.append(ack)
-                used += size
-                space.ack_needed = False
-                conn.protoops.run(conn, "ack_frame_built", None, epoch, path_index)
+        used = ack.encoded_size() if ack is not None else 0
+        if used > budget:
+            ack, used = None, 0
 
     # 2. CRYPTO data (handshake) — also exempt from congestion control in
     # this model (Initial packets carry the handshake forward).
     if epoch is Epoch.INITIAL:
+        ack_only = True
+        if conn._initial_ping:
+            conn._initial_ping = False
+            frames.append(F.PingFrame())
+            used += frames[-1].encoded_size()
+            ack_only = False
         while conn._crypto_send.has_pending and used < budget - MIN_PACKET_USEFUL:
             chunk = conn._crypto_send.next_chunk(budget - used - STREAM_FRAME_OVERHEAD)
             if chunk is None:
@@ -90,7 +96,21 @@ def schedule_packet_frames(conn, epoch: Epoch, path_index: int, budget: int):
             frames.append(frame)
             used += frame.encoded_size()
             ack_only = False
-        return frames, ack_only
+    else:
+        ack_only = _fill_one_rtt(conn, path, frames, used, budget)
+    if ack is not None and (
+            frames or epoch is Epoch.INITIAL
+            or conn.protoops.run(conn, "is_ack_needed", None, path_index)):
+        frames.insert(0, ack)
+        space.ack_needed = False
+        conn.protoops.run(conn, "ack_frame_built", None, epoch, path_index)
+    return frames, ack_only
+
+
+def _fill_one_rtt(conn, path, frames: list, used: int, budget: int) -> bool:
+    """Fill a 1-RTT packet after its ACK.  Returns ack_only: True if no
+    ack-eliciting frame was added."""
+    ack_only = True
 
     # Path probe frames (PATH_CHALLENGE / PATH_RESPONSE) are bound to
     # this very path (RFC 9000 §8.2.2) and, like ACKs, exempt from the
@@ -135,7 +155,7 @@ def schedule_packet_frames(conn, epoch: Epoch, path_index: int, budget: int):
     # 1-RTT: apply the congestion window to everything below.
     allowance = min(budget - used, path.cc.available_window)
     if allowance < MIN_PACKET_USEFUL:
-        return frames, ack_only  # possibly ACK-only, possibly empty
+        return ack_only  # possibly empty
 
     core_pending = conn.data_to_send_pending() or bool(conn._control_frames)
     plugin_pending = bool(conn.reserved_frames)
@@ -214,7 +234,7 @@ def schedule_packet_frames(conn, epoch: Epoch, path_index: int, budget: int):
         if not data and fin:
             break
 
-    return frames, ack_only
+    return ack_only
 
 
 def _drr_fill(conn, budget: int):

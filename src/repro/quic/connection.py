@@ -84,10 +84,11 @@ def _closed_id_sets() -> tuple:
 
 CID_LENGTH = 8
 INITIAL_PADDING_TARGET = 1200
-#: Every protocol operation one empty ``prepare_packet`` attempt runs.
+#: Every protocol operation one empty ``prepare_packet`` attempt runs
+#: (``is_ack_needed`` only when an owed ACK would leave alone).
 _SEND_ATTEMPT_OPS = ("prepare_packet", "before_sending_packet",
                      "select_sending_path", "schedule_frames",
-                     "stream_to_send")
+                     "stream_to_send", "is_ack_needed")
 HANDSHAKE_CH = 1
 HANDSHAKE_SH = 2
 #: §8.1: an unvalidated path may carry at most 3x the bytes received on it.
@@ -239,7 +240,7 @@ class QuicConnection:
         self.now = now
 
         # Packet-number spaces: Initial is global, 1-RTT is per-path.
-        self.initial_space = PacketNumberSpace()
+        self.initial_space = PacketNumberSpace(delayed_acks=False)
         self.paths: list[Path] = [Path(0, configuration.initial_window)]
         if not self.is_client:
             # §8.1: until the handshake completes, the client address is
@@ -257,6 +258,9 @@ class QuicConnection:
         self._key_share = bytes(self._rng.randrange(256) for _ in range(32))
         self._handshake_sent = False
         self._ch_pending = False  # client: ClientHello not yet queued
+        #: An Initial-space PTO found no CRYPTO data left to resend, so
+        #: its probe is a PING (RFC 9002 §6.2.4).
+        self._initial_ping = False
         self.handshake_complete = False
         self.peer_transport_parameters: Optional[TransportParameters] = None
 
@@ -441,9 +445,7 @@ class QuicConnection:
                    lambda conn: sum(s.bytes_in_flight_or_pending
                                     for s in self.streams_send.values()),
                    doc="Application bytes waiting for (re)transmission.")
-        t.register("is_ack_needed",
-                   lambda conn, i=0: self.paths[i].space.ack_needed,
-                   doc="Whether the path's space owes the peer an ACK.")
+        t.register("is_ack_needed", self._op_is_ack_needed)
         t.register("get_largest_acked",
                    lambda conn, i=0: self.paths[i].space.largest_acked,
                    doc="Largest packet number acked by the peer on a path.")
@@ -596,9 +598,15 @@ class QuicConnection:
         """True once closing has begun (any state past ACTIVE)."""
         return self.state is not ConnectionState.ACTIVE
 
-    def close(self, error_code: int = 0, reason: str = "") -> None:
+    def close(self, error_code: int = 0, reason: str = "",
+              now: Optional[float] = None) -> None:
+        """Begin closing (RFC 9000 §10.2).  The drain period runs from
+        *now*, the caller's clock: after a quiet spell ``self.now`` is the
+        last time the connection heard from anything."""
         if self.state is not ConnectionState.ACTIVE:
             return
+        if now is not None:
+            self.now = max(self.now, now)
         self.protoops.run(self, "connection_closing", None, error_code, reason)
         self._close_frame_pending = F.ConnectionCloseFrame(
             error_code=error_code, reason=reason
@@ -1280,6 +1288,13 @@ class QuicConnection:
                 earliest = t
         return earliest
 
+    def _op_is_ack_needed(self, conn, path_index: int = 0) -> bool:
+        """May an ACK-only packet leave on the path now: an ACK is owed
+        and due (RFC 9000 §13.2.1).  An owed ACK that is not yet due
+        rides on the next packet that leaves anyway."""
+        space = self.paths[path_index].space
+        return space.ack_needed and self.now >= space.ack_due - 1e-12
+
     def _op_set_idle_timer(self, conn) -> float:
         return self._last_activity + self.configuration.transport_parameters.idle_timeout
 
@@ -1296,6 +1311,12 @@ class QuicConnection:
             t = path.probe_deadline
             if t is not None and (earliest is None or t < earliest):
                 earliest = t
+            # An owed ACK wakes the connection when it falls due; one
+            # already due and still owed waits for the next send.
+            space = path.space
+            if (space.ack_needed and space.ack_due > self.now
+                    and (earliest is None or space.ack_due < earliest)):
+                earliest = space.ack_due
         for hint in self.wakeup_hints:
             t = hint()
             if t is not None and (earliest is None or t < earliest):
@@ -1361,7 +1382,11 @@ class QuicConnection:
             if space is self.initial_space:
                 # Handshake data re-enters the crypto send queue; the
                 # scheduler already treats Initial crypto as cwnd-exempt.
+                # A probe must elicit an ACK even when all of it has been
+                # acknowledged since (the ACK of this packet was lost).
                 self.protoops.run(self, "retransmit_packet", None, pkt)
+                if not self._crypto_send.has_pending:
+                    self._initial_ping = True
             else:
                 # Only retransmittable frames ride in a probe: unreliable
                 # extension frames (DATAGRAM, §4.2) must never be
@@ -1575,6 +1600,7 @@ class QuicConnection:
                 param = "default"
             frame = table.run(self, "parse_frame", param, buf, frame_type)
             decoded.append((frame_type, frame))
+        largest = space.largest_received
         if not space.record_received(pn, self.now, False):
             self.stats["spurious_received"] += 1
             return  # duplicate (e.g. already FEC-recovered)
@@ -1587,6 +1613,15 @@ class QuicConnection:
                 raise ProtocolViolation(f"no processor for frame 0x{frame_type:x}")
             table.run(self, "process_frame", param, frame, ctx)
         if ack_eliciting:
+            # RFC 9000 §13.2.1-13.2.2: ack at once an Initial, anything
+            # before the handshake completes, a packet out of order (a gap
+            # or below the largest) and the second one owed; otherwise
+            # within our max_ack_delay.
+            delayed = (epoch is Epoch.ONE_RTT and self.handshake_complete
+                       and not space.ack_needed and pn == largest + 1)
+            space.ack_due = self.now + (
+                self.configuration.transport_parameters.max_ack_delay
+                if delayed else 0.0)
             space.ack_needed = True
         self.protoops.run(self, "frames_decoded", None, epoch, path_index, pn, decoded)
         self.protoops.run(
@@ -1696,12 +1731,12 @@ class QuicConnection:
         if not self.protoops.untouched(_SEND_ATTEMPT_OPS):
             return False
         if (self._ch_pending or self._crypto_send.has_pending
-                or self.initial_space.ack_needed
+                or self._initial_ping or self.initial_space.ack_needed
                 or self._control_frames or self.reserved_frames):
             return False
         for path in self.paths:
-            if (path.space.ack_needed or path.probe_frames
-                    or path.pto_probes or path.amp_limited):
+            if (path.probe_frames or path.pto_probes or path.amp_limited
+                    or self._op_is_ack_needed(self, path.index)):
                 return False
         return not self.data_to_send_pending()
 
@@ -1778,7 +1813,8 @@ class QuicConnection:
         if self._ch_pending:
             self._ch_pending = False
             self._queue_handshake_message(HANDSHAKE_CH)
-        return self._crypto_send.has_pending or self.initial_space.ack_needed
+        return (self._crypto_send.has_pending or self._initial_ping
+                or self.initial_space.ack_needed)
 
     def _prepare_epoch_packet(self, epoch: Epoch, path_index: int) -> Optional[bytes]:
         path = self.paths[path_index]

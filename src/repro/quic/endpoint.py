@@ -249,7 +249,7 @@ class ClientEndpoint:
     def close(self, error_code: int = 0, reason: str = "") -> None:
         """Begin closing: send CONNECTION_CLOSE and enter the drain
         period.  The port unbinds once the connection terminates."""
-        self.conn.close(error_code, reason)
+        self.conn.close(error_code, reason, now=self.sim.now)
         self.driver.pump()
 
     def _on_terminated(self, driver: _ConnectionDriver) -> None:
@@ -399,6 +399,15 @@ class ServerEndpoint:
         a client rotating to it on migration still reaches its driver."""
         self._by_cid[cid] = driver
         driver.bound_cids.append(cid)
+
+    def close(self, conn: QuicConnection, error_code: int = 0,
+              reason: str = "") -> None:
+        """Begin closing one of this server's connections: send its
+        CONNECTION_CLOSE now and enter the drain period."""
+        conn.close(error_code, reason, now=self.sim.now)
+        driver = self._by_cid.get(conn.local_cid)
+        if driver is not None:
+            driver.pump()
 
     def shutdown(self) -> None:
         """Forget every connection and release the port — simulating an

@@ -66,8 +66,12 @@ class RttEstimator:
         self.variance = 0.75 * self.variance + 0.25 * abs(self.smoothed - adjusted)
         self.smoothed = 0.875 * self.smoothed + 0.125 * adjusted
 
-    def pto(self) -> float:
-        return self.smoothed + max(4 * self.variance, K_GRANULARITY) + self.max_ack_delay
+    def pto(self, ack_delay: bool = True) -> float:
+        """The PTO period (RFC 9002 §6.2.1); ``ack_delay=False`` leaves
+        out the peer's ``max_ack_delay``, for a space it never delays
+        ACKs in."""
+        pto = self.smoothed + max(4 * self.variance, K_GRANULARITY)
+        return pto + self.max_ack_delay if ack_delay else pto
 
 
 @dataclass
@@ -111,7 +115,11 @@ class AckResult:
 class PacketNumberSpace:
     """Send/receive state for one packet-number space (or one path)."""
 
-    def __init__(self) -> None:
+    def __init__(self, delayed_acks: bool = True) -> None:
+        #: Whether the peer may hold its ACKs of this space for up to its
+        #: ``max_ack_delay``.  Not in the Initial space (RFC 9002 §6.2.1),
+        #: whose PTO period therefore leaves that term out.
+        self.delayed_acks = delayed_acks
         # Send side.
         self.next_packet_number = 0
         self.sent: dict[int, SentPacket] = {}
@@ -133,6 +141,9 @@ class PacketNumberSpace:
         self.largest_received = -1
         self.largest_received_time = 0.0
         self.ack_needed = False
+        #: While ``ack_needed``: when the owed ACK falls due and may leave
+        #: in a packet of its own (RFC 9000 §13.2.1).
+        self.ack_due = 0.0
 
     # --- sending ---------------------------------------------------------
 
@@ -309,7 +320,8 @@ class PacketNumberSpace:
         """When the PTO alarm should fire, or None if nothing in flight."""
         if self.last_ack_eliciting_sent is None or not self.ack_eliciting_in_flight:
             return None
-        return self.last_ack_eliciting_sent + rtt.pto() * (1 << pto_count)
+        return (self.last_ack_eliciting_sent
+                + rtt.pto(self.delayed_acks) * (1 << pto_count))
 
     def next_timer(self, rtt: RttEstimator, pto_count: int) -> Optional[float]:
         """Earliest of the loss-time and PTO alarms."""

@@ -95,8 +95,10 @@ class TestCoalescedReceive:
     """The multi-packet receive loop against real handshake flights."""
 
     def test_handshake_flight_coalesces_long_and_short(self):
-        """The client's second flight travels as ONE datagram carrying an
-        Initial (long header) plus a 1-RTT packet (short header, last)."""
+        """The client's second flight — its Initial ACK and a first
+        request, which carries the 1-RTT ACK owed for the server's first
+        flight — travels as ONE datagram carrying an Initial (long
+        header) plus a 1-RTT packet (short header, last)."""
         client = QuicConnection(QuicConfiguration(is_client=True))
         server = QuicConnection(QuicConfiguration(is_client=False))
         # Flight 1: client Initial; flight 2: server Initial reply.
@@ -104,6 +106,7 @@ class TestCoalescedReceive:
         server.receive_datagram(first, now=0.0)
         for payload, _ in server.datagrams_to_send(0.0):
             client.receive_datagram(payload, now=0.0)
+        client.send_stream_data(client.create_stream(), b"request", fin=True)
         # Flight 3: the coalesced train.
         flight = client.datagrams_to_send(0.0)
         assert len(flight) == 1

@@ -185,11 +185,14 @@ def test_probe_timeouts_fire_when_the_eager_path_fires_them(monkeypatch):
 
 
 def test_early_fire_is_invisible():
-    """The queued event is the handshake's PTO; by the time it fires the
-    deadline is the idle timeout.  The fire re-arms and does nothing a
-    plugin or the peer could see."""
+    """The queued event is a request's PTO; by the time it fires the
+    ACK has come back and the deadline is the idle timeout.  The fire
+    re-arms and does nothing a plugin or the peer could see."""
     sim, _topo, client, server = _established()
     sim.run(until=sim.now + 0.1)  # let the post-handshake exchange settle
+    client.conn.send_stream_data(client.conn.create_stream(), b"ping")
+    client.pump()
+    assert sim.run_until(lambda: not client.conn.paths[0].space.sent, timeout=1)
     driver = client.driver
     stale = driver._timer_event
     # Kept although the deadline has moved out to the idle timeout.
@@ -215,7 +218,15 @@ def test_a_later_deadline_schedules_nothing_and_an_earlier_one_cancels():
     idle_event = driver._timer_event
     scheduled = []
     schedule_at = sim.schedule_at
-    sim.schedule_at = lambda *a: scheduled.append(a) or schedule_at(*a)
+
+    def counted_schedule_at(time, callback):
+        # The server's own timer (its ACK of the ping waits up to
+        # max_ack_delay) is not the client's business.
+        if callback == driver._on_timer:
+            scheduled.append(time)
+        return schedule_at(time, callback)
+
+    sim.schedule_at = counted_schedule_at
     # Activity: the deadline drops from idle (30 s) to a PTO.
     client.conn.send_stream_data(client.conn.create_stream(), b"ping")
     client.pump()

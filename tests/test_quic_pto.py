@@ -151,3 +151,42 @@ def test_pto_expiry_fires_at_the_eager_instant(monkeypatch):
     assert lazy_state == eager_state
     assert sum(after[0] - before[0] for _, before, after in lazy_log) == 2
     assert_same_fires(lazy_log, eager_log)
+
+
+def test_initial_probe_with_nothing_left_to_resend_is_a_ping():
+    """The client's ClientHello is sent twice (its PTO fires before the
+    server's reply arrives) and the ACK of the second copy is lost.  Its
+    CRYPTO data is acknowledged through the first copy, so the probe has
+    nothing to resend: it must still elicit an ACK (RFC 9002 §6.2.4), or
+    the stuck packet keeps firing the Initial PTO and backs off every
+    later PTO of the connection."""
+    from repro.quic import QuicConfiguration
+    from repro.quic.connection import QuicConnection
+    from repro.quic.packet import FORM_LONG
+
+    reset_instance_counter()
+    client = QuicConnection(QuicConfiguration(is_client=True))
+    server = QuicConnection(QuicConfiguration(is_client=False))
+    (first, _), = client.datagrams_to_send(0.0)
+    client.handle_timer(client.next_timer())  # Initial PTO: resend the CH
+    (second, _), = client.datagrams_to_send(client.now)
+    server.receive_datagram(first, 0.35)
+    for payload, _ in server.datagrams_to_send(0.35):
+        client.receive_datagram(payload, 0.4)
+    client.datagrams_to_send(0.4)
+    server.receive_datagram(second, 0.45)
+    server.datagrams_to_send(0.45)  # its Initial ACK is lost
+    space = client.initial_space
+    assert space.ack_eliciting_in_flight == 1
+    assert not client._crypto_send.has_pending
+
+    client.handle_timer(space.pto_deadline(client.paths[0].rtt,
+                                           client._pto_count))
+    probes = [p for p, _ in client.datagrams_to_send(client.now)
+              if p[0] & FORM_LONG]
+    assert probes and space.ack_eliciting_in_flight == 2
+    for payload in probes:
+        server.receive_datagram(payload, client.now + 0.05)
+    for payload, _ in server.datagrams_to_send(client.now + 0.05):
+        client.receive_datagram(payload, client.now + 0.1)
+    assert space.ack_eliciting_in_flight == 0

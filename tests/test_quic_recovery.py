@@ -305,6 +305,21 @@ class TestPto:
         deadline = space.pto_deadline(rtt, 0)
         assert deadline == pytest.approx(2.0 + rtt.pto())
 
+    def test_initial_space_pto_leaves_out_max_ack_delay(self):
+        """RFC 9002 §6.2.1: the peer never delays Initial ACKs, so only
+        a space with delayed ACKs waits out its max_ack_delay."""
+        rtt = RttEstimator()
+        rtt.update(0.1)
+        rtt.max_ack_delay = 0.04
+        initial = PacketNumberSpace(delayed_acks=False)
+        one_rtt = PacketNumberSpace()
+        for space in (initial, one_rtt):
+            space.on_packet_sent(sent(0, t=2.0))
+        base = rtt.smoothed + 4 * rtt.variance
+        assert initial.pto_deadline(rtt, 0) == pytest.approx(2.0 + base)
+        assert one_rtt.pto_deadline(rtt, 0) == pytest.approx(2.0 + base + 0.04)
+        assert initial.pto_deadline(rtt, 2) == pytest.approx(2.0 + 4 * base)
+
     def test_pto_backoff_doubles(self):
         space = PacketNumberSpace()
         rtt = RttEstimator()

@@ -71,7 +71,9 @@ def _owe_initial_ack(conn):
 
 
 def _owe_path_ack(conn):
+    # Due now: a quiet pair may already owe an ACK that is not yet due.
     conn.paths[0].space.ack_needed = True
+    conn.paths[0].space.ack_due = conn.now
 
 
 def _queue_path_probe(conn):

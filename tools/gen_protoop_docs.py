@@ -100,25 +100,42 @@ send loop is the one caller (below).
 `datagrams_to_send` loops: each turn is one **attempt** — one run of
 `prepare_packet`, which fires `before_sending_packet`, asks
 `select_sending_path`, and has `schedule_frames` (and through it
-`stream_to_send`) fill a packet — until an attempt comes back empty.
+`stream_to_send`, and `is_ack_needed` when an owed ACK would leave
+alone) fill a packet — until an attempt comes back empty.
 Both events therefore fire once per attempt, not once per packet: a loop
 that sends *n* packets makes *n* + 1 attempts, the last of which sends
 nothing.
 
 **An attempt is not made when nothing is queued and nobody is
 attached.**  The loop ends without the empty attempt exactly when
-`untouched` holds for those five operations *and* every queue the
+`untouched` holds for those six operations *and* every queue the
 default scheduler reads is empty: no ClientHello, CRYPTO data or Initial
-ACK pending, no path owing an ACK or holding path-probe or PTO-probe
+ACK pending, no path owing a due ACK or holding path-probe or PTO-probe
 frames, no control or plugin-reserved frame, no stream with sendable
 data, no amplification-limited path.  The test is conservative — a
 congestion-blocked or amplification-limited attempt is still made (the
 latter is what `stats["amp_blocked"]` counts).  A plugin or tracer on
-any of the five — the multipath plugin's `mp_ack_booker` on
+any of the six — the multipath plugin's `mp_ack_booker` on
 `before_sending_packet`, the plugin exchanger's retry tick, a profiler's
 run counting — sees every attempt, the trailing empty one included,
 exactly as if the shortcut did not exist
 (`tests/test_quic_send_loop.py`).
+
+### `is_ack_needed(path)`: may an ACK-only packet leave now
+
+An ACK frame rides on any packet that leaves anyway; `is_ack_needed` is
+asked only when the owed ACK of a path's space would leave alone, and
+says whether it may (RFC 9000 §13.2.1).  Its default is "an ACK is owed
+and due".  When an ack-eliciting packet arrives, the receiver sets the
+due time: at once for a packet received before the handshake completed,
+one out of order (a gap, or below the largest received) or the second
+ack-eliciting packet owed (§13.2.2); our `max_ack_delay` transport
+parameter after receipt otherwise.  `next_timer` wakes the connection
+when an owed ACK falls due.  Initial ACKs are always due and do not ask.
+A plugin that replaces it (to ack every packet at once, say) also turns
+off the send loop's skip, so its answer is asked on every attempt that
+owes an ACK; one that answers "no" past the due time arms its own
+wake-up.
 
 ### `stream_opened` / `stream_closed`
 
