@@ -88,6 +88,17 @@ def smoke_suite() -> List[Scenario]:
             plugins=("monitoring",),
             seed=41,
         ),
+        Scenario(
+            # The CC plugin replaces the window law under monitoring on a
+            # lossy path: the host must still release flight and publish
+            # every window move, so monitoring's cwnd_observer runs once
+            # per acked or lost in-flight packet in both modes.
+            name="lossy-ccontrol-monitoring",
+            workload=Workload(size=30_000),
+            topology=Topology(d_ms=10.0, bw_mbps=20.0, loss_pct=2.0),
+            plugins=("monitoring", "ccontrol"),
+            seed=47,
+        ),
     ]
 
 

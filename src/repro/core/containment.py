@@ -161,29 +161,22 @@ class ContainmentPolicy:
         #: (plugin, pluglet, FailureClass, reason) per observed failure.
         self.faults: list = []
 
-    #: Recovery events this policy emits (declared on attach; they extend
-    #: the base census rather than belonging to the paper's 72 protoops).
-    EVENTS = ("plugin_fault", "plugin_quarantined", "plugin_blocklisted")
-
     def attach(self, conn) -> "ContainmentPolicy":
         conn.containment = self
-        table = getattr(conn, "protoops", None)
-        if table is not None:
-            for event in self.EVENTS:
-                if not table.exists(event):
-                    table.declare(event)
         return self
 
     # ------------------------------------------------------------------
 
     @staticmethod
     def _emit(conn, name: str, *args) -> None:
-        """Run an event protoop, tolerating absent tables / re-entry."""
+        """Emit one of the recovery events (``plugin_fault``,
+        ``plugin_quarantined``, ``plugin_blocklisted``: extensions, not
+        part of the paper's census), tolerating absent tables / re-entry."""
         table = getattr(conn, "protoops", None)
         if table is None:
             return
         try:
-            table.run(conn, name, None, *args)
+            table.emit(conn, name, *args)
         except Exception:
             # An observer of a fault event must never widen the fault.
             pass

@@ -52,12 +52,12 @@ PLUGIN_TYPE = 0x62
 PLUGIN_CHUNK = 1000
 EXCHANGE_QUEUE = "__plugin_exchange__"
 
-#: Request (PLUGIN_VALIDATE) timeout/backoff defaults, in seconds of
-#: connection time.  A request not answered within the timeout is retried
-#: with the timeout doubled; after ``DEFAULT_MAX_RETRIES`` retries the
-#: exchange for that plugin degrades.
+#: Request (PLUGIN_VALIDATE) timeout/backoff, in seconds of connection
+#: time.  A request not answered within the timeout is retried with the
+#: timeout multiplied by ``RETRY_FACTOR``; after ``DEFAULT_MAX_RETRIES``
+#: retries the exchange for that plugin degrades.
 DEFAULT_REQUEST_TIMEOUT = 1.0
-DEFAULT_RETRY_FACTOR = 2.0
+RETRY_FACTOR = 2.0
 DEFAULT_MAX_RETRIES = 3
 
 
@@ -287,9 +287,7 @@ class PluginExchanger:
         trust: Optional[TrustStore] = None,
         formula: str = "",
         proof_provider: Optional[Callable] = None,
-        auto_inject: bool = True,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
-        retry_factor: float = DEFAULT_RETRY_FACTOR,
         max_retries: int = DEFAULT_MAX_RETRIES,
     ):
         self.conn = conn
@@ -297,9 +295,7 @@ class PluginExchanger:
         self.trust = trust or TrustStore()
         self.formula_text = formula
         self.proof_provider = proof_provider
-        self.auto_inject = auto_inject
         self.request_timeout = request_timeout
-        self.retry_factor = retry_factor
         self.max_retries = max_retries
         self.injected: list = []
         self.received: list = []
@@ -348,19 +344,14 @@ class PluginExchanger:
         hints = getattr(conn, "wakeup_hints", None)
         if hints is not None:
             hints.append(self._next_deadline)
-        # Resilience events (extensions beyond the 72-protoop census).
-        for event in ("plugin_exchange_retry", "plugin_exchange_degraded",
-                      "plugin_exchange_completed"):
-            if not table.exists(event):
-                table.declare(event)
         # Advertise the cache contents.
         conn.configuration.supported_plugins = list(self.cache.names)
 
     def _emit(self, name: str, *args) -> None:
-        """Run an observability event protoop; observers must not be able
-        to break the exchange."""
+        """Emit a resilience event (an extension beyond the 72-protoop
+        census); observers must not be able to break the exchange."""
         try:
-            self.conn.protoops.run(self.conn, name, None, *args)
+            self.conn.protoops.emit(self.conn, name, *args)
         except Exception:
             pass
 
@@ -381,16 +372,15 @@ class PluginExchanger:
             return
         for name in peer.plugins_to_inject:
             if self.cache.has(name):
-                if self.auto_inject:
-                    try:
-                        self.inject_local(name)
-                    except (PluginQuarantined, ProtoopError) as exc:
-                        # Crash-looping plugin, or one the conflict
-                        # analyzer / protoop table found incompatible with
-                        # the already-attached set: proceed without it
-                        # rather than failing the negotiation.
-                        self.degraded[name] = str(exc)
-                        self._emit("plugin_exchange_degraded", name, str(exc))
+                try:
+                    self.inject_local(name)
+                except (PluginQuarantined, ProtoopError) as exc:
+                    # Crash-looping plugin, or one the conflict analyzer /
+                    # protoop table found incompatible with the
+                    # already-attached set: proceed without it rather than
+                    # failing the negotiation.
+                    self.degraded[name] = str(exc)
+                    self._emit("plugin_exchange_degraded", name, str(exc))
             else:
                 self._request(name)
 
@@ -434,7 +424,7 @@ class PluginExchanger:
                 self._emit("plugin_exchange_degraded", name, reason)
                 continue
             req.attempts += 1
-            req.timeout *= self.retry_factor
+            req.timeout *= RETRY_FACTOR
             req.next_retry = now + req.timeout
             self.stats["retries"] += 1
             self._queue(PluginValidateFrame(plugin_name=name,

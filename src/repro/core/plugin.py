@@ -595,12 +595,9 @@ class PluginInstance:
         (traced as ``plugin:conflict_report``)."""
         if not conflicts:
             return
-        table = self.conn.protoops
-        if not table.exists("plugin_conflict_report"):
-            table.declare("plugin_conflict_report")
         rules = ",".join(sorted({d.rule for d in conflicts}))
-        table.run(self.conn, "plugin_conflict_report", None,
-                  self.plugin.name, len(conflicts), rules)
+        self.conn.protoops.emit(self.conn, "plugin_conflict_report",
+                                self.plugin.name, len(conflicts), rules)
 
     def _emit_analysis_event(self) -> None:
         """Surface the attach-time static analysis as a protoop event
@@ -609,14 +606,11 @@ class PluginInstance:
         reports = self.analysis_reports
         if not reports:
             return
-        table = self.conn.protoops
-        if not table.exists("plugin_analyzed"):
-            table.declare("plugin_analyzed")
         errors = sum(len(r.errors()) for r in reports.values())
         warnings = sum(len(r.warnings()) for r in reports.values())
         proven = sum(1 for r in reports.values() if r.memory_safe)
-        table.run(self.conn, "plugin_analyzed", None, self.plugin.name,
-                  len(reports), errors, warnings, proven)
+        self.conn.protoops.emit(self.conn, "plugin_analyzed", self.plugin.name,
+                                len(reports), errors, warnings, proven)
 
     def _attach_one(self, pluglet: Pluglet) -> None:
         table = self.conn.protoops

@@ -197,9 +197,6 @@ class ProtoopTable:
         default behaviour (§2.2, fourth category)."""
         return self.register(name, None, parameterized=parameterized, doc=doc)
 
-    def exists(self, name: str) -> bool:
-        return name in self._ops
-
     def get(self, name: str) -> ProtocolOperation:
         try:
             return self._ops[name]
@@ -356,6 +353,18 @@ class ProtoopTable:
     def run_external(self, conn, name: str, param: Any = None, *args: Any) -> Any:
         """Entry point for the application (§2.4)."""
         return self.run(conn, name, param, *args, _from_app=True)
+
+    def emit(self, conn, name: str, *args: Any,
+             default: Optional[Callable] = None) -> Any:
+        """Run an *extension* operation — one outside the paper's
+        census (lifecycle, migration, fault and exchange events, the
+        spurious-loss undo).  It is declared on its first run, with
+        ``default`` as its behaviour if given, so a connection that never
+        emits it never counts it."""
+        op = self._ops.get(name)
+        if op is None or (default is not None and None not in op.defaults):
+            self.register(name, default)
+        return self.run(conn, name, None, *args)
 
     # --- profiling ---------------------------------------------------------
 

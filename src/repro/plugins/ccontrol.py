@@ -7,6 +7,11 @@ bytecode, replacing the ``congestion_on_ack`` / ``congestion_on_loss``
 protocol operations and steering the window through the ``set`` API's
 ``cwnd`` field.
 
+A replacement moves the window and nothing else.  The host has already
+released the packet's bytes from flight when it runs either operation,
+and afterwards it publishes the new window (``cc_window_updated``, the
+tracer's ``congestion_window_updated``) exactly as it does for NewReno.
+
 Two variants:
 
 * ``aimd`` — classic additive-increase (one MSS per window of ACKs),
@@ -17,21 +22,15 @@ Two variants:
 
 from __future__ import annotations
 
-from repro.core.api import (
-    FLD_BYTES_IN_FLIGHT,
-    FLD_CWND,
-    H_PLUGIN_BASE,
-    HelperEffect,
-)
+from repro.core.api import FLD_CWND, H_PLUGIN_BASE, HelperEffect
 from repro.core.plugin import Plugin, Pluglet, register_host_resolver
 
 PLUGIN_BASE_NAME = "org.pquic.ccontrol"
 MSS = 1280
 
-H_CC_RELEASE = H_PLUGIN_BASE + 0
-H_CC_PKT_SIZE = H_PLUGIN_BASE + 1
+H_CC_PKT_SIZE = H_PLUGIN_BASE
 
-CC_HELPERS = {"cc_release": H_CC_RELEASE, "cc_pkt_size": H_CC_PKT_SIZE}
+CC_HELPERS = {"cc_pkt_size": H_CC_PKT_SIZE}
 
 #: Declared for the JIT: none of them touches the calling pluglet's stack.
 CC_HELPER_EFFECTS = {
@@ -47,22 +46,12 @@ OFF_ACK_EVENTS = 24
 
 
 def _host_helpers(runtime) -> dict:
-    def h_release(vm, path_index, size, *_):
-        """Book-keep bytes leaving flight (the controller owns only the
-        window; in-flight accounting stays with the host)."""
-        conn = runtime.conn
-        if 0 <= path_index < len(conn.paths):
-            cc = conn.paths[path_index].cc
-            cc.bytes_in_flight = max(0, cc.bytes_in_flight - size)
-            return cc.bytes_in_flight
-        return 0
-
     def h_pkt_size(vm, handle, *_):
         ctx = runtime.context
         pkt = ctx.raw_args[handle] if ctx else None
         return getattr(pkt, "size", 0)
 
-    return {H_CC_RELEASE: h_release, H_CC_PKT_SIZE: h_pkt_size}
+    return {H_CC_PKT_SIZE: h_pkt_size}
 
 
 register_host_resolver(
@@ -73,7 +62,6 @@ register_host_resolver(
 _AIMD_ON_ACK = f"""
 def cc_aimd_on_ack(pkt, path_index):
     size = cc_pkt_size(pkt)
-    cc_release(path_index, size)
     st = get_opaque_data({ST_AREA}, {ST_SIZE})
     mem64[st + {OFF_ACK_EVENTS}] = mem64[st + {OFF_ACK_EVENTS}] + 1
     cwnd = get({FLD_CWND}, path_index)
@@ -91,8 +79,6 @@ def cc_aimd_on_ack(pkt, path_index):
 
 _AIMD_ON_LOSS = f"""
 def cc_aimd_on_loss(pkt, path_index):
-    size = cc_pkt_size(pkt)
-    cc_release(path_index, size)
     st = get_opaque_data({ST_AREA}, {ST_SIZE})
     mem64[st + {OFF_LOSS_EVENTS}] = mem64[st + {OFF_LOSS_EVENTS}] + 1
     cwnd = get({FLD_CWND}, path_index)
@@ -102,17 +88,13 @@ def cc_aimd_on_loss(pkt, path_index):
     return 0
 """
 
-_FIXED_ON_ACK = f"""
+_FIXED_ON_ACK = """
 def cc_fixed_on_ack(pkt, path_index):
-    size = cc_pkt_size(pkt)
-    cc_release(path_index, size)
     return 0
 """
 
 _FIXED_ON_LOSS = f"""
 def cc_fixed_on_loss(pkt, path_index):
-    size = cc_pkt_size(pkt)
-    cc_release(path_index, size)
     st = get_opaque_data({ST_AREA}, {ST_SIZE})
     mem64[st + {OFF_LOSS_EVENTS}] = mem64[st + {OFF_LOSS_EVENTS}] + 1
     return 0
@@ -145,9 +127,7 @@ def build_ccontrol_plugin(variant: str = "aimd",
     plugin = Plugin(name, pluglets, host_helpers=_host_helpers,
                     helper_effects=CC_HELPER_EFFECTS)
     if variant == "fixed":
-        original_attach = plugin  # set window at instantiation
-
-        def frame_registrar(conn):
+        def frame_registrar(conn):  # set the window at instantiation
             for path in conn.paths:
                 path.cc.cwnd = fixed_window
 

@@ -15,7 +15,13 @@ LOSS_REDUCTION_FACTOR = 0.5
 
 
 class CongestionController:
-    """Interface shared by all congestion controllers."""
+    """Interface shared by all congestion controllers.
+
+    Bytes in flight are the host's bookkeeping: it charges a packet in
+    :meth:`on_packet_sent` and releases it in :meth:`on_packet_released`
+    once the packet is acked or declared lost, before the controller
+    hears of it.  A controller only moves ``cwnd``; the host publishes
+    every move (``cc_window_updated``)."""
 
     def __init__(self, initial_window: int = DEFAULT_INITIAL_WINDOW):
         self.cwnd = initial_window
@@ -32,13 +38,11 @@ class CongestionController:
         ``congestion_state_updated`` event."""
         return "unknown"
 
-    def can_send(self) -> bool:
-        return self.bytes_in_flight < self.cwnd
-
     def on_packet_sent(self, size: int) -> None:
         self.bytes_in_flight += size
 
-    def on_packet_discarded(self, size: int) -> None:
+    def on_packet_released(self, size: int) -> None:
+        """A packet left flight: acked, or declared lost."""
         self.bytes_in_flight = max(0, self.bytes_in_flight - size)
 
     def on_ack(self, size: int, now: float, sent_time: float,
@@ -92,7 +96,6 @@ class NewRenoController(CongestionController):
 
     def on_ack(self, size: int, now: float, sent_time: float,
                app_limited: bool = False) -> None:
-        self.bytes_in_flight = max(0, self.bytes_in_flight - size)
         if sent_time <= self._recovery_start:
             return  # no growth for packets sent before recovery began
         if self._in_recovery:
@@ -110,7 +113,6 @@ class NewRenoController(CongestionController):
                 self.cwnd += MAX_DATAGRAM_SIZE
 
     def on_loss(self, size: int, now: float, sent_time: float) -> None:
-        self.bytes_in_flight = max(0, self.bytes_in_flight - size)
         if sent_time <= self._recovery_start:
             self._epoch_losses += 1  # same epoch, no further reduction
             return
@@ -136,11 +138,12 @@ class NewRenoController(CongestionController):
 
     def on_spurious_loss(self, size: int, lost_time: float,
                          sent_time: float) -> None:
-        # bytes_in_flight was already charged when the loss was declared;
-        # only the window reduction may need undoing.  Each spurious loss
-        # belonging to the current epoch cancels one genuine loss; when
-        # none remain, the whole reduction was built on late ACKs —
-        # restore the pre-reduction cwnd/ssthresh (F-RTO-style undo).
+        # The host released the packet from flight when the loss was
+        # declared; only the window reduction may need undoing.  Each
+        # spurious loss belonging to the current epoch cancels one
+        # genuine loss; when none remain, the whole reduction was built
+        # on late ACKs — restore the pre-reduction cwnd/ssthresh
+        # (F-RTO-style undo).
         if lost_time < self._recovery_start:
             return  # declared lost before the current epoch began
         self._epoch_losses = max(0, self._epoch_losses - 1)

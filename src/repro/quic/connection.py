@@ -51,6 +51,7 @@ from .packet import (
 )
 from .recovery import (
     K_PERSISTENT_CONGESTION_THRESHOLD,
+    MAX_ACK_DELAY,
     MAX_PTO_PROBES,
     PacketNumberSpace,
     RttEstimator,
@@ -160,13 +161,14 @@ class Path:
     other path must earn VALIDATED through a PATH_CHALLENGE/PATH_RESPONSE
     exchange."""
 
-    def __init__(self, index: int, initial_window: int):
+    def __init__(self, index: int, initial_window: int,
+                 max_ack_delay: float = MAX_ACK_DELAY):
         self.index = index
+        self.initial_window = initial_window
         self.local_addr: Optional[str] = None
         self.peer_addr: Optional[str] = None
         self.space = PacketNumberSpace()
-        self.rtt = RttEstimator()
-        self.cc = NewRenoController(initial_window)
+        self.reset_recovery(max_ack_delay)
         self.active = index == 0
         self.challenge_data: Optional[bytes] = None
         self.state = PathState.VALIDATED if index == 0 else PathState.UNVALIDATED
@@ -198,6 +200,14 @@ class Path:
         if value:
             self.amp_limited = False
             self.probe_deadline = None
+
+    def reset_recovery(self, max_ack_delay: float) -> None:
+        """Build the path's RTT estimator and congestion controller: the
+        one place either is made, when the path is created and when the
+        peer's address changes (RFC 9000 §9.4).  ``max_ack_delay`` is the
+        peer's transport parameter, which outlives any path state."""
+        self.rtt = RttEstimator(max_ack_delay=max_ack_delay)
+        self.cc = NewRenoController(self.initial_window)
 
     def amp_budget(self) -> int:
         """Bytes still sendable under the 3x anti-amplification limit."""
@@ -637,12 +647,7 @@ class QuicConnection:
         if state == self.state:
             return
         self.state = state
-        # Declared on first emission, like the containment/exchange
-        # events: a lifecycle extension, not part of the paper's
-        # 72-protoop census.
-        if not self.protoops.exists("connection_state_changed"):
-            self.protoops.declare("connection_state_changed")
-        self.protoops.run(self, "connection_state_changed", None, state)
+        self.protoops.emit(self, "connection_state_changed", state)
 
     def _terminate(self) -> None:
         """End of the drain period: retire CIDs, release per-connection
@@ -875,7 +880,8 @@ class QuicConnection:
         for pkt in result.newly_acked:
             self.protoops.run(self, "on_packet_acked", None, pkt, path.index)
         for pkt in result.spurious:
-            self._run_spurious_loss(pkt, path.index)
+            self._publish_window(path, "spurious_loss", self._run_spurious_loss,
+                                 pkt, path.index)
         for pkt in result.lost:
             self.protoops.run(self, "on_packet_lost", None, pkt, path.index)
         self._maybe_persistent_congestion(space, path, result.lost)
@@ -978,14 +984,6 @@ class QuicConnection:
     # Path validation, migration and stateless reset (RFC 9000 §8-§10.3).
     # ------------------------------------------------------------------
 
-    def _run_extension_event(self, name: str, *args: Any) -> None:
-        """Run a lazily-declared extension event: declared on first
-        emission, like the containment/exchange events, so the paper's
-        72-protoop census stays intact."""
-        if not self.protoops.exists(name):
-            self.protoops.declare(name)
-        self.protoops.run(self, name, None, *args)
-
     def _record_path_metric(self, name: str, amount: int = 1) -> None:
         registry = getattr(self, "metrics", None)
         if registry is not None:
@@ -1006,19 +1004,13 @@ class QuicConnection:
         if registry is not None:
             registry.counter("quic.recovery." + name).inc(amount)
 
-    def _emit_cc_state(self, path_index: int, old: str, new: str,
-                       trigger: str) -> None:
-        if old != new:
-            self._run_extension_event(
-                "congestion_state_changed", path_index, old, new, trigger)
-
     def _set_path_state(self, path: Path, state: str) -> None:
         if path.state == state:
             return
         old = path.state
         path.state = state
-        self._run_extension_event(
-            "path_validation_state_changed", path.index, old, state)
+        self.protoops.emit(
+            self, "path_validation_state_changed", path.index, old, state)
         if state == PathState.VALIDATED:
             self._record_path_metric("validated")
         elif state == PathState.FAILED:
@@ -1070,10 +1062,7 @@ class QuicConnection:
         path = self.paths[path_index]
         old = path.peer_addr or ""
         path.peer_addr = new_addr
-        path.cc = NewRenoController(self.configuration.initial_window)
-        max_ack_delay = path.rtt.max_ack_delay
-        path.rtt = RttEstimator()
-        path.rtt.max_ack_delay = max_ack_delay
+        path.reset_recovery(self._peer_max_ack_delay)
         path.amp_limited = not self.is_client
         path.amp_received = received_bytes
         path.amp_sent = 0
@@ -1081,8 +1070,8 @@ class QuicConnection:
             self._set_path_state(path, PathState.UNVALIDATED)
         self.stats["migrations"] += 1
         self._record_path_metric("migrations")
-        self._run_extension_event(
-            "connection_migrated", path_index, old, new_addr)
+        self.protoops.emit(
+            self, "connection_migrated", path_index, old, new_addr)
         self.start_path_validation(path_index)
 
     def migrate(self, new_local_addr: str) -> None:
@@ -1098,8 +1087,8 @@ class QuicConnection:
             self._record_path_metric("cids_rotated")
         self.stats["migrations"] += 1
         self._record_path_metric("migrations")
-        self._run_extension_event(
-            "connection_migrated", 0, old, new_local_addr)
+        self.protoops.emit(
+            self, "connection_migrated", 0, old, new_local_addr)
         if path.state == PathState.VALIDATED:
             self._set_path_state(path, PathState.UNVALIDATED)
         self.start_path_validation(0)
@@ -1114,7 +1103,7 @@ class QuicConnection:
         """§10.3: the peer lost its state — stop sending immediately."""
         self.stats["stateless_resets_received"] += 1
         self._record_path_metric("stateless_resets")
-        self._run_extension_event("stateless_reset")
+        self.protoops.emit(self, "stateless_reset")
         self._finish_close(0, "stateless reset",
                            next_state=ConnectionState.DRAINING)
 
@@ -1129,7 +1118,10 @@ class QuicConnection:
 
     def _op_on_packet_acked(self, conn, pkt: SentPacket, path_index: int) -> None:
         if pkt.in_flight:
-            self.protoops.run(self, "congestion_on_ack", None, pkt, path_index)
+            path = self.paths[path_index]
+            path.cc.on_packet_released(pkt.size)
+            self._publish_window(path, "ack", self.protoops.run, self,
+                                 "congestion_on_ack", None, pkt, path_index)
         for frame in pkt.frames:
             self.protoops.run(
                 self, "notify_frame", self._frame_param(frame.type), frame, True, pkt
@@ -1139,48 +1131,51 @@ class QuicConnection:
     def _op_on_packet_lost(self, conn, pkt: SentPacket, path_index: int) -> None:
         self.stats["packets_lost"] += 1
         if pkt.in_flight:
-            self.protoops.run(self, "congestion_on_loss", None, pkt, path_index)
+            path = self.paths[path_index]
+            path.cc.on_packet_released(pkt.size)
+            self._publish_window(path, "loss", self.protoops.run, self,
+                                 "congestion_on_loss", None, pkt, path_index)
         self.protoops.run(self, "retransmit_packet", None, pkt)
         self.protoops.run(self, "packet_lost_event", None, pkt)
 
-    def _op_congestion_on_ack(self, conn, pkt: SentPacket, path_index: int) -> None:
-        path = self.paths[path_index]
+    def _publish_window(self, path: Path, trigger: str, move: Callable,
+                        *args: Any) -> None:
+        """Run ``move(*args)`` and publish what it did to ``path``'s
+        window: ``congestion_state_changed`` if the controller's state
+        moved, then ``cc_window_updated``.  ``move`` is a congestion
+        protoop (NewReno's default or a plugin's replacement) or a
+        controller method; either way the host, not the mover, publishes."""
         old = path.cc.state
-        path.cc.on_ack(pkt.size, self.now, pkt.sent_time,
-                       app_limited=pkt.app_limited)
-        self._emit_cc_state(path_index, old, path.cc.state, "ack")
-        self.protoops.run(self, "cc_window_updated", None, path_index, path.cc.cwnd)
+        move(*args)
+        new = path.cc.state
+        if new != old:
+            self.protoops.emit(self, "congestion_state_changed",
+                               path.index, old, new, trigger)
+        self.protoops.run(self, "cc_window_updated", None, path.index, path.cc.cwnd)
+
+    def _op_congestion_on_ack(self, conn, pkt: SentPacket, path_index: int) -> None:
+        self.paths[path_index].cc.on_ack(pkt.size, self.now, pkt.sent_time,
+                                         app_limited=pkt.app_limited)
 
     def _op_congestion_on_loss(self, conn, pkt: SentPacket, path_index: int) -> None:
-        path = self.paths[path_index]
-        old = path.cc.state
-        path.cc.on_loss(pkt.size, self.now, pkt.sent_time)
-        self._emit_cc_state(path_index, old, path.cc.state, "loss")
-        self.protoops.run(self, "cc_window_updated", None, path_index, path.cc.cwnd)
+        self.paths[path_index].cc.on_loss(pkt.size, self.now, pkt.sent_time)
 
     def _run_spurious_loss(self, pkt: SentPacket, path_index: int) -> None:
-        """Dispatch the ``on_spurious_loss`` protoop anchor, registering
-        its default lazily (first spurious loss) so the paper's
-        72-protoop census stays intact, like the other extension ops."""
-        table = self.protoops
-        if not table.exists("on_spurious_loss") or \
-                not table.get("on_spurious_loss").defaults:
-            table.register("on_spurious_loss", self._op_on_spurious_loss)
-        table.run(self, "on_spurious_loss", None, pkt, path_index)
+        # An extension operation: its default is registered on the first
+        # spurious loss, so the paper's 72-protoop census stays intact.
+        self.protoops.emit(self, "on_spurious_loss", pkt, path_index,
+                           default=self._op_on_spurious_loss)
 
     def _op_on_spurious_loss(self, conn, pkt: SentPacket, path_index: int) -> None:
         """A packet declared lost was later acknowledged: the loss was
         spurious.  The send-side mirror of the receive side's
         ``spurious_received`` accounting — and the congestion response
         the false loss triggered is undone."""
-        path = self.paths[path_index]
         self.stats["spurious_losses"] += 1
         self._record_recovery_metric("spurious_losses")
-        old = path.cc.state
         if pkt.in_flight:
-            path.cc.on_spurious_loss(pkt.size, pkt.lost_time, pkt.sent_time)
-        self._emit_cc_state(path_index, old, path.cc.state, "spurious_loss")
-        self.protoops.run(self, "cc_window_updated", None, path_index, path.cc.cwnd)
+            self.paths[path_index].cc.on_spurious_loss(
+                pkt.size, pkt.lost_time, pkt.sent_time)
 
     def _maybe_persistent_congestion(self, space: PacketNumberSpace,
                                      path: Path, lost: list) -> None:
@@ -1192,13 +1187,10 @@ class QuicConnection:
         duration = path.rtt.pto() * K_PERSISTENT_CONGESTION_THRESHOLD
         if not space.persistent_congestion(lost, duration):
             return
-        old = path.cc.state
-        path.cc.on_persistent_congestion()
         self.stats["persistent_congestion"] += 1
         self._record_recovery_metric("persistent_congestion")
-        self._emit_cc_state(path.index, old, path.cc.state,
-                            "persistent_congestion")
-        self.protoops.run(self, "cc_window_updated", None, path.index, path.cc.cwnd)
+        self._publish_window(path, "persistent_congestion",
+                             path.cc.on_persistent_congestion)
 
     def _op_retransmit_packet(self, conn, pkt: SentPacket) -> None:
         for frame in pkt.frames:
@@ -1401,7 +1393,7 @@ class QuicConnection:
                 path.pto_probes.append(bundle)
             self.stats["probes_sent"] += 1
             self._record_recovery_metric("probes_sent")
-            self._run_extension_event("probe_sent", pkt, path.index)
+            self.protoops.emit(self, "probe_sent", pkt, path.index)
 
     def _op_detect_lost_packets(self, conn, space: PacketNumberSpace, path_index: int) -> list:
         return space.detect_lost(self.now, self.paths[path_index].rtt)
@@ -1663,16 +1655,22 @@ class QuicConnection:
                 return path.index
         return 0
 
+    @property
+    def _peer_max_ack_delay(self) -> float:
+        """The peer's ``max_ack_delay`` transport parameter, or the
+        default until its parameters arrive."""
+        peer = self.peer_transport_parameters
+        return MAX_ACK_DELAY if peer is None else peer.max_ack_delay
+
     def _op_create_path(self, conn, local_addr: str, peer_addr: str) -> int:
-        path = Path(len(self.paths), self.configuration.initial_window)
+        path = Path(len(self.paths), self.configuration.initial_window,
+                    self._peer_max_ack_delay)
         path.local_addr = local_addr
         path.peer_addr = peer_addr
         path.active = True
         # A server-created path is amplification-limited until validated
         # (§8.1); a client opens paths toward an already-validated server.
         path.amp_limited = not self.is_client
-        if self.peer_transport_parameters is not None:
-            path.rtt.max_ack_delay = self.peer_transport_parameters.max_ack_delay
         self.paths.append(path)
         self.protoops.run(self, "path_created", None, path.index)
         return path.index

@@ -33,7 +33,8 @@ MAX_LOST_HISTORY = 4096
 class RttEstimator:
     """Smoothed RTT / variance per RFC 9002 §5."""
 
-    def __init__(self, initial_rtt: float = K_INITIAL_RTT):
+    def __init__(self, initial_rtt: float = K_INITIAL_RTT,
+                 max_ack_delay: float = MAX_ACK_DELAY):
         self.latest: float = 0.0
         self.min_rtt: float = float("inf")
         self.smoothed: float = initial_rtt
@@ -42,7 +43,7 @@ class RttEstimator:
         #: The peer's negotiated ``max_ack_delay`` transport parameter;
         #: caps the ack_delay it may subtract from samples (RFC 9002
         #: §5.3) and bounds the PTO slack.
-        self.max_ack_delay = MAX_ACK_DELAY
+        self.max_ack_delay = max_ack_delay
 
     def update(self, latest: float, ack_delay: float = 0.0) -> None:
         if latest <= 0:
@@ -110,6 +111,22 @@ class AckResult:
     #: the loss (and any congestion reduction it caused) was spurious.
     spurious: list = field(default_factory=list)
     latest_rtt: Optional[float] = None
+
+
+def _covered(packets: dict, ranges: list) -> list:
+    """The packet numbers of ``packets`` that the sorted ACK ``ranges``
+    cover, ascending: a merge walk, O(packets + ranges) regardless of
+    how many numbers the ranges span."""
+    covered = []
+    ri = 0
+    for pn in sorted(packets):
+        while ri < len(ranges) and pn >= ranges[ri].stop:
+            ri += 1
+        if ri == len(ranges):
+            break
+        if pn >= ranges[ri].start:
+            covered.append(pn)
+    return covered
 
 
 class PacketNumberSpace:
@@ -196,20 +213,8 @@ class PacketNumberSpace:
         and time threshold) lost packets."""
         result = AckResult()
         largest = ack.ranges.largest()
-        # Merge-walk the sorted outstanding packets against the sorted ACK
-        # ranges: O(sent + ranges) regardless of how many numbers the
-        # ranges cover.
         ranges = list(ack.ranges)
-        candidates = []
-        ri = 0
-        for pn in sorted(self.sent):
-            while ri < len(ranges) and pn >= ranges[ri].stop:
-                ri += 1
-            if ri == len(ranges):
-                break
-            if pn >= ranges[ri].start:
-                candidates.append(pn)
-        for pn in candidates:
+        for pn in _covered(self.sent, ranges):
             pkt = self.sent.pop(pn)
             self.ack_eliciting_in_flight -= pkt.ack_eliciting
             result.newly_acked.append(pkt)
@@ -217,24 +222,13 @@ class PacketNumberSpace:
             if pn == largest and pkt.ack_eliciting:
                 result.latest_rtt = now - pkt.sent_time
                 rtt.update(result.latest_rtt, ack.ack_delay)
-        # Spurious losses: the same merge-walk over the declared-lost
-        # history.  A hit means the packet actually arrived — it leaves
-        # the history, counts as delivered for the §7.6 run check, and
-        # the caller can undo the congestion response.
-        if self.lost_packets:
-            ri = 0
-            spurious_pns = []
-            for pn in sorted(self.lost_packets):
-                while ri < len(ranges) and pn >= ranges[ri].stop:
-                    ri += 1
-                if ri == len(ranges):
-                    break
-                if pn >= ranges[ri].start:
-                    spurious_pns.append(pn)
-            for pn in spurious_pns:
-                pkt = self.lost_packets.pop(pn)
-                self.acked_pns.add(pn)
-                result.spurious.append(pkt)
+        # Spurious losses: a declared-lost packet the ACK covers actually
+        # arrived — it leaves the history, counts as delivered for the
+        # §7.6 run check, and the caller can undo the congestion response.
+        for pn in _covered(self.lost_packets, ranges):
+            pkt = self.lost_packets.pop(pn)
+            self.acked_pns.add(pn)
+            result.spurious.append(pkt)
         if largest > self.largest_acked:
             self.largest_acked = largest
         # ACK-of-ACK pruning: the peer just acked packets whose ACK

@@ -142,6 +142,18 @@ def test_empty_anchor_declaration_runs_observers_only():
     assert hits == [("pkt",)]
 
 
+def test_emit_declares_extension_operations_on_first_run():
+    t = make_table()
+    t.emit(CONN, "lifecycle_event", "x")
+    assert t.names == ["lifecycle_event"]  # declared, not counted before
+    # An observer may create the operation first; a default still joins it.
+    hits = []
+    t.attach("undo", Anchor.POST, lambda conn, args, res: hits.append(res))
+    assert t.emit(CONN, "undo", 2, default=lambda conn, x: x + 1) == 3
+    assert t.emit(CONN, "undo", 5, default=lambda conn, x: -x) == 6
+    assert hits == [3, 6]
+
+
 def test_loop_detection_direct_recursion():
     t = make_table()
     t.register("a", lambda conn: t.run(conn, "a", None))

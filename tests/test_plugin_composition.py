@@ -9,13 +9,14 @@ have orthogonal features."
 import pytest
 
 from repro.core import PluginInstance
-from repro.core.protoop import ProtoopError
+from repro.core.protoop import Anchor, ProtoopError
 from repro.netsim import Simulator, symmetric_topology
 from repro.plugins.ccontrol import build_ccontrol_plugin
 from repro.plugins.datagram import DatagramSocket, build_datagram_plugin
 from repro.plugins.monitoring import MonitoringCollector, build_monitoring_plugin
 from repro.plugins.multipath import build_multipath_plugin
 from repro.quic import ClientEndpoint, ServerEndpoint
+from repro.trace import PreProfiler
 
 
 def setup_composed(builders_client, builders_server, loss=0, seed=3):
@@ -120,6 +121,59 @@ def test_conflicting_replacements_roll_back():
     with pytest.raises(ProtoopError):
         second.attach()
     assert "org.pquic.multipath" in client.conn.plugins  # first one intact
+
+
+@pytest.mark.parametrize("controller", [None, "aimd", "fixed"])
+def test_window_published_whoever_moves_it(controller):
+    """Monitoring plus a congestion controller — NewReno, or the CC
+    plugin replacing it — on one lossy upload.  The host releases flight
+    and publishes the window itself, so ``cc_window_updated`` (and with
+    it monitoring's ``cwnd_observer``) runs once per acked or lost
+    in-flight packet, undone loss and persistent-congestion collapse,
+    whoever moved the window, and flight drains to zero."""
+    sim = Simulator()
+    topo = symmetric_topology(sim, d_ms=10, bw_mbps=10, loss_pct=2, seed=4)
+    server = ServerEndpoint(sim, topo.server, "server.0", 443)
+    client = ClientEndpoint(sim, topo.client, "client.0", 5000, "server.0", 443)
+    conn = client.conn
+    profiler = PreProfiler().attach(conn)
+    builders = [build_monitoring_plugin]
+    if controller is not None:
+        builders.append(lambda: build_ccontrol_plugin(controller))
+    for build in builders:
+        PluginInstance(build(), conn).attach()
+    counts = {"moves": 0, "published": 0}
+
+    def on_outcome(conn, args, result):
+        counts["moves"] += args[0].in_flight
+
+    def on_undo(conn, args, result):
+        counts["moves"] += 1
+
+    def on_window(conn, args, result):
+        counts["published"] += 1
+
+    for op in ("on_packet_acked", "on_packet_lost"):
+        conn.protoops.attach(op, Anchor.POST, on_outcome)
+    conn.protoops.attach("on_spurious_loss", Anchor.POST, on_undo)
+    conn.protoops.attach("cc_window_updated", Anchor.POST, on_window)
+    done = [False]
+    server.on_connection = lambda sconn: setattr(
+        sconn, "on_stream_data", lambda sid, d, fin: done.__setitem__(0, fin))
+    client.connect()
+    assert sim.run_until(lambda: conn.is_established, timeout=5)
+    sid = conn.create_stream()
+    conn.send_stream_data(sid, b"w" * 300_000, fin=True)
+    client.pump()
+    assert sim.run_until(lambda: done[0] and not conn.streams_send, timeout=60)
+
+    assert conn.stats["packets_lost"] > 0
+    moves = counts["moves"] + conn.stats["persistent_congestion"]
+    assert counts["published"] == moves > 100
+    observed = sum(rec.invocations for rec in profiler.records.values()
+                   if rec.pluglet == "cwnd_observer")
+    assert observed == moves
+    assert [path.cc.bytes_in_flight for path in conn.paths] == [0] * len(conn.paths)
 
 
 def test_composition_under_loss():

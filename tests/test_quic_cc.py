@@ -1,13 +1,15 @@
 """NewReno congestion controller tests."""
 
-import pytest
-
+from repro.core.protoop import Anchor
+from repro.quic import QuicConfiguration
 from repro.quic.cc import (
     DEFAULT_INITIAL_WINDOW,
     MAX_DATAGRAM_SIZE,
     MINIMUM_WINDOW,
     NewRenoController,
 )
+from repro.quic.connection import QuicConnection
+from repro.quic.recovery import SentPacket
 
 
 def test_paper_default_initial_window_is_16kb():
@@ -23,12 +25,18 @@ def test_custom_initial_window():
 
 
 def test_bytes_in_flight_accounting():
+    # Flight is the host's bookkeeping: charged on send, released once
+    # per acked or lost packet; the controller's on_ack / on_loss only
+    # move the window.
     cc = NewRenoController()
     cc.on_packet_sent(1200)
     cc.on_packet_sent(1200)
     assert cc.bytes_in_flight == 2400
     assert cc.available_window == cc.cwnd - 2400
     cc.on_ack(1200, now=1.0, sent_time=0.5)
+    cc.on_loss(1200, now=1.0, sent_time=0.6)
+    assert cc.bytes_in_flight == 2400
+    cc.on_packet_released(1200)
     assert cc.bytes_in_flight == 1200
 
 
@@ -156,7 +164,7 @@ def test_app_limited_ack_does_not_grow_window():
     cc.on_packet_sent(1200)
     cc.on_ack(1200, now=1.0, sent_time=0.5, app_limited=True)
     assert cc.cwnd == start
-    assert cc.bytes_in_flight == 0  # flight accounting still happens
+    assert cc.bytes_in_flight == 1200  # released by the host, not on_ack
 
 
 def test_no_growth_for_pre_recovery_acks():
@@ -171,15 +179,32 @@ def test_no_growth_for_pre_recovery_acks():
 
 def test_can_send_respects_window():
     cc = NewRenoController(initial_window=2400)
-    assert cc.can_send()
+    assert cc.available_window == 2400
     cc.on_packet_sent(2400)
-    assert not cc.can_send()
+    assert cc.available_window == 0
+    cc.on_packet_released(1200)
+    assert cc.available_window == 1200
+
+
+def _in_flight_packet(conn, pn, size=1200):
+    conn.paths[0].cc.on_packet_sent(size)
+    return SentPacket(packet_number=pn, sent_time=0.0, size=size,
+                      ack_eliciting=True, in_flight=True)
 
 
 def test_discard_releases_flight_bytes():
-    cc = NewRenoController()
-    cc.on_packet_sent(500)
-    cc.on_packet_discarded(500)
-    assert cc.bytes_in_flight == 0
-    cc.on_packet_discarded(500)  # never negative
-    assert cc.bytes_in_flight == 0
+    # The host's on_packet_acked / on_packet_lost defaults release the
+    # packet from flight, so a replaced controller that ignores the
+    # packet (here: a no-op) still leaves the books balanced.
+    conn = QuicConnection(QuicConfiguration(is_client=True))
+    for op in ("congestion_on_ack", "congestion_on_loss"):
+        conn.protoops.attach(op, Anchor.REPLACE, lambda conn, pkt, i: None)
+    cc = conn.paths[0].cc
+    for outcome in ("on_packet_acked", "on_packet_lost"):
+        first, second = _in_flight_packet(conn, 0), _in_flight_packet(conn, 1)
+        assert cc.bytes_in_flight == 2400
+        conn.protoops.run(conn, outcome, None, first, 0)
+        assert cc.bytes_in_flight == 1200
+        cc.bytes_in_flight = 0
+        conn.protoops.run(conn, outcome, None, second, 0)
+        assert cc.bytes_in_flight == 0  # never negative

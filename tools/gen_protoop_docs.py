@@ -137,6 +137,28 @@ off the send loop's skip, so its answer is asked on every attempt that
 owes an ACK; one that answers "no" past the due time arms its own
 wake-up.
 
+### `on_packet_acked` / `on_packet_lost` / `congestion_on_ack` / `congestion_on_loss`
+
+`on_packet_acked(pkt, path)` runs once per newly acknowledged packet and
+`on_packet_lost(pkt, path)` once per packet declared lost.  For a packet
+that counted toward bytes in flight, their defaults first release it
+from flight (`CongestionController.on_packet_released`), then run
+`congestion_on_ack` / `congestion_on_loss(pkt, path)`, and then publish
+the window.  Publishing means `congestion_state_changed(path, old, new,
+trigger)` if the controller's state label moved, and
+`cc_window_updated(path, cwnd)` always.  An undone loss
+(`on_spurious_loss`) and a persistent-congestion collapse publish the
+same way.
+
+**A replacement of `congestion_on_ack` / `congestion_on_loss` moves the
+window only** (NewReno's law, or the CC plugin's `set(cwnd)`).  Flight
+bookkeeping and window publication stay with the host.  The host does
+them around the operation, so a plugin-moved window reaches
+`cc_window_updated` observers, monitoring's `cwnd_observer` and the
+tracer exactly as NewReno's does.  A replacement of `on_packet_acked` /
+`on_packet_lost` takes over all three steps, and the frame
+notifications as well.
+
 ### `stream_opened` / `stream_closed`
 
 `stream_opened(stream_id)` fires when the local application creates a
