@@ -90,6 +90,7 @@ PLUGIN_BUILDERS: Dict[str, Callable] = {
     "fec-rlc": _builtin("repro.plugins.fec", "build_fec_plugin", "rlc", "full"),
     "ccontrol": _builtin("repro.plugins.ccontrol", "build_ccontrol_plugin"),
     "ecn": _builtin("repro.plugins.ecn", "build_ecn_plugin"),
+    "multipath": _builtin("repro.plugins.multipath", "build_multipath_plugin"),
     # Test-only (x- prefix): never part of shipped suites' green paths.
     "x-jit-divergent": build_jit_divergent_plugin,
     "x-conflict-a": lambda: _build_conflict_plugin("a"),

@@ -204,6 +204,8 @@ def _run(scenario: Scenario, report: RunReport) -> None:
                             on_connection=on_connection)
     client = ClientEndpoint(sim, client_host, "client.0", 5000,
                             "server.0", 443)
+    if nat is None:  # dual-homed: a multipath plugin opens client.1
+        client.conn.extra_local_addresses = ["client.1"]
     profiler.attach(client.conn)
     ConnectionMetrics(client.conn, registry, prefix="client.")
     tracer = ConnectionTracer(client.conn, max_events=500_000)

@@ -99,6 +99,17 @@ def smoke_suite() -> List[Scenario]:
             plugins=("monitoring", "ccontrol"),
             seed=47,
         ),
+        Scenario(
+            # FEC over both paths of a lossy multipath transfer: every
+            # path numbers its packets from 0, so a source symbol is a
+            # (path id, pn) pair and a recovered packet is injected into
+            # the space of the path it was sent on.
+            name="lossy-fec-multipath",
+            workload=Workload(size=60_000),
+            topology=Topology(d_ms=10.0, bw_mbps=20.0, loss_pct=2.0),
+            plugins=("multipath", "fec-rlc"),
+            seed=79,
+        ),
     ]
 
 

@@ -22,7 +22,6 @@ added by implementing new pluglets."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.core.api import H_PLUGIN_BASE, HelperEffect
 from repro.core.plugin import Plugin, Pluglet
@@ -75,10 +74,16 @@ ECC_NAMES = {v: k for k, v in ECC_IDS.items()}
 
 @dataclass
 class FecIdFrame(F.Frame):
-    """Announces one encoding window: which packets it protects."""
+    """Announces one encoding window: which packets it protects, as
+    ``(path_id, pn)`` pairs.  Multipath gives every path its own
+    packet-number space; path ids agree on both ends, as in MP_ACK.
+
+    Wire: ``window_id``, then ``count << 1 | paths``, then ``count``
+    packet numbers when every one was sent on path 0 (``paths`` = 0, the
+    single-path size), else ``count`` ``(path_id, pn)`` pairs."""
 
     window_id: int = 0
-    protected_pns: list = field(default_factory=list)
+    protected: list = field(default_factory=list)
     type = FEC_ID_FRAME_TYPE
 
     @property
@@ -86,17 +91,23 @@ class FecIdFrame(F.Frame):
         return False
 
     def serialize(self, buf: Buffer) -> None:
+        paths = any(path for path, _pn in self.protected)
         buf.push_varint(self.type)
         buf.push_varint(self.window_id)
-        buf.push_varint(len(self.protected_pns))
-        for pn in self.protected_pns:
+        buf.push_varint(len(self.protected) << 1 | paths)
+        for path, pn in self.protected:
+            if paths:
+                buf.push_varint(path)
             buf.push_varint(pn)
 
     @classmethod
     def parse(cls, buf: Buffer, frame_type: int) -> "FecIdFrame":
         window_id = buf.pull_varint()
-        pns = [buf.pull_varint() for _ in range(buf.pull_varint())]
-        return cls(window_id=window_id, protected_pns=pns)
+        header = buf.pull_varint()
+        protected = [
+            (buf.pull_varint() if header & 1 else 0, buf.pull_varint())
+            for _ in range(header >> 1)]
+        return cls(window_id=window_id, protected=protected)
 
 
 #: Repair symbols are larger than one packet's frame budget, so they are
@@ -146,13 +157,21 @@ class FecRepairFrame(F.Frame):
 
 @dataclass
 class _RxWindow:
-    protected_pns: list = field(default_factory=list)
+    #: (path_id, pn) of each source symbol, in window order.
+    protected: list = field(default_factory=list)
     #: Completed repair symbols: (rs_index, payload, ecc, seed).
     repairs: list = field(default_factory=list)
     #: rs_index -> (buffer, offsets received) while fragments reassemble.
     partial: dict = field(default_factory=dict)
     complete: set = field(default_factory=set)
     recovered: bool = False
+
+
+#: Received payloads kept for recovery, keyed by (path_id, pn); past
+#: this many the oldest half is dropped.
+MAX_RX_PAYLOADS = 4096
+#: Receive windows kept; past this many the oldest half is dropped.
+MAX_RX_WINDOWS = 256
 
 
 class _FecState:
@@ -162,18 +181,28 @@ class _FecState:
         self.window = window
         self.repair = repair
         self.ecc = ecc
-        self.send_symbols: list = []  # (pn, payload) newest last
+        self.send_symbols: list = []  # (path_id, pn, payload) newest last
         self.window_counter = 0
-        self.rx_payloads: dict = {}  # pn -> payload (recent packets)
+        self.rx_payloads: dict = {}  # (path_id, pn) -> payload
         self.rx_windows: dict = {}   # window_id -> _RxWindow
         self.recovered_total = 0
+        #: Repair fragments refused as malformed (see ``h_process_rs``).
+        self.refused_fragments = 0
+
+    def rx_window(self, window_id: int) -> _RxWindow:
+        rxw = self.rx_windows.get(window_id)
+        if rxw is None:
+            rxw = self.rx_windows[window_id] = _RxWindow()
+            self.prune()
+        return rxw
 
     def prune(self) -> None:
-        if len(self.rx_payloads) > 4096:
-            for pn in sorted(self.rx_payloads)[:2048]:
-                del self.rx_payloads[pn]
-        if len(self.rx_windows) > 256:
-            for wid in sorted(self.rx_windows)[:128]:
+        if len(self.rx_payloads) > MAX_RX_PAYLOADS:
+            oldest = sorted(self.rx_payloads, key=lambda key: (key[1], key[0]))
+            for key in oldest[:MAX_RX_PAYLOADS // 2]:
+                del self.rx_payloads[key]
+        if len(self.rx_windows) > MAX_RX_WINDOWS:
+            for wid in sorted(self.rx_windows)[:MAX_RX_WINDOWS // 2]:
                 del self.rx_windows[wid]
 
 
@@ -212,13 +241,13 @@ def _host_helpers_factory(window: int, repair: int, ecc: str):
             """Register the packet being sent; flags: 1 stream, +2 fin."""
             ctx = runtime.context
             # packet_ready args: (epoch, path_index, pn, plaintext[, result])
-            epoch, _path, pn, payload = ctx.raw_args[:4]
+            epoch, path, pn, payload = ctx.raw_args[:4]
             if epoch is not Epoch.ONE_RTT and epoch != int(Epoch.ONE_RTT):
                 return 0
             has_stream, has_fin = _contains_stream_frames(runtime.conn, payload)
             if not has_stream:
                 return 0
-            state.send_symbols.append((pn, payload))
+            state.send_symbols.append((path, pn, payload))
             if len(state.send_symbols) > state.window:
                 state.send_symbols = state.send_symbols[-state.window:]
             return 1 | (2 if has_fin else 0)
@@ -230,10 +259,10 @@ def _host_helpers_factory(window: int, repair: int, ecc: str):
             symbols = list(state.send_symbols)
             wid = state.window_counter
             state.window_counter += 1
-            pns = [pn for pn, _p in symbols]
-            payloads = [p for _pn, p in symbols]
+            payloads = [p for _path, _pn, p in symbols]
             seed = wid & 0x3FFFFFFF
-            frames = [FecIdFrame(window_id=wid, protected_pns=pns)]
+            frames = [FecIdFrame(window_id=wid, protected=[
+                (path, pn) for path, pn, _p in symbols])]
             nrs = min(state.repair, code.max_repair)
             for rs_index in range(nrs):
                 repair = code.encode(payloads, rs_index, seed)
@@ -260,7 +289,7 @@ def _host_helpers_factory(window: int, repair: int, ecc: str):
             ctx = runtime.context
             epoch, path, pn, payload = ctx.raw_args[:4]
             if epoch is Epoch.ONE_RTT or epoch == int(Epoch.ONE_RTT):
-                state.rx_payloads[pn] = payload
+                state.rx_payloads[(path, pn)] = payload
                 state.prune()
                 return 1
             return 0
@@ -274,8 +303,8 @@ def _host_helpers_factory(window: int, repair: int, ecc: str):
 
         def h_process_id(vm, frame_handle, *_):
             frame = runtime.context.raw_args[frame_handle]
-            rxw = state.rx_windows.setdefault(frame.window_id, _RxWindow())
-            rxw.protected_pns = list(frame.protected_pns)
+            rxw = state.rx_window(frame.window_id)
+            rxw.protected = list(frame.protected)
             return _try_recover(frame.window_id)
 
         def h_parse_rs(vm, buf_handle, *_):
@@ -287,12 +316,27 @@ def _host_helpers_factory(window: int, repair: int, ecc: str):
 
         def h_process_rs(vm, frame_handle, *_):
             frame = runtime.context.raw_args[frame_handle]
-            rxw = state.rx_windows.setdefault(frame.window_id, _RxWindow())
+            end = frame.offset + len(frame.payload)
+            rxw = state.rx_windows.get(frame.window_id)
+            partial = rxw.partial.get(frame.rs_index) if rxw else None
+            # The peer sizes the buffer allocated here.  Refuse a symbol
+            # longer than any packet of ours (codes.symbol_width), a
+            # fragment past its symbol's end or disagreeing with its
+            # length, and a repair index past the window: no window uses
+            # more repair symbols than it has source symbols.
+            max_symbol = runtime.conn.configuration.max_udp_payload_size + 2
+            if frame.total_len > max_symbol or end > frame.total_len \
+                    or frame.rs_index >= state.window \
+                    or (partial is not None
+                        and len(partial[0]) != frame.total_len):
+                state.refused_fragments += 1
+                return 0
+            rxw = state.rx_window(frame.window_id)
             key = frame.rs_index
-            buf, got = rxw.partial.setdefault(
+            buf, got = partial or rxw.partial.setdefault(
                 key, (bytearray(frame.total_len), set())
             )
-            buf[frame.offset:frame.offset + len(frame.payload)] = frame.payload
+            buf[frame.offset:end] = frame.payload
             got.add(frame.offset)
             received = sum(
                 min(RS_FRAGMENT, frame.total_len - off) for off in got
@@ -305,14 +349,13 @@ def _host_helpers_factory(window: int, repair: int, ecc: str):
         def _try_recover(window_id: int) -> int:
             """Attempt recovery; returns number of packets recovered."""
             rxw = state.rx_windows.get(window_id)
-            if rxw is None or rxw.recovered or not rxw.protected_pns:
+            if rxw is None or rxw.recovered or not rxw.protected:
                 return 0
             if not rxw.repairs:
                 return 0
             conn = runtime.conn
-            space = conn.paths[0].space
             window_payloads = [
-                state.rx_payloads.get(pn) for pn in rxw.protected_pns
+                state.rx_payloads.get(key) for key in rxw.protected
             ]
             missing = [
                 i for i, p in enumerate(window_payloads) if p is None
@@ -328,14 +371,15 @@ def _host_helpers_factory(window: int, repair: int, ecc: str):
             rxw.recovered = True
             recovered = 0
             for i in missing:
-                pn = rxw.protected_pns[i]
+                path, pn = rxw.protected[i]
                 payload = solution[i]
-                if payload is None or pn in space.received:
+                if payload is None or path >= len(conn.paths) \
+                        or pn in conn.paths[path].space.received:
                     continue
                 conn.protoops.run(
-                    conn, "process_recovered_payload", None, 0, pn, payload
+                    conn, "process_recovered_payload", None, path, pn, payload
                 )
-                state.rx_payloads[pn] = payload
+                state.rx_payloads[(path, pn)] = payload
                 recovered += 1
             state.recovered_total += recovered
             return recovered

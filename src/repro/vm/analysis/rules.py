@@ -247,8 +247,6 @@ def _cfg_rules(cfg: ControlFlowGraph, instructions: List[Instruction],
                report: AnalysisReport) -> None:
     n = len(instructions)
     for start in cfg.unreachable_blocks():
-        if _is_compiler_epilogue(cfg, instructions, start):
-            continue
         report.add("PRE101", Severity.WARNING,
                    "unreachable code (never executed)", start)
 
@@ -276,22 +274,6 @@ def _cfg_rules(cfg: ControlFlowGraph, instructions: List[Instruction],
             report.add("PRE109", Severity.WARNING,
                        "execution can run past the end of the program",
                        cfg.blocks[start].end - 1)
-
-
-def _is_compiler_epilogue(cfg: ControlFlowGraph,
-                          instructions: List[Instruction],
-                          start: int) -> bool:
-    """The pluglet compiler appends an implicit ``mov r0, 0; exit`` even
-    when every source path already returned; do not lint its dead tail."""
-    block = cfg.blocks[start]
-    if block.end != len(instructions):
-        return False
-    tail = instructions[block.start:block.end]
-    if len(tail) != 2:
-        return False
-    first, second = tail
-    return (first.opcode is Op.MOV_IMM and first.dst == 0
-            and first.imm == 0 and second.opcode is Op.EXIT)
 
 
 # --- abstract-interpretation rules -------------------------------------

@@ -42,10 +42,11 @@ Translation scheme
 Frame promotion
 ===============
 
-Compiled pluglets keep every local and temporary in an FP-relative stack
-slot, so most of what a pluglet executes is stack traffic.  When a
-program's frame is *private* its slots become Python locals as well
-(``s<stack offset>``), in both closures.  A frame is private when
+Compiled pluglets keep their locals in registers; what does not fit —
+locals past the four callee-saved registers, spilled temporaries — lives
+in FP-relative stack slots.  When a program's frame is *private* its
+slots become Python locals as well (``s<stack offset>``), in both
+closures.  A frame is private when
 
 * ``r10`` appears only as the base register of loads and stores — never
   as an ALU or jump operand, never stored as a value — so no stack

@@ -30,7 +30,7 @@ from repro.quic.connection import QuicConnection
 from repro.vm import PluginMemory, VirtualMachine, VmError, assemble
 from repro.vm.interpreter import HEAP_BASE, STACK_BASE
 from repro.vm.isa import Op
-from repro.vm.jit import JitVirtualMachine, load_jit
+from repro.vm.jit import JitVirtualMachine, _private_frame, load_jit
 
 BUILDERS = [build_monitoring_plugin, build_multipath_plugin,
             build_datagram_plugin, build_fec_plugin, build_ecn_plugin,
@@ -72,28 +72,29 @@ class TestBundledDeclarations:
     def test_frames_are_promoted_and_reach_the_stack_only_by_write_back(
             self, build):
         """Compiled pluglets never let r10 escape, so every frame is
-        promoted: the only lines left that name the stack bytearray are
-        write-back, re-read, and the access by run-time address between
-        them."""
+        private — most are empty, their locals living in registers — and
+        the only lines that name the stack bytearray are write-back,
+        re-read, and the access by run-time address between them."""
         dynamic = f"_a - {STACK_BASE}"
-        promoted = 0
-        for name, code in build().load().items():
+        plugin = build()
+        frames = {p.name: _private_frame(p.instructions)
+                  for p in plugin.pluglets}
+        assert all(frame is not None for frame in frames.values())
+        for name, code in plugin.load().items():
             for fn in filter(None, (code.checked, code.fast)):
                 lines = fn.source.splitlines()[1:]  # skip the signature
-                promoted += any(re.match(r"\s+s\d+ = ", line)
-                                for line in lines)
                 for i, line in enumerate(lines):
                     if "(stack, " not in line and "stack[" not in line:
                         continue
                     if dynamic in line:
-                        assert "_wb0(stack, " in lines[i - 1], (name, line)
-                        assert "= _rr0(stack, " in lines[i + 1], (name, line)
+                        if frames[name].names:
+                            assert "_wb0(stack, " in lines[i - 1], (name, line)
+                            assert "= _rr0(stack, " in lines[i + 1], (name, line)
                     else:
                         assert re.match(
                             r"\s+(_wb\d+\(stack, \d+, s\d+"
                             r"|\(s\d+,.*\) = _rr\d+\(stack, \d+\)$)",
                             line), (name, line)
-        assert promoted
 
     def test_each_pluglet_is_engine_independent_at_every_budget(self, build):
         """The interpreter, the closures the plugin loads (specialized

@@ -17,7 +17,11 @@ from repro.plugins.fec import (
     gf_inv,
     gf_mul,
 )
-from repro.quic import ClientEndpoint, ServerEndpoint
+from repro.plugins.fec.framework import MAX_RX_PAYLOADS, MAX_RX_WINDOWS
+from repro.quic import ClientEndpoint, QuicConfiguration, ServerEndpoint
+from repro.quic.connection import QuicConnection
+from repro.quic.frames import StreamFrame
+from repro.quic.packet import Epoch
 from repro.quic.wire import Buffer
 
 
@@ -119,11 +123,22 @@ class TestRlcCode:
 
 class TestFrames:
     def test_fec_id_roundtrip(self):
-        frame = FecIdFrame(window_id=3, protected_pns=[10, 11, 13, 20])
+        frame = FecIdFrame(window_id=3,
+                           protected=[(0, 10), (1, 11), (0, 13), (1, 20)])
         buf = Buffer(frame.to_bytes())
         parsed = FecIdFrame.parse(buf, buf.pull_varint())
         assert parsed.window_id == 3
-        assert parsed.protected_pns == [10, 11, 13, 20]
+        assert parsed.protected == [(0, 10), (1, 11), (0, 13), (1, 20)]
+
+    def test_single_path_fec_id_carries_no_path_ids(self):
+        """A window sent on path 0 alone costs one varint per packet, as
+        before multipath: only the low bit of the count says so."""
+        frame = FecIdFrame(window_id=3, protected=[(0, 10), (0, 11)])
+        type_bytes = len(FecIdFrame(protected=[]).to_bytes()) - 2
+        assert frame.to_bytes()[type_bytes:] == bytes([3, 2 << 1, 10, 11])
+        buf = Buffer(frame.to_bytes())
+        assert FecIdFrame.parse(buf, buf.pull_varint()).protected == \
+            [(0, 10), (0, 11)]
 
     def test_repair_roundtrip(self):
         frame = FecRepairFrame(window_id=1, ecc=1, rs_index=2, seed=42,
@@ -219,9 +234,6 @@ class TestFramework:
     def test_xor_repair_budget_is_one(self):
         plugin = build_fec_plugin("xor", "full")
         # attach to a dummy conn to materialize state
-        from repro.quic import QuicConfiguration
-        from repro.quic.connection import QuicConnection
-
         conn = QuicConnection(QuicConfiguration())
         inst = PluginInstance(plugin, conn)
         assert inst.runtime.fec_state.repair == 1
@@ -231,3 +243,69 @@ class TestFramework:
             build_fec_plugin("reed-solomon", "full")
         with pytest.raises(ValueError):
             build_fec_plugin("rlc", "middle")
+
+
+class TestPeerControlledState:
+    """A peer picks the window ids, symbol lengths and packet numbers the
+    FEC receiver stores: every collection stays under its named cap, and
+    a malformed repair fragment is a counted drop, never an allocation
+    the peer sized."""
+
+    @staticmethod
+    def receiver():
+        conn = QuicConnection(QuicConfiguration())
+        instance = PluginInstance(build_fec_plugin("rlc", "full"), conn)
+        instance.attach()
+        return conn, instance.runtime.fec_state
+
+    @staticmethod
+    def process(conn, frame):
+        conn.protoops.run(conn, "process_frame", frame.type, frame, None)
+
+    def test_fresh_window_ids_stay_under_the_window_cap(self):
+        conn, state = self.receiver()
+        for wid in range(3 * MAX_RX_WINDOWS):
+            self.process(conn, FecIdFrame(window_id=wid, protected=[(0, wid)]))
+            self.process(conn, FecRepairFrame(
+                window_id=10**6 + wid, total_len=8, payload=b"r" * 8))
+            assert len(state.rx_windows) <= MAX_RX_WINDOWS
+        assert len(state.rx_windows) > MAX_RX_WINDOWS // 2
+        assert state.refused_fragments == 0
+
+    def test_received_packets_stay_under_the_payload_cap(self):
+        conn, state = self.receiver()
+        for pn in range(3 * MAX_RX_PAYLOADS):
+            conn.protoops.run(conn, "packet_received_event", None,
+                              Epoch.ONE_RTT, pn % 3, pn, b"p")
+            assert len(state.rx_payloads) <= MAX_RX_PAYLOADS
+        assert len(state.rx_payloads) > MAX_RX_PAYLOADS // 2
+
+    def test_sent_symbols_stay_under_the_window(self):
+        conn, state = self.receiver()
+        payload = StreamFrame(stream_id=0, data=b"s").to_bytes()
+        for pn in range(3 * state.window):
+            conn.protoops.run(conn, "packet_ready", None,
+                              Epoch.ONE_RTT, 0, pn, payload)
+            assert len(state.send_symbols) <= state.window
+        assert len(state.send_symbols) == state.window
+
+    @pytest.mark.parametrize("fragment", [
+        dict(total_len=1 << 40, payload=b"r"),       # no packet is this long
+        dict(total_len=100, offset=99, payload=b"rr"),  # past its symbol
+        dict(total_len=100, rs_index=10**9, payload=b"r"),  # past the window
+    ])
+    def test_malformed_fragments_are_counted_drops(self, fragment):
+        conn, state = self.receiver()
+        self.process(conn, FecRepairFrame(window_id=1, **fragment))
+        assert state.refused_fragments == 1
+        assert not state.rx_windows
+
+    def test_a_fragment_disagreeing_with_its_symbol_length_is_dropped(self):
+        conn, state = self.receiver()
+        self.process(conn, FecRepairFrame(window_id=1, total_len=100,
+                                          payload=b"r" * 10))
+        self.process(conn, FecRepairFrame(window_id=1, total_len=1000,
+                                          offset=900, payload=b"r" * 100))
+        assert state.refused_fragments == 1
+        buffer, _offsets = state.rx_windows[1].partial[0]
+        assert len(buffer) == 100

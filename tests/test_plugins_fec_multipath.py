@@ -1,13 +1,14 @@
-"""Multipath + FEC RLC on a lossy transfer (ROADMAP G, not yet fixed).
+"""Multipath + FEC RLC on a lossy transfer.
 
-The reproduction the roadmap gives, built from the public API: the path
-shape of the bench's ``bulk-plugins-lossy`` (two 25 ms / 10 Mbit/s paths,
-1 % loss, the loss process seeded by the pattern number), a 400 kB
-download with seeded payload as the bench generates it, and both plugins
-on both ends.  Six of the eight loss patterns complete; patterns 2 and 3
-fail because the FEC plugin identifies source symbols by packet number
-alone while multipath gives every path its own packet-number space.  The
-two are strict xfails carrying their close errors, so the fix flips them.
+The path shape of the bench's ``bulk-plugins-lossy`` (two 25 ms /
+10 Mbit/s paths, 1 % loss, the loss process seeded by the pattern
+number), a 400 kB download with seeded payload as the bench generates
+it, and both plugins on both ends.  Multipath gives every path its own
+packet-number space, so FEC identifies a source symbol by (path id, pn).
+When it used the packet number alone, patterns 2 and 3 failed: one sat
+idle until ``(0, 'idle timeout')``, and the other parsed a "recovered"
+packet of the wrong path as frames (``(7, 'read of 246976943 bytes past
+end')``).
 """
 
 from __future__ import annotations
@@ -79,16 +80,6 @@ def lossy_transfer(pattern: int) -> tuple:
     return intact, client.conn.close_error, servers[0].close_error
 
 
-def _known_failure(pattern: int, close_error: tuple):
-    return pytest.param(pattern, marks=pytest.mark.xfail(
-        strict=True, reason=f"ROADMAP G: both ends close with {close_error}"))
-
-
-@pytest.mark.parametrize("pattern", [
-    0, 1,
-    _known_failure(2, (0, "idle timeout")),
-    _known_failure(3, (7, "read of 246976943 bytes past end")),
-    4, 5, 6, 7,
-])
+@pytest.mark.parametrize("pattern", range(8))
 def test_multipath_with_fec_completes_a_lossy_transfer(pattern):
     assert lossy_transfer(pattern) == (True, None, None)

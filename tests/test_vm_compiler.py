@@ -12,6 +12,9 @@ from repro.vm import (
     compile_pluglet,
     verify,
 )
+from repro.vm.analysis import analyze
+from repro.vm.interpreter import HEAP_BASE
+from repro.vm.isa import FP_REGISTER, Op
 
 WORD = (1 << 64) - 1
 
@@ -323,15 +326,19 @@ def f(n):
         assert vm.run(n) == sum(i * i for i in range(n)) & WORD
 
     def test_deep_expression_spills(self):
-        # Deep nesting uses temp slots; must still verify and compute.
-        expr = "a" + " + a" * 30
-        vm = build(f"def f(a):\n    return {expr}")
-        assert vm.run(2) == 62
+        # Right-nested sums of products keep one product live per level:
+        # past the free registers the oldest spill to frame slots, and the
+        # program must still verify and compute.
+        expr = "a * 3 + (" * 30 + "a" + ")" * 30
+        code = compile_pluglet(f"def f(a):\n    return {expr}")
+        assert any(ins.opcode is Op.STXDW and ins.dst == FP_REGISTER
+                   for ins in code)
+        assert build(f"def f(a):\n    return {expr}").run(2) == 2 * 3 * 30 + 2
 
     def test_excessively_deep_expression_rejected(self):
-        # Right-nested additions need one temp slot per level; past the
-        # 512-byte stack the compiler must refuse.
-        expr = "a + (" * 80 + "a" + ")" * 80
+        # One live temporary per level: once the registers and the spill
+        # slots of the 512-byte stack are used up, the compiler refuses.
+        expr = "a * 3 + (" * 80 + "a" + ")" * 80
         with pytest.raises(CompileError):
             compile_pluglet(f"def f(a):\n    return {expr}")
 
@@ -340,3 +347,313 @@ def f(n):
         expr = "(" * 60 + "a" + " + a)" * 60
         vm = build(f"def f(a):\n    return {expr}")
         assert vm.run(1) == 61
+
+
+class TestBackEnd:
+    """What the register back end emits: homes, immediates, folding and
+    no dead code."""
+
+    def test_roadmap_counter_with_pointer_parameter(self):
+        # Clang's eBPF needs 5: load, add, store, return value, exit.
+        source = """
+def f(pi):
+    mem64[pi + 0] = mem64[pi + 0] + 1
+    return 0
+"""
+        code = compile_pluglet(source)
+        assert len(code) <= 5
+        vm = build(source)
+        vm.memory.data[:8] = (41).to_bytes(8, "little")
+        assert vm.run(HEAP_BASE) == 0
+        assert int.from_bytes(vm.memory.data[:8], "little") == 42
+
+    def test_displacement_and_immediate_forms(self):
+        code = compile_pluglet("def f(st):\n    return mem64[st + 8] + 5")
+        assert [ins.opcode for ins in code] == [Op.LDXDW, Op.ADD_IMM, Op.EXIT]
+        assert code[0].offset == 8 and code[1].imm == 5
+
+    def test_constants_fold_through_the_isa(self):
+        code = compile_pluglet("def f():\n    return (3 + 4) * 2 - (1 << 4) // 2")
+        assert [ins.opcode for ins in code] == [Op.MOV_IMM, Op.EXIT]
+        assert code[0].imm == 6
+        assert build("def f():\n    return -1 & ~0").run() == WORD
+
+    def test_constant_zero_divisor_faults_at_run_time(self):
+        vm = build("def f(a):\n    return a // (2 - 2)")
+        with pytest.raises(ExecutionError):
+            vm.run(7)
+
+    def test_nothing_follows_a_return(self):
+        code = compile_pluglet("""
+def f(a):
+    if a > 1:
+        return 1
+    else:
+        return 2
+    a = 7
+""")
+        assert [ins.opcode for ins in code] == [
+            Op.JLE_IMM, Op.MOV_IMM, Op.EXIT, Op.MOV_IMM, Op.EXIT]
+        assert not analyze(code).diagnostics
+
+    def test_locals_in_registers_survive_helper_calls(self):
+        calls = []
+        vm = build("""
+def f(a):
+    x = a + 1
+    y = g(x)
+    z = g(y) + x
+    return z + y
+""", helpers_map={"g": 1},
+            helpers_impl={1: lambda vm, v, *r: calls.append(v) or v * 2})
+        assert vm.run(3) == (16 + 4) + 8
+        assert calls == [4, 8]
+
+    def test_temporaries_live_across_calls(self):
+        vm = build("def f(a):\n    return a * 3 + g(a) * g(a + 1) + g(2)",
+                   helpers_map={"g": 1},
+                   helpers_impl={1: lambda vm, v, *r: v + 10})
+        assert vm.run(1) == 3 + 11 * 12 + 12
+
+    def test_field_id_is_a_constant_at_the_call(self):
+        report = analyze(compile_pluglet(
+            "def f(i):\n    return get(7, i) + get(2 + 1, i)",
+            helpers={"get": 1}))
+        assert [site.const_arg(0) for site in report.call_sites] == [7, 3]
+
+    def test_maybe_unassigned_register_local_reads_zero(self):
+        source = """
+def f(a):
+    if a:
+        x = 5
+    return x
+"""
+        assert not analyze(compile_pluglet(source)).errors()
+        vm = build(source)
+        assert (vm.run(1), vm.run(0)) == (5, 0)
+
+    def test_bounded_loop_keeps_its_register_counter_proof(self):
+        report = analyze(compile_pluglet("""
+def f():
+    i = 0
+    total = 0
+    while i < 10:
+        total = total + 2
+        i = i + 1
+    return total
+"""))
+        assert report.fuel_certificate is not None
+        assert report.fuel_bound < 60
+
+
+# --- the property: compiled code agrees with Python mod 2**64 -------------
+
+#: Helper name -> (id, arity, definition); every call is logged.
+PROPERTY_HELPERS = {
+    "h1": (1, 1, lambda a: (a * 3 + 1) & WORD),
+    "h2": (2, 2, lambda a, b: (a ^ (b << 1)) & WORD),
+    "h3": (3, 3, lambda a, b, c: (a + b * c) & WORD),
+}
+PROPERTY_LOCALS = ("a", "b", "c", "d", "e", "g")
+PROPERTY_CONSTS = (0, 1, 2, 7, 255, (1 << 31) - 1, 1 << 31, 1 << 32,
+                   (1 << 63) + 5, WORD)
+
+
+class _Program:
+    """Draws a restricted-Python function and its Python reference: the
+    same statements, with every operation reduced mod 2**64, locals
+    starting at 0, and mem64 and helpers modelled by dicts and logs."""
+
+    def __init__(self, data, max_depth: int):
+        self.draw = data.draw
+        self.max_depth = max_depth
+        self.loops = 0
+
+    def pick(self, options):
+        return options[self.draw(st.integers(0, len(options) - 1))]
+
+    def expr(self, depth: int) -> tuple:
+        kind = self.draw(st.integers(0, 6 if depth < self.max_depth else 1))
+        if kind == 0:
+            name = self.pick(("x", "y") + PROPERTY_LOCALS)
+            return name, name
+        if kind == 1:
+            value = self.draw(st.sampled_from(PROPERTY_CONSTS)
+                              | st.integers(0, WORD))
+            return str(value), str(value)
+        if kind == 4:
+            src, ref = self.expr(depth + 1)
+            op = self.pick(("-", "~"))
+            return f"({op}{src})", f"(({op}{ref}) & M)"
+        if kind == 5:
+            name = self.pick(tuple(PROPERTY_HELPERS))
+            args = [self.expr(depth + 1)
+                    for _ in range(PROPERTY_HELPERS[name][1])]
+            return (f"{name}({', '.join(a for a, _ in args)})",
+                    f"{name}({', '.join(r for _, r in args)})")
+        if kind == 6:
+            src, ref = self.address(depth)
+            return f"mem64[{src}]", f"_ld({ref})"
+        left, right = self.expr(depth + 1), self.expr(depth + 1)
+        op = self.pick(("+", "-", "*", "&", "|", "^", "//", "%", "<<", ">>"))
+        if op in ("<<", ">>"):
+            shift = self.draw(st.integers(0, 63))
+            return f"({left[0]} {op} {shift})", f"(({left[1]} {op} {shift}) & M)"
+        if op in ("//", "%"):  # a nonzero divisor
+            return (f"({left[0]} {op} ({right[0]} | 1))",
+                    f"({left[1]} {op} ({right[1]} | 1))")
+        return (f"({left[0]} {op} {right[0]})",
+                f"(({left[1]} {op} {right[1]}) & M)")
+
+    def address(self, depth: int) -> tuple:
+        if depth < self.max_depth and self.draw(st.booleans()):
+            src, ref = self.expr(depth + 1)  # a computed index
+            return f"p + (({src} & 7) << 3)", f"p + (({ref} & 7) << 3)"
+        disp = 8 * self.draw(st.integers(0, 7))
+        return f"p + {disp}", f"p + {disp}"
+
+    def cond(self) -> tuple:
+        kind = self.draw(st.integers(0, 3))
+        if kind == 3:
+            src, ref = self.expr(1)
+            return src, ref
+        left, right = self.expr(1), self.expr(1)
+        op = self.pick(("<", "<=", ">", ">=", "==", "!="))
+        src, ref = f"{left[0]} {op} {right[0]}", f"{left[1]} {op} {right[1]}"
+        if kind == 1:
+            other = self.cond()
+            join = self.pick(("and", "or"))
+            return (f"({src}) {join} ({other[0]})",
+                    f"({ref}) {join} ({other[1]})")
+        if kind == 2:
+            return f"not ({src})", f"not ({ref})"
+        return src, ref
+
+    def block(self, indent: str, depth: int, loop: bool) -> list:
+        lines = []
+        for _ in range(self.draw(st.integers(1, 3))):
+            lines += self.stmt(indent, depth, loop)
+        return lines
+
+    def stmt(self, indent: str, depth: int, loop: bool) -> list:
+        kind = self.draw(st.integers(0, 5 if depth < 2 else 2))
+        if kind == 0:
+            name = self.pick(PROPERTY_LOCALS)
+            src, ref = self.expr(0)
+            return [(f"{indent}{name} = {src}", f"{indent}{name} = {ref}")]
+        if kind == 1:
+            name = self.pick(PROPERTY_LOCALS)
+            src, ref = self.expr(1)
+            op = self.pick(("+", "-", "*", "^"))
+            return [(f"{indent}{name} {op}= {src}",
+                     f"{indent}{name} = ({name} {op} {ref}) & M")]
+        if kind == 2:
+            value, address = self.expr(0), self.address(0)
+            return [(f"{indent}mem64[{address[0]}] = {value[0]}",
+                     f"{indent}_st({value[1]}, {address[1]})")]
+        if kind == 3:
+            test = self.cond()
+            lines = [(f"{indent}if {test[0]}:", f"{indent}if {test[1]}:")]
+            lines += self.block(indent + "    ", depth + 1, loop)
+            if self.draw(st.booleans()):
+                lines += [(f"{indent}else:", f"{indent}else:")]
+                lines += self.block(indent + "    ", depth + 1, loop)
+            return lines
+        if kind == 4:
+            test = self.cond()
+            inner = indent + "    "
+            exit_ = self.pick(("return", "break") if loop else ("return",))
+            if exit_ == "return":
+                src, ref = self.expr(1)
+                body = [(f"{inner}return {src}", f"{inner}return {ref}")]
+            else:
+                body = [(f"{inner}break", f"{inner}break")]
+            return [(f"{indent}if {test[0]}:", f"{indent}if {test[1]}:")] + body
+        counter = f"i{self.loops}"
+        self.loops += 1
+        bound = self.draw(st.integers(0, 4))
+        inner = indent + "    "
+        return ([(f"{indent}{counter} = 0", f"{indent}{counter} = 0"),
+                 (f"{indent}while {counter} < {bound}:",
+                  f"{indent}while {counter} < {bound}:")]
+                + self.block(inner, depth + 1, True)
+                + [(f"{inner}{counter} += 1", f"{inner}{counter} += 1")])
+
+    def function(self) -> tuple:
+        body = self.block("    ", 0, False)
+        src, ref = self.expr(0)
+        body.append((f"    return {src}", f"    return {ref}"))
+        names = PROPERTY_LOCALS + tuple(f"i{k}" for k in range(self.loops))
+        # Dead assignments after the return make every local a name the
+        # compiler knows; a read before any live assignment sees 0.
+        source = ("def f(p, x, y):\n" + "\n".join(s for s, _ in body) + "\n"
+                  + "\n".join(f"    {name} = 0" for name in PROPERTY_LOCALS))
+        reference = ("def f(p, x, y):\n"
+                     f"    {' = '.join(names)} = 0\n"
+                     + "\n".join(r for _, r in body))
+        return source, reference
+
+
+def _run_reference(reference: str, x: int, y: int) -> tuple:
+    memory: dict = {}
+    log: list = []
+    scope = {"M": WORD,
+             "_ld": lambda address: memory.get(address, 0),
+             # value first, as Python evaluates mem64[address] = value
+             "_st": lambda value, address: memory.__setitem__(address, value)}
+    for name, (_hid, _arity, fn) in PROPERTY_HELPERS.items():
+        scope[name] = (lambda n, f: lambda *args: log.append((n, args))
+                       or f(*args))(name, fn)
+    exec(reference, scope)
+    result = scope["f"](HEAP_BASE, x, y)
+    return result, log, {a: v for a, v in memory.items()}
+
+
+def _run_compiled(source: str, x: int, y: int) -> tuple:
+    log: list = []
+    impls = {}
+    for name, (hid, arity, fn) in PROPERTY_HELPERS.items():
+        impls[hid] = (lambda n, a, f: lambda vm, *regs: log.append(
+            (n, regs[:a])) or f(*regs[:a]))(name, arity, fn)
+    code = compile_pluglet(source, {n: h for n, (h, _a, _f)
+                                    in PROPERTY_HELPERS.items()})
+    verify(code)
+    assert not analyze(code).errors()
+    vm = VirtualMachine(code, PluginMemory(), helpers=impls)
+    result = vm.run(HEAP_BASE, x, y)
+    memory = {HEAP_BASE + off: int.from_bytes(vm.memory.data[off:off + 8],
+                                              "little")
+              for off in range(0, 64, 8)}
+    return result, log, memory
+
+
+class TestCompiledMatchesPython:
+    """Random restricted-Python functions compile, verify and compute
+    what Python computes mod 2**64: nested arithmetic on locals and
+    parameters, helper calls inside expressions (so values stay live
+    across a CALL), mem64 loads and stores at constant displacements and
+    computed indices, ``if`` and bounded ``while``."""
+
+    @staticmethod
+    def check(data, max_depth):
+        source, reference = _Program(data, max_depth).function()
+        x = data.draw(st.integers(0, WORD))
+        y = data.draw(st.integers(0, WORD))
+        result, log, memory = _run_reference(reference, x, y)
+        got, got_log, got_memory = _run_compiled(source, x, y)
+        assert got == result, source
+        assert got_log == log, source
+        assert {a: v for a, v in memory.items() if v} == \
+            {a: v for a, v in got_memory.items() if v}, source
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_functions(self, data):
+        self.check(data, max_depth=3)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_register_pressure_spills(self, data):
+        """Deep expressions keep more values live than there are
+        registers: they spill, across helper calls too."""
+        self.check(data, max_depth=7)

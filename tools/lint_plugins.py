@@ -6,7 +6,7 @@ Runs the PRE static analyzer plus the manifest linter
 bytecode corpus under ``tests/corpus/``:
 
 * every bundled plugin must produce **zero error-severity diagnostics**
-  (warnings are reported but allowed — e.g. compiler dead code);
+  (warnings are reported but allowed);
 * every program in ``tests/corpus/bad/`` must be rejected with exactly
   the rule id named in its ``; expect: PRExxx`` header;
 * every program in ``tests/corpus/good/`` must be accepted;
