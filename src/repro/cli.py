@@ -376,23 +376,38 @@ def cmd_trace(args) -> int:
     writer = JsonlTraceWriter(args.jsonl) if args.jsonl else None
     tracer = ConnectionTracer(client.conn, max_events=args.max_events,
                               writer=writer, validate=args.validate)
-    for name in args.plugins:
-        PluginInstance(BUILTIN_PLUGINS[name](), client.conn).attach()
+
+    def attach_plugins(conn):
+        for name in args.plugins:
+            PluginInstance(BUILTIN_PLUGINS[name](), conn).attach()
+
+    attach_plugins(client.conn)
     done = [False]
-    server.on_connection = lambda conn: setattr(
-        conn, "on_stream_data", lambda sid, d, fin: done.__setitem__(0, fin))
+
+    def on_connection(conn):
+        # Both ends run the plugins, as in `repro transfer`: a client
+        # sending frames its server cannot parse kills the transfer.
+        attach_plugins(conn)
+        conn.on_stream_data = lambda sid, d, fin: done.__setitem__(0, fin)
+
+    server.on_connection = on_connection
     client.connect()
-    sim.run_until(lambda: client.conn.is_established, timeout=5)
-    sid = client.conn.create_stream()
-    client.conn.send_stream_data(sid, b"t" * args.size, fin=True)
-    client.pump()
-    sim.run_until(lambda: done[0], timeout=120)
+    established = sim.run_until(lambda: client.conn.is_established, timeout=5)
+    if established:
+        sid = client.conn.create_stream()
+        client.conn.send_stream_data(sid, b"t" * args.size, fin=True)
+        client.pump()
+        sim.run_until(lambda: done[0], timeout=120)
     tracer.finish()
     if args.jsonl:
         dropped = f" ({tracer.dropped} dropped)" if tracer.dropped else ""
         print(f"wrote {len(tracer.events)} events to {args.jsonl}{dropped}")
     else:
         print(tracer.to_json())
+    if not done[0]:
+        print("handshake did not complete" if not established
+              else "transfer did not complete", file=sys.stderr)
+        return 1
     return 0
 
 

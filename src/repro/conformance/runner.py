@@ -153,7 +153,7 @@ def _run(scenario: Scenario, report: RunReport) -> None:
 
     topo_spec = scenario.topology
     registry = MetricsRegistry()
-    sim = Simulator(metrics=registry)
+    sim = Simulator()
     if topo_spec.kind == "nat":
         topo = nat_topology(sim, d_ms=topo_spec.d_ms, bw_mbps=topo_spec.bw_mbps,
                             loss_pct=topo_spec.loss_pct, seed=scenario.seed)
@@ -249,10 +249,12 @@ def _run(scenario: Scenario, report: RunReport) -> None:
         for rec in profiler.records.values()
     }
     report.protoop_runs = profiler.protoop_runs()
+    registry.counter("sim.events_fired").inc(sim.events_fired)
+    registry.counter("sim.events_coalesced").inc(sim.events_coalesced)
     report.metric_counters = {
-        name: registry.get(name).value
-        for name in registry.names()
-        if type(registry.get(name)).__name__ == "Counter"
+        name: metric["value"]
+        for name, metric in registry.snapshot().items()
+        if metric["kind"] == "counter"
     }
     report.fault_stats = injector.stats.as_dict()
 

@@ -21,10 +21,9 @@ adds the recovery half of containment:
 
 Recovery events are emitted through protocol-operation event anchors
 (``plugin_fault``, ``plugin_quarantined``, ``plugin_blocklisted``) so the
-qlog tracer and the monitoring plugin observe them like any transport
-event; when a :class:`~repro.trace.metrics.MetricsRegistry` is attached
-to the connection (``conn.metrics``) the policy also counts faults into
-it, giving simulator-wide fault totals without a tracer.
+qlog tracer, the monitoring plugin and
+:class:`~repro.trace.metrics.ConnectionMetrics` observe them like any
+transport event.
 """
 
 from __future__ import annotations
@@ -181,18 +180,6 @@ class ContainmentPolicy:
             # An observer of a fault event must never widen the fault.
             pass
 
-    @staticmethod
-    def _count(conn, metric: str) -> None:
-        """Bump a counter on the connection's metrics registry, if any."""
-        metrics = getattr(conn, "metrics", None)
-        if metrics is None:
-            return
-        try:
-            metrics.counter(metric).inc()
-        except Exception:
-            # Observability must never widen a fault.
-            pass
-
     def on_pluglet_failure(self, instance, pluglet_name: str,
                            exc: BaseException) -> bool:
         """Handle a runtime failure.  Returns True when the failure was
@@ -205,16 +192,12 @@ class ContainmentPolicy:
         self.faults.append((plugin_name, pluglet_name, failure_class, str(exc)))
         self._emit(conn, "plugin_fault", plugin_name, pluglet_name,
                    failure_class.value, str(exc))
-        self._count(conn, "plugin.faults")
         if failure_class is FailureClass.FATAL:
-            self._count(conn, "plugin.fatal_faults")
             return False
         instance.detach()
         rec = self.registry.record_crash(plugin_name, now, str(exc))
         self._emit(conn, "plugin_quarantined", plugin_name, rec.crashes,
                    rec.quarantined_until)
-        self._count(conn, "plugin.quarantines")
         if rec.blocklisted:
             self._emit(conn, "plugin_blocklisted", plugin_name)
-            self._count(conn, "plugin.blocklists")
         return True

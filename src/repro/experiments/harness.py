@@ -75,11 +75,12 @@ def run_quic_transfer(
 
     Observability is opt-in: pass a
     :class:`~repro.trace.MetricsRegistry` as ``metrics`` to collect
-    per-connection counters/histograms plus simulator totals into it, and
+    both connections' counts (``client.*``, ``server.*``) and histograms
+    into it, plus the simulator's totals (``sim.*``) when the run ends, and
     ``profile=True`` (or an existing :class:`~repro.trace.PreProfiler`,
     to accumulate across runs) for per-pluglet PRE attribution on both
     sides of the connection."""
-    sim = Simulator(metrics=metrics)
+    sim = Simulator()
     topo = symmetric_topology(sim, d_ms=d_ms, bw_mbps=bw_mbps,
                               loss_pct=loss_pct, seed=seed,
                               buffer_bytes=_buffer_for(bw_mbps, d_ms))
@@ -133,18 +134,18 @@ def run_quic_transfer(
 
     bulk_client = BulkClient(client.conn, client.pump)
     client.connect()
-    if not sim.run_until(lambda: client.conn.is_established, timeout=30):
-        return TransferResult(None, False, dict(client.conn.stats), instances,
-                              metrics=metrics, profile=profiler)
-    bulk_client.request(size, now=sim.now)
-    limit = timeout or _timeout_for(size, bw_mbps, d_ms, loss_pct)
-    sim.run_until(lambda: bulk_client.completed, timeout=limit)
+    if sim.run_until(lambda: client.conn.is_established, timeout=30):
+        bulk_client.request(size, now=sim.now)
+        limit = timeout or _timeout_for(size, bw_mbps, d_ms, loss_pct)
+        sim.run_until(lambda: bulk_client.completed, timeout=limit)
     if metrics is not None:
         metrics.counter("transfers.total").inc()
         if bulk_client.completed:
             metrics.counter("transfers.completed").inc()
             metrics.histogram("transfer.dct_ms").observe(
                 bulk_client.dct * 1000.0)
+        metrics.counter("sim.events_fired").inc(sim.events_fired)
+        metrics.counter("sim.events_coalesced").inc(sim.events_coalesced)
     return TransferResult(
         dct=bulk_client.dct,
         completed=bulk_client.completed,

@@ -58,7 +58,7 @@ class Simulator:
     the live ones.
     """
 
-    def __init__(self, metrics=None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
@@ -68,25 +68,10 @@ class Simulator:
         #: Events *saved* by GSO/GRO batching: each n-segment burst rides
         #: one delivery event where n single datagrams would schedule n.
         self.events_coalesced = 0
-        #: Optional :class:`~repro.trace.metrics.MetricsRegistry`; run
-        #: loops fold their event counts into it on exit (never per
-        #: event, so the loop itself stays metric-free).
-        self.metrics = metrics
 
     def note_coalesced(self, saved: int) -> None:
         """Record ``saved`` events avoided by delivering a burst as one."""
         self.events_coalesced += saved
-        if self.metrics is not None and saved:
-            self.metrics.counter("sim.events_coalesced").inc(saved)
-
-    def _account(self, fired: int) -> None:
-        """Fold a run's event count into the counters / registry."""
-        self.events_fired += fired
-        if self.metrics is not None:
-            if fired:
-                self.metrics.counter("sim.events_fired").inc(fired)
-            self.metrics.gauge("sim.pending").set(float(self.pending()))
-            self.metrics.gauge("sim.now_s").set(self.now)
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
@@ -135,7 +120,7 @@ class Simulator:
         self._live -= 1
         self.now = ev.time
         ev.fn(*ev.args)
-        self._account(1)
+        self.events_fired += 1
         return True
 
     def _on_limit(self, max_events: int, on_max_events: str) -> None:
@@ -234,4 +219,4 @@ class Simulator:
                     self.now = max(self.now, until)
             return predicate is not None and predicate()
         finally:
-            self._account(fired)
+            self.events_fired += fired

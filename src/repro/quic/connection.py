@@ -351,7 +351,8 @@ class QuicConnection:
         # are appended into it, never concatenated.
         self._pkt_buf = bytearray()
 
-        # Statistics (read by the monitoring plugin through get/set API).
+        # The connection's one ledger of counts: the monitoring plugin
+        # reads it through the get/set API, a metrics registry watches it.
         self.stats = {
             "packets_sent": 0,
             "packets_received": 0,
@@ -672,7 +673,6 @@ class QuicConnection:
         self.streams_recv.clear()
         self.closed_streams_send = _closed_id_sets()
         self.closed_streams_recv = _closed_id_sets()
-        self._record_streams_open()
         self._control_frames.clear()
         self.reserved_frames.clear()
         self.wakeup_hints.clear()
@@ -731,7 +731,6 @@ class QuicConnection:
                 self.configuration.transport_parameters.initial_max_stream_data,
                 self.now,
             )
-        self._record_streams_open()
 
     def _retire_stream_half(self, table: dict, closed: tuple,
                             stream_id: int) -> None:
@@ -740,7 +739,6 @@ class QuicConnection:
         del table[stream_id]
         closed[stream_id & 3].add(stream_id >> 2)
         self.stats["stream_halves_retired"] += 1
-        self._record_streams_open()
 
     def _op_get_send_stream(self, conn, stream_id: int) -> Optional[SendStream]:
         """The live send half, created on first reference; None once it
@@ -984,26 +982,6 @@ class QuicConnection:
     # Path validation, migration and stateless reset (RFC 9000 §8-§10.3).
     # ------------------------------------------------------------------
 
-    def _record_path_metric(self, name: str, amount: int = 1) -> None:
-        registry = getattr(self, "metrics", None)
-        if registry is not None:
-            registry.counter("quic.path." + name).inc(amount)
-
-    def _record_streams_open(self) -> None:
-        """Host-side ``quic.streams_open`` gauge: live stream halves."""
-        registry = getattr(self, "metrics", None)
-        if registry is not None:
-            registry.gauge("quic.streams_open").set(
-                float(len(self.streams_send) + len(self.streams_recv)))
-
-    def _record_recovery_metric(self, name: str, amount: int = 1) -> None:
-        """Host-side ``quic.recovery.*`` counters (probes, spurious
-        losses, persistent congestion); unprefixed like ``quic.path.*``
-        so vantage points aggregate identically."""
-        registry = getattr(self, "metrics", None)
-        if registry is not None:
-            registry.counter("quic.recovery." + name).inc(amount)
-
     def _set_path_state(self, path: Path, state: str) -> None:
         if path.state == state:
             return
@@ -1011,10 +989,6 @@ class QuicConnection:
         path.state = state
         self.protoops.emit(
             self, "path_validation_state_changed", path.index, old, state)
-        if state == PathState.VALIDATED:
-            self._record_path_metric("validated")
-        elif state == PathState.FAILED:
-            self._record_path_metric("failed")
 
     def start_path_validation(self, path_index: int) -> None:
         """Begin (or restart) §8.2 validation of a path: queue a
@@ -1028,7 +1002,6 @@ class QuicConnection:
             F.PathChallengeFrame(data=path.challenge_data))
         path.probe_deadline = self.now + self._probe_timeout(path)
         self.stats["path_challenges_sent"] += 1
-        self._record_path_metric("challenges_sent")
         self._set_path_state(path, PathState.PROBING)
 
     def _probe_timeout(self, path: Path) -> float:
@@ -1051,7 +1024,6 @@ class QuicConnection:
             F.PathChallengeFrame(data=path.challenge_data))
         path.probe_deadline = self.now + self._probe_timeout(path)
         self.stats["path_challenges_sent"] += 1
-        self._record_path_metric("challenges_sent")
 
     def on_peer_address_changed(self, path_index: int, new_addr: str,
                                 received_bytes: int = 0) -> None:
@@ -1069,7 +1041,6 @@ class QuicConnection:
         if path.state in (PathState.VALIDATED, PathState.FAILED):
             self._set_path_state(path, PathState.UNVALIDATED)
         self.stats["migrations"] += 1
-        self._record_path_metric("migrations")
         self.protoops.emit(
             self, "connection_migrated", path_index, old, new_addr)
         self.start_path_validation(path_index)
@@ -1084,9 +1055,7 @@ class QuicConnection:
         if self.peer_cids_available:
             self.peer_cid = self.peer_cids_available.pop(0)
             self.stats["cids_rotated"] += 1
-            self._record_path_metric("cids_rotated")
         self.stats["migrations"] += 1
-        self._record_path_metric("migrations")
         self.protoops.emit(
             self, "connection_migrated", 0, old, new_local_addr)
         if path.state == PathState.VALIDATED:
@@ -1097,12 +1066,10 @@ class QuicConnection:
         """An unauthenticated datagram from a foreign address was dropped
         without touching any connection state (§9.3.2)."""
         self.stats["off_path_rejected"] += 1
-        self._record_path_metric("off_path_rejected")
 
     def _handle_stateless_reset(self) -> None:
         """§10.3: the peer lost its state — stop sending immediately."""
         self.stats["stateless_resets_received"] += 1
-        self._record_path_metric("stateless_resets")
         self.protoops.emit(self, "stateless_reset")
         self._finish_close(0, "stateless reset",
                            next_state=ConnectionState.DRAINING)
@@ -1172,7 +1139,6 @@ class QuicConnection:
         ``spurious_received`` accounting — and the congestion response
         the false loss triggered is undone."""
         self.stats["spurious_losses"] += 1
-        self._record_recovery_metric("spurious_losses")
         if pkt.in_flight:
             self.paths[path_index].cc.on_spurious_loss(
                 pkt.size, pkt.lost_time, pkt.sent_time)
@@ -1188,7 +1154,6 @@ class QuicConnection:
         if not space.persistent_congestion(lost, duration):
             return
         self.stats["persistent_congestion"] += 1
-        self._record_recovery_metric("persistent_congestion")
         self._publish_window(path, "persistent_congestion",
                              path.cc.on_persistent_congestion)
 
@@ -1356,7 +1321,6 @@ class QuicConnection:
             # handshake progress resets it.
             self._pto_count += 1
             self.stats["pto_fired"] += 1
-            self._record_recovery_metric("pto_fired")
             for space, path in self._spaces_and_paths():
                 deadline = space.pto_deadline(path.rtt, max(0, self._pto_count - 1))
                 if deadline is not None and self.now >= deadline - 1e-12:
@@ -1392,7 +1356,6 @@ class QuicConnection:
                     bundle = [F.PingFrame()]
                 path.pto_probes.append(bundle)
             self.stats["probes_sent"] += 1
-            self._record_recovery_metric("probes_sent")
             self.protoops.emit(self, "probe_sent", pkt, path.index)
 
     def _op_detect_lost_packets(self, conn, space: PacketNumberSpace, path_index: int) -> list:
@@ -1825,7 +1788,6 @@ class QuicConnection:
             allowed = path.amp_budget() - TAG_LENGTH - 32
             if allowed <= 0:
                 self.stats["amp_blocked"] += 1
-                self._record_path_metric("amp_blocked")
                 return None
             budget = min(budget, allowed)
         frames, ack_only = self.protoops.run(

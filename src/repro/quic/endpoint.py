@@ -265,8 +265,8 @@ class ServerEndpoint:
     unbound from the CID demux table, removed from ``connections`` and
     their timer events cancelled, so a server under churn stays bounded
     by the number of *open* connections.  Lifecycle counters live in
-    ``stats`` and, when a metrics registry is supplied, are mirrored
-    into it under ``quic.server.*``.
+    ``stats`` only; a metrics registry reads them with
+    ``registry.watch("quic.server.", server.stats)``.
     """
 
     def __init__(
@@ -277,7 +277,6 @@ class ServerEndpoint:
         port: int,
         configuration_factory: Optional[Callable[[], QuicConfiguration]] = None,
         on_connection: Optional[Callable[[QuicConnection], None]] = None,
-        metrics=None,
         reset_key: Optional[bytes] = None,
     ):
         self.sim = sim
@@ -288,7 +287,6 @@ class ServerEndpoint:
             lambda: QuicConfiguration(is_client=False)
         )
         self.on_connection = on_connection
-        self.metrics = metrics
         if reset_key is None:
             # Derived from the listening address so a "rebooted" endpoint
             # on the same address/port regenerates the very tokens it
@@ -360,8 +358,6 @@ class ServerEndpoint:
         if reset is None:
             return  # trigger too small to answer without looping (§10.3.3)
         self.stats["stateless_resets_sent"] += 1
-        if self.metrics is not None:
-            self.metrics.counter("quic.server.stateless_resets_sent").inc()
         self.host.sendto(reset, dgram.dst_addr, self.port,
                          dgram.src_addr, dgram.src_port)
 
@@ -386,10 +382,6 @@ class ServerEndpoint:
         self.stats["accepted"] += 1
         if len(self.connections) > self.stats["peak_connections"]:
             self.stats["peak_connections"] = len(self.connections)
-        if self.metrics is not None:
-            self.metrics.counter("quic.server.connections_accepted").inc()
-            self.metrics.gauge("quic.server.connections_peak").set(
-                float(len(self.connections)))
         if self.on_connection is not None:
             self.on_connection(conn)
         return driver
@@ -436,10 +428,6 @@ class ServerEndpoint:
             pass
         self.stats["evicted"] += 1
         self.stats["cids_retired"] += retired
-        if self.metrics is not None:
-            self.metrics.counter("quic.server.connections_evicted").inc()
-            if retired:
-                self.metrics.counter("quic.server.cids_retired").inc(retired)
 
     @staticmethod
     def _destination_cid(payload: bytes) -> Optional[bytes]:

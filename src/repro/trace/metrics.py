@@ -1,15 +1,18 @@
 """Metrics registry: counters, gauges and fixed-bucket histograms.
 
-The registry is the aggregation half of the observability layer: anchors
-and host code record raw numbers here, and registries *merge* — a
-per-connection registry folds into a simulator-wide one, simulator-wide
-registries fold across experiment repetitions.  Merging is exact for
+The registry is the aggregation half of the observability layer.  Each
+count is kept once, by the transport, in its own ledger dicts
+(``QuicConnection.stats``, ``ServerEndpoint.stats``); the registry
+*watches* those and reads them on demand, and ``post`` anchors record
+only what a ledger cannot hold (histograms, peaks).  Registries *merge* —
+a per-connection registry folds into a simulator-wide one,
+simulator-wide registries fold across experiment repetitions.  Merging is exact for
 counters and histograms (same bucket bounds add bucket-wise), and
 max-biased for gauges (documented below), so aggregation order never
 changes a result.
 
-Nothing in this module touches a hot path: metric objects are only
-consulted when host code explicitly records into them.
+Nothing in this module touches a hot path: a watched ledger is read
+only when the registry is read.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Optional, Sequence
 
+from repro.core.containment import FailureClass
 from repro.core.protoop import Anchor
+from repro.quic.connection import PathState
 
 #: Default bucket upper bounds for millisecond latencies.
 DEFAULT_MS_BUCKETS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0,
@@ -158,13 +163,71 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """A named collection of metrics with exact merge semantics."""
+    """A named collection of metrics with exact merge semantics.
+
+    A count the transport already keeps is never written here a second
+    time: :meth:`watch` exposes the transport's own ledger dict
+    (``conn.stats``, ``server.stats``) and every read of the registry
+    reads it.
+    """
 
     def __init__(self, label: str = ""):
         self.label = label
         self._metrics: dict = {}
+        self._watches: list = []
+
+    def watch(self, prefix: str, ledger: dict) -> None:
+        """Expose each key of ``ledger`` as the counter ``prefix + key``.
+
+        ``get``, ``names``, ``snapshot`` and ``merge`` read the dict when
+        they run, so keys the ledger gains later appear too.  A name
+        watched more than once reads the sum of its ledgers (plus the
+        counter a released watch left behind, see
+        :meth:`ConnectionMetrics.detach`).  ``counter(name)`` on a watched
+        name raises :class:`MetricError`: the ledger is its one writer."""
+        self._watches.append((prefix, ledger))
+
+    def _release(self, prefix: str, ledger: dict) -> None:
+        """Stop watching ``ledger``; its last reading stays as plain
+        counters, so the registry's values neither move nor drop."""
+        del self._watches[next(
+            i for i, (p, d) in enumerate(self._watches)
+            if p == prefix and d is ledger)]
+        for key, value in ledger.items():
+            counter = self._metrics.get(prefix + key)
+            if counter is None:
+                counter = self._metrics[prefix + key] = Counter()
+            counter.inc(value)
+
+    def _watched(self, name: str) -> bool:
+        return any(name.startswith(prefix) and name[len(prefix):] in ledger
+                   for prefix, ledger in self._watches)
+
+    def _view(self) -> dict:
+        """Every series by name, watched ones read now as counters."""
+        if not self._watches:
+            return self._metrics
+        view = dict(self._metrics)
+        for prefix, ledger in self._watches:
+            for key, value in ledger.items():
+                name = prefix + key
+                counter = Counter()
+                counter.value = value
+                previous = view.get(name)
+                if previous is not None:
+                    if not isinstance(previous, Counter):
+                        raise MetricError(
+                            f"watched metric {name!r} is also a "
+                            f"{previous.kind}")
+                    counter.value += previous.value
+                view[name] = counter
+        return view
 
     def _get(self, name: str, kind, *args):
+        if self._watched(name):
+            raise MetricError(
+                f"metric {name!r} is read from a watched ledger; the "
+                f"ledger is its only writer")
         metric = self._metrics.get(name)
         if metric is None:
             metric = kind(*args)
@@ -183,28 +246,23 @@ class MetricsRegistry:
 
     def histogram(self, name: str,
                   bounds: Sequence[float] = DEFAULT_MS_BUCKETS) -> Histogram:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = Histogram(bounds)
-            self._metrics[name] = metric
-        elif not isinstance(metric, Histogram):
-            raise MetricError(f"metric {name!r} is a {metric.kind}, "
-                              f"not a histogram")
-        elif metric.bounds != tuple(float(b) for b in bounds):
+        metric = self._get(name, Histogram, bounds)
+        if metric.bounds != tuple(float(b) for b in bounds):
             raise MetricError(f"metric {name!r} re-declared with "
                               f"different bounds")
         return metric
 
     def names(self) -> list:
-        return sorted(self._metrics)
+        return sorted(self._view())
 
     def get(self, name: str):
-        return self._metrics.get(name)
+        return self._view().get(name)
 
     def merge(self, other: "MetricsRegistry", prefix: str = "") -> None:
         """Fold ``other`` into this registry, optionally prefixing names
-        (e.g. ``prefix="client."`` for per-connection roll-ups)."""
-        for name, metric in other._metrics.items():
+        (e.g. ``prefix="client."`` for per-connection roll-ups); what
+        ``other`` watches is folded as the counters it reads now."""
+        for name, metric in other._view().items():
             mine = self._metrics.get(prefix + name)
             if mine is None:
                 if isinstance(metric, Histogram):
@@ -219,69 +277,56 @@ class MetricsRegistry:
             mine.merge(metric)
 
     def snapshot(self) -> dict:
-        return {name: self._metrics[name].snapshot()
-                for name in sorted(self._metrics)}
+        view = self._view()
+        return {name: view[name].snapshot() for name in sorted(view)}
 
 
 class ConnectionMetrics:
-    """Feed a registry from a connection's protoop anchors.
+    """Expose a connection's counts in a registry.
 
-    The per-connection aggregation point of the observability layer: like
-    :class:`~repro.trace.tracer.ConnectionTracer` it observes the
-    connection exclusively through ``post`` anchors — the same gray-box
-    interface plugins use — so attaching it changes nothing about the
-    transport.  It also exposes the registry as ``conn.metrics`` for host
-    subsystems (containment, exchange) to record into.
+    Every count the connection keeps in ``conn.stats`` is *watched*: it
+    reads as the counter ``<prefix><key>`` (``client.packets_sent``,
+    ``server.pto_fired``, ...), from connection creation on.  ``post``
+    anchors — the gray-box interface plugins use, so attaching changes
+    nothing about the transport — feed only what a dict of counts cannot
+    hold or the transport does not count: the ``rtt_ms`` and
+    ``packet_size_bytes`` histograms, the ``cwnd_peak`` gauge, the
+    ``streams_opened`` / ``streams_closed`` counters, ``paths_validated``
+    / ``paths_failed`` from ``path_validation_state_changed``, and the
+    containment counters ``plugin_faults`` / ``plugin_fatal_faults`` /
+    ``plugin_quarantines`` / ``plugin_blocklists`` from the recovery
+    events.
     """
 
     def __init__(self, conn, registry: Optional[MetricsRegistry] = None,
                  prefix: str = ""):
         self.conn = conn
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.prefix = prefix
+        self.registry = r = (registry if registry is not None
+                             else MetricsRegistry())
+        self.prefix = p = prefix
         self._attached: list = []
-        conn.metrics = self.registry
-        r = self.registry
-        p = prefix
+        r.watch(p, conn.stats)
+        # Created up front so snapshots are stable even for connections
+        # that never see the corresponding event.
+        self._rtt = r.histogram(p + "rtt_ms", DEFAULT_MS_BUCKETS)
+        self._sizes = r.histogram(p + "packet_size_bytes",
+                                  DEFAULT_BYTES_BUCKETS)
+        self._cwnd_peak = r.gauge(p + "cwnd_peak")
+        self._counters = {name: r.counter(p + name) for name in (
+            "streams_opened", "streams_closed", "paths_validated",
+            "paths_failed", "plugin_faults", "plugin_fatal_faults",
+            "plugin_quarantines", "plugin_blocklists")}
         hooks = [
             ("packet_sent_event", self._on_sent),
-            ("packet_received_event", self._on_received),
-            ("packet_lost_event", self._on_lost),
             ("rtt_updated", self._on_rtt),
             ("cc_window_updated", self._on_cwnd),
-            ("stream_opened", self._on_stream),
-            ("stream_closed", self._on_stream_closed),
+            ("stream_opened", self._count("streams_opened")),
+            ("stream_closed", self._count("streams_closed")),
+            ("path_validation_state_changed", self._on_path_state),
+            ("plugin_fault", self._on_fault),
+            ("plugin_quarantined", self._count("plugin_quarantines")),
+            ("plugin_blocklisted", self._count("plugin_blocklists")),
         ]
-        # Create the series up front so snapshots are stable even for
-        # connections that never see the corresponding event.
-        r.counter(p + "packets_sent")
-        r.counter(p + "bytes_sent")
-        r.counter(p + "packets_received")
-        r.counter(p + "packets_lost")
-        r.counter(p + "streams_opened")
-        r.counter(p + "streams_closed")
-        r.histogram(p + "rtt_ms", DEFAULT_MS_BUCKETS)
-        r.histogram(p + "packet_size_bytes", DEFAULT_BYTES_BUCKETS)
-        r.gauge(p + "cwnd_peak")
-        # Path-validation / migration counters are recorded host-side by
-        # QuicConnection._record_path_metric (they fire from timer and
-        # receive paths, not from anchored protoops); the names are never
-        # prefixed so per-path series aggregate identically across
-        # vantage points.  Pre-created for stable snapshots.
-        for name in ("challenges_sent", "validated", "failed", "migrations",
-                     "cids_rotated", "amp_blocked", "off_path_rejected",
-                     "stateless_resets"):
-            r.counter("quic.path." + name)
-        # Loss-recovery counters, recorded host-side by
-        # QuicConnection._record_recovery_metric (PTO fires from the
-        # timer path) — unprefixed like quic.path.* for the same reason.
-        for name in ("pto_fired", "probes_sent", "spurious_losses",
-                     "persistent_congestion"):
-            r.counter("quic.recovery." + name)
-        # ``quic.streams_open``, the live stream halves: the connection
-        # sets it wherever a half is created or retired (most of those
-        # points run no protoop), starting with the state at attach.
-        conn._record_streams_open()
         table = conn.protoops
         for name, fn in hooks:
             table.attach(name, Anchor.POST, fn)
@@ -289,41 +334,46 @@ class ConnectionMetrics:
 
     # --- hooks ------------------------------------------------------------
 
+    def _count(self, name: str):
+        """A hook counting its runs into ``<prefix><name>``."""
+        counter = self._counters[name]
+
+        def hook(conn, args, result) -> None:
+            counter.value += 1
+        return hook
+
     def _on_sent(self, conn, args, result) -> None:
-        (sent,) = args
-        p = self.prefix
-        self.registry.counter(p + "packets_sent").inc()
-        self.registry.counter(p + "bytes_sent").inc(sent.size)
-        self.registry.histogram(
-            p + "packet_size_bytes", DEFAULT_BYTES_BUCKETS).observe(sent.size)
-
-    def _on_received(self, conn, args, result) -> None:
-        self.registry.counter(self.prefix + "packets_received").inc()
-
-    def _on_lost(self, conn, args, result) -> None:
-        self.registry.counter(self.prefix + "packets_lost").inc()
+        self._sizes.observe(args[0].size)
 
     def _on_rtt(self, conn, args, result) -> None:
         path, latest = args
-        self.registry.histogram(
-            self.prefix + "rtt_ms").observe(latest * 1000.0)
+        self._rtt.observe(latest * 1000.0)
 
     def _on_cwnd(self, conn, args, result) -> None:
         path, cwnd = args
-        gauge = self.registry.gauge(self.prefix + "cwnd_peak")
+        gauge = self._cwnd_peak
         if cwnd > gauge.value or not gauge._set:
             gauge.set(float(cwnd))
 
-    def _on_stream(self, conn, args, result) -> None:
-        self.registry.counter(self.prefix + "streams_opened").inc()
+    def _on_path_state(self, conn, args, result) -> None:
+        path, old, new = args
+        if new == PathState.VALIDATED:
+            self._counters["paths_validated"].value += 1
+        elif new == PathState.FAILED:
+            self._counters["paths_failed"].value += 1
 
-    def _on_stream_closed(self, conn, args, result) -> None:
-        self.registry.counter(self.prefix + "streams_closed").inc()
+    def _on_fault(self, conn, args, result) -> None:
+        plugin, pluglet, failure_class, reason = args
+        self._counters["plugin_faults"].value += 1
+        if failure_class == FailureClass.FATAL.value:
+            self._counters["plugin_fatal_faults"].value += 1
 
     def detach(self) -> None:
+        """Stop collecting; every value keeps its last reading."""
+        if not self._attached:
+            return
         table = self.conn.protoops
         for name, fn in self._attached:
             table.detach(name, Anchor.POST, fn)
         self._attached.clear()
-        if getattr(self.conn, "metrics", None) is self.registry:
-            self.conn.metrics = None
+        self.registry._release(self.prefix, self.conn.stats)

@@ -67,6 +67,24 @@ def test_trace_streams_validated_jsonl(capsys, tmp_path):
     assert doc["footer"]["dropped"] == 0
 
 
+def test_trace_fails_when_the_transfer_dies(capsys, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    code = main(["trace", "--size", "5000", "--loss", "100",
+                 "--jsonl", str(path)])
+    assert code == 1
+    assert "handshake did not complete" in capsys.readouterr().err
+    assert path.exists()  # the trace of the dead run is still written
+
+
+def test_trace_runs_plugins_on_both_ends(capsys, tmp_path):
+    """FEC frames from a client whose server lacks the plugin would
+    close the connection mid-transfer; the traced run must complete."""
+    code, _ = run_cli(capsys, "trace", "--size", "100000",
+                      "--plugins", "fec-xor",
+                      "--jsonl", str(tmp_path / "trace.jsonl"))
+    assert code == 0
+
+
 def test_trace_max_events_reports_truncation(capsys, tmp_path):
     from repro.trace import read_jsonl
 

@@ -256,6 +256,45 @@ class TestContainmentWithSharedCode:
         assert (cache.misses, cache.hits) == (1, 2)
 
 
+class TestContainmentCounters:
+    def test_counters_follow_the_fault_events(self, monkeypatch):
+        """One contained and one fatal fault from the bad corpus: the
+        registry's containment counters agree with the policy's fault
+        log and the quarantine records."""
+        from repro.trace import ConnectionMetrics, MetricsRegistry
+
+        monkeypatch.delenv("REPRO_JIT", raising=False)
+        conn = make_conn()
+        policy = ContainmentPolicy(
+            QuarantineRegistry(blocklist_threshold=1)).attach(conn)
+        metrics = MetricsRegistry()
+        ConnectionMetrics(conn, metrics, prefix="client.")
+        faults = {"org.x.loop": "infinite_loop", "org.x.oob": "oob_store"}
+        for name, fault in faults.items():
+            source = (CORPUS_BAD / f"{fault}.s").read_text()
+            PluginInstance(Plugin(name, [
+                Pluglet("bomb", fault, "replace", assemble(source), fuel=300),
+            ]), conn).attach()
+        conn.protoops.run(conn, "infinite_loop", None)
+        assert not conn.closed
+        with pytest.raises(Exception):
+            conn.protoops.run(conn, "oob_store", None)
+        assert conn.closed
+
+        def count(name):
+            return metrics.get("client." + name).value
+
+        classes = [fault[2] for fault in policy.faults]
+        records = [policy.registry.record(name) for name in faults]
+        assert count("plugin_faults") == len(policy.faults) == 2
+        assert count("plugin_fatal_faults") == \
+            classes.count(FailureClass.FATAL) == 1
+        assert count("plugin_quarantines") == \
+            sum(r.crashes for r in records if r) == 1
+        assert count("plugin_blocklists") == \
+            sum(r.blocklisted for r in records if r) == 1
+
+
 class TestEndToEndContainment:
     def test_runaway_pluglet_contained_connection_survives(self):
         """Acceptance: an unbounded-loop pluglet (which the static

@@ -4,8 +4,9 @@ Over the living documentation — README, DESIGN, EXPERIMENTS, ``docs/``
 and the verify skill — every repo path in back-ticks or in a fenced
 block exists (a ``*`` must match something), every dotted ``repro.…``
 name there imports or resolves as an attribute (a trailing ``*`` is a
-prefix), and every ``REPRO_*`` environment variable named there is
-still read by some code.  ROADMAP.md, CHANGES.md and
+prefix), every ``REPRO_*`` environment variable named there is
+still read by some code, and ``docs/observability.md`` documents every
+trace event of the catalog under the current schema version.  ROADMAP.md, CHANGES.md and
 ``bench/README.md`` are history / owned by the benchmark and are not
 scanned.
 """
@@ -91,3 +92,12 @@ def test_every_named_switch_is_still_read():
         for doc in DOCS for name in ENV.findall(doc.read_text())
         if not re.search(rf"environ[^\n]*\b{name}\b|\${name}\b", code)}
     assert not stale, f"docs name environment variables nothing reads: {sorted(stale)}"
+
+
+def test_every_catalog_event_is_documented():
+    from repro.trace.schema import EVENT_CATALOG, TRACE_SCHEMA_VERSION
+
+    text = (ROOT / "docs" / "observability.md").read_text()
+    missing = sorted(name for name in EVENT_CATALOG if f"`{name}`" not in text)
+    assert not missing, f"docs/observability.md lacks catalog events: {missing}"
+    assert f"`{TRACE_SCHEMA_VERSION}`" in text

@@ -153,9 +153,9 @@ class TestServerEviction:
     def test_eviction_unbinds_cids_and_counts(self):
         sim = Simulator()
         topo = symmetric_topology(sim, d_ms=5, bw_mbps=10)
+        server = ServerEndpoint(sim, topo.server, "server.0", 443)
         metrics = MetricsRegistry()
-        server = ServerEndpoint(sim, topo.server, "server.0", 443,
-                                metrics=metrics)
+        metrics.watch("quic.server.", server.stats)
         client = handshake(sim, topo)
         # Client's initial DCID, the server's own CID, and the spare CID
         # issued for migration (§9.5) at handshake completion.
@@ -165,9 +165,27 @@ class TestServerEviction:
         assert server._by_cid == {}
         assert server.connections == []
         assert server.stats["cids_retired"] == 3
-        assert metrics.counter("quic.server.connections_accepted").value == 1
-        assert metrics.counter("quic.server.connections_evicted").value == 1
-        assert metrics.counter("quic.server.cids_retired").value == 3
+        assert metrics.get("quic.server.accepted").value == 1
+        assert metrics.get("quic.server.evicted").value == 1
+        assert metrics.get("quic.server.cids_retired").value == 3
+
+    def test_watched_peak_survives_eviction(self):
+        """Accept three connections, evict two, accept one more: the
+        peak is still three — the registry reads the server's own
+        high-water mark instead of keeping a copy of its own."""
+        sim = Simulator()
+        topo = symmetric_topology(sim, d_ms=5, bw_mbps=10)
+        server = ServerEndpoint(sim, topo.server, "server.0", 443)
+        metrics = MetricsRegistry()
+        metrics.watch("quic.server.", server.stats)
+        clients = [handshake(sim, topo, port=5000 + i) for i in range(3)]
+        for client in clients[:2]:
+            client.close()
+        assert sim.run_until(lambda: server.stats["evicted"] == 2, timeout=30)
+        handshake(sim, topo, port=5003)
+        assert len(server.connections) == 2
+        assert metrics.get("quic.server.accepted").value == 4
+        assert metrics.get("quic.server.peak_connections").value == 3
 
     def test_duplicate_initial_does_not_spawn_second_connection(self):
         sim = Simulator()

@@ -98,9 +98,9 @@ class TestNatRebindMigration:
         ]
         assert ("probing", "validated") in transitions
         # Metrics counters.
-        assert registry.counter("quic.path.migrations").value >= 1
-        assert registry.counter("quic.path.challenges_sent").value >= 1
-        assert registry.counter("quic.path.validated").value >= 1
+        assert registry.get("migrations").value >= 1
+        assert registry.get("path_challenges_sent").value >= 1
+        assert registry.get("paths_validated").value >= 1
 
     def test_server_push_is_amplification_limited_until_validated(self):
         """§8.1: after the rebind the server may send at most 3x the bytes
@@ -150,7 +150,7 @@ class TestNatRebindMigration:
         # The push ran into the 3x budget at least once before the
         # PATH_RESPONSE lifted it.
         assert sconn.stats["amp_blocked"] >= 1
-        assert registry.counter("quic.path.amp_blocked").value >= 1
+        assert registry.get("amp_blocked").value >= 1
         assert sconn.paths[0].state == PathState.VALIDATED
         assert not sconn.paths[0].amp_limited
 
@@ -216,7 +216,7 @@ class TestOffPathRejection:
         sim.run(until=sim.now + 0.5)
         assert injector.stats.spoofed == 1
         assert sconn.stats["off_path_rejected"] == 1
-        assert registry.counter("quic.path.off_path_rejected").value == 1
+        assert registry.get("off_path_rejected").value == 1
         # Nothing moved: address and validation state are exactly as
         # before the spoof, and no migration was recorded.
         assert (sconn.paths[0].peer_addr, sconn.paths[0].state) == before_state
@@ -302,7 +302,7 @@ class TestStatelessReset:
             timeout=30)
         assert server2.stats["stateless_resets_sent"] >= 1
         assert client.conn.stats["stateless_resets_received"] == 1
-        assert registry.counter("quic.path.stateless_resets").value == 1
+        assert registry.get("stateless_resets_received").value == 1
         assert tracer.summary().get("stateless_reset") == 1
         # DRAINING runs out into CLOSED on its own.
         assert sim.run_until(

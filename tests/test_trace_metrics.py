@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.protoop import Anchor
 from repro.trace import (
     Counter,
     DEFAULT_MS_BUCKETS,
@@ -146,6 +147,41 @@ class TestRegistry:
         assert snap["h"]["count"] == 1
 
 
+class TestWatch:
+    def test_watched_ledger_reads_live(self):
+        r = MetricsRegistry()
+        ledger = {"sent": 1}
+        r.watch("conn.", ledger)
+        assert r.get("conn.sent").value == 1
+        ledger["sent"] += 2
+        ledger["late"] = 5  # keys a ledger gains later appear too
+        assert r.names() == ["conn.late", "conn.sent"]
+        assert r.snapshot()["conn.sent"] == {"kind": "counter", "value": 3}
+
+    def test_watches_of_one_name_sum(self):
+        r = MetricsRegistry()
+        r.watch("", {"x": 2})
+        r.watch("", {"x": 3})
+        assert r.get("x").value == 5
+
+    def test_second_writer_rejected(self):
+        r = MetricsRegistry()
+        r.watch("quic.server.", {"accepted": 0})
+        with pytest.raises(MetricError):
+            r.counter("quic.server.accepted")
+        with pytest.raises(MetricError):
+            r.gauge("quic.server.accepted")
+        r.counter("quic.server.other").inc()  # unwatched names still work
+
+    def test_merge_folds_the_current_reading(self):
+        a, b = MetricsRegistry(), MetricsRegistry()
+        ledger = {"packets": 4}
+        b.watch("", ledger)
+        a.merge(b, prefix="client.")
+        ledger["packets"] += 1
+        assert a.get("client.packets").value == 4
+
+
 class TestConnectionMetrics:
     def run_transfer(self):
         from repro.experiments import run_quic_transfer
@@ -174,15 +210,83 @@ class TestConnectionMetrics:
         from repro.trace import ConnectionMetrics
 
         conn = QuicConnection(QuicConfiguration(is_client=True))
-        cm = ConnectionMetrics(conn, MetricsRegistry())
+        registry = MetricsRegistry()
+        cm = ConnectionMetrics(conn, registry)
         cm.detach()
         table = conn.protoops
         op = table.get("packet_sent_event")
         assert not any(op.post.values())
+        conn.stats["packets_sent"] += 1
+        assert registry.get("packets_sent").value == 0
+        registry.counter("packets_sent")  # a plain counter again
+
+    def test_ledgers_read_through_on_a_lossy_two_sided_run(self, monkeypatch):
+        """Monitoring + multipath on both ends over 2 % loss: mid-run and
+        at the end every ``client.<k>`` / ``server.<k>`` is ``stats[k]``,
+        the packet counts equal what the packet events report, and after
+        ``detach`` nothing moves."""
+        from repro.experiments import harness, run_quic_transfer
+        from repro.plugins.monitoring import build_monitoring_plugin
+        from repro.plugins.multipath import build_multipath_plugin
+        from repro.trace import ConnectionMetrics
+
+        registry = MetricsRegistry()
+        attached, mid_run_checks = [], []
+
+        def check_ledgers():
+            snap = registry.snapshot()
+            for cm in attached:
+                for key, value in cm.conn.stats.items():
+                    assert snap[cm.prefix + key]["value"] == value, key
+            return True
+
+        class Recording(ConnectionMetrics):
+            """Also counts the packet events, to compare with the ledger."""
+
+            def __init__(self, conn, *args, **kwargs):
+                super().__init__(conn, *args, **kwargs)
+                attached.append(self)
+                self.events = {"packets_sent": 0, "bytes_sent": 0,
+                               "packets_lost": 0}
+                conn.protoops.attach("packet_sent_event", Anchor.POST,
+                                     self._sent)
+                conn.protoops.attach("packet_lost_event", Anchor.POST,
+                                     self._lost)
+
+            def _sent(self, conn, args, result):
+                self.events["packets_sent"] += 1
+                self.events["bytes_sent"] += args[0].size
+                if self.events["packets_sent"] == 200:
+                    mid_run_checks.append(check_ledgers())
+
+            def _lost(self, conn, args, result):
+                self.events["packets_lost"] += 1
+
+        monkeypatch.setattr(harness, "ConnectionMetrics", Recording)
+        plugins = [build_monitoring_plugin, build_multipath_plugin]
+        result = run_quic_transfer(
+            400_000, d_ms=10, bw_mbps=10, loss_pct=2.0, seed=3,
+            client_plugins=plugins, server_plugins=plugins, multipath=True,
+            metrics=registry)
+        assert result.completed
+        assert [cm.prefix for cm in attached] == ["client.", "server."]
+        assert mid_run_checks == [True, True]
+        check_ledgers()
+        for cm in attached:
+            for key, value in cm.events.items():
+                assert registry.get(cm.prefix + key).value == value, key
+        assert registry.get("client.packets_lost").value > 0
+        before = registry.snapshot()
+        for cm in attached:
+            cm.detach()
+        assert registry.snapshot() == before
+        for cm in attached:
+            cm.conn.stats["packets_sent"] += 1
+        assert registry.snapshot() == before
 
     def test_stream_lifecycle_series(self):
-        """``streams_closed`` counts ``stream_closed`` runs and the
-        ``quic.streams_open`` gauge follows the live stream tables."""
+        """``streams_closed`` counts ``stream_closed`` runs; the watched
+        ``stream_halves_retired`` follows the connection's ledger."""
         from repro.quic import QuicConfiguration
         from repro.quic import frames as F
         from repro.quic.connection import QuicConnection
@@ -193,14 +297,13 @@ class TestConnectionMetrics:
         ConnectionMetrics(conn, registry, prefix="server.")
         snap = registry.snapshot()
         assert snap["server.streams_closed"]["value"] == 0
-        assert snap["quic.streams_open"]["value"] == 0
+        assert snap["server.stream_halves_retired"]["value"] == 0
         conn._process_stream_frame(
             conn, F.StreamFrame(stream_id=0, data=b"half"), {})
-        assert registry.snapshot()["quic.streams_open"]["value"] == 2
         conn._process_reset_stream_frame(
             conn, F.ResetStreamFrame(stream_id=0, error_code=0,
                                      final_size=4), {})
         snap = registry.snapshot()
-        assert snap["quic.streams_open"]["value"] == 1
         assert snap["server.streams_closed"]["value"] == 1
+        assert snap["server.stream_halves_retired"]["value"] == 1
         assert conn.stats["stream_halves_retired"] == 1
