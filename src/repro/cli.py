@@ -90,11 +90,9 @@ def cmd_vpn(args) -> int:
 
 
 def cmd_protoops(args) -> int:
-    from repro.quic import QuicConfiguration
     from repro.quic.connection import QuicConnection
 
-    conn = QuicConnection(QuicConfiguration(is_client=True))
-    table = conn.protoops
+    table = QuicConnection.protoop_census()
     print(f"{table.operation_count()} protocol operations "
           f"({table.parameterized_count()} parameterized)")
     for name in table.names:

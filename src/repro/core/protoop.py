@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from types import MethodType
 from typing import Any, Callable, Optional
 
 from repro.errors import TransportError, TransportErrorCode
@@ -79,6 +80,25 @@ class _Guard:
         self.running = False
 
 
+class _SharedRow:
+    """The ``op`` of a plan built on a census row its table has not
+    copied.  ``run`` reads ``behavior`` / ``post`` from it again only
+    after the epoch moved mid-run — the run may have attached to its own
+    operation — so those reads go to the table's copy of the row."""
+
+    __slots__ = ("table", "name", "external")
+
+    def __init__(self, table: "ProtoopTable", row: ProtocolOperation) -> None:
+        self.table, self.name, self.external = table, row.name, row.external
+
+    def behavior(self, param: Any) -> Optional[Callable]:
+        return self.table._own(self.name).behavior(param)
+
+    @property
+    def post(self) -> dict:
+        return self.table._own(self.name).post
+
+
 class CallPlan:
     """Everything one run of a (protoop, parameter) needs, resolved once
     per epoch: the anchors as they stood when the plan was built, plus
@@ -87,7 +107,7 @@ class CallPlan:
     __slots__ = ("op", "key", "pre", "behavior", "post",
                  "external", "bare", "epoch", "guard")
 
-    def __init__(self, op: ProtocolOperation, key: Any, pre: tuple,
+    def __init__(self, op: Any, key: Any, pre: tuple,
                  behavior: Optional[Callable], post: tuple, epoch: int,
                  guard: _Guard) -> None:
         self.op = op
@@ -102,9 +122,20 @@ class CallPlan:
 
 
 class ProtoopTable:
-    """Per-connection registry and dispatcher of protocol operations."""
+    """Per-connection registry and dispatcher of protocol operations.
 
-    def __init__(self) -> None:
+    Built on a *census* (the table of a connection class, whose defaults
+    are that class's functions), it shares the census rows until it
+    changes one: a row is copied in, its defaults bound to *owner*, on
+    the first ``register`` / ``attach`` / ``detach`` / ``get`` of it.
+    """
+
+    def __init__(self, census: Optional["ProtoopTable"] = None,
+                 owner: Any = None) -> None:
+        self._shared: dict[str, ProtocolOperation] = (
+            census._ops if census is not None else {})
+        self._owner = owner
+        #: The rows this table owns (copied from the census, or new).
         self._ops: dict[str, ProtocolOperation] = {}
         self.runs = 0  # total protoop invocations (monitoring/benchmarks)
         #: Dispatch cache: one :class:`CallPlan` per (name, param), keyed
@@ -134,13 +165,33 @@ class ProtoopTable:
         self._params_cache.clear()
         self._untouched.clear()
 
+    def _own(self, name: str) -> Optional[ProtocolOperation]:
+        """The table's own row *name*, copied from the census on first use."""
+        op = self._ops.get(name)
+        if op is None and name in self._shared:
+            row = self._shared[name]
+            op = self._ops[name] = ProtocolOperation(
+                name, row.parameterized, row.external, row.doc,
+                {key: MethodType(func, self._owner)
+                 for key, func in row.defaults.items()})
+        return op
+
     def _build_plan(self, name: str, param: Any) -> CallPlan:
-        op = self.get(name)
-        key = param if op.parameterized else None
+        op = self._ops.get(name)
+        if op is None and name in self._shared:
+            row = self._shared[name]
+            key = param if row.parameterized else None
+            default = row.defaults.get(key)
+            behavior = None if default is None else MethodType(default, self._owner)
+            op, pre, post = _SharedRow(self, row), (), ()
+        else:
+            op = op or self.get(name)
+            key = param if op.parameterized else None
+            behavior = op.behavior(key)
+            pre, post = tuple(op.pre.get(key, ())), tuple(op.post.get(key, ()))
         guard = self._guards.get((name, key))
         if guard is None:
             guard = self._guards[(name, key)] = _Guard()
-        pre = tuple(op.pre.get(key, ()))
         if self._count_runs:
             counts = self.run_counts
 
@@ -148,8 +199,7 @@ class ProtoopTable:
                 counts[_name] = counts.get(_name, 0) + 1
 
             pre = (count_run,) + pre
-        plan = CallPlan(op, key, pre, op.behavior(key),
-                        tuple(op.post.get(key, ())), self._epoch, guard)
+        plan = CallPlan(op, key, pre, behavior, post, self._epoch, guard)
         self._plans[name if param is None else (name, param)] = plan
         self.plan_builds += 1
         return plan
@@ -170,7 +220,7 @@ class ProtoopTable:
         Calling again with a new ``param`` adds a behaviour to an existing
         parameterized operation.
         """
-        op = self._ops.get(name)
+        op = self._own(name)
         if op is None:
             op = ProtocolOperation(
                 name=name, parameterized=parameterized, external=external,
@@ -198,22 +248,20 @@ class ProtoopTable:
         return self.register(name, None, parameterized=parameterized, doc=doc)
 
     def get(self, name: str) -> ProtocolOperation:
-        try:
-            return self._ops[name]
-        except KeyError:
-            raise ProtoopError(
-                TransportErrorCode.INTERNAL_ERROR, f"unknown protoop {name!r}"
-            )
+        op = self._own(name)
+        if op is None:
+            raise ProtoopError(TransportErrorCode.INTERNAL_ERROR, f"unknown protoop {name!r}")
+        return op
 
     @property
     def names(self) -> list[str]:
-        return sorted(self._ops)
+        return sorted({**self._shared, **self._ops})
 
     def operation_count(self) -> int:
-        return len(self._ops)
+        return len({**self._shared, **self._ops})
 
     def parameterized_count(self) -> int:
-        return sum(1 for op in self._ops.values() if op.parameterized)
+        return sum(op.parameterized for op in {**self._shared, **self._ops}.values())
 
     # --- pluglet attachment -------------------------------------------------
 
@@ -228,7 +276,7 @@ class ProtoopTable:
         """Attach a pluglet behaviour. New protoops (or new parameter values
         of existing ones) are created on the fly — PQUIC is "extensible by
         design" (§2.3)."""
-        op = self._ops.get(name)
+        op = self._own(name)
         if op is None:
             op = ProtocolOperation(
                 name=name, parameterized=param is not None, external=external
@@ -249,7 +297,7 @@ class ProtoopTable:
         self._invalidate()
 
     def detach(self, name: str, anchor: Anchor, func: Callable, param: Any = None) -> None:
-        op = self._ops.get(name)
+        op = self._own(name)
         if op is None:
             return
         key = param if op.parameterized else None
@@ -271,7 +319,8 @@ class ProtoopTable:
         dispatch paths is replaced by one dict hit."""
         params = self._params_cache.get(name)
         if params is None:
-            params = frozenset(self.get(name).params())
+            op = self._ops.get(name) or self._shared.get(name) or self.get(name)
+            params = frozenset(op.params())
             self._params_cache[name] = params
         return params
 
@@ -361,7 +410,7 @@ class ProtoopTable:
         spurious-loss undo).  It is declared on its first run, with
         ``default`` as its behaviour if given, so a connection that never
         emits it never counts it."""
-        op = self._ops.get(name)
+        op = self._ops.get(name) or self._shared.get(name)
         if op is None or (default is not None and None not in op.defaults):
             self.register(name, default)
         return self.run(conn, name, None, *args)

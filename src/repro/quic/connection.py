@@ -98,6 +98,44 @@ AMP_FACTOR = 3
 MAX_PATH_PROBES = 6
 
 
+#: Operations with a built-in default, the class's ``_op_<name>``.
+_DEFAULT_OPS = (
+    # Internal processing.
+    "update_rtt", "set_loss_alarm", "on_loss_alarm", "detect_lost_packets",
+    "on_packet_acked", "on_packet_lost", "congestion_on_ack",
+    "congestion_on_loss", "retransmit_packet", "stream_to_send",
+    "schedule_frames", "reserve_frame_slot", "get_max_data",
+    "update_flow_credit", "should_send_max_data", "create_stream",
+    "get_send_stream", "get_receive_stream", "stream_data_received",
+    "crypto_data_received", "process_handshake_message",
+    "derive_one_rtt_keys", "set_idle_timer", "queue_control_frame",
+    # Packet management.
+    "prepare_packet", "finalize_and_protect_packet", "parse_packet_header",
+    "decode_packet_number", "process_incoming_packet", "set_spin_bit",
+    "get_destination_cid", "get_source_cid", "select_sending_path",
+    "get_path", "create_path", "path_bytes_allowed", "map_incoming_path",
+    "process_recovered_payload",
+    # Introspection (used by monitoring & multipath).
+    "get_rtt", "get_cwin", "get_bytes_in_flight", "stream_bytes_pending",
+    "is_ack_needed", "get_largest_acked", "get_next_packet_number",
+)
+
+#: Connection-workflow events: empty anchors (§2.2 category 4).
+_EVENTS = (
+    "connection_established", "before_sending_packet",
+    "packet_ready",            # (epoch, path_index, pn, plaintext)
+    "packet_sent_event",       # (sent_packet,)
+    "packet_received_event",   # (epoch, path_index, pn, plaintext)
+    "frames_decoded",          # after decoding all frames of a packet
+    "packet_lost_event",       # after a packet loss
+    "packet_acked_event", "rtt_updated", "stream_opened", "stream_closed",
+    "handshake_message_sent", "connection_closing", "connection_closed",
+    "idle_timeout_event", "plugin_injected", "path_created",
+    "path_validated", "ack_frame_built", "flow_control_raised",
+    "loss_alarm_fired", "cc_window_updated", "spin_bit_flipped",
+)
+
+
 class ConnectionState:
     """Connection lifecycle states (RFC 9000 §10).
 
@@ -245,7 +283,7 @@ class QuicConnection:
         self.local_cid = bytes(self._rng.randrange(256) for _ in range(CID_LENGTH))
         self.peer_cid = b""
         self._original_dcid = b""
-        self.protoops = ProtoopTable()
+        self.protoops = ProtoopTable(self.protoop_census(), self)
         self.frame_registry = F.FrameRegistry()
         self.now = now
 
@@ -379,122 +417,43 @@ class QuicConnection:
             "stream_halves_retired": 0,
         }
 
-        self._register_protocol_operations()
-
         if self.is_client:
             self._start_client_handshake()
 
     # ------------------------------------------------------------------
-    # Protocol operation registration (the gray box of §2.2).
+    # The protocol-operation census (the gray box of §2.2).
     # ------------------------------------------------------------------
 
-    def _register_protocol_operations(self) -> None:
-        t = self.protoops
+    @classmethod
+    def protoop_census(cls) -> ProtoopTable:
+        """The protocol operations of this class and their defaults, built
+        on first use and shared by every connection of the class: each
+        default is the class's own function (so a subclass's ``_op_*``
+        override is the default of its connections), bound to a
+        connection only when it runs there."""
+        census = cls.__dict__.get("_protoop_census")
+        if census is not None:
+            return census
+        t = ProtoopTable()
         # -- Parameterized frame operations (the 4 parameterized protoops).
-        for name in ("parse_frame", "process_frame", "write_frame", "notify_frame"):
+        for name, defaults in (
+                ("parse_frame", {"default": cls._default_parse_frame}),
+                ("process_frame", cls._default_frame_processors()),
+                ("write_frame", {"default": cls._default_write_frame}),
+                ("notify_frame", cls._default_frame_notifiers())):
             t.register(name, None, parameterized=True)
-        t.register("parse_frame", self._default_parse_frame, param="default",
-                   parameterized=True)
-        t.register("write_frame", self._default_write_frame, param="default",
-                   parameterized=True)
-        for ftype, handler in self._default_frame_processors().items():
-            t.register("process_frame", handler, param=ftype, parameterized=True)
-        for ftype, handler in self._default_frame_notifiers().items():
-            t.register("notify_frame", handler, param=ftype, parameterized=True)
-
-        # -- Internal processing.
-        t.register("update_rtt", self._op_update_rtt)
-        t.register("set_loss_alarm", self._op_set_loss_alarm)
-        t.register("on_loss_alarm", self._op_on_loss_alarm)
-        t.register("detect_lost_packets", self._op_detect_lost_packets)
-        t.register("on_packet_acked", self._op_on_packet_acked)
-        t.register("on_packet_lost", self._op_on_packet_lost)
-        t.register("congestion_on_ack", self._op_congestion_on_ack)
-        t.register("congestion_on_loss", self._op_congestion_on_loss)
-        t.register("retransmit_packet", self._op_retransmit_packet)
-        t.register("stream_to_send", self._op_stream_to_send)
-        t.register("schedule_frames", self._op_schedule_frames)
-        t.register("reserve_frame_slot", self._op_reserve_frame_slot)
-        t.register("get_max_data", self._op_get_max_data)
-        t.register("update_flow_credit", self._op_update_flow_credit)
-        t.register("should_send_max_data", self._op_should_send_max_data)
-        t.register("create_stream", self._op_create_stream)
-        t.register("get_send_stream", self._op_get_send_stream)
-        t.register("get_receive_stream", self._op_get_receive_stream)
-        t.register("stream_data_received", self._op_stream_data_received)
-        t.register("crypto_data_received", self._op_crypto_data_received)
-        t.register("process_handshake_message", self._op_process_handshake_message)
-        t.register("derive_one_rtt_keys", self._op_derive_one_rtt_keys)
-        t.register("set_idle_timer", self._op_set_idle_timer)
-        t.register("queue_control_frame", self._op_queue_control_frame)
-
-        # -- Packet management.
-        t.register("prepare_packet", self._op_prepare_packet)
-        t.register("finalize_and_protect_packet", self._op_finalize_and_protect)
-        t.register("parse_packet_header", self._op_parse_packet_header)
-        t.register("decode_packet_number", self._op_decode_packet_number)
-        t.register("process_incoming_packet", self._op_process_incoming_packet)
-        t.register("set_spin_bit", self._op_set_spin_bit)
-        t.register("get_destination_cid", self._op_get_destination_cid)
-        t.register("get_source_cid", self._op_get_source_cid)
-        t.register("select_sending_path", self._op_select_sending_path)
-        t.register("get_path", self._op_get_path)
-        t.register("create_path", self._op_create_path)
-        t.register("path_bytes_allowed", self._op_path_bytes_allowed)
-        t.register("map_incoming_path", self._op_map_incoming_path)
-        t.register("process_recovered_payload", self._op_process_recovered_payload)
-
-        # -- Introspection operations (used by monitoring & multipath).
-        t.register("get_rtt", lambda conn, i=0: self.paths[i].rtt.smoothed,
-                   doc="Smoothed RTT of a path.")
-        t.register("get_cwin", lambda conn, i=0: self.paths[i].cc.cwnd,
-                   doc="Congestion window of a path.")
-        t.register("get_bytes_in_flight",
-                   lambda conn, i=0: self.paths[i].cc.bytes_in_flight,
-                   doc="Bytes currently in flight on a path.")
-        t.register("stream_bytes_pending",
-                   lambda conn: sum(s.bytes_in_flight_or_pending
-                                    for s in self.streams_send.values()),
-                   doc="Application bytes waiting for (re)transmission.")
-        t.register("is_ack_needed", self._op_is_ack_needed)
-        t.register("get_largest_acked",
-                   lambda conn, i=0: self.paths[i].space.largest_acked,
-                   doc="Largest packet number acked by the peer on a path.")
-        t.register("get_next_packet_number",
-                   lambda conn, i=0: self.paths[i].space.next_packet_number,
-                   doc="Next packet number to be used on a path.")
-
-        # -- Connection-workflow events (empty anchors, §2.2 category 4).
-        for event in (
-            "connection_established",
-            "before_sending_packet",
-            "packet_ready",            # (epoch, path_index, pn, plaintext)
-            "packet_sent_event",       # (sent_packet,)
-            "packet_received_event",   # (epoch, path_index, pn, plaintext)
-            "frames_decoded",          # after decoding all frames of a packet
-            "packet_lost_event",       # after a packet loss
-            "packet_acked_event",
-            "rtt_updated",
-            "stream_opened",
-            "stream_closed",
-            "handshake_message_sent",
-            "connection_closing",
-            "connection_closed",
-            "idle_timeout_event",
-            "plugin_injected",
-            "path_created",
-            "path_validated",
-            "ack_frame_built",
-            "flow_control_raised",
-            "loss_alarm_fired",
-            "cc_window_updated",
-            "spin_bit_flipped",
-        ):
+            for param, func in defaults.items():
+                t.register(name, func, param=param, parameterized=True)
+        for name in _DEFAULT_OPS:
+            t.register(name, getattr(cls, "_op_" + name))
+        for event in _EVENTS:
             t.declare(event)
         # Fault containment & recovery events (plugin_fault,
         # plugin_quarantined, plugin_exchange_retry, ...) are declared by
         # the modules that emit them (repro.core.containment/.exchange):
         # they are extensions, not part of the paper's 72-protoop census.
+        cls._protoop_census = t
+        return t
 
     # ------------------------------------------------------------------
     # Handshake.
@@ -833,27 +792,27 @@ class QuicConnection:
     def _default_write_frame(self, conn, frame: F.Frame, buf: Buffer) -> None:
         frame.serialize(buf)
 
-    def _default_frame_processors(self) -> dict:
+    @classmethod
+    def _default_frame_processors(cls) -> dict:
         return {
-            F.PADDING: lambda conn, frame, ctx: None,
-            F.PING: lambda conn, frame, ctx: None,
-            F.ACK: self._process_ack_frame,
-            F.CRYPTO: self._process_crypto_frame,
-            "stream": self._process_stream_frame,
-            F.MAX_DATA: self._process_max_data_frame,
-            F.MAX_STREAM_DATA: self._process_max_stream_data_frame,
-            F.MAX_STREAMS: lambda conn, frame, ctx: None,
-            F.DATA_BLOCKED: lambda conn, frame, ctx: None,
-            F.STREAM_DATA_BLOCKED: lambda conn, frame, ctx: None,
-            F.RESET_STREAM: self._process_reset_stream_frame,
-            F.STOP_SENDING: lambda conn, frame, ctx: None,
-            F.NEW_CONNECTION_ID: self._process_new_connection_id,
-            F.PATH_CHALLENGE: self._process_path_challenge,
-            F.PATH_RESPONSE: self._process_path_response,
-            F.CONNECTION_CLOSE: self._process_connection_close,
-            F.CONNECTION_CLOSE + 1: self._process_connection_close,
-            F.HANDSHAKE_DONE: lambda conn, frame, ctx: None,
+            **dict.fromkeys((F.PADDING, F.PING, F.MAX_STREAMS, F.DATA_BLOCKED,
+                             F.STREAM_DATA_BLOCKED, F.STOP_SENDING,
+                             F.HANDSHAKE_DONE), cls._ignore_frame),
+            F.ACK: cls._process_ack_frame,
+            F.CRYPTO: cls._process_crypto_frame,
+            "stream": cls._process_stream_frame,
+            F.MAX_DATA: cls._process_max_data_frame,
+            F.MAX_STREAM_DATA: cls._process_max_stream_data_frame,
+            F.RESET_STREAM: cls._process_reset_stream_frame,
+            F.NEW_CONNECTION_ID: cls._process_new_connection_id,
+            F.PATH_CHALLENGE: cls._process_path_challenge,
+            F.PATH_RESPONSE: cls._process_path_response,
+            F.CONNECTION_CLOSE: cls._process_connection_close,
+            F.CONNECTION_CLOSE + 1: cls._process_connection_close,
         }
+
+    def _ignore_frame(self, conn, frame: F.Frame, *_: Any) -> None:
+        """Nothing to do for this frame type, on receipt or on ACK / loss."""
 
     def _frame_param(self, frame_type: int) -> Any:
         if F.STREAM_BASE <= frame_type < F.STREAM_BASE + 8:
@@ -1163,73 +1122,56 @@ class QuicConnection:
                 self, "notify_frame", self._frame_param(frame.type), frame, False, pkt
             )
 
-    def _default_frame_notifiers(self) -> dict:
+    @classmethod
+    def _default_frame_notifiers(cls) -> dict:
         """Default ACK/loss notifications per frame type.
 
         Signature: (conn, frame, acked: bool, sent_packet).
         """
-        def stream_notify(conn, frame, acked, pkt):
-            stream = self.streams_send.get(frame.stream_id)
-            if stream is None:
-                # Retired: another copy of this frame (a PTO probe and
-                # its original are both tracked) closed the half already.
-                return
-            if acked:
-                stream.on_ack(frame.offset, len(frame.data), frame.fin)
-                if stream.is_finished:
-                    self._retire_stream_half(
-                        self.streams_send, self.closed_streams_send,
-                        frame.stream_id)
-                    self.protoops.run(self, "stream_closed", None, frame.stream_id)
-            else:
-                stream.on_loss(frame.offset, len(frame.data), frame.fin)
-
-        def crypto_notify(conn, frame, acked, pkt):
-            if acked:
-                self._crypto_send.on_ack(frame.offset, len(frame.data), False)
-            else:
-                self._crypto_send.on_loss(frame.offset, len(frame.data), False)
-
-        def requeue_on_loss(conn, frame, acked, pkt):
-            if not acked:
-                self._control_frames.append(frame)
-
-        def ignore(conn, frame, acked, pkt):
-            return None
-
-        def path_challenge_lost(conn, frame, acked, pkt):
-            # Probe retransmission is timer-driven (PTO backoff in
-            # _on_probe_timeout), so a lost challenge is NOT requeued
-            # here: doing both would duplicate probes, and the generic
-            # control-frame queue could not honour the per-path routing
-            # of §8.2.2 anyway.
-            return None
-
-        def path_response_lost(conn, frame, acked, pkt):
-            # §13.3: a PATH_RESPONSE is sent only once.  If it is lost,
-            # the peer's probe-retransmit repeats the PATH_CHALLENGE and
-            # a fresh response answers that copy.
-            return None
-
         return {
-            "stream": stream_notify,
-            F.CRYPTO: crypto_notify,
-            F.MAX_DATA: requeue_on_loss,
-            F.MAX_STREAM_DATA: requeue_on_loss,
-            F.MAX_STREAMS: requeue_on_loss,
-            F.RESET_STREAM: requeue_on_loss,
-            F.STOP_SENDING: requeue_on_loss,
-            F.PING: ignore,
-            F.ACK: ignore,
-            F.PADDING: ignore,
-            F.PATH_CHALLENGE: path_challenge_lost,
-            F.PATH_RESPONSE: path_response_lost,
-            F.CONNECTION_CLOSE: ignore,
-            F.HANDSHAKE_DONE: requeue_on_loss,
-            F.NEW_CONNECTION_ID: requeue_on_loss,
-            F.DATA_BLOCKED: ignore,
-            F.STREAM_DATA_BLOCKED: ignore,
+            "stream": cls._notify_stream_frame,
+            F.CRYPTO: cls._notify_crypto_frame,
+            **dict.fromkeys((F.MAX_DATA, F.MAX_STREAM_DATA, F.MAX_STREAMS,
+                             F.RESET_STREAM, F.STOP_SENDING, F.HANDSHAKE_DONE,
+                             F.NEW_CONNECTION_ID), cls._requeue_lost_frame),
+            # PATH_CHALLENGE: probe retransmission is timer-driven (PTO
+            # backoff in _on_probe_timeout), so a lost challenge is NOT
+            # requeued here: doing both would duplicate probes, and the
+            # generic control-frame queue could not honour the per-path
+            # routing of §8.2.2 anyway.  PATH_RESPONSE (§13.3) is sent
+            # only once: if it is lost, the peer's probe-retransmit
+            # repeats the PATH_CHALLENGE and a fresh response answers it.
+            **dict.fromkeys((F.PING, F.ACK, F.PADDING, F.PATH_CHALLENGE,
+                             F.PATH_RESPONSE, F.CONNECTION_CLOSE,
+                             F.DATA_BLOCKED, F.STREAM_DATA_BLOCKED),
+                            cls._ignore_frame),
         }
+
+    def _notify_stream_frame(self, conn, frame: F.StreamFrame, acked: bool, pkt: SentPacket) -> None:
+        stream = self.streams_send.get(frame.stream_id)
+        if stream is None:
+            # Retired: another copy of this frame (a PTO probe and
+            # its original are both tracked) closed the half already.
+            return
+        if acked:
+            stream.on_ack(frame.offset, len(frame.data), frame.fin)
+            if stream.is_finished:
+                self._retire_stream_half(
+                    self.streams_send, self.closed_streams_send,
+                    frame.stream_id)
+                self.protoops.run(self, "stream_closed", None, frame.stream_id)
+        else:
+            stream.on_loss(frame.offset, len(frame.data), frame.fin)
+
+    def _notify_crypto_frame(self, conn, frame: F.CryptoFrame, acked: bool, pkt: SentPacket) -> None:
+        if acked:
+            self._crypto_send.on_ack(frame.offset, len(frame.data), False)
+        else:
+            self._crypto_send.on_loss(frame.offset, len(frame.data), False)
+
+    def _requeue_lost_frame(self, conn, frame: F.Frame, acked: bool, pkt: SentPacket) -> None:
+        if not acked:
+            self._control_frames.append(frame)
 
     # ------------------------------------------------------------------
     # Timers.
@@ -1618,6 +1560,30 @@ class QuicConnection:
                 return path.index
         return 0
 
+    def _op_get_rtt(self, conn, i: int = 0) -> float:
+        """Smoothed RTT of a path."""
+        return self.paths[i].rtt.smoothed
+
+    def _op_get_cwin(self, conn, i: int = 0) -> int:
+        """Congestion window of a path."""
+        return self.paths[i].cc.cwnd
+
+    def _op_get_bytes_in_flight(self, conn, i: int = 0) -> int:
+        """Bytes currently in flight on a path."""
+        return self.paths[i].cc.bytes_in_flight
+
+    def _op_stream_bytes_pending(self, conn) -> int:
+        """Application bytes waiting for (re)transmission."""
+        return sum(s.bytes_in_flight_or_pending for s in self.streams_send.values())
+
+    def _op_get_largest_acked(self, conn, i: int = 0) -> int:
+        """Largest packet number acked by the peer on a path."""
+        return self.paths[i].space.largest_acked
+
+    def _op_get_next_packet_number(self, conn, i: int = 0) -> int:
+        """Next packet number to be used on a path."""
+        return self.paths[i].space.next_packet_number
+
     @property
     def _peer_max_ack_delay(self) -> float:
         """The peer's ``max_ack_delay`` transport parameter, or the
@@ -1826,7 +1792,7 @@ class QuicConnection:
             epoch, path_index, plaintext, frames, ack_eliciting,
         )
 
-    def _op_finalize_and_protect(
+    def _op_finalize_and_protect_packet(
         self,
         conn,
         epoch: Epoch,

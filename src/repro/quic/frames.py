@@ -434,33 +434,25 @@ class HandshakeDoneFrame(Frame):
         return cls()
 
 
+#: The core frame types every connection knows (RFC 9000 §19), copied
+#: into each :class:`FrameRegistry`; plugins add theirs per connection.
+CORE_FRAMES: dict[int, Type[Frame]] = {
+    **{cls.type: cls for cls in (
+        PaddingFrame, PingFrame, AckFrame, ResetStreamFrame, StopSendingFrame,
+        CryptoFrame, MaxDataFrame, MaxStreamDataFrame, MaxStreamsFrame,
+        DataBlockedFrame, StreamDataBlockedFrame, NewConnectionIdFrame,
+        PathChallengeFrame, PathResponseFrame, ConnectionCloseFrame,
+        HandshakeDoneFrame)},
+    **dict.fromkeys(range(STREAM_BASE, STREAM_BASE + 8), StreamFrame),
+    CONNECTION_CLOSE + 1: ConnectionCloseFrame,  # app close
+}
+
+
 class FrameRegistry:
     """Maps frame types to frame classes; plugins extend it per connection."""
 
     def __init__(self) -> None:
-        self._by_type: dict[int, Type[Frame]] = {}
-        self._register_core()
-
-    def _register_core(self) -> None:
-        self.register(PADDING, PaddingFrame)
-        self.register(PING, PingFrame)
-        self.register(ACK, AckFrame)
-        self.register(RESET_STREAM, ResetStreamFrame)
-        self.register(STOP_SENDING, StopSendingFrame)
-        self.register(CRYPTO, CryptoFrame)
-        for t in range(STREAM_BASE, STREAM_BASE + 8):
-            self.register(t, StreamFrame)
-        self.register(MAX_DATA, MaxDataFrame)
-        self.register(MAX_STREAM_DATA, MaxStreamDataFrame)
-        self.register(MAX_STREAMS, MaxStreamsFrame)
-        self.register(DATA_BLOCKED, DataBlockedFrame)
-        self.register(STREAM_DATA_BLOCKED, StreamDataBlockedFrame)
-        self.register(NEW_CONNECTION_ID, NewConnectionIdFrame)
-        self.register(PATH_CHALLENGE, PathChallengeFrame)
-        self.register(PATH_RESPONSE, PathResponseFrame)
-        self.register(CONNECTION_CLOSE, ConnectionCloseFrame)
-        self.register(CONNECTION_CLOSE + 1, ConnectionCloseFrame)  # app close
-        self.register(HANDSHAKE_DONE, HandshakeDoneFrame)
+        self._by_type: dict[int, Type[Frame]] = dict(CORE_FRAMES)
 
     def register(self, frame_type: int, frame_class: Type[Frame]) -> None:
         self._by_type[frame_type] = frame_class

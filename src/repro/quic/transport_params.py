@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import TransportError, TransportErrorCode
-from .wire import Buffer
+from .wire import Buffer, varint_size
 
 # Parameter IDs (core ones follow RFC 9000 numbering; the PQUIC ones use a
 # private-range id, as an experimental extension would).
@@ -27,6 +27,20 @@ PARAM_MAX_ACK_DELAY = 0x0B
 PARAM_ORIGINAL_DCID = 0x0F
 PARAM_SUPPORTED_PLUGINS = 0x50
 PARAM_PLUGINS_TO_INJECT = 0x51
+
+#: Parameters whose payload is one varint: (id, attribute, scale) — the
+#: times travel as milliseconds (RFC 9000 §18.2).
+_VARINT_PARAMS = (
+    (PARAM_IDLE_TIMEOUT, "idle_timeout", 1000),
+    (PARAM_MAX_UDP_PAYLOAD_SIZE, "max_udp_payload_size", 1),
+    (PARAM_INITIAL_MAX_DATA, "initial_max_data", 1),
+    (PARAM_INITIAL_MAX_STREAM_DATA, "initial_max_stream_data", 1),
+    (PARAM_INITIAL_MAX_STREAMS_BIDI, "initial_max_streams_bidi", 1),
+    (PARAM_INITIAL_MAX_STREAMS_UNI, "initial_max_streams_uni", 1),
+    (PARAM_ACK_DELAY_EXPONENT, "ack_delay_exponent", 1),
+    (PARAM_MAX_ACK_DELAY, "max_ack_delay", 1000),
+)
+_VARINT_BY_ID = {pid: (attr, scale) for pid, attr, scale in _VARINT_PARAMS}
 
 
 @dataclass
@@ -57,19 +71,12 @@ class TransportParameters:
             buf.push_varint(pid)
             buf.push_varint_prefixed_bytes(payload)
 
-        def put_varint(pid: int, value: int) -> None:
-            b = Buffer()
-            b.push_varint(value)
-            put(pid, b.data())
-
-        put_varint(PARAM_IDLE_TIMEOUT, int(self.idle_timeout * 1000))
-        put_varint(PARAM_MAX_UDP_PAYLOAD_SIZE, self.max_udp_payload_size)
-        put_varint(PARAM_INITIAL_MAX_DATA, self.initial_max_data)
-        put_varint(PARAM_INITIAL_MAX_STREAM_DATA, self.initial_max_stream_data)
-        put_varint(PARAM_INITIAL_MAX_STREAMS_BIDI, self.initial_max_streams_bidi)
-        put_varint(PARAM_INITIAL_MAX_STREAMS_UNI, self.initial_max_streams_uni)
-        put_varint(PARAM_ACK_DELAY_EXPONENT, self.ack_delay_exponent)
-        put_varint(PARAM_MAX_ACK_DELAY, int(self.max_ack_delay * 1000))
+        for pid, attr, scale in _VARINT_PARAMS:
+            # The payload is the value's own varint, written in place.
+            value = int(getattr(self, attr) * scale)
+            buf.push_varint(pid)
+            buf.push_varint(varint_size(value))
+            buf.push_varint(value)
         if self.original_dcid is not None:
             put(PARAM_ORIGINAL_DCID, self.original_dcid)
         if self.stateless_reset_token is not None:
@@ -96,23 +103,10 @@ class TransportParameters:
                     f"duplicate transport parameter 0x{pid:x}",
                 )
             seen.add(pid)
-            inner = Buffer(payload)
-            if pid == PARAM_IDLE_TIMEOUT:
-                params.idle_timeout = inner.pull_varint() / 1000.0
-            elif pid == PARAM_MAX_UDP_PAYLOAD_SIZE:
-                params.max_udp_payload_size = inner.pull_varint()
-            elif pid == PARAM_INITIAL_MAX_DATA:
-                params.initial_max_data = inner.pull_varint()
-            elif pid == PARAM_INITIAL_MAX_STREAM_DATA:
-                params.initial_max_stream_data = inner.pull_varint()
-            elif pid == PARAM_INITIAL_MAX_STREAMS_BIDI:
-                params.initial_max_streams_bidi = inner.pull_varint()
-            elif pid == PARAM_INITIAL_MAX_STREAMS_UNI:
-                params.initial_max_streams_uni = inner.pull_varint()
-            elif pid == PARAM_ACK_DELAY_EXPONENT:
-                params.ack_delay_exponent = inner.pull_varint()
-            elif pid == PARAM_MAX_ACK_DELAY:
-                params.max_ack_delay = inner.pull_varint() / 1000.0
+            if pid in _VARINT_BY_ID:
+                attr, scale = _VARINT_BY_ID[pid]
+                value = Buffer(payload).pull_varint()
+                setattr(params, attr, value if scale == 1 else value / scale)
             elif pid == PARAM_ORIGINAL_DCID:
                 params.original_dcid = payload
             elif pid == PARAM_STATELESS_RESET_TOKEN:

@@ -316,3 +316,99 @@ class TestDispatchCostGate:
         table.run(None, "evt")
         entered = python_calls_during(lambda: table.run(None, "evt", None, 1))
         assert entered == ["<lambda>", "run"]
+
+
+def census_fingerprint(cls=QuicConnection):
+    """Every row of a class census, anchors and defaults included."""
+    census = cls.protoop_census()
+    return {
+        name: (op.parameterized, op.external, op.doc, dict(op.defaults),
+               dict(op.replacements),
+               {k: list(v) for k, v in op.pre.items()},
+               {k: list(v) for k, v in op.post.items()})
+        for name, op in ((name, census.get(name)) for name in census.names)
+    }
+
+
+class TestClassCensus:
+    """One census per connection class, shared by every connection of it:
+    a connection owns only the rows something changed on it."""
+
+    def test_changes_on_one_connection_stay_on_it(self):
+        from repro.core import PluginCache
+        from repro.core.exchange import PLUGIN_TYPE, PluginExchanger
+
+        before = census_fingerprint()
+        a, b = make_conn(), make_conn()
+        seen = []
+        a.protoops.attach("select_sending_path", Anchor.REPLACE,
+                          lambda conn: 7)
+        a.protoops.attach("get_rtt", Anchor.PRE,
+                          lambda conn, args: seen.append("pre"))
+        a.protoops.attach("packet_sent_event", Anchor.POST,
+                          lambda conn, args, res: seen.append("post"))
+        PluginExchanger(a, PluginCache())
+        ContainmentPolicy().attach(a)
+        spin = PluginInstance(looping_plugin(fuel=50), a)
+        spin.attach()
+
+        for conn in (b, a):
+            conn.protoops.run(conn, "get_rtt", None)
+            conn.protoops.run(conn, "packet_sent_event", None)
+        assert a.protoops.run(a, "select_sending_path", None) == 7
+        assert b.protoops.run(b, "select_sending_path", None) == 0
+        assert seen == ["pre", "post"]  # a's observers, once each
+        assert not spin.attached  # quarantined on a
+        assert PLUGIN_TYPE in a.protoops.known_params("process_frame")
+        assert PLUGIN_TYPE not in b.protoops.known_params("process_frame")
+        assert not b.protoops.has_behavior("process_frame", PLUGIN_TYPE)
+        assert "plugin_quarantined" in a.protoops.names
+        assert b.protoops.names == QuicConnection.protoop_census().names
+        assert b.protoops.operation_count() == 72
+        assert census_fingerprint() == before
+
+    def test_subclass_override_is_its_connections_default(self):
+        class PinnedPath(QuicConnection):
+            def _op_select_sending_path(self, conn):
+                return 3
+
+        config = QuicConfiguration(is_client=True)
+        pinned, plain = PinnedPath(config), QuicConnection(config)
+        assert pinned.protoops.run(pinned, "select_sending_path", None) == 3
+        assert plain.protoops.run(plain, "select_sending_path", None) == 0
+        assert PinnedPath.protoop_census() is not QuicConnection.protoop_census()
+        assert (QuicConnection.protoop_census().get("select_sending_path")
+                .defaults[None] is QuicConnection._op_select_sending_path)
+        assert PinnedPath.protoop_census().operation_count() == 72
+
+    def test_post_attached_by_a_shared_default_fires_in_its_run(self):
+        """A shared row's plan follows the row once the run copies it."""
+        fired = []
+
+        class SelfObserving(QuicConnection):
+            def _op_get_path(self, conn, index):
+                self.protoops.attach("get_path", Anchor.POST,
+                                     lambda c, args, res: fired.append(args))
+                return super()._op_get_path(conn, index)
+
+        conn = SelfObserving(QuicConfiguration(is_client=True))
+        assert conn.protoops.run(conn, "get_path", None, 0) is conn.paths[0]
+        assert fired == [(0,)]
+
+    def test_a_handshake_registers_nothing(self, monkeypatch):
+        from tests.test_quic_coalescing import exchange
+
+        QuicConnection.protoop_census()  # built once per class, up front
+        calls = []
+        register = ProtoopTable.register
+
+        def counting_register(table, *args, **kwargs):
+            calls.append(args[0])
+            return register(table, *args, **kwargs)
+
+        monkeypatch.setattr(ProtoopTable, "register", counting_register)
+        client = QuicConnection(QuicConfiguration(is_client=True))
+        server = QuicConnection(QuicConfiguration(is_client=False))
+        exchange(client, server)
+        assert client.is_established and server.is_established
+        assert calls == []

@@ -83,3 +83,24 @@ def test_unknown_parameters_ignored():
     buf.push_varint_prefixed_bytes(b"whatever")
     parsed = TransportParameters.parse(params.serialize() + buf.data())
     assert parsed.initial_max_data == params.initial_max_data
+
+
+def test_serialize_bytes_are_pinned():
+    """The wire image of a full parameter set — every varint parameter,
+    ``original_dcid``, a reset token and both plugin lists — is fixed:
+    a codec rewrite must reproduce it byte for byte."""
+    params = TransportParameters(
+        idle_timeout=12.5,
+        initial_max_data=70_000,
+        original_dcid=bytes(range(8)),
+        stateless_reset_token=bytes(range(16, 32)),
+        supported_plugins=["org.pquic.monitoring", "org.pquic.fec"],
+        plugins_to_inject=["org.pquic.multipath"],
+    )
+    assert params.serialize().hex() == (
+        "010270d4030245ac04048001117005048004000008024064090240640a0103"
+        "0b01190f0800010203040506070210101112131415161718191a1b1c1d1e1f"
+        "40502402146f72672e70717569632e6d6f6e69746f72696e670d6f72672e70"
+        "717569632e66656340511501136f72672e70717569632e6d756c7469706174"
+        "68"
+    )

@@ -22,10 +22,15 @@ run, in this order:
 1. **Plan lookup.**  The table keeps one call plan per (name, param):
    the pre observers, the behaviour (the `replace` pluglet if there is
    one, else the default) and the post observers as they stood when the
-   plan was built.  Any `register` / `attach` / `detach` — a containment
-   quarantine is a detach — moves the table's epoch and drops every
-   plan; each operation rebuilds its own on its next run.  An unknown
-   name raises `INTERNAL_ERROR`.
+   plan was built.  The rows themselves are shared: each connection
+   class builds its census once (`QuicConnection.protoop_census()`), and
+   a connection's table reads those rows — binding a default to the
+   connection when it builds the plan — until the connection registers,
+   attaches or detaches on one, which copies that row into its table
+   first.  Any `register` / `attach` / `detach` — a containment
+   quarantine is a detach — still moves the table's epoch and drops
+   every plan; each operation rebuilds its own on its next run.  An
+   unknown name raises `INTERNAL_ERROR`.
 2. **External check.**  An external operation reached through `run`
    raises `PROTOCOL_VIOLATION`.  This comes before everything below: an
    external event with nothing attached still refuses protocol code.
