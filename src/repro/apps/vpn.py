@@ -75,13 +75,3 @@ class VpnTunnel:
         handler = self._handlers.get(data[0])
         if handler is not None:
             handler(data[1:])
-
-    @property
-    def overhead_per_packet(self) -> int:
-        """QUIC encapsulation bytes added to each conveyed inner packet
-        (headers + AEAD tag + frame header + flow id)."""
-        from repro.quic.crypto import TAG_LENGTH
-
-        short_header = 1 + 8 + 4
-        frame_header = 1 + 2 + 1  # type + length varint + flow id
-        return short_header + TAG_LENGTH + frame_header

@@ -36,10 +36,10 @@ from typing import Callable, Optional
 from repro.quic import frames as F
 from repro.quic.connection import QuicConnection, ReservedFrame
 from repro.quic.wire import Buffer
-from repro.vm.analysis import LEGACY_RULES, Severity
 from repro.secure.formula import Formula, parse_formula
 from repro.secure.merkle import AuthenticationPath, verify_path
 from repro.secure.validator import SignedTreeRoot
+from repro.vm.analysis import VerificationError
 
 from .cache import PluginCache
 from .containment import PluginQuarantined
@@ -519,8 +519,15 @@ class PluginExchanger:
         except Exception as exc:
             reason: Optional[str] = f"undecodable plugin: {exc}"
         else:
-            reason = (self._verify_incoming(name, plugin, state.proofs)
-                      or self._analyze_received(plugin))
+            reason = self._verify_incoming(name, plugin, state.proofs)
+            if reason is None:
+                # §2.1 before the cache: statically broken bytecode
+                # degrades here, naming its rule and pc, instead of
+                # failing a later attach.
+                try:
+                    plugin.verify_all()
+                except VerificationError as exc:
+                    reason = f"static analysis [{exc.rule}]: {exc}"
         if reason is None:
             del self._incoming[name]
             self.pending.pop(name, None)
@@ -537,28 +544,6 @@ class PluginExchanger:
             self.pending.pop(name, None)
             self.degraded[name] = reason
             self._emit("plugin_exchange_degraded", name, reason)
-
-    def _analyze_received(self, plugin: Plugin) -> Optional[str]:
-        """Static-analysis gate on a reassembled plugin.
-
-        The attach-time verifier would reject the plugin anyway; running
-        the analyzer here keeps statically-broken bytecode out of the
-        cache entirely and turns the failure into a graceful degrade with
-        a precise diagnostic (rule id + pc) instead of a later attach
-        error.  Only the §2.1 acceptance rules reject — deeper analyzer
-        findings (unproven memory, loops) stay advisory, matching
-        ``Plugin.verify_all``, which takes its verdict from this same
-        analysis when the cache stores the plugin.  Returns a rejection
-        reason or None."""
-        for pluglet_name, report in plugin.analyze_all().items():
-            for diag in report.diagnostics:
-                if diag.rule in LEGACY_RULES and diag.severity is Severity.ERROR:
-                    where = (f" at instruction {diag.pc}"
-                             if diag.pc is not None else "")
-                    return (f"static analysis: pluglet {pluglet_name}: "
-                            f"{diag.severity}[{diag.rule}]: "
-                            f"{diag.message}{where}")
-        return None
 
     def _verify_incoming(self, name: str, plugin: Plugin,
                          proofs: list) -> Optional[str]:

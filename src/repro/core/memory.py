@@ -44,10 +44,6 @@ class BlockAllocator:
     # ------------------------------------------------------------------
 
     @property
-    def free_blocks(self) -> int:
-        return len(self._free)
-
-    @property
     def allocated_blocks(self) -> int:
         return self.num_blocks - len(self._free)
 

@@ -190,10 +190,10 @@ class Plugin:
         self._analysis: Optional[list] = None
         self._deep = False
         self._effects = None
-        #: Verification verdict, kept like the analysis: the message of
+        #: Verification verdict, kept like the analysis: the error of
         #: the first failing pluglet, None when verified and clean.
         self._verified = False
-        self._rejection: Optional[str] = None
+        self._rejection: Optional[VerificationError] = None
         #: Loaded code, {pluglet name: JitCode}.
         self._code: Optional[dict] = None
 
@@ -282,11 +282,14 @@ class Plugin:
                 try:
                     verify_report(report)
                 except VerificationError as exc:
-                    self._rejection = (
-                        f"plugin {self.name}: pluglet {p.name}: {exc}")
+                    rejection = VerificationError(
+                        f"plugin {self.name}: pluglet {p.name}: {exc.reason}",
+                        exc.pc)
+                    rejection.rule = exc.rule
+                    self._rejection = rejection
                     break
         if self._rejection is not None:
-            raise VerificationError(self._rejection)
+            raise self._rejection.with_traceback(None)
 
     def analyze_all(self) -> dict:
         """Static-analyzer reports for every pluglet, keyed by pluglet

@@ -176,6 +176,30 @@ class FaultInjector:
         if getattr(packet, "segments", None) is not None:
             self._process_burst(inner, packet)
             return
+        packet = self._fault(inner, packet)
+        if packet is not None:
+            self._deliver_counted(inner, packet)
+
+    def _process_burst(self, inner: Callable, burst) -> None:
+        """Unbundle a GSO burst through the fault pipeline: every segment
+        gets its own draws (the RNG sequence the same datagrams sent one
+        by one would see), faulted segments splinter off into their own
+        delivery events, and the clean survivors continue as one burst."""
+        survivors = []
+        for packet in burst.segments:
+            packet = self._fault(inner, packet)
+            if packet is not None:
+                survivors.append(packet)
+        if not survivors:
+            return
+        burst.segments = survivors
+        self.stats.delivered += len(survivors)
+        inner(burst)
+
+    def _fault(self, inner: Callable, packet):
+        """One datagram's fault draws.  Returns the (possibly corrupted)
+        datagram the caller delivers now, or None when it was dropped or
+        rescheduled (a reordered copy)."""
         # Draw every RNG on every packet, even at rate 0, to keep each
         # stream aligned across configurations.
         corrupt = self._corrupt_rng.random() < self.corrupt_rate
@@ -183,7 +207,7 @@ class FaultInjector:
         reorder = self._reorder_rng.random() < self.reorder_rate
         if self.down:
             self.stats.dropped_down += 1
-            return
+            return None
         if corrupt:
             packet = self._corrupt(packet)
             self.stats.corrupted += 1
@@ -196,39 +220,8 @@ class FaultInjector:
             self.stats.reordered += 1
             self.sim.schedule(self.reorder_delay, self._deliver_counted,
                               inner, packet)
-            return
-        self._deliver_counted(inner, packet)
-
-    def _process_burst(self, inner: Callable, burst) -> None:
-        """Unbundle a GSO burst through the fault pipeline: every segment
-        gets its own draws (the RNG sequence the same datagrams sent one
-        by one would see), faulted segments splinter off into their own
-        delivery events, and the clean survivors continue as one burst."""
-        survivors = []
-        for packet in burst.segments:
-            corrupt = self._corrupt_rng.random() < self.corrupt_rate
-            duplicate = self._dup_rng.random() < self.duplicate_rate
-            reorder = self._reorder_rng.random() < self.reorder_rate
-            if self.down:
-                self.stats.dropped_down += 1
-                continue
-            if corrupt:
-                packet = self._corrupt(packet)
-                self.stats.corrupted += 1
-            if duplicate:
-                self.stats.duplicated += 1
-                self.sim.schedule(0.0, self._deliver_counted, inner, packet)
-            if reorder:
-                self.stats.reordered += 1
-                self.sim.schedule(self.reorder_delay, self._deliver_counted,
-                                  inner, packet)
-                continue
-            survivors.append(packet)
-        if not survivors:
-            return
-        burst.segments = survivors
-        self.stats.delivered += len(survivors)
-        inner(burst)
+            return None
+        return packet
 
     def _deliver_counted(self, inner: Callable, packet) -> None:
         self.stats.delivered += 1

@@ -1,5 +1,7 @@
 """A pluginized QUIC implementation (sans-io) plus simulator endpoints."""
 
+from repro.errors import QuicError, TransportError, TransportErrorCode
+
 from .cc import DEFAULT_INITIAL_WINDOW, NewRenoController
 from .connection import (
     Path,
@@ -9,7 +11,6 @@ from .connection import (
 )
 from .crypto import AeadContext, CryptoPair
 from .endpoint import ClientEndpoint, ServerEndpoint
-from .errors import QuicError, TransportError, TransportErrorCode
 from .packet import Epoch, PacketType
 from .recovery import PacketNumberSpace, RttEstimator, SentPacket
 from .stream import ReceiveStream, SendStream

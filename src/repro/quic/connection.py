@@ -20,6 +20,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.core.protoop import Anchor, ProtoopError, ProtoopTable
+from repro.errors import (
+    CryptoError,
+    ProtocolViolation,
+    QuicError,
+    StreamStateError,
+    TransportError,
+    TransportErrorCode,
+)
 
 from . import frames as F
 from .cc import DEFAULT_INITIAL_WINDOW, MAX_DATAGRAM_SIZE, NewRenoController
@@ -29,14 +37,6 @@ from .crypto import (
     initial_crypto_pair,
     one_rtt_crypto_pair,
     session_secret,
-)
-from .errors import (
-    CryptoError,
-    ProtocolViolation,
-    QuicError,
-    StreamStateError,
-    TransportError,
-    TransportErrorCode,
 )
 from .packet import (
     FORM_LONG,
@@ -228,16 +228,6 @@ class Path:
     @property
     def validated(self) -> bool:
         return self.state == PathState.VALIDATED
-
-    @validated.setter
-    def validated(self, value: bool) -> None:
-        # Back-compat setter (plugin bytecode writes FLD_PATH_VALIDATED
-        # through it); observable state *transitions* should go through
-        # Connection._set_path_state instead.
-        self.state = PathState.VALIDATED if value else PathState.UNVALIDATED
-        if value:
-            self.amp_limited = False
-            self.probe_deadline = None
 
     def reset_recovery(self, max_ack_delay: float) -> None:
         """Build the path's RTT estimator and congestion controller: the
@@ -1315,7 +1305,7 @@ class QuicConnection:
     def receive_datagram(self, data: bytes, now: float, path_index: int = 0,
                          from_peer: bool = True) -> None:
         if self.state is ConnectionState.CLOSING:
-            self._receive_while_closing(data, now)
+            self._receive_while_closing(data, now, path_index)
             return
         if self.state is not ConnectionState.ACTIVE:
             return
@@ -1339,13 +1329,27 @@ class QuicConnection:
         except TransportError as exc:
             self.close(int(exc.code), exc.reason)
 
-    def _receive_while_closing(self, data: bytes, now: float) -> None:
+    def _receive_while_closing(self, data: bytes, now: float,
+                               path_index: int) -> None:
         """CLOSING-state receive path (RFC 9000 §10.2.1/§10.2.2): the
         peer's CONNECTION_CLOSE moves us to DRAINING; any other packet
         re-arms our own close packet, rate-limited by doubling the
-        number of packets required between retransmissions."""
+        number of packets required between retransmissions.
+
+        The datagram is opened and its frames parsed as in the ACTIVE
+        state, but not processed; anything undecodable counts as
+        not-a-close."""
         self.now = max(self.now, now)
-        if self._datagram_contains_close(data):
+        if path_index >= len(self.paths):
+            path_index = 0
+        try:
+            closed = any(
+                frame_type in (F.CONNECTION_CLOSE, F.CONNECTION_CLOSE + 1)
+                for *_, plaintext, _ in self._open_packets(data, path_index)
+                for frame_type, _ in self._decode_frames(plaintext))
+        except (QuicError, ValueError, KeyError):
+            closed = False
+        if closed:
             self._close_frame_pending = None
             self._set_state(ConnectionState.DRAINING)
             return
@@ -1358,36 +1362,6 @@ class QuicConnection:
                     error_code=self.close_error[0], reason=self.close_error[1]
                 )
 
-    def _datagram_contains_close(self, data: bytes) -> bool:
-        """Decrypt and scan a datagram for CONNECTION_CLOSE without
-        processing it (used while CLOSING, when normal processing has
-        stopped).  Scans every coalesced packet in the datagram (§12.2);
-        anything undecodable counts as not-a-close."""
-        try:
-            buf = Buffer(data)
-            while not buf.eof():
-                start = buf.position
-                header, payload_len = parse_header(buf, CID_LENGTH)
-                header_bytes = data[start:buf.position]
-                ciphertext = buf.pull_bytes(payload_len)
-                pair = self.crypto.get(header.epoch)
-                if pair is None:
-                    return False
-                space = (self.initial_space if header.epoch is Epoch.INITIAL
-                         else self.paths[0].space)
-                pn = decode_packet_number(
-                    header.packet_number, space.largest_received)
-                plaintext = pair.recv.open(pn, header_bytes, ciphertext)
-                fbuf = Buffer(plaintext)
-                while not fbuf.eof():
-                    ftype = fbuf.pull_varint()
-                    self.frame_registry.lookup(ftype).parse(fbuf, ftype)
-                    if ftype in (F.CONNECTION_CLOSE, F.CONNECTION_CLOSE + 1):
-                        return True
-        except (QuicError, ValueError, KeyError):
-            return False
-        return False
-
     def _op_parse_packet_header(self, conn, buf: Buffer) -> tuple:
         return parse_header(buf, CID_LENGTH)
 
@@ -1395,13 +1369,34 @@ class QuicConnection:
         return decode_packet_number(truncated, largest)
 
     def _op_process_incoming_packet(self, conn, data: bytes, path_index: int) -> None:
-        """Process every QUIC packet coalesced into the datagram (§12.2).
+        """Process every QUIC packet coalesced into the datagram (§12.2)."""
+        if path_index >= len(self.paths):
+            path_index = 0
+        for header, epoch, pn, plaintext, space in self._open_packets(
+                data, path_index):
+            if epoch is Epoch.INITIAL and header.source_cid:
+                # Both sides learn the peer's chosen source CID from Initials.
+                self.peer_cid = header.source_cid
+            if epoch is Epoch.ONE_RTT:
+                # Spin bit: the server echoes, the client inverts (§4.1 / [96]).
+                new_spin = (header.spin_bit if not self.is_client
+                            else not header.spin_bit)
+                if new_spin != self.spin_bit:
+                    self.protoops.run(self, "spin_bit_flipped", None, new_spin)
+                self.spin_bit = new_spin
+            self._process_payload(epoch, path_index, pn, plaintext, space)
+
+    def _open_packets(self, data: bytes, path_index: int):
+        """Open the QUIC packets coalesced into the datagram (§12.2),
+        yielding ``(header, epoch, packet number, plaintext, space)`` for
+        each one that authenticates.  Lazy: a packet's number is decoded
+        against its space once the packets before it were processed.
 
         Everything up to AEAD opening works on unauthenticated bytes: a
         corrupted datagram must be *dropped*, never close the connection
         (which a bare FrameEncodingError — a TransportError — would do).
         Once at least one packet of the datagram has authenticated, an
-        undecodable or undecryptable tail is dropped silently (§12.2:
+        undecodable or undecryptable tail ends the walk silently (§12.2:
         receivers ignore coalesced packets they cannot process); only a
         datagram with *no* authenticated packet raises, which keeps the
         stateless-reset check in :meth:`receive_datagram` reachable —
@@ -1410,7 +1405,7 @@ class QuicConnection:
         buf = Buffer(data)
         mview = memoryview(data)
         datagram_len = len(data)
-        authenticated = 0
+        authenticated = False
         while not buf.eof():
             start = buf.position
             try:
@@ -1449,8 +1444,6 @@ class QuicConnection:
                 if authenticated:
                     return
                 raise CryptoError(f"no keys for epoch {epoch}")
-            if path_index >= len(self.paths):
-                path_index = 0
             space = (self.initial_space if epoch is Epoch.INITIAL
                      else self.paths[path_index].space)
             full_pn = self.protoops.run(
@@ -1463,18 +1456,24 @@ class QuicConnection:
                 if authenticated:
                     return
                 raise
-            authenticated += 1
-            if epoch is Epoch.INITIAL and header.source_cid:
-                # Both sides learn the peer's chosen source CID from Initials.
-                self.peer_cid = header.source_cid
-            if epoch is Epoch.ONE_RTT:
-                # Spin bit: the server echoes, the client inverts (§4.1 / [96]).
-                new_spin = (header.spin_bit if not self.is_client
-                            else not header.spin_bit)
-                if new_spin != self.spin_bit:
-                    self.protoops.run(self, "spin_bit_flipped", None, new_spin)
-                self.spin_bit = new_spin
-            self._process_payload(epoch, path_index, full_pn, plaintext, space)
+            authenticated = True
+            yield header, epoch, full_pn, plaintext, space
+
+    def _decode_frames(self, plaintext: bytes) -> list:
+        """``(frame type, frame)`` for every frame of a packet payload,
+        each parsed by the ``parse_frame`` operation of its type (the
+        default one when no plugin registered the type)."""
+        buf = Buffer(plaintext)
+        decoded = []
+        table = self.protoops
+        while not buf.eof():
+            frame_type = buf.pull_varint()
+            param = self._frame_param(frame_type)
+            if not table.has_behavior("parse_frame", param):
+                param = "default"
+            decoded.append(
+                (frame_type, table.run(self, "parse_frame", param, buf, frame_type)))
+        return decoded
 
     def _process_payload(
         self,
@@ -1485,18 +1484,10 @@ class QuicConnection:
         space: PacketNumberSpace,
     ) -> None:
         self.stats["packets_received"] += 1
-        buf = Buffer(plaintext)
         ctx = {"epoch": epoch, "path_index": path_index, "packet_number": pn}
         ack_eliciting = False
-        decoded = []
+        decoded = self._decode_frames(plaintext)
         table = self.protoops
-        while not buf.eof():
-            frame_type = buf.pull_varint()
-            param = self._frame_param(frame_type)
-            if not table.has_behavior("parse_frame", param):
-                param = "default"
-            frame = table.run(self, "parse_frame", param, buf, frame_type)
-            decoded.append((frame_type, frame))
         largest = space.largest_received
         if not space.record_received(pn, self.now, False):
             self.stats["spurious_received"] += 1
@@ -1899,7 +1890,4 @@ class QuicConnection:
     def data_to_send_pending(self) -> bool:
         """True when application data is waiting (used by the scheduler's
         core-traffic guarantee)."""
-        for stream in self.streams_send.values():
-            if stream.has_pending:
-                return True
-        return False
+        return self._op_stream_to_send(self) is not None

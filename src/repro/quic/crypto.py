@@ -24,7 +24,7 @@ import hashlib
 import hmac
 from typing import Optional
 
-from .errors import CryptoError
+from repro.errors import CryptoError
 
 TAG_LENGTH = 16
 INITIAL_SALT = b"pquic-repro-initial-salt"

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Type
 
-from .errors import FrameEncodingError
+from repro.errors import FrameEncodingError
+
 from .wire import Buffer, RangeSet, varint_size
 
 # Core frame types (RFC 9000 numbering).

@@ -14,8 +14,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.errors import FrameEncodingError, ProtocolViolation
+
 from .crypto import AeadContext
-from .errors import FrameEncodingError, ProtocolViolation
 from .wire import Buffer, encode_varint
 
 QUIC_VERSION = 0xFF00000E  # draft-14

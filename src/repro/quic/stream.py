@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import FinalSizeError, FlowControlError, StreamStateError
+from repro.errors import FinalSizeError, FlowControlError, StreamStateError
+
 from .wire import RangeSet
 
 
@@ -68,14 +69,6 @@ class FlowWindow:
         self._mark_time = now
         self._mark_bytes = received
         return new_limit
-
-
-def stream_is_client_initiated(stream_id: int) -> bool:
-    return stream_id % 2 == 0
-
-
-def stream_is_unidirectional(stream_id: int) -> bool:
-    return stream_id % 4 >= 2
 
 
 class SendStream:

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import TransportError, TransportErrorCode
+from repro.errors import TransportError, TransportErrorCode
+
 from .wire import Buffer, varint_size
 
 # Parameter IDs (core ones follow RFC 9000 numbering; the PQUIC ones use a

@@ -12,7 +12,7 @@ import bisect
 import re
 from typing import Iterable, Iterator, Optional
 
-from .errors import FrameEncodingError
+from repro.errors import FrameEncodingError
 
 VARINT_MAX = (1 << 62) - 1
 

@@ -56,10 +56,6 @@ class PluginRepository:
     def validator_public_key(self, validator_id: str) -> bytes:
         return self._validators[validator_id].public_key
 
-    @property
-    def validator_ids(self) -> list:
-        return sorted(self._validators)
-
     # --- publication ------------------------------------------------------
 
     def publish(self, developer: str, name: str, serialized_plugin: bytes) -> None:
@@ -75,10 +71,6 @@ class PluginRepository:
 
     def plugin_code(self, name: str) -> Optional[bytes]:
         return self._plugins.get(name)
-
-    @property
-    def plugin_names(self) -> list:
-        return sorted(self._plugins)
 
     # --- epochs -------------------------------------------------------------
 

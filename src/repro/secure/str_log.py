@@ -65,10 +65,3 @@ class HashChainLog:
                 return False
             prev = entry.entry_hash
         return True
-
-    def tamper_check(self, index: int, payload: bytes) -> bool:
-        """Would replacing entry ``index`` with ``payload`` go unnoticed?
-        (Always False for a differing payload — used in tests.)"""
-        if not 0 <= index < len(self._entries):
-            return False
-        return self._entries[index].payload == payload

@@ -53,17 +53,6 @@ class ProtoopCallGraph:
         self.adjacency: Dict[str, Tuple[str, ...]] = {
             node: tuple(targets) for node, targets in adjacency.items()}
 
-    def wildcard_pluglets(self) -> List[Tuple[str, str]]:
-        """``(plugin, pluglet)`` pairs whose bytecode reaches the
-        trigger helper without declaring any targets — their effects on
-        the call graph are statically unknown."""
-        found = []
-        for plugin in self.effects:
-            for summary in plugin.summaries:
-                if summary.calls_run_protoop and not summary.triggers:
-                    found.append((plugin.plugin, summary.pluglet))
-        return found
-
     def cycles(self) -> List[Tuple[str, ...]]:
         """Protoop-name cycles, one per strongly connected component
         (plus self-loops), each rotated to start at its smallest node."""

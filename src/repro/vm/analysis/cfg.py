@@ -14,14 +14,14 @@ too).  Edges follow the interpreter's control transfers exactly:
 
 On top of the raw graph the module computes reachability, DFS-exact
 cycle detection (``loop_free``), back edges with their natural loops,
-and a topological order of the acyclic reachable subgraph for
-longest-path bounds.
+a topological order of the acyclic reachable subgraph, and the
+longest-path bound over it (:meth:`ControlFlowGraph.longest_path`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from ..isa import JUMP_OPS, Instruction, Op
 
@@ -260,6 +260,25 @@ class ControlFlowGraph:
                 stack.pop()
         post.reverse()
         return post
+
+    def longest_path(self, weight: Callable[[int], int]) -> int:
+        """Worst-case accumulated block weight of a path from the entry
+        over the reachable blocks, skipping the back edges (a loop-free
+        graph has none): reverse postorder is a topological order of
+        what is left."""
+        back = set(self._back_edges)
+        bound: Dict[int, int] = {}
+        for start in reversed(self.topo_order()):
+            succs = [bound[s] for s in self.blocks[start].successors
+                     if (start, s) not in back]
+            bound[start] = weight(start) + (max(succs) if succs else 0)
+        return bound.get(self.entry, 0)
+
+    def call_count(self, start: int) -> int:
+        """Helper calls (``CALL`` instructions) in the block at ``start``."""
+        block = self.blocks[start]
+        return sum(1 for pc in range(block.start, block.end)
+                   if self.instructions[pc].opcode is Op.CALL)
 
     def unreachable_blocks(self) -> List[int]:
         return sorted(b for b in self.blocks if b not in self._reachable)

@@ -1,8 +1,9 @@
 """Static fuel certificates for loopy pluglets.
 
 Loop-free programs get an exact worst-case fuel bound from the CFG's
-longest path (:func:`.rules._facts`).  This module extends the proof to
-programs *with* loops by combining two existing analyses:
+longest path (:meth:`.cfg.ControlFlowGraph.longest_path`).  This module
+extends the proof to programs *with* loops by combining two existing
+analyses:
 
 * the termination checker's ranking functions
   (:mod:`.termination`) give, per natural loop, a counter
@@ -31,7 +32,7 @@ anyway).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .. import domain
 from ..domain import Interval
@@ -81,8 +82,8 @@ def certify(cfg: ControlFlowGraph, absint: AbstractInterpretation,
         return None
     by_head: Dict[int, LoopReport] = {rep.head: rep for rep in term.loops}
 
-    fuel = _dag_longest(cfg, set(back), lambda b: cfg.blocks[b].size)
-    helpers = _dag_longest(cfg, set(back), lambda b: _call_count(cfg, b))
+    fuel = cfg.longest_path(lambda b: cfg.blocks[b].size)
+    helpers = cfg.longest_path(cfg.call_count)
 
     loop_bounds: List[LoopBound] = []
     for head, body in sorted(bodies.items()):
@@ -109,7 +110,7 @@ def certify(cfg: ControlFlowGraph, absint: AbstractInterpretation,
             return None
         lap_fuel = max(sum(cfg.blocks[b].size for b in path)
                        for path in paths)
-        lap_calls = max(sum(_call_count(cfg, b) for b in path)
+        lap_calls = max(sum(cfg.call_count(b) for b in path)
                         for path in paths)
         fuel += trips * lap_fuel
         helpers += trips * lap_calls
@@ -121,25 +122,6 @@ def certify(cfg: ControlFlowGraph, absint: AbstractInterpretation,
 
 
 # --- structural pieces --------------------------------------------------
-
-
-def _call_count(cfg: ControlFlowGraph, start: int) -> int:
-    block = cfg.blocks[start]
-    return sum(1 for pc in range(block.start, block.end)
-               if cfg.instructions[pc].opcode is Op.CALL)
-
-
-def _dag_longest(cfg: ControlFlowGraph, back: Set[Tuple[int, int]],
-                 weight: Callable[[int], int]) -> int:
-    """Longest path over the reachable graph with back edges removed
-    (reverse postorder is a valid topological order of that DAG)."""
-    order = cfg.topo_order()
-    bound: Dict[int, int] = {}
-    for start in reversed(order):
-        succs = [bound[s] for s in cfg.blocks[start].successors
-                 if s in bound and (start, s) not in back]
-        bound[start] = weight(start) + (max(succs) if succs else 0)
-    return bound.get(cfg.entry, 0)
 
 
 def _preheader_state(cfg: ControlFlowGraph, absint: AbstractInterpretation,

@@ -40,7 +40,7 @@ the inter-plugin conflict rules ``PRE200``–``PRE204`` live in
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..isa import (
     DST_WRITE_OPS,
@@ -330,12 +330,8 @@ def _facts(cfg: ControlFlowGraph, absint: AbstractInterpretation,
     report.memory_safe = all_proven
 
     if cfg.loop_free:
-        report.fuel_bound = _longest_path(
-            cfg, lambda b: cfg.blocks[b].size)
-        report.helper_bound = _longest_path(
-            cfg, lambda b: sum(
-                1 for pc in range(cfg.blocks[b].start, cfg.blocks[b].end)
-                if instructions[pc].opcode is Op.CALL))
+        report.fuel_bound = cfg.longest_path(lambda b: cfg.blocks[b].size)
+        report.helper_bound = cfg.longest_path(cfg.call_count)
     elif report.ok:
         # Loopy programs can still get a static bound when every loop's
         # trip count is certified (termination ranking + intervals).
@@ -345,13 +341,3 @@ def _facts(cfg: ControlFlowGraph, absint: AbstractInterpretation,
             report.fuel_bound = certificate.fuel_bound
             report.helper_bound = certificate.helper_bound
 
-
-def _longest_path(cfg: ControlFlowGraph,
-                  weight: "Callable[[int], int]") -> int:
-    """Worst-case accumulated block weight over the reachable DAG."""
-    order = cfg.topo_order()
-    bound: Dict[int, int] = {}
-    for start in reversed(order):
-        succs = [bound[s] for s in cfg.blocks[start].successors if s in bound]
-        bound[start] = weight(start) + (max(succs) if succs else 0)
-    return bound.get(cfg.entry, 0)

@@ -31,7 +31,11 @@ from .rules import DEFAULT_MAX_INSTRUCTIONS, LEGACY_RULES, analyze
 
 
 class VerificationError(Exception):
-    """The bytecode failed static verification; the plugin is rejected."""
+    """The bytecode failed static verification; the plugin is rejected.
+    ``rule`` is the id of the analyzer rule that failed (``PRE001`` –
+    ``PRE012``), or None for bytecode that never reached the analyzer."""
+
+    rule: Optional[str] = None
 
     def __init__(self, reason: str, pc: Optional[int] = None):
         where = f" at instruction {pc}" if pc is not None else ""
@@ -53,7 +57,9 @@ def verify_report(report: AnalysisReport) -> None:
     :class:`VerificationError` on its first legacy-rule violation."""
     for diag in report.diagnostics:
         if diag.rule in LEGACY_RULES:
-            raise VerificationError(diag.message, diag.pc)
+            exc = VerificationError(diag.message, diag.pc)
+            exc.rule = diag.rule
+            raise exc
 
 
 def verify_bytecode(bytecode: bytes) -> List[Instruction]:

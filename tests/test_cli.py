@@ -1,10 +1,13 @@
 """CLI smoke tests (``python -m repro``)."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _load_plugin_set_file, build_parser, main
+from repro.vm.analysis import RULES, Severity
 
 
 def run_cli(capsys, *argv):
@@ -155,42 +158,27 @@ def test_lint_unknown_target_is_usage_error(capsys):
     assert code == 2
 
 
-def test_lint_conflicting_pair_file_fails(capsys):
-    from pathlib import Path
+PAIRS = sorted((Path(__file__).parent / "corpus" / "pairs").glob("*.json"))
 
-    pair = Path(__file__).parent / "corpus" / "pairs" / "replace_collision.json"
+
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda path: path.stem)
+def test_lint_pair_file_reports_its_expected_rule(capsys, pair):
+    """Each pairs-corpus file yields exactly the rule its ``expect`` key
+    names (none for ``ok``); an error blocks, a warning only under
+    ``--strict``; a ``fuel_*`` file's looping pluglet is certified."""
+    expected = json.loads(pair.read_text())["expect"]
     code, out = run_cli(capsys, "lint", str(pair))
-    assert code == 1
-    assert "PRE200" in out
-
-
-def test_lint_trigger_cycle_pair_file_fails(capsys):
-    from pathlib import Path
-
-    pair = Path(__file__).parent / "corpus" / "pairs" / "trigger_cycle.json"
-    code, out = run_cli(capsys, "lint", str(pair))
-    assert code == 1
-    assert "PRE203" in out
-
-
-def test_lint_compatible_pair_file_passes(capsys):
-    from pathlib import Path
-
-    pair = Path(__file__).parent / "corpus" / "pairs" / "compatible.json"
-    code, out = run_cli(capsys, "lint", str(pair))
-    assert code == 0
-    assert "0 error(s)" in out
-
-
-def test_lint_fuel_exceeds_pair_warns_pre110(capsys):
-    from pathlib import Path
-
-    pair = Path(__file__).parent / "corpus" / "pairs" / "fuel_exceeds.json"
-    code, out = run_cli(capsys, "lint", str(pair))
-    assert code == 0  # warning by default...
-    assert "PRE110" in out
-    strict_code, _ = run_cli(capsys, "lint", "--strict", str(pair))
-    assert strict_code == 1  # ...blocking under --strict
+    rules = set(re.findall(r"\[(PRE\d{3})\]", out))
+    if expected == "ok":
+        assert (code, rules) == (0, set())
+    else:
+        assert rules == {expected}
+        assert code == (1 if RULES[expected][1] is Severity.ERROR else 0)
+        assert run_cli(capsys, "lint", "--strict", str(pair))[0] == 1
+    if pair.name.startswith("fuel_"):
+        plugin = _load_plugin_set_file(pair)[0]
+        report, = plugin.analyze_all().values()
+        assert report.fuel_certificate is not None
 
 
 def test_lint_multiple_named_plugins_cross_checked(capsys):

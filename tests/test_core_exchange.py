@@ -29,12 +29,12 @@ def make_plugin(name="org.x.exch"):
     ])
 
 
-def build_world(n_validators=3, plugin=None):
+def build_world(n_validators=3, plugin=None, validate_fn=None):
     plugin = plugin or make_plugin()
     repo = PluginRepository()
     validators = {}
     for i in range(1, n_validators + 1):
-        pv = PluginValidator(f"PV{i}", seed=i)
+        pv = PluginValidator(f"PV{i}", seed=i, validate_fn=validate_fn)
         repo.register_validator(pv)
         validators[pv.validator_id] = pv
     repo.publish("dev", plugin.name, plugin.serialize())
@@ -256,6 +256,40 @@ class TestExchangeResilience:
         assert not client.conn.closed
         assert "blocklisted" in exchanger.degraded[plugin.name]
 
+
+    def test_statically_invalid_plugin_degrades_naming_rule_and_pc(self):
+        """A validator that vouches for anything does not get statically
+        broken bytecode past the requester: the exchange degrades with
+        the rule id and pc of the §2.1 check it fails, caching nothing."""
+        bad = Plugin("org.x.bad", [
+            Pluglet("div", "packet_sent_event", "post",
+                    assemble("mov r0, 1\ndiv r0, 0\nexit")),
+        ])
+        _, repo, validators, trust = build_world(
+            1, bad, validate_fn=lambda name, code: None)
+        sim = Simulator()
+        topo = symmetric_topology(sim, d_ms=10, bw_mbps=20)
+        server = ServerEndpoint(
+            sim, topo.server, "server.0", 443,
+            configuration_factory=lambda: QuicConfiguration(
+                is_client=False, plugins_to_inject=[bad.name]),
+        )
+        server.on_connection = lambda conn: PluginExchanger(
+            conn, PluginCache(),
+            proof_provider=make_proof_provider(repo, validators))
+        client = ClientEndpoint(sim, topo.client, "client.0", 5000,
+                                "server.0", 443)
+        cache = PluginCache()
+        exchanger = PluginExchanger(client.conn, cache, trust=trust,
+                                    formula="PV1")
+        client.connect()
+        assert sim.run_until(lambda: bad.name in exchanger.degraded,
+                             timeout=10)
+        reason = exchanger.degraded[bad.name]
+        assert "PRE007" in reason and "at instruction 1" in reason
+        assert "pluglet div" in reason
+        assert not cache.has(bad.name) and exchanger.received == []
+        assert not client.conn.closed
 
 class TestExchange:
     def test_full_exchange_and_cache(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.protoop import Anchor, ProtoopError, ProtoopTable
-from repro.quic.errors import TransportErrorCode
+from repro.errors import TransportErrorCode
 
 
 class FakeConn:

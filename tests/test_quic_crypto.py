@@ -11,7 +11,7 @@ from repro.quic.crypto import (
     one_rtt_crypto_pair,
     session_secret,
 )
-from repro.quic.errors import CryptoError
+from repro.errors import CryptoError
 
 KEY = b"k" * 32
 

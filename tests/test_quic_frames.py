@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.quic import frames as F
-from repro.quic.errors import FrameEncodingError
+from repro.errors import FrameEncodingError
 from repro.quic.wire import Buffer, RangeSet
 
 

@@ -3,11 +3,15 @@ server-side eviction, CID retirement and many-connection churn."""
 
 import pytest
 
+from repro.core.protoop import Anchor
 from repro.netsim import Simulator, symmetric_topology
 from repro.quic import ClientEndpoint, ServerEndpoint
+from repro.quic import frames as F
 from repro.quic.connection import ConnectionState, reset_instance_counter
+from repro.quic.packet import Epoch
 from repro.trace import MetricsRegistry
 
+from tests.test_quic_coalescing import established_pair
 from tests.test_quic_endpoint import (
     assert_same_fires,
     both_timer_paths,
@@ -147,6 +151,63 @@ class TestStateMachine:
             if conn.state is not ConnectionState.CLOSING:
                 break
         assert replies[-1] <= replies[0]
+
+
+class TestClosingReceive:
+    """A CLOSING connection opens the peer's packets through the same
+    protocol operations as an ACTIVE one, only scanning their frames."""
+
+    @staticmethod
+    def closing_pair():
+        client, server = established_pair()
+        client.close(1, "bye")
+        client.datagrams_to_send(0.0)  # the peer never hears the close
+        assert client.state is ConnectionState.CLOSING
+        return client, server
+
+    @staticmethod
+    def observe(conn, name, param=None):
+        seen = []
+        conn.protoops.attach(name, Anchor.POST,
+                             lambda c, args, result: seen.append(result),
+                             param=param)
+        return seen
+
+    def test_scan_runs_the_parsing_operations(self):
+        client, server = self.closing_pair()
+        headers = self.observe(client, "parse_packet_header")
+        numbers = self.observe(client, "decode_packet_number")
+        frames = self.observe(client, "parse_frame", "default")
+        server.send_stream_data(server.create_stream(), b"late", fin=True)
+        for payload, _ in server.datagrams_to_send(0.0):
+            client.receive_datagram(payload, now=0.0)
+        assert headers and numbers
+        assert any(isinstance(f, F.StreamFrame) for f in frames)
+        assert client.state is ConnectionState.CLOSING
+        server.close(0, "done")
+        for payload, _ in server.datagrams_to_send(0.0):
+            client.receive_datagram(payload, now=0.0)
+        assert any(isinstance(f, F.ConnectionCloseFrame) for f in frames)
+        assert client.state is ConnectionState.DRAINING
+
+    def test_peer_close_on_a_second_path_drains(self):
+        client, server = established_pair()
+        client._op_create_path(client, "client.1", "server.0")
+        server._op_create_path(server, "server.0", "client.1")
+        client.close(1, "bye")
+        client.datagrams_to_send(0.0)
+        numbers = []
+        client.protoops.attach(
+            "decode_packet_number", Anchor.PRE,
+            lambda c, args: numbers.append(args[1]))
+        close = F.ConnectionCloseFrame(error_code=0, reason="done")
+        payload = server._protect_and_record(
+            Epoch.ONE_RTT, 1, close.to_bytes(), [], False)
+        client.receive_datagram(payload, now=0.0, path_index=1)
+        # Decoded in path 1's number space, not path 0's.
+        assert numbers == [client.paths[1].space.largest_received]
+        assert numbers != [client.paths[0].space.largest_received]
+        assert client.state is ConnectionState.DRAINING
 
 
 class TestServerEviction:

@@ -8,7 +8,6 @@ from repro.quic import ClientEndpoint, ServerEndpoint
 from repro.quic.connection import (
     AMP_FACTOR,
     ConnectionState,
-    Path,
     PathState,
     QuicConfiguration,
     QuicConnection,
@@ -418,16 +417,27 @@ class TestProbeRetransmission:
 
 class TestAmpBudget:
     def test_budget_arithmetic(self):
-        path = Path(0, 12_000)
-        assert path.amp_budget() > 1 << 60  # unlimited by default
+        conn = QuicConnection(QuicConfiguration(is_client=False))
+        tracer = ConnectionTracer(conn)
+        path = conn.paths[conn._op_create_path(conn, "server.0", "client.1")]
+        assert path.amp_limited and path.state == PathState.UNVALIDATED
+        path.amp_limited = False
+        assert path.amp_budget() > 1 << 60  # unlimited once lifted
         path.amp_limited = True
         path.amp_received = 1_000
         assert path.amp_budget() == AMP_FACTOR * 1_000
         path.amp_sent = 2_900
         assert path.amp_budget() == 100
-        path.validated = True  # validation lifts the limit
+        # Validation lifts the limit, and the transition is published.
+        conn.start_path_validation(path.index)
+        conn._process_path_response(
+            conn, F.PathResponseFrame(data=path.challenge_data), {})
+        assert path.state == PathState.VALIDATED
         assert not path.amp_limited
         assert path.amp_budget() > 1 << 60
+        assert [(e.data["old"], e.data["new"]) for e in tracer.events
+                if e.name == "path_validation_state_changed"] == [
+            ("unvalidated", "probing"), ("probing", "validated")]
 
     def test_server_initial_path_is_limited_until_handshake(self):
         server = QuicConnection(QuicConfiguration(is_client=False))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.quic.crypto import AeadContext
-from repro.quic.errors import ProtocolViolation
+from repro.errors import ProtocolViolation
 from repro.quic.packet import (
     PN_WIRE_BYTES,
     Epoch,

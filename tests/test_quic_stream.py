@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.quic.errors import (
+from repro.errors import (
     FinalSizeError,
     FlowControlError,
     StreamStateError,

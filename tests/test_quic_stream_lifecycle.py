@@ -25,7 +25,7 @@ from repro.quic import (
     TransportParameters,
 )
 from repro.quic import frames as F
-from repro.quic.errors import (
+from repro.errors import (
     FinalSizeError,
     FlowControlError,
     StreamStateError,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.quic.errors import TransportError
+from repro.errors import TransportError
 from repro.quic.transport_params import TransportParameters
 
 

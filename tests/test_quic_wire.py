@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.quic.errors import FrameEncodingError
+from repro.errors import FrameEncodingError
 from repro.quic.wire import (
     VARINT_MAX,
     Buffer,
