@@ -14,14 +14,12 @@ import time
 
 import pytest
 
+from repro.conformance import Scenario, Topology, Workload, run_transfer
 from repro.core import PluginCache, PluginInstance
-from repro.experiments import median, run_quic_transfer
-from repro.netsim import Simulator
-from repro.netsim.topology import Figure7Topology, PathParams
 from repro.plugins.fec import build_fec_plugin
 from repro.plugins.monitoring import build_monitoring_plugin
 from repro.plugins.multipath import build_multipath_plugin
-from repro.quic import ClientEndpoint, QuicConfiguration, ServerEndpoint
+from repro.quic import QuicConfiguration
 
 from _util import FULL, print_table, write_rows
 
@@ -34,20 +32,21 @@ def test_ablation_fec_code_rate(benchmark):
             dcts = []
             recovered = 0
             for seed in (21, 22, 23):
-                result = run_quic_transfer(
-                    150_000, d_ms=200, bw_mbps=2, loss_pct=5, seed=seed,
-                    client_plugins=[lambda r=repair: build_fec_plugin(
-                        "rlc", "full", window=25, repair=r)],
-                    server_plugins=[lambda r=repair: build_fec_plugin(
-                        "rlc", "full", window=25, repair=r)],
-                )
+                result = run_transfer(
+                    Scenario(name="fec-code-rate",
+                             workload=Workload(size=150_000, app="bulk"),
+                             topology=Topology(d_ms=200, bw_mbps=2,
+                                               loss_pct=5),
+                             seed=seed),
+                    plugins=[lambda r=repair: build_fec_plugin(
+                        "rlc", "full", window=25, repair=r)])
                 if result.completed:
                     dcts.append(result.dct)
                     recovered += sum(
                         i.runtime.fec_state.recovered_total
-                        for i in result.plugin_instances
+                        for i in result.instances
                         if hasattr(i.runtime, "fec_state"))
-            rows.append((repair, median(dcts), recovered))
+            rows.append((repair, statistics.median(dcts), recovered))
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -60,35 +59,16 @@ def test_ablation_fec_code_rate(benchmark):
 
 
 def _multipath_transfer(scheduler, d2_ms, size=400_000, seed=31):
-    sim = Simulator()
-    topo = Figure7Topology(
-        sim,
-        PathParams.from_paper_units(5, 10),
-        PathParams.from_paper_units(d2_ms, 10),
-        seed=seed,
-    )
-    server = ServerEndpoint(sim, topo.server, "server.0", 443)
-    client = ClientEndpoint(sim, topo.client, "client.0", 5000, "server.0", 443)
-    client.conn.extra_local_addresses = ["client.1"]
-    PluginInstance(build_multipath_plugin(scheduler), client.conn).attach()
-    state = {}
-
-    def on_conn(conn):
-        PluginInstance(build_multipath_plugin(scheduler), conn).attach()
-        state["sconn"] = conn
-
-    server.on_connection = on_conn
-    client.connect()
-    assert sim.run_until(
-        lambda: client.conn.is_established and "sconn" in state, timeout=5)
-    done = [False]
-    state["sconn"].on_stream_data = lambda sid, d, fin: done.__setitem__(0, fin)
-    t0 = sim.now
-    sid = client.conn.create_stream()
-    client.conn.send_stream_data(sid, b"a" * size, fin=True)
-    client.pump()
-    assert sim.run_until(lambda: done[0], timeout=120)
-    return sim.now - t0
+    # A 64 KiB router buffer, below the lab's 96 kB: the schedulers are
+    # compared with a queue that overflows.
+    result = run_transfer(
+        Scenario(name="schedulers", workload=Workload(size=size, app="upload"),
+                 topology=Topology(d_ms=5, bw_mbps=10, d2_ms=d2_ms,
+                                   buffer_bytes=64 * 1024),
+                 seed=seed),
+        plugins=[lambda: build_multipath_plugin(scheduler)])
+    assert result.completed
+    return result.dct
 
 
 def test_ablation_schedulers_on_asymmetric_paths(benchmark):

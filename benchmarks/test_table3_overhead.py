@@ -20,9 +20,8 @@ import time
 
 import pytest
 
+from repro.conformance import Scenario, Topology, Workload, run_transfer
 from repro.core import Plugin, PluginCache, PluginInstance
-from repro.experiments import run_quic_transfer
-from repro.plugins.datagram import build_datagram_plugin
 from repro.plugins.fec import build_fec_plugin
 from repro.plugins.monitoring import build_monitoring_plugin
 from repro.plugins.multipath import build_multipath_plugin
@@ -49,11 +48,14 @@ CONFIGS = [
 def goodput_for(builders):
     samples = []
     for run in range(RUNS):
+        # One path: "Multipath 1-path (b)" attaches the plugin to a
+        # single-homed client.
+        scenario = Scenario(
+            name="table3", workload=Workload(size=SIZE, app="bulk"),
+            topology=Topology(d_ms=1, bw_mbps=10_000, single_homed=True),
+            seed=run + 1)
         t0 = time.perf_counter()
-        result = run_quic_transfer(
-            SIZE, d_ms=1, bw_mbps=10_000, seed=run + 1,
-            client_plugins=builders, server_plugins=builders,
-        )
+        result = run_transfer(scenario, plugins=builders)
         wall = time.perf_counter() - t0
         assert result.completed
         samples.append(SIZE * 8 / wall / 1e6)  # Mbps of host CPU

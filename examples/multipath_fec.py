@@ -10,21 +10,26 @@ without the RLC FEC plugin, in both protection modes.
 Run:  python examples/multipath_fec.py
 """
 
-from repro.experiments import run_quic_transfer
+from repro.conformance import Scenario, Topology, Workload, run_transfer
 from repro.plugins.fec import build_fec_plugin
 from repro.plugins.multipath import build_multipath_plugin
+
+
+def download(size: int, topology: Topology, seed: int, plugins=()):
+    """One GET over ``topology``, ``plugins`` attached on both ends."""
+    return run_transfer(
+        Scenario(name="multipath-fec", workload=Workload(size=size, app="bulk"),
+                 topology=topology, seed=seed),
+        plugins=plugins)
 
 
 def multipath_demo() -> None:
     print("== Multipath (two symmetric 10 Mbps / 10 ms paths) ==")
     print(f"{'size':>10} {'1 path':>9} {'2 paths':>9} {'speedup':>8}")
+    lab = Topology(d_ms=10, bw_mbps=10)
     for size in (10_000, 50_000, 1_000_000):
-        single = run_quic_transfer(size, d_ms=10, bw_mbps=10, seed=4)
-        multi = run_quic_transfer(
-            size, d_ms=10, bw_mbps=10, seed=4, multipath=True,
-            client_plugins=[build_multipath_plugin],
-            server_plugins=[build_multipath_plugin],
-        )
+        single = download(size, lab, seed=4)
+        multi = download(size, lab, seed=4, plugins=[build_multipath_plugin])
         speedup = single.dct / multi.dct
         print(f"{size:>10} {single.dct:>8.3f}s {multi.dct:>8.3f}s "
               f"{speedup:>8.2f}")
@@ -35,18 +40,16 @@ def multipath_demo() -> None:
 def fec_demo() -> None:
     print("== FEC, In-Flight Communications (250 ms, 2 Mbps, 4% loss) ==")
     print(f"{'variant':>22} {'DCT':>9} {'recovered':>10}")
-    base = run_quic_transfer(200_000, d_ms=250, bw_mbps=2, loss_pct=4, seed=9)
+    inflight = Topology(d_ms=250, bw_mbps=2, loss_pct=4)
+    base = download(200_000, inflight, seed=9)
     print(f"{'no FEC':>22} {base.dct:>8.2f}s {'-':>10}")
     for ecc in ("xor", "rlc"):
         for mode in ("eos", "full"):
-            fec = run_quic_transfer(
-                200_000, d_ms=250, bw_mbps=2, loss_pct=4, seed=9,
-                client_plugins=[lambda e=ecc, m=mode: build_fec_plugin(e, m)],
-                server_plugins=[lambda e=ecc, m=mode: build_fec_plugin(e, m)],
-            )
+            fec = download(200_000, inflight, seed=9, plugins=[
+                lambda e=ecc, m=mode: build_fec_plugin(e, m)])
             recovered = sum(
                 inst.runtime.fec_state.recovered_total
-                for inst in fec.plugin_instances
+                for inst in fec.instances
                 if hasattr(inst.runtime, "fec_state")
             )
             label = f"FEC {ecc.upper()} {mode}"
@@ -55,6 +58,10 @@ def fec_demo() -> None:
           "retransmission RTT on this 500 ms-RTT link.")
 
 
-if __name__ == "__main__":
+def main() -> None:
     multipath_demo()
     fec_demo()
+
+
+if __name__ == "__main__":
+    main()

@@ -7,14 +7,19 @@ reports the Download Completion Time ratio, the paper's Figure-8 metric.
 Run:  python examples/vpn_tunnel.py
 """
 
-from repro.experiments import run_tcp_direct, run_tcp_through_tunnel
+from repro.conformance import Scenario, Topology, Workload, run_transfer
+from repro.experiments import run_tcp_direct
 
 
 def main() -> None:
     print(f"{'size':>10} {'direct DCT':>12} {'tunnel DCT':>12} {'ratio':>7}")
     for size in (1_500, 10_000, 50_000, 1_000_000, 10_000_000):
-        direct = run_tcp_direct(size, d_ms=10, bw_mbps=20, seed=3)
-        tunnel = run_tcp_through_tunnel(size, d_ms=10, bw_mbps=20, seed=3)
+        scenario = Scenario(
+            name="vpn-tunnel", workload=Workload(size=size, app="tunnel"),
+            topology=Topology(d_ms=10, bw_mbps=20), plugins=("datagram",),
+            seed=3)
+        direct = run_tcp_direct(scenario)
+        tunnel = run_transfer(scenario)
         ratio = tunnel.dct / direct.dct
         print(f"{size:>10} {direct.dct:>11.3f}s {tunnel.dct:>11.3f}s "
               f"{ratio:>7.3f}")

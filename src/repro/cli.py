@@ -25,26 +25,21 @@ from __future__ import annotations
 import argparse
 import sys
 
-BUILTIN_PLUGINS = {
-    "monitoring": lambda: _import("repro.plugins.monitoring",
-                                  "build_monitoring_plugin")(),
-    "datagram": lambda: _import("repro.plugins.datagram",
-                                "build_datagram_plugin")(),
-    "multipath": lambda: _import("repro.plugins.multipath",
-                                 "build_multipath_plugin")(),
-    "fec-xor": lambda: _import("repro.plugins.fec", "build_fec_plugin")("xor", "full"),
-    "fec-rlc": lambda: _import("repro.plugins.fec", "build_fec_plugin")("rlc", "full"),
-    "fec-rlc-eos": lambda: _import("repro.plugins.fec", "build_fec_plugin")("rlc", "eos"),
-    "ccontrol": lambda: _import("repro.plugins.ccontrol",
-                                "build_ccontrol_plugin")(),
-    "ecn": lambda: _import("repro.plugins.ecn", "build_ecn_plugin")(),
-}
+from repro.conformance.plugins import BUNDLED_PLUGINS, build_plugin
 
 
-def _import(module: str, name: str):
-    import importlib
+def _scenario(args, app: str, plugins=()):
+    """The run a transfer-style command's flags describe."""
+    from repro.conformance import Scenario, Topology, Workload
 
-    return getattr(importlib.import_module(module), name)
+    return Scenario(
+        name=args.command,
+        workload=Workload(size=args.size, app=app),
+        topology=Topology(d_ms=args.delay, bw_mbps=args.bandwidth,
+                          loss_pct=getattr(args, "loss", 0.0)),
+        plugins=plugins,
+        seed=args.seed,
+    )
 
 
 def cmd_demo(args) -> int:
@@ -56,34 +51,27 @@ def cmd_demo(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    from repro.experiments import run_quic_transfer
+    from repro.conformance import run_transfer
 
-    builders = [BUILTIN_PLUGINS[p] for p in args.plugins]
-    result = run_quic_transfer(
-        args.size, d_ms=args.delay, bw_mbps=args.bandwidth,
-        loss_pct=args.loss, seed=args.seed,
-        client_plugins=builders, server_plugins=builders,
-        multipath="multipath" in args.plugins,
-    )
-    if not result.completed:
+    run = run_transfer(_scenario(args, "bulk", args.plugins))
+    if not run.completed:
         print("transfer did not complete", file=sys.stderr)
         return 1
-    print(f"downloaded {args.size} bytes in {result.dct:.3f}s "
-          f"({args.size * 8 / result.dct / 1e6:.2f} Mbps)")
-    for key, value in sorted(result.client_stats.items()):
+    print(f"downloaded {args.size} bytes in {run.dct:.3f}s "
+          f"({args.size * 8 / run.dct / 1e6:.2f} Mbps)")
+    for key, value in sorted(run.client.stats.items()):
         print(f"  {key}: {value}")
     return 0
 
 
 def cmd_vpn(args) -> int:
-    from repro.experiments import run_tcp_direct, run_tcp_through_tunnel
+    from repro.conformance import run_transfer
+    from repro.experiments import run_tcp_direct
 
-    direct = run_tcp_direct(args.size, d_ms=args.delay,
-                            bw_mbps=args.bandwidth, seed=args.seed)
-    tunnel = run_tcp_through_tunnel(
-        args.size, d_ms=args.delay, bw_mbps=args.bandwidth, seed=args.seed,
-        multipath=args.multipath,
-    )
+    plugins = ("datagram", "multipath") if args.multipath else ("datagram",)
+    scenario = _scenario(args, "tunnel", plugins)
+    direct = run_tcp_direct(scenario)
+    tunnel = run_transfer(scenario)
     print(f"direct: {direct.dct:.3f}s   tunnel: {tunnel.dct:.3f}s   "
           f"ratio: {tunnel.dct / direct.dct:.3f}")
     return 0
@@ -107,7 +95,7 @@ def cmd_protoops(args) -> int:
 def cmd_inspect(args) -> int:
     from repro.vm.analysis.termination import check_termination
 
-    plugin = BUILTIN_PLUGINS[args.plugin]()
+    plugin = build_plugin(args.plugin)
     stats = plugin.stats()
     print(f"plugin {stats['name']}")
     print(f"  pluglets:     {stats['pluglets']}")
@@ -130,7 +118,7 @@ def _lint_builtin(name: str, conn, protoop_names, plugin_objs) -> list:
     from repro.core.plugin import PluginRuntime
     from repro.vm.analysis import lint_plugin
 
-    plugin = BUILTIN_PLUGINS[name]()
+    plugin = build_plugin(name)
     plugin_objs.append(plugin)
     runtime = PluginRuntime(plugin, conn)
     helper_ids = set(PluginApi(runtime).helper_table())
@@ -222,9 +210,9 @@ def cmd_lint(args) -> int:
 
     found = []  # (target, Diagnostic)
     plugin_objs: list = []
-    targets = args.targets or sorted(BUILTIN_PLUGINS)
+    targets = args.targets or list(BUNDLED_PLUGINS)
     for target in targets:
-        if target in BUILTIN_PLUGINS:
+        if target in BUNDLED_PLUGINS:
             found.extend(_lint_builtin(target, conn, protoop_names,
                                        plugin_objs))
             continue
@@ -359,75 +347,52 @@ def cmd_conform(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    from repro.core import PluginInstance
-    from repro.netsim import Simulator, symmetric_topology
-    from repro.quic import ClientEndpoint, ServerEndpoint
+    from repro.conformance import run_transfer
     from repro.trace import ConnectionTracer, JsonlTraceWriter, PreProfiler
 
-    sim = Simulator()
-    topo = symmetric_topology(sim, d_ms=args.delay, bw_mbps=args.bandwidth,
-                              loss_pct=args.loss, seed=args.seed)
-    server = ServerEndpoint(sim, topo.server, "server.0", 443)
-    client = ClientEndpoint(sim, topo.client, "client.0", 5000, "server.0", 443)
-    if args.plugins:
-        PreProfiler().attach(client.conn)  # profile rows join the trace
     writer = JsonlTraceWriter(args.jsonl) if args.jsonl else None
-    tracer = ConnectionTracer(client.conn, max_events=args.max_events,
-                              writer=writer, validate=args.validate)
+    tracers = []
 
-    def attach_plugins(conn):
-        for name in args.plugins:
-            PluginInstance(BUILTIN_PLUGINS[name](), conn).attach()
+    def observe(conn, side):
+        if side != "client":
+            return
+        if args.plugins:
+            PreProfiler().attach(conn)  # profile rows join the trace
+        tracers.append(ConnectionTracer(conn, max_events=args.max_events,
+                                        writer=writer,
+                                        validate=args.validate))
 
-    attach_plugins(client.conn)
-    done = [False]
-
-    def on_connection(conn):
-        # Both ends run the plugins, as in `repro transfer`: a client
-        # sending frames its server cannot parse kills the transfer.
-        attach_plugins(conn)
-        conn.on_stream_data = lambda sid, d, fin: done.__setitem__(0, fin)
-
-    server.on_connection = on_connection
-    client.connect()
-    established = sim.run_until(lambda: client.conn.is_established, timeout=5)
-    if established:
-        sid = client.conn.create_stream()
-        client.conn.send_stream_data(sid, b"t" * args.size, fin=True)
-        client.pump()
-        sim.run_until(lambda: done[0], timeout=120)
+    run = run_transfer(_scenario(args, "upload", args.plugins),
+                       observe=observe)
+    tracer = tracers[0]
     tracer.finish()
     if args.jsonl:
         dropped = f" ({tracer.dropped} dropped)" if tracer.dropped else ""
         print(f"wrote {len(tracer.events)} events to {args.jsonl}{dropped}")
     else:
         print(tracer.to_json())
-    if not done[0]:
-        print("handshake did not complete" if not established
+    if not run.completed:
+        print("handshake did not complete" if not run.established
               else "transfer did not complete", file=sys.stderr)
         return 1
     return 0
 
 
 def cmd_profile(args) -> int:
-    from repro.experiments import run_quic_transfer
+    from repro.conformance import run_transfer
+    from repro.trace import PreProfiler
 
-    builders = [BUILTIN_PLUGINS[p] for p in args.plugins]
-    result = run_quic_transfer(
-        args.size, d_ms=args.delay, bw_mbps=args.bandwidth,
-        loss_pct=args.loss, seed=args.seed,
-        client_plugins=builders, server_plugins=builders,
-        multipath="multipath" in args.plugins,
-        profile=True,
-    )
-    if not result.completed:
+    profiler = PreProfiler()
+    run = run_transfer(_scenario(args, "bulk", args.plugins),
+                       observe=lambda conn, side: profiler.attach(conn))
+    if not run.completed:
         print("transfer did not complete", file=sys.stderr)
         return 1
-    print(f"transferred {args.size} bytes in {result.dct:.3f}s with "
+    print(f"transferred {args.size} bytes in {run.dct:.3f}s with "
           f"plugins: {', '.join(args.plugins) or '(none)'}")
     print()
-    print(result.profile.format_table(max_rows=args.top))
-    runs = result.profile.protoop_runs()
+    print(profiler.format_table(max_rows=args.top))
+    runs = profiler.protoop_runs()
     if runs:
         total = sum(runs.values())
         print(f"\nhost protoop dispatches: {total} across "
@@ -456,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", type=float, default=0.0, help="percent")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--plugins", nargs="*", default=[],
-                   choices=sorted(BUILTIN_PLUGINS))
+                   choices=BUNDLED_PLUGINS)
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("vpn", help="TCP in/out of the PQUIC tunnel")
@@ -471,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_protoops)
 
     p = sub.add_parser("inspect", help="analyze a built-in plugin")
-    p.add_argument("plugin", choices=sorted(BUILTIN_PLUGINS))
+    p.add_argument("plugin", choices=BUNDLED_PLUGINS)
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("lint",
@@ -516,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--plugins", nargs="*", default=[],
-                   choices=sorted(BUILTIN_PLUGINS))
+                   choices=BUNDLED_PLUGINS)
     p.add_argument("--jsonl", metavar="PATH",
                    help="stream events to PATH as JSONL instead of "
                         "printing a qlog document")
@@ -534,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--plugins", nargs="*",
                    default=["monitoring", "fec-xor"],
-                   choices=sorted(BUILTIN_PLUGINS))
+                   choices=BUNDLED_PLUGINS)
     p.add_argument("--top", type=int, default=None,
                    help="show only the N costliest rows")
     p.set_defaults(func=cmd_profile)

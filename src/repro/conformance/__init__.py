@@ -12,6 +12,11 @@ self-contained repro file.
 Entry points: ``repro conform`` (CLI), :func:`run_conformance`,
 :func:`shrink`, the ``SUITES`` registry, and :func:`random_scenarios`
 for seeded sweeps.  See ``docs/conformance.md``.
+
+The package also holds the one transfer driver, :func:`run_transfer`:
+figures, ablations, CLI transfers and examples describe their runs as
+:class:`Scenario` values too, and resolve plugin names through the same
+registry (:data:`PLUGIN_BUILDERS`).
 """
 
 from .engine import (
@@ -24,10 +29,17 @@ from .engine import (
     save_repro,
 )
 from .oracles import OracleFailure, check_cross, check_run, check_transparency
-from .plugins import OBSERVER_PLUGINS, PLUGIN_BUILDERS, SWEEP_PLUGINS, build_plugin
-from .runner import RunReport, run_scenario
+from .plugins import (
+    BUNDLED_PLUGINS,
+    OBSERVER_PLUGINS,
+    PLUGIN_BUILDERS,
+    SWEEP_PLUGINS,
+    build_plugin,
+)
+from .runner import RunReport, Transfer, run_scenario, run_transfer
 from .scenario import (
     ALL_MODES,
+    APPS,
     FAST_MODES,
     FaultEvent,
     Mode,
@@ -42,6 +54,8 @@ from .suites import SUITES, load_suite
 
 __all__ = [
     "ALL_MODES",
+    "APPS",
+    "BUNDLED_PLUGINS",
     "FAST_MODES",
     "FaultEvent",
     "Mode",
@@ -56,6 +70,7 @@ __all__ = [
     "ScenarioVerdict",
     "ShrinkResult",
     "Topology",
+    "Transfer",
     "Workload",
     "build_plugin",
     "check_cross",
@@ -70,6 +85,7 @@ __all__ = [
     "run_conformance",
     "run_scenario",
     "run_suite",
+    "run_transfer",
     "save_repro",
     "shrink",
 ]

@@ -1,8 +1,9 @@
-"""Plugin sets for conformance scenarios.
+"""The plugin-name registry.
 
-Scenarios name plugins; this registry resolves names to zero-argument
-builders so every run (and every mode) gets fresh instances.  It spans
-the bundled production plugins plus *test-only* plugins (``x-`` prefix)
+Scenarios and the CLI name plugins; this registry resolves names to
+zero-argument builders so every run (and every mode) gets fresh
+instances.  It spans the bundled production plugins plus *test-only*
+plugins (``x-`` prefix, never offered by the CLI)
 that exist to prove the oracles can catch what they claim to catch —
 most importantly :func:`build_jit_divergent_plugin`, a pluglet whose
 bytecode is deliberately built differently when the JIT is enabled, the
@@ -88,6 +89,8 @@ PLUGIN_BUILDERS: Dict[str, Callable] = {
     "monitoring": _builtin("repro.plugins.monitoring", "build_monitoring_plugin"),
     "fec-xor": _builtin("repro.plugins.fec", "build_fec_plugin", "xor", "full"),
     "fec-rlc": _builtin("repro.plugins.fec", "build_fec_plugin", "rlc", "full"),
+    "fec-rlc-eos": _builtin("repro.plugins.fec", "build_fec_plugin", "rlc", "eos"),
+    "datagram": _builtin("repro.plugins.datagram", "build_datagram_plugin"),
     "ccontrol": _builtin("repro.plugins.ccontrol", "build_ccontrol_plugin"),
     "ecn": _builtin("repro.plugins.ecn", "build_ecn_plugin"),
     "multipath": _builtin("repro.plugins.multipath", "build_multipath_plugin"),
@@ -97,12 +100,16 @@ PLUGIN_BUILDERS: Dict[str, Callable] = {
     "x-conflict-b": lambda: _build_conflict_plugin("b"),
 }
 
+#: The bundled plugins: every name but the test-only ones.
+BUNDLED_PLUGINS = tuple(sorted(
+    name for name in PLUGIN_BUILDERS if not name.startswith("x-")))
+
 
 def build_plugin(name: str):
     try:
         builder = PLUGIN_BUILDERS[name]
     except KeyError:
         raise ValueError(
-            f"unknown conformance plugin {name!r} "
+            f"unknown plugin {name!r} "
             f"(known: {', '.join(sorted(PLUGIN_BUILDERS))})") from None
     return builder()

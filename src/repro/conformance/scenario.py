@@ -1,8 +1,11 @@
-"""Declarative conformance scenarios and execution modes.
+"""Declarative scenarios and execution modes.
 
 A :class:`Scenario` is pure data — topology, workload, plugin set, fault
 schedule, seed — with a stable JSON form, so a failing case can be saved
-as a self-contained repro file and replayed bit-for-bit later.  A
+as a self-contained repro file and replayed bit-for-bit later.  It
+describes every transfer the repository runs: conformance cases, figure
+points, CLI transfers and ablations all go through
+:func:`repro.conformance.runner.run_transfer`.  A
 :class:`Mode` pins the pluglet engine (``REPRO_JIT``: the JIT, or the
 interpreter it is checked against); the engine runs every scenario under
 both and the runs must be bit-identical.
@@ -88,38 +91,76 @@ class FaultEvent:
 class Topology:
     """The simulated network: ``symmetric`` (the paper's Figure-7 lab,
     both paths sharing {d, bw, l}) or ``nat`` (client behind an
-    address-translating hop)."""
+    address-translating hop, one path).
+
+    ``d2_ms`` gives the lab's second path its own one-way delay.  The
+    client is homed on both lab paths (a multipath plugin opens the
+    second) unless ``single_homed``; behind a NAT it has one address.
+    ``buffer_bytes`` overrides the lab's router buffer rule
+    (:meth:`buffer`)."""
 
     kind: str = "symmetric"
     d_ms: float = 10.0
     bw_mbps: float = 20.0
     loss_pct: float = 0.0
+    d2_ms: Optional[float] = None
+    single_homed: bool = False
+    buffer_bytes: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in ("symmetric", "nat"):
             raise ValueError(f"unknown topology kind {self.kind!r}")
+        if self.kind == "nat" and self.d2_ms is not None:
+            raise ValueError("a 'nat' topology has one path: no d2_ms")
+
+    def buffer(self) -> int:
+        """The router buffer: ``buffer_bytes``, or sized like the
+        testbed's HTB queues, 1.5 bandwidth-delay products of the first
+        path with a floor of 96 kB."""
+        if self.buffer_bytes is not None:
+            return self.buffer_bytes
+        bdp = self.bw_mbps * 1e6 / 8 * (2 * self.d_ms / 1000)
+        return max(96_000, int(1.5 * bdp))
+
+
+#: The workload applications.  ``get``: one request, a patterned
+#: response body (conformance).  ``bulk``: ``GET <size>`` through
+#: :mod:`repro.apps.transfer` (the figures' download completion time).
+#: ``upload``: the client writes a patterned body.  ``tunnel``: a TCP
+#: Cubic flow through :class:`~repro.apps.vpn.VpnTunnel` over the
+#: datagram plugin, with 1500-byte-class outer packets.
+APPS = ("get", "bulk", "upload", "tunnel")
 
 
 @dataclass(frozen=True)
 class Workload:
-    """One GET-style bulk download of ``size`` seeded-pattern bytes."""
+    """``size`` bytes moved by one ``app`` (see :data:`APPS`)."""
 
     size: int = 30_000
+    app: str = "get"
 
     def __post_init__(self):
         if self.size <= 0:
             raise ValueError("workload size must be > 0")
+        if self.app not in APPS:
+            raise ValueError(f"unknown workload app {self.app!r} "
+                             f"(expected one of {APPS})")
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """One run: the network, the workload, the plugins both ends attach
+    (registry names), the fault schedule and the seed.  ``initial_window``
+    sets both ends' initial congestion window in bytes (None: the
+    transport's default)."""
+
     name: str
     workload: Workload = field(default_factory=Workload)
     topology: Topology = field(default_factory=Topology)
     plugins: tuple = ()
     faults: tuple = ()
     seed: int = 1
-    timeout: float = 120.0
+    initial_window: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "plugins", tuple(self.plugins))
@@ -129,12 +170,22 @@ class Scenario:
                 raise ValueError(
                     "nat_rebind faults require a 'nat' topology")
 
+    @property
+    def timeout(self) -> float:
+        """Simulated seconds the workload may take once the handshake is
+        done: 30 ideal transfer times plus 200 one-way delays and 10 s per
+        loss percent, never under two minutes."""
+        topo = self.topology
+        ideal = self.workload.size * 8 / (topo.bw_mbps * 1e6)
+        return max(120.0, 30 * ideal + 200 * topo.d_ms / 1000
+                   + 10 * topo.loss_pct)
+
     # --- the expected payload --------------------------------------------
 
     def expected_payload(self) -> bytes:
-        """The seeded pseudo-random response body.  Patterned (not
-        constant) bytes so the delivered-byte oracle catches reassembly
-        bugs, not just length bugs."""
+        """The seeded pseudo-random body of a ``get`` response or an
+        ``upload``.  Patterned (not constant) bytes so the delivered-byte
+        oracle catches reassembly bugs, not just length bugs."""
         return random.Random(self.seed ^ 0x5EED).randbytes(self.workload.size)
 
     def expected_digest(self) -> str:
@@ -154,7 +205,7 @@ class Scenario:
             plugins=tuple(data.get("plugins", ())),
             faults=tuple(FaultEvent(**f) for f in data.get("faults", ())),
             seed=data.get("seed", 1),
-            timeout=data.get("timeout", 120.0),
+            initial_window=data.get("initial_window"),
         )
 
     def key(self) -> str:

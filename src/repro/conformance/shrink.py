@@ -15,11 +15,11 @@ the same failing scenario always shrinks to the same minimal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Sequence
 
 from .engine import run_conformance
-from .scenario import ALL_MODES, Mode, Scenario, Topology, Workload
+from .scenario import ALL_MODES, Mode, Scenario
 
 #: Never shrink the workload below this (a transfer still has to happen).
 MIN_WORKLOAD = 1_000
@@ -88,13 +88,15 @@ def shrink(scenario: Scenario,
     # 2. Shrink the workload geometrically, then probe the floor.
     size = current.workload.size
     while size // 2 >= MIN_WORKLOAD:
-        candidate = current.with_(workload=Workload(size=size // 2))
+        candidate = current.with_(
+            workload=replace(current.workload, size=size // 2))
         if not fails(candidate):
             break
         current = candidate
         size //= 2
     if size > MIN_WORKLOAD:
-        candidate = current.with_(workload=Workload(size=MIN_WORKLOAD))
+        candidate = current.with_(
+            workload=replace(current.workload, size=MIN_WORKLOAD))
         if fails(candidate):
             current = candidate
 
@@ -108,11 +110,8 @@ def shrink(scenario: Scenario,
 
     # 4. Quiet the topology: drop ambient loss if the failure survives.
     if current.topology.loss_pct > 0:
-        candidate = current.with_(topology=Topology(
-            kind=current.topology.kind,
-            d_ms=current.topology.d_ms,
-            bw_mbps=current.topology.bw_mbps,
-            loss_pct=0.0))
+        candidate = current.with_(
+            topology=replace(current.topology, loss_pct=0.0))
         if fails(candidate):
             current = candidate
 

@@ -1,25 +1,21 @@
-"""Experiment harness: WSP design sampling and scenario runners."""
+"""Experiment design: WSP sampling over the paper's parameter ranges,
+and the TCP baseline.  Every QUIC transfer runs through
+:func:`repro.conformance.run_transfer`."""
 
-from .design import PAPER_DESIGN_POINTS, wsp_design, wsp_sample
-from .harness import (
+from .baseline import run_tcp_direct
+from .design import (
     DEFAULT_RANGES,
     INFLIGHT_RANGES,
-    TransferResult,
-    median,
-    run_quic_transfer,
-    run_tcp_direct,
-    run_tcp_through_tunnel,
+    PAPER_DESIGN_POINTS,
+    wsp_design,
+    wsp_sample,
 )
 
 __all__ = [
     "DEFAULT_RANGES",
     "INFLIGHT_RANGES",
     "PAPER_DESIGN_POINTS",
-    "TransferResult",
-    "median",
-    "run_quic_transfer",
     "run_tcp_direct",
-    "run_tcp_through_tunnel",
     "wsp_design",
     "wsp_sample",
 ]

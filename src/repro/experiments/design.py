@@ -13,12 +13,15 @@ next point.  A bisection on ``dmin`` reaches the requested design size.
 
 from __future__ import annotations
 
-import random
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 PAPER_DESIGN_POINTS = 139
+#: The paper's default parameter ranges (§4): d in ms, bw in Mbps, l in %.
+DEFAULT_RANGES = {"d": (2.5, 25.0), "bw": (5.0, 50.0), "l": 0.0}
+#: The In-Flight Communications ranges of §4.4 (Rula et al.).
+INFLIGHT_RANGES = {"d": (100.0, 400.0), "bw": (0.3, 10.0), "l": (1.0, 8.0)}
 
 
 def _wsp_select(points: np.ndarray, dmin: float, start: int = 0) -> list:

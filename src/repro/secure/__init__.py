@@ -1,7 +1,6 @@
 """Secure plugin management: validators, Merkle trees, the repository."""
 
 from .formula import Formula, FormulaError, parse_formula
-from .history_tree import HistoryTree, IncrementalProof, MembershipProof
 from .merkle import (
     AbsenceProof,
     AuthenticationPath,
@@ -36,9 +35,6 @@ __all__ = [
     "Formula",
     "FormulaError",
     "HashChainLog",
-    "HistoryTree",
-    "IncrementalProof",
-    "MembershipProof",
     "KeyPair",
     "MerklePrefixTree",
     "PluginRepository",

@@ -1,5 +1,7 @@
 """CLI smoke tests (``python -m repro``)."""
 
+import argparse
+import importlib
 import json
 import re
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import _load_plugin_set_file, build_parser, main
+from repro.conformance import PLUGIN_BUILDERS
 from repro.vm.analysis import RULES, Severity
 
 
@@ -117,6 +120,36 @@ def test_profile_attributes_pluglet_costs(capsys):
 def test_unknown_plugin_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["transfer", "--plugins", "bogus"])
+
+
+def choices(command: str, dest: str):
+    """What ``repro <command>`` accepts for its ``dest`` argument."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions
+                if a.dest == dest).choices
+
+
+def test_every_demo_imports_a_main(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    for name in choices("demo", "name"):
+        module = importlib.import_module(f"examples.{name}")
+        assert callable(getattr(module, "main", None)), name
+
+
+@pytest.mark.parametrize("command, dest", [
+    ("transfer", "plugins"), ("trace", "plugins"), ("profile", "plugins"),
+    ("inspect", "plugin")])
+def test_plugin_names_are_the_registry_without_test_plugins(command, dest):
+    assert set(choices(command, dest)) == {
+        name for name in PLUGIN_BUILDERS if not name.startswith("x-")}
+
+
+def test_test_only_plugin_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["transfer", "--plugins", "x-conflict-a"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_unknown_command_rejected():

@@ -11,7 +11,8 @@ import pytest
 import repro.core.plugin as plugin_module
 import repro.vm.analysis.rules as rules_module
 import repro.vm.jit as jit_module
-from repro.cli import BUILTIN_PLUGINS, _load_plugin_set_file
+from repro.cli import _load_plugin_set_file
+from repro.conformance.plugins import BUNDLED_PLUGINS, build_plugin
 from repro.core import Plugin, PluginCache, PluginInstance, Pluglet
 from repro.core.api import FIELD_NAMES
 from repro.plugins import (
@@ -436,7 +437,7 @@ def two_interpretation_effects(plugins) -> tuple:
 class TestOneInterpretationServesTheSummaries:
     def test_bundled_plugins(self):
         ours, theirs = two_interpretation_effects(
-            [build() for build in BUILTIN_PLUGINS.values()])
+            [build_plugin(name) for name in BUNDLED_PLUGINS])
         assert ours == theirs
         assert any(s.fields_written for e in ours[0] for s in e.summaries)
         assert ours[1]  # the FEC variants collide by design

@@ -1,17 +1,20 @@
-"""WSP design sampler and experiment harness tests."""
+"""WSP design sampler, the TCP baseline and figure-style transfers
+through the one driver."""
 
 import numpy as np
 import pytest
 
-from repro.experiments import (
-    median,
-    run_quic_transfer,
-    run_tcp_direct,
-    run_tcp_through_tunnel,
-    wsp_design,
-    wsp_sample,
-)
+from repro.conformance import Scenario, Topology, Workload, run_transfer
+from repro.experiments import run_tcp_direct, wsp_design, wsp_sample
 from repro.experiments.design import min_interpoint_distance
+
+
+def lab(size, app="bulk", d_ms=10, bw_mbps=20, loss_pct=0.0, seed=1,
+        **fields):
+    return Scenario(name="lab", workload=Workload(size=size, app=app),
+                    topology=Topology(d_ms=d_ms, bw_mbps=bw_mbps,
+                                      loss_pct=loss_pct),
+                    seed=seed, **fields)
 
 
 class TestWsp:
@@ -60,47 +63,33 @@ class TestWsp:
             wsp_design(5, 0)
 
 
-class TestMedian:
-    def test_odd(self):
-        assert median([3.0, 1.0, 2.0]) == 2.0
-
-    def test_even(self):
-        assert median([4.0, 1.0, 2.0, 3.0]) == 2.5
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            median([])
-
-
 class TestHarness:
     def test_quic_transfer_runs(self):
-        result = run_quic_transfer(20_000, d_ms=10, bw_mbps=20)
+        result = run_transfer(lab(20_000))
         assert result.completed
         assert result.dct > 0.02  # at least one RTT
 
     def test_tcp_direct_runs(self):
-        result = run_tcp_direct(20_000, d_ms=10, bw_mbps=20)
-        assert result.completed
+        assert run_tcp_direct(lab(20_000)).completed
 
     def test_tunnel_runs(self):
-        result = run_tcp_through_tunnel(20_000, d_ms=10, bw_mbps=20)
+        result = run_transfer(lab(20_000, app="tunnel", plugins=("datagram",)))
         assert result.completed
 
     def test_seeded_runs_reproducible(self):
-        a = run_quic_transfer(30_000, d_ms=10, bw_mbps=10, loss_pct=3, seed=5)
-        b = run_quic_transfer(30_000, d_ms=10, bw_mbps=10, loss_pct=3, seed=5)
-        assert a.dct == b.dct
+        scenario = lab(30_000, bw_mbps=10, loss_pct=3, seed=5)
+        assert run_transfer(scenario).dct == run_transfer(scenario).dct
 
     def test_different_seeds_differ_under_loss(self):
-        a = run_quic_transfer(100_000, d_ms=10, bw_mbps=10, loss_pct=5, seed=5)
-        b = run_quic_transfer(100_000, d_ms=10, bw_mbps=10, loss_pct=5, seed=6)
+        a = run_transfer(lab(100_000, bw_mbps=10, loss_pct=5, seed=5))
+        b = run_transfer(lab(100_000, bw_mbps=10, loss_pct=5, seed=6))
         assert a.dct != b.dct
 
     def test_initial_window_override(self):
-        small = run_quic_transfer(40_000, d_ms=25, bw_mbps=50,
-                                  initial_window=16 * 1024)
-        large = run_quic_transfer(40_000, d_ms=25, bw_mbps=50,
-                                  initial_window=32 * 1024)
+        small = run_transfer(lab(40_000, d_ms=25, bw_mbps=50,
+                                 initial_window=16 * 1024))
+        large = run_transfer(lab(40_000, d_ms=25, bw_mbps=50,
+                                 initial_window=32 * 1024))
         # Figure 9's explanation: a 32 kB initial window finishes small
         # transfers in fewer RTTs.
         assert large.dct < small.dct
@@ -108,7 +97,6 @@ class TestHarness:
     def test_vpn_overhead_ratio_band(self):
         """Figure 8: the DCT ratio stays near 1, bounded by per-packet
         overhead."""
-        direct = run_tcp_direct(50_000, d_ms=10, bw_mbps=20, seed=2)
-        tunnel = run_tcp_through_tunnel(50_000, d_ms=10, bw_mbps=20, seed=2)
-        ratio = tunnel.dct / direct.dct
+        scenario = lab(50_000, app="tunnel", seed=2, plugins=("datagram",))
+        ratio = run_transfer(scenario).dct / run_tcp_direct(scenario).dct
         assert 0.9 < ratio < 1.25

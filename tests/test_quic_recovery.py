@@ -282,11 +282,17 @@ class TestLossTimerProgress:
         previously looped forever at one simulated instant."""
         import time
 
-        from repro.experiments import run_quic_transfer
+        from repro.conformance import (
+            Scenario,
+            Topology,
+            Workload,
+            run_transfer,
+        )
 
         t0 = time.time()
-        result = run_quic_transfer(100_000, d_ms=10, bw_mbps=10,
-                                   loss_pct=5, seed=6, timeout=60)
+        result = run_transfer(Scenario(
+            name="lossy", workload=Workload(size=100_000, app="bulk"),
+            topology=Topology(d_ms=10, bw_mbps=10, loss_pct=5), seed=6))
         assert result.completed
         assert time.time() - t0 < 30
 

@@ -3,21 +3,21 @@ and zero-residue detach."""
 
 import pytest
 
-from repro.experiments import run_quic_transfer
-from repro.plugins.fec import build_fec_plugin
-from repro.plugins.monitoring import build_monitoring_plugin
+from repro.conformance import Scenario, Topology, Workload, run_transfer
 from repro.trace import PreProfiler, ProfileRecord
 
 
-def profiled_transfer(**kwargs):
-    result = run_quic_transfer(
-        60_000, d_ms=5, bw_mbps=20,
-        client_plugins=[build_monitoring_plugin,
-                        lambda: build_fec_plugin("xor", "full")],
-        profile=True, **kwargs)
+def profiled_transfer(size=60_000, plugins=("monitoring", "fec-xor"),
+                      profiler=None):
+    """A transfer with ``profiler`` (a fresh one by default) on both
+    ends."""
+    profiler = profiler or PreProfiler()
+    result = run_transfer(
+        Scenario(name="profiled", workload=Workload(size=size, app="bulk"),
+                 topology=Topology(d_ms=5, bw_mbps=20), plugins=plugins),
+        observe=lambda conn, side: profiler.attach(conn))
     assert result.completed
-    assert result.profile is not None
-    return result.profile
+    return profiler
 
 
 class TestAttribution:
@@ -96,12 +96,7 @@ class TestMerge:
     def test_shared_profiler_spans_connections(self):
         shared = PreProfiler()
         for _ in range(2):
-            result = run_quic_transfer(
-                30_000, d_ms=5, bw_mbps=20,
-                client_plugins=[build_monitoring_plugin],
-                profile=shared)
-            assert result.completed
-            assert result.profile is shared
+            assert profiled_transfer(30_000, ("monitoring",), shared) is shared
         totals = shared.totals()
         assert totals["invocations"] > 0
 
