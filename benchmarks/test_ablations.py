@@ -39,7 +39,7 @@ def test_ablation_fec_code_rate(benchmark):
                                                loss_pct=5),
                              seed=seed),
                     plugins=[lambda r=repair: build_fec_plugin(
-                        "rlc", "full", window=25, repair=r)])
+                        "rlc", "full", repair=r)])
                 if result.completed:
                     dcts.append(result.dct)
                     recovered += sum(

@@ -14,35 +14,33 @@ pipeline:
 Run:  python examples/custom_plugin.py
 """
 
-from repro.core import Plugin, PluginInstance, Pluglet
-from repro.core.api import FLD_BYTES_IN_FLIGHT, H_PLUGIN_BASE
+from repro.core import HostBinding, Plugin, PluginInstance, Pluglet
+from repro.core.api import FLD_BYTES_IN_FLIGHT, HelperEffect
 from repro.netsim import Simulator, symmetric_topology
-from repro.quic import ClientEndpoint, ServerEndpoint
+from repro.quic import ClientEndpoint, ReservedFrame, ServerEndpoint
+from repro.quic.frames import PingFrame
 from repro.vm import verify
 from repro.vm.analysis.termination import check_termination
 
 PLUGIN_NAME = "org.example.keepalive"
-H_SEND_PING = H_PLUGIN_BASE + 0
-HELPERS = {"send_ping": H_SEND_PING}
 
 # State layout in plugin memory: the last time (us) we saw a packet.
 ST, ST_SIZE = 1, 16
 QUIET_US = 50_000  # book a PING after 50 ms of receive silence
 
 
-def host_helpers(runtime):
+def h_send_ping(runtime, vm, *_):
     """One host function exposed to the bytecode: queue a PING frame."""
-    from repro.quic import ReservedFrame
-    from repro.quic.frames import PingFrame
+    runtime.conn.reserve_frames([
+        ReservedFrame(frame=PingFrame(), plugin=PLUGIN_NAME)])
+    return 1
 
-    def h_send_ping(vm, *_):
-        runtime.conn.reserve_frames([
-            ReservedFrame(frame=PingFrame(), plugin=PLUGIN_NAME,
-                          retransmittable=False)
-        ])
-        return 1
 
-    return {H_SEND_PING: h_send_ping}
+#: The plugin's host side, declared once: every plugin of this name gets
+#: it, built here or received over the wire.  ``send_ping`` does not
+#: touch the calling pluglet's stack.
+HOST = HostBinding(PLUGIN_NAME,
+                   helpers=((HelperEffect("send_ping"), h_send_ping),))
 
 
 def build_keepalive_plugin() -> Plugin:
@@ -53,7 +51,7 @@ def note_activity(epoch, path_id, pn):
     st = get_opaque_data({ST}, {ST_SIZE})
     mem64[st] = get_time_us()
 """,
-        helpers=HELPERS,
+        helpers=HOST.ids,
     )
     on_send = Pluglet.from_source(
         "maybe_ping", "before_sending_packet", "post",
@@ -71,10 +69,9 @@ def maybe_ping():
         mem64[st + 8] = mem64[st + 8] + 1
     return 0
 """,
-        helpers=HELPERS,
+        helpers=HOST.ids,
     )
-    return Plugin(PLUGIN_NAME, [on_receive, on_send],
-                  host_helpers=host_helpers)
+    return Plugin(PLUGIN_NAME, [on_receive, on_send])
 
 
 def main() -> None:

@@ -122,7 +122,6 @@ def _lint_builtin(name: str, conn, protoop_names, plugin_objs) -> list:
     plugin_objs.append(plugin)
     runtime = PluginRuntime(plugin, conn)
     helper_ids = set(PluginApi(runtime).helper_table())
-    helper_ids.update(runtime.extra_helpers)
     return [(name, d)
             for d in lint_plugin(plugin, protoop_names, helper_ids)]
 

@@ -11,7 +11,7 @@ from .containment import (
     classify_failure,
 )
 from .memory import AllocationError, BlockAllocator
-from .plugin import Plugin, PluginInstance, PluginRuntime, Pluglet
+from .plugin import HostBinding, Plugin, PluginInstance, PluginRuntime, Pluglet
 from .protoop import Anchor, ProtocolOperation, ProtoopError, ProtoopTable
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "CrashRecord",
     "FailureClass",
     "FieldPolicy",
+    "HostBinding",
     "PluginQuarantined",
     "QuarantineRegistry",
     "classify_failure",

@@ -363,8 +363,11 @@ class PluginApi:
             return _us(result)
         return 0
 
-    def _h_reserve_frame(self, vm, ctor_id, a1, a2, a3, a4):
-        return self.runtime.reserve_frame(ctor_id, (a1, a2, a3, a4))
+    def _h_reserve_frame(self, vm, ctor_id, *_):
+        # Helper id 9 stays in the ABI, but the host exposes no frame
+        # constructor to bytecode: plugins book frames through their own
+        # host helpers.
+        raise ApiViolation(f"unknown frame constructor {ctor_id}")
 
     # --- invocation arguments -----------------------------------------------
 

@@ -434,7 +434,7 @@ class PluginExchanger:
     def _queue(self, frame: F.Frame) -> None:
         self.conn.reserve_frames([
             ReservedFrame(frame=frame, plugin=EXCHANGE_QUEUE,
-                          retransmittable=True, congestion_controlled=True)
+                          congestion_controlled=True)
         ])
 
     # --- provider side ------------------------------------------------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from time import perf_counter
+from types import MethodType
 from typing import Any, Callable, Optional
 
 from repro.errors import TransportError, TransportErrorCode
@@ -56,6 +57,7 @@ from repro.vm.jit import create_vm, jit_enabled_by_env, load_jit
 
 from .api import (
     CORE_HELPER_NAMES,
+    H_PLUGIN_BASE,
     HELPER_EFFECTS,
     ApiViolation,
     InvocationContext,
@@ -67,28 +69,87 @@ from .protoop import Anchor, ProtoopError
 
 _NO_RESULT = object()
 
-#: Host-side hooks per plugin-name prefix.  Pluglet bytecode is portable,
-#: but the host functions a plugin calls (its extended helper set, its
-#: frame codecs) live in the local implementation — the analogue of the
-#: PQUIC functions exposed to the PRE.  Plugin modules register a resolver
-#: so a plugin received over the wire regains its hooks.
-_HOST_RESOLVERS: dict = {}
+#: Every declared :class:`HostBinding`, by plugin-name prefix.
+HOST_BINDINGS: dict = {}
 
 
-def register_host_resolver(name_prefix: str, resolver: Callable) -> None:
-    """``resolver(plugin_name) -> (host_helpers, frame_registrar,
-    helper_effects)``, the host-side arguments of :class:`Plugin`."""
-    _HOST_RESOLVERS[name_prefix] = resolver
+class HostBinding:
+    """The host side of a plugin, declared once by the module that owns it.
+
+    Pluglet bytecode is portable, but the host functions a plugin calls
+    beyond the core API (its extended helper set, its frame codecs) live
+    in the local implementation — the analogue of the PQUIC functions
+    exposed to the PRE.  A binding lists them in one place:
+
+    * ``helpers``: ``(effect, function)`` pairs.  The helper at position
+      ``i`` has id ``H_PLUGIN_BASE + i`` and is named by its
+      :class:`HelperEffect`; ``function(runtime, vm, r1, ..., r5)`` runs
+      on the calling plugin's :class:`PluginRuntime`.
+    * ``frames``: the frame classes the plugin adds, registered with the
+      connection at attach.
+    * ``setup(runtime)``: makes per-connection host state with the
+      runtime; ``on_attach(runtime)``: a host action at attach.
+
+    Declaring a binding registers it under ``prefix``.  :class:`Plugin`
+    takes the binding of the longest dotted prefix of its name, whether a
+    builder made it or :meth:`Plugin.deserialize` decoded it; a host
+    parameter that differs from its default is part of the name
+    (:func:`name_param`)."""
+
+    def __init__(self, prefix: str, helpers: tuple = (), frames: tuple = (),
+                 setup: Optional[Callable] = None,
+                 on_attach: Optional[Callable] = None):
+        self.prefix = prefix
+        numbered = list(enumerate(helpers, H_PLUGIN_BASE))
+        #: {helper id: HelperEffect}.
+        self.effects = {hid: effect for hid, (effect, _) in numbered}
+        #: {helper name: helper id}, for :meth:`Pluglet.from_source`.
+        self.ids = {effect.name: hid for hid, (effect, _) in numbered}
+        self._functions = {hid: function for hid, (_, function) in numbered}
+        #: {frame type: frame class}.
+        self.frames = {cls.type: cls for cls in frames}
+        self.setup = setup
+        self.on_attach = on_attach
+        HOST_BINDINGS[prefix] = self
+
+    def bind(self, runtime) -> dict:
+        """``{helper id: callable(vm, r1..r5)}`` for one runtime, after
+        its setup."""
+        if self.setup is not None:
+            self.setup(runtime)
+        return {hid: MethodType(function, runtime)
+                for hid, function in self._functions.items()}
+
+    def attach(self, runtime) -> None:
+        """Register the declared frames, then run the attach action."""
+        registry = runtime.conn.frame_registry
+        for frame_type, cls in self.frames.items():
+            registry.register(frame_type, cls)
+        if self.on_attach is not None:
+            self.on_attach(runtime)
 
 
-def _resolve_host_hooks(name: str):
-    best = None
-    for prefix in _HOST_RESOLVERS:
-        if name.startswith(prefix) and (best is None or len(prefix) > len(best)):
-            best = prefix
-    if best is None:
-        return None, None, None
-    return _HOST_RESOLVERS[best](name)
+#: Plugins no module declares: the core API alone.
+HostBinding("")
+
+
+def host_binding(name: str) -> HostBinding:
+    """The binding of the longest dotted prefix of ``name`` declared."""
+    parts = name.split(".")
+    while parts and ".".join(parts) not in HOST_BINDINGS:
+        parts.pop()
+    return HOST_BINDINGS[".".join(parts)]
+
+
+def name_param(name: str, key: str, default: int) -> int:
+    """Host parameter ``key`` of plugin ``name``: its ``key=<int>``
+    segment, else ``default``.  A variant whose host side differs from the
+    default names it, so it is found again when the plugin is received."""
+    for segment in name.split("."):
+        k, sep, value = segment.partition("=")
+        if sep and k == key and value.isdigit():
+            return int(value)
+    return default
 
 
 #: Anchor wire encoding for manifests.
@@ -167,24 +228,17 @@ class Plugin:
     and serve every connection the plugin is instantiated on."""
 
     def __init__(self, name: str, pluglets: list,
-                 memory_size: int = DEFAULT_PLUGIN_MEMORY,
-                 host_helpers: Optional[Callable] = None,
-                 frame_registrar: Optional[Callable] = None,
-                 helper_effects: Optional[dict] = None):
+                 memory_size: int = DEFAULT_PLUGIN_MEMORY):
         self.name = name  # globally unique, e.g. "org.pquic.monitoring"
         self.pluglets = pluglets
         self.memory_size = memory_size
-        #: Optional factory: (runtime) -> {helper_id: callable}. The host-
-        #: side functions this plugin exposes to its bytecode, the analogue
-        #: of PQUIC functions exported to the PRE.
-        self.host_helpers = host_helpers
-        #: Optional hook: (conn) -> None registering new frame codecs.
-        self.frame_registrar = frame_registrar
+        #: The host side this host declares for the name.
+        self.host = host_binding(name)
         #: {helper_id: HelperEffect} for every helper the bytecode can
-        #: call: the core table plus what the plugin declares for its
-        #: own host helpers.  A helper left out is taken to reach the
-        #: calling pluglet's stack.
-        self.helper_effects = {**HELPER_EFFECTS, **(helper_effects or {})}
+        #: call: the core table plus what the binding states for the
+        #: plugin's own host helpers.  A helper left out is taken to reach
+        #: the calling pluglet's stack.
+        self.helper_effects = {**HELPER_EFFECTS, **self.host.effects}
         #: Analyzer reports, one per pluglet in order: shallow (the §2.1
         #: rules) until ``_deep``, when they were extended in place.
         self._analysis: Optional[list] = None
@@ -254,11 +308,7 @@ class Plugin:
                                     decode_program(bytecode), param,
                                     fuel=fuel, helper_budget=helper_budget,
                                     triggers=triggers))
-        host_helpers, frame_registrar, helper_effects = \
-            _resolve_host_hooks(name)
-        return cls(name, pluglets, memory_size=memory_size,
-                   host_helpers=host_helpers, frame_registrar=frame_registrar,
-                   helper_effects=helper_effects)
+        return cls(name, pluglets, memory_size=memory_size)
 
     def compressed(self) -> bytes:
         """The ZIP-compressed exchange format (§3.4 / Table 2)."""
@@ -379,19 +429,14 @@ class PluginRuntime:
         self.context: Optional[InvocationContext] = None
         self.fields_read: set = set()
         self.fields_written: set = set()
-        #: Plugin-specific host helpers (helper_id -> callable).
-        self.extra_helpers: dict = {}
-        #: Frame constructors usable through reserve_frames
-        #: (ctor_id -> callable(runtime, args) -> ReservedFrame).
-        self.frame_ctors: dict = {}
         self._protoop_ids: dict[int, str] = {}
         self._protoop_ids_rev: dict[str, int] = {}
         #: Host helpers may deposit a Python object here to become the
         #: protoop result (e.g. a parsed Frame); the wrapper returns it in
         #: place of the pluglet's integer r0.
         self.pending_result: Any = _NO_RESULT
-        if plugin.host_helpers is not None:
-            self.extra_helpers.update(plugin.host_helpers(self))
+        #: Plugin-specific host helpers (helper_id -> callable).
+        self.extra_helpers: dict = plugin.host.bind(self)
 
     def set_result(self, value: Any) -> None:
         self.pending_result = value
@@ -411,18 +456,6 @@ class PluginRuntime:
             return self._protoop_ids[op_id]
         except KeyError:
             raise ApiViolation(f"unknown protoop id {op_id}")
-
-    # --- frame reservation -------------------------------------------------
-
-    def reserve_frame(self, ctor_id: int, args: tuple) -> int:
-        ctor = self.frame_ctors.get(ctor_id)
-        if ctor is None:
-            raise ApiViolation(f"unknown frame constructor {ctor_id}")
-        reserved = ctor(self, args)
-        if reserved is None:
-            return 0
-        self.conn.reserve_frames([reserved])
-        return 1
 
     # --- opaque data ------------------------------------------------------
 
@@ -554,8 +587,7 @@ class PluginInstance:
             return
         conflicts = self._check_conflicts()
         try:
-            if self.plugin.frame_registrar is not None:
-                self.plugin.frame_registrar(self.conn)
+            self.plugin.host.attach(self.runtime)
             for pluglet in self.plugin.pluglets:
                 self._attach_one(pluglet)
         except ProtoopError:

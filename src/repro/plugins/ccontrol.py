@@ -22,19 +22,13 @@ Two variants:
 
 from __future__ import annotations
 
-from repro.core.api import FLD_CWND, H_PLUGIN_BASE, HelperEffect
-from repro.core.plugin import Plugin, Pluglet, register_host_resolver
+from repro.core.api import FLD_CWND, HelperEffect
+from repro.core.plugin import HostBinding, Plugin, Pluglet, name_param
 
 PLUGIN_BASE_NAME = "org.pquic.ccontrol"
 MSS = 1280
-
-H_CC_PKT_SIZE = H_PLUGIN_BASE
-
-CC_HELPERS = {"cc_pkt_size": H_CC_PKT_SIZE}
-
-#: Declared for the JIT: none of them touches the calling pluglet's stack.
-CC_HELPER_EFFECTS = {
-    hid: HelperEffect(name) for name, hid in CC_HELPERS.items()}
+#: Window of the ``fixed`` variant unless its name carries ``cwnd=<n>``.
+FIXED_WINDOW = 64 * 1024
 
 #: Plugin-memory state block.
 ST_AREA = 5
@@ -45,17 +39,25 @@ OFF_LOSS_EVENTS = 16
 OFF_ACK_EVENTS = 24
 
 
-def _host_helpers(runtime) -> dict:
-    def h_pkt_size(vm, handle, *_):
-        ctx = runtime.context
-        pkt = ctx.raw_args[handle] if ctx else None
-        return getattr(pkt, "size", 0)
-
-    return {H_CC_PKT_SIZE: h_pkt_size}
+def h_pkt_size(runtime, vm, handle, *_):
+    ctx = runtime.context
+    pkt = ctx.raw_args[handle] if ctx else None
+    return getattr(pkt, "size", 0)
 
 
-register_host_resolver(
-    PLUGIN_BASE_NAME, lambda name: (_host_helpers, None, CC_HELPER_EFFECTS))
+def _set_fixed_window(runtime) -> None:
+    """The ``fixed`` variant sets its window when it attaches."""
+    name = runtime.plugin_name
+    if name.startswith(f"{PLUGIN_BASE_NAME}.fixed"):
+        cwnd = name_param(name, "cwnd", FIXED_WINDOW)
+        for path in runtime.conn.paths:
+            path.cc.cwnd = cwnd
+
+
+#: ``cc_pkt_size`` does not touch the calling pluglet's stack.
+HOST = HostBinding(PLUGIN_BASE_NAME,
+                   helpers=((HelperEffect("cc_pkt_size"), h_pkt_size),),
+                   on_attach=_set_fixed_window)
 
 # congestion_on_ack(pkt, path_index): post wrapper gives marshaled args;
 # replace receives (pkt, path_index) -> pkt is a handle, size via input.
@@ -102,12 +104,13 @@ def cc_fixed_on_loss(pkt, path_index):
 
 
 def build_ccontrol_plugin(variant: str = "aimd",
-                          fixed_window: int = 64 * 1024) -> Plugin:
+                          fixed_window: int = FIXED_WINDOW) -> Plugin:
     """Assemble the congestion-control plugin.
 
     The replace pluglets receive ``(pkt, path_index)``; the packet's size
     is fetched through the ``cc_pkt_size`` host helper from the opaque
-    SentPacket handle."""
+    SentPacket handle.  A ``fixed`` window other than the default is part
+    of the name (``org.pquic.ccontrol.fixed.cwnd=<n>``)."""
     if variant == "aimd":
         on_ack_src, on_ack_name = _AIMD_ON_ACK, "cc_aimd_on_ack"
         on_loss_src, on_loss_name = _AIMD_ON_LOSS, "cc_aimd_on_loss"
@@ -119,17 +122,11 @@ def build_ccontrol_plugin(variant: str = "aimd",
 
     pluglets = [
         Pluglet.from_source(on_ack_name, "congestion_on_ack", "replace",
-                            on_ack_src, helpers=CC_HELPERS),
+                            on_ack_src, helpers=HOST.ids),
         Pluglet.from_source(on_loss_name, "congestion_on_loss", "replace",
-                            on_loss_src, helpers=CC_HELPERS),
+                            on_loss_src, helpers=HOST.ids),
     ]
     name = f"{PLUGIN_BASE_NAME}.{variant}"
-    plugin = Plugin(name, pluglets, host_helpers=_host_helpers,
-                    helper_effects=CC_HELPER_EFFECTS)
-    if variant == "fixed":
-        def frame_registrar(conn):  # set the window at instantiation
-            for path in conn.paths:
-                path.cc.cwnd = fixed_window
-
-        plugin.frame_registrar = frame_registrar
-    return plugin
+    if variant == "fixed" and fixed_window != FIXED_WINDOW:
+        name += f".cwnd={fixed_window}"
+    return Plugin(name, pluglets)

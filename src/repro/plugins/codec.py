@@ -1,0 +1,31 @@
+"""The frame codec host functions every bundled plugin binds.
+
+A plugin that adds frames declares their classes in its
+:class:`~repro.core.plugin.HostBinding`; its ``*_parse`` and ``*_write``
+helpers are these two functions under the plugin's own helper names and
+ids.
+"""
+
+from __future__ import annotations
+
+from repro.core.api import ApiViolation
+
+
+def parse_frame(runtime, vm, buf_handle, *_):
+    """Body of ``parse_frame(buf, frame_type)``: parse one of the plugin's
+    declared frame classes and hand the frame back as the operation's
+    result (:meth:`~repro.core.plugin.PluginRuntime.set_result`)."""
+    args = runtime.context.raw_args
+    frame_type = args[1]
+    cls = runtime.plugin.host.frames.get(frame_type)
+    if cls is None:
+        raise ApiViolation(f"plugin declares no frame type {frame_type!r}")
+    runtime.set_result(cls.parse(args[buf_handle], frame_type))
+    return 0
+
+
+def write_frame(runtime, vm, frame_handle, buf_handle, *_):
+    """Body of ``write_frame(frame, buf)``: serialize the frame."""
+    args = runtime.context.raw_args
+    args[frame_handle].serialize(args[buf_handle])
+    return 0

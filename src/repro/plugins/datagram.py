@@ -19,35 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.core.api import H_PLUGIN_BASE, HelperEffect
-from repro.core.plugin import Plugin, Pluglet
+from repro.core.api import HelperEffect
+from repro.core.plugin import HostBinding, Plugin, Pluglet
 from repro.quic import frames as F
 from repro.quic.connection import ReservedFrame
 from repro.quic.wire import Buffer
 
+from .codec import parse_frame, write_frame
+
 PLUGIN_NAME = "org.pquic.datagram"
 DATAGRAM_FRAME_TYPE = 0x30
-
-#: Plugin-specific helpers.
-H_DG_RESERVE = H_PLUGIN_BASE + 0
-H_DG_PUSH = H_PLUGIN_BASE + 1
-H_DG_LEN = H_PLUGIN_BASE + 2
-H_DG_WRITE = H_PLUGIN_BASE + 3
-H_DG_PARSE = H_PLUGIN_BASE + 4
-H_DG_MAX_SIZE = H_PLUGIN_BASE + 5
-
-DG_HELPERS = {
-    "dg_reserve": H_DG_RESERVE,
-    "dg_push": H_DG_PUSH,
-    "dg_len": H_DG_LEN,
-    "dg_write": H_DG_WRITE,
-    "dg_parse": H_DG_PARSE,
-    "dg_max_size": H_DG_MAX_SIZE,
-}
-
-#: Declared for the JIT: none of them touches the calling pluglet's stack.
-DG_HELPER_EFFECTS = {
-    hid: HelperEffect(name) for name, hid in DG_HELPERS.items()}
 
 #: Stats block in plugin memory.
 ST_AREA = 2
@@ -82,82 +63,52 @@ class DatagramFrame(F.Frame):
         return cls(data=buf.pull_varint_prefixed_bytes())
 
 
-def _host_helpers(runtime) -> dict:
-    """Host functions exposed to the datagram pluglets."""
-
-    def max_datagram_size() -> int:
-        budget = runtime.conn.configuration.max_udp_payload_size
-        return budget - 64  # headers, AEAD tag, frame overhead
-
-    def h_reserve(vm, handle, *_):
-        ctx = runtime.context
-        data = ctx.raw_args[handle]
-        if not isinstance(data, (bytes, bytearray)):
-            return 0
-        runtime.conn.reserve_frames([
-            ReservedFrame(
-                frame=DatagramFrame(data=bytes(data)),
-                plugin=PLUGIN_NAME,
-                retransmittable=False,
-                congestion_controlled=True,
-            )
-        ])
-        return 1
-
-    def h_push(vm, handle, *_):
-        ctx = runtime.context
-        frame = ctx.raw_args[handle]
-        if isinstance(frame, DatagramFrame):
-            runtime.conn.push_message_to_app(PLUGIN_NAME, frame.data)
-            return len(frame.data)
+def h_reserve(runtime, vm, handle, *_):
+    data = runtime.context.raw_args[handle]
+    if not isinstance(data, (bytes, bytearray)):
         return 0
+    runtime.conn.reserve_frames([
+        ReservedFrame(
+            frame=DatagramFrame(data=bytes(data)),
+            plugin=PLUGIN_NAME,
+            congestion_controlled=True,
+        )
+    ])
+    return 1
 
-    def h_len(vm, handle, *_):
-        ctx = runtime.context
-        value = ctx.raw_args[handle]
-        if isinstance(value, DatagramFrame):
-            return len(value.data)
-        if isinstance(value, (bytes, bytearray)):
-            return len(value)
-        return 0
 
-    def h_write(vm, frame_handle, buf_handle, *_):
-        ctx = runtime.context
-        frame = ctx.raw_args[frame_handle]
-        buf = ctx.raw_args[buf_handle]
-        frame.serialize(buf)
-        return 0
-
-    def h_parse(vm, buf_handle, *_):
-        ctx = runtime.context
-        buf = ctx.raw_args[buf_handle]
-        frame = DatagramFrame.parse(buf, DATAGRAM_FRAME_TYPE)
-        runtime.set_result(frame)
+def h_push(runtime, vm, handle, *_):
+    frame = runtime.context.raw_args[handle]
+    if isinstance(frame, DatagramFrame):
+        runtime.conn.push_message_to_app(PLUGIN_NAME, frame.data)
         return len(frame.data)
-
-    def h_max(vm, *_):
-        return max_datagram_size()
-
-    return {
-        H_DG_RESERVE: h_reserve,
-        H_DG_PUSH: h_push,
-        H_DG_LEN: h_len,
-        H_DG_WRITE: h_write,
-        H_DG_PARSE: h_parse,
-        H_DG_MAX_SIZE: h_max,
-    }
+    return 0
 
 
-def _register_frames(conn) -> None:
-    conn.frame_registry.register(DATAGRAM_FRAME_TYPE, DatagramFrame)
+def h_len(runtime, vm, handle, *_):
+    value = runtime.context.raw_args[handle]
+    if isinstance(value, DatagramFrame):
+        return len(value.data)
+    if isinstance(value, (bytes, bytearray)):
+        return len(value)
+    return 0
 
 
-from repro.core.plugin import register_host_resolver
+def h_max_size(runtime, vm, *_):
+    budget = runtime.conn.configuration.max_udp_payload_size
+    return budget - 64  # headers, AEAD tag, frame overhead
 
-register_host_resolver(
-    PLUGIN_NAME,
-    lambda name: (_host_helpers, _register_frames, DG_HELPER_EFFECTS),
-)
+
+#: Host functions exposed to the datagram pluglets; none of them touches
+#: the calling pluglet's stack.
+HOST = HostBinding(PLUGIN_NAME, helpers=(
+    (HelperEffect("dg_reserve"), h_reserve),
+    (HelperEffect("dg_push"), h_push),
+    (HelperEffect("dg_len"), h_len),
+    (HelperEffect("dg_write"), write_frame),
+    (HelperEffect("dg_parse"), parse_frame),
+    (HelperEffect("dg_max_size"), h_max_size),
+), frames=(DatagramFrame,))
 
 
 def build_datagram_plugin() -> Plugin:
@@ -173,7 +124,7 @@ def parse_datagram(buf, frame_type):
     n = dg_parse(buf)
     return n
 """,
-            helpers=DG_HELPERS,
+            helpers=HOST.ids,
             param=DATAGRAM_FRAME_TYPE,
         ),
         # process_frame[DATAGRAM]: replace — deliver to the app, count.
@@ -187,7 +138,7 @@ def process_datagram(frame, ctx):
     mem64[st + {OFF_RECEIVED}] = mem64[st + {OFF_RECEIVED}] + 1
     dg_push(frame)
 """,
-            helpers=DG_HELPERS,
+            helpers=HOST.ids,
             param=DATAGRAM_FRAME_TYPE,
         ),
         # write_frame[DATAGRAM]: replace — serialize into the packet.
@@ -199,7 +150,7 @@ def process_datagram(frame, ctx):
 def write_datagram(frame, buf):
     dg_write(frame, buf)
 """,
-            helpers=DG_HELPERS,
+            helpers=HOST.ids,
             param=DATAGRAM_FRAME_TYPE,
         ),
         # notify_frame[DATAGRAM]: replace — unreliable, only count losses.
@@ -213,7 +164,7 @@ def notify_datagram(frame, acked, pkt):
         st = get_opaque_data({ST_AREA}, {ST_SIZE})
         mem64[st + {OFF_DROPPED_LOST}] = mem64[st + {OFF_DROPPED_LOST}] + 1
 """,
-            helpers=DG_HELPERS,
+            helpers=HOST.ids,
             param=DATAGRAM_FRAME_TYPE,
         ),
         # datagram_send: external — the app-facing message-socket entry.
@@ -232,7 +183,7 @@ def datagram_send(payload):
     mem64[st + {OFF_SENT}] = mem64[st + {OFF_SENT}] + 1
     return size
 """,
-            helpers=DG_HELPERS,
+            helpers=HOST.ids,
         ),
         # datagram_max_size: external — lets the app size its messages.
         Pluglet.from_source(
@@ -243,16 +194,10 @@ def datagram_send(payload):
 def datagram_max_size():
     return dg_max_size()
 """,
-            helpers=DG_HELPERS,
+            helpers=HOST.ids,
         ),
     ]
-    return Plugin(
-        PLUGIN_NAME,
-        pluglets,
-        host_helpers=_host_helpers,
-        helper_effects=DG_HELPER_EFFECTS,
-        frame_registrar=_register_frames,
-    )
+    return Plugin(PLUGIN_NAME, pluglets)
 
 
 class DatagramSocket:

@@ -20,32 +20,17 @@ from repro.core.api import (
     FLD_CWND,
     FLD_ECN_CE_RECEIVED,
     FLD_SRTT_US,
-    H_PLUGIN_BASE,
     HelperEffect,
 )
-from repro.core.plugin import Plugin, Pluglet, register_host_resolver
+from repro.core.plugin import HostBinding, Plugin, Pluglet
 from repro.quic import frames as F
 from repro.quic.connection import ReservedFrame
 from repro.quic.wire import Buffer
 
+from .codec import parse_frame, write_frame
+
 PLUGIN_NAME = "org.pquic.ecn"
 ECN_FEEDBACK_FRAME_TYPE = 0x49
-
-H_ECN_RESERVE = H_PLUGIN_BASE + 0
-H_ECN_PARSE = H_PLUGIN_BASE + 1
-H_ECN_WRITE = H_PLUGIN_BASE + 2
-H_ECN_FRAME_COUNT = H_PLUGIN_BASE + 3
-
-ECN_HELPERS = {
-    "ecn_reserve": H_ECN_RESERVE,
-    "ecn_parse": H_ECN_PARSE,
-    "ecn_write": H_ECN_WRITE,
-    "ecn_frame_count": H_ECN_FRAME_COUNT,
-}
-
-#: Declared for the JIT: none of them touches the calling pluglet's stack.
-ECN_HELPER_EFFECTS = {
-    hid: HelperEffect(name) for name, hid in ECN_HELPERS.items()}
 
 ST_AREA = 6
 ST_SIZE = 40
@@ -75,49 +60,29 @@ class EcnFeedbackFrame(F.Frame):
         return cls(ce_count=buf.pull_varint())
 
 
-def _host_helpers(runtime) -> dict:
-    def h_reserve(vm, count, *_):
-        runtime.conn.reserve_frames([
-            ReservedFrame(
-                frame=EcnFeedbackFrame(ce_count=count),
-                plugin=PLUGIN_NAME,
-                retransmittable=False,
-                congestion_controlled=False,
-            )
-        ])
-        return 1
-
-    def h_parse(vm, buf_handle, *_):
-        frame = EcnFeedbackFrame.parse(
-            runtime.context.raw_args[buf_handle], ECN_FEEDBACK_FRAME_TYPE)
-        runtime.set_result(frame)
-        return frame.ce_count
-
-    def h_write(vm, frame_handle, buf_handle, *_):
-        ctx = runtime.context
-        ctx.raw_args[frame_handle].serialize(ctx.raw_args[buf_handle])
-        return 0
-
-    def h_frame_count(vm, frame_handle, *_):
-        frame = runtime.context.raw_args[frame_handle]
-        return frame.ce_count if isinstance(frame, EcnFeedbackFrame) else 0
-
-    return {
-        H_ECN_RESERVE: h_reserve,
-        H_ECN_PARSE: h_parse,
-        H_ECN_WRITE: h_write,
-        H_ECN_FRAME_COUNT: h_frame_count,
-    }
+def h_reserve(runtime, vm, count, *_):
+    runtime.conn.reserve_frames([
+        ReservedFrame(
+            frame=EcnFeedbackFrame(ce_count=count),
+            plugin=PLUGIN_NAME,
+            congestion_controlled=False,
+        )
+    ])
+    return 1
 
 
-def _register_frames(conn) -> None:
-    conn.frame_registry.register(ECN_FEEDBACK_FRAME_TYPE, EcnFeedbackFrame)
+def h_frame_count(runtime, vm, frame_handle, *_):
+    frame = runtime.context.raw_args[frame_handle]
+    return frame.ce_count if isinstance(frame, EcnFeedbackFrame) else 0
 
 
-register_host_resolver(
-    PLUGIN_NAME,
-    lambda name: (_host_helpers, _register_frames, ECN_HELPER_EFFECTS),
-)
+#: None of the ECN helpers touches the calling pluglet's stack.
+HOST = HostBinding(PLUGIN_NAME, helpers=(
+    (HelperEffect("ecn_reserve"), h_reserve),
+    (HelperEffect("ecn_parse"), parse_frame),
+    (HelperEffect("ecn_write"), write_frame),
+    (HelperEffect("ecn_frame_count"), h_frame_count),
+), frames=(EcnFeedbackFrame,))
 
 
 def build_ecn_plugin() -> Plugin:
@@ -133,7 +98,7 @@ def ecn_feedback(epoch, path_id, pn):
         ecn_reserve(ce)
         mem64[st + {OFF_LAST_REPORTED}] = ce
 """,
-            helpers=ECN_HELPERS),
+            helpers=HOST.ids),
         # Sender: frame handling + congestion response.
         Pluglet.from_source(
             "parse_ecn", "parse_frame", "replace",
@@ -141,14 +106,14 @@ def ecn_feedback(epoch, path_id, pn):
 def parse_ecn(buf, frame_type):
     return ecn_parse(buf)
 """,
-            helpers=ECN_HELPERS, param=ECN_FEEDBACK_FRAME_TYPE),
+            helpers=HOST.ids, param=ECN_FEEDBACK_FRAME_TYPE),
         Pluglet.from_source(
             "write_ecn", "write_frame", "replace",
             """
 def write_ecn(frame, buf):
     ecn_write(frame, buf)
 """,
-            helpers=ECN_HELPERS, param=ECN_FEEDBACK_FRAME_TYPE),
+            helpers=HOST.ids, param=ECN_FEEDBACK_FRAME_TYPE),
         Pluglet.from_source(
             "process_ecn", "process_frame", "replace",
             f"""
@@ -166,12 +131,6 @@ def process_ecn(frame, ctx):
             mem64[st + {OFF_REDUCTIONS}] = mem64[st + {OFF_REDUCTIONS}] + 1
             mem64[st + {OFF_LAST_CUT_US}] = now
 """,
-            helpers=ECN_HELPERS, param=ECN_FEEDBACK_FRAME_TYPE),
+            helpers=HOST.ids, param=ECN_FEEDBACK_FRAME_TYPE),
     ]
-    return Plugin(
-        PLUGIN_NAME,
-        pluglets,
-        host_helpers=_host_helpers,
-        helper_effects=ECN_HELPER_EFFECTS,
-        frame_registrar=_register_frames,
-    )
+    return Plugin(PLUGIN_NAME, pluglets)

@@ -10,7 +10,7 @@ protocol operations that send and receive packets; the protection *mode*
 is chosen by swapping a single sender pluglet:
 
 * ``mode='full'``   — protect the whole stream, emitting ``repair``
-  symbols every ``window`` source symbols;
+  symbols every ``WINDOW`` source symbols;
 * ``mode='eos'``    — protect only the end of the stream: repair symbols
   are emitted when a FIN is observed.
 
@@ -22,43 +22,21 @@ added by implementing new pluglets."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
-from repro.core.api import H_PLUGIN_BASE, HelperEffect
-from repro.core.plugin import Plugin, Pluglet
+from repro.core.api import HelperEffect
+from repro.core.plugin import HostBinding, Plugin, Pluglet, name_param
 from repro.quic import frames as F
 from repro.quic.connection import ReservedFrame
 from repro.quic.packet import Epoch
 from repro.quic.wire import Buffer
 
+from ..codec import parse_frame, write_frame
 from .codes import CODES
 
 PLUGIN_BASE_NAME = "org.pquic.fec"
 FEC_ID_FRAME_TYPE = 0x46
 FEC_RS_FRAME_TYPE = 0x47
-
-H_FEC_REGISTER = H_PLUGIN_BASE + 0
-H_FEC_EMIT = H_PLUGIN_BASE + 1
-H_FEC_RX_STORE = H_PLUGIN_BASE + 2
-H_FEC_PARSE_ID = H_PLUGIN_BASE + 3
-H_FEC_PROCESS_ID = H_PLUGIN_BASE + 4
-H_FEC_PARSE_RS = H_PLUGIN_BASE + 5
-H_FEC_PROCESS_RS = H_PLUGIN_BASE + 6
-H_FEC_WRITE = H_PLUGIN_BASE + 7
-
-FEC_HELPERS = {
-    "fec_register": H_FEC_REGISTER,
-    "fec_emit": H_FEC_EMIT,
-    "fec_rx_store": H_FEC_RX_STORE,
-    "fec_parse_id": H_FEC_PARSE_ID,
-    "fec_process_id": H_FEC_PROCESS_ID,
-    "fec_parse_rs": H_FEC_PARSE_RS,
-    "fec_process_rs": H_FEC_PROCESS_RS,
-    "fec_write": H_FEC_WRITE,
-}
-
-#: Declared for the JIT: none of them touches the calling pluglet's stack.
-FEC_HELPER_EFFECTS = {
-    hid: HelperEffect(name) for name, hid in FEC_HELPERS.items()}
 
 ST_AREA = 4
 ST_SIZE = 64
@@ -70,6 +48,13 @@ OFF_RECOVERED = 32
 
 ECC_IDS = {"xor": 0, "rlc": 1}
 ECC_NAMES = {v: k for k, v in ECC_IDS.items()}
+
+#: Source symbols per encoding window.
+WINDOW = 25
+#: Repair symbols per window unless the name carries ``repair=<n>``: "5
+#: Repair Symbols every 25 Source Symbols"; a XOR window yields a single
+#: useful one.
+DEFAULT_REPAIR = {"xor": 1, "rlc": 5}
 
 
 @dataclass
@@ -177,10 +162,12 @@ MAX_RX_WINDOWS = 256
 class _FecState:
     """Host-side symbol buffers (the bulky part the PRE delegates)."""
 
-    def __init__(self, window: int, repair: int, ecc: str):
-        self.window = window
+    window = WINDOW
+
+    def __init__(self, repair: int, ecc: str):
         self.repair = repair
         self.ecc = ecc
+        self.code = CODES[ecc]
         self.send_symbols: list = []  # (path_id, pn, payload) newest last
         self.window_counter = 0
         self.rx_payloads: dict = {}  # (path_id, pn) -> payload
@@ -230,182 +217,168 @@ def _contains_stream_frames(conn, payload: bytes):
     return has_stream, has_fin
 
 
-def _host_helpers_factory(window: int, repair: int, ecc: str):
-    def make(runtime) -> dict:
-        state = _FecState(window, repair, ecc)
-        runtime.fec_state = state  # introspectable in tests
-        conn = runtime.conn
-        code = CODES[ecc]
-
-        def h_register(vm, *_):
-            """Register the packet being sent; flags: 1 stream, +2 fin."""
-            ctx = runtime.context
-            # packet_ready args: (epoch, path_index, pn, plaintext[, result])
-            epoch, path, pn, payload = ctx.raw_args[:4]
-            if epoch is not Epoch.ONE_RTT and epoch != int(Epoch.ONE_RTT):
-                return 0
-            has_stream, has_fin = _contains_stream_frames(runtime.conn, payload)
-            if not has_stream:
-                return 0
-            state.send_symbols.append((path, pn, payload))
-            if len(state.send_symbols) > state.window:
-                state.send_symbols = state.send_symbols[-state.window:]
-            return 1 | (2 if has_fin else 0)
-
-        def h_emit(vm, *_):
-            """Emit FEC_ID + repair symbols over the current window."""
-            if not state.send_symbols:
-                return 0
-            symbols = list(state.send_symbols)
-            wid = state.window_counter
-            state.window_counter += 1
-            payloads = [p for _path, _pn, p in symbols]
-            seed = wid & 0x3FFFFFFF
-            frames = [FecIdFrame(window_id=wid, protected=[
-                (path, pn) for path, pn, _p in symbols])]
-            nrs = min(state.repair, code.max_repair)
-            for rs_index in range(nrs):
-                repair = code.encode(payloads, rs_index, seed)
-                for offset in range(0, len(repair), RS_FRAGMENT):
-                    frames.append(FecRepairFrame(
-                        window_id=wid,
-                        ecc=ECC_IDS[state.ecc],
-                        rs_index=rs_index,
-                        seed=seed,
-                        total_len=len(repair),
-                        offset=offset,
-                        payload=repair[offset:offset + RS_FRAGMENT],
-                    ))
-            conn = runtime.conn
-            conn.reserve_frames([
-                ReservedFrame(frame=f, plugin=runtime.plugin_name,
-                              retransmittable=False,
-                              congestion_controlled=True)
-                for f in frames
-            ])
-            return nrs
-
-        def h_rx_store(vm, *_):
-            ctx = runtime.context
-            epoch, path, pn, payload = ctx.raw_args[:4]
-            if epoch is Epoch.ONE_RTT or epoch == int(Epoch.ONE_RTT):
-                state.rx_payloads[(path, pn)] = payload
-                state.prune()
-                return 1
-            return 0
-
-        def h_parse_id(vm, buf_handle, *_):
-            frame = FecIdFrame.parse(
-                runtime.context.raw_args[buf_handle], FEC_ID_FRAME_TYPE
-            )
-            runtime.set_result(frame)
-            return frame.window_id
-
-        def h_process_id(vm, frame_handle, *_):
-            frame = runtime.context.raw_args[frame_handle]
-            rxw = state.rx_window(frame.window_id)
-            rxw.protected = list(frame.protected)
-            return _try_recover(frame.window_id)
-
-        def h_parse_rs(vm, buf_handle, *_):
-            frame = FecRepairFrame.parse(
-                runtime.context.raw_args[buf_handle], FEC_RS_FRAME_TYPE
-            )
-            runtime.set_result(frame)
-            return frame.window_id
-
-        def h_process_rs(vm, frame_handle, *_):
-            frame = runtime.context.raw_args[frame_handle]
-            end = frame.offset + len(frame.payload)
-            rxw = state.rx_windows.get(frame.window_id)
-            partial = rxw.partial.get(frame.rs_index) if rxw else None
-            # The peer sizes the buffer allocated here.  Refuse a symbol
-            # longer than any packet of ours (codes.symbol_width), a
-            # fragment past its symbol's end or disagreeing with its
-            # length, and a repair index past the window: no window uses
-            # more repair symbols than it has source symbols.
-            max_symbol = runtime.conn.configuration.max_udp_payload_size + 2
-            if frame.total_len > max_symbol or end > frame.total_len \
-                    or frame.rs_index >= state.window \
-                    or (partial is not None
-                        and len(partial[0]) != frame.total_len):
-                state.refused_fragments += 1
-                return 0
-            rxw = state.rx_window(frame.window_id)
-            key = frame.rs_index
-            buf, got = partial or rxw.partial.setdefault(
-                key, (bytearray(frame.total_len), set())
-            )
-            buf[frame.offset:end] = frame.payload
-            got.add(frame.offset)
-            received = sum(
-                min(RS_FRAGMENT, frame.total_len - off) for off in got
-            )
-            if received >= frame.total_len and key not in rxw.complete:
-                rxw.complete.add(key)
-                rxw.repairs.append((key, bytes(buf), frame.ecc, frame.seed))
-            return _try_recover(frame.window_id)
-
-        def _try_recover(window_id: int) -> int:
-            """Attempt recovery; returns number of packets recovered."""
-            rxw = state.rx_windows.get(window_id)
-            if rxw is None or rxw.recovered or not rxw.protected:
-                return 0
-            if not rxw.repairs:
-                return 0
-            conn = runtime.conn
-            window_payloads = [
-                state.rx_payloads.get(key) for key in rxw.protected
-            ]
-            missing = [
-                i for i, p in enumerate(window_payloads) if p is None
-            ]
-            if not missing or len(missing) > len(rxw.repairs):
-                return 0
-            rs_index0, _payload0, ecc0, seed0 = rxw.repairs[0]
-            rcode = CODES[ECC_NAMES.get(ecc0, "xor")]
-            repairs = [(idx, payload) for idx, payload, _e, _s in rxw.repairs]
-            solution = rcode.recover(window_payloads, repairs, seed0)
-            if solution is None:
-                return 0
-            rxw.recovered = True
-            recovered = 0
-            for i in missing:
-                path, pn = rxw.protected[i]
-                payload = solution[i]
-                if payload is None or path >= len(conn.paths) \
-                        or pn in conn.paths[path].space.received:
-                    continue
-                conn.protoops.run(
-                    conn, "process_recovered_payload", None, path, pn, payload
-                )
-                state.rx_payloads[(path, pn)] = payload
-                recovered += 1
-            state.recovered_total += recovered
-            return recovered
-
-        def h_write(vm, frame_handle, buf_handle, *_):
-            ctx = runtime.context
-            ctx.raw_args[frame_handle].serialize(ctx.raw_args[buf_handle])
-            return 0
-
-        return {
-            H_FEC_REGISTER: h_register,
-            H_FEC_EMIT: h_emit,
-            H_FEC_RX_STORE: h_rx_store,
-            H_FEC_PARSE_ID: h_parse_id,
-            H_FEC_PROCESS_ID: h_process_id,
-            H_FEC_PARSE_RS: h_parse_rs,
-            H_FEC_PROCESS_RS: h_process_rs,
-            H_FEC_WRITE: h_write,
-        }
-
-    return make
+def _setup(runtime) -> None:
+    """Symbol buffers for the code and repair count the name selects."""
+    name = runtime.plugin_name
+    ecc = name[len(PLUGIN_BASE_NAME) + 1:].split(".")[0]
+    if ecc not in CODES:
+        ecc = "rlc"
+    runtime.fec_state = _FecState(
+        name_param(name, "repair", DEFAULT_REPAIR[ecc]), ecc)
 
 
-def _register_frames(conn) -> None:
-    conn.frame_registry.register(FEC_ID_FRAME_TYPE, FecIdFrame)
-    conn.frame_registry.register(FEC_RS_FRAME_TYPE, FecRepairFrame)
+def h_register(runtime, vm, *_):
+    """Register the packet being sent; flags: 1 stream, +2 fin."""
+    state = runtime.fec_state
+    # packet_ready args: (epoch, path_index, pn, plaintext[, result])
+    epoch, path, pn, payload = runtime.context.raw_args[:4]
+    if epoch is not Epoch.ONE_RTT and epoch != int(Epoch.ONE_RTT):
+        return 0
+    has_stream, has_fin = _contains_stream_frames(runtime.conn, payload)
+    if not has_stream:
+        return 0
+    state.send_symbols.append((path, pn, payload))
+    if len(state.send_symbols) > state.window:
+        state.send_symbols = state.send_symbols[-state.window:]
+    return 1 | (2 if has_fin else 0)
+
+
+def h_emit(runtime, vm, *_):
+    """Emit FEC_ID + repair symbols over the current window."""
+    state = runtime.fec_state
+    if not state.send_symbols:
+        return 0
+    symbols = list(state.send_symbols)
+    wid = state.window_counter
+    state.window_counter += 1
+    payloads = [p for _path, _pn, p in symbols]
+    seed = wid & 0x3FFFFFFF
+    frames = [FecIdFrame(window_id=wid, protected=[
+        (path, pn) for path, pn, _p in symbols])]
+    nrs = min(state.repair, state.code.max_repair)
+    for rs_index in range(nrs):
+        repair = state.code.encode(payloads, rs_index, seed)
+        for offset in range(0, len(repair), RS_FRAGMENT):
+            frames.append(FecRepairFrame(
+                window_id=wid,
+                ecc=ECC_IDS[state.ecc],
+                rs_index=rs_index,
+                seed=seed,
+                total_len=len(repair),
+                offset=offset,
+                payload=repair[offset:offset + RS_FRAGMENT],
+            ))
+    runtime.conn.reserve_frames([
+        ReservedFrame(frame=f, plugin=runtime.plugin_name,
+                      congestion_controlled=True)
+        for f in frames
+    ])
+    return nrs
+
+
+def h_rx_store(runtime, vm, *_):
+    state = runtime.fec_state
+    epoch, path, pn, payload = runtime.context.raw_args[:4]
+    if epoch is Epoch.ONE_RTT or epoch == int(Epoch.ONE_RTT):
+        state.rx_payloads[(path, pn)] = payload
+        state.prune()
+        return 1
+    return 0
+
+
+def h_process_id(runtime, vm, frame_handle, *_):
+    frame = runtime.context.raw_args[frame_handle]
+    rxw = runtime.fec_state.rx_window(frame.window_id)
+    rxw.protected = list(frame.protected)
+    return _try_recover(runtime, frame.window_id)
+
+
+def h_process_rs(runtime, vm, frame_handle, *_):
+    state = runtime.fec_state
+    frame = runtime.context.raw_args[frame_handle]
+    end = frame.offset + len(frame.payload)
+    rxw = state.rx_windows.get(frame.window_id)
+    partial = rxw.partial.get(frame.rs_index) if rxw else None
+    # The peer sizes the buffer allocated here.  Refuse a symbol longer
+    # than any packet of ours (codes.symbol_width), a fragment past its
+    # symbol's end or disagreeing with its length, and a repair index
+    # past the window: no window uses more repair symbols than it has
+    # source symbols.
+    max_symbol = runtime.conn.configuration.max_udp_payload_size + 2
+    if frame.total_len > max_symbol or end > frame.total_len \
+            or frame.rs_index >= state.window \
+            or (partial is not None
+                and len(partial[0]) != frame.total_len):
+        state.refused_fragments += 1
+        return 0
+    rxw = state.rx_window(frame.window_id)
+    key = frame.rs_index
+    buf, got = partial or rxw.partial.setdefault(
+        key, (bytearray(frame.total_len), set())
+    )
+    buf[frame.offset:end] = frame.payload
+    got.add(frame.offset)
+    received = sum(
+        min(RS_FRAGMENT, frame.total_len - off) for off in got
+    )
+    if received >= frame.total_len and key not in rxw.complete:
+        rxw.complete.add(key)
+        rxw.repairs.append((key, bytes(buf), frame.ecc, frame.seed))
+    return _try_recover(runtime, frame.window_id)
+
+
+def _try_recover(runtime, window_id: int) -> int:
+    """Attempt recovery; returns number of packets recovered."""
+    state = runtime.fec_state
+    rxw = state.rx_windows.get(window_id)
+    if rxw is None or rxw.recovered or not rxw.protected:
+        return 0
+    if not rxw.repairs:
+        return 0
+    conn = runtime.conn
+    window_payloads = [
+        state.rx_payloads.get(key) for key in rxw.protected
+    ]
+    missing = [
+        i for i, p in enumerate(window_payloads) if p is None
+    ]
+    if not missing or len(missing) > len(rxw.repairs):
+        return 0
+    rs_index0, _payload0, ecc0, seed0 = rxw.repairs[0]
+    rcode = CODES[ECC_NAMES.get(ecc0, "xor")]
+    repairs = [(idx, payload) for idx, payload, _e, _s in rxw.repairs]
+    solution = rcode.recover(window_payloads, repairs, seed0)
+    if solution is None:
+        return 0
+    rxw.recovered = True
+    recovered = 0
+    for i in missing:
+        path, pn = rxw.protected[i]
+        payload = solution[i]
+        if payload is None or path >= len(conn.paths) \
+                or pn in conn.paths[path].space.received:
+            continue
+        conn.protoops.run(
+            conn, "process_recovered_payload", None, path, pn, payload
+        )
+        state.rx_payloads[(path, pn)] = payload
+        recovered += 1
+    state.recovered_total += recovered
+    return recovered
+
+
+#: None of the FEC helpers touches the calling pluglet's stack; the
+#: per-connection :class:`_FecState` is ``runtime.fec_state``.
+HOST = HostBinding(PLUGIN_BASE_NAME, helpers=(
+    (HelperEffect("fec_register"), h_register),
+    (HelperEffect("fec_emit"), h_emit),
+    (HelperEffect("fec_rx_store"), h_rx_store),
+    (HelperEffect("fec_parse_id"), parse_frame),
+    (HelperEffect("fec_process_id"), h_process_id),
+    (HelperEffect("fec_parse_rs"), parse_frame),
+    (HelperEffect("fec_process_rs"), h_process_rs),
+    (HelperEffect("fec_write"), write_frame),
+), frames=(FecIdFrame, FecRepairFrame), setup=_setup)
 
 
 #: Sender pluglet, full protection: emit every `interval` source symbols.
@@ -444,29 +417,20 @@ def fec_sender_eos(epoch, path_id, pn):
 """
 
 
-from repro.core.plugin import register_host_resolver
-
-
-def _resolve_fec_hooks(name: str):
-    parts = name[len(PLUGIN_BASE_NAME) + 1:].split(".")
-    ecc = parts[0] if parts and parts[0] in CODES else "rlc"
-    repair = 1 if ecc == "xor" else 5
-    return (_host_helpers_factory(25, repair, ecc), _register_frames,
-            FEC_HELPER_EFFECTS)
-
-
-register_host_resolver(PLUGIN_BASE_NAME, _resolve_fec_hooks)
-
-
-def plugin_name(ecc: str, mode: str) -> str:
-    return f"{PLUGIN_BASE_NAME}.{ecc}.{mode}"
+def plugin_name(ecc: str, mode: str,
+                repair: Optional[int] = None) -> str:
+    """``org.pquic.fec.<ecc>.<mode>``, plus ``.repair=<n>`` when ``repair``
+    is not the code's default."""
+    name = f"{PLUGIN_BASE_NAME}.{ecc}.{mode}"
+    if repair is not None and repair != DEFAULT_REPAIR[ecc]:
+        name += f".repair={repair}"
+    return name
 
 
 def build_fec_plugin(
     ecc: str = "rlc",
     mode: str = "full",
-    window: int = 25,
-    repair: int = 5,
+    repair: int = DEFAULT_REPAIR["rlc"],
 ) -> Plugin:
     """Assemble a FEC plugin variant.
 
@@ -486,28 +450,28 @@ def build_fec_plugin(
         off_protected=OFF_PROTECTED,
         off_since=OFF_SINCE_EMIT,
         off_windows=OFF_WINDOWS_SENT,
-        interval=window,
+        interval=WINDOW,
     )
     sender_src = (_SENDER_FULL if mode == "full" else _SENDER_EOS).format(**fmt)
     sender_name = "fec_sender_full" if mode == "full" else "fec_sender_eos"
 
     pluglets = [
         Pluglet.from_source(sender_name, "packet_ready", "post",
-                            sender_src, helpers=FEC_HELPERS),
+                            sender_src, helpers=HOST.ids),
         Pluglet.from_source(
             "fec_receiver_store", "packet_received_event", "post",
             """
 def fec_receiver_store(epoch, path_id, pn):
     fec_rx_store()
 """,
-            helpers=FEC_HELPERS),
+            helpers=HOST.ids),
         Pluglet.from_source(
             "parse_fec_id", "parse_frame", "replace",
             """
 def parse_fec_id(buf, frame_type):
     return fec_parse_id(buf)
 """,
-            helpers=FEC_HELPERS, param=FEC_ID_FRAME_TYPE),
+            helpers=HOST.ids, param=FEC_ID_FRAME_TYPE),
         Pluglet.from_source(
             "process_fec_id", "process_frame", "replace",
             f"""
@@ -517,21 +481,21 @@ def process_fec_id(frame, ctx):
         st = get_opaque_data({ST_AREA}, {ST_SIZE})
         mem64[st + {OFF_RECOVERED}] = mem64[st + {OFF_RECOVERED}] + n
 """,
-            helpers=FEC_HELPERS, param=FEC_ID_FRAME_TYPE),
+            helpers=HOST.ids, param=FEC_ID_FRAME_TYPE),
         Pluglet.from_source(
             "write_fec_id", "write_frame", "replace",
             """
 def write_fec_id(frame, buf):
     fec_write(frame, buf)
 """,
-            helpers=FEC_HELPERS, param=FEC_ID_FRAME_TYPE),
+            helpers=HOST.ids, param=FEC_ID_FRAME_TYPE),
         Pluglet.from_source(
             "parse_fec_rs", "parse_frame", "replace",
             """
 def parse_fec_rs(buf, frame_type):
     return fec_parse_rs(buf)
 """,
-            helpers=FEC_HELPERS, param=FEC_RS_FRAME_TYPE),
+            helpers=HOST.ids, param=FEC_RS_FRAME_TYPE),
         Pluglet.from_source(
             "process_fec_rs", "process_frame", "replace",
             f"""
@@ -542,14 +506,14 @@ def process_fec_rs(frame, ctx):
     if n > 0:
         mem64[st + {OFF_RECOVERED}] = mem64[st + {OFF_RECOVERED}] + n
 """,
-            helpers=FEC_HELPERS, param=FEC_RS_FRAME_TYPE),
+            helpers=HOST.ids, param=FEC_RS_FRAME_TYPE),
         Pluglet.from_source(
             "write_fec_rs", "write_frame", "replace",
             """
 def write_fec_rs(frame, buf):
     fec_write(frame, buf)
 """,
-            helpers=FEC_HELPERS, param=FEC_RS_FRAME_TYPE),
+            helpers=HOST.ids, param=FEC_RS_FRAME_TYPE),
         # External introspection op: recovered-packet count for the app.
         Pluglet.from_source(
             "fec_recovered_count", "fec_recovered_count", "external",
@@ -558,13 +522,7 @@ def fec_recovered_count():
     st = get_opaque_data({ST_AREA}, {ST_SIZE})
     return mem64[st + {OFF_RECOVERED}]
 """,
-            helpers=FEC_HELPERS),
+            helpers=HOST.ids),
     ]
-    return Plugin(
-        plugin_name(ecc, mode),
-        pluglets,
-        host_helpers=_host_helpers_factory(window, repair, ecc),
-        helper_effects=FEC_HELPER_EFFECTS,
-        frame_registrar=_register_frames,
-        memory_size=32 * 1024,
-    )
+    return Plugin(plugin_name(ecc, mode, repair), pluglets,
+                  memory_size=32 * 1024)

@@ -253,7 +253,6 @@ class ReservedFrame:
 
     frame: F.Frame
     plugin: str
-    retransmittable: bool = True
     congestion_controlled: bool = True
 
 

@@ -158,6 +158,24 @@ class TestContainmentPolicy:
         assert "budget" in rec.reasons[0]
         assert policy.faults[0][2] is FailureClass.TRANSIENT
 
+    def test_reserve_frames_is_a_contained_api_violation(self):
+        """Helper 9 (Table 1's ``reserve_frames``) stays in the ABI but
+        exposes no frame constructor: the call is refused like any other
+        API misuse, and containment detaches the plugin."""
+        conn = make_conn()
+        policy = ContainmentPolicy().attach(conn)
+        booker = Pluglet("book", "packet_sent_event", "post",
+                         assemble("mov r1, 7\ncall 9\nexit"))
+        inst = PluginInstance(Plugin("org.x.book", [booker]), conn)
+        inst.attach()
+        conn.protoops.run(conn, "packet_sent_event", None)
+        assert not conn.closed
+        assert not inst.attached
+        rec = policy.registry.record("org.x.book")
+        assert rec.crashes == 1
+        assert "unknown frame constructor 7" in rec.reasons[0]
+        assert policy.faults[0][2] is FailureClass.TRANSIENT
+
     def test_memory_violation_stays_fatal(self):
         """§2.1 semantics survive containment: a memory violation still
         terminates the connection."""

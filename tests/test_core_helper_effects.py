@@ -9,7 +9,8 @@ import re
 
 import pytest
 
-from repro.core import Plugin, PluginApi, PluginRuntime, Pluglet
+from repro.core import HostBinding, Plugin, PluginApi, PluginRuntime, Pluglet
+from repro.core import plugin as core_plugin
 from repro.core.api import (
     H_GET_OPAQUE_DATA,
     H_PL_MALLOC,
@@ -155,6 +156,21 @@ def observe_pluglet(plugin, pluglet, budget, code, memory_size=None):
             bytes(memory.data), log)
 
 
+@pytest.fixture
+def effects_binding(monkeypatch):
+    """The binding of the ``org.effects`` plugins, declared for one test:
+    a helper stated blind and one stated reaching the stack."""
+    monkeypatch.setattr(core_plugin, "HOST_BINDINGS",
+                        dict(core_plugin.HOST_BINDINGS))
+
+    def helper(runtime, vm, *_):
+        return 0
+
+    return HostBinding("org.effects", helpers=(
+        (HelperEffect("blind"), helper),
+        (HelperEffect("poke", reaches_stack=True), helper)))
+
+
 class TestDeclarationTable:
     def test_core_table_marks_exactly_the_helpers_that_take_addresses(self):
         reaching = {effect.name for effect in HELPER_EFFECTS.values()
@@ -162,16 +178,17 @@ class TestDeclarationTable:
         assert reaching == {"pl_memcpy", "pl_memset", "read_input_bytes",
                             "write_input_bytes", "push_message"}
 
-    def test_plugin_declarations_extend_the_core_table(self):
-        poke = H_PLUGIN_BASE + 1
-        plugin = Plugin("org.effects.t", [], helper_effects={
-            H_PLUGIN_BASE: HelperEffect("blind"),
-            poke: HelperEffect("poke", reaches_stack=True)})
-        assert plugin.helper_effects[H_PLUGIN_BASE].reaches_stack is False
+    def test_plugin_declarations_extend_the_core_table(self, effects_binding):
+        blind, poke = H_PLUGIN_BASE, H_PLUGIN_BASE + 1
+        plugin = Plugin("org.effects.t", [])
+        assert plugin.host is effects_binding
+        assert plugin.host.ids == {"blind": blind, "poke": poke}
+        assert plugin.helper_effects[blind].reaches_stack is False
         assert plugin.helper_effects[poke].reaches_stack is True
         assert plugin.helper_effects.items() >= HELPER_EFFECTS.items()
 
-    def test_declaration_decides_what_the_loaded_code_writes_back(self):
+    def test_declaration_decides_what_the_loaded_code_writes_back(
+            self, effects_binding):
         """Declared blind: no write-back.  Declared reaching, or not
         declared at all: the frame goes to the stack and comes back."""
         blind, poke, unknown = (H_PLUGIN_BASE + i for i in range(3))
@@ -183,9 +200,7 @@ class TestDeclarationTable:
             ldxdw r0, [r10-8]
             exit
         """))
-        plugin = Plugin("org.effects.load", [pluglet], helper_effects={
-            blind: HelperEffect("blind"),
-            poke: HelperEffect("poke", reaches_stack=True)})
+        plugin = Plugin("org.effects.load", [pluglet])
         lines = [line.strip() for line in
                  plugin.load()["p"].checked.source.splitlines()]
         calls = [i for i, line in enumerate(lines) if line.startswith("_r = ")]
@@ -194,10 +209,12 @@ class TestDeclarationTable:
 
     def test_the_wire_format_does_not_carry_declarations(self):
         plugin = build_multipath_plugin()
-        bare = Plugin(plugin.name, plugin.pluglets,
+        bare = Plugin("org.unbound", plugin.pluglets,
                       memory_size=plugin.memory_size)
-        assert bare.serialize() == plugin.serialize()
-        # ... and a plugin received over the wire regains them from the
-        # host resolver, like its host helpers.
+        assert bare.helper_effects == HELPER_EFFECTS
+        assert bare.serialize()[1 + len("org.unbound"):] == \
+            plugin.serialize()[1 + len(plugin.name):]
+        # ... and a plugin received over the wire finds them by name,
+        # like its host helpers.
         assert (Plugin.deserialize(plugin.serialize()).helper_effects
                 == plugin.helper_effects)
