@@ -26,6 +26,7 @@ at run time removes the plugin and terminates the connection (§2.1).
 
 from __future__ import annotations
 
+import re
 import zlib
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -142,12 +143,13 @@ def host_binding(name: str) -> HostBinding:
 
 
 def name_param(name: str, key: str, default: int) -> int:
-    """Host parameter ``key`` of plugin ``name``: its ``key=<int>``
-    segment, else ``default``.  A variant whose host side differs from the
-    default names it, so it is found again when the plugin is received."""
+    """Host parameter ``key`` of plugin ``name``: its ``key=<n>`` segment,
+    ``n`` one to nine ASCII digits, else ``default``.  A variant whose
+    host side differs from the default names it, so it is found again when
+    the plugin is received; the name may come from the peer."""
     for segment in name.split("."):
         k, sep, value = segment.partition("=")
-        if sep and k == key and value.isdigit():
+        if sep and k == key and re.fullmatch("[0-9]{1,9}", value):
             return int(value)
     return default
 

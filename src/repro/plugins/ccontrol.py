@@ -22,12 +22,12 @@ Two variants:
 
 from __future__ import annotations
 
-from repro.core.api import FLD_CWND, HelperEffect
-from repro.core.plugin import HostBinding, Plugin, Pluglet, name_param
+from repro.core.api import FIELD_TABLE, FLD_CWND, ApiViolation, HelperEffect
+from repro.core.plugin import HostBinding, Plugin, Pluglet
 
 PLUGIN_BASE_NAME = "org.pquic.ccontrol"
 MSS = 1280
-#: Window of the ``fixed`` variant unless its name carries ``cwnd=<n>``.
+#: Window of the ``fixed`` variant.
 FIXED_WINDOW = 64 * 1024
 
 #: Plugin-memory state block.
@@ -46,18 +46,25 @@ def h_pkt_size(runtime, vm, handle, *_):
 
 
 def _set_fixed_window(runtime) -> None:
-    """The ``fixed`` variant sets its window when it attaches."""
-    name = runtime.plugin_name
-    if name.startswith(f"{PLUGIN_BASE_NAME}.fixed"):
-        cwnd = name_param(name, "cwnd", FIXED_WINDOW)
-        for path in runtime.conn.paths:
-            path.cc.cwnd = cwnd
+    """The ``fixed`` variant sets its window when it attaches, through the
+    ``cwnd`` field as a pluglet's ``set`` does: not at all if the host's
+    field policy forbids plugins writing it."""
+    conn = runtime.conn
+    policy = getattr(conn, "field_policy", None)
+    try:
+        if policy is not None:
+            policy.check(runtime.plugin_name, "cwnd", True)
+    except ApiViolation:
+        return
+    for index in range(len(conn.paths)):
+        FIELD_TABLE[FLD_CWND].setter(conn, index, FIXED_WINDOW)
 
 
 #: ``cc_pkt_size`` does not touch the calling pluglet's stack.
-HOST = HostBinding(PLUGIN_BASE_NAME,
-                   helpers=((HelperEffect("cc_pkt_size"), h_pkt_size),),
-                   on_attach=_set_fixed_window)
+_HELPERS = ((HelperEffect("cc_pkt_size"), h_pkt_size),)
+HOST = HostBinding(PLUGIN_BASE_NAME, helpers=_HELPERS)
+HostBinding(f"{PLUGIN_BASE_NAME}.fixed", helpers=_HELPERS,
+            on_attach=_set_fixed_window)
 
 # congestion_on_ack(pkt, path_index): post wrapper gives marshaled args;
 # replace receives (pkt, path_index) -> pkt is a handle, size via input.
@@ -103,14 +110,12 @@ def cc_fixed_on_loss(pkt, path_index):
 """
 
 
-def build_ccontrol_plugin(variant: str = "aimd",
-                          fixed_window: int = FIXED_WINDOW) -> Plugin:
+def build_ccontrol_plugin(variant: str = "aimd") -> Plugin:
     """Assemble the congestion-control plugin.
 
     The replace pluglets receive ``(pkt, path_index)``; the packet's size
     is fetched through the ``cc_pkt_size`` host helper from the opaque
-    SentPacket handle.  A ``fixed`` window other than the default is part
-    of the name (``org.pquic.ccontrol.fixed.cwnd=<n>``)."""
+    SentPacket handle."""
     if variant == "aimd":
         on_ack_src, on_ack_name = _AIMD_ON_ACK, "cc_aimd_on_ack"
         on_loss_src, on_loss_name = _AIMD_ON_LOSS, "cc_aimd_on_loss"
@@ -126,7 +131,4 @@ def build_ccontrol_plugin(variant: str = "aimd",
         Pluglet.from_source(on_loss_name, "congestion_on_loss", "replace",
                             on_loss_src, helpers=HOST.ids),
     ]
-    name = f"{PLUGIN_BASE_NAME}.{variant}"
-    if variant == "fixed" and fixed_window != FIXED_WINDOW:
-        name += f".cwnd={fixed_window}"
-    return Plugin(name, pluglets)
+    return Plugin(f"{PLUGIN_BASE_NAME}.{variant}", pluglets)

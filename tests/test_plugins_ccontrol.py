@@ -6,7 +6,7 @@ import pytest
 
 from repro.conformance import Scenario, Topology, Workload, run_transfer
 from repro.core import PluginInstance
-from repro.plugins.ccontrol import ST_AREA, build_ccontrol_plugin
+from repro.plugins.ccontrol import FIXED_WINDOW, ST_AREA, build_ccontrol_plugin
 from repro.quic import QuicConfiguration
 from repro.quic.connection import QuicConnection
 from repro.vm.analysis.termination import check_termination
@@ -84,10 +84,9 @@ def test_aimd_slow_start_grows_window():
 def test_fixed_window_is_constant():
     result, inst = download(
         200_000, d_ms=10, bw_mbps=10, seed=3,
-        server_plugin=lambda: build_ccontrol_plugin(
-            "fixed", fixed_window=48_000))
+        server_plugin=lambda: build_ccontrol_plugin("fixed"))
     assert result.completed
-    assert inst.conn.paths[0].cc.cwnd == 48_000
+    assert inst.conn.paths[0].cc.cwnd == FIXED_WINDOW
 
 
 def test_fixed_window_outpaces_slow_start_on_long_rtt():
@@ -96,8 +95,7 @@ def test_fixed_window_outpaces_slow_start_on_long_rtt():
     base, _ = download(150_000, d_ms=50, bw_mbps=10, seed=5)
     fixed, _ = download(
         150_000, d_ms=50, bw_mbps=10, seed=5,
-        server_plugin=lambda: build_ccontrol_plugin(
-            "fixed", fixed_window=100_000))
+        server_plugin=lambda: build_ccontrol_plugin("fixed"))
     assert fixed.dct < base.dct  # skips the slow-start ramp
 
 
