@@ -17,7 +17,7 @@ Run:  python examples/custom_plugin.py
 from repro.core import HostBinding, Plugin, PluginInstance, Pluglet
 from repro.core.api import FLD_BYTES_IN_FLIGHT, HelperEffect
 from repro.netsim import Simulator, symmetric_topology
-from repro.quic import ClientEndpoint, ReservedFrame, ServerEndpoint
+from repro.quic import ClientEndpoint, ServerEndpoint
 from repro.quic.frames import PingFrame
 from repro.vm import verify
 from repro.vm.analysis.termination import check_termination
@@ -31,8 +31,7 @@ QUIET_US = 50_000  # book a PING after 50 ms of receive silence
 
 def h_send_ping(runtime, vm, *_):
     """One host function exposed to the bytecode: queue a PING frame."""
-    runtime.conn.reserve_frames([
-        ReservedFrame(frame=PingFrame(), plugin=PLUGIN_NAME)])
+    runtime.reserve(PingFrame())
     return 1
 
 

@@ -112,18 +112,14 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def _lint_builtin(name: str, conn, protoop_names, plugin_objs) -> list:
+def _lint_builtin(name: str, protoop_names, plugin_objs) -> list:
     """Lint one built-in plugin with the host's protoop and helper sets."""
-    from repro.core.api import PluginApi
-    from repro.core.plugin import PluginRuntime
     from repro.vm.analysis import lint_plugin
 
     plugin = build_plugin(name)
     plugin_objs.append(plugin)
-    runtime = PluginRuntime(plugin, conn)
-    helper_ids = set(PluginApi(runtime).helper_table())
-    return [(name, d)
-            for d in lint_plugin(plugin, protoop_names, helper_ids)]
+    return [(name, d) for d in lint_plugin(
+        plugin, protoop_names, set(plugin.helper_effects))]
 
 
 def _load_plugin_set_file(path):
@@ -201,19 +197,16 @@ def _lint_asm_file(path) -> list:
 def cmd_lint(args) -> int:
     from pathlib import Path
 
-    from repro.quic import QuicConfiguration
     from repro.quic.connection import QuicConnection
 
-    conn = QuicConnection(QuicConfiguration(is_client=True))
-    protoop_names = set(conn.protoops.names)
+    protoop_names = set(QuicConnection.protoop_census().names)
 
     found = []  # (target, Diagnostic)
     plugin_objs: list = []
     targets = args.targets or list(BUNDLED_PLUGINS)
     for target in targets:
         if target in BUNDLED_PLUGINS:
-            found.extend(_lint_builtin(target, conn, protoop_names,
-                                       plugin_objs))
+            found.extend(_lint_builtin(target, protoop_names, plugin_objs))
             continue
         path = Path(target)
         if path.is_dir():

@@ -22,7 +22,7 @@ Times are marshaled as microseconds; floats never enter the VM.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro.errors import TransportError, TransportErrorCode
 from repro.vm.analysis import HelperEffect
@@ -48,24 +48,6 @@ H_GET_TIME_US = 15
 #: First helper id available to plugin-specific host functions.
 H_PLUGIN_BASE = 64
 
-CORE_HELPER_NAMES = {
-    "get": H_GET,
-    "set": H_SET,
-    "pl_malloc": H_PL_MALLOC,
-    "pl_free": H_PL_FREE,
-    "get_opaque_data": H_GET_OPAQUE_DATA,
-    "pl_memcpy": H_PL_MEMCPY,
-    "pl_memset": H_PL_MEMSET,
-    "plugin_run_protoop": H_RUN_PROTOOP,
-    "reserve_frames": H_RESERVE_FRAME,
-    "get_input": H_GET_INPUT,
-    "input_len": H_INPUT_LEN,
-    "read_input_bytes": H_READ_INPUT_BYTES,
-    "write_input_bytes": H_WRITE_INPUT_BYTES,
-    "push_message": H_PUSH_MESSAGE,
-    "get_time_us": H_GET_TIME_US,
-}
-
 US = 1_000_000
 
 
@@ -73,13 +55,12 @@ def _us(seconds: float) -> int:
     return int(seconds * US)
 
 
-class FieldSpec:
+class FieldSpec(NamedTuple):
     """One accessible connection field."""
 
-    def __init__(self, name: str, getter: Callable, setter: Optional[Callable] = None):
-        self.name = name
-        self.getter = getter
-        self.setter = setter
+    name: str
+    getter: Callable
+    setter: Optional[Callable] = None
 
 
 # Field ids — the stable ABI between pluglets and hosts.
@@ -209,6 +190,9 @@ HELPER_EFFECTS: dict[int, HelperEffect] = {
     H_GET_TIME_US: HelperEffect("get_time_us"),
 }
 
+#: Core helper name -> id, for the pluglet compiler.
+CORE_HELPER_NAMES = {effect.name: hid for hid, effect in HELPER_EFFECTS.items()}
+
 
 class ApiViolation(TransportError):
     """A pluglet misused the API (bad field, write from passive anchor...)."""
@@ -257,7 +241,7 @@ class PluginApi:
         self.runtime = runtime  # PluginRuntime (see repro.core.plugin)
 
     def helper_table(self) -> dict:
-        table = {
+        return {
             H_GET: self._h_get,
             H_SET: self._h_set,
             H_PL_MALLOC: self._h_malloc,
@@ -273,43 +257,16 @@ class PluginApi:
             H_WRITE_INPUT_BYTES: self._h_write_input,
             H_PUSH_MESSAGE: self._h_push_message,
             H_GET_TIME_US: self._h_time,
+            **self.runtime.extra_helpers,
         }
-        for hid, fn in self.runtime.extra_helpers.items():
-            table[hid] = fn
-        return table
 
     # --- field access -----------------------------------------------------
 
     def _h_get(self, vm, field_id, index, *_):
-        spec = FIELD_TABLE.get(field_id)
-        if spec is None:
-            raise ApiViolation(f"unknown field id 0x{field_id:x}")
-        runtime = self.runtime
-        conn = runtime.conn
-        runtime.fields_read.add(spec.name)
-        policy = getattr(conn, "field_policy", None)
-        if policy is not None:
-            policy.check(runtime.plugin_name, spec.name, False)
-        return spec.getter(conn, index)
+        return self.runtime.get_field(field_id, index)
 
     def _h_set(self, vm, field_id, index, value, *_):
-        spec = FIELD_TABLE.get(field_id)
-        if spec is None:
-            raise ApiViolation(f"unknown field id 0x{field_id:x}")
-        runtime = self.runtime
-        ctx = runtime.context
-        if ctx is not None and not ctx.writable:
-            raise ApiViolation(
-                f"passive pluglet attempted to set field {spec.name!r}"
-            )
-        if spec.setter is None:
-            raise ApiViolation(f"field {spec.name!r} is read-only")
-        conn = runtime.conn
-        runtime.fields_written.add(spec.name)
-        policy = getattr(conn, "field_policy", None)
-        if policy is not None:
-            policy.check(runtime.plugin_name, spec.name, True)
-        spec.setter(conn, index, value)
+        self.runtime.set_field(field_id, index, value)
         return 0
 
     # --- plugin memory -----------------------------------------------------
@@ -426,7 +383,7 @@ class PluginApi:
         if length:
             buf, off = _range(vm, addr, length)
             data = bytes(buf[off:off + length])
-        self.runtime.conn.push_message_to_app(self.runtime.plugin_name, data)
+        self.runtime.push_message(data)
         return 0
 
     def _h_time(self, vm, *_):

@@ -34,6 +34,7 @@ from types import MethodType
 from typing import Any, Callable, Optional
 
 from repro.errors import TransportError, TransportErrorCode
+from repro.quic.packet import Epoch
 from repro.quic.wire import Buffer
 from repro.vm.analysis import (
     Severity,
@@ -58,6 +59,7 @@ from repro.vm.jit import create_vm, jit_enabled_by_env, load_jit
 
 from .api import (
     CORE_HELPER_NAMES,
+    FIELD_TABLE,
     H_PLUGIN_BASE,
     HELPER_EFFECTS,
     ApiViolation,
@@ -67,6 +69,7 @@ from .api import (
 )
 from .memory import BlockAllocator
 from .protoop import Anchor, ProtoopError
+from .scheduler import ReservedFrame
 
 _NO_RESULT = object()
 
@@ -418,8 +421,19 @@ class Plugin:
         }
 
 
+#: Paths a connection may have; :meth:`PluginRuntime.open_path` opens no more.
+MAX_PATHS = 8
+
+
 class PluginRuntime:
-    """Per-(plugin, connection) execution state shared by the helpers."""
+    """Per-(plugin, connection) execution state shared by the helpers,
+    and through :attr:`SURFACE` the plugin's one door to its connection."""
+
+    #: The only host operations a plugin's host functions, and the core
+    #: ``get``, ``set`` and ``push_message`` helpers, use.
+    SURFACE = ("get_field", "set_field", "push_message", "reserve",
+               "open_path", "find_path", "owed_acks", "path_ack",
+               "recover", "parse_frames", "max_payload", "local_addresses")
 
     def __init__(self, plugin: Plugin, conn):
         self.plugin = plugin
@@ -442,6 +456,128 @@ class PluginRuntime:
 
     def set_result(self, value: Any) -> None:
         self.pending_result = value
+
+    # --- the host surface -------------------------------------------------
+
+    def get_field(self, field_id: int, index: int) -> int:
+        """Field ``field_id`` (``FLD_*``) of path ``index``; refused
+        (:class:`ApiViolation`) for an unknown id or by field policy."""
+        spec = FIELD_TABLE.get(field_id)
+        if spec is None:
+            raise ApiViolation(f"unknown field id 0x{field_id:x}")
+        conn = self.conn
+        self.fields_read.add(spec.name)
+        policy = getattr(conn, "field_policy", None)
+        if policy is not None:
+            policy.check(self.plugin_name, spec.name, False)
+        return spec.getter(conn, index)
+
+    def set_field(self, field_id: int, index: int, value: int) -> None:
+        """Write a field; refused as :meth:`get_field` is, and for a
+        read-only field or from a running passive pluglet."""
+        spec = FIELD_TABLE.get(field_id)
+        if spec is None:
+            raise ApiViolation(f"unknown field id 0x{field_id:x}")
+        ctx = self.context
+        if ctx is not None and not ctx.writable:
+            raise ApiViolation(
+                f"passive pluglet attempted to set field {spec.name!r}")
+        if spec.setter is None:
+            raise ApiViolation(f"field {spec.name!r} is read-only")
+        self.fields_written.add(spec.name)
+        policy = getattr(self.conn, "field_policy", None)
+        if policy is not None:
+            policy.check(self.plugin_name, spec.name, True)
+        spec.setter(self.conn, index, value)
+
+    def push_message(self, data: bytes) -> None:
+        """Hand ``data`` to the application's handler for this plugin
+        (``conn.message_handlers``, §2.4); dropped if it has none."""
+        handler = self.conn.message_handlers.get(self.plugin_name)
+        if handler is not None:
+            handler(data)
+
+    def reserve(self, frame, congestion_controlled: bool = True) -> None:
+        """Book ``frame`` in this plugin's queue of the DRR scheduler
+        (Table 1's ``reserve_frames``); if not ``congestion_controlled``
+        it may leave with the window full, as an ACK does."""
+        conn = self.conn
+        conn.protoops.run(conn, "reserve_frame_slot", None, ReservedFrame(
+            frame, self.plugin_name, congestion_controlled))
+
+    def open_path(self, local: Optional[str] = None,
+                  peer: Optional[str] = None) -> Optional[int]:
+        """Open a path (a side not given is path 0's) and start its §8.2
+        validation; its index, or None at :data:`MAX_PATHS` paths."""
+        conn = self.conn
+        paths = conn.paths
+        if len(paths) >= MAX_PATHS:
+            return None
+        index = conn.protoops.run(
+            conn, "create_path", None,
+            paths[0].local_addr if local is None else local,
+            paths[0].peer_addr if peer is None else peer)
+        conn.start_path_validation(index)
+        return index
+
+    def find_path(self, local: Optional[str] = None,
+                  peer: Optional[str] = None) -> Optional[int]:
+        """Index of the first path with these addresses (a side not given
+        matches any), or None."""
+        for path in self.conn.paths:
+            if (local is None or path.local_addr == local) \
+                    and (peer is None or path.peer_addr == peer):
+                return path.index
+        return None
+
+    def owed_acks(self) -> list:
+        """``[(path index, ACK frame)]`` of the paths owing one, each
+        then counted as sent."""
+        now = self.conn.now
+        owed = []
+        for path in self.conn.paths:
+            space = path.space
+            ack = space.ack_needed and space.ack_frame(now)
+            if ack:
+                space.ack_needed = False
+                owed.append((path.index, ack))
+        return owed
+
+    def path_ack(self, path_index: int, ack) -> bool:
+        """Process ``ack`` for path ``path_index``'s packet-number space;
+        False, doing nothing, for a path the connection lacks."""
+        conn = self.conn
+        if not 0 <= path_index < len(conn.paths):
+            return False
+        conn._process_ack_frame(
+            conn, ack, {"epoch": Epoch.ONE_RTT, "path_index": path_index})
+        return True
+
+    def recover(self, path_index: int, pn: int, payload: bytes) -> bool:
+        """Process ``payload`` as packet ``pn`` of path ``path_index``,
+        arrived; False, doing nothing, for a path the connection lacks
+        or a packet it has."""
+        conn = self.conn
+        if not 0 <= path_index < len(conn.paths) \
+                or pn in conn.paths[path_index].space.received:
+            return False
+        conn.protoops.run(
+            conn, "process_recovered_payload", None, path_index, pn, payload)
+        return True
+
+    def parse_frames(self, payload: bytes) -> list:
+        """``[(frame type, frame)]`` of a packet payload."""
+        return self.conn.frame_registry.parse_all(payload)
+
+    @property
+    def max_payload(self) -> int:
+        """Largest UDP payload the connection sends."""
+        return self.conn.configuration.max_udp_payload_size
+
+    @property
+    def local_addresses(self) -> list:
+        """Extra local addresses the application offers for paths."""
+        return self.conn.extra_local_addresses
 
     # --- naming -----------------------------------------------------------
 

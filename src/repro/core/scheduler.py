@@ -11,7 +11,7 @@ Two rules from the paper:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.quic import frames as F
 from repro.quic.packet import Epoch
@@ -25,6 +25,14 @@ DRR_QUANTUM = 512
 #: Bytes of frame header slack assumed when sizing stream chunks.
 STREAM_FRAME_OVERHEAD = 12
 MIN_PACKET_USEFUL = 64
+
+
+class ReservedFrame(NamedTuple):
+    """A frame slot booked by a plugin via ``reserve_frames`` (§2.3)."""
+
+    frame: F.Frame
+    plugin: str
+    congestion_controlled: bool = True
 
 
 class DrrState:

@@ -22,7 +22,7 @@ Two variants:
 
 from __future__ import annotations
 
-from repro.core.api import FIELD_TABLE, FLD_CWND, ApiViolation, HelperEffect
+from repro.core.api import FLD_CWND, FLD_NB_PATHS, ApiViolation, HelperEffect
 from repro.core.plugin import HostBinding, Plugin, Pluglet
 
 PLUGIN_BASE_NAME = "org.pquic.ccontrol"
@@ -49,15 +49,11 @@ def _set_fixed_window(runtime) -> None:
     """The ``fixed`` variant sets its window when it attaches, through the
     ``cwnd`` field as a pluglet's ``set`` does: not at all if the host's
     field policy forbids plugins writing it."""
-    conn = runtime.conn
-    policy = getattr(conn, "field_policy", None)
     try:
-        if policy is not None:
-            policy.check(runtime.plugin_name, "cwnd", True)
+        for index in range(runtime.get_field(FLD_NB_PATHS, 0)):
+            runtime.set_field(FLD_CWND, index, FIXED_WINDOW)
     except ApiViolation:
         return
-    for index in range(len(conn.paths)):
-        FIELD_TABLE[FLD_CWND].setter(conn, index, FIXED_WINDOW)
 
 
 #: ``cc_pkt_size`` does not touch the calling pluglet's stack.

@@ -22,7 +22,6 @@ from typing import Callable, Optional
 from repro.core.api import HelperEffect
 from repro.core.plugin import HostBinding, Plugin, Pluglet
 from repro.quic import frames as F
-from repro.quic.connection import ReservedFrame
 from repro.quic.wire import Buffer
 
 from .codec import parse_frame, write_frame
@@ -67,20 +66,14 @@ def h_reserve(runtime, vm, handle, *_):
     data = runtime.context.raw_args[handle]
     if not isinstance(data, (bytes, bytearray)):
         return 0
-    runtime.conn.reserve_frames([
-        ReservedFrame(
-            frame=DatagramFrame(data=bytes(data)),
-            plugin=PLUGIN_NAME,
-            congestion_controlled=True,
-        )
-    ])
+    runtime.reserve(DatagramFrame(data=bytes(data)))
     return 1
 
 
 def h_push(runtime, vm, handle, *_):
     frame = runtime.context.raw_args[handle]
     if isinstance(frame, DatagramFrame):
-        runtime.conn.push_message_to_app(PLUGIN_NAME, frame.data)
+        runtime.push_message(frame.data)
         return len(frame.data)
     return 0
 
@@ -95,8 +88,7 @@ def h_len(runtime, vm, handle, *_):
 
 
 def h_max_size(runtime, vm, *_):
-    budget = runtime.conn.configuration.max_udp_payload_size
-    return budget - 64  # headers, AEAD tag, frame overhead
+    return runtime.max_payload - 64  # headers, AEAD tag, frame overhead
 
 
 #: Host functions exposed to the datagram pluglets; none of them touches
@@ -203,24 +195,15 @@ def datagram_max_size():
 class DatagramSocket:
     """The message socket the VPN application reads/writes (§4.2).
 
-    ``send`` queues an unreliable message; incoming messages arrive via
-    the receive callback (asynchronous push from the plugin, §2.4)."""
+    ``send`` queues an unreliable message; incoming messages go to
+    ``on_message`` (asynchronous push from the plugin, §2.4)."""
 
     def __init__(self, conn, on_message: Optional[Callable[[bytes], None]] = None):
         if PLUGIN_NAME not in conn.plugins:
             raise RuntimeError("datagram plugin not attached to connection")
         self.conn = conn
-        self.on_message = on_message
-        previous = conn.on_plugin_message
-
-        def dispatch(plugin_name: str, data: bytes) -> None:
-            if plugin_name == PLUGIN_NAME:
-                if self.on_message is not None:
-                    self.on_message(data)
-            elif previous is not None:
-                previous(plugin_name, data)
-
-        conn.on_plugin_message = dispatch
+        if on_message is not None:
+            conn.message_handlers[PLUGIN_NAME] = on_message
 
     def send(self, data: bytes) -> int:
         """Queue one message; returns bytes accepted (0 = refused)."""

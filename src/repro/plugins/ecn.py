@@ -24,7 +24,6 @@ from repro.core.api import (
 )
 from repro.core.plugin import HostBinding, Plugin, Pluglet
 from repro.quic import frames as F
-from repro.quic.connection import ReservedFrame
 from repro.quic.wire import Buffer
 
 from .codec import parse_frame, write_frame
@@ -61,13 +60,7 @@ class EcnFeedbackFrame(F.Frame):
 
 
 def h_reserve(runtime, vm, count, *_):
-    runtime.conn.reserve_frames([
-        ReservedFrame(
-            frame=EcnFeedbackFrame(ce_count=count),
-            plugin=PLUGIN_NAME,
-            congestion_controlled=False,
-        )
-    ])
+    runtime.reserve(EcnFeedbackFrame(ce_count=count), congestion_controlled=False)
     return 1
 
 

@@ -27,7 +27,6 @@ from typing import Optional
 from repro.core.api import HelperEffect
 from repro.core.plugin import HostBinding, Plugin, Pluglet, name_param
 from repro.quic import frames as F
-from repro.quic.connection import ReservedFrame
 from repro.quic.packet import Epoch
 from repro.quic.wire import Buffer
 
@@ -193,7 +192,7 @@ class _FecState:
                 del self.rx_windows[wid]
 
 
-def _contains_stream_frames(conn, payload: bytes):
+def _contains_stream_frames(runtime, payload: bytes):
     """(protectable, has_fin) for an outgoing plaintext payload.
 
     Packets carrying FEC frames themselves are never protected: a
@@ -202,7 +201,7 @@ def _contains_stream_frames(conn, payload: bytes):
     the very call-graph loop PQUIC's runtime detection (Fig. 3) kills the
     connection for."""
     try:
-        frames = conn.frame_registry.parse_all(payload)
+        frames = runtime.parse_frames(payload)
     except Exception:
         return False, False
     has_stream = False
@@ -234,7 +233,7 @@ def h_register(runtime, vm, *_):
     epoch, path, pn, payload = runtime.context.raw_args[:4]
     if epoch is not Epoch.ONE_RTT and epoch != int(Epoch.ONE_RTT):
         return 0
-    has_stream, has_fin = _contains_stream_frames(runtime.conn, payload)
+    has_stream, has_fin = _contains_stream_frames(runtime, payload)
     if not has_stream:
         return 0
     state.send_symbols.append((path, pn, payload))
@@ -253,13 +252,13 @@ def h_emit(runtime, vm, *_):
     state.window_counter += 1
     payloads = [p for _path, _pn, p in symbols]
     seed = wid & 0x3FFFFFFF
-    frames = [FecIdFrame(window_id=wid, protected=[
-        (path, pn) for path, pn, _p in symbols])]
+    runtime.reserve(FecIdFrame(window_id=wid, protected=[
+        (path, pn) for path, pn, _p in symbols]))
     nrs = min(state.repair, state.code.max_repair)
     for rs_index in range(nrs):
         repair = state.code.encode(payloads, rs_index, seed)
         for offset in range(0, len(repair), RS_FRAGMENT):
-            frames.append(FecRepairFrame(
+            runtime.reserve(FecRepairFrame(
                 window_id=wid,
                 ecc=ECC_IDS[state.ecc],
                 rs_index=rs_index,
@@ -268,11 +267,6 @@ def h_emit(runtime, vm, *_):
                 offset=offset,
                 payload=repair[offset:offset + RS_FRAGMENT],
             ))
-    runtime.conn.reserve_frames([
-        ReservedFrame(frame=f, plugin=runtime.plugin_name,
-                      congestion_controlled=True)
-        for f in frames
-    ])
     return nrs
 
 
@@ -304,7 +298,7 @@ def h_process_rs(runtime, vm, frame_handle, *_):
     # symbol's end or disagreeing with its length, and a repair index
     # past the window: no window uses more repair symbols than it has
     # source symbols.
-    max_symbol = runtime.conn.configuration.max_udp_payload_size + 2
+    max_symbol = runtime.max_payload + 2
     if frame.total_len > max_symbol or end > frame.total_len \
             or frame.rs_index >= state.window \
             or (partial is not None
@@ -335,7 +329,6 @@ def _try_recover(runtime, window_id: int) -> int:
         return 0
     if not rxw.repairs:
         return 0
-    conn = runtime.conn
     window_payloads = [
         state.rx_payloads.get(key) for key in rxw.protected
     ]
@@ -355,12 +348,8 @@ def _try_recover(runtime, window_id: int) -> int:
     for i in missing:
         path, pn = rxw.protected[i]
         payload = solution[i]
-        if payload is None or path >= len(conn.paths) \
-                or pn in conn.paths[path].space.received:
+        if payload is None or not runtime.recover(path, pn, payload):
             continue
-        conn.protoops.run(
-            conn, "process_recovered_payload", None, path, pn, payload
-        )
         state.rx_payloads[(path, pn)] = payload
         recovered += 1
     state.recovered_total += recovered

@@ -227,14 +227,9 @@ class MonitoringCollector:
         self.forward = forward
 
     def attach(self, conn) -> None:
-        previous = conn.on_plugin_message
+        conn.message_handlers[PLUGIN_NAME] = self._receive
 
-        def on_message(plugin_name: str, data: bytes) -> None:
-            if plugin_name == PLUGIN_NAME:
-                self.reports.append(PerformanceReport.parse(data))
-                if self.forward is not None:
-                    self.forward(data)
-            elif previous is not None:
-                previous(plugin_name, data)
-
-        conn.on_plugin_message = on_message
+    def _receive(self, data: bytes) -> None:
+        self.reports.append(PerformanceReport.parse(data))
+        if self.forward is not None:
+            self.forward(data)

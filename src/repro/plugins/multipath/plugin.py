@@ -17,12 +17,13 @@ address pairs through its replacement of ``map_incoming_path``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.api import (
     FLD_BYTES_IN_FLIGHT,
     FLD_CWND,
+    FLD_HANDSHAKE_COMPLETE,
     FLD_IS_CLIENT,
     FLD_NB_PATHS,
     FLD_PATH_ACTIVE,
@@ -32,8 +33,6 @@ from repro.core.api import (
 )
 from repro.core.plugin import HostBinding, Plugin, Pluglet
 from repro.quic import frames as F
-from repro.quic.connection import ReservedFrame
-from repro.quic.packet import Epoch
 from repro.quic.wire import Buffer, varint_size
 
 from ..codec import parse_frame, write_frame
@@ -102,94 +101,52 @@ class MpAckFrame(F.Frame):
 def h_setup(runtime, vm, *_):
     """Client path manager: one path per extra local address, each
     announced with ADD_ADDRESS."""
-    conn = runtime.conn
     created = 0
-    for i, address in enumerate(conn.extra_local_addresses):
-        if any(p.local_addr == address for p in conn.paths):
+    for i, address in enumerate(runtime.local_addresses):
+        if runtime.find_path(local=address) is not None \
+                or runtime.open_path(local=address) is None:
             continue
-        index = conn.protoops.run(
-            conn, "create_path", None, address, conn.paths[0].peer_addr
-        )
-        # §8.2: a new path must prove two-way reachability before the
-        # scheduler may place data on it.
-        conn.start_path_validation(index)
-        conn.reserve_frames([
-            ReservedFrame(
-                frame=AddAddressFrame(address=address, address_id=i + 1),
-                plugin=PLUGIN_NAME,
-            )
-        ])
+        runtime.reserve(AddAddressFrame(address=address, address_id=i + 1))
         created += 1
     return created
 
 
 def h_process_addr(runtime, vm, frame_handle, *_):
     """Open the reverse path toward the announced address."""
-    conn = runtime.conn
     frame = runtime.context.raw_args[frame_handle]
-    if any(p.peer_addr == frame.address for p in conn.paths):
+    if runtime.find_path(peer=frame.address) is not None:
         return 0
-    index = conn.protoops.run(
-        conn, "create_path", None, conn.paths[0].local_addr, frame.address
-    )
-    conn.start_path_validation(index)
-    return index
+    return runtime.open_path(peer=frame.address) or 0
 
 
 def h_process_ack(runtime, vm, frame_handle, *_):
     """Route the embedded ACK to its path's packet-number space."""
-    conn = runtime.conn
     frame = runtime.context.raw_args[frame_handle]
-    if not 0 <= frame.path_id < len(conn.paths):
-        return 0
-    ctx = {"epoch": Epoch.ONE_RTT, "path_index": frame.path_id}
-    conn._process_ack_frame(conn, frame.ack, ctx)
-    return 1
+    return int(runtime.path_ack(frame.path_id, frame.ack))
 
 
 def h_reserve_acks(runtime, vm, *_):
     """Book one MP_ACK per path owing an acknowledgment."""
-    conn = runtime.conn
-    reserved = 0
-    for path in conn.paths:
-        if not path.space.ack_needed:
-            continue
-        ack = path.space.ack_frame(conn.now)
-        if ack is None:
-            continue
-        path.space.ack_needed = False
-        conn.reserve_frames([
-            ReservedFrame(
-                frame=MpAckFrame(path_id=path.index, ack=ack),
-                plugin=PLUGIN_NAME,
-                congestion_controlled=False,
-            )
-        ])
-        reserved += 1
-    return reserved
+    owed = runtime.owed_acks()
+    for path_id, ack in owed:
+        runtime.reserve(MpAckFrame(path_id=path_id, ack=ack), congestion_controlled=False)
+    return len(owed)
 
 
 def h_map_path(runtime, vm, local_handle, peer_handle, *_):
     """find-or-create the path for an incoming (local, peer) pair."""
-    conn = runtime.conn
-    ctx = runtime.context
-    local = ctx.raw_args[local_handle]
-    peer = ctx.raw_args[peer_handle]
-    for path in conn.paths:
-        if path.local_addr == local and path.peer_addr == peer:
-            return path.index
-    if not conn.handshake_complete:
+    args = runtime.context.raw_args
+    local, peer = args[local_handle], args[peer_handle]
+    index = runtime.find_path(local, peer)
+    if index is not None:
+        return index
+    if not runtime.get_field(FLD_HANDSHAKE_COMPLETE, 0):
         return 0
-    index = conn.protoops.run(conn, "create_path", None, local, peer)
-    conn.start_path_validation(index)
-    return index
+    return runtime.open_path(local, peer) or 0
 
 
 def h_requeue(runtime, vm, frame_handle, *_):
-    frame = runtime.context.raw_args[frame_handle]
-    runtime.conn.reserve_frames([
-        ReservedFrame(frame=frame, plugin=PLUGIN_NAME)
-    ])
+    runtime.reserve(runtime.context.raw_args[frame_handle])
     return 1
 
 

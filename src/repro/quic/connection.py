@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.core.protoop import Anchor, ProtoopError, ProtoopTable
+from repro.core.scheduler import ReservedFrame
 from repro.errors import (
     CryptoError,
     ProtocolViolation,
@@ -247,15 +248,6 @@ class Path:
         return f"<Path {self.index} {self.local_addr}->{self.peer_addr}>"
 
 
-@dataclass
-class ReservedFrame:
-    """A frame slot booked by a plugin via ``reserve_frames`` (§2.3)."""
-
-    frame: F.Frame
-    plugin: str
-    congestion_controlled: bool = True
-
-
 class QuicConnection:
     """A pluginized QUIC connection endpoint."""
 
@@ -364,11 +356,11 @@ class QuicConnection:
         #: Fires once at *termination* (CLOSED), after the drain period —
         #: unlike ``on_close``, which fires when closing begins.
         self.on_closed: Optional[Callable[["QuicConnection"], None]] = None
-        self.on_plugin_message: Optional[Callable[[str, bytes], None]] = None
+        #: Plugin name -> handler of its messages (§2.4); others are dropped.
+        self.message_handlers: dict[str, Callable[[bytes], None]] = {}
 
         # Plugin machinery attachment points (populated by repro.core).
         self.plugins: dict[str, Any] = {}
-        self.plugin_queues: dict[str, list] = {}
         #: Additional local addresses a multipath plugin may open paths on.
         self.extra_local_addresses: list = []
 
@@ -638,13 +630,6 @@ class QuicConnection:
     def run_external_protoop(self, name: str, param: Any = None, *args: Any) -> Any:
         """Application entry point to external protocol operations (§2.4)."""
         return self.protoops.run_external(self, name, param, *args)
-
-    def push_message_to_app(self, plugin_name: str, message: bytes) -> None:
-        """Used by plugins to asynchronously message the application."""
-        if self.on_plugin_message is not None:
-            self.on_plugin_message(plugin_name, message)
-        else:
-            self.plugin_queues.setdefault(plugin_name, []).append(message)
 
     # ------------------------------------------------------------------
     # Stream protoops.

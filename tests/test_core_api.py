@@ -261,7 +261,8 @@ class TestInputsAndMessages:
     def test_push_message_reaches_app(self):
         conn = make_conn()
         got = []
-        conn.on_plugin_message = lambda name, data: got.append((name, data))
+        conn.message_handlers["org.api.msg"] = got.append
+        conn.message_handlers["org.api.other"] = lambda data: got.append(None)
         attach_one(conn, "p", "shout", """
             stb [r10-4], 72
             stb [r10-3], 73
@@ -272,7 +273,7 @@ class TestInputsAndMessages:
             exit
         """, plugin_name="org.api.msg")
         conn.protoops.run(conn, "shout", None)
-        assert got == [("org.api.msg", b"HI")]
+        assert got == [b"HI"]
 
     def test_get_time_us(self):
         conn = make_conn()
@@ -367,7 +368,7 @@ class TestBulkRangeHelpers:
             exit
         """, bytearray(4))
         got = []
-        conn.on_plugin_message = lambda name, data: got.append(data)
+        conn.message_handlers["org.api.bulk"] = got.append
         assert call() == 5
         assert got == [b""] and not conn.closed
 
@@ -417,7 +418,7 @@ class TestBulkRangeHelpers:
             exit
         """)
         got = []
-        conn.on_plugin_message = lambda name, data: got.append(data)
+        conn.message_handlers["org.api.bulk"] = got.append
         self.violation(call)
         assert got == []
 
@@ -455,7 +456,7 @@ class TestBulkRangeHelpers:
             exit
         """)
         got = []
-        conn.on_plugin_message = lambda name, data: got.append(data)
+        conn.message_handlers["org.api.bulk"] = got.append
         checks = []
         vm = inst.vms["b"]
         region = vm._region
