@@ -2,7 +2,8 @@
 
 Each benchmark regenerates one table or figure of the paper and writes its
 rows under ``results/``.  Set ``REPRO_FULL=1`` for the paper-scale sweeps
-(the default configuration is sized to finish in minutes).
+(the default configuration is sized to finish in minutes); their rows go
+to ``results/full/``, so the default-scale files stay as committed.
 """
 
 from __future__ import annotations
@@ -10,9 +11,11 @@ from __future__ import annotations
 import os
 import pathlib
 
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-
 FULL = os.environ.get("REPRO_FULL", "") == "1"
+
+RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
+if FULL:
+    RESULTS_DIR = RESULTS_DIR / "full"
 
 
 def design_points(count_small: int, count_full: int):
@@ -21,7 +24,7 @@ def design_points(count_small: int, count_full: int):
 
 
 def write_rows(name: str, header: str, rows: list) -> pathlib.Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     with open(path, "w") as fh:
         fh.write(header.rstrip() + "\n")

@@ -136,9 +136,7 @@ class TcpSender:
         self.rttvar = 0.0
         self.rto = 1.0
         self.completed = False
-        self.started = False
         self.syn_acked = False
-        self.fin_sent = False
         self.retransmissions = 0
         self._sent_times: dict[int, float] = {}
         self._dupacks = 0
@@ -153,7 +151,6 @@ class TcpSender:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        self.started = True
         self.send(Segment(seq=0, flags=FLAG_SYN).encode())
         self._arm_rto()
 
@@ -299,16 +296,6 @@ class TcpSender:
                 break
         self._arm_rto()
 
-    def _retransmit_one(self) -> None:
-        end = min(self.snd_una + self.mss, self.total)
-        self.send(Segment(
-            seq=self.snd_una,
-            data=b"\x00" * (end - self.snd_una),
-        ).encode())
-        self._sent_times.pop(self.snd_una, None)  # Karn: no sample
-        self._ever_rtx.add(self.snd_una)
-        self._arm_rto()
-
     def _pump(self) -> None:
         if not self.syn_acked or self.completed:
             return
@@ -369,10 +356,13 @@ class TcpSender:
         if not self.syn_acked:
             self.send(Segment(seq=0, flags=FLAG_SYN).encode())
         else:
+            # RFC 6675 §5.1, Linux tcp_enter_loss: every un-SACKed segment
+            # below snd_nxt is lost, repaired as the partial ACKs return.
             self.window.on_timeout()
-            self._in_recovery = False
-            self.retransmissions += 1
-            self._retransmit_one()
+            self._in_recovery = True
+            self._recover = self.snd_nxt
+            self._rtx_done.clear()
+            self._retransmit_holes(limit=1)
         self.rto = min(self.rto * 2, 60.0)
         self._arm_rto()
 

@@ -8,6 +8,7 @@ from repro.netsim.tcp import (
     CubicWindow,
     Segment,
     TcpBulkTransfer,
+    TcpSender,
     FLAG_ACK,
     FLAG_FIN,
     FLAG_SYN,
@@ -167,3 +168,45 @@ class TestBulkTransfer:
         flow.start()
         assert sim.run_until(lambda: flow.completed, timeout=60)
         assert max(sizes) <= 700
+
+
+class TestRetransmissionTimeout:
+    def test_one_rto_repairs_every_hole(self, monkeypatch):
+        """RFC 6675 §5.1: after an RTO, RecoveryPoint = HighData and every
+        un-SACKed segment below it is retransmitted as the ACKs of the
+        repairs return; Linux ``tcp_enter_loss`` marks them all lost.  A
+        flight that loses segments 0, 2 and 4 of five, with too little
+        data behind them for three duplicate ACKs, is therefore repaired
+        after one RTO — not one RTO per hole."""
+        rtos = []
+        on_rto = TcpSender._on_rto
+
+        def counted(sender):
+            rtos.append(sender.sim.now)
+            on_rto(sender)
+
+        monkeypatch.setattr(TcpSender, "_on_rto", counted)
+        sim = Simulator()
+        topo = symmetric_topology(sim, d_ms=10, bw_mbps=20,
+                                  buffer_bytes=200_000)
+        flow = TcpBulkTransfer(sim, 5 * 1000, mss=1000)
+        dropped = {0, 2000, 4000}
+
+        def send_c(seg):
+            parsed = Segment.decode(seg)
+            if parsed.data and parsed.seq in dropped:
+                dropped.discard(parsed.seq)  # first transmission only
+                return
+            topo.client.sendto(seg, "client.0", 1, "server.0", 2)
+
+        flow.wire(send_c,
+                  lambda seg: topo.server.sendto(seg, "server.0", 2,
+                                                 "client.0", 1))
+        topo.client.bind(1, lambda d: flow.sender.on_segment(d.payload))
+        topo.server.bind(2, lambda d: flow.receiver.on_segment(d.payload))
+        flow.start()
+        assert sim.run_until(lambda: flow.completed, timeout=60)
+        assert not dropped
+        assert len(rtos) == 1
+        assert flow.sender.retransmissions == 3
+        assert flow.receiver.bytes_received == 5 * 1000
