@@ -106,10 +106,12 @@ def test_ablation_plugin_cache_setup_cost(benchmark):
 
     def cold_setup():
         """What a host without the cache does: decode, verify, compile,
-        build."""
+        build, from an emptied program store."""
         from repro.core.plugin import Plugin
         from repro.quic.connection import QuicConnection
+        from repro.vm import programs
 
+        programs.clear()
         conn = QuicConnection(QuicConfiguration(is_client=True))
         for wire in wires:
             PluginInstance(Plugin.deserialize(wire), conn).attach()

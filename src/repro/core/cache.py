@@ -6,22 +6,26 @@ plugin, it can reuse the cached PREs as is, without verifying or compiling
 the pluglets again.  The plugin heap must be reinitialized to avoid
 leaking information between unrelated connections."
 
-Load once, instantiate per connection
-=====================================
+Load once per process, instantiate per connection
+=================================================
 
-The cache holds :class:`~repro.core.plugin.Plugin` objects, and a plugin
-keeps what depends only on its immutable §3.1 binding, computed once
+The cache holds :class:`~repro.core.plugin.Plugin` objects.  What
+depends only on a pluglet's code is computed once per process, by
+content, in the program store (:mod:`repro.vm.programs`), and a plugin
+holds references to its programs there
 (:meth:`Plugin.load <repro.core.plugin.Plugin.load>`, run by the first
-instantiation): the verification verdict, the analyzer's proofs and
-effect summaries — all three read off one analysis per pluglet — and
-per pluglet one JIT-compiled closure: the proof-specialized one with its
+instantiation): the verification verdict and the analyzer's proofs —
+both read off one analysis per program — and per program one
+JIT-compiled closure: the proof-specialized one with its
 ``fuel_bound`` / ``helper_bound`` / ``heap_size`` gates, or the
 fully-checked one when no proof applies.  A proven pluglet's
 fully-checked closure is compiled by the first run whose gates are
 closed, once, and then shared like the rest.  The generated code takes
 its VM as an argument and keeps all state in locals, so connections
-share it as is.  ``store`` only verifies: it runs the §2.1 rules, or
-reads their verdict off the analysis a received plugin already holds.
+share it as is.  The effect summaries, which depend on the plugin's
+host binding, are kept on the plugin.  ``store`` only verifies: it runs
+the §2.1 rules, or reads their verdict off the analysis the process
+already holds for that code.
 
 Every connection gets its own :class:`~repro.core.plugin.PluginInstance`:
 a zeroed heap and allocator, the helper table, one VM shell per pluglet
@@ -55,15 +59,16 @@ class PluginCache:
     def __init__(self, quarantine: Optional[QuarantineRegistry] = None) -> None:
         self._plugins: dict[str, Plugin] = {}
         self.quarantine = quarantine
-        #: Instantiations that reused the plugin's loaded code / that had
-        #: to produce it first.
+        #: Instantiations that found the plugin's code loaded in the
+        #: process / that had to load it first.
         self.hits = 0
         self.misses = 0
 
     def store(self, plugin: Plugin) -> None:
-        """Add a plugin to the local cache (verifies it once, shallowly
-        unless it was analyzed already; its code is compiled by the first
-        connection that instantiates it)."""
+        """Add a plugin to the local cache (verifies its code once per
+        process, shallowly unless it was analyzed already; code not yet
+        compiled is compiled by the first connection that instantiates
+        it)."""
         plugin.verify_all()
         self._plugins[plugin.name] = plugin
 
@@ -79,7 +84,7 @@ class PluginCache:
 
     def instantiate(self, name: str, conn) -> PluginInstance:
         """A fresh instance of a cached plugin for ``conn``: new heap and
-        VM shells around the code the plugin loaded once."""
+        VM shells around the code the process loaded once."""
         plugin = self._plugins.get(name)
         if plugin is None:
             raise KeyError(f"plugin {name!r} not in cache")

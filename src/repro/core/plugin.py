@@ -7,15 +7,20 @@ combination forms a *protocol plugin*; serialized, it is exactly the
 ``binding = pluginname || plugincode`` of §3.1 — what validators hash into
 their Merkle trees.
 
-*Loading* (:meth:`Plugin.load`) is everything that depends only on that
-binding — the verification verdict, the analyzer's proofs, the
-JIT-compiled closures — and happens once per :class:`Plugin` object.
-Each piece is computed once: the §2.1 rules once per pluglet (the
-verdict), one abstract interpretation per pluglet extending that report
-(the proofs and the effect summaries), and one closure per pluglet at
-load — the proof-specialized one where a proof applies; the
+*Loading* (:meth:`Plugin.load`) is everything that depends only on the
+pluglets' code — the verification verdict, the analyzer's proofs, the
+JIT-compiled closures — and happens once per process, by content: a
+plugin reads it from the program store (:mod:`repro.vm.programs`), keyed
+by each pluglet's bytecode and the plugin's heap size, so a plugin built
+again, received from a peer or decoded by a validator does no load work
+for code the process has loaded before.  Each piece is computed once per
+program: the §2.1 rules (the verdict), one abstract interpretation
+extending that report (the proofs and the effect summaries), and one
+closure at load — the proof-specialized one where a proof applies; the
 fully-checked fallback of such a pluglet is compiled by the first run
-that needs it (:class:`~repro.vm.jit.JitCode`).
+that needs it (:class:`~repro.vm.jit.JitCode`).  What a plugin keeps of
+its own is its references into the store and its effect summaries,
+which depend on its name's host binding.
 *Instantiation* (:class:`PluginInstance`) happens once per connection and
 gives the plugin its dedicated memory, one PRE
 (:class:`~repro.vm.interpreter.VirtualMachine`) per pluglet sharing that
@@ -36,14 +41,12 @@ from typing import Any, Callable, Optional
 from repro.errors import TransportError, TransportErrorCode
 from repro.quic.packet import Epoch
 from repro.quic.wire import Buffer
+from repro.vm import programs
 from repro.vm.analysis import (
     Severity,
     VerificationError,
-    analyze,
     check_conflicts,
-    deepen,
     summarize_plugin,
-    verify_report,
 )
 from repro.vm.compiler import compile_pluglet
 from repro.vm.interpreter import (
@@ -54,8 +57,8 @@ from repro.vm.interpreter import (
     PluginMemory,
     VirtualMachine,
 )
-from repro.vm.isa import decode_program, encode_program
-from repro.vm.jit import create_vm, jit_enabled_by_env, load_jit
+from repro.vm.isa import encode_program
+from repro.vm.jit import create_vm, jit_enabled_by_env
 
 from .api import (
     CORE_HELPER_NAMES,
@@ -229,8 +232,10 @@ class Plugin:
     """A manifest plus pluglets — the unit of distribution and validation.
 
     The pluglet list is immutable once the plugin is verified, analyzed or
-    loaded (it is the §3.1 binding): the results are kept on the object
-    and serve every connection the plugin is instantiated on."""
+    loaded (it is the §3.1 binding): the plugin then holds one
+    :class:`~repro.vm.programs.Program` per pluglet, shared with every
+    plugin of the same code, and serving every connection the plugin is
+    instantiated on."""
 
     def __init__(self, name: str, pluglets: list,
                  memory_size: int = DEFAULT_PLUGIN_MEMORY):
@@ -244,17 +249,14 @@ class Plugin:
         #: plugin's own host helpers.  A helper left out is taken to reach
         #: the calling pluglet's stack.
         self.helper_effects = {**HELPER_EFFECTS, **self.host.effects}
-        #: Analyzer reports, one per pluglet in order: shallow (the §2.1
-        #: rules) until ``_deep``, when they were extended in place.
-        self._analysis: Optional[list] = None
-        self._deep = False
+        #: Ids of the helpers that never touch the calling pluglet's
+        #: stack, for :func:`~repro.vm.jit.compile_jit`.
+        self.stack_blind = frozenset(
+            hid for hid, effect in self.helper_effects.items()
+            if not effect.reaches_stack)
+        #: The program store's entries, one per pluglet in order.
+        self._programs: Optional[list] = None
         self._effects = None
-        #: Verification verdict, kept like the analysis: the error of
-        #: the first failing pluglet, None when verified and clean.
-        self._verified = False
-        self._rejection: Optional[VerificationError] = None
-        #: Loaded code, {pluglet name: JitCode}.
-        self._code: Optional[dict] = None
 
     # --- serialization (the §3.1 binding) -------------------------------
 
@@ -290,7 +292,7 @@ class Plugin:
         name = buf.pull_varint_prefixed_bytes().decode("utf-8")
         memory_size = buf.pull_varint()
         count = buf.pull_varint()
-        pluglets = []
+        pluglets, entries = [], []
         for _ in range(count):
             pname = buf.pull_varint_prefixed_bytes().decode("utf-8")
             protoop = buf.pull_varint_prefixed_bytes().decode("utf-8")
@@ -308,12 +310,16 @@ class Plugin:
                 buf.pull_varint_prefixed_bytes().decode("utf-8")
                 for _ in range(buf.pull_varint())
             )
-            bytecode = buf.pull_varint_prefixed_bytes()
+            entry = programs.program(buf.pull_varint_prefixed_bytes(),
+                                     memory_size)
+            entries.append(entry)
             pluglets.append(Pluglet(pname, protoop, anchor,
-                                    decode_program(bytecode), param,
+                                    list(entry.instructions), param,
                                     fuel=fuel, helper_budget=helper_budget,
                                     triggers=triggers))
-        return cls(name, pluglets, memory_size=memory_size)
+        plugin = cls(name, pluglets, memory_size=memory_size)
+        plugin._programs = entries
+        return plugin
 
     def compressed(self) -> bytes:
         """The ZIP-compressed exchange format (§3.4 / Table 2)."""
@@ -323,91 +329,81 @@ class Plugin:
     def decompress(cls, data: bytes) -> "Plugin":
         return cls.deserialize(zlib.decompress(data))
 
+    def _resolved(self) -> list:
+        """The program store's entry of each pluglet, looked up once:
+        the one its bytecode names, so a plugin built here and one
+        received share it."""
+        if self._programs is None:
+            self._programs = [programs.program(p.bytecode, self.memory_size)
+                              for p in self.pluglets]
+        return self._programs
+
     def verify_all(self) -> None:
         """Static verification of every pluglet; §2.1: "A plugin is
         rejected if any of the above checks fails for one of its
-        pluglets."  The verdict is kept: a plugin is checked once, and one
-        that failed is rejected again on every later call.  The verdict is
-        read off the analyzer reports — shallow ones, unless a deep
-        analysis already ran — so the rules are evaluated once either
-        way."""
-        if not self._verified:
-            self._verified = True
-            for p, report in zip(self.pluglets, self._reports(deep=False)):
-                try:
-                    verify_report(report)
-                except VerificationError as exc:
-                    rejection = VerificationError(
-                        f"plugin {self.name}: pluglet {p.name}: {exc.reason}",
-                        exc.pc)
-                    rejection.rule = exc.rule
-                    self._rejection = rejection
-                    break
-        if self._rejection is not None:
-            raise self._rejection.with_traceback(None)
+        pluglets."  The verdict is kept with each program: code is
+        checked once per process, and a plugin that failed is rejected
+        again, naming itself and its pluglet, on every later call.  The
+        verdict is read off the analyzer reports — shallow ones, unless a
+        deep analysis already ran — so the rules are evaluated once
+        either way."""
+        for p, program in zip(self.pluglets, self._resolved()):
+            exc = program.rejection
+            if exc is not None:
+                rejection = VerificationError(
+                    f"plugin {self.name}: pluglet {p.name}: {exc.reason}",
+                    exc.pc)
+                rejection.rule = exc.rule
+                raise rejection
 
     def analyze_all(self) -> dict:
         """Static-analyzer reports for every pluglet, keyed by pluglet
-        name.  Cached: the pluglet list is immutable once distributed (it
-        is the §3.1 binding), so one analysis serves every connection the
-        plugin attaches to."""
+        name.  Shared: a report is a function of the pluglet's code, so
+        one analysis serves every plugin holding that code and every
+        connection they attach to."""
         return {p.name: report
-                for p, report in zip(self.pluglets, self._reports(deep=True))}
+                for p, report in zip(self.pluglets, self._reports())}
 
-    def _reports(self, deep: bool) -> list:
-        """The analyzer reports in pluglet order, each pluglet analyzed
-        once: the §2.1 rules first, and the deep passes on top of them
-        when a deep report is asked for."""
-        if self._analysis is None:
-            self._analysis = [
-                analyze(p.instructions, heap_size=self.memory_size,
-                        deep=False)
-                for p in self.pluglets]
-        if deep and not self._deep:
-            self._deep = True
-            for p, report in zip(self.pluglets, self._analysis):
-                deepen(report, p.instructions)
-        return self._analysis
+    def _reports(self) -> list:
+        """The deep analyzer reports, in pluglet order."""
+        return [program.report(deep=True) for program in self._resolved()]
 
     def effect_summaries(self):
         """Per-pluglet effect summaries (fields read/written, helpers,
         declared triggers) for the inter-plugin conflict analyzer, read
-        off the call sites in :meth:`analyze_all`'s reports.  Cached for
-        the same reason."""
+        off the call sites in :meth:`analyze_all`'s reports.  Kept on the
+        plugin: they also depend on its binding's helper effects."""
         if self._effects is None:
             self._effects = summarize_plugin(self, self.helper_effects,
-                                             self._reports(deep=True))
+                                             self._reports())
         return self._effects
 
     @property
     def loaded(self) -> bool:
         """True when :meth:`load` has nothing left to produce under the
-        current ``REPRO_JIT`` switch.  A proven pluglet's fully-checked
-        closure is not part of the load: its
-        :class:`~repro.vm.jit.JitCode` compiles it on the first run that
-        needs it."""
-        return self._verified and self._rejection is None and (
-            not jit_enabled_by_env() or self._code is not None)
+        current ``REPRO_JIT`` switch: the plugin was verified and its
+        code is in the process, loaded by it or by any plugin of the same
+        code.  A proven pluglet's fully-checked closure is not part of
+        the load: its :class:`~repro.vm.jit.JitCode` compiles it on the
+        first run that needs it."""
+        resolved = self._programs
+        if resolved is None or any(p.rejection is not None for p in resolved):
+            return False
+        return not jit_enabled_by_env() or all(
+            p.compiled(self.stack_blind) for p in resolved)
 
     def load(self) -> Optional[dict]:
         """Verify the plugin and JIT-compile its pluglets — §2.5: paid
-        once per plugin, not per connection.  One closure per pluglet is
-        compiled here (:func:`~repro.vm.jit.load_jit`).  Returns
-        ``{pluglet name: JitCode}`` shared by every instance, or None when
-        ``REPRO_JIT=0`` leaves nothing to compile."""
+        once per program in the process, not per plugin or connection.
+        One closure per program is compiled
+        (:func:`~repro.vm.jit.load_jit`).  Returns ``{pluglet name:
+        JitCode}`` shared by every instance, or None when ``REPRO_JIT=0``
+        leaves nothing to compile."""
         self.verify_all()
         if not jit_enabled_by_env():
             return None
-        if self._code is None:
-            reports = self.analyze_all()
-            stack_blind = frozenset(
-                hid for hid, effect in self.helper_effects.items()
-                if not effect.reaches_stack)
-            self._code = {
-                p.name: load_jit(p.instructions, reports[p.name], stack_blind)
-                for p in self.pluglets
-            }
-        return self._code
+        return {p.name: program.jit(self.stack_blind)
+                for p, program in zip(self.pluglets, self._programs)}
 
     def stats(self) -> dict:
         """Table-2 style statistics."""

@@ -13,19 +13,24 @@ Two ECCs, as in the paper:
 Both are expressed over GF(256); recovery solves the linear system whose
 unknowns are the lost packets (Gaussian elimination).  Symbols carry a
 two-byte length prefix so variable-size packets round-trip exactly.
+
+Symbols are numpy arrays, and numpy is imported by the first symbol
+operation, not with the module: a process that declares the plugin but
+never codes a symbol does not load it.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 # --- GF(256) arithmetic (AES polynomial 0x11B, generator 3) -------------
 
-_EXP = np.zeros(512, dtype=np.uint8)
-_LOG = np.zeros(256, dtype=np.int32)
+_EXP = [0] * 512
+_LOG = [0] * 256
 
 
 def _init_tables() -> None:
@@ -44,18 +49,32 @@ def _init_tables() -> None:
 
 _init_tables()
 
+_vector = None
+
+
+def _numpy():
+    """``(numpy, exp table, log table)``, the tables as arrays for the
+    vectorized symbol operations; imported on first use."""
+    global _vector
+    if _vector is None:
+        import numpy
+
+        _vector = (numpy, numpy.array(_EXP, dtype=numpy.uint8),
+                   numpy.array(_LOG, dtype=numpy.int32))
+    return _vector
+
 
 def gf_mul(a: int, b: int) -> int:
     """Multiply two field elements."""
     if a == 0 or b == 0:
         return 0
-    return int(_EXP[_LOG[a] + _LOG[b]])
+    return _EXP[_LOG[a] + _LOG[b]]
 
 
 def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("no inverse of 0 in GF(256)")
-    return int(_EXP[255 - _LOG[a]])
+    return _EXP[255 - _LOG[a]]
 
 
 def gf_div(a: int, b: int) -> int:
@@ -64,19 +83,20 @@ def gf_div(a: int, b: int) -> int:
 
 def symbol_scale(symbol: np.ndarray, coeff: int) -> np.ndarray:
     """coeff × symbol, element-wise over GF(256) (vectorized)."""
+    np, exp, log = _numpy()
     if coeff == 0:
         return np.zeros_like(symbol)
     if coeff == 1:
         return symbol.copy()
-    logs = _LOG[symbol] + _LOG[coeff]
-    out = _EXP[logs].astype(np.uint8)
+    logs = log[symbol] + log[coeff]
+    out = exp[logs].astype(np.uint8)
     out[symbol == 0] = 0
     return out
 
 
 def symbol_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Addition in GF(256) is XOR."""
-    return np.bitwise_xor(a, b)
+    return _numpy()[0].bitwise_xor(a, b)
 
 
 def symbol_addmul(acc: np.ndarray, symbol: np.ndarray, coeff: int) -> np.ndarray:
@@ -91,6 +111,7 @@ def pack_symbol(payload: bytes, width: int) -> np.ndarray:
     """Length-prefixed, zero-padded representation of one source packet."""
     if len(payload) + 2 > width:
         raise ValueError(f"payload of {len(payload)} bytes exceeds width {width}")
+    np = _numpy()[0]
     out = np.zeros(width, dtype=np.uint8)
     out[0] = len(payload) >> 8
     out[1] = len(payload) & 0xFF
@@ -125,6 +146,7 @@ class ErasureCode:
         """Build one repair symbol over the window."""
         width = symbol_width(payloads)
         coeffs = self.coefficients(len(payloads), rs_index, seed)
+        np = _numpy()[0]
         acc = np.zeros(width, dtype=np.uint8)
         for coeff, payload in zip(coeffs, payloads):
             acc = symbol_addmul(acc, pack_symbol(payload, width), coeff)
@@ -151,6 +173,7 @@ class ErasureCode:
         if not repairs or len(repairs) < len(missing):
             return None
         width = len(repairs[0][1])
+        np = _numpy()[0]
         # Subtract the received symbols' contribution from each repair.
         rows = []
         rhs = []

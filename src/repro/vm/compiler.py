@@ -61,6 +61,7 @@ from __future__ import annotations
 import ast
 import inspect
 import textwrap
+from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from .isa import (
@@ -878,6 +879,29 @@ def _split_displacement(node: ast.expr) -> "tuple[Optional[ast.expr], int]":
     return node, 0
 
 
+#: Most compiled programs :func:`compile_pluglet` keeps.
+MAX_SOURCES = 256
+
+#: {(source, helper mapping): instructions}, least recently used first.
+_SOURCES: "OrderedDict[tuple, tuple]" = OrderedDict()
+
+
 def compile_pluglet(source_or_func, helpers: Optional[dict] = None) -> list:
-    """Convenience wrapper: compile one function with a helper mapping."""
-    return PlugletCompiler(helpers).compile(source_or_func)
+    """Compile one function with a helper mapping.
+
+    The code is a pure function of the source text and the mapping, so a
+    pair compiled before is not compiled again: the last
+    :data:`MAX_SOURCES` results are kept.  A source that fails to compile
+    is not kept.  Every call returns a fresh list."""
+    source = (inspect.getsource(source_or_func) if callable(source_or_func)
+              else source_or_func)
+    key = (source, frozenset(helpers.items()) if helpers else frozenset())
+    program = _SOURCES.get(key)
+    if program is None:
+        program = tuple(PlugletCompiler(helpers).compile(source))
+        _SOURCES[key] = program
+        if len(_SOURCES) > MAX_SOURCES:
+            _SOURCES.popitem(last=False)
+    else:
+        _SOURCES.move_to_end(key)
+    return list(program)

@@ -502,7 +502,7 @@ class TestExchange:
             self, monkeypatch):
         """The proof check, the receive-time analyzer gate, the cache's
         verdict and the first load all work on one decoded plugin and one
-        abstract interpretation per pluglet."""
+        abstract interpretation per program."""
         plugin, repo, validators, trust = build_world(
             plugin=build_multipath_plugin())
         decoded, interpreted = [], []
@@ -520,7 +520,9 @@ class TestExchange:
         assert exchanger.received == [plugin.name]
         cache.instantiate(plugin.name, client.conn).attach()
         assert len(decoded) == 1
-        assert len(interpreted) == len(plugin.pluglets)
+        # One interpretation per program: two multipath pluglets share
+        # their code.
+        assert len(interpreted) == len({p.bytecode for p in plugin.pluglets})
 
     def test_supported_plugins_advertised(self):
         plugin, repo, validators, trust = build_world(1)

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-import repro.core.plugin as plugin_module
 import repro.vm.analysis.rules as rules_module
 import repro.vm.jit as jit_module
+import repro.vm.programs as programs_module
 from repro.cli import _load_plugin_set_file
 from repro.conformance.plugins import BUNDLED_PLUGINS, build_plugin
 from repro.core import Plugin, PluginCache, PluginInstance, Pluglet
@@ -38,7 +38,7 @@ from repro.vm.analysis import (
     check_plugin_set,
     summarize_plugin,
 )
-from repro.vm.isa import Instruction, Op
+from repro.vm.isa import Instruction, Op, encode_program
 from repro.vm.jit import JitError
 from tests.test_core_helper_effects import observe_pluglet
 
@@ -68,19 +68,26 @@ def counting_plugin(name="org.load.count"):
     return Plugin(name, [replace_pluglet("count", COUNT)])
 
 
+def distinct_programs(plugin) -> set:
+    """The bytecodes of a plugin's pluglets: a program two pluglets
+    share is loaded once."""
+    return {p.bytecode for p in plugin.pluglets}
+
+
 @pytest.fixture(autouse=True)
 def default_switches(monkeypatch):
     monkeypatch.delenv("REPRO_JIT", raising=False)
 
 
 def counting_compile(monkeypatch) -> list:
-    """Record ``(program id, specialized)`` for every ``compile_jit``."""
+    """Record ``(program bytecode, specialized)`` for every
+    ``compile_jit``."""
     compiled = []
     real_compile = jit_module.compile_jit
 
     def counting(instructions, *args, **kwargs):
         proof = kwargs.get("proof", args[0] if args else None)
-        compiled.append((id(instructions), proof is not None))
+        compiled.append((encode_program(instructions), proof is not None))
         return real_compile(instructions, *args, **kwargs)
 
     monkeypatch.setattr(jit_module, "compile_jit", counting)
@@ -89,19 +96,19 @@ def counting_compile(monkeypatch) -> list:
 
 class TestLoadedOnce:
     def test_n_instantiations_compile_and_verify_once(self, monkeypatch):
-        """One verdict and one closure per pluglet, however many
+        """One verdict and one closure per program, however many
         connections: every monitoring pluglet is proven, so the closure
         is the specialized one and no checked fallback is compiled."""
         compiled = counting_compile(monkeypatch)
         verified = []
-        real_verify = plugin_module.verify_report
+        real_verify = programs_module.verify_report
         monkeypatch.setattr(
-            plugin_module, "verify_report",
+            programs_module, "verify_report",
             lambda report: (verified.append(id(report)),
                             real_verify(report))[1])
 
         plugin = build_monitoring_plugin()
-        programs = sorted(id(p.instructions) for p in plugin.pluglets)
+        programs = sorted(distinct_programs(plugin))
         cache = PluginCache()
         cache.store(plugin)
         first = cache.instantiate(plugin.name, make_conn())
@@ -125,9 +132,9 @@ class TestLoadedOnce:
 
     def test_failed_verification_fails_every_instantiation(self, monkeypatch):
         verified = []
-        real_verify = plugin_module.verify_report
+        real_verify = programs_module.verify_report
         monkeypatch.setattr(
-            plugin_module, "verify_report",
+            programs_module, "verify_report",
             lambda report: (verified.append(1), real_verify(report))[1])
         bad = Plugin("org.load.bad", [
             Pluglet("ok", "op", "post", assemble("exit")),
@@ -322,12 +329,12 @@ def load_work(monkeypatch):
 
 class TestLoadCost:
     """A cost gate that times nothing: a cold load interprets each
-    pluglet once, evaluates the §2.1 rules on it once and compiles one
-    closure for it, whatever asks for the verdict, the proofs, the
-    effect summaries and the code, in whatever order."""
+    distinct program once, evaluates the §2.1 rules on it once and
+    compiles one closure for it, whatever asks for the verdict, the
+    proofs, the effect summaries and the code, in whatever order."""
 
     @pytest.mark.parametrize("build", BUNDLED, ids=lambda b: b.__name__)
-    def test_each_piece_of_work_once_per_pluglet(self, build, load_work):
+    def test_each_piece_of_work_once_per_program(self, build, load_work):
         plugin = build()
         plugin.verify_all()
         plugin.analyze_all()
@@ -335,7 +342,7 @@ class TestLoadCost:
         plugin.load()
         for _ in range(2):
             PluginInstance(plugin, make_conn()).attach()
-        n = len(plugin.pluglets)
+        n = len(distinct_programs(plugin))
         assert load_work == {"interpretations": n, "legacy_passes": n,
                              "closures": n}
 
@@ -345,7 +352,7 @@ class TestLoadCost:
         plugin = build_multipath_plugin()
         plugin.analyze_all()
         PluginCache().store(plugin)
-        n = len(plugin.pluglets)
+        n = len(distinct_programs(plugin))
         assert load_work == {"interpretations": n, "legacy_passes": n,
                              "closures": 0}
 
@@ -353,10 +360,13 @@ class TestLoadCost:
         PluginCache().store(build_monitoring_plugin())
         assert load_work["interpretations"] == load_work["closures"] == 0
 
-    def test_bundled_plugins_load_one_closure_per_pluglet(self, load_work):
+    def test_bundled_plugins_load_one_closure_per_program(self, load_work):
+        """46 pluglets, 42 programs: two pluglets of multipath and two of
+        FEC share their code, and two programs recur, against the same
+        heap size, in a second plugin."""
         for build in BUNDLED:
             build().load()
-        assert load_work["closures"] == 46
+        assert load_work["closures"] == 42
 
 
 # --- the checked closure, on demand ---------------------------------------------
@@ -376,7 +386,10 @@ class TestCheckedClosureOnDemand:
         plugin = build()
         loaded = plugin.load()
         compiled = counting_compile(monkeypatch)
+        programs = {}
         for pluglet in plugin.pluglets:
+            programs.setdefault(pluglet.bytecode, pluglet)
+        for pluglet in programs.values():
             code = loaded[pluglet.name]
             assert code.fast is not None
             full, small = plugin.memory_size, code.heap_size - 8
@@ -391,7 +404,7 @@ class TestCheckedClosureOnDemand:
             assert compiled == []
             assert (agree(code.fuel_bound - 1, full) if code.fuel_bound
                     else agree(executed, small))
-            assert compiled == [(id(pluglet.instructions), False)]
+            assert compiled == [(pluglet.bytecode, False)]
             for budget in range(executed + 1):
                 for memory in (full, small):
                     assert agree(budget, memory), (pluglet.name, budget,

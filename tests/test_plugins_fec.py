@@ -1,12 +1,16 @@
 """FEC plugin tests: GF(256) codes and the framework (§4.4)."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import PluginInstance
+from repro.core import Plugin, PluginInstance
 from repro.netsim import Simulator, symmetric_topology
 from repro.plugins.fec import (
     CODES,
@@ -155,21 +159,27 @@ class TestFrames:
 
 
 def run_fec_transfer(size, ecc="rlc", mode="full", loss=4, d=150, bw=2,
-                     seed=11, use_fec=True):
+                     seed=11, use_fec=True, received=False):
+    """A transfer with FEC on both ends; ``received``: each end's plugin
+    decoded from the other's wire form."""
+    def build():
+        plugin = build_fec_plugin(ecc, mode)
+        return Plugin.deserialize(plugin.serialize()) if received else plugin
+
     sim = Simulator()
     topo = symmetric_topology(sim, d_ms=d, bw_mbps=bw, loss_pct=loss, seed=seed)
     server = ServerEndpoint(sim, topo.server, "server.0", 443)
     client = ClientEndpoint(sim, topo.client, "client.0", 5000, "server.0", 443)
     instances = []
     if use_fec:
-        ci = PluginInstance(build_fec_plugin(ecc, mode), client.conn)
+        ci = PluginInstance(build(), client.conn)
         ci.attach()
         instances.append(ci)
     state = {}
 
     def on_conn(conn):
         if use_fec:
-            si = PluginInstance(build_fec_plugin(ecc, mode), conn)
+            si = PluginInstance(build(), conn)
             si.attach()
             instances.append(si)
         state["sconn"] = conn
@@ -202,6 +212,14 @@ class TestFramework:
             receiver = instances[-1]
             recovered_any += receiver.runtime.fec_state.recovered_total
         assert recovered_any > 0
+
+    def test_a_received_plugin_recovers_lost_packets(self):
+        built = run_fec_transfer(100_000, seed=12)
+        received = run_fec_transfer(100_000, seed=12, received=True)
+        assert received[0] == built[0]
+        recovered = [run[1][-1].runtime.fec_state.recovered_total
+                     for run in (built, received)]
+        assert recovered[0] == recovered[1] > 0
 
     def test_recovered_packets_not_retransmitted(self):
         """A recovered packet is ACKed, so the sender's spurious
@@ -309,3 +327,23 @@ class TestPeerControlledState:
         assert state.refused_fragments == 1
         buffer, _offsets = state.rx_windows[1].partial[0]
         assert len(buffer) == 100
+
+
+def test_importing_the_plugins_leaves_numpy_unloaded():
+    """numpy is loaded by the first coded symbol, not by declaring the
+    plugins: a process that imports them, and decodes a received FEC
+    plugin that finds its host binding, has not loaded it."""
+    code = (
+        "import sys\n"
+        "import repro.plugins\n"
+        "from repro.core.plugin import Plugin\n"
+        "from repro.plugins.fec import build_fec_plugin\n"
+        "from repro.plugins.fec.framework import HOST\n"
+        "plugin = Plugin.deserialize(build_fec_plugin().serialize())\n"
+        "assert plugin.host is HOST\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
