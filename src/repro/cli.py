@@ -87,7 +87,7 @@ def cmd_protoops(args) -> int:
         op = table.get(name)
         kind = "param" if op.parameterized else (
             "external" if op.external else (
-                "event" if not op.defaults else "op"))
+                "event" if table.default(name) is None else "op"))
         print(f"  {name:<32} [{kind}]")
     return 0
 

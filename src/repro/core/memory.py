@@ -38,7 +38,8 @@ class BlockAllocator:
         self.block_size = block_size
         self.num_blocks = memory.size // block_size
         self._free: list[int] = list(range(self.num_blocks - 1, -1, -1))
-        self._free_set: set[int] = set(self._free)
+        #: 1 for a free block, by block number.
+        self._is_free = bytearray(b"\x01") * self.num_blocks
         self._allocated: dict[int, int] = {}  # first block -> run length
 
     # ------------------------------------------------------------------
@@ -59,7 +60,7 @@ class BlockAllocator:
             if not self._free:
                 raise AllocationError("plugin memory exhausted")
             block = self._free.pop()
-            self._free_set.discard(block)
+            self._is_free[block] = 0
             self._allocated[block] = 1
             return HEAP_BASE + block * self.block_size
         return self._malloc_run(blocks_needed)
@@ -67,16 +68,16 @@ class BlockAllocator:
     def _malloc_run(self, count: int) -> int:
         """Find a contiguous run of ``count`` free blocks."""
         run_start, run_len = None, 0
+        is_free = self._is_free
         for block in range(self.num_blocks):
-            if block in self._free_set:
+            if is_free[block]:
                 if run_start is None:
                     run_start, run_len = block, 1
                 else:
                     run_len += 1
                 if run_len == count:
-                    for b in range(run_start, run_start + count):
-                        self._free_set.discard(b)
-                    self._free = [b for b in self._free if b in self._free_set]
+                    is_free[run_start:run_start + count] = bytes(count)
+                    self._free = [b for b in self._free if is_free[b]]
                     self._allocated[run_start] = count
                     return HEAP_BASE + run_start * self.block_size
             else:
@@ -94,9 +95,8 @@ class BlockAllocator:
         self.memory.data[start:start + count * self.block_size] = bytes(
             count * self.block_size
         )
-        for b in range(block, block + count):
-            self._free.append(b)
-            self._free_set.add(b)
+        self._free.extend(range(block, block + count))
+        self._is_free[block:block + count] = b"\x01" * count
 
     def allocation_size(self, address: int) -> Optional[int]:
         """Bytes usable at ``address``, or None if not an allocation."""

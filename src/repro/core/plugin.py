@@ -48,7 +48,7 @@ from repro.vm.analysis import (
     check_conflicts,
     summarize_plugin,
 )
-from repro.vm.compiler import compile_pluglet
+from repro.vm.compiler import compile_program
 from repro.vm.interpreter import (
     DEFAULT_FUEL,
     DEFAULT_HELPER_BUDGET,
@@ -62,6 +62,7 @@ from repro.vm.jit import create_vm, jit_enabled_by_env
 
 from .api import (
     CORE_HELPER_NAMES,
+    FIELD_NAMES,
     FIELD_TABLE,
     H_PLUGIN_BASE,
     HELPER_EFFECTS,
@@ -117,6 +118,15 @@ class HostBinding:
         self.frames = {cls.type: cls for cls in frames}
         self.setup = setup
         self.on_attach = on_attach
+        #: {helper_id: HelperEffect} for every helper a plugin of this
+        #: binding can call: the core table plus the binding's own.  A
+        #: helper left out is taken to reach the calling pluglet's stack.
+        self.helper_effects = {**HELPER_EFFECTS, **self.effects}
+        #: Ids of the helpers that never touch the calling pluglet's
+        #: stack, for :func:`~repro.vm.jit.compile_jit`.
+        self.stack_blind = frozenset(
+            hid for hid, effect in self.helper_effects.items()
+            if not effect.reaches_stack)
         HOST_BINDINGS[prefix] = self
 
     def bind(self, runtime) -> dict:
@@ -166,6 +176,9 @@ _ANCHORS_REV = {v: k for k, v in _ANCHORS.items()}
 
 DEFAULT_PLUGIN_MEMORY = 16 * 1024
 
+#: Most attached sets whose conflict verdict a plugin entry keeps.
+MAX_ATTACHED_SETS = 64
+
 
 @dataclass
 class Pluglet:
@@ -186,6 +199,11 @@ class Pluglet:
     #: the conflict analyzer builds its cross-plugin call graph from this
     #: (and flags undeclared use of the helper as a wildcard, PRE204).
     triggers: tuple = ()
+    #: The encoding of ``instructions`` where it came with them — from
+    #: the compiler's memo or off the wire — so that finding the
+    #: program in the store encodes nothing.
+    _bytecode: Optional[bytes] = field(default=None, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         if self.anchor not in _ANCHORS:
@@ -196,6 +214,8 @@ class Pluglet:
 
     @property
     def bytecode(self) -> bytes:
+        if self._bytecode is not None:
+            return self._bytecode
         return encode_program(self.instructions)
 
     @classmethod
@@ -213,18 +233,19 @@ class Pluglet:
     ) -> "Pluglet":
         """Compile restricted-Python source into a pluglet (the paper's
         C-to-eBPF step)."""
-        mapping = dict(CORE_HELPER_NAMES)
-        if helpers:
-            mapping.update(helpers)
+        mapping = {**CORE_HELPER_NAMES, **helpers} if helpers \
+            else CORE_HELPER_NAMES
+        instructions, bytecode = compile_program(source, helpers=mapping)
         return cls(
             name=name,
             protoop=protoop,
             anchor=anchor,
-            instructions=compile_pluglet(source, helpers=mapping),
+            instructions=list(instructions),
             param=param,
             fuel=fuel,
             helper_budget=helper_budget,
             triggers=triggers,
+            _bytecode=bytecode,
         )
 
 
@@ -232,31 +253,25 @@ class Plugin:
     """A manifest plus pluglets — the unit of distribution and validation.
 
     The pluglet list is immutable once the plugin is verified, analyzed or
-    loaded (it is the §3.1 binding): the plugin then holds one
-    :class:`~repro.vm.programs.Program` per pluglet, shared with every
-    plugin of the same code, and serving every connection the plugin is
-    instantiated on."""
+    loaded (it is the §3.1 binding): the plugin then holds the store's
+    entry of its content (:class:`_Loaded`) — one
+    :class:`~repro.vm.programs.Program` per pluglet and what is derived
+    from them — shared with every plugin of the same content and
+    binding, and serving every connection the plugin is instantiated
+    on."""
 
     def __init__(self, name: str, pluglets: list,
                  memory_size: int = DEFAULT_PLUGIN_MEMORY):
         self.name = name  # globally unique, e.g. "org.pquic.monitoring"
         self.pluglets = pluglets
         self.memory_size = memory_size
-        #: The host side this host declares for the name.
+        #: The host side this host declares for the name, and the
+        #: helper effects and stack-blind helper ids it states.
         self.host = host_binding(name)
-        #: {helper_id: HelperEffect} for every helper the bytecode can
-        #: call: the core table plus what the binding states for the
-        #: plugin's own host helpers.  A helper left out is taken to reach
-        #: the calling pluglet's stack.
-        self.helper_effects = {**HELPER_EFFECTS, **self.host.effects}
-        #: Ids of the helpers that never touch the calling pluglet's
-        #: stack, for :func:`~repro.vm.jit.compile_jit`.
-        self.stack_blind = frozenset(
-            hid for hid, effect in self.helper_effects.items()
-            if not effect.reaches_stack)
-        #: The program store's entries, one per pluglet in order.
-        self._programs: Optional[list] = None
-        self._effects = None
+        self.helper_effects = self.host.helper_effects
+        self.stack_blind = self.host.stack_blind
+        #: The store's entry of this content, found on first use.
+        self._loaded: Optional[_Loaded] = None
 
     # --- serialization (the §3.1 binding) -------------------------------
 
@@ -292,7 +307,7 @@ class Plugin:
         name = buf.pull_varint_prefixed_bytes().decode("utf-8")
         memory_size = buf.pull_varint()
         count = buf.pull_varint()
-        pluglets, entries = [], []
+        pluglets = []
         for _ in range(count):
             pname = buf.pull_varint_prefixed_bytes().decode("utf-8")
             protoop = buf.pull_varint_prefixed_bytes().decode("utf-8")
@@ -310,16 +325,13 @@ class Plugin:
                 buf.pull_varint_prefixed_bytes().decode("utf-8")
                 for _ in range(buf.pull_varint())
             )
-            entry = programs.program(buf.pull_varint_prefixed_bytes(),
-                                     memory_size)
-            entries.append(entry)
+            code = buf.pull_varint_prefixed_bytes()
+            entry = programs.program(code, memory_size)
             pluglets.append(Pluglet(pname, protoop, anchor,
                                     list(entry.instructions), param,
                                     fuel=fuel, helper_budget=helper_budget,
-                                    triggers=triggers))
-        plugin = cls(name, pluglets, memory_size=memory_size)
-        plugin._programs = entries
-        return plugin
+                                    triggers=triggers, _bytecode=code))
+        return cls(name, pluglets, memory_size=memory_size)
 
     def compressed(self) -> bytes:
         """The ZIP-compressed exchange format (§3.4 / Table 2)."""
@@ -329,14 +341,16 @@ class Plugin:
     def decompress(cls, data: bytes) -> "Plugin":
         return cls.deserialize(zlib.decompress(data))
 
-    def _resolved(self) -> list:
-        """The program store's entry of each pluglet, looked up once:
-        the one its bytecode names, so a plugin built here and one
-        received share it."""
-        if self._programs is None:
-            self._programs = [programs.program(p.bytecode, self.memory_size)
-                              for p in self.pluglets]
-        return self._programs
+    def _entry(self) -> "_Loaded":
+        """The store's entry of this plugin's content, looked up once:
+        a plugin built here and one received share it."""
+        if self._loaded is None:
+            key = [self.name, self.memory_size, self.host]
+            for p in self.pluglets:
+                key += (p.name, p.protoop, p.anchor, p.param, p.triggers,
+                        p.bytecode)
+            self._loaded = programs.plugin(tuple(key), lambda: _Loaded(self))
+        return self._loaded
 
     def verify_all(self) -> None:
         """Static verification of every pluglet; §2.1: "A plugin is
@@ -347,7 +361,10 @@ class Plugin:
         verdict is read off the analyzer reports — shallow ones, unless a
         deep analysis already ran — so the rules are evaluated once
         either way."""
-        for p, program in zip(self.pluglets, self._resolved()):
+        entry = self._entry()
+        if entry.verified:
+            return
+        for p, program in zip(self.pluglets, entry.programs):
             exc = program.rejection
             if exc is not None:
                 rejection = VerificationError(
@@ -355,6 +372,7 @@ class Plugin:
                     exc.pc)
                 rejection.rule = exc.rule
                 raise rejection
+        entry.verified = True
 
     def analyze_all(self) -> dict:
         """Static-analyzer reports for every pluglet, keyed by pluglet
@@ -362,21 +380,34 @@ class Plugin:
         one analysis serves every plugin holding that code and every
         connection they attach to."""
         return {p.name: report
-                for p, report in zip(self.pluglets, self._reports())}
-
-    def _reports(self) -> list:
-        """The deep analyzer reports, in pluglet order."""
-        return [program.report(deep=True) for program in self._resolved()]
+                for p, report in zip(self.pluglets, self._entry().reports())}
 
     def effect_summaries(self):
         """Per-pluglet effect summaries (fields read/written, helpers,
         declared triggers) for the inter-plugin conflict analyzer, read
-        off the call sites in :meth:`analyze_all`'s reports.  Kept on the
-        plugin: they also depend on its binding's helper effects."""
-        if self._effects is None:
-            self._effects = summarize_plugin(self, self.helper_effects,
-                                             self._reports())
-        return self._effects
+        off the call sites in :meth:`analyze_all`'s reports.  Kept with
+        the content: they also depend on its binding's helper effects."""
+        entry = self._entry()
+        if entry.effects is None:
+            entry.effects = summarize_plugin(self, self.helper_effects,
+                                             entry.reports())
+        return entry.effects
+
+    def conflicts_with(self, attached: list) -> list:
+        """The conflict diagnostics of attaching this plugin on top of
+        the ``attached`` plugins (:func:`~repro.vm.analysis.check_conflicts`
+        over the effect summaries).  A function of the contents
+        involved: kept with this plugin's entry, per attached set."""
+        known = self._entry().conflicts
+        key = tuple(plugin._entry() for plugin in attached)
+        diags = known.get(key)
+        if diags is None:
+            if len(known) >= MAX_ATTACHED_SETS:
+                known.clear()
+            diags = known[key] = check_conflicts(
+                [plugin.effect_summaries() for plugin in attached],
+                self.effect_summaries(), FIELD_NAMES)
+        return diags
 
     @property
     def loaded(self) -> bool:
@@ -386,11 +417,12 @@ class Plugin:
         code.  A proven pluglet's fully-checked closure is not part of
         the load: its :class:`~repro.vm.jit.JitCode` compiles it on the
         first run that needs it."""
-        resolved = self._programs
-        if resolved is None or any(p.rejection is not None for p in resolved):
+        entry = self._loaded
+        if entry is None or any(p.rejection is not None
+                                for p in entry.programs):
             return False
         return not jit_enabled_by_env() or all(
-            p.compiled(self.stack_blind) for p in resolved)
+            p.compiled(self.stack_blind) for p in entry.programs)
 
     def load(self) -> Optional[dict]:
         """Verify the plugin and JIT-compile its pluglets — §2.5: paid
@@ -402,8 +434,11 @@ class Plugin:
         self.verify_all()
         if not jit_enabled_by_env():
             return None
-        return {p.name: program.jit(self.stack_blind)
-                for p, program in zip(self.pluglets, self._programs)}
+        entry = self._loaded
+        if entry.code is None:
+            entry.code = {p.name: program.jit(self.stack_blind)
+                          for p, program in zip(self.pluglets, entry.programs)}
+        return entry.code
 
     def stats(self) -> dict:
         """Table-2 style statistics."""
@@ -415,6 +450,50 @@ class Plugin:
             "size_bytes": len(raw),
             "compressed_bytes": len(self.compressed()),
         }
+
+
+class _Loaded:
+    """The store's entry of one plugin content and binding
+    (:func:`repro.vm.programs.plugin`): the program of each pluglet and
+    what a plugin derives from them — its verdict, closures, reports,
+    effect summaries and analysis totals — each computed once for every
+    plugin object and connection of that content."""
+
+    __slots__ = ("names", "programs", "verified", "code", "effects",
+                 "_reports", "_analysis", "conflicts")
+
+    def __init__(self, plugin: Plugin) -> None:
+        self.names = tuple(p.name for p in plugin.pluglets)
+        #: The program store's entries, one per pluglet in order.
+        self.programs = [programs.program(p.bytecode, plugin.memory_size)
+                         for p in plugin.pluglets]
+        self.verified = False
+        #: {pluglet name: JitCode}, once loaded with the JIT on.
+        self.code: Optional[dict] = None
+        self.effects = None
+        self._reports: Optional[list] = None
+        self._analysis: Optional[tuple] = None
+        #: {entries of an attached set: conflict diagnostics}, at most
+        #: :data:`MAX_ATTACHED_SETS` of them.
+        self.conflicts: dict = {}
+
+    def reports(self) -> list:
+        """The deep analyzer reports, in pluglet order."""
+        if self._reports is None:
+            self._reports = [program.report(deep=True)
+                             for program in self.programs]
+        return self._reports
+
+    def analysis(self) -> tuple:
+        """``(pluglets, errors, warnings, proven)`` of the
+        ``plugin_analyzed`` event, over the reports by pluglet name."""
+        if self._analysis is None:
+            reports = dict(zip(self.names, self.reports())).values()
+            self._analysis = (
+                len(reports), sum(len(r.errors()) for r in reports),
+                sum(len(r.warnings()) for r in reports),
+                sum(1 for r in reports if r.memory_safe))
+        return self._analysis
 
 
 #: Paths a connection may have; :meth:`PluginRuntime.open_path` opens no more.
@@ -546,7 +625,7 @@ class PluginRuntime:
         if not 0 <= path_index < len(conn.paths):
             return False
         conn._process_ack_frame(
-            conn, ack, {"epoch": Epoch.ONE_RTT, "path_index": path_index})
+            ack, {"epoch": Epoch.ONE_RTT, "path_index": path_index})
         return True
 
     def recover(self, path_index: int, pn: int, payload: bytes) -> bool:
@@ -601,36 +680,43 @@ class PluginRuntime:
 
 
 class PluginInstance:
-    """A plugin instantiated on one connection: PREs + wrappers + heap."""
+    """A plugin instantiated on one connection: PREs + wrappers + heap.
+
+    What it makes is per connection only — heap, helper table, one VM
+    shell per pluglet around the plugin's shared code, the anchor
+    wrappers — everything derived from the code is the plugin's."""
 
     def __init__(self, plugin: Plugin, conn):
         code = plugin.load()
         self.plugin = plugin
         self.conn = conn
         self.runtime = PluginRuntime(plugin, conn)
-        api = PluginApi(self.runtime)
-        helper_table = api.helper_table()
-        self.vms: dict[str, VirtualMachine] = {}
-        self._attached: list = []  # (protoop, anchor, func, param)
-        #: Static-analysis reports per pluglet, for the
-        #: ``plugin_analyzed`` event.
-        self.analysis_reports: dict = plugin.analyze_all()
-        for p in plugin.pluglets:
-            # One VM shell per pluglet — its own counters and budgets —
-            # around the plugin's shared JIT-compiled code, with automatic
-            # interpreter fallback (the paper JITs pluglet bytecode; see
-            # repro/vm/jit.py).
-            self.vms[p.name] = create_vm(
-                p.instructions, self.runtime.memory, helpers=helper_table,
+        helper_table = PluginApi(self.runtime).helper_table()
+        memory = self.runtime.memory
+        #: One VM shell per pluglet — its own counters and budgets —
+        #: around the plugin's shared JIT-compiled code, with automatic
+        #: interpreter fallback (the paper JITs pluglet bytecode; see
+        #: repro/vm/jit.py).
+        self.vms: dict[str, VirtualMachine] = {
+            p.name: create_vm(
+                p.instructions, memory, helpers=helper_table,
                 instruction_budget=p.fuel or DEFAULT_FUEL,
                 helper_call_budget=p.helper_budget or DEFAULT_HELPER_BUDGET,
-                code=code[p.name] if code else None,
-            )
+                code=code[p.name] if code else None)
+            for p in plugin.pluglets}
+        #: The anchors this instance attached, as handed to
+        #: :meth:`~repro.core.protoop.ProtoopTable.attach_all`.
+        self._attached: list = []
         self.attached = False
         #: PRE profiler (see :mod:`repro.trace.profile`), None when
         #: profiling is off — the only cost then is this one attribute
         #: test per invocation.
         self._profiler = getattr(conn, "profiler", None)
+
+    @property
+    def analysis_reports(self) -> dict:
+        """Static-analysis reports per pluglet (the plugin's)."""
+        return self.plugin.analyze_all()
 
     # --- invocation -----------------------------------------------------------
 
@@ -720,10 +806,11 @@ class PluginInstance:
         if self.attached:
             return
         conflicts = self._check_conflicts()
+        self._attached = [self._anchor(pluglet)
+                          for pluglet in self.plugin.pluglets]
         try:
             self.plugin.host.attach(self.runtime)
-            for pluglet in self.plugin.pluglets:
-                self._attach_one(pluglet)
+            self.conn.protoops.attach_all(self._attached)
         except ProtoopError:
             self.detach()
             raise
@@ -740,16 +827,11 @@ class PluginInstance:
         before anything is registered; warnings ride along in the
         ``plugin:conflict_report`` event.  A hard collision that got past
         it would still be refused by the protoop table at registration
-        time."""
-        from .api import FIELD_NAMES
-
-        attached = [
-            instance.plugin.effect_summaries()
-            for instance in self.conn.plugins.values()
-            if instance is not self
-        ]
-        diags = check_conflicts(attached, self.plugin.effect_summaries(),
-                                FIELD_NAMES)
+        time.  The verdict is a function of the contents involved, kept
+        with the incoming plugin's entry."""
+        diags = self.plugin.conflicts_with([
+            instance.plugin for instance in self.conn.plugins.values()
+            if instance is not self])
         errors = [d for d in diags if d.severity is Severity.ERROR]
         if errors:
             raise ProtoopError(
@@ -772,34 +854,23 @@ class PluginInstance:
         """Surface the attach-time static analysis as a protoop event
         (traced as ``plugin:analysis``): diagnostic totals plus how many
         pluglets were proven fully memory-safe."""
-        reports = self.analysis_reports
-        if not reports:
+        count, errors, warnings, proven = self.plugin._entry().analysis()
+        if not count:
             return
-        errors = sum(len(r.errors()) for r in reports.values())
-        warnings = sum(len(r.warnings()) for r in reports.values())
-        proven = sum(1 for r in reports.values() if r.memory_safe)
         self.conn.protoops.emit(self.conn, "plugin_analyzed", self.plugin.name,
-                                len(reports), errors, warnings, proven)
+                                count, errors, warnings, proven)
 
-    def _attach_one(self, pluglet: Pluglet) -> None:
-        table = self.conn.protoops
-        if pluglet.anchor == "replace":
-            func = self._make_replace(pluglet)
-            table.attach(pluglet.protoop, Anchor.REPLACE, func, param=pluglet.param)
-            self._attached.append((pluglet.protoop, Anchor.REPLACE, func, pluglet.param))
-        elif pluglet.anchor == "external":
-            func = self._make_replace(pluglet)
-            table.attach(pluglet.protoop, Anchor.REPLACE, func,
-                         param=pluglet.param, external=True)
-            self._attached.append((pluglet.protoop, Anchor.REPLACE, func, pluglet.param))
-        elif pluglet.anchor == "pre":
-            func = self._make_pre(pluglet)
-            table.attach(pluglet.protoop, Anchor.PRE, func, param=pluglet.param)
-            self._attached.append((pluglet.protoop, Anchor.PRE, func, pluglet.param))
-        else:
-            func = self._make_post(pluglet)
-            table.attach(pluglet.protoop, Anchor.POST, func, param=pluglet.param)
-            self._attached.append((pluglet.protoop, Anchor.POST, func, pluglet.param))
+    def _anchor(self, pluglet: Pluglet) -> tuple:
+        """``(protoop, anchor, wrapper, param, external)`` of a pluglet."""
+        if pluglet.anchor in ("replace", "external"):
+            return (pluglet.protoop, Anchor.REPLACE,
+                    self._make_replace(pluglet), pluglet.param,
+                    pluglet.anchor == "external")
+        if pluglet.anchor == "pre":
+            return (pluglet.protoop, Anchor.PRE, self._make_pre(pluglet),
+                    pluglet.param, False)
+        return (pluglet.protoop, Anchor.POST, self._make_post(pluglet),
+                pluglet.param, False)
 
     def _make_replace(self, pluglet: Pluglet) -> Callable:
         def run_replace(conn, *args):
@@ -823,10 +894,8 @@ class PluginInstance:
         return run_post
 
     def detach(self) -> None:
-        table = self.conn.protoops
-        for protoop, anchor, func, param in self._attached:
-            table.detach(protoop, anchor, func, param=param)
-        self._attached.clear()
+        self.conn.protoops.detach_all(self._attached)
+        self._attached = []
         self.attached = False
         # Only drop the name registration if it is ours: a rolled-back
         # second plugin with the same name must not evict the first.

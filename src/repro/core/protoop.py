@@ -18,13 +18,20 @@ Combining plugins must not create call loops (Figure 3): every
 (protoop, parameter) has a re-entry guard that is set while the operation
 runs, and the table aborts the connection if a running operation is
 entered again.
+
+A connection pays only for what it changes.  Its table is its class's
+*census* — the operations and built-in defaults every connection of the
+class shares — plus what was registered or attached to that connection.
+The call plan of an operation nothing is attached to is built once per
+census and shared by all of its tables; only the re-entry guards are
+each table's own.  Attaching a whole plugin is one change
+(:meth:`ProtoopTable.attach_all`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from types import MethodType
 from typing import Any, Callable, Optional
 
 from repro.errors import TransportError, TransportErrorCode
@@ -71,87 +78,92 @@ class ProtocolOperation:
         return self.defaults.get(param)
 
 
-class _Guard:
-    """Re-entry guard of one (protoop, parameter): set while it runs."""
-
-    __slots__ = ("running",)
-
-    def __init__(self) -> None:
-        self.running = False
-
-
-class _SharedRow:
-    """The ``op`` of a plan built on a census row its table has not
-    copied.  ``run`` reads ``behavior`` / ``post`` from it again only
-    after the epoch moved mid-run — the run may have attached to its own
-    operation — so those reads go to the table's copy of the row."""
-
-    __slots__ = ("table", "name", "external")
-
-    def __init__(self, table: "ProtoopTable", row: ProtocolOperation) -> None:
-        self.table, self.name, self.external = table, row.name, row.external
-
-    def behavior(self, param: Any) -> Optional[Callable]:
-        return self.table._own(self.name).behavior(param)
-
-    @property
-    def post(self) -> dict:
-        return self.table._own(self.name).post
-
-
 class CallPlan:
     """Everything one run of a (protoop, parameter) needs, resolved once
     per epoch: the anchors as they stood when the plan was built, plus
-    the facts the dispatcher would otherwise recompute on every run."""
+    the facts the dispatcher would otherwise recompute on every run.
 
-    __slots__ = ("op", "key", "pre", "behavior", "post",
-                 "external", "bare", "epoch", "guard")
+    A plan holds nothing of a connection, so the plan of an operation
+    with nothing attached is built once per census and shared by every
+    table of it.  ``slot`` indexes the re-entry guard of the plan's
+    (protoop, parameter) in each table's own guard list."""
 
-    def __init__(self, op: Any, key: Any, pre: tuple,
-                 behavior: Optional[Callable], post: tuple, epoch: int,
-                 guard: _Guard) -> None:
-        self.op = op
+    __slots__ = ("name", "key", "pre", "behavior", "post",
+                 "external", "bare", "slot")
+
+    def __init__(self, name: str, key: Any, pre: tuple,
+                 behavior: Optional[Callable], post: tuple, external: bool,
+                 slot: int) -> None:
+        self.name = name
         self.key = key
         self.pre = pre
         self.behavior = behavior
         self.post = post
-        self.external = op.external
+        self.external = external
         self.bare = not pre and not post  # nothing observes this run
-        self.epoch = epoch
-        self.guard = guard
+        self.slot = slot
 
 
 class ProtoopTable:
     """Per-connection registry and dispatcher of protocol operations.
 
     Built on a *census* (the table of a connection class, whose defaults
-    are that class's functions), it shares the census rows until it
-    changes one: a row is copied in, its defaults bound to *owner*, on
-    the first ``register`` / ``attach`` / ``detach`` / ``get`` of it.
+    are that class's functions), a table is the census plus what was
+    registered or attached to it: its own rows hold only that, and a
+    census row is never copied.  Every behaviour is called with the
+    connection first, so a census default (an ``_op_*`` method) runs as
+    is, bound to nothing.  The plan of an operation the table changed
+    nothing on is the census's, built once and shared by every table of
+    it; each table keeps its own re-entry guards.  A census is not
+    changed once tables are built on it.
     """
 
-    def __init__(self, census: Optional["ProtoopTable"] = None,
-                 owner: Any = None) -> None:
+    def __init__(self, census: Optional["ProtoopTable"] = None) -> None:
+        #: The census rows (read-only here).
         self._shared: dict[str, ProtocolOperation] = (
             census._ops if census is not None else {})
-        self._owner = owner
-        #: The rows this table owns (copied from the census, or new).
+        #: The rows this table owns: its registrations and attachments.
         self._ops: dict[str, ProtocolOperation] = {}
         self.runs = 0  # total protoop invocations (monitoring/benchmarks)
+        #: Plans of the census rows with nothing attached, shared by the
+        #: census's tables (filled by whichever runs an operation first),
+        #: and per parameterized operation the one plan of every
+        #: parameter it has no default for (nothing runs there).
+        self._class_plans: dict = {}
+        self._null_plans: dict = {}
+        self._census_plans: dict = (
+            census._class_plans if census is not None else {})
+        self._census_nulls: dict = (
+            census._null_plans if census is not None else {})
+        #: (name, key) -> index of its re-entry guard: the census numbers
+        #: its own operations once, so that shared plans can carry the
+        #: index; any other (name, key) — an extension event, a parameter
+        #: the census has no default for, such as a frame type off the
+        #: wire — is numbered by the table, after those.
+        self._census_slots: dict = (
+            census._numbered() if census is not None else {})
+        self._own_slots: dict = {}
+        #: Run keys of the census operations this table registered or
+        #: attached something to: their plans are the table's own.
+        self._touched: set = set()
+        #: Re-entry guards, by slot: set while the operation runs.  Never
+        #: cleared, only grown in place: an operation stays "running"
+        #: across a mid-run attach/detach/quarantine.
+        self._running: list = [False] * len(self._census_slots)
+        self._numbering: Optional[dict] = None  # see _numbered
         #: Dispatch cache: one :class:`CallPlan` per (name, param), keyed
         #: by ``name`` alone when ``param is None`` so the common run
-        #: builds no tuple.  Invalidated as a whole whenever any anchor
-        #: changes (register/attach/detach): a plan found here was built
-        #: at the current epoch.
-        self._plans: dict = {}
-        #: (name, key) -> re-entry guard.  Never cleared: an operation
-        #: stays "running" across a mid-run attach/detach/quarantine.
-        self._guards: dict = {}
+        #: builds no tuple.  A plan found here is current: every anchor
+        #: change empties it, and the next miss refills it with the
+        #: shared plans (:meth:`_refill`).
+        self._plans: dict = self._census_plans.copy()
+        self._stale = False
         self._params_cache: dict[str, frozenset] = {}
         #: names tuple -> :meth:`untouched` verdict, dropped with the plans.
         self._untouched: dict[tuple, bool] = {}
         self._epoch = 0  # bumped on every invalidation
-        self.plan_builds = 0  # cache fills (tests/monitoring)
+        self._deferring = False  # inside attach_all / detach_all
+        self.plan_builds = 0  # plans built here, shared or own (tests)
         #: Per-operation run counts, populated only after
         #: :meth:`enable_run_counting` (profiling) — the default dispatch
         #: path carries no counting branch.
@@ -161,47 +173,114 @@ class ProtoopTable:
     def _invalidate(self) -> None:
         """Drop every cached call plan (an anchor or default changed)."""
         self._epoch += 1
-        self._plans.clear()
+        self._plans = {}
+        self._stale = True
         self._params_cache.clear()
         self._untouched.clear()
 
-    def _own(self, name: str) -> Optional[ProtocolOperation]:
-        """The table's own row *name*, copied from the census on first use."""
-        op = self._ops.get(name)
-        if op is None and name in self._shared:
-            row = self._shared[name]
-            op = self._ops[name] = ProtocolOperation(
-                name, row.parameterized, row.external, row.doc,
-                {key: MethodType(func, self._owner)
-                 for key, func in row.defaults.items()})
-        return op
+    def _refill(self) -> None:
+        """Start the epoch's plans from the census's shared ones, less
+        those of the operations this table changed."""
+        plans = self._plans = {} if self._count_runs \
+            else self._census_plans.copy()
+        for run_key in self._touched:
+            plans.pop(run_key, None)
+        self._stale = False
+        self._fit_guards()
+
+    def _numbered(self) -> dict:
+        """As a census: the guard slot of each of its (name, key) — the
+        parameters it has defaults for, or None — numbered once, when the
+        first table is built on it.  Slot 0 is no operation's: the null
+        plans carry it, and nothing ever sets it."""
+        if self._numbering is None:
+            pairs = [(None, None)] + [
+                (name, key) for name, op in self._ops.items()
+                for key in (op.defaults if op.parameterized else (None,))]
+            self._numbering = {pair: slot for slot, pair in enumerate(pairs)}
+        return self._numbering
+
+    def _fit_guards(self) -> None:
+        missing = (len(self._census_slots) + len(self._own_slots)
+                   - len(self._running))
+        if missing > 0:
+            self._running.extend([False] * missing)
+
+    def _slot(self, name: str, key: Any) -> int:
+        slot = self._census_slots.get((name, key))
+        if slot is None:
+            slot = self._own_slots.get((name, key))
+            if slot is None:
+                slot = self._own_slots[(name, key)] = (
+                    len(self._census_slots) + len(self._own_slots))
+        return slot
+
+    def _touch(self, name: str, key: Any) -> None:
+        """This table now has its own anchors or default on a census
+        operation: its plan is the table's own from the next epoch on."""
+        if name in self._shared:
+            self._touched.add(name if key is None else (name, key))
+
+    def _behavior(self, name: str, key: Any) -> Optional[Callable]:
+        """What runs for *name*[*key*] now: the replacement, else the
+        default this table registered, else the census default."""
+        own = self._ops.get(name)
+        if own is not None:
+            func = own.replacements.get(key) or own.defaults.get(key)
+            if func is not None:
+                return func
+        row = self._shared.get(name)
+        return None if row is None else row.defaults.get(key)
+
+    def _post(self, name: str, key: Any) -> tuple:
+        own = self._ops.get(name)
+        return () if own is None else tuple(own.post.get(key, ()))
 
     def _build_plan(self, name: str, param: Any) -> CallPlan:
-        op = self._ops.get(name)
-        if op is None and name in self._shared:
-            row = self._shared[name]
-            key = param if row.parameterized else None
-            default = row.defaults.get(key)
-            behavior = None if default is None else MethodType(default, self._owner)
-            op, pre, post = _SharedRow(self, row), (), ()
+        run_key = name if param is None else (name, param)
+        if self._stale:
+            self._refill()
+            plan = self._plans.get(run_key)
+            if plan is not None:
+                return plan
+        row = self._shared.get(name)
+        op = self._ops.get(name) or row or self.get(name)
+        key = param if op.parameterized else None
+        slot = self._census_slots.get((name, key))
+        shared = row is not None and not self._count_runs
+        if shared and slot is not None and run_key not in self._touched \
+                and (param is None or row.parameterized):
+            plan = self._census_plans.get(run_key)
+            if plan is None:
+                plan = self._census_plans[run_key] = CallPlan(
+                    name, key, (), row.defaults.get(key), (), row.external,
+                    slot)
+                self.plan_builds += 1
+        elif shared and slot is None and run_key not in self._touched:
+            # A parameter the census has no default for and this table
+            # nothing at — e.g. a frame type off the wire: one shared
+            # plan per operation, so the census does not grow with them.
+            plan = self._census_nulls.get(name)
+            if plan is None:
+                plan = self._census_nulls[name] = CallPlan(
+                    name, None, (), None, (), row.external, 0)
+                self.plan_builds += 1
         else:
-            op = op or self.get(name)
-            key = param if op.parameterized else None
-            behavior = op.behavior(key)
-            pre, post = tuple(op.pre.get(key, ())), tuple(op.post.get(key, ()))
-        guard = self._guards.get((name, key))
-        if guard is None:
-            guard = self._guards[(name, key)] = _Guard()
-        if self._count_runs:
-            counts = self.run_counts
+            slot = self._slot(name, key)
+            own = self._ops.get(name)
+            pre = () if own is None else tuple(own.pre.get(key, ()))
+            if self._count_runs:
+                counts = self.run_counts
 
-            def count_run(conn, args, _name=name):
-                counts[_name] = counts.get(_name, 0) + 1
+                def count_run(conn, args, _name=name):
+                    counts[_name] = counts.get(_name, 0) + 1
 
-            pre = (count_run,) + pre
-        plan = CallPlan(op, key, pre, behavior, post, self._epoch, guard)
-        self._plans[name if param is None else (name, param)] = plan
-        self.plan_builds += 1
+                pre = (count_run,) + pre
+            plan = CallPlan(name, key, pre, self._behavior(name, key),
+                            self._post(name, key), op.external, slot)
+            self.plan_builds += 1
+        self._plans[run_key] = plan
+        self._fit_guards()
         return plan
 
     # --- registration -----------------------------------------------------
@@ -220,27 +299,33 @@ class ProtoopTable:
         Calling again with a new ``param`` adds a behaviour to an existing
         parameterized operation.
         """
-        op = self._own(name)
-        if op is None:
-            op = ProtocolOperation(
+        row = self._shared.get(name)
+        own = self._ops.get(name)
+        known = own or row
+        if known is None:
+            own = self._ops[name] = ProtocolOperation(
                 name=name, parameterized=parameterized, external=external,
                 doc=doc or (func.__doc__ or "" if func else ""),
             )
-            self._ops[name] = op
-        else:
-            if op.parameterized != parameterized:
-                raise ValueError(
-                    f"protoop {name}: parameterized mismatch on re-registration"
-                )
+        elif known.parameterized != parameterized:
+            raise ValueError(
+                f"protoop {name}: parameterized mismatch on re-registration"
+            )
         if not parameterized and param is not None:
             raise ValueError(f"protoop {name} is not parameterized")
         if func is not None:
             key = param if parameterized else None
-            if key in op.defaults:
+            if self.default(name, key) is not None:
                 raise ValueError(f"protoop {name}[{param}] already has a default")
-            op.defaults[key] = func
-        self._invalidate()
-        return op
+            if own is None:
+                own = self._ops[name] = ProtocolOperation(
+                    name, row.parameterized, row.external, row.doc)
+            own.defaults[key] = func
+            self._touch(name, key)
+            if known is not None:
+                # A new name has no plan yet: nothing to drop.
+                self._invalidate()
+        return own or row
 
     def declare(self, name: str, parameterized: bool = False, doc: str = "") -> ProtocolOperation:
         """Declare an empty-anchor protoop: a pure event hook with no
@@ -248,10 +333,24 @@ class ProtoopTable:
         return self.register(name, None, parameterized=parameterized, doc=doc)
 
     def get(self, name: str) -> ProtocolOperation:
-        op = self._own(name)
+        """The row of *name* holding this table's registrations and
+        anchors — the census row itself while the table has none (read
+        it, never change it)."""
+        op = self._ops.get(name) or self._shared.get(name)
         if op is None:
             raise ProtoopError(TransportErrorCode.INTERNAL_ERROR, f"unknown protoop {name!r}")
         return op
+
+    def default(self, name: str, param: Any = None) -> Optional[Callable]:
+        """The built-in behaviour of *name*[*param*] — what runs when no
+        pluglet replaces it — or None for an event hook.  A census
+        default is the class's function, called with the connection."""
+        key = param if self.get(name).parameterized else None
+        own = self._ops.get(name)
+        if own is not None and key in own.defaults:
+            return own.defaults[key]
+        row = self._shared.get(name)
+        return None if row is None else row.defaults.get(key)
 
     @property
     def names(self) -> list[str]:
@@ -276,12 +375,14 @@ class ProtoopTable:
         """Attach a pluglet behaviour. New protoops (or new parameter values
         of existing ones) are created on the fly — PQUIC is "extensible by
         design" (§2.3)."""
-        op = self._own(name)
+        op = self._ops.get(name)
         if op is None:
-            op = ProtocolOperation(
-                name=name, parameterized=param is not None, external=external
-            )
-            self._ops[name] = op
+            row = self._shared.get(name)
+            op = self._ops[name] = (
+                ProtocolOperation(name, row.parameterized, row.external,
+                                  row.doc) if row is not None else
+                ProtocolOperation(name=name, parameterized=param is not None,
+                                  external=external))
         key = param if op.parameterized else None
         if anchor is Anchor.REPLACE:
             if key in op.replacements:
@@ -294,10 +395,12 @@ class ProtoopTable:
             op.pre.setdefault(key, []).append(func)
         else:
             op.post.setdefault(key, []).append(func)
-        self._invalidate()
+        self._touch(name, key)
+        if not self._deferring:
+            self._invalidate()
 
     def detach(self, name: str, anchor: Anchor, func: Callable, param: Any = None) -> None:
-        op = self._own(name)
+        op = self._ops.get(name)
         if op is None:
             return
         key = param if op.parameterized else None
@@ -310,7 +413,31 @@ class ProtoopTable:
         else:
             if key in op.post and func in op.post[key]:
                 op.post[key].remove(func)
-        self._invalidate()
+        if not self._deferring:
+            self._invalidate()
+
+    def attach_all(self, anchors: list) -> None:
+        """Attach ``(name, anchor, func, param, external)`` anchors as one
+        change: each goes through :meth:`attach`, and the plans are
+        dropped once, after the last — or after the one that raised."""
+        self._deferring = True
+        try:
+            for name, anchor, func, param, external in anchors:
+                self.attach(name, anchor, func, param, external)
+        finally:
+            self._deferring = False
+            self._invalidate()
+
+    def detach_all(self, anchors: list) -> None:
+        """:meth:`detach` every anchor of :meth:`attach_all`'s list (one
+        never attached is skipped), dropping the plans once."""
+        self._deferring = True
+        try:
+            for name, anchor, func, param, _external in anchors:
+                self.detach(name, anchor, func, param)
+        finally:
+            self._deferring = False
+            self._invalidate()
 
     # --- dispatch ----------------------------------------------------------
 
@@ -319,9 +446,11 @@ class ProtoopTable:
         dispatch paths is replaced by one dict hit."""
         params = self._params_cache.get(name)
         if params is None:
-            op = self._ops.get(name) or self._shared.get(name) or self.get(name)
-            params = frozenset(op.params())
-            self._params_cache[name] = params
+            keys = self.get(name).params()
+            own, row = self._ops.get(name), self._shared.get(name)
+            if own is not None and row is not None:
+                keys |= row.params()
+            params = self._params_cache[name] = frozenset(keys)
         return params
 
     def has_behavior(self, name: str, param: Any = None) -> bool:
@@ -359,8 +488,9 @@ class ProtoopTable:
                 TransportErrorCode.PROTOCOL_VIOLATION,
                 f"external protoop {name!r} called from protocol code",
             )
-        guard = plan.guard
-        if guard.running:
+        running = self._running
+        slot = plan.slot
+        if running[slot]:
             raise ProtoopError(
                 TransportErrorCode.PLUGIN_LOOP_DETECTED,
                 f"protocol operation loop through {name}[{param}]",
@@ -370,34 +500,34 @@ class ProtoopTable:
         bare = plan.bare
         if bare and behavior is None:
             return None  # an event nobody observes
-        guard.running = True
+        running[slot] = True
+        epoch = self._epoch
         try:
             if bare:
                 result = behavior(conn, *args)
                 # Post anchors are resolved after the behaviour ran: one
                 # it attached itself must still fire.
-                if self._epoch != plan.epoch:
-                    for observer in tuple(plan.op.post.get(plan.key, ())):
+                if self._epoch != epoch:
+                    for observer in self._post(name, plan.key):
                         observer(conn, args, result)
                 return result
             # The plan snapshots are exactly the copies an uncached
             # dispatcher would iterate over; if a failing pluglet detaches
             # its plugin mid-run the epoch moves and we re-resolve the
             # stale parts, matching the anchor-by-anchor timeline.
-            epoch = plan.epoch
             post_chain = plan.post
             for observer in plan.pre:  # passive, read-only
                 observer(conn, args)
             if self._epoch != epoch:
-                behavior = plan.op.behavior(plan.key)
+                behavior = self._behavior(name, plan.key)
             result = behavior(conn, *args) if behavior is not None else None
             if self._epoch != epoch:
-                post_chain = tuple(plan.op.post.get(plan.key, ()))
+                post_chain = self._post(name, plan.key)
             for observer in post_chain:
                 observer(conn, args, result)
             return result
         finally:
-            guard.running = False
+            running[slot] = False
 
     def run_external(self, conn, name: str, param: Any = None, *args: Any) -> Any:
         """Entry point for the application (§2.4)."""
@@ -410,8 +540,8 @@ class ProtoopTable:
         spurious-loss undo).  It is declared on its first run, with
         ``default`` as its behaviour if given, so a connection that never
         emits it never counts it."""
-        op = self._ops.get(name) or self._shared.get(name)
-        if op is None or (default is not None and None not in op.defaults):
+        if (name not in self._ops and name not in self._shared) or (
+                default is not None and self.default(name) is None):
             self.register(name, default)
         return self.run(conn, name, None, *args)
 

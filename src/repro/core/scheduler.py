@@ -165,7 +165,7 @@ def _fill_one_rtt(conn, path, frames: list, used: int, budget: int) -> bool:
     if allowance < MIN_PACKET_USEFUL:
         return ack_only  # possibly empty
 
-    core_pending = conn._op_stream_to_send(conn) is not None or bool(conn._control_frames)
+    core_pending = conn._op_stream_to_send() is not None or bool(conn._control_frames)
     plugin_pending = bool(conn.reserved_frames)
     if core_pending and plugin_pending:
         core_budget = max(int(allowance * CORE_FRACTION), MIN_PACKET_USEFUL)

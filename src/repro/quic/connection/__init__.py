@@ -110,7 +110,7 @@ class QuicConnection(HandshakeMixin, StreamsMixin, ReceiveMixin, SendMixin, Loss
         self.local_cid = bytes(self._rng.randrange(256) for _ in range(CID_LENGTH))
         self.peer_cid = b""
         self._original_dcid = b""
-        self.protoops = ProtoopTable(self.protoop_census(), self)
+        self.protoops = ProtoopTable(self.protoop_census())
         self.frame_registry = F.FrameRegistry()
         self.now = now
 
@@ -252,8 +252,8 @@ class QuicConnection(HandshakeMixin, StreamsMixin, ReceiveMixin, SendMixin, Loss
         on first use and shared by every connection of the class.  Every
         ``_op_<name>`` method found on the class is the default of
         operation *name*: the class's own function (so a subclass's
-        ``_op_*`` override is the default of its connections), bound to a
-        connection only when it runs there."""
+        ``_op_*`` override is the default of its connections), which a
+        run calls with its connection as ``self``."""
         census = cls.__dict__.get("_protoop_census")
         if census is not None:
             return census

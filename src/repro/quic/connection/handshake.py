@@ -69,7 +69,7 @@ class HandshakeMixin:
         self._handshake_sent = True
         self.protoops.run(self, "handshake_message_sent", None, msg_type)
 
-    def _op_process_handshake_message(self, conn, data: bytes) -> None:
+    def _op_process_handshake_message(self, data: bytes) -> None:
         """Process one handshake message arriving on the crypto stream."""
         buf = Buffer(data)
         msg_type = buf.pull_uint8()
@@ -91,7 +91,7 @@ class HandshakeMixin:
         else:
             raise ProtocolViolation(f"unexpected handshake message {msg_type}")
 
-    def _op_derive_one_rtt_keys(self, conn, peer_share: bytes) -> None:
+    def _op_derive_one_rtt_keys(self, peer_share: bytes) -> None:
         if self.is_client:
             secret = session_secret(self._key_share, peer_share)
         else:
@@ -190,7 +190,7 @@ class HandshakeMixin:
             )
             self._finish_close(int(error.code), error.reason)
 
-    def _op_crypto_data_received(self, conn, data: bytes) -> None:
+    def _op_crypto_data_received(self, data: bytes) -> None:
         """Drain complete handshake messages from the crypto stream."""
         stash = getattr(self, "_crypto_pending", b"") + data
         while True:

@@ -15,12 +15,12 @@ from .paths import Path
 
 
 class LossMixin:
-    def _op_update_rtt(self, conn, path_index: int, latest: float, ack_delay: float) -> float:
+    def _op_update_rtt(self, path_index: int, latest: float, ack_delay: float) -> float:
         path = self.paths[path_index]
         self.protoops.run(self, "rtt_updated", None, path_index, latest)
         return path.rtt.smoothed
 
-    def _op_on_packet_acked(self, conn, pkt: SentPacket, path_index: int) -> None:
+    def _op_on_packet_acked(self, pkt: SentPacket, path_index: int) -> None:
         if pkt.in_flight:
             path = self.paths[path_index]
             path.cc.on_packet_released(pkt.size)
@@ -32,7 +32,7 @@ class LossMixin:
             )
         self.protoops.run(self, "packet_acked_event", None, pkt)
 
-    def _op_on_packet_lost(self, conn, pkt: SentPacket, path_index: int) -> None:
+    def _op_on_packet_lost(self, pkt: SentPacket, path_index: int) -> None:
         self.stats["packets_lost"] += 1
         if pkt.in_flight:
             path = self.paths[path_index]
@@ -57,20 +57,20 @@ class LossMixin:
                                path.index, old, new, trigger)
         self.protoops.run(self, "cc_window_updated", None, path.index, path.cc.cwnd)
 
-    def _op_congestion_on_ack(self, conn, pkt: SentPacket, path_index: int) -> None:
+    def _op_congestion_on_ack(self, pkt: SentPacket, path_index: int) -> None:
         self.paths[path_index].cc.on_ack(pkt.size, self.now, pkt.sent_time,
                                          app_limited=pkt.app_limited)
 
-    def _op_congestion_on_loss(self, conn, pkt: SentPacket, path_index: int) -> None:
+    def _op_congestion_on_loss(self, pkt: SentPacket, path_index: int) -> None:
         self.paths[path_index].cc.on_loss(pkt.size, self.now, pkt.sent_time)
 
     def _run_spurious_loss(self, pkt: SentPacket, path_index: int) -> None:
         # An extension operation: its default is registered on the first
         # spurious loss, so the paper's 72-protoop census stays intact.
         self.protoops.emit(self, "on_spurious_loss", pkt, path_index,
-                           default=self._default_on_spurious_loss)
+                           default=type(self)._default_on_spurious_loss)
 
-    def _default_on_spurious_loss(self, conn, pkt: SentPacket, path_index: int) -> None:
+    def _default_on_spurious_loss(self, pkt: SentPacket, path_index: int) -> None:
         """A packet declared lost was later acknowledged: the loss was
         spurious.  The send-side mirror of the receive side's
         ``spurious_received`` accounting — and the congestion response
@@ -94,7 +94,7 @@ class LossMixin:
         self._publish_window(path, "persistent_congestion",
                              path.cc.on_persistent_congestion)
 
-    def _op_retransmit_packet(self, conn, pkt: SentPacket) -> None:
+    def _op_retransmit_packet(self, pkt: SentPacket) -> None:
         for frame in pkt.frames:
             self.protoops.run(
                 self, "notify_frame", self._frame_param(frame.type), frame, False, pkt
@@ -125,7 +125,7 @@ class LossMixin:
                             cls._ignore_frame),
         }
 
-    def _notify_stream_frame(self, conn, frame: F.StreamFrame, acked: bool, pkt: SentPacket) -> None:
+    def _notify_stream_frame(self, frame: F.StreamFrame, acked: bool, pkt: SentPacket) -> None:
         stream = self.streams_send.get(frame.stream_id)
         if stream is None:
             # Retired: another copy of this frame (a PTO probe and
@@ -141,17 +141,17 @@ class LossMixin:
         else:
             stream.on_loss(frame.offset, len(frame.data), frame.fin)
 
-    def _notify_crypto_frame(self, conn, frame: F.CryptoFrame, acked: bool, pkt: SentPacket) -> None:
+    def _notify_crypto_frame(self, frame: F.CryptoFrame, acked: bool, pkt: SentPacket) -> None:
         if acked:
             self._crypto_send.on_ack(frame.offset, len(frame.data), False)
         else:
             self._crypto_send.on_loss(frame.offset, len(frame.data), False)
 
-    def _requeue_lost_frame(self, conn, frame: F.Frame, acked: bool, pkt: SentPacket) -> None:
+    def _requeue_lost_frame(self, frame: F.Frame, acked: bool, pkt: SentPacket) -> None:
         if not acked:
             self._control_frames.append(frame)
 
-    def _op_set_loss_alarm(self, conn) -> Optional[float]:
+    def _op_set_loss_alarm(self) -> Optional[float]:
         """Earliest loss/PTO deadline across spaces and paths."""
         pto_count = self._pto_count
         earliest = self.initial_space.next_timer(self.paths[0].rtt, pto_count)
@@ -161,17 +161,17 @@ class LossMixin:
                 earliest = t
         return earliest
 
-    def _op_is_ack_needed(self, conn, path_index: int = 0) -> bool:
+    def _op_is_ack_needed(self, path_index: int = 0) -> bool:
         """May an ACK-only packet leave on the path now: an ACK is owed
         and due (RFC 9000 §13.2.1).  An owed ACK that is not yet due
         rides on the next packet that leaves anyway."""
         space = self.paths[path_index].space
         return space.ack_needed and self.now >= space.ack_due - 1e-12
 
-    def _op_set_idle_timer(self, conn) -> float:
+    def _op_set_idle_timer(self) -> float:
         return self._last_activity + self.configuration.transport_parameters.idle_timeout
 
-    def _op_on_loss_alarm(self, conn) -> None:
+    def _op_on_loss_alarm(self) -> None:
         self.protoops.run(self, "loss_alarm_fired", None)
         fired = False
         for space, path in self._spaces_and_paths():
@@ -226,7 +226,7 @@ class LossMixin:
             self.stats["probes_sent"] += 1
             self.protoops.emit(self, "probe_sent", pkt, path.index)
 
-    def _op_detect_lost_packets(self, conn, space: PacketNumberSpace, path_index: int) -> list:
+    def _op_detect_lost_packets(self, space: PacketNumberSpace, path_index: int) -> list:
         return space.detect_lost(self.now, self.paths[path_index].rtt)
 
     def _spaces_and_paths(self):

@@ -181,14 +181,14 @@ class PathsMixin:
         self._finish_close(0, "stateless reset",
                            next_state=ConnectionState.DRAINING)
 
-    def _op_select_sending_path(self, conn) -> int:
+    def _op_select_sending_path(self) -> int:
         """Default single-path behaviour; the multipath plugin replaces it."""
         return 0
 
-    def _op_get_path(self, conn, index: int) -> Path:
+    def _op_get_path(self, index: int) -> Path:
         return self.paths[index]
 
-    def _op_map_incoming_path(self, conn, local_addr: str, peer_addr: str) -> int:
+    def _op_map_incoming_path(self, local_addr: str, peer_addr: str) -> int:
         """Which path an incoming datagram belongs to. The multipath
         plugin replaces this to create paths for new address pairs."""
         for path in self.paths:
@@ -196,23 +196,23 @@ class PathsMixin:
                 return path.index
         return 0
 
-    def _op_get_rtt(self, conn, i: int = 0) -> float:
+    def _op_get_rtt(self, i: int = 0) -> float:
         """Smoothed RTT of a path."""
         return self.paths[i].rtt.smoothed
 
-    def _op_get_cwin(self, conn, i: int = 0) -> int:
+    def _op_get_cwin(self, i: int = 0) -> int:
         """Congestion window of a path."""
         return self.paths[i].cc.cwnd
 
-    def _op_get_bytes_in_flight(self, conn, i: int = 0) -> int:
+    def _op_get_bytes_in_flight(self, i: int = 0) -> int:
         """Bytes currently in flight on a path."""
         return self.paths[i].cc.bytes_in_flight
 
-    def _op_get_largest_acked(self, conn, i: int = 0) -> int:
+    def _op_get_largest_acked(self, i: int = 0) -> int:
         """Largest packet number acked by the peer on a path."""
         return self.paths[i].space.largest_acked
 
-    def _op_get_next_packet_number(self, conn, i: int = 0) -> int:
+    def _op_get_next_packet_number(self, i: int = 0) -> int:
         """Next packet number to be used on a path."""
         return self.paths[i].space.next_packet_number
 
@@ -223,7 +223,7 @@ class PathsMixin:
         peer = self.peer_transport_parameters
         return MAX_ACK_DELAY if peer is None else peer.max_ack_delay
 
-    def _op_create_path(self, conn, local_addr: str, peer_addr: str) -> int:
+    def _op_create_path(self, local_addr: str, peer_addr: str) -> int:
         path = Path(len(self.paths), self.configuration.initial_window,
                     self._peer_max_ack_delay)
         path.local_addr = local_addr
@@ -236,5 +236,5 @@ class PathsMixin:
         self.protoops.run(self, "path_created", None, path.index)
         return path.index
 
-    def _op_path_bytes_allowed(self, conn, path_index: int) -> int:
+    def _op_path_bytes_allowed(self, path_index: int) -> int:
         return self.paths[path_index].cc.available_window

@@ -18,7 +18,7 @@ from .send import INITIAL_PADDING_TARGET
 
 
 class ReceiveMixin:
-    def _default_parse_frame(self, conn, buf: Buffer, frame_type: int) -> F.Frame:
+    def _default_parse_frame(self, buf: Buffer, frame_type: int) -> F.Frame:
         cls = self.frame_registry.lookup(frame_type)
         return cls.parse(buf, frame_type)
 
@@ -41,7 +41,7 @@ class ReceiveMixin:
             F.CONNECTION_CLOSE + 1: cls._process_connection_close,
         }
 
-    def _ignore_frame(self, conn, frame: F.Frame, *_: Any) -> None:
+    def _ignore_frame(self, frame: F.Frame, *_: Any) -> None:
         """Nothing to do for this frame type, on receipt or on ACK / loss."""
 
     def _frame_param(self, frame_type: int) -> Any:
@@ -49,7 +49,7 @@ class ReceiveMixin:
             return "stream"
         return frame_type
 
-    def _process_ack_frame(self, conn, frame: F.AckFrame, ctx: dict) -> None:
+    def _process_ack_frame(self, frame: F.AckFrame, ctx: dict) -> None:
         epoch: Epoch = ctx["epoch"]
         path = self.paths[ctx["path_index"]]
         space = self.initial_space if epoch is Epoch.INITIAL else path.space
@@ -76,12 +76,12 @@ class ReceiveMixin:
             # Forward progress: the PTO backoff restarts (RFC 9002 §6.2.1).
             self._pto_count = 0
 
-    def _process_crypto_frame(self, conn, frame: F.CryptoFrame, ctx: dict) -> None:
+    def _process_crypto_frame(self, frame: F.CryptoFrame, ctx: dict) -> None:
         readable = self._crypto_recv.receive(frame.offset, frame.data, False)
         if readable:
             self.protoops.run(self, "crypto_data_received", None, readable)
 
-    def _process_stream_frame(self, conn, frame: F.StreamFrame, ctx: dict) -> None:
+    def _process_stream_frame(self, frame: F.StreamFrame, ctx: dict) -> None:
         stream = self.protoops.run(self, "get_receive_stream", None, frame.stream_id)
         if stream is None:
             # Retired half: a late or duplicated copy of data the
@@ -102,17 +102,17 @@ class ReceiveMixin:
         )
         self.protoops.run(self, "update_flow_credit", None)
 
-    def _process_max_data_frame(self, conn, frame: F.MaxDataFrame, ctx: dict) -> None:
+    def _process_max_data_frame(self, frame: F.MaxDataFrame, ctx: dict) -> None:
         if frame.maximum > self.max_data_remote:
             self.max_data_remote = frame.maximum
 
-    def _process_max_stream_data_frame(self, conn, frame: F.MaxStreamDataFrame, ctx: dict) -> None:
-        stream = self._op_get_send_stream(self, frame.stream_id)
+    def _process_max_stream_data_frame(self, frame: F.MaxStreamDataFrame, ctx: dict) -> None:
+        stream = self._op_get_send_stream(frame.stream_id)
         if stream is not None:
             stream.update_max_stream_data(frame.maximum)
 
-    def _process_reset_stream_frame(self, conn, frame: F.ResetStreamFrame, ctx: dict) -> None:
-        stream = self._op_get_receive_stream(self, frame.stream_id)
+    def _process_reset_stream_frame(self, frame: F.ResetStreamFrame, ctx: dict) -> None:
+        stream = self._op_get_receive_stream(frame.stream_id)
         if stream is None:
             return
         # RFC 9000 §4.5: the final size counts against connection flow
@@ -123,7 +123,7 @@ class ReceiveMixin:
         self.protoops.run(self, "stream_closed", None, frame.stream_id)
         self.protoops.run(self, "update_flow_credit", None)
 
-    def _process_new_connection_id(self, conn, frame: F.NewConnectionIdFrame, ctx: dict) -> None:
+    def _process_new_connection_id(self, frame: F.NewConnectionIdFrame, ctx: dict) -> None:
         """Stash a peer-issued CID (§5.1.1) for rotation on migration
         (§9.5), and its stateless reset token (§10.3) for detection."""
         if frame.connection_id and frame.connection_id not in self.peer_cids_available:
@@ -131,7 +131,7 @@ class ReceiveMixin:
         if frame.reset_token:
             self._peer_reset_tokens.add(bytes(frame.reset_token))
 
-    def _process_path_challenge(self, conn, frame: F.PathChallengeFrame, ctx: dict) -> None:
+    def _process_path_challenge(self, frame: F.PathChallengeFrame, ctx: dict) -> None:
         # §8.2.2: the response must leave on the path the challenge came
         # in on, so it rides the per-path probe queue rather than the
         # path-agnostic control-frame queue.
@@ -140,7 +140,7 @@ class ReceiveMixin:
             F.PathResponseFrame(data=frame.data))
         self.stats["path_responses_sent"] += 1
 
-    def _process_path_response(self, conn, frame: F.PathResponseFrame, ctx: dict) -> None:
+    def _process_path_response(self, frame: F.PathResponseFrame, ctx: dict) -> None:
         for path in self.paths:
             if path.challenge_data == frame.data:
                 path.challenge_data = None
@@ -151,7 +151,7 @@ class ReceiveMixin:
                 self._set_path_state(path, PathState.VALIDATED)
                 self.protoops.run(self, "path_validated", None, path.index)
 
-    def _process_connection_close(self, conn, frame: F.ConnectionCloseFrame, ctx: dict) -> None:
+    def _process_connection_close(self, frame: F.ConnectionCloseFrame, ctx: dict) -> None:
         if self.state is ConnectionState.ACTIVE:
             self._finish_close(frame.error_code, frame.reason,
                                next_state=ConnectionState.DRAINING)
@@ -189,13 +189,13 @@ class ReceiveMixin:
                     error_code=self.close_error[0], reason=self.close_error[1]
                 )
 
-    def _op_parse_packet_header(self, conn, buf: Buffer) -> tuple:
+    def _op_parse_packet_header(self, buf: Buffer) -> tuple:
         return parse_header(buf, CID_LENGTH)
 
-    def _op_decode_packet_number(self, conn, truncated: int, largest: int) -> int:
+    def _op_decode_packet_number(self, truncated: int, largest: int) -> int:
         return decode_packet_number(truncated, largest)
 
-    def _op_process_incoming_packet(self, conn, data: bytes, path_index: int) -> None:
+    def _op_process_incoming_packet(self, data: bytes, path_index: int) -> None:
         """Process every QUIC packet coalesced into the datagram (§12.2)."""
         if path_index >= len(self.paths):
             path_index = 0
@@ -343,7 +343,7 @@ class ReceiveMixin:
             self, "packet_received_event", None, epoch, path_index, pn, plaintext
         )
 
-    def _op_process_recovered_payload(self, conn, path_index: int, pn: int, plaintext: bytes) -> None:
+    def _op_process_recovered_payload(self, path_index: int, pn: int, plaintext: bytes) -> None:
         """Inject a FEC-recovered packet payload as if the packet arrived."""
         space = self.paths[path_index].space
         if pn in space.received:

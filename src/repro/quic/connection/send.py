@@ -31,22 +31,22 @@ _SEND_ATTEMPT_OPS = ("prepare_packet", "before_sending_packet",
 
 
 class SendMixin:
-    def _op_queue_control_frame(self, conn, frame: F.Frame) -> None:
+    def _op_queue_control_frame(self, frame: F.Frame) -> None:
         self._control_frames.append(frame)
 
-    def _default_write_frame(self, conn, frame: F.Frame, buf: Buffer) -> None:
+    def _default_write_frame(self, frame: F.Frame, buf: Buffer) -> None:
         frame.serialize(buf)
 
-    def _op_get_destination_cid(self, conn) -> bytes:
+    def _op_get_destination_cid(self) -> bytes:
         return self.peer_cid
 
-    def _op_get_source_cid(self, conn) -> bytes:
+    def _op_get_source_cid(self) -> bytes:
         return self.local_cid
 
-    def _op_set_spin_bit(self, conn) -> bool:
+    def _op_set_spin_bit(self) -> bool:
         return self.spin_bit
 
-    def _op_reserve_frame_slot(self, conn, reserved: ReservedFrame) -> None:
+    def _op_reserve_frame_slot(self, reserved: ReservedFrame) -> None:
         self.reserved_frames.append(reserved)
 
     def reserve_frames(self, reserved: list) -> None:
@@ -69,9 +69,9 @@ class SendMixin:
             return False
         for path in self.paths:
             if (path.probe_frames or path.pto_probes or path.amp_limited
-                    or self._op_is_ack_needed(self, path.index)):
+                    or self._op_is_ack_needed(path.index)):
                 return False
-        return self._op_stream_to_send(self) is None
+        return self._op_stream_to_send() is None
 
     def _coalesce_datagrams(self, packets: list) -> list:
         """Pack consecutive QUIC packets into shared UDP datagrams
@@ -114,7 +114,7 @@ class SendMixin:
         payload = self._close_frame_pending.to_bytes()
         return self._protect_and_record(epoch, 0, payload, [], False)
 
-    def _op_prepare_packet(self, conn) -> Optional[tuple]:
+    def _op_prepare_packet(self) -> Optional[tuple]:
         """Build one packet if anything needs sending. Returns
         (datagram_bytes, path_index) or None."""
         self.protoops.run(self, "before_sending_packet", None)
@@ -200,7 +200,6 @@ class SendMixin:
 
     def _op_finalize_and_protect_packet(
         self,
-        conn,
         epoch: Epoch,
         path_index: int,
         plaintext: bytes,
@@ -267,7 +266,7 @@ class SendMixin:
             # must not grow the window.
             sent.app_limited = (
                 path.cc.available_window >= MAX_DATAGRAM_SIZE
-                and self._op_stream_to_send(self) is None
+                and self._op_stream_to_send() is None
             )
         if path.amp_limited:
             path.amp_sent += len(packet)
@@ -277,7 +276,7 @@ class SendMixin:
         self.protoops.run(self, "packet_sent_event", None, sent)
         return packet
 
-    def _op_schedule_frames(self, conn, epoch: Epoch, path_index: int, budget: int) -> tuple:
+    def _op_schedule_frames(self, epoch: Epoch, path_index: int, budget: int) -> tuple:
         """Fill one packet's frame list. Returns (frames, ack_only)."""
         from repro.core.scheduler import schedule_packet_frames
 

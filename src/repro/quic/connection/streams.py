@@ -19,7 +19,7 @@ def _closed_id_sets() -> tuple:
 
 
 class StreamsMixin:
-    def _op_create_stream(self, conn) -> int:
+    def _op_create_stream(self) -> int:
         stream_id = self._next_stream_id
         self._next_stream_id += 4
         self._get_or_create_streams(stream_id)
@@ -57,7 +57,7 @@ class StreamsMixin:
         closed[stream_id & 3].add(stream_id >> 2)
         self.stats["stream_halves_retired"] += 1
 
-    def _op_get_send_stream(self, conn, stream_id: int) -> Optional[SendStream]:
+    def _op_get_send_stream(self, stream_id: int) -> Optional[SendStream]:
         """The live send half, created on first reference; None once it
         has been retired."""
         stream = self.streams_send.get(stream_id)
@@ -66,7 +66,7 @@ class StreamsMixin:
             stream = self.streams_send.get(stream_id)
         return stream
 
-    def _op_get_receive_stream(self, conn, stream_id: int) -> Optional[ReceiveStream]:
+    def _op_get_receive_stream(self, stream_id: int) -> Optional[ReceiveStream]:
         """The live receive half, created on first reference; None once
         it has been retired."""
         stream = self.streams_recv.get(stream_id)
@@ -75,17 +75,17 @@ class StreamsMixin:
             stream = self.streams_recv.get(stream_id)
         return stream
 
-    def _op_stream_data_received(self, conn, stream_id: int, readable: bytes, fin: bool) -> None:
+    def _op_stream_data_received(self, stream_id: int, readable: bytes, fin: bool) -> None:
         if self.on_stream_data is not None and (readable or fin):
             self.on_stream_data(stream_id, readable, fin)
 
-    def _op_get_max_data(self, conn) -> int:
+    def _op_get_max_data(self) -> int:
         return self.max_data_remote
 
-    def _op_should_send_max_data(self, conn) -> bool:
+    def _op_should_send_max_data(self) -> bool:
         return self._data_window.due(self.data_received, self.max_data_local)
 
-    def _op_update_flow_credit(self, conn) -> None:
+    def _op_update_flow_credit(self) -> None:
         """Raise connection and stream receive windows as data is consumed.
 
         Each renewal retunes its window to the delivery rate since the
@@ -125,11 +125,11 @@ class StreamsMixin:
                     "connection flow control exceeded",
                 )
 
-    def _op_stream_bytes_pending(self, conn) -> int:
+    def _op_stream_bytes_pending(self) -> int:
         """Application bytes waiting for (re)transmission."""
         return sum(s.bytes_in_flight_or_pending for s in self.streams_send.values())
 
-    def _op_stream_to_send(self, conn) -> Optional[int]:
+    def _op_stream_to_send(self) -> Optional[int]:
         """Pick the first live stream, in order of creation, that has
         sendable data."""
         for stream_id, stream in self.streams_send.items():

@@ -70,6 +70,7 @@ from .isa import (
     WORD_MASK,
     Instruction,
     Op,
+    encode_program,
     to_signed,
 )
 
@@ -881,27 +882,47 @@ def _split_displacement(node: ast.expr) -> "tuple[Optional[ast.expr], int]":
 
 #: Most compiled programs :func:`compile_pluglet` keeps.
 MAX_SOURCES = 256
+#: Most helper mappings :func:`compile_program` keeps per source.
+MAX_MAPPINGS = 8
 
-#: {(source, helper mapping): instructions}, least recently used first.
-_SOURCES: "OrderedDict[tuple, tuple]" = OrderedDict()
+#: {source: [(helper mapping, (instructions, bytecode)), ...]}, sources
+#: least recently used first, mappings oldest first.
+_SOURCES: "OrderedDict[str, list]" = OrderedDict()
+
+
+def compile_program(source_or_func, helpers: Optional[dict] = None) -> tuple:
+    """``(instructions, bytecode)`` of one function compiled with a
+    helper mapping: a tuple of instructions and their encoding.
+
+    The code is a pure function of the source text and the mapping, so a
+    pair compiled before is not compiled (or encoded) again: the last
+    :data:`MAX_SOURCES` sources are kept, each with the last
+    :data:`MAX_MAPPINGS` mappings it was compiled with, found by
+    comparing the mapping, not hashing it.  A hit returns the same bytes
+    object, whose hash Python keeps.  A source that fails to compile is
+    not kept."""
+    source = (inspect.getsource(source_or_func) if callable(source_or_func)
+              else source_or_func)
+    helpers = helpers or {}
+    compiled = _SOURCES.get(source)
+    if compiled is not None:
+        _SOURCES.move_to_end(source)
+        for mapping, program in compiled:
+            if mapping == helpers:
+                return program
+    instructions = tuple(PlugletCompiler(helpers).compile(source))
+    program = (instructions, encode_program(instructions))
+    if compiled is None:
+        compiled = _SOURCES[source] = []
+        if len(_SOURCES) > MAX_SOURCES:
+            _SOURCES.popitem(last=False)
+    compiled.append((dict(helpers), program))
+    if len(compiled) > MAX_MAPPINGS:
+        del compiled[0]
+    return program
 
 
 def compile_pluglet(source_or_func, helpers: Optional[dict] = None) -> list:
-    """Compile one function with a helper mapping.
-
-    The code is a pure function of the source text and the mapping, so a
-    pair compiled before is not compiled again: the last
-    :data:`MAX_SOURCES` results are kept.  A source that fails to compile
-    is not kept.  Every call returns a fresh list."""
-    source = (inspect.getsource(source_or_func) if callable(source_or_func)
-              else source_or_func)
-    key = (source, frozenset(helpers.items()) if helpers else frozenset())
-    program = _SOURCES.get(key)
-    if program is None:
-        program = tuple(PlugletCompiler(helpers).compile(source))
-        _SOURCES[key] = program
-        if len(_SOURCES) > MAX_SOURCES:
-            _SOURCES.popitem(last=False)
-    else:
-        _SOURCES.move_to_end(key)
-    return list(program)
+    """Compile one function with a helper mapping
+    (:func:`compile_program`); every call returns a fresh list."""
+    return list(compile_program(source_or_func, helpers)[0])

@@ -14,17 +14,25 @@ different helpers, so a program keeps one closure per ``stack_blind``
 set (:func:`~repro.vm.jit.compile_jit`) — as far as it differs on the
 helpers the program calls, the only ones the closure depends on.
 
-The store is bounded: it keeps the :data:`MAX_PROGRAMS` programs used
-last.  An evicted program is recomputed when it is asked for again; a
-plugin that resolved it keeps its reference.  Bytes that do not decode
-are not kept; a program that fails §2.1 is kept with its verdict.  What
-is per connection — heap, VM shells, budgets — is not here.
+A plugin derives more from its programs, once its name has chosen a
+host binding: the effect summaries of the conflict check and the totals
+of its ``plugin_analyzed`` event.  That is kept here too, one entry per
+whole plugin (:func:`plugin`), keyed by its name, heap size, binding,
+manifest and bytecodes, so a plugin object of known content — built
+again for a new connection, or received — derives nothing.
+
+The stores are bounded: they keep the :data:`MAX_PROGRAMS` programs and
+the :data:`MAX_PLUGINS` plugin entries used last.  An evicted entry is
+recomputed when it is asked for again; a plugin that resolved it keeps
+its reference.  Bytes that do not decode are not kept; a program that
+fails §2.1 is kept with its verdict.  What is per connection — heap, VM
+shells, budgets — is not here.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from . import compiler
 from .analysis import AnalysisReport, VerificationError, analyze, deepen
@@ -99,25 +107,47 @@ class Program:
 #: {(bytecode, heap size): Program}, least recently used first.
 _PROGRAMS: "OrderedDict[tuple, Program]" = OrderedDict()
 
+#: Most plugin entries the store keeps.
+MAX_PLUGINS = 256
+
+#: {plugin content key: entry}, least recently used first.
+_PLUGINS: "OrderedDict[tuple, Any]" = OrderedDict()
+
+
+def _remember(store: OrderedDict, cap: int, key: tuple,
+              make: Callable[[], Any]) -> Any:
+    """``store[key]``, made by ``make`` on a miss; the ``cap`` entries
+    used last are kept.  What ``make`` raises is not kept."""
+    entry = store.get(key)
+    if entry is None:
+        entry = store[key] = make()
+        if len(store) > cap:
+            store.popitem(last=False)
+    else:
+        store.move_to_end(key)
+    return entry
+
 
 def program(bytecode: bytes, heap_size: int) -> Program:
     """The program of ``bytecode`` against a ``heap_size``-byte heap,
     decoded and stored on first use.  Raises ``ValueError`` for bytes
     that do not decode."""
-    key = (bytecode, heap_size)
-    entry = _PROGRAMS.get(key)
-    if entry is not None:
-        _PROGRAMS.move_to_end(key)
-        return entry
-    entry = Program(bytecode, heap_size)
-    _PROGRAMS[key] = entry
-    if len(_PROGRAMS) > MAX_PROGRAMS:
-        _PROGRAMS.popitem(last=False)
-    return entry
+    return _remember(_PROGRAMS, MAX_PROGRAMS, (bytecode, heap_size),
+                     lambda: Program(bytecode, heap_size))
+
+
+def plugin(key: tuple, make: Callable[[], Any]) -> Any:
+    """The entry of a whole plugin, made by ``make`` on first use: what
+    a plugin derives from its programs and its host binding (its effect
+    summaries and analysis totals, see
+    :class:`~repro.core.plugin.Plugin`), kept under a key of its name,
+    heap size, binding, manifest and bytecodes."""
+    return _remember(_PLUGINS, MAX_PLUGINS, key, make)
 
 
 def clear() -> None:
-    """Empty the program store and the compiler's source memo: what a
-    host that has never seen any code starts from."""
+    """Empty the program store, its plugin entries and the compiler's
+    source memo: what a host that has never seen any code starts from."""
     _PROGRAMS.clear()
+    _PLUGINS.clear()
     compiler._SOURCES.clear()

@@ -262,6 +262,34 @@ class TestReentryGuards:
             table.run(None, "plain")
         assert exc.value.code == TransportErrorCode.PLUGIN_LOOP_DETECTED
 
+    def test_guards_stay_per_connection_under_a_shared_plan(self):
+        """Two connections run one shared plan: the operation running on
+        A is no loop for B, and A entering it again still is."""
+        seen = []
+
+        class Hooked(QuicConnection):
+            def _op_get_rtt(self, i=0):
+                self.hook()
+                return super()._op_get_rtt(i)
+
+        config = QuicConfiguration(is_client=True)
+        a, b = Hooked(config), Hooked(config)
+        b.hook = lambda: seen.append("b ran")
+
+        def reenter():
+            b.protoops.run(b, "get_rtt", None, 0)
+            with pytest.raises(ProtoopError) as exc:
+                a.protoops.run(a, "get_rtt", None, 0)
+            seen.append(exc.value.code)
+
+        a.hook = reenter
+        a.protoops.run(a, "get_rtt", None, 0)
+        assert seen == ["b ran", TransportErrorCode.PLUGIN_LOOP_DETECTED]
+        assert a.protoops._plans["get_rtt"] is b.protoops._plans["get_rtt"]
+        a.hook = b.hook
+        a.protoops.run(a, "get_rtt", None, 0)  # released afterwards
+        assert seen[-1] == "b ran"
+
 
 class TestUnobservedEvent:
     def test_counts_and_calls_nothing(self):
@@ -305,10 +333,23 @@ class TestDispatchCostGate:
 
     def test_bare_default_enters_only_the_behaviour(self):
         table = make_table()
-        greet = table.get("greet").defaults[None]
+        greet = table.default("greet")
         table.run(None, "greet")  # build the plan
         entered = python_calls_during(lambda: table.run(None, "greet", None, 1))
         assert entered == ["<lambda>", "run", greet.__code__.co_name]
+
+    def test_untouched_census_operation_enters_only_its_default(self):
+        """The shared plan of a connection's census operation: the run
+        reads it itself and calls the class's function, bound to
+        nothing."""
+        conn = make_conn()
+        table = conn.protoops
+        default = table.default("get_rtt")
+        assert default is QuicConnection._op_get_rtt
+        table.run(conn, "get_rtt", None, 0)  # the census builds the plan
+        entered = python_calls_during(
+            lambda: table.run(conn, "get_rtt", None, 0))
+        assert entered == ["<lambda>", "run", default.__code__.co_name]
 
     def test_unobserved_event_enters_nothing(self):
         table = ProtoopTable()
@@ -319,20 +360,21 @@ class TestDispatchCostGate:
 
 
 def census_fingerprint(cls=QuicConnection):
-    """Every row of a class census, anchors and defaults included."""
+    """Every row of a class census: its parameters' defaults and
+    whether a run of each does anything but its default."""
     census = cls.protoop_census()
     return {
-        name: (op.parameterized, op.external, op.doc, dict(op.defaults),
-               dict(op.replacements),
-               {k: list(v) for k, v in op.pre.items()},
-               {k: list(v) for k, v in op.post.items()})
+        name: (op.parameterized, op.external, op.doc,
+               {param: census.default(name, param)
+                for param in census.known_params(name)},
+               census.untouched((name,)))
         for name, op in ((name, census.get(name)) for name in census.names)
     }
 
 
 class TestClassCensus:
     """One census per connection class, shared by every connection of it:
-    a connection owns only the rows something changed on it."""
+    a connection owns only what was registered or attached to it."""
 
     def test_changes_on_one_connection_stay_on_it(self):
         from repro.core import PluginCache
@@ -369,7 +411,7 @@ class TestClassCensus:
 
     def test_subclass_override_is_its_connections_default(self):
         class PinnedPath(QuicConnection):
-            def _op_select_sending_path(self, conn):
+            def _op_select_sending_path(self):
                 return 3
 
         config = QuicConfiguration(is_client=True)
@@ -377,19 +419,20 @@ class TestClassCensus:
         assert pinned.protoops.run(pinned, "select_sending_path", None) == 3
         assert plain.protoops.run(plain, "select_sending_path", None) == 0
         assert PinnedPath.protoop_census() is not QuicConnection.protoop_census()
-        assert (QuicConnection.protoop_census().get("select_sending_path")
-                .defaults[None] is QuicConnection._op_select_sending_path)
+        assert (QuicConnection.protoop_census().default("select_sending_path")
+                is QuicConnection._op_select_sending_path)
         assert PinnedPath.protoop_census().operation_count() == 72
 
     def test_post_attached_by_a_shared_default_fires_in_its_run(self):
-        """A shared row's plan follows the row once the run copies it."""
+        """A run on a shared plan re-reads the table's own anchors once
+        it attached one."""
         fired = []
 
         class SelfObserving(QuicConnection):
-            def _op_get_path(self, conn, index):
+            def _op_get_path(self, index):
                 self.protoops.attach("get_path", Anchor.POST,
                                      lambda c, args, res: fired.append(args))
-                return super()._op_get_path(conn, index)
+                return super()._op_get_path(index)
 
         conn = SelfObserving(QuicConfiguration(is_client=True))
         assert conn.protoops.run(conn, "get_path", None, 0) is conn.paths[0]

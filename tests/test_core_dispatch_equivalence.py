@@ -15,6 +15,11 @@ parameterized and external operations.  The functions it registers and
 attach have programs of their own as bodies, so behaviours and observers
 run other operations, re-enter their own, attach and detach mid-run
 (including themselves) and raise.
+
+Programs also run on two tables built on one census (the plain,
+parameterized and external defaults registered there once), each
+compared with a reference table of its own: what one table attaches, or
+the plans it shares, must never show on the other.
 """
 
 from hypothesis import example, given, settings
@@ -118,29 +123,44 @@ PROGRAM = st.tuples(OPERATION, bodies(2, size=6))
 
 
 class Harness:
-    """Runs one program on one table and logs everything observable."""
+    """Runs one program on its tables and logs everything observable.
+    An action runs on table ``number % len(tables)``.  ``setup()`` gives
+    the registries of the defaults — None for the tables themselves, or
+    the census they share — and a function making the tables, called
+    once the defaults are registered."""
 
-    def __init__(self, table, focus):
-        self.table = table
+    def __init__(self, setup, focus):
+        registries, make = setup()
         self.focus = focus
         self.log = []
         self.steps = 0
         self.labels = 0
-        self.attached = {}   # (name, anchor, param) -> [functions]
-        self.executing = []  # (name, anchor, param, function), innermost last
-        table.register("a", self.function("default a", ()))
-        table.register("b", self.function("default b", ()))
-        table.declare("evt")
-        for param in (1, 2):
-            table.register("pf", self.function(f"default pf[{param}]", ()),
-                           param=param, parameterized=True)
-        table.register("app", self.function("default app", ()), external=True)
-        table.register("app_evt", None, external=True)
+        self.attached = {}   # (table, name, anchor, param) -> [functions]
+        self.executing = []  # (table, name, anchor, param, function), innermost last
+        self.tables = None
+        if registries is None:
+            self.tables = registries = make()
+        for table in registries:
+            table.register("a", self.function("default a", (), numbered=False))
+            table.register("b", self.function("default b", (), numbered=False))
+            table.declare("evt")
+            for param in (1, 2):
+                table.register("pf", self.function(f"default pf[{param}]", (),
+                                                   numbered=False),
+                               param=param, parameterized=True)
+            table.register("app", self.function("default app", (), numbered=False),
+                           external=True)
+            table.register("app_evt", None, external=True)
+        if self.tables is None:
+            self.tables = make()
 
-    def function(self, kind, body, site=None):
-        """A behaviour or observer that logs its call and runs ``body``."""
-        self.labels += 1
-        label = f"{kind}#{self.labels}"
+    def function(self, kind, body, site=None, numbered=True):
+        """A behaviour or observer that logs its call and runs ``body``;
+        a default is labelled by its kind alone."""
+        label = kind
+        if numbered:
+            self.labels += 1
+            label = f"{kind}#{self.labels}"
 
         def function(conn, *args):
             self.log.append(("enter", label, args))
@@ -174,26 +194,27 @@ class Harness:
                     raise
 
     def step(self, kind, target, anchor, number, external, flag, body):
-        table = self.table
+        index = number % len(self.tables)
+        table = self.tables[index]
         name, param = target or self.focus
         if kind == "run":
             runner = table.run_external if external else table.run
             return runner("conn", name, param, number)
         if kind == "attach":
-            site = (name, anchor, param)
-            function = self.function(f"{anchor.value} {name}[{param}]",
-                                     body, site)
+            site = (index, name, anchor, param)
+            function = self.function(
+                f"{anchor.value} {name}[{param}] on {index}", body, site)
             table.attach(name, anchor, function, param)
             self.attached.setdefault(site, []).append(function)
         elif kind == "detach":
-            candidates = self.attached.get((name, anchor, param), [])
+            candidates = self.attached.get((index, name, anchor, param), [])
             if candidates:
                 table.detach(name, anchor,
                              candidates[number % len(candidates)], param)
         elif kind == "detach_self":
             if self.executing:
-                name, anchor, param, function = self.executing[-1]
-                table.detach(name, anchor, function, param)
+                index, name, anchor, param, function = self.executing[-1]
+                self.tables[index].detach(name, anchor, function, param)
         elif kind == "register":
             table.register(name, self.function(f"default {name}[{param}]", body),
                            param=param, parameterized=flag)
@@ -204,20 +225,37 @@ class Harness:
         return None
 
 
-def action(kind, anchor=Anchor.PRE, external=False, flag=False, body=()):
+def action(kind, anchor=Anchor.PRE, external=False, flag=False, body=(),
+           number=0):
     """A hand-written action on the program's focus."""
-    return (kind, None, anchor, 0, external, flag, body)
+    return (kind, None, anchor, number, external, flag, body)
 
 
-def observe(table_class, program):
-    """Run ``program`` action by action, probing its focus after each:
-    whatever an action attached, registered or left behind gets run."""
+def observe(setup, program):
+    """Run ``program`` action by action, probing its focus on every
+    table after each: whatever an action attached, registered or left
+    behind gets run."""
     focus, body = program
-    harness = Harness(table_class(), focus)
-    probe = action("run", external=focus[0] in EXTERNAL, flag=True)
+    harness = Harness(setup, focus)
+    tables = harness.tables
+    probes = tuple(action("run", external=focus[0] in EXTERNAL, flag=True,
+                          number=index) for index in range(len(tables)))
     for step in body:
-        harness.execute((step, probe), catch_all=True)
-    return harness.log, harness.table.runs
+        harness.execute((step,) + probes, catch_all=True)
+    return harness.log, [table.runs for table in tables]
+
+
+def one(table_class):
+    return lambda: (None, lambda: [table_class()])
+
+
+def two_on_one_census():
+    census = ProtoopTable()
+    return [census], lambda: [ProtoopTable(census), ProtoopTable(census)]
+
+
+def two_references():
+    return None, lambda: [ReferenceTable(), ReferenceTable()]
 
 
 #: One program per branch the dispatcher must not lose — a guard that
@@ -240,18 +278,29 @@ EXTERNAL_EVENT_FROM_PROTOCOL = (("app_evt", None), (action("run"),))
 @example(POST_ATTACHED_BY_BARE_BEHAVIOUR)
 @example(EXTERNAL_EVENT_FROM_PROTOCOL)
 def test_dispatcher_matches_reference_walker(program):
-    assert observe(ProtoopTable, program) == observe(ReferenceTable, program)
+    assert (observe(one(ProtoopTable), program)
+            == observe(one(ReferenceTable), program))
+
+
+@settings(max_examples=300, deadline=None)
+@given(PROGRAM)
+@example(REENTER_AFTER_INVALIDATION)
+@example(POST_ATTACHED_BY_BARE_BEHAVIOUR)
+@example(EXTERNAL_EVENT_FROM_PROTOCOL)
+def test_tables_sharing_a_census_match_reference_walkers(program):
+    assert observe(two_on_one_census, program) == observe(two_references,
+                                                         program)
 
 
 def test_pinned_programs_show_what_they_are_named_for():
     def codes(program):
-        log, _ = observe(ProtoopTable, program)
+        log, _ = observe(one(ProtoopTable), program)
         return [entry[2] for entry in log if entry[0] == "protoop error"]
 
     assert codes(REENTER_AFTER_INVALIDATION) == [
         TransportErrorCode.PLUGIN_LOOP_DETECTED]
     assert codes(EXTERNAL_EVENT_FROM_PROTOCOL) == [
         TransportErrorCode.PROTOCOL_VIOLATION]
-    log, _ = observe(ProtoopTable, POST_ATTACHED_BY_BARE_BEHAVIOUR)
+    log, _ = observe(one(ProtoopTable), POST_ATTACHED_BY_BARE_BEHAVIOUR)
     assert any(entry[0] == "enter" and entry[1].startswith("post late")
                for entry in log)

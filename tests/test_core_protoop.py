@@ -294,5 +294,7 @@ class TestUntouched:
         t = self.table()
         assert t.untouched(self.NAMES)
         assert t._untouched == {self.NAMES: True}
-        t.register("third", lambda conn: 3)  # any invalidation drops it
+        t.register("third", lambda conn: 3)  # a new name changes no plan
+        assert t._untouched == {self.NAMES: True}
+        t.register("second", lambda conn: 2)  # any invalidation drops it
         assert t._untouched == {}

@@ -192,8 +192,8 @@ class TestClosingReceive:
 
     def test_peer_close_on_a_second_path_drains(self):
         client, server = established_pair()
-        client._op_create_path(client, "client.1", "server.0")
-        server._op_create_path(server, "server.0", "client.1")
+        client._op_create_path("client.1", "server.0")
+        server._op_create_path("server.0", "client.1")
         client.close(1, "bye")
         client.datagrams_to_send(0.0)
         numbers = []

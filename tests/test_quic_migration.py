@@ -419,7 +419,7 @@ class TestAmpBudget:
     def test_budget_arithmetic(self):
         conn = QuicConnection(QuicConfiguration(is_client=False))
         tracer = ConnectionTracer(conn)
-        path = conn.paths[conn._op_create_path(conn, "server.0", "client.1")]
+        path = conn.paths[conn._op_create_path("server.0", "client.1")]
         assert path.amp_limited and path.state == PathState.UNVALIDATED
         path.amp_limited = False
         assert path.amp_budget() > 1 << 60  # unlimited once lifted
@@ -431,7 +431,7 @@ class TestAmpBudget:
         # Validation lifts the limit, and the transition is published.
         conn.start_path_validation(path.index)
         conn._process_path_response(
-            conn, F.PathResponseFrame(data=path.challenge_data), {})
+            F.PathResponseFrame(data=path.challenge_data), {})
         assert path.state == PathState.VALIDATED
         assert not path.amp_limited
         assert path.amp_budget() > 1 << 60

@@ -212,7 +212,7 @@ class TestObserversRestoreTheAttempt:
         "name", ["select_sending_path", "stream_to_send", "schedule_frames"])
     def test_replacement_brings_back_the_attempt(self, name):
         client, _server = quiet_pair()
-        default = client.protoops.get(name).defaults[None]
+        default = client.protoops.default(name)
         seen = []
 
         def replacement(conn, *args):

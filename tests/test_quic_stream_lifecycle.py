@@ -190,8 +190,8 @@ class TestLateFrames:
         delivered = []
         conn.on_stream_data = lambda *args: delivered.append(args)
         final = F.StreamFrame(stream_id=0, offset=0, data=b"hello", fin=True)
-        conn._process_stream_frame(conn, final, {})
-        conn._process_stream_frame(conn, final, {})
+        conn._process_stream_frame(final, {})
+        conn._process_stream_frame(final, {})
         assert delivered == [(0, b"hello", True)]
         assert conn.data_received == 5
 
@@ -222,7 +222,7 @@ class TestLateFrames:
                 lambda c, args, result: delivered.append(args))
             before = snapshot(conn)
             for processor, frame in late:
-                getattr(conn, processor)(conn, frame, {})
+                getattr(conn, processor)(frame, {})
             assert snapshot(conn) == before
         assert delivered == []
 
@@ -320,11 +320,11 @@ class TestResetStream:
             "stream_closed", Anchor.POST,
             lambda c, args, result: closed.append(args[0]))
         conn._process_stream_frame(
-            conn, F.StreamFrame(stream_id=0, offset=0, data=b"x" * 100), {})
+            F.StreamFrame(stream_id=0, offset=0, data=b"x" * 100), {})
         assert conn.data_received == 100
         conn._process_reset_stream_frame(
-            conn, F.ResetStreamFrame(stream_id=0, error_code=1,
-                                     final_size=300), {})
+            F.ResetStreamFrame(stream_id=0, error_code=1,
+                               final_size=300), {})
         assert conn.data_received == 300
         assert 0 not in conn.streams_recv and 0 in conn.streams_send
         assert list(conn.closed_streams_recv[0]) == [range(0, 1)]
@@ -337,38 +337,38 @@ class TestResetStream:
             "stream_closed", Anchor.POST,
             lambda c, args, result: closed.append(args[0]))
         reset = F.ResetStreamFrame(stream_id=4, error_code=1, final_size=50)
-        conn._process_reset_stream_frame(conn, reset, {})
+        conn._process_reset_stream_frame(reset, {})
         before = snapshot(conn)
-        conn._process_reset_stream_frame(conn, reset, {})
+        conn._process_reset_stream_frame(reset, {})
         conn._process_reset_stream_frame(
-            conn, F.ResetStreamFrame(stream_id=4, error_code=1,
-                                     final_size=999), {})
+            F.ResetStreamFrame(stream_id=4, error_code=1,
+                               final_size=999), {})
         assert snapshot(conn) == before
         assert closed == [4]
 
     def test_final_size_below_received_data(self):
         conn = bare_connection()
         conn._process_stream_frame(
-            conn, F.StreamFrame(stream_id=0, offset=0, data=b"x" * 100), {})
+            F.StreamFrame(stream_id=0, offset=0, data=b"x" * 100), {})
         with pytest.raises(FinalSizeError):
             conn._process_reset_stream_frame(
-                conn, F.ResetStreamFrame(stream_id=0, error_code=0,
-                                         final_size=99), {})
+                F.ResetStreamFrame(stream_id=0, error_code=0,
+                                   final_size=99), {})
 
     def test_final_size_contradicts_known_final_size(self):
         conn = bare_connection()
         # The FIN arrives ahead of a gap, so the half is finished-sized
         # but still live.
         conn._process_stream_frame(
-            conn, F.StreamFrame(stream_id=0, offset=50, data=b"x" * 50,
-                                fin=True), {})
+            F.StreamFrame(stream_id=0, offset=50, data=b"x" * 50,
+                          fin=True), {})
         with pytest.raises(FinalSizeError):
             conn._process_reset_stream_frame(
-                conn, F.ResetStreamFrame(stream_id=0, error_code=0,
-                                         final_size=200), {})
+                F.ResetStreamFrame(stream_id=0, error_code=0,
+                                   final_size=200), {})
         conn._process_reset_stream_frame(
-            conn, F.ResetStreamFrame(stream_id=0, error_code=0,
-                                     final_size=100), {})
+            F.ResetStreamFrame(stream_id=0, error_code=0,
+                               final_size=100), {})
         assert conn.data_received == 100
         assert 0 not in conn.streams_recv
 
@@ -376,19 +376,19 @@ class TestResetStream:
         conn = bare_connection(initial_max_stream_data=1000)
         with pytest.raises(FlowControlError):
             conn._process_reset_stream_frame(
-                conn, F.ResetStreamFrame(stream_id=0, error_code=0,
-                                         final_size=1001), {})
+                F.ResetStreamFrame(stream_id=0, error_code=0,
+                                   final_size=1001), {})
 
     def test_final_size_beyond_connection_limit(self):
         conn = bare_connection(initial_max_data=500,
                                initial_max_stream_data=1000)
         conn._process_stream_frame(
-            conn, F.StreamFrame(stream_id=0, offset=0, data=b"x" * 200), {})
+            F.StreamFrame(stream_id=0, offset=0, data=b"x" * 200), {})
         assert conn.max_data_local == 500
         with pytest.raises(TransportError) as info:
             conn._process_reset_stream_frame(
-                conn, F.ResetStreamFrame(stream_id=4, error_code=0,
-                                         final_size=301), {})
+                F.ResetStreamFrame(stream_id=4, error_code=0,
+                                   final_size=301), {})
         assert info.value.code == TransportErrorCode.FLOW_CONTROL_ERROR
 
 

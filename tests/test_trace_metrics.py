@@ -300,10 +300,10 @@ class TestConnectionMetrics:
         assert snap["server.streams_closed"]["value"] == 0
         assert snap["server.stream_halves_retired"]["value"] == 0
         conn._process_stream_frame(
-            conn, F.StreamFrame(stream_id=0, data=b"half"), {})
+            F.StreamFrame(stream_id=0, data=b"half"), {})
         conn._process_reset_stream_frame(
-            conn, F.ResetStreamFrame(stream_id=0, error_code=0,
-                                     final_size=4), {})
+            F.ResetStreamFrame(stream_id=0, error_code=0,
+                               final_size=4), {})
         snap = registry.snapshot()
         assert snap["server.streams_closed"]["value"] == 1
         assert snap["server.stream_halves_retired"]["value"] == 1

@@ -1,7 +1,8 @@
 """The program store (§2.5, by content): a pluglet program is decoded,
 verified, analyzed and compiled once per process, whichever plugin
-object holds it — built again, received, or decoded by a validator — and
-the store and the compiler's source memo stay bounded."""
+object holds it — built again, received, or decoded by a validator; what
+a plugin derives from its programs and binding is kept once per content
+too; and the stores and the compiler's source memo stay bounded."""
 
 import pytest
 
@@ -10,6 +11,7 @@ import repro.vm.compiler as compiler_module
 import repro.vm.jit as jit_module
 from repro.core import Plugin, PluginCache, PluginInstance, Pluglet
 from repro.core.api import H_PLUGIN_BASE
+from repro.core.plugin import MAX_ATTACHED_SETS
 from repro.plugins import (
     build_ccontrol_plugin,
     build_datagram_plugin,
@@ -22,9 +24,9 @@ from repro.quic import QuicConfiguration
 from repro.quic.connection import QuicConnection
 from repro.vm import CompileError, VerificationError, assemble, programs
 from repro.vm.analysis import AbstractInterpretation, analyze
-from repro.vm.compiler import MAX_SOURCES, compile_pluglet
+from repro.vm.compiler import MAX_MAPPINGS, MAX_SOURCES, compile_pluglet
 from repro.vm.isa import Instruction, Op, encode_program
-from repro.vm.programs import MAX_PROGRAMS
+from repro.vm.programs import MAX_PLUGINS, MAX_PROGRAMS
 from tests.test_core_helper_effects import effects_binding  # noqa: F401
 
 BUNDLED = [build_monitoring_plugin, build_multipath_plugin,
@@ -86,7 +88,9 @@ class TestWarm:
         assert work == {"interpretations": 0, "legacy_passes": 0,
                         "closures": 0, "sources": 0}
 
-    def test_a_received_plugin_shares_the_built_ones_programs(self):
+    def test_a_received_plugin_shares_the_built_ones_programs(
+            self, monkeypatch):
+        monkeypatch.delenv("REPRO_JIT", raising=False)  # closures to share
         plugin = build_multipath_plugin()
         code = plugin.load()
         copy = Plugin.deserialize(plugin.serialize())
@@ -135,11 +139,13 @@ class TestKey:
         assert programs.program(bytecode, 64) is small
         assert programs.program(bytecode, 128) is not small
 
-    def test_one_program_two_bindings_two_closures(self, effects_binding):
+    def test_one_program_two_bindings_two_closures(self, effects_binding,
+                                                  monkeypatch):
         """The same bytecode under a name whose binding declares the
         called helper blind, and under names that bind nothing: a
         closure without the write-back for the first, one with it shared
         by the others."""
+        monkeypatch.delenv("REPRO_JIT", raising=False)
         pluglets = [Pluglet("p", "op", "replace", assemble(f"""
             stdw [r10-8], 1
             call {H_PLUGIN_BASE}
@@ -166,7 +172,54 @@ class TestKey:
         assert work["legacy_passes"] == 1
 
 
+class TestPluginEntry:
+    PLUGLETS = [Pluglet("p", "op", "post", assemble("mov r0, 1\nexit"))]
+
+    def test_known_content_shares_what_it_derives(self):
+        first, again = build_monitoring_plugin(), build_monitoring_plugin()
+        assert again.effect_summaries() is first.effect_summaries()
+        assert again.conflicts_with([]) is first.conflicts_with([])
+        wire = Plugin.deserialize(first.serialize())
+        assert wire.effect_summaries() is first.effect_summaries()
+
+    def test_the_name_and_binding_are_part_of_the_key(self, effects_binding):
+        bare = Plugin("org.bare.p", self.PLUGLETS)
+        declared = Plugin("org.effects.p", self.PLUGLETS)
+        assert declared.host is effects_binding and bare.host is not declared.host
+        assert declared.effect_summaries() is not bare.effect_summaries()
+        assert Plugin("org.bare.q", self.PLUGLETS).effect_summaries() \
+            is not bare.effect_summaries()
+
+    def test_clear_empties_the_plugin_entries(self):
+        plugin = build_datagram_plugin()
+        summaries = plugin.effect_summaries()
+        programs.clear()
+        assert not programs._PLUGINS
+        assert build_datagram_plugin().effect_summaries() is not summaries
+
+
 class TestBound:
+    def test_the_plugin_entries_keep_at_most_their_cap(self):
+        first = Plugin("org.bound.0", TestPluginEntry.PLUGLETS)
+        summaries = first.effect_summaries()
+        for i in range(1, 2 * MAX_PLUGINS):
+            Plugin(f"org.bound.{i}", TestPluginEntry.PLUGLETS).verify_all()
+        assert len(programs._PLUGINS) == MAX_PLUGINS
+        again = Plugin("org.bound.0", TestPluginEntry.PLUGLETS)
+        assert again.effect_summaries() is not summaries
+        assert again.effect_summaries() == summaries
+        assert first.effect_summaries() is summaries  # kept by its plugin
+
+    def test_an_entry_keeps_at_most_its_attached_sets(self):
+        incoming = Plugin("org.bound.in", TestPluginEntry.PLUGLETS)
+        others = [Plugin(f"org.bound.{i}", TestPluginEntry.PLUGLETS)
+                  for i in range(MAX_ATTACHED_SETS + 1)]
+        verdicts = [incoming.conflicts_with([other]) for other in others]
+        kept = incoming._entry().conflicts
+        assert 0 < len(kept) <= MAX_ATTACHED_SETS
+        assert incoming.conflicts_with([others[-1]]) is verdicts[-1]
+        assert incoming.conflicts_with([others[0]]) == verdicts[0]
+
     def test_the_store_keeps_at_most_its_cap(self):
         heap = 4096
         codes = [encode_program(assemble(f"mov r0, {i}\nexit"))
@@ -225,3 +278,11 @@ def f(a, b):
         for i in range(2 * MAX_SOURCES):
             compile_pluglet(f"def f():\n    return {i}\n")
         assert len(compiler_module._SOURCES) == MAX_SOURCES
+
+    def test_a_source_keeps_at_most_its_cap_of_mappings(self, work):
+        for i in range(2 * MAX_MAPPINGS):
+            compile_pluglet(self.SOURCE, helpers={"h": i})
+        assert len(compiler_module._SOURCES[self.SOURCE]) == MAX_MAPPINGS
+        compile_pluglet(self.SOURCE, helpers={"h": 2 * MAX_MAPPINGS - 1})
+        compile_pluglet(self.SOURCE, helpers={"h": 0})  # evicted
+        assert work["sources"] == 2 * MAX_MAPPINGS + 1

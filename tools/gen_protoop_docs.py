@@ -22,15 +22,18 @@ run, in this order:
 1. **Plan lookup.**  The table keeps one call plan per (name, param):
    the pre observers, the behaviour (the `replace` pluglet if there is
    one, else the default) and the post observers as they stood when the
-   plan was built.  The rows themselves are shared: each connection
-   class builds its census once (`QuicConnection.protoop_census()`), and
-   a connection's table reads those rows — binding a default to the
-   connection when it builds the plan — until the connection registers,
-   attaches or detaches on one, which copies that row into its table
-   first.  Any `register` / `attach` / `detach` — a containment
-   quarantine is a detach — still moves the table's epoch and drops
-   every plan; each operation rebuilds its own on its next run.  An
-   unknown name raises `INTERNAL_ERROR`.
+   plan was built.  The rows are the census's: each connection class
+   builds its census once (`QuicConnection.protoop_census()`), whose
+   defaults are the class's `_op_*` functions, called with the
+   connection as `self`.  A connection's table holds only what was
+   registered or attached to it; the plan of an operation it changed
+   nothing on is built once per census and shared by every connection
+   of the class.  Any `register` / `attach` / `detach` on an existing
+   operation — a containment quarantine is a detach, a plugin's whole
+   attach is one change — moves the table's epoch and drops its plans;
+   the next run starts again from the shared ones and each changed
+   operation rebuilds its own.  An unknown name raises
+   `INTERNAL_ERROR`.
 2. **External check.**  An external operation reached through `run`
    raises `PROTOCOL_VIOLATION`.  This comes before everything below: an
    external event with nothing attached still refuses protocol code.
@@ -40,7 +43,7 @@ run, in this order:
    into a call loop).  Guards are per parameter — `process_frame[A]` may
    run `process_frame[B]`, not `process_frame[A]` — and a stray `param`
    passed to an operation that takes none shares the guard of
-   `param=None`.
+   `param=None`.  Guards are per connection, also under a shared plan.
 4. **`runs` is incremented** — refused runs (2, 3) are not counted.
 5. **Pre observers**, in attachment order, as `observer(conn, args)`;
    **the behaviour**, as `behaviour(conn, *args)` — `None` when the
@@ -242,9 +245,11 @@ def main() -> None:
     ]
     for name in table.names:
         op = table.get(name)
-        default = "yes" if op.defaults else "event hook (none)"
-        if op.parameterized and op.defaults:
-            default = f"yes ({len(op.defaults)} parameter values)"
+        defaults = sum(table.default(name, param) is not None
+                       for param in table.known_params(name))
+        default = "yes" if defaults else "event hook (none)"
+        if op.parameterized and defaults:
+            default = f"yes ({defaults} parameter values)"
         lines.append(
             f"| `{name}` | {'yes' if op.parameterized else ''} "
             f"| {'yes' if op.external else ''} | {default} |"
