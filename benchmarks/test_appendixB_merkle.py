@@ -7,13 +7,17 @@ Claims reproduced:
 * the bandwidth (authentication-path size) grows as Θ(λ(log n + α));
 * building the full tree, which a PV does once per epoch, stays cheap
   ("the binary tree can be computed within a few seconds for millions of
-  entries" — we measure tens of thousands).
+  entries" — we measure tens of thousands);
+* each hash is computed once: a lookup after the tree is built hashes
+  nothing, and a second tree of one depth derives no empty-subtree hash
+  (counted, not timed).
 """
 
 import time
 
 import pytest
 
+import repro.secure.merkle as merkle
 from repro.secure.merkle import MerklePrefixTree, verify_path
 
 from _util import FULL, print_table, write_rows
@@ -28,6 +32,19 @@ def build_tree(n, depth=20):
     return tree
 
 
+def counting(monkeypatch) -> list:
+    """Count ``merkle.H`` calls from here on: ``[calls]``."""
+    seen = [0]
+    real = merkle.H
+
+    def counted(data):
+        seen[0] += 1
+        return real(data)
+
+    monkeypatch.setattr(merkle, "H", counted)
+    return seen
+
+
 def test_proof_scaling(benchmark):
     rows = []
     verify_times = []
@@ -38,9 +55,12 @@ def test_proof_scaling(benchmark):
         root = tree.root()
         build_time = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        path = tree.prove("plugin-000000")
-        prove_time = time.perf_counter() - t0
+        with pytest.MonkeyPatch.context() as patch:
+            hashes = counting(patch)
+            t0 = time.perf_counter()
+            path = tree.prove("plugin-000000")
+            prove_time = time.perf_counter() - t0
+        assert hashes == [0]  # the lookup reads the levels root() folded
 
         t0 = time.perf_counter()
         for _ in range(50):
@@ -70,6 +90,16 @@ def test_proof_scaling(benchmark):
     assert verify_times[-1] < 10 * verify_times[0]
     # Path size grows sub-linearly: 64x more plugins, < 4x more bytes.
     assert path_sizes[-1] < 4 * path_sizes[0]
+
+
+def test_a_second_tree_derives_no_empty_subtree_hash(monkeypatch):
+    MerklePrefixTree(depth=20)
+    hashes = counting(monkeypatch)
+    tree = MerklePrefixTree(depth=20)
+    assert hashes[0] == 0
+    tree.insert("plugin-000000", b"C" * 64)
+    tree.root()
+    assert hashes[0] == 2 + 20  # name prefix, binding, one hash per level
 
 
 _BENCH_TREE = build_tree(256)

@@ -321,26 +321,28 @@ class PluginExchanger:
         conn.frame_registry.register(PLUGIN_VALIDATE_TYPE, PluginValidateFrame)
         conn.frame_registry.register(PLUGIN_PROOF_TYPE, PluginProofFrame)
         conn.frame_registry.register(PLUGIN_TYPE, PluginFrame)
-        table = conn.protoops
-        table.register("process_frame", self._process_validate,
-                       param=PLUGIN_VALIDATE_TYPE, parameterized=True)
-        table.register("process_frame", self._process_proof,
-                       param=PLUGIN_PROOF_TYPE, parameterized=True)
-        table.register("process_frame", self._process_plugin,
-                       param=PLUGIN_TYPE, parameterized=True)
-        # Exchange frames are reliable: requeue them when lost.
-        for frame_type in (PLUGIN_VALIDATE_TYPE, PLUGIN_PROOF_TYPE,
-                           PLUGIN_TYPE):
-            table.register("notify_frame", self._notify_exchange_frame,
-                           param=frame_type, parameterized=True)
-        table.attach("connection_established", Anchor.POST,
-                     self._on_established)
-        # The sans-io exchanger has no timer of its own; piggyback the
-        # retry clock on the send path, which runs on every wakeup, and
-        # publish the earliest retry deadline as a wakeup hint so an
-        # otherwise idle connection is still pumped when a request times
-        # out (e.g. a silent provider after the handshake settles).
-        table.attach("before_sending_packet", Anchor.POST, self._on_tick)
+        # Six registrations and two attaches, one change of the table.
+        with conn.protoops.batch() as table:
+            table.register("process_frame", self._process_validate,
+                           param=PLUGIN_VALIDATE_TYPE, parameterized=True)
+            table.register("process_frame", self._process_proof,
+                           param=PLUGIN_PROOF_TYPE, parameterized=True)
+            table.register("process_frame", self._process_plugin,
+                           param=PLUGIN_TYPE, parameterized=True)
+            # Exchange frames are reliable: requeue them when lost.
+            for frame_type in (PLUGIN_VALIDATE_TYPE, PLUGIN_PROOF_TYPE,
+                               PLUGIN_TYPE):
+                table.register("notify_frame", self._notify_exchange_frame,
+                               param=frame_type, parameterized=True)
+            table.attach("connection_established", Anchor.POST,
+                         self._on_established)
+            # The sans-io exchanger has no timer of its own; piggyback the
+            # retry clock on the send path, which runs on every wakeup, and
+            # publish the earliest retry deadline as a wakeup hint so an
+            # otherwise idle connection is still pumped when a request
+            # times out (e.g. a silent provider after the handshake
+            # settles).
+            table.attach("before_sending_packet", Anchor.POST, self._on_tick)
         hints = getattr(conn, "wakeup_hints", None)
         if hints is not None:
             hints.append(self._next_deadline)

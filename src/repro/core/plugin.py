@@ -13,12 +13,13 @@ JIT-compiled closures — and happens once per process, by content: a
 plugin reads it from the program store (:mod:`repro.vm.programs`), keyed
 by each pluglet's bytecode and the plugin's heap size, so a plugin built
 again, received from a peer or decoded by a validator does no load work
-for code the process has loaded before.  Each piece is computed once per
-program: the §2.1 rules (the verdict), one abstract interpretation
-extending that report (the proofs and the effect summaries), and one
-closure at load — the proof-specialized one where a proof applies; the
-fully-checked fallback of such a pluglet is compiled by the first run
-that needs it (:class:`~repro.vm.jit.JitCode`).  What a plugin keeps of
+for code the process has loaded before; bytes the process has decoded
+before are not parsed again (:meth:`Plugin.deserialize`).  Each piece is
+computed once per program: the §2.1 rules (the verdict), one abstract
+interpretation extending that report (the proofs and the effect
+summaries), and one closure at load — the proof-specialized one where a
+proof applies; the fully-checked fallback of such a pluglet is compiled
+by the first run that needs it (:class:`~repro.vm.jit.JitCode`).  What a plugin keeps of
 its own is its references into the store and its effect summaries,
 which depend on its name's host binding.
 *Instantiation* (:class:`PluginInstance`) happens once per connection and
@@ -253,8 +254,9 @@ class Plugin:
     """A manifest plus pluglets — the unit of distribution and validation.
 
     The pluglet list is immutable once the plugin is verified, analyzed or
-    loaded (it is the §3.1 binding): the plugin then holds the store's
-    entry of its content (:class:`_Loaded`) — one
+    loaded (it is the §3.1 binding), and a decoded one from the start:
+    the plugin then holds the store's entry of its content
+    (:class:`_Loaded`) — one
     :class:`~repro.vm.programs.Program` per pluglet and what is derived
     from them — shared with every plugin of the same content and
     binding, and serving every connection the plugin is instantiated
@@ -303,35 +305,13 @@ class Plugin:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "Plugin":
-        buf = Buffer(data)
-        name = buf.pull_varint_prefixed_bytes().decode("utf-8")
-        memory_size = buf.pull_varint()
-        count = buf.pull_varint()
-        pluglets = []
-        for _ in range(count):
-            pname = buf.pull_varint_prefixed_bytes().decode("utf-8")
-            protoop = buf.pull_varint_prefixed_bytes().decode("utf-8")
-            anchor = _ANCHORS_REV[buf.pull_uint8()]
-            tag = buf.pull_uint8()
-            if tag == 0:
-                param: Any = None
-            elif tag == 1:
-                param = buf.pull_varint()
-            else:
-                param = buf.pull_varint_prefixed_bytes().decode("utf-8")
-            fuel = buf.pull_varint()
-            helper_budget = buf.pull_varint()
-            triggers = tuple(
-                buf.pull_varint_prefixed_bytes().decode("utf-8")
-                for _ in range(buf.pull_varint())
-            )
-            code = buf.pull_varint_prefixed_bytes()
-            entry = programs.program(code, memory_size)
-            pluglets.append(Pluglet(pname, protoop, anchor,
-                                    list(entry.instructions), param,
-                                    fuel=fuel, helper_budget=helper_budget,
-                                    triggers=triggers, _bytecode=code))
-        return cls(name, pluglets, memory_size=memory_size)
+        """The plugin ``data`` encodes, decoded once per process by
+        content (:func:`repro.vm.programs.decoded`): bytes seen before
+        parse nothing and give fresh :class:`Plugin` and :class:`Pluglet`
+        objects, whose store entry is resolved already.  Raises
+        ``FrameEncodingError`` or ``ValueError`` for bytes that do not
+        decode."""
+        return programs.decoded(bytes(data), _Decoded).plugin(cls)
 
     def compressed(self) -> bytes:
         """The ZIP-compressed exchange format (§3.4 / Table 2)."""
@@ -450,6 +430,64 @@ class Plugin:
             "size_bytes": len(raw),
             "compressed_bytes": len(self.compressed()),
         }
+
+
+class _Decoded:
+    """The store's entry of one serialized plugin
+    (:func:`repro.vm.programs.decoded`): the manifest its bytes decode
+    to, the instructions of each pluglet, and the entry (:class:`_Loaded`)
+    of that content under the binding its name chose.  Never handed out:
+    each decode builds fresh objects from it."""
+
+    __slots__ = ("name", "memory_size", "rows", "host", "loaded")
+
+    def __init__(self, data: bytes) -> None:
+        buf = Buffer(data)
+        self.name = buf.pull_varint_prefixed_bytes().decode("utf-8")
+        self.memory_size = memory_size = buf.pull_varint()
+        rows = []
+        for _ in range(buf.pull_varint()):
+            pname = buf.pull_varint_prefixed_bytes().decode("utf-8")
+            protoop = buf.pull_varint_prefixed_bytes().decode("utf-8")
+            byte = buf.pull_uint8()
+            anchor = _ANCHORS_REV.get(byte)
+            if anchor is None:
+                raise ValueError(f"unknown anchor byte {byte}")
+            tag = buf.pull_uint8()
+            if tag == 0:
+                param: Any = None
+            elif tag == 1:
+                param = buf.pull_varint()
+            else:
+                param = buf.pull_varint_prefixed_bytes().decode("utf-8")
+            fuel = buf.pull_varint()
+            helper_budget = buf.pull_varint()
+            triggers = tuple(
+                buf.pull_varint_prefixed_bytes().decode("utf-8")
+                for _ in range(buf.pull_varint())
+            )
+            code = buf.pull_varint_prefixed_bytes()
+            rows.append((pname, protoop, anchor, param, fuel, helper_budget,
+                         triggers, code,
+                         programs.program(code, memory_size).instructions))
+        self.rows = tuple(rows)
+        self.host: Optional[HostBinding] = None
+        self.loaded: Optional[_Loaded] = None
+
+    def plugin(self, cls) -> Plugin:
+        """A fresh plugin of this content, its entry resolved."""
+        plugin = cls(self.name, [
+            Pluglet(pname, protoop, anchor, list(instructions), param,
+                    fuel=fuel, helper_budget=helper_budget,
+                    triggers=triggers, _bytecode=code)
+            for (pname, protoop, anchor, param, fuel, helper_budget,
+                 triggers, code, instructions) in self.rows],
+            memory_size=self.memory_size)
+        if plugin.host is not self.host:
+            # First decode, or the name's binding was declared since.
+            self.host, self.loaded = plugin.host, plugin._entry()
+        plugin._loaded = self.loaded
+        return plugin
 
 
 class _Loaded:

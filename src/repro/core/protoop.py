@@ -25,12 +25,14 @@ class shares — plus what was registered or attached to that connection.
 The call plan of an operation nothing is attached to is built once per
 census and shared by all of its tables; only the re-entry guards are
 each table's own.  Attaching a whole plugin is one change
-(:meth:`ProtoopTable.attach_all`).
+(:meth:`ProtoopTable.attach_all`), and so is any group of registrations
+and attaches made inside :meth:`ProtoopTable.batch`.
 """
 
 from __future__ import annotations
 
 import enum
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -162,7 +164,7 @@ class ProtoopTable:
         #: names tuple -> :meth:`untouched` verdict, dropped with the plans.
         self._untouched: dict[tuple, bool] = {}
         self._epoch = 0  # bumped on every invalidation
-        self._deferring = False  # inside attach_all / detach_all
+        self._deferring = False  # inside batch()
         self.plan_builds = 0  # plans built here, shared or own (tests)
         #: Per-operation run counts, populated only after
         #: :meth:`enable_run_counting` (profiling) — the default dispatch
@@ -322,7 +324,7 @@ class ProtoopTable:
                     name, row.parameterized, row.external, row.doc)
             own.defaults[key] = func
             self._touch(name, key)
-            if known is not None:
+            if known is not None and not self._deferring:
                 # A new name has no plan yet: nothing to drop.
                 self._invalidate()
         return own or row
@@ -416,28 +418,31 @@ class ProtoopTable:
         if not self._deferring:
             self._invalidate()
 
-    def attach_all(self, anchors: list) -> None:
-        """Attach ``(name, anchor, func, param, external)`` anchors as one
-        change: each goes through :meth:`attach`, and the plans are
-        dropped once, after the last — or after the one that raised."""
+    @contextmanager
+    def batch(self):
+        """Make the registrations, attaches and detaches inside the
+        ``with`` one change: the plans are dropped once, at its end —
+        also when one of them raised."""
         self._deferring = True
         try:
-            for name, anchor, func, param, external in anchors:
-                self.attach(name, anchor, func, param, external)
+            yield self
         finally:
             self._deferring = False
             self._invalidate()
 
+    def attach_all(self, anchors: list) -> None:
+        """Attach ``(name, anchor, func, param, external)`` anchors as one
+        change (:meth:`batch`)."""
+        with self.batch():
+            for name, anchor, func, param, external in anchors:
+                self.attach(name, anchor, func, param, external)
+
     def detach_all(self, anchors: list) -> None:
         """:meth:`detach` every anchor of :meth:`attach_all`'s list (one
-        never attached is skipped), dropping the plans once."""
-        self._deferring = True
-        try:
+        never attached is skipped) as one change."""
+        with self.batch():
             for name, anchor, func, param, _external in anchors:
                 self.detach(name, anchor, func, param)
-        finally:
-            self._deferring = False
-            self._invalidate()
 
     # --- dispatch ----------------------------------------------------------
 

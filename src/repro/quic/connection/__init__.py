@@ -30,7 +30,7 @@ from repro.errors import CryptoError, StreamStateError, TransportError
 
 from .. import frames as F
 from ..cc import DEFAULT_INITIAL_WINDOW
-from ..crypto import CryptoPair
+from ..crypto import CryptoPair, random_bytes
 from ..packet import Epoch
 from ..recovery import PacketNumberSpace
 from ..reset import is_stateless_reset
@@ -107,7 +107,7 @@ class QuicConnection(HandshakeMixin, StreamsMixin, ReceiveMixin, SendMixin, Loss
             ^ (next(_instance_counter) << 1)
             ^ (0 if self.is_client else 1)
         )
-        self.local_cid = bytes(self._rng.randrange(256) for _ in range(CID_LENGTH))
+        self.local_cid = random_bytes(self._rng, CID_LENGTH)
         self.peer_cid = b""
         self._original_dcid = b""
         self.protoops = ProtoopTable(self.protoop_census())
@@ -130,7 +130,7 @@ class QuicConnection(HandshakeMixin, StreamsMixin, ReceiveMixin, SendMixin, Loss
         # Handshake / crypto stream state (Initial epoch only in this model).
         self._crypto_send = SendStream(-1, 1 << 30)
         self._crypto_recv = ReceiveStream(-1, 1 << 30)
-        self._key_share = bytes(self._rng.randrange(256) for _ in range(32))
+        self._key_share = random_bytes(self._rng, 32)
         self._handshake_sent = False
         self._ch_pending = False  # client: ClientHello not yet queued
         #: An Initial-space PTO found no CRYPTO data left to resend, so

@@ -6,7 +6,8 @@ from __future__ import annotations
 from repro.errors import ProtocolViolation, QuicError, TransportError
 
 from .. import frames as F
-from ..crypto import initial_crypto_pair, one_rtt_crypto_pair, session_secret
+from ..crypto import (initial_crypto_pair, one_rtt_crypto_pair, random_bytes,
+                      session_secret)
 from ..packet import Epoch
 from ..reset import stateless_reset_token
 from ..transport_params import TransportParameters
@@ -40,7 +41,7 @@ class ConnectionState:
 
 class HandshakeMixin:
     def _start_client_handshake(self) -> None:
-        self.peer_cid = bytes(self._rng.randrange(256) for _ in range(CID_LENGTH))
+        self.peer_cid = random_bytes(self._rng, CID_LENGTH)
         self._original_dcid = self.peer_cid
         self.crypto[Epoch.INITIAL] = initial_crypto_pair(self._original_dcid, True)
         # The ClientHello is queued lazily (first send) so extensions set
@@ -115,7 +116,7 @@ class HandshakeMixin:
             self.on_established()
 
     def _issue_new_cid(self) -> None:
-        cid = bytes(self._rng.randrange(256) for _ in range(CID_LENGTH))
+        cid = random_bytes(self._rng, CID_LENGTH)
         token = b""
         if self.configuration.stateless_reset_key is not None:
             token = stateless_reset_token(

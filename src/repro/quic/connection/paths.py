@@ -6,6 +6,7 @@ from typing import Optional
 
 from .. import frames as F
 from ..cc import NewRenoController
+from ..crypto import random_bytes
 from ..recovery import MAX_ACK_DELAY, PacketNumberSpace, RttEstimator
 from .handshake import ConnectionState
 
@@ -102,8 +103,7 @@ class PathsMixin:
         PATH_CHALLENGE carrying a fresh random 8-byte token on the path
         itself and arm the PTO-based probe retransmission timer."""
         path = self.paths[path_index]
-        path.challenge_data = bytes(
-            self._rng.randrange(256) for _ in range(8))
+        path.challenge_data = random_bytes(self._rng, 8)
         path.probe_count = 0
         path.probe_frames.append(
             F.PathChallengeFrame(data=path.challenge_data))

@@ -22,12 +22,28 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import random
 from typing import Optional
 
 from repro.errors import CryptoError
 
 TAG_LENGTH = 16
 INITIAL_SALT = b"pquic-repro-initial-salt"
+
+
+def random_bytes(rng: random.Random, n: int) -> bytes:
+    """``n`` bytes drawn from ``rng``: exactly those of
+    ``bytes(rng.randrange(256) for _ in range(n))`` — the same 9-bit
+    ``getrandbits`` rejection loop ``randrange`` runs per byte — without
+    its per-byte calls.  Connection IDs, key shares and challenge tokens
+    feed the goldens, so the draw may not change."""
+    getrandbits = rng.getrandbits
+    out = bytearray()
+    while len(out) < n:
+        r = getrandbits(9)
+        if r < 256:
+            out.append(r)
+    return bytes(out)
 
 
 def _hash(*parts: bytes) -> bytes:

@@ -18,6 +18,8 @@ import hashlib
 import random
 from typing import Optional
 
+from .crypto import random_bytes
+
 RESET_TOKEN_LENGTH = 16
 #: §10.3: 5 bytes that mimic a short header + the 16-byte token.
 MIN_STATELESS_RESET_SIZE = 21
@@ -48,8 +50,7 @@ def build_stateless_reset(token: bytes, rng: random.Random,
     if size < MIN_STATELESS_RESET_SIZE:
         return None
     head = bytes([0x40 | rng.randrange(0x40)])  # fixed bit, short header
-    filler = bytes(rng.randrange(256)
-                   for _ in range(size - 1 - RESET_TOKEN_LENGTH))
+    filler = random_bytes(rng, size - 1 - RESET_TOKEN_LENGTH)
     return head + filler + token
 
 

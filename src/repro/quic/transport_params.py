@@ -138,5 +138,11 @@ def _decode_plugin_list(payload: bytes) -> list:
     count = buf.pull_varint()
     names = []
     for _ in range(count):
-        names.append(buf.pull_varint_prefixed_bytes().decode("ascii"))
+        name = buf.pull_varint_prefixed_bytes()
+        if not name.isascii():
+            raise TransportError(
+                TransportErrorCode.TRANSPORT_PARAMETER_ERROR,
+                "plugin name is not ASCII",
+            )
+        names.append(name.decode("ascii"))
     return names

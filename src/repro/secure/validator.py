@@ -4,6 +4,12 @@ A PV validates plugins (by whatever means it has — §5: manual inspection,
 fuzzing, formal methods; here: bytecode verification plus an optional
 termination check), builds one Merkle Prefix Tree per epoch containing the
 plugins it vouches for, signs the root (STR) and serves lookups.
+
+Every epoch re-validates the whole published set, most of it unchanged:
+bytes the process has decoded before are a store lookup
+(:meth:`~repro.core.plugin.Plugin.deserialize`) and so is their §2.1
+verdict, while the checks themselves — name binding, verdict, tree —
+run on every epoch.
 """
 
 from __future__ import annotations

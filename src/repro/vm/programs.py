@@ -21,12 +21,19 @@ whole plugin (:func:`plugin`), keyed by its name, heap size, binding,
 manifest and bytecodes, so a plugin object of known content — built
 again for a new connection, or received — derives nothing.
 
-The stores are bounded: they keep the :data:`MAX_PROGRAMS` programs and
-the :data:`MAX_PLUGINS` plugin entries used last.  An evicted entry is
-recomputed when it is asked for again; a plugin that resolved it keeps
-its reference.  Bytes that do not decode are not kept; a program that
-fails §2.1 is kept with its verdict.  What is per connection — heap, VM
-shells, budgets — is not here.
+The container around the programs is kept too (:func:`decoded`): what a
+serialized plugin decodes to, keyed by its full bytes.  A validator
+re-checking the published set every epoch, and a host receiving one
+plugin from many peers, decode bytes they have seen before; the second
+decode parses nothing and returns fresh plugin objects whose entry is
+already resolved, so their verdict is a lookup.
+
+The stores are bounded: they keep the :data:`MAX_PROGRAMS` programs, and
+the :data:`MAX_PLUGINS` plugin entries and decoded containers, used
+last.  An evicted entry is recomputed when it is asked for again; a
+plugin that resolved it keeps its reference.  Bytes that do not decode
+are not kept; a program that fails §2.1 is kept with its verdict.  What
+is per connection — heap, VM shells, budgets — is not here.
 """
 
 from __future__ import annotations
@@ -107,14 +114,17 @@ class Program:
 #: {(bytecode, heap size): Program}, least recently used first.
 _PROGRAMS: "OrderedDict[tuple, Program]" = OrderedDict()
 
-#: Most plugin entries the store keeps.
+#: Most plugin entries, and most decoded containers, the store keeps.
 MAX_PLUGINS = 256
 
 #: {plugin content key: entry}, least recently used first.
 _PLUGINS: "OrderedDict[tuple, Any]" = OrderedDict()
 
+#: {serialized plugin: what it decodes to}, least recently used first.
+_DECODED: "OrderedDict[bytes, Any]" = OrderedDict()
 
-def _remember(store: OrderedDict, cap: int, key: tuple,
+
+def _remember(store: OrderedDict, cap: int, key: Any,
               make: Callable[[], Any]) -> Any:
     """``store[key]``, made by ``make`` on a miss; the ``cap`` entries
     used last are kept.  What ``make`` raises is not kept."""
@@ -145,9 +155,20 @@ def plugin(key: tuple, make: Callable[[], Any]) -> Any:
     return _remember(_PLUGINS, MAX_PLUGINS, key, make)
 
 
+def decoded(data: bytes, parse: Callable[[bytes], Any]) -> Any:
+    """What the serialized plugin ``data`` decodes to, made by
+    ``parse(data)`` on first use and kept under the full bytes (see
+    :meth:`~repro.core.plugin.Plugin.deserialize`).  What ``parse``
+    raises is raised again on every call: bytes that do not decode are
+    parsed afresh each time."""
+    return _remember(_DECODED, MAX_PLUGINS, data, lambda: parse(data))
+
+
 def clear() -> None:
-    """Empty the program store, its plugin entries and the compiler's
-    source memo: what a host that has never seen any code starts from."""
+    """Empty the program store, its plugin entries, its decoded
+    containers and the compiler's source memo: what a host that has never
+    seen any code starts from."""
     _PROGRAMS.clear()
     _PLUGINS.clear()
+    _DECODED.clear()
     compiler._SOURCES.clear()

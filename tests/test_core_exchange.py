@@ -47,7 +47,7 @@ def build_world(n_validators=3, plugin=None, validate_fn=None):
 
 
 def connect_with_exchange(plugin, repo, validators, trust, formula,
-                          client_has_plugin=False):
+                          client_has_plugin=False, provider=None):
     sim = Simulator()
     topo = symmetric_topology(sim, d_ms=10, bw_mbps=20)
     client_cache = PluginCache()
@@ -55,7 +55,7 @@ def connect_with_exchange(plugin, repo, validators, trust, formula,
         client_cache.store(plugin)
     server_cache = PluginCache()
     server_cache.store(plugin)
-    provider = make_proof_provider(repo, validators)
+    provider = provider or make_proof_provider(repo, validators)
     server = ServerEndpoint(
         sim, topo.server, "server.0", 443,
         configuration_factory=lambda: QuicConfiguration(

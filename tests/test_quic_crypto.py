@@ -1,5 +1,7 @@
 """Tests for the simulated packet protection and key schedule."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from repro.quic.crypto import (
     AeadContext,
     initial_crypto_pair,
     one_rtt_crypto_pair,
+    random_bytes,
     session_secret,
 )
 from repro.errors import CryptoError
@@ -110,3 +113,15 @@ def test_one_rtt_keys_differ_per_direction():
 def test_roundtrip_property(payload, pn):
     aead = AeadContext(KEY)
     assert aead.open(pn, b"h", aead.seal(pn, b"h", payload)) == payload
+
+
+def test_random_bytes_draws_exactly_what_randrange_draws():
+    """Connection IDs and key shares feed the goldens: the helper must
+    leave each generator where ``randrange(256)`` per byte leaves it, on
+    the running interpreter."""
+    for seed in range(1000):
+        n = seed % 41
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert random_bytes(ours, n) == bytes(
+            theirs.randrange(256) for _ in range(n))
+        assert ours.getstate() == theirs.getstate()

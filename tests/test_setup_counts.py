@@ -1,9 +1,9 @@
 """Set-up as deterministic counts (§2.5): what a connection's set-up does
 once the process has seen the connection class and the plugin's code.
 
-A fresh client/server handshake and a cached monitoring injection into a
-fresh connection, each run once to warm the process and counted the
-second time: call plans built from scratch, census rows copied into a
+A fresh client/server handshake, a cached monitoring injection into a
+fresh connection and a plugin exchanger set up on one, each run once to
+warm the process and counted the second time: call plans built from scratch, census rows copied into a
 connection's table, plan invalidations, effect-summary passes, bytecode
 encodings and VM shells.  Counts, not timings, so they hold on any host
 and under either ``REPRO_JIT`` value.
@@ -15,6 +15,7 @@ import repro.core.plugin as plugin_module
 import repro.vm.compiler as compiler_module
 import repro.vm.isa as isa_module
 from repro.core import PluginCache, PluginInstance
+from repro.core.exchange import PluginExchanger
 from repro.core.protoop import CallPlan, ProtoopTable
 from repro.plugins import build_monitoring_plugin
 from repro.quic import QuicConfiguration
@@ -85,6 +86,12 @@ def known_code_injection():
     return [conn]
 
 
+def exchanger_setup():
+    conn = QuicConnection(QuicConfiguration(is_client=True))
+    PluginExchanger(conn, PluginCache())
+    return [conn]
+
+
 def counted(case, counts) -> dict:
     case()  # the process has now seen the class and the code
     counts.update(dict.fromkeys(counts, 0))
@@ -112,6 +119,13 @@ def test_a_cached_injection_does_only_per_connection_work(counts):
 def test_a_new_plugin_object_of_known_code_derives_nothing(counts):
     assert counted(known_code_injection, counts) == {
         **NOTHING, "plans": 1, "invalidations": 1, "shells": 14}
+
+
+def test_a_plugin_exchanger_registers_as_one_change(counts):
+    # Six registrations and two attaches: 8 invalidations, one each,
+    # before they were made as one change.
+    assert counted(exchanger_setup, counts) == {
+        **NOTHING, "invalidations": 1}
 
 
 def test_the_connections_share_the_untouched_plans():
