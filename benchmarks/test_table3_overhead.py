@@ -88,14 +88,15 @@ def load_times():
     }
     rows = {}
     for label, build in builders.items():
-        plugin = build()
-        wire = plugin.serialize()
         conns = [QuicConnection(QuicConfiguration(is_client=True))
                  for _ in range(4)]
         # Cached = the second connection to instantiate a stored plugin:
         # the first one loaded its code, this one only builds a heap and
-        # VM shells around it.
+        # VM shells around it.  The store is emptied before the build, so
+        # the plugin's content is new to the process.
         programs.clear()
+        plugin = build()
+        wire = plugin.serialize()
         cache = PluginCache()
         cache.store(plugin)
         cache.instantiate(plugin.name, conns[1]).attach()

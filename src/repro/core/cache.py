@@ -29,8 +29,10 @@ already holds for that code.
 
 Every connection gets its own :class:`~repro.core.plugin.PluginInstance`:
 a zeroed heap and allocator, the helper table, one VM shell per pluglet
-with its own counters and budgets (the gates are evaluated per VM), the
-profiler and the containment state.  Nothing one connection's pluglets
+with its own counters and budgets (the gates are evaluated per VM),
+built by the pluglet's first run, the profiler and the containment
+state.  The plugin's anchors are its content's: attaching the instance
+splices them into the connection's table without copying them.  Nothing one connection's pluglets
 write is reachable from another connection, and no instance outlives its
 connection — there is no pool of idle instances to reset.
 

@@ -8,6 +8,15 @@ The allocator manages the plugin's :class:`~repro.vm.interpreter.PluginMemory`
 byte area.  Addresses handed to pluglets are VM virtual addresses (offset
 from ``HEAP_BASE``), so allocated blocks are directly loadable/storable by
 bytecode under the memory monitor.
+
+Nothing is built per block: a fresh allocator holds one bump index over
+the blocks never handed out and an empty stack of released ones, so a
+plugin instance costs the same whatever its heap size.  A single block
+comes off the top of that stack, else off the bump index — amortised
+Θ(1), each block passed over at most once by each.  A run of blocks is
+the lowest fitting one, found by one byte-string search over the free
+map; it rebuilds no list (a released block a run took is dropped from
+the stack when it comes up).
 """
 
 from __future__ import annotations
@@ -24,11 +33,12 @@ class AllocationError(Exception):
 
 
 class BlockAllocator:
-    """Kenwright-style fixed-block pool: free list threaded through blocks.
+    """Kenwright-style fixed-block pool.
 
-    Allocations larger than one block take a contiguous run of blocks (the
-    run length is recorded host-side), found in O(runs) worst case but O(1)
-    for the dominant single-block case.
+    Single-block allocations take the block released last, else the
+    lowest block never handed out; allocations larger than one block take
+    the lowest contiguous run of free blocks (the run length is recorded
+    host-side).  Freed blocks are zeroed.
     """
 
     def __init__(self, memory: PluginMemory, block_size: int = BLOCK_SIZE):
@@ -37,54 +47,64 @@ class BlockAllocator:
         self.memory = memory
         self.block_size = block_size
         self.num_blocks = memory.size // block_size
-        self._free: list[int] = list(range(self.num_blocks - 1, -1, -1))
-        #: 1 for a free block, by block number.
+        #: Released blocks, the last released on top; one a run took
+        #: since is skipped when it comes up.
+        self._released: list[int] = []
+        #: Every block from here up that is not ``_handed`` was never
+        #: handed out.
+        self._fresh = 0
+        #: 1 for a free block, and 1 for a block ever handed out, by
+        #: block number.
         self._is_free = bytearray(b"\x01") * self.num_blocks
+        self._handed = bytearray(self.num_blocks)
         self._allocated: dict[int, int] = {}  # first block -> run length
+        self._in_use = 0
 
     # ------------------------------------------------------------------
 
     @property
     def allocated_blocks(self) -> int:
-        return self.num_blocks - len(self._free)
+        return self._in_use
 
     def malloc(self, size: int) -> int:
-        """Allocate ``size`` bytes; returns a VM virtual address.
-
-        Single-block allocations pop the free list in Θ(1).
-        """
+        """Allocate ``size`` bytes; returns a VM virtual address."""
         if size <= 0:
             raise AllocationError(f"invalid allocation size {size}")
         blocks_needed = -(-size // self.block_size)
-        if blocks_needed == 1:
-            if not self._free:
+        if blocks_needed > 1:
+            return self._malloc_run(blocks_needed)
+        is_free = self._is_free
+        released = self._released
+        while released:
+            block = released.pop()
+            if is_free[block]:
+                break
+        else:
+            block, handed = self._fresh, self._handed
+            while block < self.num_blocks and handed[block]:
+                block += 1
+            if block == self.num_blocks:
+                self._fresh = block
                 raise AllocationError("plugin memory exhausted")
-            block = self._free.pop()
-            self._is_free[block] = 0
-            self._allocated[block] = 1
-            return HEAP_BASE + block * self.block_size
-        return self._malloc_run(blocks_needed)
+            self._fresh = block + 1
+            handed[block] = 1
+        is_free[block] = 0
+        self._allocated[block] = 1
+        self._in_use += 1
+        return HEAP_BASE + block * self.block_size
 
     def _malloc_run(self, count: int) -> int:
-        """Find a contiguous run of ``count`` free blocks."""
-        run_start, run_len = None, 0
-        is_free = self._is_free
-        for block in range(self.num_blocks):
-            if is_free[block]:
-                if run_start is None:
-                    run_start, run_len = block, 1
-                else:
-                    run_len += 1
-                if run_len == count:
-                    is_free[run_start:run_start + count] = bytes(count)
-                    self._free = [b for b in self._free if is_free[b]]
-                    self._allocated[run_start] = count
-                    return HEAP_BASE + run_start * self.block_size
-            else:
-                run_start, run_len = None, 0
-        raise AllocationError(
-            f"no contiguous run of {count} blocks in plugin memory"
-        )
+        """Take the lowest contiguous run of ``count`` free blocks."""
+        start = self._is_free.find(b"\x01" * count)
+        if start < 0:
+            raise AllocationError(
+                f"no contiguous run of {count} blocks in plugin memory"
+            )
+        self._is_free[start:start + count] = bytes(count)
+        self._handed[start:start + count] = b"\x01" * count
+        self._allocated[start] = count
+        self._in_use += count
+        return HEAP_BASE + start * self.block_size
 
     def free(self, address: int) -> None:
         block, rem = divmod(address - HEAP_BASE, self.block_size)
@@ -95,12 +115,12 @@ class BlockAllocator:
         self.memory.data[start:start + count * self.block_size] = bytes(
             count * self.block_size
         )
-        self._free.extend(range(block, block + count))
+        self._released.extend(range(block, block + count))
         self._is_free[block:block + count] = b"\x01" * count
+        self._in_use -= count
 
     def allocation_size(self, address: int) -> Optional[int]:
         """Bytes usable at ``address``, or None if not an allocation."""
         block = (address - HEAP_BASE) // self.block_size
         count = self._allocated.get(block)
         return count * self.block_size if count else None
-

@@ -22,19 +22,28 @@ proof applies; the fully-checked fallback of such a pluglet is compiled
 by the first run that needs it (:class:`~repro.vm.jit.JitCode`).  What a plugin keeps of
 its own is its references into the store and its effect summaries,
 which depend on its name's host binding.
+The anchors are content too: the (operation, anchor, parameter, pluglet)
+rows of a plugin are derived once per content and binding, as one
+:class:`~repro.core.protoop.AnchorSet` whose behaviours find the
+connection's instance through the connection they run on, so attaching
+a plugin copies nothing of it into the connection's table.
 *Instantiation* (:class:`PluginInstance`) happens once per connection and
-gives the plugin its dedicated memory, one PRE
+gives the plugin what is the connection's alone: its dedicated memory,
+the helper table bound to it, and one PRE
 (:class:`~repro.vm.interpreter.VirtualMachine`) per pluglet sharing that
-heap (Figure 2) and running the shared code, and wrapper callables that
-marshal protocol-operation invocations into the VM.  A memory violation
-at run time removes the plugin and terminates the connection (§2.1).
+heap (Figure 2) and running the shared code — built by the pluglet's
+first run, with its own counters and budgets.  A memory violation at run
+time removes the plugin and terminates the connection (§2.1).
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import attrgetter
 from time import perf_counter
 from types import MethodType
 from typing import Any, Callable, Optional
@@ -73,7 +82,7 @@ from .api import (
     marshal,
 )
 from .memory import BlockAllocator
-from .protoop import Anchor, ProtoopError
+from .protoop import Anchor, AnchorSet, ProtoopError
 from .scheduler import ReservedFrame
 
 _NO_RESULT = object()
@@ -171,6 +180,21 @@ def name_param(name: str, key: str, default: int) -> int:
     return default
 
 
+def plugin_builder(build: Callable[..., "Plugin"]) -> Callable[..., "Plugin"]:
+    """Make ``build`` — a function of hashable arguments assembling a
+    plugin from source — run once per process per arguments: a later call
+    returns a fresh copy of what it built (:meth:`Plugin.copy`), kept in
+    the program store (:func:`repro.vm.programs.built`), so a build of
+    known source derives nothing."""
+
+    @functools.wraps(build)
+    def known_build(*args, **kwargs) -> "Plugin":
+        key = (build, args, tuple(kwargs.items()))
+        return programs.built(key, lambda: build(*args, **kwargs)).copy()
+
+    return known_build
+
+
 #: Anchor wire encoding for manifests.
 _ANCHORS = {"replace": 0, "pre": 1, "post": 2, "external": 3}
 _ANCHORS_REV = {v: k for k, v in _ANCHORS.items()}
@@ -179,6 +203,11 @@ DEFAULT_PLUGIN_MEMORY = 16 * 1024
 
 #: Most attached sets whose conflict verdict a plugin entry keeps.
 MAX_ATTACHED_SETS = 64
+
+#: What a pluglet contributes to its plugin's content key: everything
+#: :meth:`Plugin.serialize` encodes of it.
+_CONTENT = attrgetter("name", "protoop", "anchor", "param", "fuel",
+                      "helper_budget", "triggers", "bytecode")
 
 
 @dataclass
@@ -233,21 +262,33 @@ class Pluglet:
         triggers: tuple = (),
     ) -> "Pluglet":
         """Compile restricted-Python source into a pluglet (the paper's
-        C-to-eBPF step)."""
-        mapping = {**CORE_HELPER_NAMES, **helpers} if helpers \
+        C-to-eBPF step).  A build of known source derives nothing: the
+        compiled and validated pluglet is kept by content
+        (:func:`repro.vm.programs.built`), and each call returns a fresh
+        copy of it."""
+        key = (source, name, protoop, anchor, param, fuel, helper_budget,
+               tuple(triggers), tuple(helpers.items()) if helpers else ())
+        return programs.built(key, lambda: cls._compile(*key)).copy()
+
+    def copy(self) -> "Pluglet":
+        """A fresh pluglet of the same fields (its own instruction list),
+        validated already."""
+        pluglet = object.__new__(type(self))
+        pluglet.__dict__.update(self.__dict__)
+        pluglet.instructions = list(self.instructions)
+        return pluglet
+
+    @classmethod
+    def _compile(cls, source: str, name: str, protoop: str, anchor: str,
+                 param: Any, fuel: int, helper_budget: int, triggers: tuple,
+                 helpers: tuple) -> "Pluglet":
+        mapping = {**CORE_HELPER_NAMES, **dict(helpers)} if helpers \
             else CORE_HELPER_NAMES
         instructions, bytecode = compile_program(source, helpers=mapping)
-        return cls(
-            name=name,
-            protoop=protoop,
-            anchor=anchor,
-            instructions=list(instructions),
-            param=param,
-            fuel=fuel,
-            helper_budget=helper_budget,
-            triggers=triggers,
-            _bytecode=bytecode,
-        )
+        return cls(name=name, protoop=protoop, anchor=anchor,
+                   instructions=instructions, param=param, fuel=fuel,
+                   helper_budget=helper_budget, triggers=triggers,
+                   _bytecode=bytecode)
 
 
 class Plugin:
@@ -265,6 +306,8 @@ class Plugin:
     def __init__(self, name: str, pluglets: list,
                  memory_size: int = DEFAULT_PLUGIN_MEMORY):
         self.name = name  # globally unique, e.g. "org.pquic.monitoring"
+        #: The plugin a copy (:meth:`copy`) takes its pluglets from.
+        self._source: Optional[Plugin] = None
         self.pluglets = pluglets
         self.memory_size = memory_size
         #: The host side this host declares for the name, and the
@@ -275,10 +318,40 @@ class Plugin:
         #: The store's entry of this content, found on first use.
         self._loaded: Optional[_Loaded] = None
 
+    @property
+    def pluglets(self) -> list:
+        """The pluglets in manifest order.  A copy makes its own from
+        its source's when they are first asked for: instantiating and
+        attaching a copy of known content reads none."""
+        if self._pluglets is None:
+            self._pluglets = [p.copy() for p in self._source.pluglets]
+        return self._pluglets
+
+    @pluglets.setter
+    def pluglets(self, pluglets: list) -> None:
+        self._pluglets = pluglets
+
+    def copy(self) -> "Plugin":
+        """A fresh plugin of this content — its own plugin and pluglet
+        objects — sharing this one's entry while its name finds the same
+        host binding."""
+        plugin = type(self)(self.name, None, self.memory_size)
+        plugin._source = self if self._pluglets is not None else self._source
+        if plugin.host is self.host:
+            plugin._loaded = self._entry()
+        return plugin
+
     # --- serialization (the §3.1 binding) -------------------------------
 
     def serialize(self) -> bytes:
-        """``pluginname || plugincode``: manifest and all bytecodes."""
+        """``pluginname || plugincode``: manifest and all bytecodes,
+        encoded once per content (kept with its entry)."""
+        entry = self._entry()
+        if entry.encoding is None:
+            entry.encoding = self._encode()
+        return entry.encoding
+
+    def _encode(self) -> bytes:
         buf = Buffer()
         buf.push_varint_prefixed_bytes(self.name.encode("utf-8"))
         buf.push_varint(self.memory_size)
@@ -310,7 +383,8 @@ class Plugin:
         parse nothing and give fresh :class:`Plugin` and :class:`Pluglet`
         objects, whose store entry is resolved already.  Raises
         ``FrameEncodingError`` or ``ValueError`` for bytes that do not
-        decode."""
+        decode — bytes after the last pluglet included, so bytes that
+        decode are the plugin's serialization, up to the varint forms."""
         return programs.decoded(bytes(data), _Decoded).plugin(cls)
 
     def compressed(self) -> bytes:
@@ -325,11 +399,9 @@ class Plugin:
         """The store's entry of this plugin's content, looked up once:
         a plugin built here and one received share it."""
         if self._loaded is None:
-            key = [self.name, self.memory_size, self.host]
-            for p in self.pluglets:
-                key += (p.name, p.protoop, p.anchor, p.param, p.triggers,
-                        p.bytecode)
-            self._loaded = programs.plugin(tuple(key), lambda: _Loaded(self))
+            key = (self.name, self.memory_size, self.host,
+                   *map(_CONTENT, self.pluglets))
+            self._loaded = programs.plugin(key, lambda: _Loaded(self))
         return self._loaded
 
     def verify_all(self) -> None:
@@ -458,8 +530,10 @@ class _Decoded:
                 param: Any = None
             elif tag == 1:
                 param = buf.pull_varint()
-            else:
+            elif tag == 2:
                 param = buf.pull_varint_prefixed_bytes().decode("utf-8")
+            else:
+                raise ValueError(f"unknown parameter tag {tag}")
             fuel = buf.pull_varint()
             helper_budget = buf.pull_varint()
             triggers = tuple(
@@ -470,6 +544,9 @@ class _Decoded:
             rows.append((pname, protoop, anchor, param, fuel, helper_budget,
                          triggers, code,
                          programs.program(code, memory_size).instructions))
+        if not buf.eof():
+            raise ValueError(
+                f"{buf.remaining} bytes after the last pluglet")
         self.rows = tuple(rows)
         self.host: Optional[HostBinding] = None
         self.loaded: Optional[_Loaded] = None
@@ -494,17 +571,26 @@ class _Loaded:
     """The store's entry of one plugin content and binding
     (:func:`repro.vm.programs.plugin`): the program of each pluglet and
     what a plugin derives from them — its verdict, closures, reports,
-    effect summaries and analysis totals — each computed once for every
-    plugin object and connection of that content."""
+    effect summaries, analysis totals, encoding and anchors — each
+    computed once for every plugin object and connection of that
+    content."""
 
-    __slots__ = ("names", "programs", "verified", "code", "effects",
-                 "_reports", "_analysis", "conflicts")
+    __slots__ = ("names", "index", "budgets", "programs", "verified", "code",
+                 "effects", "_reports", "_analysis", "conflicts", "encoding",
+                 "_anchors")
 
     def __init__(self, plugin: Plugin) -> None:
-        self.names = tuple(p.name for p in plugin.pluglets)
+        pluglets = plugin.pluglets
+        self.names = tuple(p.name for p in pluglets)
+        #: {pluglet name: position}, the last of a name winning.
+        self.index = {name: i for i, name in enumerate(self.names)}
+        #: (instruction fuel, helper calls) per run of each pluglet.
+        self.budgets = tuple(
+            (p.fuel or DEFAULT_FUEL, p.helper_budget or DEFAULT_HELPER_BUDGET)
+            for p in pluglets)
         #: The program store's entries, one per pluglet in order.
         self.programs = [programs.program(p.bytecode, plugin.memory_size)
-                         for p in plugin.pluglets]
+                         for p in pluglets]
         self.verified = False
         #: {pluglet name: JitCode}, once loaded with the JIT on.
         self.code: Optional[dict] = None
@@ -514,6 +600,9 @@ class _Loaded:
         #: {entries of an attached set: conflict diagnostics}, at most
         #: :data:`MAX_ATTACHED_SETS` of them.
         self.conflicts: dict = {}
+        #: The §3.1 binding's bytes (:meth:`Plugin.serialize`).
+        self.encoding: Optional[bytes] = None
+        self._anchors: Optional[AnchorSet] = None
 
     def reports(self) -> list:
         """The deep analyzer reports, in pluglet order."""
@@ -532,6 +621,42 @@ class _Loaded:
                 sum(len(r.warnings()) for r in reports),
                 sum(1 for r in reports if r.memory_safe))
         return self._analysis
+
+    def anchors(self, plugin: Plugin) -> AnchorSet:
+        """The (operation, anchor, behaviour, parameter, external) rows
+        of the content, made from ``plugin``'s pluglets on first use."""
+        if self._anchors is None:
+            self._anchors = AnchorSet(_anchor(plugin.name, p)
+                                      for p in plugin.pluglets)
+        return self._anchors
+
+
+def _anchor(plugin_name: str, pluglet: Pluglet) -> tuple:
+    """``(protoop, anchor, behaviour, param, external)`` of a pluglet of
+    the plugin named ``plugin_name``.  The behaviour runs the pluglet on
+    the instance of that plugin attached to the connection it is called
+    with; an observer whose plugin was detached earlier in the same run
+    does nothing."""
+    if pluglet.anchor in ("replace", "external"):
+        def run_replace(conn, *args):
+            return conn.plugins[plugin_name].invoke(pluglet, args, True)
+
+        return (pluglet.protoop, Anchor.REPLACE, run_replace, pluglet.param,
+                pluglet.anchor == "external")
+    if pluglet.anchor == "pre":
+        def run_pre(conn, args):
+            instance = conn.plugins.get(plugin_name)
+            if instance is not None:
+                instance.invoke(pluglet, args, False)
+
+        return (pluglet.protoop, Anchor.PRE, run_pre, pluglet.param, False)
+
+    def run_post(conn, args, result):
+        instance = conn.plugins.get(plugin_name)
+        if instance is not None:
+            instance.invoke(pluglet, args + (result,), False)
+
+    return (pluglet.protoop, Anchor.POST, run_post, pluglet.param, False)
 
 
 #: Paths a connection may have; :meth:`PluginRuntime.open_path` opens no more.
@@ -717,39 +842,71 @@ class PluginRuntime:
         return self._opaque[oid]
 
 
-class PluginInstance:
-    """A plugin instantiated on one connection: PREs + wrappers + heap.
+class _Shells(Mapping):
+    """:attr:`PluginInstance.vms`: the VM shell of every pluglet, by
+    name, built when it is first asked for — by the pluglet's first run,
+    or by a reader here."""
 
-    What it makes is per connection only — heap, helper table, one VM
-    shell per pluglet around the plugin's shared code, the anchor
-    wrappers — everything derived from the code is the plugin's."""
+    __slots__ = ("_instance",)
+
+    def __init__(self, instance: "PluginInstance") -> None:
+        self._instance = instance
+
+    def __getitem__(self, name: str) -> VirtualMachine:
+        instance = self._instance
+        shell = instance._shells.get(name)
+        if shell is None:
+            if name not in instance._entry.index:
+                raise KeyError(name)
+            shell = instance._shell(name)
+        return shell
+
+    def __iter__(self):
+        return iter(self._instance._entry.index)
+
+    def __len__(self) -> int:
+        return len(self._instance._entry.index)
+
+
+class PluginInstance:
+    """A plugin instantiated on one connection: heap, helpers and PREs.
+
+    What it makes is the connection's alone — the runtime with its heap,
+    the helper table bound to it, and per pluglet a VM shell with its own
+    counters and budgets around the plugin's shared code, built by the
+    pluglet's first run.  Everything derived from the content is the
+    plugin's: the code, and the anchors :meth:`attach` splices into the
+    connection's table, which reach this instance through
+    ``conn.plugins``."""
 
     def __init__(self, plugin: Plugin, conn):
-        code = plugin.load()
+        self._code = plugin.load()
+        self._entry = plugin._entry()
         self.plugin = plugin
         self.conn = conn
         self.runtime = PluginRuntime(plugin, conn)
-        helper_table = PluginApi(self.runtime).helper_table()
-        memory = self.runtime.memory
+        self._helpers = PluginApi(self.runtime).helper_table()
+        self._shells: dict = {}
         #: One VM shell per pluglet — its own counters and budgets —
         #: around the plugin's shared JIT-compiled code, with automatic
         #: interpreter fallback (the paper JITs pluglet bytecode; see
         #: repro/vm/jit.py).
-        self.vms: dict[str, VirtualMachine] = {
-            p.name: create_vm(
-                p.instructions, memory, helpers=helper_table,
-                instruction_budget=p.fuel or DEFAULT_FUEL,
-                helper_call_budget=p.helper_budget or DEFAULT_HELPER_BUDGET,
-                code=code[p.name] if code else None)
-            for p in plugin.pluglets}
-        #: The anchors this instance attached, as handed to
-        #: :meth:`~repro.core.protoop.ProtoopTable.attach_all`.
-        self._attached: list = []
+        self.vms: Mapping = _Shells(self)
         self.attached = False
         #: PRE profiler (see :mod:`repro.trace.profile`), None when
         #: profiling is off — the only cost then is this one attribute
         #: test per invocation.
         self._profiler = getattr(conn, "profiler", None)
+
+    def _shell(self, name: str) -> VirtualMachine:
+        entry = self._entry
+        position = entry.index[name]
+        code = self._code
+        shell = self._shells[name] = create_vm(
+            entry.programs[position].instructions, self.runtime.memory,
+            self._helpers, *entry.budgets[position],
+            code=code[name] if code else None)
+        return shell
 
     @property
     def analysis_reports(self) -> dict:
@@ -781,7 +938,9 @@ class PluginInstance:
             )
 
     def invoke(self, pluglet: Pluglet, args: tuple, writable: bool) -> Any:
-        vm = self.vms[pluglet.name]
+        vm = self._shells.get(pluglet.name)
+        if vm is None:
+            vm = self._shell(pluglet.name)
         runtime = self.runtime
         previous = runtime.context
         previous_result = runtime.pending_result
@@ -838,23 +997,27 @@ class PluginInstance:
     # --- attachment -----------------------------------------------------------
 
     def attach(self) -> None:
-        """Insert every pluglet at its anchor; on any failure (e.g. a
-        second ``replace`` on the same protoop) the whole plugin is rolled
-        back (§2.2)."""
+        """Insert every pluglet at its anchor, as one change; on any
+        failure (e.g. a second ``replace`` on the same protoop, or a
+        plugin of the same name attached already) the whole plugin is
+        rolled back (§2.2)."""
         if self.attached:
             return
+        name = self.plugin.name
+        if self.conn.plugins.get(name, self) is not self:
+            raise ProtoopError(TransportErrorCode.PLUGIN_VALIDATION_FAILED,
+                               f"plugin {name} is attached already")
         conflicts = self._check_conflicts()
-        self._attached = [self._anchor(pluglet)
-                          for pluglet in self.plugin.pluglets]
         try:
             self.plugin.host.attach(self.runtime)
-            self.conn.protoops.attach_all(self._attached)
+            self.conn.protoops.attach_set(self,
+                                          self._entry.anchors(self.plugin))
         except ProtoopError:
             self.detach()
             raise
         self.attached = True
-        self.conn.plugins[self.plugin.name] = self
-        self.conn.protoops.run(self.conn, "plugin_injected", None, self.plugin.name)
+        self.conn.plugins[name] = self
+        self.conn.protoops.run(self.conn, "plugin_injected", None, name)
         self._emit_analysis_event()
         self._emit_conflict_event(conflicts)
 
@@ -892,48 +1055,14 @@ class PluginInstance:
         """Surface the attach-time static analysis as a protoop event
         (traced as ``plugin:analysis``): diagnostic totals plus how many
         pluglets were proven fully memory-safe."""
-        count, errors, warnings, proven = self.plugin._entry().analysis()
+        count, errors, warnings, proven = self._entry.analysis()
         if not count:
             return
         self.conn.protoops.emit(self.conn, "plugin_analyzed", self.plugin.name,
                                 count, errors, warnings, proven)
 
-    def _anchor(self, pluglet: Pluglet) -> tuple:
-        """``(protoop, anchor, wrapper, param, external)`` of a pluglet."""
-        if pluglet.anchor in ("replace", "external"):
-            return (pluglet.protoop, Anchor.REPLACE,
-                    self._make_replace(pluglet), pluglet.param,
-                    pluglet.anchor == "external")
-        if pluglet.anchor == "pre":
-            return (pluglet.protoop, Anchor.PRE, self._make_pre(pluglet),
-                    pluglet.param, False)
-        return (pluglet.protoop, Anchor.POST, self._make_post(pluglet),
-                pluglet.param, False)
-
-    def _make_replace(self, pluglet: Pluglet) -> Callable:
-        def run_replace(conn, *args):
-            return self.invoke(pluglet, args, writable=True)
-
-        run_replace.pluglet = pluglet  # type: ignore[attr-defined]
-        return run_replace
-
-    def _make_pre(self, pluglet: Pluglet) -> Callable:
-        def run_pre(conn, args):
-            self.invoke(pluglet, args, writable=False)
-
-        run_pre.pluglet = pluglet  # type: ignore[attr-defined]
-        return run_pre
-
-    def _make_post(self, pluglet: Pluglet) -> Callable:
-        def run_post(conn, args, result):
-            self.invoke(pluglet, args + (result,), writable=False)
-
-        run_post.pluglet = pluglet  # type: ignore[attr-defined]
-        return run_post
-
     def detach(self) -> None:
-        self.conn.protoops.detach_all(self._attached)
-        self._attached = []
+        self.conn.protoops.detach_set(self)
         self.attached = False
         # Only drop the name registration if it is ours: a rolled-back
         # second plugin with the same name must not evict the first.

@@ -23,7 +23,7 @@ Two variants:
 from __future__ import annotations
 
 from repro.core.api import FLD_CWND, FLD_NB_PATHS, ApiViolation, HelperEffect
-from repro.core.plugin import HostBinding, Plugin, Pluglet
+from repro.core.plugin import HostBinding, Plugin, Pluglet, plugin_builder
 
 PLUGIN_BASE_NAME = "org.pquic.ccontrol"
 MSS = 1280
@@ -106,6 +106,7 @@ def cc_fixed_on_loss(pkt, path_index):
 """
 
 
+@plugin_builder
 def build_ccontrol_plugin(variant: str = "aimd") -> Plugin:
     """Assemble the congestion-control plugin.
 

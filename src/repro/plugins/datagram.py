@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.api import HelperEffect
-from repro.core.plugin import HostBinding, Plugin, Pluglet
+from repro.core.plugin import HostBinding, Plugin, Pluglet, plugin_builder
 from repro.quic import frames as F
 from repro.quic.wire import Buffer
 
@@ -103,6 +103,7 @@ HOST = HostBinding(PLUGIN_NAME, helpers=(
 ), frames=(DatagramFrame,))
 
 
+@plugin_builder
 def build_datagram_plugin() -> Plugin:
     """Assemble the datagram plugin."""
     pluglets = [

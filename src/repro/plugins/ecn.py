@@ -22,7 +22,7 @@ from repro.core.api import (
     FLD_SRTT_US,
     HelperEffect,
 )
-from repro.core.plugin import HostBinding, Plugin, Pluglet
+from repro.core.plugin import HostBinding, Plugin, Pluglet, plugin_builder
 from repro.quic import frames as F
 from repro.quic.wire import Buffer
 
@@ -78,6 +78,7 @@ HOST = HostBinding(PLUGIN_NAME, helpers=(
 ), frames=(EcnFeedbackFrame,))
 
 
+@plugin_builder
 def build_ecn_plugin() -> Plugin:
     pluglets = [
         # Receiver: feed back whenever the CE count grows.

@@ -25,7 +25,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.api import HelperEffect
-from repro.core.plugin import HostBinding, Plugin, Pluglet, name_param
+from repro.core.plugin import (
+    HostBinding,
+    Plugin,
+    Pluglet,
+    name_param,
+    plugin_builder,
+)
 from repro.quic import frames as F
 from repro.quic.packet import Epoch
 from repro.quic.wire import Buffer
@@ -416,6 +422,7 @@ def plugin_name(ecc: str, mode: str,
     return name
 
 
+@plugin_builder
 def build_fec_plugin(
     ecc: str = "rlc",
     mode: str = "full",

@@ -29,7 +29,7 @@ from repro.core.api import (
     FLD_SPURIOUS_RECEIVED,
     FLD_SRTT_US,
 )
-from repro.core.plugin import Plugin, Pluglet
+from repro.core.plugin import Plugin, Pluglet, plugin_builder
 
 PLUGIN_NAME = "org.pquic.monitoring"
 
@@ -161,6 +161,7 @@ def final_report():
     )
 
 
+@plugin_builder
 def build_monitoring_plugin(containment: bool = False) -> Plugin:
     """Assemble the 14-pluglet monitoring plugin (Table 2).
 

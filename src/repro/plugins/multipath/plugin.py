@@ -31,7 +31,7 @@ from repro.core.api import (
     FLD_SRTT_US,
     HelperEffect,
 )
-from repro.core.plugin import HostBinding, Plugin, Pluglet
+from repro.core.plugin import HostBinding, Plugin, Pluglet, plugin_builder
 from repro.quic import frames as F
 from repro.quic.wire import Buffer, varint_size
 
@@ -207,6 +207,7 @@ def select_path_lowrtt():
 """
 
 
+@plugin_builder
 def build_multipath_plugin(scheduler: str = "rr") -> Plugin:
     """Assemble the multipath plugin with the chosen packet scheduler."""
     if scheduler == "rr":

@@ -159,12 +159,13 @@ class AckFrame(Frame):
         ack_delay = buf.pull_varint() / 1_000_000
         count = buf.pull_varint()
         first_len = buf.pull_varint()
-        ranges = RangeSet()
         end = largest + 1
         start = end - first_len - 1
         if start < 0:
             raise FrameEncodingError("ACK first range underflows")
-        ranges.add(start, end)
+        # Each range lies below the previous one with a gap of at least
+        # one packet number: descending, disjoint and never adjacent.
+        ranges = [range(start, end)]
         for _ in range(count):
             gap = buf.pull_varint()
             length = buf.pull_varint()
@@ -172,8 +173,9 @@ class AckFrame(Frame):
             start = end - length - 1
             if start < 0:
                 raise FrameEncodingError("ACK range underflows")
-            ranges.add(start, end)
-        return cls(ranges=ranges, ack_delay=ack_delay)
+            ranges.append(range(start, end))
+        return cls(ranges=RangeSet.from_descending(ranges),
+                   ack_delay=ack_delay)
 
 
 @dataclass

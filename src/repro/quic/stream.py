@@ -94,7 +94,14 @@ class SendStream:
         if self.fin:
             raise StreamStateError(f"write after FIN on stream {self.stream_id}")
         if data:
-            self._buffer.extend(data)
+            if not self._buffer and type(data) is bytes:
+                # Nothing unsent or unacknowledged is buffered: hold the
+                # caller's bytes as they are, copied by no one.
+                self._buffer = memoryview(data)
+            else:
+                if type(self._buffer) is memoryview:
+                    self._buffer = bytearray(self._buffer)
+                self._buffer.extend(data)
             self._pending.add(self._highest_offset, self._highest_offset + len(data))
             self._highest_offset += len(data)
 
@@ -196,7 +203,10 @@ class SendStream:
         # Amortize: shifting the bytearray is O(remaining), so only release
         # once a sizeable prefix has been acknowledged.
         if drop >= 256 * 1024 or (drop > 0 and release_to >= self._highest_offset):
-            del self._buffer[:drop]
+            if type(self._buffer) is memoryview:
+                self._buffer = self._buffer[drop:]
+            else:
+                del self._buffer[:drop]
             self._buffer_start = release_to
 
     @property

@@ -303,6 +303,16 @@ class RangeSet:
         elif stop > first.start:
             ranges[0] = range(stop, first.stop)
 
+    @classmethod
+    def from_descending(cls, ranges: list) -> "RangeSet":
+        """The set of ``ranges`` given highest first, each below the one
+        before it with at least one integer between them (so none
+        coalesce) — taken as they are, in one pass."""
+        out = cls()
+        ranges.reverse()
+        out._ranges = ranges
+        return out
+
     def copy(self) -> "RangeSet":
         out = RangeSet()
         out._ranges = list(self._ranges)
@@ -331,8 +341,17 @@ class RangeSet:
         ranges = self._ranges
         if not ranges:
             return False
-        idx = bisect.bisect_right([r.start for r in ranges], value) - 1
-        return idx >= 0 and ranges[idx].start <= value < ranges[idx].stop
+        last = ranges[-1]
+        if value >= last.start:  # the common case: at the top
+            return value < last.stop
+        lo, hi = 0, len(ranges) - 1
+        while lo < hi:  # the first range starting after `value`
+            mid = (lo + hi) // 2
+            if ranges[mid].start <= value:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo > 0 and value < ranges[lo - 1].stop
 
     def __len__(self) -> int:
         return len(self._ranges)

@@ -28,6 +28,12 @@ plugin from many peers, decode bytes they have seen before; the second
 decode parses nothing and returns fresh plugin objects whose entry is
 already resolved, so their verdict is a lookup.
 
+A build from source is kept the same way (:func:`built`): the pluglet
+a source compiles to under a manifest and helper mapping, and the plugin
+a builder assembled from its arguments, so building a known plugin again
+for a new connection compiles, merges and validates nothing and returns
+a copy whose entry is resolved.
+
 The stores are bounded: they keep the :data:`MAX_PROGRAMS` programs, and
 the :data:`MAX_PLUGINS` plugin entries and decoded containers, used
 last.  An evicted entry is recomputed when it is asked for again; a
@@ -123,6 +129,10 @@ _PLUGINS: "OrderedDict[tuple, Any]" = OrderedDict()
 #: {serialized plugin: what it decodes to}, least recently used first.
 _DECODED: "OrderedDict[bytes, Any]" = OrderedDict()
 
+#: {pluglet source and manifest fields, or builder and arguments: what
+#: was built}, least recently used first, at most :data:`MAX_PROGRAMS`.
+_BUILT: "OrderedDict[tuple, Any]" = OrderedDict()
+
 
 def _remember(store: OrderedDict, cap: int, key: Any,
               make: Callable[[], Any]) -> Any:
@@ -164,11 +174,23 @@ def decoded(data: bytes, parse: Callable[[bytes], Any]) -> Any:
     return _remember(_DECODED, MAX_PLUGINS, data, lambda: parse(data))
 
 
+def built(key: tuple, make: Callable[[], Any]) -> Any:
+    """What a build from source made, by ``make`` on first use, kept
+    under ``key``: the pluglet a source compiles to under a manifest and
+    helper mapping (:meth:`~repro.core.plugin.Pluglet.from_source`), or
+    the plugin a builder assembled from its arguments
+    (:func:`~repro.core.plugin.plugin_builder`).  Callers hand out
+    copies, so a build of known source merges no mapping, compiles and
+    validates nothing again."""
+    return _remember(_BUILT, MAX_PROGRAMS, key, make)
+
+
 def clear() -> None:
     """Empty the program store, its plugin entries, its decoded
-    containers and the compiler's source memo: what a host that has never
-    seen any code starts from."""
+    containers, its built pluglets and the compiler's source memo: what a
+    host that has never seen any code starts from."""
     _PROGRAMS.clear()
     _PLUGINS.clear()
     _DECODED.clear()
+    _BUILT.clear()
     compiler._SOURCES.clear()

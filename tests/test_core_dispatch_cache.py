@@ -134,12 +134,15 @@ class TestPlanCache:
 class TestQuarantineInvalidation:
     def test_quarantined_plugin_anchors_never_fire_again(self):
         """Containment detaches a faulting plugin mid-connection; the next
-        dispatch must rebuild its plan and skip the stale post anchor."""
+        dispatch must drop its plan and skip the stale post anchor."""
         conn = make_conn()
         ContainmentPolicy().attach(conn)
         inst = PluginInstance(looping_plugin(fuel=200), conn)
         inst.attach()
         table = conn.protoops
+        table.has_behavior("packet_sent_event")  # resolves the plan
+        stale = table._plans["packet_sent_event"]
+        assert stale.post
 
         conn.protoops.run(conn, "packet_sent_event", None)
         assert not conn.closed
@@ -147,14 +150,15 @@ class TestQuarantineInvalidation:
         executed_after_fault = inst.vms["spin"].instructions_executed
         assert executed_after_fault == 200  # fuel budget, fully charged
 
-        builds = table.plan_builds
         conn.protoops.run(conn, "packet_sent_event", None)
-        assert table.plan_builds > builds  # plan was rebuilt...
+        fresh = table._plans["packet_sent_event"]
+        assert fresh is not stale and not fresh.post  # plan re-resolved...
         assert inst.vms["spin"].instructions_executed == executed_after_fault
         # ...and stays cached afterwards.
         builds = table.plan_builds
         conn.protoops.run(conn, "packet_sent_event", None)
         assert table.plan_builds == builds
+        assert table._plans["packet_sent_event"] is fresh
 
     def test_attach_mid_connection_visible_immediately(self):
         conn = make_conn()
@@ -455,3 +459,58 @@ class TestClassCensus:
         exchange(client, server)
         assert client.is_established and server.is_established
         assert calls == []
+
+
+class TestAnchorSets:
+    """A plugin's anchors are spliced into a table as its content's set,
+    beside the table's own: what runs is as if each had been attached
+    one by one, in order."""
+
+    def counter(self, protoop="packet_sent_event", anchor="post"):
+        return Plugin("org.x.count", [
+            Pluglet("count", protoop, anchor, assemble("mov r0, 7\nexit"))])
+
+    def test_own_and_plugin_observers_run_in_attach_order(self):
+        conn = make_conn()
+        table = conn.protoops
+        seen = []
+        inst = PluginInstance(self.counter(), conn)
+
+        def before(conn_, args, result):
+            seen.append(("before", inst.vms["count"].instructions_executed))
+
+        def after(conn_, args, result):
+            seen.append(("after", inst.vms["count"].instructions_executed))
+
+        table.attach("packet_sent_event", Anchor.POST, before)
+        inst.attach()
+        table.attach("packet_sent_event", Anchor.POST, after)
+        table.run(conn, "packet_sent_event", None)
+        assert seen == [("before", 0), ("after", 2)]
+        post = table.get("packet_sent_event").post[None]
+        assert len(post) == 3 and post[0] is before and post[2] is after
+        inst.detach()
+        table.run(conn, "packet_sent_event", None)
+        assert seen[2:] == [("before", 2), ("after", 2)]
+        assert table.get("packet_sent_event").post[None] == [before, after]
+
+    def test_an_operation_a_plugin_introduced_stays_known(self):
+        conn = make_conn()
+        inst = PluginInstance(self.counter("x_new_op", "replace"), conn)
+        inst.attach()
+        assert "x_new_op" in conn.protoops.names
+        assert conn.protoops.run(conn, "x_new_op", None) == 7
+        inst.detach()
+        assert conn.protoops.run(conn, "x_new_op", None) is None
+        assert "x_new_op" in conn.protoops.names
+        assert "x_new_op" not in make_conn().protoops.names
+
+    def test_a_second_plugin_of_an_attached_name_is_refused(self):
+        conn = make_conn()
+        first = PluginInstance(self.counter(), conn)
+        first.attach()
+        with pytest.raises(ProtoopError, match="attached already"):
+            PluginInstance(self.counter(), conn).attach()
+        assert conn.plugins["org.x.count"] is first
+        conn.protoops.run(conn, "packet_sent_event", None)
+        assert first.vms["count"].instructions_executed == 2

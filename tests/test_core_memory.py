@@ -112,3 +112,104 @@ def test_alloc_free_never_overlaps(sizes, rng):
             del live[victim]
     # Everything still live is accounted for.
     assert alloc.allocated_blocks == sum(live.values()) // BLOCK_SIZE
+
+
+class ReferenceAllocator:
+    """The allocator as first written — a free list of every block,
+    rebuilt by each run allocation — kept as the specification of which
+    address each request gets."""
+
+    def __init__(self, memory, block_size=BLOCK_SIZE):
+        self.memory = memory
+        self.block_size = block_size
+        self.num_blocks = memory.size // block_size
+        self._free = list(range(self.num_blocks - 1, -1, -1))
+        self._is_free = bytearray(b"\x01") * self.num_blocks
+        self._allocated = {}
+
+    def malloc(self, size):
+        if size <= 0:
+            raise AllocationError(f"invalid allocation size {size}")
+        count = -(-size // self.block_size)
+        if count == 1:
+            if not self._free:
+                raise AllocationError("plugin memory exhausted")
+            block = self._free.pop()
+            self._is_free[block] = 0
+            self._allocated[block] = 1
+            return HEAP_BASE + block * self.block_size
+        run_start, run_len = None, 0
+        for block in range(self.num_blocks):
+            if self._is_free[block]:
+                if run_start is None:
+                    run_start, run_len = block, 1
+                else:
+                    run_len += 1
+                if run_len == count:
+                    self._is_free[run_start:run_start + count] = bytes(count)
+                    self._free = [b for b in self._free if self._is_free[b]]
+                    self._allocated[run_start] = count
+                    return HEAP_BASE + run_start * self.block_size
+            else:
+                run_start, run_len = None, 0
+        raise AllocationError(f"no contiguous run of {count} blocks")
+
+    def free(self, address):
+        block, rem = divmod(address - HEAP_BASE, self.block_size)
+        if rem or block not in self._allocated:
+            raise AllocationError(f"free of unallocated address 0x{address:x}")
+        count = self._allocated.pop(block)
+        start = block * self.block_size
+        self.memory.data[start:start + count * self.block_size] = bytes(
+            count * self.block_size)
+        self._free.extend(range(block, block + count))
+        self._is_free[block:block + count] = b"\x01" * count
+
+
+def outcome(call):
+    try:
+        return call()
+    except AllocationError:
+        return "AllocationError"
+
+
+#: A program: (malloc, size) or (free, index into the live allocations,
+#: or past them for an address never handed out).
+STEPS = st.lists(st.one_of(
+    st.tuples(st.just("malloc"), st.one_of(st.integers(1, 64),
+                                           st.integers(-1, 5 * BLOCK_SIZE))),
+    st.tuples(st.just("free"), st.integers(0, 40))), max_size=120)
+
+
+@given(STEPS, st.sampled_from([4, 16, 64]))
+@settings(max_examples=300, deadline=None)
+def test_same_addresses_and_errors_as_the_reference(steps, blocks):
+    """Random malloc / free programs: every request gets the address the
+    reference allocator gives it, or the same AllocationError, freed
+    blocks read zero, and the counts agree."""
+    memory, reference_memory = (PluginMemory(blocks * BLOCK_SIZE)
+                                for _ in range(2))
+    alloc, reference = BlockAllocator(memory), ReferenceAllocator(
+        reference_memory)
+    live = []
+    for kind, value in steps:
+        if kind == "malloc":
+            got = outcome(lambda: alloc.malloc(value))
+            assert got == outcome(lambda: reference.malloc(value))
+            if got != "AllocationError":
+                span = alloc.allocation_size(got)
+                off = got - HEAP_BASE
+                assert memory.data[off:off + span] == bytes(span)
+                memory.data[off:off + span] = b"\xa5" * span  # dirty it
+                live.append(got)
+        else:
+            address = live.pop(value) if value < len(live) else HEAP_BASE + 8
+            assert outcome(lambda: alloc.free(address)) == outcome(
+                lambda: reference.free(address))
+        assert alloc.allocated_blocks == blocks - sum(reference._is_free)
+
+
+def test_a_fresh_allocator_builds_no_list_of_blocks():
+    alloc = make(64 * 1024)
+    assert not any(isinstance(value, (list, dict)) and value
+                   for value in vars(alloc).values())

@@ -114,6 +114,23 @@ def test_deserialize_decodes_or_raises_a_decode_error_the_same_twice(data):
     assert kept == isinstance(first, bytes)  # a failed decode is not kept
 
 
+#: The monitoring plugin followed by one to eight bytes.
+SUFFIXED = st.binary(min_size=1, max_size=8).map(lambda tail: WIRE + tail)
+
+
+@given(st.one_of(FLIPS.map(flipped), SUFFIXED, st.binary(max_size=200)))
+@settings(max_examples=300, deadline=None)
+def test_bytes_that_decode_re_serialize_to_themselves(data):
+    """A decode reads every byte it is given: bytes after the last
+    pluglet, or a parameter tag outside 0-2, are a decode error, so the
+    plugin a validator vouches for is the plugin every receiver binds."""
+    try:
+        plugin = Plugin.deserialize(data)
+    except (FrameEncodingError, ValueError):
+        return
+    assert plugin.serialize() == data
+
+
 def test_an_unknown_anchor_byte_is_a_value_error():
     """Anchor bytes 0-3 are defined; any other is a decode error, not a
     ``KeyError`` from the anchor table."""

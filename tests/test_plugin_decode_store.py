@@ -10,10 +10,12 @@ import pytest
 
 import repro.core.plugin as plugin_module
 import repro.secure.merkle as merkle
+from repro.conformance.plugins import PLUGIN_BUILDERS, build_plugin
 from repro.core import Plugin, Pluglet
-from repro.core.exchange import make_proof_provider
+from repro.core.exchange import TrustStore, make_proof_provider
 from repro.errors import FrameEncodingError
 from repro.plugins import build_monitoring_plugin
+from repro.quic.wire import Buffer
 from repro.secure import PluginRepository, PluginValidator, verify_path
 from repro.vm import assemble, programs
 from repro.vm.programs import MAX_PLUGINS
@@ -272,3 +274,106 @@ class TestOneFold:
         hashes[0] = 0
         merkle.MerklePrefixTree(24, b"\x01" * 32)
         assert hashes[0] == 0
+
+
+# --- the encoding by content ---------------------------------------------------
+
+
+def reference_encoding(plugin) -> bytes:
+    """``pluginname || plugincode`` encoded pluglet by pluglet on every
+    call, as :meth:`Plugin.serialize` first did: the specification of
+    the bytes."""
+    buf = Buffer()
+    buf.push_varint_prefixed_bytes(plugin.name.encode("utf-8"))
+    buf.push_varint(plugin.memory_size)
+    buf.push_varint(len(plugin.pluglets))
+    for p in plugin.pluglets:
+        buf.push_varint_prefixed_bytes(p.name.encode("utf-8"))
+        buf.push_varint_prefixed_bytes(p.protoop.encode("utf-8"))
+        buf.push_uint8(plugin_module._ANCHORS[p.anchor])
+        if p.param is None:
+            buf.push_uint8(0)
+        elif isinstance(p.param, int):
+            buf.push_uint8(1)
+            buf.push_varint(p.param)
+        else:
+            buf.push_uint8(2)
+            buf.push_varint_prefixed_bytes(str(p.param).encode("utf-8"))
+        buf.push_varint(p.fuel)
+        buf.push_varint(p.helper_budget)
+        buf.push_varint(len(p.triggers))
+        for trigger in p.triggers:
+            buf.push_varint_prefixed_bytes(trigger.encode("utf-8"))
+        buf.push_varint_prefixed_bytes(p.bytecode)
+    return buf.data()
+
+
+class TestEncodingByContent:
+    @pytest.mark.parametrize("name", sorted(PLUGIN_BUILDERS))
+    def test_every_bundled_plugin_encodes_as_before(self, name):
+        plugin = build_plugin(name)
+        wire = plugin.serialize()
+        assert wire == reference_encoding(plugin)
+        assert build_plugin(name).serialize() is wire  # kept, not redone
+        assert Plugin.deserialize(wire).serialize() == wire
+
+    def test_a_known_content_is_not_encoded_again(self, monkeypatch):
+        wire = build_monitoring_plugin().serialize()
+        encodes = []
+        real = Plugin._encode
+        monkeypatch.setattr(Plugin, "_encode", lambda plugin: (
+            encodes.append(plugin.name), real(plugin))[1])
+        assert build_monitoring_plugin().serialize() == wire
+        assert Plugin.deserialize(wire).serialize() == wire
+        assert encodes == []
+
+    @pytest.mark.parametrize("field", ["fuel", "helper_budget"])
+    def test_plugins_differing_in_one_budget_encode_differently(self, field):
+        def plugin(budget):
+            return Plugin("org.store.budget", [
+                Pluglet("a", "packet_sent_event", "post", assemble("exit")),
+                Pluglet("b", "packet_sent_event", "post", assemble("exit"),
+                        **{field: budget})])
+
+        plain, tight = plugin(0), plugin(7)
+        assert plain.serialize() != tight.serialize()
+        assert plain.serialize() == reference_encoding(plain)
+        assert tight.serialize() == reference_encoding(tight)
+        assert Plugin.deserialize(tight.serialize()).pluglets[1].__dict__[
+            field] == 7
+
+
+class TestTrailingBytes:
+    def test_bytes_after_the_last_pluglet_are_refused(self, parses):
+        wire = build_monitoring_plugin().serialize()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="1 bytes after"):
+                Plugin.deserialize(wire + b"\x00")
+        assert parses == [wire + b"\x00"] * 2
+        assert not programs._DECODED
+
+    def test_validators_record_the_failure_and_no_one_receives_it(self):
+        """Three PVs no longer vouch for a plugin with a byte after its
+        last pluglet: each records it as undecodable, and a receiver asking
+        for PV1 & (PV2 | PV3) gets no plugin."""
+        plugin = build_monitoring_plugin()
+        repo = PluginRepository()
+        validators = {}
+        for i in (1, 2, 3):
+            pv = PluginValidator(f"PV{i}", seed=i)
+            repo.register_validator(pv)
+            validators[pv.validator_id] = pv
+        repo.publish("dev", plugin.name, plugin.serialize() + b"\x00")
+        repo.advance_epoch()
+        for pv in validators.values():
+            assert pv.failures[plugin.name].startswith("undecodable plugin")
+            assert not pv.validated(plugin.name)
+        trust = TrustStore()
+        for pv in validators.values():
+            trust.trust_validator(pv.validator_id, pv.public_key)
+            trust.cache_str(repo.get_str(pv.validator_id))
+        sim, client, exchanger, cache = connect_with_exchange(
+            plugin, repo, validators, trust, "PV1 & (PV2 | PV3)")
+        assert exchanger.received == [] and not cache.has(plugin.name)
+        assert plugin.name not in client.conn.plugins
+        assert not client.conn.closed

@@ -55,10 +55,9 @@ def test_replaces_congestion_operations():
     conn = QuicConnection(QuicConfiguration(is_client=True))
     inst = PluginInstance(build_ccontrol_plugin("aimd"), conn)
     inst.attach()
-    op = conn.protoops.get("congestion_on_ack")
-    assert None in op.replacements
+    assert None in conn.protoops.get("congestion_on_ack").replacements
     inst.detach()
-    assert None not in op.replacements
+    assert None not in conn.protoops.get("congestion_on_ack").replacements
 
 
 def test_aimd_drives_transfer_and_reacts_to_loss():

@@ -1,7 +1,7 @@
 """Frame codec tests: roundtrips, registry behaviour, edge cases."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.quic import frames as F
@@ -255,3 +255,73 @@ def test_unsized_frames_are_measured_by_serialising():
                   F.CryptoFrame(offset=70, data=b"c" * 300),
                   F.ConnectionCloseFrame(error_code=7, reason="why")):
         assert frame.encoded_size() == len(frame.to_bytes())
+
+
+# --- ACK ranges in one pass --------------------------------------------------
+
+
+def reference_ack_ranges(largest, first_len, blocks):
+    """The ACK range decoding as first written — each range added to a
+    RangeSet through its general case — kept as the specification."""
+    ranges = RangeSet()
+    end = largest + 1
+    start = end - first_len - 1
+    if start < 0:
+        return "ACK first range underflows"
+    ranges.add(start, end)
+    for gap, length in blocks:
+        end = start - gap - 1
+        start = end - length - 1
+        if start < 0:
+            return "ACK range underflows"
+        ranges.add(start, end)
+    return ranges
+
+
+ACK_BLOCKS = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                      max_size=63)
+
+
+@given(st.integers(0, 5000), st.integers(0, 60), ACK_BLOCKS,
+       st.integers(0, 2 ** 20))
+@settings(max_examples=300, deadline=None)
+def test_ack_parse_matches_the_range_by_range_decoding(
+        largest, first_len, blocks, delay_us):
+    """Up to 64 ranges: the frame parsed in one pass holds the RangeSet
+    the range-by-range decoding built, and raises the same underflow."""
+    buf = Buffer()
+    for value in (F.ACK, largest, delay_us, len(blocks), first_len):
+        buf.push_varint(value)
+    for gap, length in blocks:
+        buf.push_varint(gap)
+        buf.push_varint(length)
+    wire = Buffer(buf.data())
+    assert wire.pull_varint() == F.ACK
+    expected = reference_ack_ranges(largest, first_len, blocks)
+    if isinstance(expected, str):
+        with pytest.raises(FrameEncodingError, match=expected):
+            F.AckFrame.parse(wire, F.ACK)
+        return
+    frame = F.AckFrame.parse(wire, F.ACK)
+    assert frame.ranges == expected and list(frame.ranges) == list(expected)
+    assert frame.ack_delay == delay_us / 1_000_000
+    assert wire.eof()
+
+
+SPANS = st.lists(st.tuples(st.integers(0, 300), st.integers(1, 12)),
+                 max_size=40)
+
+
+@given(SPANS, st.lists(st.integers(-2, 320), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_rangeset_add_and_contains_match_a_set_of_integers(spans, probes):
+    ranges, members = RangeSet(), set()
+    for start, length in spans:
+        ranges.add(start, start + length)
+        members.update(range(start, start + length))
+        # Sorted, disjoint and coalesced after every add.
+        pairs = [(r.start, r.stop) for r in ranges]
+        assert all(a[1] < b[0] for a, b in zip(pairs, pairs[1:]))
+        assert set().union(*map(set, ranges)) == members
+    for value in probes:
+        assert (value in ranges) == (value in members)

@@ -26,6 +26,27 @@ class TestSendStream:
         assert (offset, data, fin) == (5, b" world", True)
         assert s.next_chunk(100) is None
 
+    def test_a_write_into_an_empty_buffer_is_not_copied(self):
+        """A bytes write with nothing buffered is held as the caller's
+        object; later writes, acknowledgements and losses read as they
+        did when every write was copied."""
+        s = self.make()
+        first = bytes(range(256)) * 2048  # 512 kB
+        s.write(first)
+        assert s._buffer.obj is first
+        chunks = [s.next_chunk(300_000), s.next_chunk(300_000)]
+        assert b"".join(data for _, data, _ in chunks) == first
+        s.on_ack(0, 300_000, False)  # a released prefix is a view
+        assert s._buffer.obj is first and len(s._buffer) == len(first) - 300_000
+        s.write(b"tail")  # data still buffered: copied from here on
+        s.finish()
+        assert type(s._buffer) is bytearray
+        s.on_loss(300_000, len(first) - 300_000, False)
+        assert s.next_chunk(1 << 20) == (300_000, first[300_000:] + b"tail",
+                                         True)
+        s.on_ack(300_000, len(first) - 300_000 + 4, True)
+        assert s.is_finished
+
     def test_fin_only_stream(self):
         s = self.make()
         s.finish()
