@@ -16,7 +16,9 @@ comes off the top of that stack, else off the bump index — amortised
 Θ(1), each block passed over at most once by each.  A run of blocks is
 the lowest fitting one, found by one byte-string search over the free
 map; it rebuilds no list (a released block a run took is dropped from
-the stack when it comes up).
+the stack when it comes up).  Such stale entries are compacted away
+once the stack holds twice as many entries as there are blocks, so the
+stack stays bounded and each entry is compacted at most once.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ class BlockAllocator:
         self.block_size = block_size
         self.num_blocks = memory.size // block_size
         #: Released blocks, the last released on top; one a run took
-        #: since is skipped when it comes up.
+        #: since is skipped when it comes up.  At most twice
+        #: ``num_blocks`` entries (see :meth:`_compact`).
         self._released: list[int] = []
         #: Every block from here up that is not ``_handed`` was never
         #: handed out.
@@ -115,9 +118,27 @@ class BlockAllocator:
         self.memory.data[start:start + count * self.block_size] = bytes(
             count * self.block_size
         )
-        self._released.extend(range(block, block + count))
         self._is_free[block:block + count] = b"\x01" * count
         self._in_use -= count
+        released = self._released
+        released.extend(range(block, block + count))
+        if len(released) > 2 * self.num_blocks:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Keep only the topmost entry of each free block, in stack
+        order.  A free block's topmost entry is the one its latest
+        release pushed, so the blocks handed out next do not change;
+        the entries dropped are those of blocks a run took since, or
+        pushed again by a later release."""
+        is_free, seen = self._is_free, bytearray(self.num_blocks)
+        kept = []
+        for block in reversed(self._released):
+            if is_free[block] and not seen[block]:
+                seen[block] = 1
+                kept.append(block)
+        kept.reverse()
+        self._released = kept
 
     def allocation_size(self, address: int) -> Optional[int]:
         """Bytes usable at ``address``, or None if not an allocation."""

@@ -333,20 +333,24 @@ class Plugin:
 
     def copy(self) -> "Plugin":
         """A fresh plugin of this content — its own plugin and pluglet
-        objects — sharing this one's entry while its name finds the same
-        host binding."""
+        objects.  Until its pluglets are read it is its source's content,
+        and its entry is the source's while its name, memory size and
+        host binding are too; an edit made before its first use is its
+        own, as for any plugin."""
         plugin = type(self)(self.name, None, self.memory_size)
         plugin._source = self if self._pluglets is not None else self._source
-        if plugin.host is self.host:
-            plugin._loaded = self._entry()
         return plugin
 
     # --- serialization (the §3.1 binding) -------------------------------
 
     def serialize(self) -> bytes:
         """``pluginname || plugincode``: manifest and all bytecodes,
-        encoded once per content (kept with its entry)."""
+        encoded once per content (kept with its entry).  A plugin whose
+        pluglets were edited after its first use is encoded as it is
+        now."""
         entry = self._entry()
+        if self._key() != entry.key:
+            return self._encode()
         if entry.encoding is None:
             entry.encoding = self._encode()
         return entry.encoding
@@ -396,13 +400,27 @@ class Plugin:
         return cls.deserialize(zlib.decompress(data))
 
     def _entry(self) -> "_Loaded":
-        """The store's entry of this plugin's content, looked up once:
-        a plugin built here and one received share it."""
+        """The store's entry of this plugin's content, looked up on first
+        use: a plugin built here and one received share it."""
         if self._loaded is None:
-            key = (self.name, self.memory_size, self.host,
-                   *map(_CONTENT, self.pluglets))
-            self._loaded = programs.plugin(key, lambda: _Loaded(self))
+            source = self._source
+            if self._pluglets is None and self.host is source.host and (
+                    self.name, self.memory_size) == (source.name,
+                                                     source.memory_size):
+                self._loaded = source._entry()  # an untouched copy
+            else:
+                key = self._key()
+                self._loaded = programs.plugin(key, lambda: _Loaded(self, key))
         return self._loaded
+
+    def _key(self) -> tuple:
+        """The content key of the plugin as it is now: name, memory size,
+        host binding and every pluglet's encoded fields (:data:`_CONTENT`)."""
+        if self._pluglets is None:  # an untouched copy: its source's pluglets
+            contents = self._source._entry().key[3:]
+        else:
+            contents = tuple(map(_CONTENT, self._pluglets))
+        return (self.name, self.memory_size, self.host, *contents)
 
     def verify_all(self) -> None:
         """Static verification of every pluglet; §2.1: "A plugin is
@@ -575,11 +593,13 @@ class _Loaded:
     computed once for every plugin object and connection of that
     content."""
 
-    __slots__ = ("names", "index", "budgets", "programs", "verified", "code",
-                 "effects", "_reports", "_analysis", "conflicts", "encoding",
-                 "_anchors")
+    __slots__ = ("key", "names", "index", "budgets", "programs", "verified",
+                 "code", "effects", "_reports", "_analysis", "conflicts",
+                 "encoding", "_anchors")
 
-    def __init__(self, plugin: Plugin) -> None:
+    def __init__(self, plugin: Plugin, key: tuple) -> None:
+        #: The content key it is stored under (:meth:`Plugin._key`).
+        self.key = key
         pluglets = plugin.pluglets
         self.names = tuple(p.name for p in pluglets)
         #: {pluglet name: position}, the last of a name winning.

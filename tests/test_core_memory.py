@@ -207,9 +207,41 @@ def test_same_addresses_and_errors_as_the_reference(steps, blocks):
             assert outcome(lambda: alloc.free(address)) == outcome(
                 lambda: reference.free(address))
         assert alloc.allocated_blocks == blocks - sum(reference._is_free)
+        assert len(alloc._released) <= 2 * alloc.num_blocks
 
 
 def test_a_fresh_allocator_builds_no_list_of_blocks():
     alloc = make(64 * 1024)
     assert not any(isinstance(value, (list, dict)) and value
                    for value in vars(alloc).values())
+
+
+def test_run_allocations_keep_the_released_stack_bounded():
+    """A pluglet that allocates and frees a run on every invocation
+    leaves at most twice as many released entries as blocks, however
+    long the connection lives, and gets the reference's addresses."""
+    alloc = make(16 * BLOCK_SIZE)
+    reference = ReferenceAllocator(PluginMemory(16 * BLOCK_SIZE))
+    singles = [alloc.malloc(1) for _ in range(16)]
+    assert singles == [reference.malloc(1) for _ in range(16)]
+    for block in (5, 9, 6, 12):  # the run below reuses blocks 5 and 6
+        alloc.free(singles[block])
+        reference.free(singles[block])
+    for _ in range(5000):
+        run, single = alloc.malloc(2 * BLOCK_SIZE), alloc.malloc(1)
+        assert (reference.malloc(2 * BLOCK_SIZE), reference.malloc(1)) == (
+            run, single)
+        for address in (run, single):
+            alloc.free(address)
+            reference.free(address)
+        assert len(alloc._released) <= 2 * alloc.num_blocks
+        # The order singles come off in: each free block's topmost entry.
+        order, seen = [], set()
+        for block in reversed(alloc._released):
+            if alloc._is_free[block] and block not in seen:
+                seen.add(block)
+                order.append(block)
+        assert order[::-1] == reference._free
+    for _ in range(5):
+        assert outcome(lambda: alloc.malloc(1)) == outcome(
+            lambda: reference.malloc(1))

@@ -17,7 +17,7 @@ from repro.errors import FrameEncodingError
 from repro.plugins import build_monitoring_plugin
 from repro.quic.wire import Buffer
 from repro.secure import PluginRepository, PluginValidator, verify_path
-from repro.vm import assemble, programs
+from repro.vm import assemble, encode_program, programs
 from repro.vm.programs import MAX_PLUGINS
 from tests.test_core_exchange import build_world, connect_with_exchange
 
@@ -341,6 +341,37 @@ class TestEncodingByContent:
         assert tight.serialize() == reference_encoding(tight)
         assert Plugin.deserialize(tight.serialize()).pluglets[1].__dict__[
             field] == 7
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("fuel", 77), ("protoop", "connection_closing"),
+        ("_bytecode", encode_program(assemble("exit")))])
+    def test_an_edit_to_a_built_plugin_before_use_is_its_own(self, field,
+                                                             value):
+        """A build of known source is a copy of the first build; editing
+        one of its pluglets before its first use makes a content of its
+        own — its bytes and its entry — and leaves the next build as it
+        was."""
+        genuine = build_monitoring_plugin().serialize()
+        edited = build_monitoring_plugin()
+        setattr(edited.pluglets[0], field, value)
+        wire = edited.serialize()
+        assert wire != genuine
+        assert wire == reference_encoding(edited)
+        assert edited._entry() is not build_monitoring_plugin()._entry()
+        assert edited._entry().budgets[0][0] == (
+            edited.pluglets[0].fuel or plugin_module.DEFAULT_FUEL)
+        assert build_monitoring_plugin().serialize() == genuine
+
+    def test_an_edit_after_use_still_serializes_as_it_is(self):
+        """A decoded plugin whose pluglet is changed after its first use
+        does not serialize as the genuine bytes."""
+        wire = build_monitoring_plugin().serialize()
+        tampered = Plugin.deserialize(wire)
+        assert tampered.serialize() == wire
+        tampered.pluglets[0].protoop = "connection_closing"
+        assert tampered.serialize() == reference_encoding(tampered) != wire
+        assert Plugin.deserialize(wire).serialize() == wire
 
 
 class TestTrailingBytes:
