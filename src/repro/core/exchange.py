@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from repro.quic import frames as F
@@ -50,6 +51,13 @@ PLUGIN_VALIDATE_TYPE = 0x60
 PLUGIN_PROOF_TYPE = 0x61
 PLUGIN_TYPE = 0x62
 PLUGIN_CHUNK = 1000
+#: Most bytes of one plugin's chunks a requester buffers: four times the
+#: largest compressed plugin the paper reports (61 kB, Table 2).
+MAX_PLUGIN_BYTES = 256 * 1024
+#: Most chunks of one plugin a requester buffers, as each new chunk is
+#: checked against all of them: an honest provider sends PLUGIN_CHUNK
+#: bytes a chunk, 263 for MAX_PLUGIN_BYTES.
+MAX_PLUGIN_CHUNKS = 1024
 EXCHANGE_QUEUE = "__plugin_exchange__"
 
 #: Request (PLUGIN_VALIDATE) timeout/backoff, in seconds of connection
@@ -225,7 +233,9 @@ class _IncomingPlugin:
         """Validate and store one chunk.  Returns ``"ok"``, ``"duplicate"``
         or ``"rejected"`` — chunks may arrive out of order or duplicated
         (retransmission), but zero-length, out-of-range and overlapping
-        chunks are rejected rather than trusted."""
+        chunks are rejected rather than trusted, and so is a chunk past
+        :data:`MAX_PLUGIN_CHUNKS` or one that would take the buffered
+        bytes past :data:`MAX_PLUGIN_BYTES`."""
         if not data:
             return "rejected"
         if self.total_length >= 0 and offset + len(data) > self.total_length:
@@ -233,10 +243,16 @@ class _IncomingPlugin:
         existing = self.chunks.get(offset)
         if existing is not None:
             return "duplicate" if existing == data else "rejected"
+        if len(self.chunks) >= MAX_PLUGIN_CHUNKS:
+            return "rejected"
         end = offset + len(data)
+        buffered = len(data)
         for other_off, other in self.chunks.items():
             if other_off < end and offset < other_off + len(other):
                 return "rejected"  # partial overlap: hostile or buggy peer
+            buffered += len(other)
+        if buffered > MAX_PLUGIN_BYTES:
+            return "rejected"
         self.chunks[offset] = data
         return "ok"
 
@@ -309,6 +325,8 @@ class PluginExchanger:
             "chunks_rejected": 0,
             "chunks_duplicated": 0,
             "integrity_failures": 0,
+            #: PLUGIN_PROOF / PLUGIN frames for a name not requested.
+            "frames_refused": 0,
         }
         self.pending: dict[str, _PendingRequest] = {}
         self._incoming: dict[str, _IncomingPlugin] = {}
@@ -418,6 +436,7 @@ class PluginExchanger:
                 continue
             if req.attempts > self.max_retries:
                 del self.pending[name]
+                self._incoming.pop(name, None)
                 reason = (
                     f"no response after {req.attempts} attempts; "
                     "proceeding without plugin"
@@ -472,8 +491,22 @@ class PluginExchanger:
         if req is not None:
             req.next_retry = self.conn.now + req.timeout
 
+    def _state(self, name: str) -> Optional[_IncomingPlugin]:
+        """The reassembly state of ``name`` while it is requested; None,
+        counting the refusal, for a name with no pending request — one
+        never asked for, received already or given up on."""
+        if name not in self.pending:
+            self.stats["frames_refused"] += 1
+            return None
+        state = self._incoming.get(name)
+        if state is None:
+            state = self._incoming[name] = _IncomingPlugin()
+        return state
+
     def _process_proof(self, conn, frame: PluginProofFrame, ctx) -> None:
-        state = self._incoming.setdefault(frame.plugin_name, _IncomingPlugin())
+        state = self._state(frame.plugin_name)
+        if state is None:
+            return
         state.total_length = frame.total_length
         # Chunks accepted before the length was known may now be seen to
         # be out of range; drop them so completion cannot stall on them.
@@ -492,7 +525,9 @@ class PluginExchanger:
         self._maybe_finish(frame.plugin_name)
 
     def _process_plugin(self, conn, frame: PluginFrame, ctx) -> None:
-        state = self._incoming.setdefault(frame.plugin_name, _IncomingPlugin())
+        state = self._state(frame.plugin_name)
+        if state is None:
+            return
         verdict = state.add_chunk(frame.offset, frame.data)
         if verdict == "rejected":
             self.stats["chunks_rejected"] += 1
@@ -547,6 +582,11 @@ class PluginExchanger:
             self.degraded[name] = reason
             self._emit("plugin_exchange_degraded", name, reason)
 
+    @cached_property
+    def _formula(self) -> Formula:
+        """The validation formula, parsed by the first receipt."""
+        return parse_formula(self.formula_text)
+
     def _verify_incoming(self, name: str, plugin: Plugin,
                          proofs: list) -> Optional[str]:
         """Check of the proof of consistency (§3.3 / Figure 5).
@@ -577,8 +617,7 @@ class PluginExchanger:
             if satisfied or not proofs:
                 return None
             return str_mismatch or "no valid proofs"
-        formula = parse_formula(self.formula_text)
-        if formula.evaluate(satisfied):
+        if self._formula.evaluate(satisfied):
             self.rejected.pop(name, None)
             return None
         if str_mismatch is not None:

@@ -383,13 +383,15 @@ class Plugin:
     @classmethod
     def deserialize(cls, data: bytes) -> "Plugin":
         """The plugin ``data`` encodes, decoded once per process by
-        content (:func:`repro.vm.programs.decoded`): bytes seen before
-        parse nothing and give fresh :class:`Plugin` and :class:`Pluglet`
-        objects, whose store entry is resolved already.  Raises
+        content (:func:`repro.vm.programs.decoded`): each call returns a
+        copy (:meth:`copy`) of the first decode, which the store keeps
+        private, so bytes seen before parse nothing, and a hit makes its
+        own :class:`Pluglet` objects only when its pluglets are read —
+        as a built plugin's copy does.  Raises
         ``FrameEncodingError`` or ``ValueError`` for bytes that do not
         decode — bytes after the last pluglet included, so bytes that
         decode are the plugin's serialization, up to the varint forms."""
-        return programs.decoded(bytes(data), _Decoded).plugin(cls)
+        return programs.decoded(bytes(data), _Decoded).plugin.copy()
 
     def compressed(self) -> bytes:
         """The ZIP-compressed exchange format (§3.4 / Table 2)."""
@@ -434,11 +436,11 @@ class Plugin:
         entry = self._entry()
         if entry.verified:
             return
-        for p, program in zip(self.pluglets, entry.programs):
+        for name, program in zip(entry.names, entry.programs):
             exc = program.rejection
             if exc is not None:
                 rejection = VerificationError(
-                    f"plugin {self.name}: pluglet {p.name}: {exc.reason}",
+                    f"plugin {self.name}: pluglet {name}: {exc.reason}",
                     exc.pc)
                 rejection.rule = exc.rule
                 raise rejection
@@ -524,18 +526,16 @@ class Plugin:
 
 class _Decoded:
     """The store's entry of one serialized plugin
-    (:func:`repro.vm.programs.decoded`): the manifest its bytes decode
-    to, the instructions of each pluglet, and the entry (:class:`_Loaded`)
-    of that content under the binding its name chose.  Never handed out:
-    each decode builds fresh objects from it."""
+    (:func:`repro.vm.programs.decoded`): the plugin its bytes decode to.
+    Never handed out: each decode is a copy of it (:meth:`Plugin.copy`)."""
 
-    __slots__ = ("name", "memory_size", "rows", "host", "loaded")
+    __slots__ = ("plugin",)
 
     def __init__(self, data: bytes) -> None:
         buf = Buffer(data)
-        self.name = buf.pull_varint_prefixed_bytes().decode("utf-8")
-        self.memory_size = memory_size = buf.pull_varint()
-        rows = []
+        name = buf.pull_varint_prefixed_bytes().decode("utf-8")
+        memory_size = buf.pull_varint()
+        pluglets = []
         for _ in range(buf.pull_varint()):
             pname = buf.pull_varint_prefixed_bytes().decode("utf-8")
             protoop = buf.pull_varint_prefixed_bytes().decode("utf-8")
@@ -559,30 +559,15 @@ class _Decoded:
                 for _ in range(buf.pull_varint())
             )
             code = buf.pull_varint_prefixed_bytes()
-            rows.append((pname, protoop, anchor, param, fuel, helper_budget,
-                         triggers, code,
-                         programs.program(code, memory_size).instructions))
+            pluglets.append(Pluglet(
+                pname, protoop, anchor,
+                programs.program(code, memory_size).instructions, param,
+                fuel=fuel, helper_budget=helper_budget, triggers=triggers,
+                _bytecode=code))
         if not buf.eof():
             raise ValueError(
                 f"{buf.remaining} bytes after the last pluglet")
-        self.rows = tuple(rows)
-        self.host: Optional[HostBinding] = None
-        self.loaded: Optional[_Loaded] = None
-
-    def plugin(self, cls) -> Plugin:
-        """A fresh plugin of this content, its entry resolved."""
-        plugin = cls(self.name, [
-            Pluglet(pname, protoop, anchor, list(instructions), param,
-                    fuel=fuel, helper_budget=helper_budget,
-                    triggers=triggers, _bytecode=code)
-            for (pname, protoop, anchor, param, fuel, helper_budget,
-                 triggers, code, instructions) in self.rows],
-            memory_size=self.memory_size)
-        if plugin.host is not self.host:
-            # First decode, or the name's binding was declared since.
-            self.host, self.loaded = plugin.host, plugin._entry()
-        plugin._loaded = self.loaded
-        return plugin
+        self.plugin = Plugin(name, pluglets, memory_size)
 
 
 class _Loaded:

@@ -54,9 +54,32 @@ def _hash(*parts: bytes) -> bytes:
     return h.digest()
 
 
-def hkdf_like(secret: bytes, label: bytes) -> bytes:
-    """Derive a sub-key from ``secret`` for ``label`` (HKDF-expand analogue)."""
-    return hmac.new(secret, b"pquic " + label, hashlib.sha256).digest()
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+class HmacKey:
+    """HMAC-SHA256 under one key (RFC 2104), its inner and outer pad
+    states hashed once: :meth:`digest` copies them, skipping the two pad
+    hashes ``hmac.new(key, message, hashlib.sha256)`` makes per call, and
+    returns its bytes.  Used for the key schedule here and for the PVs'
+    signatures (:mod:`repro.secure.signing`)."""
+
+    __slots__ = ("_inner", "_outer")
+
+    def __init__(self, key: bytes):
+        if len(key) > 64:  # SHA-256's block size
+            key = hashlib.sha256(key).digest()
+        key = key.ljust(64, b"\0")
+        self._inner = hashlib.sha256(key.translate(_IPAD))
+        self._outer = hashlib.sha256(key.translate(_OPAD))
+
+    def digest(self, message: bytes) -> bytes:
+        inner = self._inner.copy()
+        inner.update(message)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
 
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
@@ -184,14 +207,23 @@ class CryptoPair:
         self.recv = AeadContext(recv_key)
 
 
-def initial_crypto_pair(destination_cid: bytes, is_client: bool) -> CryptoPair:
-    """Initial keys derived from the client's first destination CID."""
-    secret = hmac.new(INITIAL_SALT, destination_cid, hashlib.sha256).digest()
-    client_key = hkdf_like(secret, b"client initial")
-    server_key = hkdf_like(secret, b"server initial")
+_INITIAL_SALT = HmacKey(INITIAL_SALT)
+
+
+def _crypto_pair(secret: HmacKey, stage: bytes, is_client: bool) -> CryptoPair:
+    """The pair of ``stage``'s keys, each derived from ``secret`` for its
+    label (an HKDF-expand analogue)."""
+    client_key = secret.digest(b"pquic client " + stage)
+    server_key = secret.digest(b"pquic server " + stage)
     if is_client:
         return CryptoPair(client_key, server_key)
     return CryptoPair(server_key, client_key)
+
+
+def initial_crypto_pair(destination_cid: bytes, is_client: bool) -> CryptoPair:
+    """Initial keys derived from the client's first destination CID."""
+    return _crypto_pair(HmacKey(_INITIAL_SALT.digest(destination_cid)),
+                        b"initial", is_client)
 
 
 def session_secret(client_share: bytes, server_share: bytes) -> bytes:
@@ -205,8 +237,4 @@ def session_secret(client_share: bytes, server_share: bytes) -> bytes:
 
 
 def one_rtt_crypto_pair(secret: bytes, is_client: bool) -> CryptoPair:
-    client_key = hkdf_like(secret, b"client 1rtt")
-    server_key = hkdf_like(secret, b"server 1rtt")
-    if is_client:
-        return CryptoPair(client_key, server_key)
-    return CryptoPair(server_key, client_key)
+    return _crypto_pair(HmacKey(secret), b"1rtt", is_client)

@@ -15,15 +15,17 @@ the authentication path backs this).
 Lookups return an authentication path of Θ(log n + α) hashes: the sibling
 hashes up the tree plus the hashes of any co-located bindings.
 
-Each hash is computed once.  The empty-subtree chain is a pure function
-of the depth and the empty constant, derived once per process
-(:func:`empty_subtrees`).  A tree folds its node levels once per state —
-the first :meth:`~MerklePrefixTree.root` or lookup after an insert or a
-removal — and answers every lookup from them, so a lookup of a present
-name hashes nothing.  The kept levels are the tree's populated nodes,
-leaves to root: at most ``min(n, 2**(depth - h))`` hashes at height
-``h`` for ``n`` bindings — 116 435 hashes, about 14 MB of Python objects,
-for 16 384 bindings at depth 20; about 5 kB for one binding at depth 16.
+Each hash is computed once, by :func:`H` (which tests replace to count
+them), from a copy of the empty SHA-256 state.  The empty-subtree chain
+is a pure function of the depth and the empty constant, derived once per
+process (:func:`empty_subtrees`).  A tree folds its node levels once per
+state — the first :meth:`~MerklePrefixTree.root` or lookup after an
+insert or a removal — and answers every lookup from them, so a lookup of
+a present name hashes nothing.  The kept levels are the tree's populated
+nodes, leaves to root: at most ``min(n, 2**(depth - h))`` hashes at
+height ``h`` for ``n`` bindings — 116 435 hashes, about 14 MB of Python
+objects, for 16 384 bindings at depth 20; about 5 kB for one binding at
+depth 16.
 """
 
 from __future__ import annotations
@@ -35,9 +37,15 @@ from typing import Optional
 
 DEFAULT_DEPTH = 16
 
+#: The empty SHA-256 state :func:`H` starts from.
+_SHA256 = hashlib.sha256()
+
 
 def H(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
+    """SHA-256 of ``data``, from a copy of the empty state."""
+    h = _SHA256.copy()
+    h.update(data)
+    return h.digest()
 
 
 def binding_bytes(name: str, code: bytes) -> bytes:
@@ -152,7 +160,10 @@ class MerklePrefixTree:
         """The node levels, leaves first and the root's last:
         ``levels[h]`` maps the index of each populated node at height
         ``h`` to its hash.  A sparse bottom-up fold — only populated
-        subtrees are hashed — made once per tree state."""
+        subtrees are hashed, each node once — made once per tree state:
+        a left child hashes its parent, and so does a right child with
+        no left sibling; a node with no sibling rises beside an empty
+        subtree."""
         levels = self._folded
         if levels is None:
             level = {idx: self._leaf_hash(idx) for idx in self._leaves}
@@ -160,12 +171,13 @@ class MerklePrefixTree:
             for empty in self._empty_at[:-1]:
                 nxt: dict[int, bytes] = {}
                 for idx, value in level.items():
-                    parent = idx >> 1
-                    if parent in nxt:
-                        continue
-                    sib_val = level.get(idx ^ 1, empty)
-                    nxt[parent] = H(value + sib_val if idx % 2 == 0
-                                    else sib_val + value)
+                    if idx & 1:
+                        if idx - 1 not in level:
+                            nxt[idx >> 1] = H(empty + value)
+                    elif idx + 1 in level:
+                        nxt[idx >> 1] = H(value + level[idx + 1])
+                    else:
+                        nxt[idx >> 1] = H(value + empty)
                 levels.append(nxt)
                 level = nxt
             self._folded = levels

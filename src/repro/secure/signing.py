@@ -9,6 +9,11 @@ directory.  The security properties exercised by the tests — a signature
 binds a specific message to a specific key, tampering is detected, and a
 party without the private key cannot produce a valid signature — hold
 within the simulation.
+
+A signature is HMAC-SHA256 under the private key, made from the key's
+pad states hashed once (:class:`~repro.quic.crypto.HmacKey`): the key
+and its directory entry hold them, so a signature or a check hashes the
+message and two blocks, nothing of the key.
 """
 
 from __future__ import annotations
@@ -18,7 +23,10 @@ import hmac
 import os
 from typing import Optional
 
-_DIRECTORY: dict[bytes, bytes] = {}  # public key -> private key (simulated PKI)
+from repro.quic.crypto import HmacKey
+
+#: public key -> the private key's HMAC pads (simulated PKI).
+_DIRECTORY: dict[bytes, HmacKey] = {}
 
 
 class KeyPair:
@@ -27,7 +35,7 @@ class KeyPair:
     def __init__(self, private: bytes):
         self.private = private
         self.public = hashlib.sha256(b"pub" + private).digest()
-        _DIRECTORY[self.public] = private
+        self._mac = _DIRECTORY[self.public] = HmacKey(private)
 
     @classmethod
     def generate(cls, seed: Optional[int] = None) -> "KeyPair":
@@ -38,13 +46,12 @@ class KeyPair:
         return cls(private)
 
     def sign(self, message: bytes) -> bytes:
-        return hmac.new(self.private, message, hashlib.sha256).digest()
+        return self._mac.digest(message)
 
 
 def verify_signature(public: bytes, message: bytes, signature: bytes) -> bool:
     """Verify through the simulated PKI directory."""
-    private = _DIRECTORY.get(public)
-    if private is None:
+    mac = _DIRECTORY.get(public)
+    if mac is None:
         return False
-    expected = hmac.new(private, message, hashlib.sha256).digest()
-    return hmac.compare_digest(expected, signature)
+    return hmac.compare_digest(mac.digest(message), signature)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 
@@ -20,11 +21,14 @@ def _h(data: bytes) -> bytes:
 
 @dataclass(frozen=True)
 class ChainEntry:
+    """One link; its hash, over all three fields, is computed once, when
+    it is first read."""
+
     index: int
     payload: bytes
     prev_hash: bytes
 
-    @property
+    @cached_property
     def entry_hash(self) -> bytes:
         return _h(self.index.to_bytes(8, "big") + self.prev_hash + self.payload)
 

@@ -7,14 +7,16 @@ plugins it vouches for, signs the root (STR) and serves lookups.
 
 Every epoch re-validates the whole published set, most of it unchanged:
 bytes the process has decoded before are a store lookup
-(:meth:`~repro.core.plugin.Plugin.deserialize`) and so is their §2.1
-verdict, while the checks themselves — name binding, verdict, tree —
-run on every epoch.
+(:meth:`~repro.core.plugin.Plugin.deserialize`) whose copy builds no
+pluglet unless a check reads them, and so is their §2.1 verdict, while
+the checks themselves — name binding, verdict, tree — run on every
+epoch.  The root is signed as one :class:`SignedTreeRoot`, whose payload
+is made once for its signature and every check of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from repro.core.plugin import Plugin
@@ -31,22 +33,36 @@ from .signing import KeyPair, verify_signature
 
 @dataclass(frozen=True)
 class SignedTreeRoot:
-    """An STR: the tamper-resistant commitment of one PV at one epoch."""
+    """An STR: the tamper-resistant commitment of one PV at one epoch.
+    Its payload — what is signed and what the PR's log archives — is
+    made once, when the STR is."""
 
     validator_id: str
     epoch: int
     root: bytes
     signature: bytes
+    _payload: bytes = field(init=False, repr=False, compare=False)
 
-    def payload(self) -> bytes:
-        return (
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_payload", (
             self.validator_id.encode("utf-8")
             + self.epoch.to_bytes(8, "big")
-            + self.root
-        )
+            + self.root))
+
+    @classmethod
+    def sign(cls, keys: KeyPair, validator_id: str, epoch: int,
+             root: bytes) -> "SignedTreeRoot":
+        """The STR of ``root`` signed with ``keys``: one STR, whose
+        signature is set as it is made."""
+        signed = cls(validator_id, epoch, root, b"")
+        object.__setattr__(signed, "signature", keys.sign(signed._payload))
+        return signed
+
+    def payload(self) -> bytes:
+        return self._payload
 
     def verify(self, public_key: bytes) -> bool:
-        return verify_signature(public_key, self.payload(), self.signature)
+        return verify_signature(public_key, self._payload, self.signature)
 
 
 def _decoded(name: str, code: bytes) -> Union[Plugin, str]:
@@ -139,10 +155,7 @@ class PluginValidator:
         return self.current_str
 
     def _sign_root(self, root: bytes, epoch: int) -> SignedTreeRoot:
-        unsigned = SignedTreeRoot(self.validator_id, epoch, root, b"")
-        return SignedTreeRoot(
-            self.validator_id, epoch, root, self.keys.sign(unsigned.payload())
-        )
+        return SignedTreeRoot.sign(self.keys, self.validator_id, epoch, root)
 
     # ------------------------------------------------------------------
 

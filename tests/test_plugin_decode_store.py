@@ -7,6 +7,8 @@ re-encoding, failed decodes are not kept, and the store is bounded."""
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.plugin as plugin_module
 import repro.secure.merkle as merkle
@@ -94,6 +96,23 @@ class TestDecodeByContent:
         assert again.serialize() == wire
         again.verify_all()
 
+    def test_an_edit_to_a_hit_is_its_own(self):
+        """A hit is a copy of the kept first decode: editing its pluglet
+        changes neither a later hit nor the encoding the store keeps,
+        and the edited plugin serializes as it is."""
+        wire = build_monitoring_plugin().serialize()
+        assert Plugin.deserialize(wire).serialize() == wire
+        kept = Plugin.deserialize(wire)._entry()
+        hit = Plugin.deserialize(wire)
+        hit.pluglets[0].fuel = 77
+        hit.pluglets[1].protoop = "connection_closing"
+        edited = hit.serialize()
+        assert edited != wire and edited == reference_encoding(hit)
+        again = Plugin.deserialize(wire)
+        assert again.pluglets == build_monitoring_plugin().pluglets
+        assert again.serialize() == wire and kept.encoding == wire
+        assert again._entry() is kept is not hit._entry()
+
     def test_the_canonical_form_is_the_re_encoding(self):
         """A name length sent as a two-byte varint decodes to the plugin
         whose re-encoding is the one-byte form; the proof check binds
@@ -138,7 +157,7 @@ class TestDecodeByContent:
         late = HostBinding("org.late")
         again = Plugin.deserialize(wire)
         assert again.host is late and bare.host is not late
-        assert again._loaded is not bare._loaded
+        assert again._entry() is not bare._entry()
         assert again._loaded is again._entry()
 
 
@@ -242,6 +261,24 @@ class TestValidatorEpoch:
         assert parses == []  # the validators decoded these bytes
 
 
+    def test_an_exchanger_parses_its_formula_once(self, monkeypatch):
+        import repro.core.exchange as exchange
+
+        parsed = []
+        real = exchange.parse_formula
+        monkeypatch.setattr(exchange, "parse_formula", lambda text: (
+            parsed.append(text), real(text))[1])
+        plugin, repo, validators, trust = build_world(
+            plugin=build_monitoring_plugin())
+        _sim, _client, exchanger, _cache = connect_with_exchange(
+            plugin, repo, validators, trust, "PV1 & (PV2 | PV3)")
+        assert exchanger.received == [plugin.name]
+        for _ in range(2):
+            assert "unsatisfied" in exchanger._verify_incoming(
+                plugin.name, plugin, [])
+        assert parsed == ["PV1 & (PV2 | PV3)"]
+
+
 class TestOneFold:
     def test_prove_after_root_hashes_nothing(self, hashes):
         tree = merkle.MerklePrefixTree(16)
@@ -269,11 +306,67 @@ class TestOneFold:
         tree.prove("org.a")
         assert hashes[0] == 16
 
+    @settings(max_examples=150, deadline=None)
+    @given(depth=st.integers(1, 10),
+           names=st.lists(st.integers(0, 400), max_size=60),
+           removed=st.lists(st.integers(0, 400), max_size=30),
+           absent=st.lists(st.integers(401, 800), max_size=5))
+    def test_the_fold_is_the_level_by_level_one(self, depth, names, removed,
+                                                absent):
+        """Against the fold it replaced, kept here: the same levels, root,
+        proofs and number of hashes, on trees of co-located bindings,
+        runs of siblings and lone chains, after removals."""
+        tree = merkle.MerklePrefixTree(depth)
+        for n in names:
+            tree.insert(f"org.f{n}", b"code-%d" % n)
+        for n in removed:
+            tree.remove(f"org.f{n}")
+        counted = []
+        real = merkle.H
+        merkle.H = lambda data: (counted.append(data), real(data))[1]
+        try:
+            levels = tree._levels()
+            folded = len(counted)
+            reference = reference_levels(tree)
+        finally:
+            merkle.H = real
+        assert len(counted) == 2 * folded
+        assert sorted(counted[:folded]) == sorted(counted[folded:])
+        assert levels == reference
+        proofs = [tree.prove(f"org.f{n}") for n in names
+                  if f"org.f{n}" in tree]
+        absences = [tree.prove_absence(f"org.f{n}") for n in absent]
+        root = tree.root()
+        tree._folded = reference
+        assert tree.root() == root
+        assert proofs == [tree.prove(f"org.f{n}") for n in names
+                          if f"org.f{n}" in tree]
+        assert absences == [tree.prove_absence(f"org.f{n}") for n in absent]
+
     def test_a_second_tree_derives_no_empty_subtree_hash(self, hashes):
         merkle.MerklePrefixTree(24, b"\x01" * 32)
         hashes[0] = 0
         merkle.MerklePrefixTree(24, b"\x01" * 32)
         assert hashes[0] == 0
+
+
+def reference_levels(tree) -> list:
+    """The node levels folded level by level, as the tree first did:
+    the specification of the fold."""
+    level = {idx: tree._leaf_hash(idx) for idx in tree._leaves}
+    levels = [level]
+    for empty in tree._empty_at[:-1]:
+        nxt = {}
+        for idx, value in level.items():
+            parent = idx >> 1
+            if parent in nxt:
+                continue
+            sib_val = level.get(idx ^ 1, empty)
+            nxt[parent] = merkle.H(value + sib_val if idx % 2 == 0
+                                   else sib_val + value)
+        levels.append(nxt)
+        level = nxt
+    return levels
 
 
 # --- the encoding by content ---------------------------------------------------

@@ -1,14 +1,18 @@
 """Tests for the simulated packet protection and key schedule."""
 
+import hashlib
+import hmac
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.quic.crypto import (
+    INITIAL_SALT,
     TAG_LENGTH,
     AeadContext,
+    HmacKey,
     initial_crypto_pair,
     one_rtt_crypto_pair,
     random_bytes,
@@ -125,3 +129,27 @@ def test_random_bytes_draws_exactly_what_randrange_draws():
         assert random_bytes(ours, n) == bytes(
             theirs.randrange(256) for _ in range(n))
         assert ours.getstate() == theirs.getstate()
+
+
+@given(key=st.binary(max_size=200), message=st.binary(max_size=300))
+@example(key=b"k" * 64, message=b"")
+@example(key=b"k" * 65, message=b"m")
+def test_hmac_from_kept_pads_is_hmac(key, message):
+    mac = HmacKey(key)
+    expected = hmac.new(key, message, hashlib.sha256).digest()
+    assert mac.digest(message) == expected
+    assert mac.digest(message) == expected  # the pads are not consumed
+
+
+def test_the_key_schedule_derives_the_hmac_keys():
+    def mac(key, message):
+        return hmac.new(key, message, hashlib.sha256).digest()
+
+    dcid = bytes(range(8))
+    secret = mac(INITIAL_SALT, dcid)
+    client = initial_crypto_pair(dcid, is_client=True)
+    assert client.send.key == mac(secret, b"pquic client initial")
+    assert client.recv.key == mac(secret, b"pquic server initial")
+    server = one_rtt_crypto_pair(b"s" * 32, is_client=False)
+    assert server.send.key == mac(b"s" * 32, b"pquic server 1rtt")
+    assert server.recv.key == mac(b"s" * 32, b"pquic client 1rtt")

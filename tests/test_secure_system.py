@@ -91,6 +91,20 @@ class TestHashChain:
         log._entries[0] = ChainEntry(0, b"EVIL", log._entries[0].prev_hash)
         assert not log.verify()
 
+    def test_each_link_is_hashed_once(self, monkeypatch):
+        import repro.secure.str_log as str_log
+
+        hashed = []
+        real = str_log._h
+        monkeypatch.setattr(str_log, "_h",
+                            lambda data: (hashed.append(data), real(data))[1])
+        log = HashChainLog()
+        for i in range(5):
+            log.append(b"entry-%d" % i)
+        for _ in range(3):
+            assert log.verify() and log.head
+        assert len(hashed) == len(set(hashed)) == 5
+
     def test_head_changes_per_entry(self):
         log = HashChainLog()
         log.append(b"a")

@@ -34,6 +34,7 @@ from repro.errors import TransportErrorCode
 from repro.plugins import build_monitoring_plugin, build_multipath_plugin
 from repro.quic import QuicConfiguration
 from repro.quic.connection import QuicConnection
+from repro.secure import PluginValidator, SignedTreeRoot
 from repro.vm import assemble
 from repro.vm.interpreter import VirtualMachine
 from tests.test_quic_coalescing import exchange
@@ -145,6 +146,31 @@ def test_a_plugin_exchanger_registers_as_one_change(counts):
     # held in rows of the connection's table.
     assert counted(exchanger_setup, counts) == {
         **NOTHING, "invalidations": 1, "rows": 4}
+
+
+def test_a_validator_epoch_over_known_bytes_makes_one_str_and_no_pluglet(
+        monkeypatch):
+    """A decode hit is a copy whose pluglets nothing reads, and the root
+    is signed as one STR: once 14 pluglets (monitoring's, rebuilt by
+    every hit) and 2 STRs (an unsigned one, to sign its payload)."""
+    wire = build_monitoring_plugin().serialize()
+    PluginValidator("PV0", seed=0).run_epoch({MONITORING: wire}, 1)
+    made = {"pluglets": 0, "strs": 0}
+
+    def count(owner, attr, key):
+        real = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            made[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(Pluglet, "__init__", "pluglets")
+    count(Pluglet, "copy", "pluglets")
+    count(SignedTreeRoot, "__init__", "strs")
+    PluginValidator("PV1", seed=1).run_epoch({MONITORING: wire}, 1)
+    assert made == {"pluglets": 0, "strs": 1}
 
 
 def test_the_connections_share_the_untouched_plans():
